@@ -1,20 +1,20 @@
 """msvkit: exact computations with matrix Schubert varieties.
 
 Partial permutations and their diagram combinatorics (``perm``), exact sparse
-polynomial arithmetic with the antidiagonal term order (``poly``), Schubert
-determinantal ideals with Groebner verification of their antidiagonal initial
-ideals (``detideal``), the recursive complete intersection classifier with an
-independent minimal-generator-count oracle (``ci``), pivot-localization
-verification (``frlab``), and a command-line front end (``cli``).
+polynomial arithmetic over a ring that owns its coefficient field and its
+antidiagonal term order (``poly``), Schubert determinantal ideals with
+Groebner verification of their antidiagonal initial ideals (``detideal``),
+the recursive complete intersection classifier with an independent
+minimal-generator-count oracle (``ci``), pivot-localization verification
+(``frlab``), and a command-line front end (``cli``).
 """
 
 from .perm import (Cell, Diagram, PartialPermutation, all_permutations,
                    coxeter_length, delete_row_col, diagram, essential_set,
                    extend_to_permutation, identity, longest_element, rank_at,
                    render_one_line, submatrix_w)
-from .poly import (ANTIDIAGONAL_LEX, ELIMINATION, IdealPresentation, Polynomial,
-                   PolyRing, TermOrder, antidiagonal_monomial, buchberger, compare,
-                   leading_term, minor, normal_form, s_polynomial, saturate)
+from .poly import (IdealPresentation, Polynomial, PolyRing, antidiagonal_monomial,
+                   buchberger, leading_term, minor, normal_form, s_polynomial, saturate)
 from .detideal import (MonomialIdeal, SchubertIdeal, antidiagonal_ideal,
                        fulton_generators, is_nonzerodivisor_on_monomial_quotient,
                        monomial_codim, monomial_quotient_membership, verify_groebner)

@@ -16,7 +16,8 @@ Text grids put '1' at the permutation's entries, '*' at positive-rank diagram
 cells and '.' at rank-0 diagram cells.  Exit status: 0 on success or a true
 verdict, 1 when a verification or classification comes back false, 2 on usage
 or capability errors.  The environment variable MSVKIT_PRIME overrides the
-prime-field modulus used when ``--field prime`` is selected (default 32003).
+prime-field modulus used when ``--field prime`` is selected (default 32003;
+it must be a prime below 2^31).
 """
 from __future__ import annotations
 
@@ -90,9 +91,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ci_cmd.add_argument("--field", choices=("rational", "prime"), default="rational",
                         help="coefficient field for the oracle")
     add("verify-gb", _cmd_verify_gb, partial_ok=True)
-    add("verify-lemma2", _cmd_verify_lemma2)
-    add("verify-localize", _cmd_verify_localize)
-    add("verify-all", _cmd_verify_all)
+    for name in VERIFY_COMMANDS:
+        add(name, _cmd_verify)
     census = sub.add_parser("census")
     census.add_argument("--n", type=int, required=True, help="classify all of S_n")
     census.add_argument("--filter", choices=("ci", "non-ci", "all"), default="all")
@@ -101,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="include the minimal-generator-count oracle")
     census.add_argument("--field", choices=("rational", "prime"), default="rational")
     census.add_argument("--jobs", type=int, default=0,
-                        help="worker processes (default: all cores)")
+                        help="worker processes (default and cap: all cores)")
     census.set_defaults(handler=_cmd_census)
     return parser
 
@@ -113,17 +113,17 @@ def _oracle_char(args) -> int:
 
 
 def _load_target(args, *, permutation_only: bool = False,
-                 bound: Optional[int] = None, what: str = "") -> perm.PartialPermutation:
+                 bound: Optional[int] = None) -> perm.PartialPermutation:
     if getattr(args, "file", None):
         with open(args.file, encoding="utf-8") as fh:
             w = perm.parse_partial_matrix(fh.read())
     else:
         w = perm.PartialPermutation.from_one_line(args.w)
     if permutation_only and not w.is_permutation:
-        raise ValueError(f"{what or args.command} requires a full permutation")
+        raise ValueError(f"{args.command} requires a full permutation")
     if bound is not None and max(w.rows, w.cols) > bound:
         raise CapabilityError(
-            f"{what or args.command} is bounded at n <= {bound}; "
+            f"{args.command} is bounded at n <= {bound}; "
             f"got a {w.rows}x{w.cols} input")
     return w
 
@@ -214,7 +214,7 @@ def _cmd_ci(args) -> int:
 
 
 def _cmd_verify_gb(args) -> int:
-    w = _load_target(args, bound=GB_BOUND, what="verify-gb")
+    w = _load_target(args, bound=GB_BOUND)
     report = detideal.verify_groebner(w)
     if args.json:
         _print_json(report.to_json())
@@ -227,65 +227,42 @@ def _cmd_verify_gb(args) -> int:
     return 0 if report.match else 1
 
 
-def _cmd_verify_lemma2(args) -> int:
-    w = _load_target(args, permutation_only=True, bound=PIVOT_BOUND,
-                     what="verify-lemma2")
+# verify command -> (the JSON key it reports besides w, c and skipped, or None
+# for every key; its text lines as (text, the VerificationSummary field whose
+# status follows the text, or None, status words for true and false))
+VERIFY_COMMANDS = {
+    "verify-lemma2": ("lemma2", [
+        ("initial ideal of <c> + I at pivot ({p},{q}): ", "initial_ideal_ok", "match", "MISMATCH")]),
+    "verify-localize": ("I_eq_Iprime", [
+        ("localization identity at pivot ({p},{q}): ", "localization_ok", "verified", "FAILED")]),
+    "verify-all": (None, [
+        ("pivot: ({p},{q})", None, "", ""),
+        ("window fact:        ", "window", "ok", "FAILED"),
+        ("minor membership:   ", "minors_ok", "ok", "FAILED"),
+        ("initial ideal:      ", "initial_ideal_ok", "ok", "FAILED"),
+        ("nonzerodivisor:     ", "nonzerodivisor_ok", "ok", "FAILED"),
+        ("localization:       ", "localization_ok", "ok", "FAILED")]),
+}
+
+
+def _cmd_verify(args) -> int:
+    key, lines = VERIFY_COMMANDS[args.command]
+    w = _load_target(args, permutation_only=True, bound=PIVOT_BOUND)
     pivot = frlab.find_pivot(w)
-    if pivot is None:
-        if args.json:
-            _print_json({"w": perm.render_one_line(w), "c": None,
-                         "lemma2": None, "skipped": True})
-        else:
-            print("skipped: no pivot (defining ideal generated by variables)")
-        return 0
-    report = frlab.verify_pivot_initial_ideal(w)
+    results = {} if pivot is None else {
+        field: frlab.PIVOT_CHECKS[field](w, pivot) for _, field, _, _ in lines if field}
     if args.json:
-        _print_json({"w": perm.render_one_line(w), "c": list(pivot),
-                     "lemma2": report.ok, "skipped": False})
+        summary = frlab.VerificationSummary(w=w, pivot=pivot, skipped=pivot is None, **results)
+        payload = summary.to_json()
+        _print_json(payload if key is None else
+                    {k: payload[k] for k in ("w", "c", key, "skipped")})
+    elif pivot is None:
+        print("skipped: no pivot (defining ideal generated by variables)")
     else:
-        print(f"initial ideal of <c> + I at pivot ({pivot.p},{pivot.q}): "
-              f"{'match' if report.ok else 'MISMATCH'}")
-    return 0 if report.ok else 1
-
-
-def _cmd_verify_localize(args) -> int:
-    w = _load_target(args, permutation_only=True, bound=PIVOT_BOUND,
-                     what="verify-localize")
-    pivot = frlab.find_pivot(w)
-    if pivot is None:
-        if args.json:
-            _print_json({"w": perm.render_one_line(w), "c": None,
-                         "I_eq_Iprime": None, "skipped": True})
-        else:
-            print("skipped: no pivot (defining ideal generated by variables)")
-        return 0
-    report = frlab.verify_localization_identity(w)
-    if args.json:
-        _print_json({"w": perm.render_one_line(w), "c": list(pivot),
-                     "I_eq_Iprime": report.ok, "skipped": False})
-    else:
-        status = "verified" if report.ok else "FAILED"
-        print(f"localization identity at pivot ({pivot.p},{pivot.q}): {status}")
-    return 0 if report.ok else 1
-
-
-def _cmd_verify_all(args) -> int:
-    w = _load_target(args, permutation_only=True, bound=PIVOT_BOUND,
-                     what="verify-all")
-    summary = frlab.verify_all(w)
-    if args.json:
-        _print_json(summary.to_json())
-    else:
-        if summary.skipped:
-            print("skipped: no pivot (defining ideal generated by variables)")
-        else:
-            print(f"pivot: ({summary.pivot.p},{summary.pivot.q})")
-            print(f"window fact:        {'ok' if summary.window else 'FAILED'}")
-            print(f"minor membership:   {'ok' if summary.minors_ok else 'FAILED'}")
-            print(f"initial ideal:      {'ok' if summary.initial_ideal_ok else 'FAILED'}")
-            print(f"nonzerodivisor:     {'ok' if summary.nonzerodivisor_ok else 'FAILED'}")
-            print(f"localization:       {'ok' if summary.localization_ok else 'FAILED'}")
-    return 0 if summary.ok else 1
+        for text, field, yes, no in lines:
+            status = "" if field is None else (yes if results[field] else no)
+            print(text.format(p=pivot.p, q=pivot.q) + status)
+    return 0 if all(results.values()) else 1
 
 
 def _census_line(payload) -> tuple[str, bool]:
@@ -307,7 +284,8 @@ def _cmd_census(args) -> int:
     char = _oracle_char(args)
     words = [w.one_line() for w in perm.all_permutations(args.n)]
     payloads = [(word, args.mu, char, args.json) for word in words]
-    jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
+    cores = os.cpu_count() or 1
+    jobs = min(args.jobs, cores) if args.jobs > 0 else cores
     if jobs > 1 and len(payloads) > 1:
         with Pool(processes=min(jobs, len(payloads))) as pool:
             results = pool.map(_census_line, payloads)

@@ -47,7 +47,7 @@ class MonomialIdeal:
 
     @classmethod
     def from_monomials(cls, ring: PolyRing, monomials: Iterable[Monomial]) -> "MonomialIdeal":
-        pool = sorted(set(monomials), key=lambda m: (sum(m), m))
+        pool = sorted(set(monomials), key=lambda m: (ring.monomial_degree(m), m))
         kept: list[Monomial] = []
         for m in pool:
             if not any(monomial_divides(g, m) for g in kept):
@@ -61,11 +61,9 @@ class MonomialIdeal:
     def contains_monomial(self, m: Monomial) -> bool:
         return any(monomial_divides(g, m) for g in self.gens)
 
-    def contains_polynomial(self, f: Polynomial) -> bool:
-        return all(self.contains_monomial(m) for m in f.monomials())
-
     def is_squarefree(self) -> bool:
-        return all(all(e <= 1 for e in m) for m in self.gens)
+        degree, support = self.ring.monomial_degree, self.ring.support
+        return all(degree(m) == len(support(m)) for m in self.gens)
 
     def rendered(self) -> tuple[str, ...]:
         return tuple(self.ring.render_monomial(m) for m in self.gens)
@@ -82,13 +80,13 @@ def monomial_quotient_membership(f: Polynomial, gens: Sequence[Monomial]) -> boo
 
 def colon_by_variable(J: MonomialIdeal, c: Monomial) -> MonomialIdeal:
     """The colon ideal (J : c) for a single variable c."""
-    _check_variable(c)
+    _check_variable(J.ring, c)
     gens = [monomial_quotient(m, c) if monomial_divides(c, m) else m for m in J.gens]
     return MonomialIdeal.from_monomials(J.ring, gens)
 
 
-def _check_variable(c: Monomial):
-    if sum(c) != 1:
+def _check_variable(ring: PolyRing, c: Monomial):
+    if ring.monomial_degree(c) != 1:
         raise ValueError("expected a single variable")
 
 
@@ -97,7 +95,7 @@ def is_nonzerodivisor_on_monomial_quotient(c: Monomial, J: MonomialIdeal) -> boo
     squarefree monomial ideal J: every minimal generator divisible by c must
     stay in J after dividing c out (squarefree minimality makes any such
     generator a witness that c kills a nonzero class)."""
-    _check_variable(c)
+    _check_variable(J.ring, c)
     if not J.is_squarefree():
         raise ValueError("nonzerodivisor test requires a squarefree ideal")
     return all(J.contains_monomial(monomial_quotient(m, c))
@@ -112,12 +110,9 @@ def monomial_codim(J: MonomialIdeal) -> int:
         raise ValueError("codimension via vertex cover requires a squarefree ideal")
     if J.is_zero:
         return 0
-    supports = []
-    for m in J.gens:
-        support = frozenset(i for i, e in enumerate(m) if e)
-        if not support:
-            raise ValueError("the unit ideal has no height")
-        supports.append(support)
+    supports = [J.ring.support(m) for m in J.gens]
+    if not all(supports):
+        raise ValueError("the unit ideal has no height")
 
     def greedy_cover(remaining: list[frozenset]) -> int:
         count = 0
@@ -271,89 +266,51 @@ def graded_minimal_generators(ring: PolyRing, gens: Sequence[Polynomial]
         if not g.is_homogeneous():
             raise ValueError("graded selection requires homogeneous generators")
         degrees.append(g.total_degree())
-    # single-variable generators act by erasing every multiple of theirs
-    kill: set[int] = set()
+    # single-variable generators act by erasing every multiple of theirs, so
+    # the other generators only keep their terms free of those variables
+    kill: set = set()
     poly_gens: list[int] = []
     for idx, g in enumerate(gens):
-        terms = g.terms()
-        if degrees[idx] == 1 and len(terms) == 1:
-            kill.add(terms[0][0].index(1))
+        if degrees[idx] == 1 and len(g) == 1:
+            kill |= ring.support(g.leading_monomial())
         else:
             poly_gens.append(idx)
-
-    def killed(d: dict) -> dict:
-        return {m: c for m, c in d.items() if not any(m[v] for v in kill)}
+    survivors = {idx: {m: c for m, c in gens[idx].terms() if ring.free_of(m, kill)}
+                 for idx in poly_gens}
+    axpy, div = ring.field.axpy, ring.field.div
 
     kept: list[int] = []
     for d in sorted(set(degrees)):
         echelon: dict[Monomial, dict] = {}
 
-        def insert(row: dict):
+        def insert(row: dict) -> bool:
+            """Reduce ``row`` by the echelon and add it there unless it
+            reduces to zero; True iff it was added."""
             while row:
                 lead = max(row)
                 pivot = echelon.get(lead)
                 if pivot is None:
                     lc = row[lead]
-                    if lc != 1:
-                        div = ring.coeff_div
-                        row = {m: div(c, lc) for m, c in row.items()}
-                    echelon[lead] = row
-                    return
-                _row_axpy(row, pivot, row[lead], ring.char)
+                    echelon[lead] = row if lc == 1 else {m: div(c, lc) for m, c in row.items()}
+                    return True
+                axpy(row, pivot.items(), -row[lead])
+            return False
 
-        if d > 1:
-            for idx in poly_gens:
-                e = degrees[idx]
-                if e >= d:
-                    continue
-                gd = gens[idx]._d
-                for u in _monomials_of_degree(ring.nvars, d - e):
-                    prod: dict = {}
-                    for m, c in gd.items():
-                        key = tuple(x + y for x, y in zip(m, u))
-                        if not any(key[v] for v in kill):
-                            prod[key] = c
-                    if prod:
-                        insert(prod)
-        for idx, g in ((i, gens[i]) for i in range(len(gens)) if degrees[i] == d):
-            row = dict(g._d) if d == 1 else killed(g._d)
-            while row:
-                lead = max(row)
-                pivot = echelon.get(lead)
-                if pivot is None:
-                    break
-                _row_axpy(row, pivot, row[lead], ring.char)
-            if row:
-                kept.append(idx)
-                insert(row)
+        # the degree-d part of the ideal generated in lower degrees
+        for idx in poly_gens:
+            if degrees[idx] < d and survivors[idx]:
+                for u in ring.monomials_of_degree(d - degrees[idx]):
+                    if not ring.free_of(u, kill):
+                        continue
+                    product: dict = {}
+                    axpy(product, survivors[idx].items(), 1, u)
+                    insert(product)
+        for idx in range(len(gens)):
+            if degrees[idx] == d:
+                row = dict(gens[idx].terms() if d == 1 else survivors[idx])
+                if insert(row):
+                    kept.append(idx)
     return tuple(kept), len(kept)
-
-
-def _row_axpy(row: dict, pivot: dict, factor, char: int):
-    """row -= factor * pivot (pivot is monic at its leading monomial)."""
-    if char:
-        for m, c in pivot.items():
-            v = (row.get(m, 0) - factor * c) % char
-            if v:
-                row[m] = v
-            else:
-                row.pop(m, None)
-    else:
-        for m, c in pivot.items():
-            v = row.get(m, 0) - factor * c
-            if v:
-                row[m] = v
-            else:
-                row.pop(m, None)
-
-
-def _monomials_of_degree(nvars: int, k: int):
-    """All exponent tuples of total degree k (k >= 1)."""
-    for combo in itertools.combinations_with_replacement(range(nvars), k):
-        exps = [0] * nvars
-        for v in combo:
-            exps[v] += 1
-        yield tuple(exps)
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,8 @@ from typing import Iterator, Optional
 from .perm import (Cell, PartialPermutation, all_permutations, coxeter_length,
                    delete_row_col, diagram, essential_set, render_one_line)
 from .poly import (IdealPresentation, Polynomial, PolyRing, buchberger, minor,
-                   antidiagonal_monomial, monomial_divides, normal_form, saturate,
-                   transplant)
+                   antidiagonal_monomial, monomial_divides, monomial_quotient,
+                   normal_form, saturate, transplant)
 from .detideal import (MonomialIdeal, antidiagonal_ideal, fulton_generators,
                        is_nonzerodivisor_on_monomial_quotient,
                        monomial_quotient_membership)
@@ -203,12 +203,11 @@ def _clear_pivot_substitution(f: Polynomial, ring: PolyRing, p0: int, q0: int) -
         if used < degree:
             term = term.mul_term(ring.monomial({(p0, q0): degree - used}))
         total = total + term
-    c_pos = ring.monomial({(p0, q0): 1}).index(1)
-    excess = min(m[c_pos] for m in total.monomials())
+    excess = min(sum(e for i, j, e in ring.grid_support(m) if (i, j) == (p0, q0))
+                 for m in total.monomials())
     if excess:
-        total = Polynomial(ring, {
-            tuple(e - excess if k == c_pos else e for k, e in enumerate(m)): co
-            for m, co in total._d.items()})
+        factor = ring.monomial({(p0, q0): excess})
+        total = ring.polynomial((monomial_quotient(m, factor), co) for m, co in total.terms())
     return total
 
 
@@ -316,19 +315,23 @@ class VerificationSummary:
         }
 
 
+# VerificationSummary field -> the check that fills it, given w and its pivot
+PIVOT_CHECKS = {
+    "window": lambda w, pivot: verify_pivot_window(w, pivot),
+    "minors_ok": lambda w, pivot: verify_pivot_minors(w).ok,
+    "initial_ideal_ok": lambda w, pivot: verify_pivot_initial_ideal(w).ok,
+    "nonzerodivisor_ok": lambda w, pivot: verify_pivot_nonzerodivisor(w),
+    "localization_ok": lambda w, pivot: verify_localization_identity(w).ok,
+}
+
+
 def verify_all(w: PartialPermutation) -> VerificationSummary:
     """Run every pivot verification on ``w`` (skipping when no pivot exists)."""
     pivot = find_pivot(w)
     if pivot is None:
         return VerificationSummary(w=w, pivot=None, skipped=True)
-    return VerificationSummary(
-        w=w, pivot=pivot, skipped=False,
-        window=verify_pivot_window(w, pivot),
-        minors_ok=verify_pivot_minors(w).ok,
-        initial_ideal_ok=verify_pivot_initial_ideal(w).ok,
-        nonzerodivisor_ok=verify_pivot_nonzerodivisor(w),
-        localization_ok=verify_localization_identity(w).ok,
-    )
+    return VerificationSummary(w=w, pivot=pivot, skipped=False,
+                               **{field: check(w, pivot) for field, check in PIVOT_CHECKS.items()})
 
 
 def localization_sample(n: int = 5, max_length: int = 6) -> tuple:

@@ -1,20 +1,29 @@
 """Exact sparse polynomial arithmetic over a grid of variables x[i,j].
 
-The term order used throughout is antidiagonal-lexicographic: plain lex with
-variable precedence x[i,j] > x[i',j'] iff i < i', or i = i' and j > j'
-(row-major, columns descending).  Under this order the leading term of every
-minor of the generic matrix is the product of its antidiagonal entries, which
-is certified exhaustively in the test suite for all minors of a 5x5 grid.
+Every ``PolyRing`` owns its coefficient field and its term order:
 
-Monomials are dense exponent tuples whose positions are listed in decreasing
-variable precedence, so Python's native tuple comparison *is* the term order
-and monomial multiplication is componentwise addition.  A ring may carry one
-auxiliary variable (used for saturation); it occupies position 0, which turns
-the same tuple comparison into the elimination order that ranks any monomial
-containing the auxiliary variable above every monomial free of it.
+* The field is built once from ``char``: exact ints and Fractions for the
+  rationals (characteristic 0) or ints reduced mod p for a prime p < 2^31.
+  It normalizes and divides coefficients and runs the one in-place kernel
+  ``axpy`` (target += c * x^u * src) behind all polynomial arithmetic, so
+  the choice of field is made when the ring is built, never inside a loop.
+* The order is antidiagonal-lexicographic: plain lex with variable
+  precedence x[i,j] > x[i',j'] iff i < i', or i = i' and j > j' (row-major,
+  columns descending).  Under it the leading term of every minor of the
+  generic matrix is the product of its antidiagonal entries, which is
+  certified exhaustively in the test suite for all minors of a 5x5 grid.  A
+  ring may carry one auxiliary variable (used for saturation); its order is
+  then the elimination order, which ranks any monomial containing the
+  auxiliary variable above every monomial free of it.
 
-Coefficients are exact: int/Fraction over the rationals (characteristic 0) or
-ints reduced mod p over a prime field.
+Monomials are opaque outside this module: they compare with ``<`` in the
+ring's order, combine through the ``monomial_*`` functions, and are built,
+inspected and enumerated through ``PolyRing`` methods (``monomial``,
+``grid_support``, ``monomial_degree``, ``support``, ``monomials_of_degree``).
+Inside, a monomial is a dense exponent tuple whose positions are listed in
+decreasing variable precedence (the auxiliary variable first), so native
+tuple comparison is the term order and multiplication is componentwise
+addition.
 """
 from __future__ import annotations
 
@@ -29,42 +38,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 Monomial = tuple  # exponent tuple; positions in decreasing variable precedence
 
-
-@dataclass(frozen=True)
-class TermOrder:
-    """A monomial order: total, multiplicative, with 1 minimal.
-
-    ``antidiagonal-lex`` is lex with row-major/column-descending precedence;
-    ``elimination`` compares the auxiliary variable's exponent first and then
-    falls back to antidiagonal-lex on the grid variables.  Both are realized
-    by native tuple comparison on this module's monomial encoding.
-    """
-
-    kind: str
-
-    def compare(self, m1: Monomial, m2: Monomial) -> int:
-        if len(m1) != len(m2):
-            raise ValueError("monomials from different rings are not comparable")
-        return (m1 > m2) - (m1 < m2)
-
-    def key(self, m: Monomial) -> Monomial:
-        return m
-
-
-ANTIDIAGONAL_LEX = TermOrder("antidiagonal-lex")
-ELIMINATION = TermOrder("elimination")
-
-
-def compare(m1: Monomial, m2: Monomial, order: TermOrder = ANTIDIAGONAL_LEX) -> int:
-    """Three-way comparison of monomials; -1, 0 or 1.
-
-    >>> r = PolyRing(2, 4)
-    >>> a = r.monomial({(1, 4): 1, (2, 3): 1})
-    >>> b = r.monomial({(1, 3): 1, (2, 4): 1})
-    >>> compare(a, b, r.order)
-    1
-    """
-    return order.compare(m1, m2)
+PRIME_BOUND = 2 ** 31
 
 
 def _is_prime(p: int) -> bool:
@@ -78,37 +52,126 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+class _Rationals:
+    """The field of rationals: coefficients are exact ints and Fractions."""
+
+    __slots__ = ()
+    name = "QQ"
+
+    def coeff(self, c):
+        """Normalize a coefficient into the field."""
+        if isinstance(c, (int, Fraction)):
+            return c
+        raise TypeError(f"unsupported coefficient {c!r}")
+
+    def div(self, a, b):
+        if b == 1:
+            return a
+        if b == -1:
+            return -a
+        q = Fraction(a) / b
+        return int(q) if q.denominator == 1 else q
+
+    def axpy(self, target: dict, src: Iterable, c, u: Optional[Monomial] = None):
+        """target += c * x^u * src, where ``src`` yields (monomial,
+        coefficient) pairs and ``u`` None means no shift; terms that cancel
+        leave ``target``."""
+        if u is None:
+            for m, v in src:
+                v = target.get(m, 0) + v * c
+                if v:
+                    target[m] = v
+                else:
+                    target.pop(m, None)
+        else:
+            for m, v in src:
+                key = tuple(x + y for x, y in zip(m, u))
+                v = target.get(key, 0) + v * c
+                if v:
+                    target[key] = v
+                else:
+                    target.pop(key, None)
+
+
+class _PrimeField:
+    """The field with p elements, p a prime below ``PRIME_BOUND``:
+    coefficients are ints in [0, p)."""
+
+    __slots__ = ("p", "name")
+
+    def __init__(self, p: int):
+        if p >= PRIME_BOUND:
+            raise ValueError(f"prime field characteristic must be below 2^31, got {p}")
+        if not _is_prime(p):
+            raise ValueError(f"characteristic must be 0 or a prime, got {p}")
+        self.p = p
+        self.name = f"GF({p})"
+
+    def coeff(self, c):
+        """Normalize a coefficient into the field."""
+        if isinstance(c, Fraction):
+            return c.numerator * pow(c.denominator, -1, self.p) % self.p
+        return int(c) % self.p
+
+    def div(self, a, b):
+        return a * pow(b, -1, self.p) % self.p
+
+    def axpy(self, target: dict, src: Iterable, c, u: Optional[Monomial] = None):
+        """target += c * x^u * src, as for the rationals, reduced mod p."""
+        p = self.p
+        if u is None:
+            for m, v in src:
+                v = (target.get(m, 0) + v * c) % p
+                if v:
+                    target[m] = v
+                else:
+                    target.pop(m, None)
+        else:
+            for m, v in src:
+                key = tuple(x + y for x, y in zip(m, u))
+                v = (target.get(key, 0) + v * c) % p
+                if v:
+                    target[key] = v
+                else:
+                    target.pop(key, None)
+
+
+_RATIONALS = _Rationals()
+
+
 class PolyRing:
     """Polynomial ring K[x[i,j] : 1 <= i <= rows, 1 <= j <= cols].
 
-    ``char`` 0 means exact rationals, a prime p means the field with p
-    elements.  At most one auxiliary variable (named by ``aux``) may be
+    ``char`` 0 means exact rationals, a prime p below 2^31 means the field
+    with p elements; the ring's ``field`` carries out all coefficient
+    arithmetic.  At most one auxiliary variable (named by ``aux``) may be
     adjoined, in which case the ring's order is the elimination order.
+    Monomials compare with ``<`` in the ring's order:
+
+    >>> r = PolyRing(2, 4)
+    >>> a = r.monomial({(1, 4): 1, (2, 3): 1})
+    >>> b = r.monomial({(1, 3): 1, (2, 4): 1})
+    >>> a > b
+    True
     """
 
-    __slots__ = ("rows", "cols", "char", "aux", "nvars", "order",
-                 "_pos", "_labels", "_zero_mono")
+    __slots__ = ("rows", "cols", "char", "field", "aux", "nvars", "_pos", "_zero_mono")
 
     def __init__(self, rows: int, cols: int, char: int = 0, aux: Optional[str] = None):
         if rows < 1 or cols < 1:
             raise ValueError("grid dimensions must be positive")
-        if char != 0 and not _is_prime(char):
-            raise ValueError(f"characteristic must be 0 or a prime, got {char}")
+        self.field = _PrimeField(char) if char else _RATIONALS
         self.rows = rows
         self.cols = cols
         self.char = char
         self.aux = aux
         offset = 1 if aux else 0
         self.nvars = rows * cols + offset
-        self.order = ELIMINATION if aux else ANTIDIAGONAL_LEX
         pos: dict[tuple[int, int], int] = {}
-        labels: list[str] = [aux] if aux else []
         for i in range(1, rows + 1):
             for j in range(cols, 0, -1):
                 pos[(i, j)] = offset + (i - 1) * cols + (cols - j)
-                labels.append(f"x[{i},{j}]")
         self._pos = pos
-        self._labels = labels
         self._zero_mono = (0,) * self.nvars
 
     def __eq__(self, other) -> bool:
@@ -120,32 +183,8 @@ class PolyRing:
         return hash((self.rows, self.cols, self.char, self.aux))
 
     def __repr__(self) -> str:
-        field = "QQ" if self.char == 0 else f"GF({self.char})"
         aux = f" + {self.aux}" if self.aux else ""
-        return f"PolyRing({self.rows}x{self.cols} over {field}{aux})"
-
-    # -- coefficients -------------------------------------------------------
-
-    def coeff(self, c):
-        """Normalize a coefficient into the ring's field."""
-        if self.char:
-            if isinstance(c, Fraction):
-                num, den = c.numerator, c.denominator
-                return num * pow(den, -1, self.char) % self.char
-            return int(c) % self.char
-        if isinstance(c, (int, Fraction)):
-            return c
-        raise TypeError(f"unsupported coefficient {c!r}")
-
-    def coeff_div(self, a, b):
-        if self.char:
-            return a * pow(b, -1, self.char) % self.char
-        if b == 1:
-            return a
-        if b == -1:
-            return -a
-        q = Fraction(a) / b
-        return int(q) if q.denominator == 1 else q
+        return f"PolyRing({self.rows}x{self.cols} over {self.field.name}{aux})"
 
     # -- monomials ----------------------------------------------------------
 
@@ -180,6 +219,22 @@ class PolyRing:
     def aux_degree(self, m: Monomial) -> int:
         return m[0] if self.aux else 0
 
+    def support(self, m: Monomial) -> frozenset:
+        """Opaque keys of the variables dividing m, for ``free_of``."""
+        return frozenset(itertools.compress(range(self.nvars), m))
+
+    def free_of(self, m: Monomial, keys) -> bool:
+        """True iff no variable among ``keys`` (from ``support``) divides m."""
+        return not any(m[k] for k in keys)
+
+    def monomials_of_degree(self, k: int) -> Iterator[Monomial]:
+        """Every monomial of total degree k >= 1, in a fixed order."""
+        for combo in itertools.combinations_with_replacement(range(self.nvars), k):
+            exps = [0] * self.nvars
+            for v in combo:
+                exps[v] += 1
+            yield tuple(exps)
+
     def grid_support(self, m: Monomial) -> Iterator[tuple[int, int, int]]:
         """Yield (i, j, exponent) for the grid variables dividing m."""
         offset = 1 if self.aux else 0
@@ -210,18 +265,14 @@ class PolyRing:
 
     def polynomial(self, terms: dict[Monomial, object] | Iterable) -> "Polynomial":
         items = terms.items() if isinstance(terms, dict) else terms
-        d = {}
+        coeff = self.field.coeff
+        normalized = []
         for m, c in items:
             if len(m) != self.nvars:
                 raise ValueError("monomial does not belong to this ring")
-            c = self.coeff(c)
-            v = d.get(m, 0) + c
-            if self.char:
-                v %= self.char
-            if v:
-                d[m] = v
-            else:
-                d.pop(m, None)
+            normalized.append((m, coeff(c)))
+        d: dict = {}
+        self.field.axpy(d, normalized, 1)
         return Polynomial(self, d)
 
     def zero(self) -> "Polynomial":
@@ -231,7 +282,7 @@ class PolyRing:
         return self.const(1)
 
     def const(self, c) -> "Polynomial":
-        c = self.coeff(c)
+        c = self.field.coeff(c)
         return Polynomial(self, {self._zero_mono: c} if c else {})
 
     def variable(self, i: int, j: int) -> "Polynomial":
@@ -439,26 +490,25 @@ class Polynomial:
         if self.ring != other.ring:
             raise ValueError("polynomials from different rings")
 
-    def __add__(self, other):
+    def _plus(self, other, c) -> "Polynomial":
+        """self + c * other"""
         if not isinstance(other, Polynomial):
             other = self.ring.const(other)
         self._check_ring(other)
         d = dict(self._d)
-        _iadd(d, other._d, self.ring.char)
+        self.ring.field.axpy(d, other._d.items(), c)
         return Polynomial(self.ring, d)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = self.ring.char
-        if p:
-            return Polynomial(self.ring, {m: (-c) % p for m, c in self._d.items()})
-        return Polynomial(self.ring, {m: -c for m, c in self._d.items()})
+        return self.scale(-1)
 
     def __sub__(self, other):
-        if not isinstance(other, Polynomial):
-            other = self.ring.const(other)
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return self.ring.const(other) - self
@@ -467,30 +517,30 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return self.scale(other)
         self._check_ring(other)
-        p = self.ring.char
+        axpy = self.ring.field.axpy
         d: dict = {}
         small, large = (self._d, other._d) if len(self._d) <= len(other._d) else (other._d, self._d)
         for m1, c1 in small.items():
-            _iadd_scaled(d, large, c1, m1, p)
+            axpy(d, large.items(), c1, m1)
         return Polynomial(self.ring, d)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "Polynomial":
-        c = self.ring.coeff(c)
-        if not c:
-            return self.ring.zero()
-        p = self.ring.char
-        if p:
-            return Polynomial(self.ring, {m: v * c % p for m, v in self._d.items()})
-        return Polynomial(self.ring, {m: v * c for m, v in self._d.items()})
+        field = self.ring.field
+        c = field.coeff(c)
+        d: dict = {}
+        if c:
+            field.axpy(d, self._d.items(), c)
+        return Polynomial(self.ring, d)
 
     def mul_term(self, mono: Monomial, c=1) -> "Polynomial":
-        c = self.ring.coeff(c)
-        if not c:
-            return self.ring.zero()
+        """c * x^mono * self"""
+        field = self.ring.field
+        c = field.coeff(c)
         d: dict = {}
-        _iadd_scaled(d, self._d, c, mono, self.ring.char)
+        if c:
+            field.axpy(d, self._d.items(), c, mono)
         return Polynomial(self.ring, d)
 
     def monic(self) -> "Polynomial":
@@ -499,7 +549,7 @@ class Polynomial:
         lc = self.leading_coefficient()
         if lc == 1:
             return self
-        div = self.ring.coeff_div
+        div = self.ring.field.div
         return Polynomial(self.ring, {m: div(c, lc) for m, c in self._d.items()})
 
     # -- comparisons --------------------------------------------------------
@@ -518,41 +568,6 @@ class Polynomial:
         return self.ring.render(self)
 
     __str__ = __repr__
-
-
-# ---------------------------------------------------------------------------
-# In-place dict arithmetic used by the hot loops
-# ---------------------------------------------------------------------------
-
-def _iadd(target: dict, src: dict, char: int):
-    for m, c in src.items():
-        v = target.get(m, 0) + c
-        if char:
-            v %= char
-        if v:
-            target[m] = v
-        else:
-            target.pop(m, None)
-
-
-def _iadd_scaled(target: dict, src: dict, coeff, mono: Monomial, char: int):
-    """target += coeff * x^mono * src"""
-    if char:
-        for m, c in src.items():
-            key = tuple(x + y for x, y in zip(m, mono))
-            v = (target.get(key, 0) + c * coeff) % char
-            if v:
-                target[key] = v
-            else:
-                target.pop(key, None)
-    else:
-        for m, c in src.items():
-            key = tuple(x + y for x, y in zip(m, mono))
-            v = target.get(key, 0) + c * coeff
-            if v:
-                target[key] = v
-            else:
-                target.pop(key, None)
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +611,7 @@ def _minor_leibniz(ring: PolyRing, rows: tuple, cols: tuple) -> dict:
         exps = [0] * ring.nvars
         for k in range(t):
             exps[positions[k][perm[k]]] += 1
-        d[tuple(exps)] = ring.coeff(sign)
+        d[tuple(exps)] = ring.field.coeff(sign)
     return d
 
 
@@ -623,13 +638,14 @@ def _minor_cofactor(ring: PolyRing, rows: tuple, cols: tuple, memo: dict) -> dic
     key = (rows, cols)
     if key in memo:
         return memo[key]
+    field = ring.field
     d: dict = {}
     sub_rows = rows[1:]
     for k, j in enumerate(cols):
         sub = _minor_cofactor(ring, sub_rows, cols[:k] + cols[k + 1:], memo)
         sign = 1 if k % 2 == 0 else -1
         var = ring.monomial({(rows[0], j): 1})
-        _iadd_scaled(d, sub, ring.coeff(sign), var, ring.char)
+        field.axpy(d, sub.items(), field.coeff(sign), var)
     memo[key] = d
     return d
 
@@ -669,16 +685,10 @@ class IdealPresentation:
                 raise ValueError("generators must be nonzero")
 
 
-def leading_term(f: Polynomial, order: Optional[TermOrder] = None):
+def leading_term(f: Polynomial):
     """The order-maximal (coefficient, monomial) pair of a nonzero polynomial."""
-    _check_order(f.ring, order)
     m = f.leading_monomial()
     return f.coefficient(m), m
-
-
-def _check_order(ring: PolyRing, order: Optional[TermOrder]):
-    if order is not None and order != ring.order:
-        raise ValueError(f"ring uses {ring.order.kind}, not {order.kind}")
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -687,14 +697,13 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     ring = f.ring
     lmf, lmg = f.leading_monomial(), g.leading_monomial()
     lcm = monomial_lcm(lmf, lmg)
-    cf = ring.coeff_div(1, f.coefficient(lmf))
-    cg = ring.coeff_div(1, g.coefficient(lmg))
+    cf = ring.field.div(1, f.coefficient(lmf))
+    cg = ring.field.div(1, g.coefficient(lmg))
     return f.mul_term(monomial_quotient(lcm, lmf), cf) - g.mul_term(
         monomial_quotient(lcm, lmg), cg)
 
 
-def normal_form(f: Polynomial, reducers: Sequence[Polynomial],
-                order: Optional[TermOrder] = None) -> Polynomial:
+def normal_form(f: Polynomial, reducers: Sequence[Polynomial]) -> Polynomial:
     """Remainder of f under full multivariate division by ``reducers``.
 
     No term of the result is divisible by any reducer's leading monomial, and
@@ -702,7 +711,6 @@ def normal_form(f: Polynomial, reducers: Sequence[Polynomial],
     reducer with the smallest leading monomial is preferred (ties broken by
     input order), which makes the division deterministic.
     """
-    _check_order(f.ring, order)
     ring = f.ring
     prepared = _prepare_reducers(reducers, ring)
     rem = _reduce_dict(dict(f._d), prepared, ring)
@@ -724,8 +732,8 @@ def _prepare_reducers(reducers: Sequence[Polynomial], ring: PolyRing) -> list:
 
 def _reduce_dict(p: dict, prepared: list, ring: PolyRing) -> dict:
     """Destructively reduce the term dict ``p``; returns the remainder dict."""
-    char = ring.char
-    div = ring.coeff_div
+    div = ring.field.div
+    axpy = ring.field.axpy
     rem: dict = {}
     while p:
         m = max(p)
@@ -734,7 +742,7 @@ def _reduce_dict(p: dict, prepared: list, ring: PolyRing) -> dict:
             if monomial_divides(lm, m):
                 q = div(c, lc)
                 u = monomial_quotient(m, lm)
-                _iadd_scaled(p, gd, -q, u, char)
+                axpy(p, gd.items(), -q, u)
                 break
         else:
             rem[m] = c
@@ -764,8 +772,7 @@ def certified():
         _CERTIFY = previous
 
 
-def buchberger(generators: Sequence[Polynomial] | IdealPresentation,
-               order: Optional[TermOrder] = None) -> tuple:
+def buchberger(generators: Sequence[Polynomial] | IdealPresentation) -> tuple:
     """The reduced Groebner basis of the ideal generated by ``generators``.
 
     Pair handling uses the coprime-product and chain criteria (the
@@ -786,7 +793,6 @@ def buchberger(generators: Sequence[Polynomial] | IdealPresentation,
         if not gens:
             return ()
         ring = gens[0].ring
-    _check_order(ring, order)
     for g in gens:
         if g.is_zero:
             raise ValueError("generators must be nonzero")

@@ -268,6 +268,32 @@ def test_census_parallel_output_is_identical_to_serial(capsys):
     assert serial == parallel
 
 
+def test_census_jobs_are_clamped_to_the_cores(capsys, monkeypatch):
+    import msvkit.cli as cli
+    pools = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            pools.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(cli, "Pool", SerialPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    _, serial, _ = run(capsys, "census", "--n", "4", "--jobs", "1")
+    code, clamped, _ = run(capsys, "census", "--n", "4", "--jobs", "10000")
+    assert code == 0
+    assert pools == [2]
+    assert clamped == serial
+
+
 def test_census_mu_bound(capsys):
     code, _, err = run(capsys, "census", "--n", "7", "--mu")
     assert code == 2
@@ -289,8 +315,50 @@ def test_msvkit_prime_env_override(capsys, monkeypatch):
         assert payload["mu"] == minimal_generator_count(w)
 
 
+def test_msvkit_prime_is_bounded(capsys, monkeypatch):
+    monkeypatch.setenv("MSVKIT_PRIME", "618970019642690137449562111")
+    code, _, err = run(capsys, "ci", "321", "--mu", "--field", "prime")
+    assert code == 2
+    assert "2^31" in err
+
+
 def test_msvkit_prime_rejects_composites(capsys, monkeypatch):
     monkeypatch.setenv("MSVKIT_PRIME", "6")
     code, _, err = run(capsys, "ci", "321", "--mu", "--field", "prime")
     assert code == 2
     assert "prime" in err
+
+
+# ---------------------------------------------------------------------------
+# Pivot verification commands: exact stdout and exit codes
+# ---------------------------------------------------------------------------
+
+VERIFY_GOLDEN = json.loads((GOLDEN / "verify_commands.json").read_text())
+
+
+@pytest.mark.parametrize("case", VERIFY_GOLDEN, ids=lambda case: " ".join(case["argv"]))
+def test_verify_commands_match_the_golden_output(capsys, case):
+    code, out, _ = run(capsys, *case["argv"])
+    assert (code, out) == (case["code"], case["stdout"])
+
+
+def test_verify_commands_report_a_failed_check(capsys, monkeypatch):
+    import msvkit.frlab as frlab
+
+    class Failed:
+        ok = False
+
+    monkeypatch.setattr(frlab, "verify_localization_identity", lambda w: Failed())
+    code, out, _ = run(capsys, "verify-localize", "3142")
+    assert (code, out) == (1, "localization identity at pivot (2,1): FAILED\n")
+    code, out, _ = run(capsys, "verify-localize", "3142", "--json")
+    assert code == 1
+    assert json.loads(out) == {"w": "3142", "c": [2, 1], "I_eq_Iprime": False,
+                               "skipped": False}
+    code, out, _ = run(capsys, "verify-all", "3142")
+    assert code == 1
+    assert out.splitlines() == ["pivot: (2,1)", "window fact:        ok",
+                                "minor membership:   ok", "initial ideal:      ok",
+                                "nonzerodivisor:     ok", "localization:       FAILED"]
+    code, _, _ = run(capsys, "verify-lemma2", "3142")
+    assert code == 0

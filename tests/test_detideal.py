@@ -163,7 +163,7 @@ def _brute_force_codim(J):
     """Independent oracle: try all variable subsets by increasing size."""
     if J.is_zero:
         return 0
-    supports = [frozenset(i for i, e in enumerate(m) if e) for m in J.gens]
+    supports = [frozenset((i, j) for i, j, _ in J.ring.grid_support(m)) for m in J.gens]
     variables = sorted(set().union(*supports))
     for k in range(len(variables) + 1):
         for subset in itertools.combinations(variables, k):

@@ -3,17 +3,19 @@ saturation.  Expected values are either brute-forced in-test (permanent-style
 determinant expansion, exhaustive comparisons) or hand-checked two-term
 computations."""
 
+import ast
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from msvkit.perm import PartialPermutation
 from msvkit.detideal import fulton_generators
-from msvkit.poly import (ELIMINATION,
-                         IdealPresentation, PolyRing, antidiagonal_monomial,
-                         buchberger, certified, compare, ideals_equal,
+from msvkit.poly import (IdealPresentation, PolyRing, antidiagonal_monomial,
+                         buchberger, certified, ideals_equal,
                          is_reduced_groebner_basis, leading_term, minor,
                          monomial_coprime, monomial_divides, monomial_lcm,
                          monomial_mul, monomial_quotient, normal_form,
@@ -47,30 +49,28 @@ def rand_poly(ring, rng, nterms=4, maxdeg=3):
 def test_compare_antidiagonal_beats_diagonal():
     anti = mono({(1, 4): 1, (2, 3): 1})
     diag = mono({(1, 3): 1, (2, 4): 1})
-    assert compare(anti, diag, RING.order) == 1
-    assert compare(diag, anti, RING.order) == -1
+    assert anti > diag
+    assert diag < anti
 
 
 def test_compare_reflexive_and_one_minimal():
     m = mono({(2, 2): 3})
-    assert compare(m, m, RING.order) == 0
+    assert not (m < m or m > m)
     one = RING.one_monomial()
     for pairs in ({(1, 1): 1}, {(5, 5): 2}, {(3, 4): 1, (4, 3): 1}):
-        assert compare(one, mono(pairs), RING.order) == -1
+        assert one < mono(pairs)
 
 
 def test_order_is_total_and_multiplicative():
     rng = random.Random(5)
     monomials = [rand_monomial(RING, rng) for _ in range(60)]
     for a, b in itertools.combinations(monomials, 2):
-        c = compare(a, b)
-        assert c in (-1, 0, 1)
-        assert c == -compare(b, a)
-        assert (c == 0) == (a == b)
+        assert (a < b) + (a == b) + (a > b) == 1
+        assert (a < b, a > b) == (b > a, b < a)
     for _ in range(200):
         a, b, u = (rand_monomial(RING, rng) for _ in range(3))
-        if compare(a, b) == 1:
-            assert compare(monomial_mul(a, u), monomial_mul(b, u)) == 1
+        if a > b:
+            assert monomial_mul(a, u) > monomial_mul(b, u)
 
 
 def test_monomial_helpers():
@@ -86,10 +86,9 @@ def test_monomial_helpers():
 
 def test_elimination_order_puts_auxiliary_first():
     r = PolyRing(2, 2, aux="t")
-    assert r.order == ELIMINATION
     t = r.monomial(aux_power=1)
     heavy = r.monomial({(1, 1): 5, (2, 2): 5})
-    assert compare(t, heavy, r.order) == 1
+    assert t > heavy
 
 
 # ---------------------------------------------------------------------------
@@ -279,13 +278,6 @@ def test_buchberger_rejects_zero_generators():
         buchberger([RING.zero()])
 
 
-def test_order_argument_must_match_the_ring():
-    with pytest.raises(ValueError):
-        buchberger([RING.variable(1, 1)], order=ELIMINATION)
-    with pytest.raises(ValueError):
-        leading_term(RING.variable(1, 1), order=ELIMINATION)
-
-
 def test_reduced_groebner_checker_detects_non_bases():
     bad = (RING.parse("x[1,2]^2 - x[1,1]*x[2,2]"), RING.variable(1, 2))
     with certified():
@@ -395,3 +387,55 @@ def test_ideal_presentation_validation():
     other = PolyRing(2, 2)
     with pytest.raises(ValueError):
         IdealPresentation(RING, (other.variable(1, 1),))
+
+
+# ---------------------------------------------------------------------------
+# Coefficient fields
+# ---------------------------------------------------------------------------
+
+def test_prime_characteristic_is_bounded_before_the_primality_test():
+    with pytest.raises(ValueError, match=r"below 2\^31"):
+        PolyRing(1, 1, char=618970019642690137449562111)
+    with pytest.raises(ValueError, match=r"below 2\^31"):
+        PolyRing(1, 1, char=2 ** 31)
+    assert repr(PolyRing(1, 1, char=2 ** 31 - 1)) == "PolyRing(1x1 over GF(2147483647))"
+    with pytest.raises(ValueError, match="prime"):
+        PolyRing(1, 1, char=2 ** 31 - 3)
+
+
+CELLS = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)]
+EXPONENTS = st.tuples(*[st.integers(0, 2)] * len(CELLS))
+TERMS = st.lists(st.tuples(EXPONENTS, st.integers(-10 ** 6, 10 ** 6)), max_size=6)
+
+
+def _build(ring, terms):
+    return ring.polynomial([(ring.monomial(zip(CELLS, e)), c) for e, c in terms])
+
+
+@settings(max_examples=80, deadline=None)
+@given(f=TERMS, g=TERMS, h=TERMS, u=EXPONENTS, c=st.integers(-10 ** 6, 10 ** 6),
+       p=st.sampled_from([101, 32003]))
+def test_prime_field_arithmetic_is_rational_arithmetic_reduced_mod_p(f, g, h, u, c, p):
+    rationals, prime = PolyRing(2, 3), PolyRing(2, 3, char=p)
+    fq, gq, hq = (_build(rationals, t) for t in (f, g, h))
+    fp, gp, hp = (_build(prime, t) for t in (f, g, h))
+    assert transplant(fq * gq - 3 * hq, prime) == fp * gp - 3 * hp
+    assert transplant(-fq, prime) == -fp
+    assert transplant(fq.mul_term(rationals.monomial(zip(CELLS, u)), c), prime) == \
+        fp.mul_term(prime.monomial(zip(CELLS, u)), c)
+
+
+# ---------------------------------------------------------------------------
+# The monomial and coefficient representation stays inside poly.py
+# ---------------------------------------------------------------------------
+
+def test_no_module_but_poly_reads_term_dicts_or_the_characteristic():
+    package = Path(__file__).resolve().parent.parent / "src" / "msvkit"
+    leaks = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "poly.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in ("_d", "char"):
+                leaks.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert not leaks
