@@ -12,11 +12,13 @@ A necessary condition checked separately: every positive-rank diagram cell
 must be essential (no diagram cell due east or due south of it).  It is not
 sufficient: 352614 satisfies it and still fails the block test at (4, 4).
 
-``minimal_generator_count`` is the independent brute-force oracle: the
-minimal number of generators of the defining ideal, computed degree by degree
-as the dimension of I/mI by exact linear algebra (graded Nakayama).  A
-complete intersection is exactly the case where this count equals the
-codimension |D(w)|.
+``minimal_generator_count`` is the independent oracle: the minimal number of
+generators of the defining ideal, computed degree by degree as the dimension
+of I/mI (graded Nakayama).  Each Fulton generator of degree d is reduced to
+its normal form against a Groebner basis of the generators of lower degree,
+and the normal forms are ranked by exact linear algebra; nothing of the
+block criterion is used.  A complete intersection is exactly the case where
+this count equals the codimension |D(w)|.
 """
 from __future__ import annotations
 
@@ -214,7 +216,8 @@ def ci_generators(w: PartialPermutation, ring: Optional[PolyRing] = None) -> tup
 
 def minimal_generator_count(w: PartialPermutation, *, char: int = 0) -> int:
     """Minimal number of generators of the Schubert determinantal ideal,
-    computed by exact rank counts of I/mI degree by degree.  Defaults to
+    computed as the dimension of I/mI degree by degree (normal forms against
+    the lower-degree generators, then exact ranks).  Defaults to
     exact rational arithmetic; a prime ``char`` selects the prime-field fast
     path."""
     return fulton_generators(w, char=char).minimal_count

@@ -10,7 +10,7 @@ Subcommands::
     verify-lemma2    check in(<c> + I_w) = <c> + J_w at the pivot (n <= 5)
     verify-localize  check the localization identity I = I' (n <= 5)
     verify-all       run every pivot verification (n <= 5)
-    census           classify all of S_n, one report per line
+    census           classify all of S_n, one report per line (n <= 8)
 
 Text grids put '1' at the permutation's entries, '*' at positive-rank diagram
 cells and '.' at rank-0 diagram cells.  Exit status: 0 on success or a true
@@ -33,6 +33,7 @@ from . import ci, detideal, frlab, perm
 USAGE_ERROR = 2
 DEFAULT_PRIME = 32003
 GB_BOUND = 6
+CENSUS_BOUND = 8
 PIVOT_BOUND = 5
 ORACLE_BOUND = 6
 
@@ -49,13 +50,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         return args.handler(args)
-    except perm.PermutationParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except CapabilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except ValueError as exc:
+    except ValueError as exc:  # PermutationParseError and CapabilityError too
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
@@ -279,6 +274,8 @@ def _census_line(payload) -> tuple[str, bool]:
 def _cmd_census(args) -> int:
     if args.n < 1:
         raise ValueError("census needs n >= 1")
+    if args.n > CENSUS_BOUND:
+        raise CapabilityError(f"census is bounded at n <= {CENSUS_BOUND}")
     if args.mu and args.n > ORACLE_BOUND:
         raise CapabilityError(f"census --mu is bounded at n <= {ORACLE_BOUND}")
     char = _oracle_char(args)

@@ -21,7 +21,8 @@ from typing import Iterable, Optional, Sequence
 
 from .perm import Cell, PartialPermutation, diagram, essential_set, render_one_line
 from .poly import (IdealPresentation, Monomial, Polynomial, PolyRing, buchberger,
-                   minor, antidiagonal_monomial, monomial_divides, monomial_quotient)
+                   minor, antidiagonal_monomial, monomial_divides, monomial_quotient,
+                   normal_form)
 
 
 def _w_json(w: PartialPermutation):
@@ -253,11 +254,17 @@ def graded_minimal_generators(ring: PolyRing, gens: Sequence[Polynomial]
     """Select a minimal generating subset of homogeneous ``gens`` and return
     (kept indices, minimal number of generators).
 
-    Degree by degree, a generator is kept iff its image is linearly
-    independent in I/mI from the lower-degree part and the generators already
-    kept, so the count is the vector-space dimension of I/mI (graded
-    Nakayama).  Ranks are exact: rationals in characteristic 0, the prime
-    field otherwise.
+    Degree by degree, in index order, a generator of degree d is kept iff its
+    image in (I/mI)_d is linearly independent of the generators of degree d
+    already kept, so the count is the vector-space dimension of I/mI (graded
+    Nakayama).  That space is I_d / J_d for J the ideal of the generators of
+    degree < d, which the kept ones of degree < d already generate.  The
+    normal form against a Groebner basis of J is a linear map on degree-d
+    forms whose kernel is exactly J_d, so each degree-d generator is reduced
+    to its normal form and then echelonized against the kept ones: the
+    selection is exact, with ranks over the rationals in characteristic 0
+    and over the prime field otherwise (Kreuzer-Robbiano, Computational
+    Commutative Algebra 2, on minimal homogeneous generators).
     """
     degrees: list[int] = []
     for g in gens:
@@ -275,12 +282,15 @@ def graded_minimal_generators(ring: PolyRing, gens: Sequence[Polynomial]
             kill |= ring.support(g.leading_monomial())
         else:
             poly_gens.append(idx)
-    survivors = {idx: {m: c for m, c in gens[idx].terms() if ring.free_of(m, kill)}
+    survivors = {idx: ring.polynomial([(m, c) for m, c in gens[idx].terms()
+                                       if ring.free_of(m, kill)])
                  for idx in poly_gens}
     axpy, div = ring.field.axpy, ring.field.div
 
     kept: list[int] = []
     for d in sorted(set(degrees)):
+        lower = [survivors[idx] for idx in kept if idx in survivors and survivors[idx]]
+        basis = buchberger(lower) if lower else ()
         echelon: dict[Monomial, dict] = {}
 
         def insert(row: dict) -> bool:
@@ -296,19 +306,12 @@ def graded_minimal_generators(ring: PolyRing, gens: Sequence[Polynomial]
                 axpy(row, pivot.items(), -row[lead])
             return False
 
-        # the degree-d part of the ideal generated in lower degrees
-        for idx in poly_gens:
-            if degrees[idx] < d and survivors[idx]:
-                for u in ring.monomials_of_degree(d - degrees[idx]):
-                    if not ring.free_of(u, kill):
-                        continue
-                    product: dict = {}
-                    axpy(product, survivors[idx].items(), 1, u)
-                    insert(product)
         for idx in range(len(gens)):
             if degrees[idx] == d:
-                row = dict(gens[idx].terms() if d == 1 else survivors[idx])
-                if insert(row):
+                row = gens[idx] if d == 1 else survivors[idx]
+                if basis:
+                    row = normal_form(row, basis)
+                if insert(dict(row.terms())):
                     kept.append(idx)
     return tuple(kept), len(kept)
 

@@ -19,7 +19,7 @@ Every ``PolyRing`` owns its coefficient field and its term order:
 Monomials are opaque outside this module: they compare with ``<`` in the
 ring's order, combine through the ``monomial_*`` functions, and are built,
 inspected and enumerated through ``PolyRing`` methods (``monomial``,
-``grid_support``, ``monomial_degree``, ``support``, ``monomials_of_degree``).
+``grid_support``, ``monomial_degree``, ``support``, ``free_of``).
 Inside, a monomial is a dense exponent tuple whose positions are listed in
 decreasing variable precedence (the auxiliary variable first), so native
 tuple comparison is the term order and multiplication is componentwise
@@ -226,14 +226,6 @@ class PolyRing:
     def free_of(self, m: Monomial, keys) -> bool:
         """True iff no variable among ``keys`` (from ``support``) divides m."""
         return not any(m[k] for k in keys)
-
-    def monomials_of_degree(self, k: int) -> Iterator[Monomial]:
-        """Every monomial of total degree k >= 1, in a fixed order."""
-        for combo in itertools.combinations_with_replacement(range(self.nvars), k):
-            exps = [0] * self.nvars
-            for v in combo:
-                exps[v] += 1
-            yield tuple(exps)
 
     def grid_support(self, m: Monomial) -> Iterator[tuple[int, int, int]]:
         """Yield (i, j, exponent) for the grid variables dividing m."""
@@ -685,12 +677,6 @@ class IdealPresentation:
                 raise ValueError("generators must be nonzero")
 
 
-def leading_term(f: Polynomial):
-    """The order-maximal (coefficient, monomial) pair of a nonzero polynomial."""
-    m = f.leading_monomial()
-    return f.coefficient(m), m
-
-
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     """The S-polynomial (lcm/lt(f))*f - (lcm/lt(g))*g."""
     f._check_ring(g)
@@ -712,26 +698,26 @@ def normal_form(f: Polynomial, reducers: Sequence[Polynomial]) -> Polynomial:
     input order), which makes the division deterministic.
     """
     ring = f.ring
-    prepared = _prepare_reducers(reducers, ring)
+    prepared = sorted(_reducer_entry(ring, k, g) for k, g in enumerate(reducers))
     rem = _reduce_dict(dict(f._d), prepared, ring)
     return Polynomial(ring, rem)
 
 
-def _prepare_reducers(reducers: Sequence[Polynomial], ring: PolyRing) -> list:
-    prepared = []
-    for k, g in enumerate(reducers):
-        if g.ring != ring:
-            raise ValueError("reducers must live in the same ring")
-        if g.is_zero:
-            raise ValueError("reducers must be nonzero")
-        lm = g.leading_monomial()
-        prepared.append((lm, k, g.coefficient(lm), g._d))
-    prepared.sort(key=lambda entry: (entry[0], entry[1]))
-    return prepared
+def _reducer_entry(ring: PolyRing, k: int, g: Polynomial) -> tuple:
+    """The division entry (lm, k, lc, terms) of reducer number k.  Entries
+    sort by (lm, k), the reducer preference, because k is unique."""
+    if g.ring != ring:
+        raise ValueError("reducers must live in the same ring")
+    if g.is_zero:
+        raise ValueError("reducers must be nonzero")
+    lm = g.leading_monomial()
+    return lm, k, g._d[lm], g._d
 
 
 def _reduce_dict(p: dict, prepared: list, ring: PolyRing) -> dict:
     """Destructively reduce the term dict ``p``; returns the remainder dict."""
+    if not prepared:
+        return p
     div = ring.field.div
     axpy = ring.field.axpy
     rem: dict = {}
@@ -799,7 +785,7 @@ def buchberger(generators: Sequence[Polynomial] | IdealPresentation) -> tuple:
         if g.ring != ring:
             raise ValueError("generators must live in a common ring")
     basis = _buchberger_core(ring, [g.monic() for g in gens])
-    result = _interreduce(ring, basis)
+    result = _interreduce(basis)
     if _CERTIFY:
         _certify_basis(ring, gens, result)
     return result
@@ -811,14 +797,9 @@ def _buchberger_core(ring: PolyRing, basis: list) -> list:
     heap: list = []
     leads = [g.leading_monomial() for g in basis]
     reducers: list = []
-
-    def push_reducer(idx: int):
-        entry = (leads[idx], idx, 1, basis[idx]._d)
-        insort(reducers, entry, key=lambda e: (e[0], e[1]))
-
     for t in range(len(basis)):
         _gm_update(pairs, heap, leads, t)
-        push_reducer(t)
+        insort(reducers, _reducer_entry(ring, t, basis[t]))
     while heap:
         _, _, i, j = heapq.heappop(heap)
         if (i, j) not in pairs:
@@ -833,7 +814,7 @@ def _buchberger_core(ring: PolyRing, basis: list) -> list:
         leads.append(h.leading_monomial())
         t = len(basis) - 1
         _gm_update(pairs, heap, leads, t)
-        push_reducer(t)
+        insort(reducers, _reducer_entry(ring, t, h))
     return basis
 
 
@@ -863,7 +844,7 @@ def _gm_update(pairs: set, heap: list, leads: list, t: int):
         heapq.heappush(heap, (lcms[i], i, i, t))
 
 
-def _interreduce(ring: PolyRing, basis: list) -> tuple:
+def _interreduce(basis: list) -> tuple:
     """Minimalize and tail-reduce a basis into the reduced Groebner basis."""
     nonzero = [g for g in basis if not g.is_zero]
     if not nonzero:
@@ -882,10 +863,7 @@ def _interreduce(ring: PolyRing, basis: list) -> tuple:
     # reduced: replace each by its normal form against the others
     reduced = []
     for idx, g in enumerate(kept):
-        others = kept[:idx] + kept[idx + 1:]
-        if others:
-            prepared = _prepare_reducers(others, ring)
-            g = Polynomial(ring, _reduce_dict(dict(g._d), prepared, ring))
+        g = normal_form(g, kept[:idx] + kept[idx + 1:])
         reduced.append(g.monic())
     reduced.sort(key=lambda g: g.leading_monomial())
     return tuple(reduced)

@@ -2,16 +2,21 @@
 explicit generator list, and the independent minimal-generator-count oracle."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from msvkit.perm import (Cell, PartialPermutation, all_permutations, coxeter_length,
-                         diagram, extend_to_permutation, identity, longest_element)
+                         diagram, extend_to_permutation, identity, longest_element,
+                         render_one_line)
 from msvkit.poly import (IdealPresentation, PolyRing, antidiagonal_monomial,
                          ideals_equal, minor)
 from msvkit.detideal import fulton_generators
 from msvkit.ci import (ci_generators, is_complete_intersection,
                        minimal_generator_count, necessary_condition)
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def w_(word):
@@ -160,6 +165,18 @@ def test_oracle_goldens():
     mu = minimal_generator_count(w_("361452"))
     assert mu == 10
     assert mu > coxeter_length(w_("361452"))
+    assert minimal_generator_count(w_("1532476")) == 9
+
+
+def test_oracle_matches_the_golden_counts_on_s5_and_s6():
+    golden = json.loads((GOLDEN / "minimal_counts.json").read_text())
+    assert sorted(golden) == ["5", "6"]
+    for n, counts in golden.items():
+        assert sorted(counts) == [render_one_line(w) for w in all_permutations(int(n))]
+        for word, mu in counts.items():
+            w = w_(word)
+            assert minimal_generator_count(w) == mu, word
+            assert minimal_generator_count(w, char=32003) == mu, word
 
 
 def test_oracle_decides_complete_intersections_on_s4():

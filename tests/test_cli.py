@@ -294,6 +294,20 @@ def test_census_jobs_are_clamped_to_the_cores(capsys, monkeypatch):
     assert clamped == serial
 
 
+def test_census_n_is_bounded_before_any_enumeration(capsys, monkeypatch):
+    import msvkit.cli as cli
+
+    def refuse(n):
+        raise AssertionError(f"S_{n} was enumerated")
+
+    monkeypatch.setattr(cli.perm, "all_permutations", refuse)
+    code, out, err = run(capsys, "census", "--n", "12")
+    assert code == 2
+    assert out == ""
+    assert f"n <= {cli.CENSUS_BOUND}" in err
+    assert cli.CENSUS_BOUND == 8
+
+
 def test_census_mu_bound(capsys):
     code, _, err = run(capsys, "census", "--n", "7", "--mu")
     assert code == 2

@@ -279,6 +279,17 @@ def test_graded_minimal_generators_drops_duplicates_and_redundant_minors():
         r, [x11, r.variable(2, 1), minor(r, [1, 2], [1, 2])])
     assert kept == (0, 1)
     assert mu == 2
+    r = PolyRing(3, 3)
+    x = r.variable
+    linear = x(1, 1) + x(1, 2)
+    assert graded_minimal_generators(r, [linear, x(2, 1) * linear]) == ((0,), 1)
+    # the third generator lies in <f1, f2> only through their S-pair: its
+    # normal form against f1 and f2 themselves is itself
+    f1, f2 = minor(r, [1, 2], [1, 2]), minor(r, [1, 2], [1, 3])
+    assert graded_minimal_generators(
+        r, [f1, f2, x(1, 3) * f1 - x(1, 2) * f2]) == ((0, 1), 2)
+    # a constant generates everything, single variables included
+    assert graded_minimal_generators(r, [r.one(), x(1, 1)]) == ((0,), 1)
 
 
 def test_graded_minimal_generators_requires_homogeneous_input():

@@ -16,7 +16,7 @@ from msvkit.perm import PartialPermutation
 from msvkit.detideal import fulton_generators
 from msvkit.poly import (IdealPresentation, PolyRing, antidiagonal_monomial,
                          buchberger, certified, ideals_equal,
-                         is_reduced_groebner_basis, leading_term, minor,
+                         is_reduced_groebner_basis, minor,
                          monomial_coprime, monomial_divides, monomial_lcm,
                          monomial_mul, monomial_quotient, normal_form,
                          s_polynomial, saturate, transplant)
@@ -139,13 +139,17 @@ def test_minor_validation():
 
 
 def test_leading_term_goldens():
-    c, m = leading_term(minor(RING, [1, 2], [3, 4]))
+    f = minor(RING, [1, 2], [3, 4])
+    c, m = f.leading_coefficient(), f.leading_monomial()
     assert (c, m) == (-1, mono({(1, 4): 1, (2, 3): 1}))
-    assert leading_term(RING.variable(1, 1)) == (1, mono({(1, 1): 1}))
-    _, m4 = leading_term(minor(RING, [1, 2, 3, 4], [1, 2, 3, 4]))
+    x11 = RING.variable(1, 1)
+    assert (x11.leading_coefficient(), x11.leading_monomial()) == (1, mono({(1, 1): 1}))
+    m4 = minor(RING, [1, 2, 3, 4], [1, 2, 3, 4]).leading_monomial()
     assert m4 == mono({(1, 4): 1, (2, 3): 1, (3, 2): 1, (4, 1): 1})
     with pytest.raises(ValueError):
-        leading_term(RING.zero())
+        RING.zero().leading_monomial()
+    with pytest.raises(ValueError):
+        RING.zero().leading_coefficient()
 
 
 def test_every_5x5_minor_leads_with_its_antidiagonal():
