@@ -8,6 +8,12 @@ is positive, the defining ideal is generated by the codimension-many
 polynomials {x[p,q] at rank-0 diagram cells} plus {det of the (r+1) x (r+1)
 block with southeast corner (p, q) at positive-rank cells}.
 
+The classifier does only the work its verdict needs.  Each block is read
+straight from the one-line word of w.  The generator determinants are
+expanded only when ``CIReport.generators`` is read, and never stored; the
+classify cache keeps only the reports of northwest blocks met during the
+recursion, so it holds no polynomial.
+
 A necessary condition checked separately: every positive-rank diagram cell
 must be essential (no diagram cell due east or due south of it).  It is not
 sufficient: 352614 satisfies it and still fails the block test at (4, 4).
@@ -25,8 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
-from .perm import (Cell, PartialPermutation, block_one_line, diagram,
-                   extend_to_permutation, render_one_line, submatrix_w)
+from .perm import (Cell, PartialPermutation, diagram, extend_to_permutation,
+                   render_one_line)
 from .poly import Polynomial, PolyRing, minor
 from .detideal import fulton_generators
 
@@ -97,31 +103,45 @@ class CertificateNode:
 @dataclass(frozen=True)
 class CIReport:
     """Verdict, codimension, recursion certificate, and (for a positive
-    verdict) the explicit codimension-many generator list."""
+    verdict) the explicit codimension-many generator list.
+
+    ``generators`` is computed on each read, so a report never holds a
+    polynomial; read it once and keep the tuple when it is needed twice."""
 
     w: tuple[int, ...]
     verdict: bool
     codim: int
     certificate: tuple
-    generators: Optional[tuple]
     failure_witness: Optional[Witness]
     mu: Optional[int] = None
 
+    @property
+    def generators(self) -> Optional[tuple]:
+        """The codimension-many generators for a positive verdict, else None."""
+        if not self.verdict:
+            return None
+        n = len(self.w)
+        return _ci_generator_tuple(PartialPermutation(n, n, self.w))
+
     def to_json(self) -> dict:
         word = PartialPermutation.from_one_line(self.w)
+        generators = self.generators
         return {
             "w": render_one_line(word),
             "verdict": self.verdict,
             "codim": self.codim,
             "mu": self.mu,
-            "generators": ([str(g) for g in self.generators]
-                           if self.generators is not None else None),
+            "generators": ([str(g) for g in generators]
+                           if generators is not None else None),
             "witness": (self.failure_witness.to_json()
                         if self.failure_witness is not None else None),
             "certificate": [node.to_json() for node in self.certificate],
         }
 
 
+# Reports of the northwest blocks met during the recursion, by word.  A
+# top-level report is not stored: a census would otherwise keep one report per
+# permutation of S_n, where the blocks of S_8 are 873 words.
 _CLASSIFY_CACHE: dict[tuple[int, ...], CIReport] = {}
 
 
@@ -147,7 +167,7 @@ def is_complete_intersection(w: PartialPermutation, *, with_oracle: bool = False
     return report
 
 
-def _classify(word: tuple[int, ...]) -> CIReport:
+def _classify(word: tuple[int, ...], *, is_block: bool = False) -> CIReport:
     cached = _CLASSIFY_CACHE.get(word)
     if cached is not None:
         return cached
@@ -158,10 +178,16 @@ def _classify(word: tuple[int, ...]) -> CIReport:
     witness: Optional[Witness] = None
     for cell in d.positive_cells():
         r = d.ranks[cell]
-        sub = submatrix_w(w, cell)
+        # The r x r block on rows p-r..p-1 and columns q-r..q-1 (inside the
+        # grid, since w(p) > q and w^-1(q) > p) is a permutation matrix iff
+        # all r of its rows have their value in its columns.
+        low = cell.q - r
+        block = tuple(v - low + 1 for v in word[cell.p - r - 1:cell.p - 1]
+                      if low <= v < cell.q)
+        is_permutation = len(block) == r
         child = None
-        if sub.is_permutation:
-            child = _classify(block_one_line(sub.block))
+        if is_permutation:
+            child = _classify(block, is_block=True)
             ok = child.verdict
             if not ok and witness is None:
                 witness = Witness(
@@ -177,12 +203,11 @@ def _classify(word: tuple[int, ...]) -> CIReport:
                     f"the {r}x{r} block on rows {cell.p - r}..{cell.p - 1} and columns "
                     f"{cell.q - r}..{cell.q - 1} is not a permutation matrix")
         verdict = verdict and ok
-        nodes.append(CertificateNode(cell, r, sub.is_permutation, child))
-    generators = _ci_generator_tuple(w) if verdict else None
-    report = CIReport(
-        w=word, verdict=verdict, codim=len(d), certificate=tuple(nodes),
-        generators=generators, failure_witness=witness)
-    _CLASSIFY_CACHE[word] = report
+        nodes.append(CertificateNode(cell, r, is_permutation, child))
+    report = CIReport(w=word, verdict=verdict, codim=len(d),
+                      certificate=tuple(nodes), failure_witness=witness)
+    if is_block:
+        _CLASSIFY_CACHE[word] = report
     return report
 
 

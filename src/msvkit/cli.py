@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from multiprocessing import Pool
@@ -34,6 +35,7 @@ USAGE_ERROR = 2
 DEFAULT_PRIME = 32003
 GB_BOUND = 6
 CENSUS_BOUND = 8
+CENSUS_CHUNK = 64  # permutations per task sent to a census worker
 PIVOT_BOUND = 5
 ORACLE_BOUND = 6
 
@@ -199,8 +201,9 @@ def _cmd_ci(args) -> int:
         print(f"{word}: {verdict} (codim {report.codim})")
         if report.mu is not None:
             print(f"minimal generators: {report.mu}")
-        if report.generators is not None:
-            for g in report.generators:
+        generators = report.generators
+        if generators is not None:
+            for g in generators:
                 print(f"  {g}")
         if report.failure_witness is not None:
             wit = report.failure_witness
@@ -279,22 +282,28 @@ def _cmd_census(args) -> int:
     if args.mu and args.n > ORACLE_BOUND:
         raise CapabilityError(f"census --mu is bounded at n <= {ORACLE_BOUND}")
     char = _oracle_char(args)
-    words = [w.one_line() for w in perm.all_permutations(args.n)]
-    payloads = [(word, args.mu, char, args.json) for word in words]
+    payloads = ((w.one_line(), args.mu, char, args.json)
+                for w in perm.all_permutations(args.n))
+    count = math.factorial(args.n)
     cores = os.cpu_count() or 1
     jobs = min(args.jobs, cores) if args.jobs > 0 else cores
-    if jobs > 1 and len(payloads) > 1:
-        with Pool(processes=min(jobs, len(payloads))) as pool:
-            results = pool.map(_census_line, payloads)
+    if jobs > 1 and count > 1:
+        with Pool(processes=min(jobs, count)) as pool:
+            _print_census(pool.imap(_census_line, payloads, chunksize=CENSUS_CHUNK),
+                          args.filter)
     else:
-        results = [_census_line(p) for p in payloads]
+        _print_census(map(_census_line, payloads), args.filter)
+    return 0
+
+
+def _print_census(results, keep: str) -> None:
+    """Print each census line as it arrives, in the order of S_n."""
     for line, verdict in results:
-        if args.filter == "ci" and not verdict:
+        if keep == "ci" and not verdict:
             continue
-        if args.filter == "non-ci" and verdict:
+        if keep == "non-ci" and verdict:
             continue
         print(line)
-    return 0
 
 
 if __name__ == "__main__":

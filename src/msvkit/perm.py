@@ -5,8 +5,8 @@ each row and each column; it is a (full) permutation when l = m and every row
 is assigned.  This module provides the grid combinatorics that drive the rest
 of the package: rank functions of upper-left submatrices, the diagram with its
 rank labels, essential sets, Coxeter length, extension of a partial
-permutation to a full one, and the row/column deletion and square-block
-extraction used by the localization and classification routines.
+permutation to a full one, the row/column deletion used by the localization
+routines, and square-block extraction.
 
 Coordinates are 1-based throughout: ``Cell(p, q)`` is row ``p``, column ``q``,
 and ``w(i)`` denotes the column of the 1 in row ``i`` (if any).
@@ -429,16 +429,3 @@ def submatrix_w(w: PartialPermutation, cell: Cell | tuple[int, int]) -> Submatri
     ones = sum(sum(row) for row in block)
     return Submatrix(block, ones == r)
 
-
-def block_one_line(block: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """One-line notation of a permutation 0/1 block (rows/columns relabelled
-    1..r); raises if the block is not a permutation matrix."""
-    word = []
-    for row in block:
-        ones = [j for j, e in enumerate(row, start=1) if e == 1]
-        if len(ones) != 1:
-            raise ValueError("block is not a permutation matrix")
-        word.append(ones[0])
-    if sorted(word) != list(range(1, len(block) + 1)):
-        raise ValueError("block is not a permutation matrix")
-    return tuple(word)

@@ -1,6 +1,7 @@
 """The complete intersection classifier, its certificate and witnesses, the
 explicit generator list, and the independent minimal-generator-count oracle."""
 
+import itertools
 import json
 from pathlib import Path
 
@@ -8,10 +9,11 @@ import pytest
 
 from msvkit.perm import (Cell, PartialPermutation, all_permutations, coxeter_length,
                          diagram, extend_to_permutation, identity, longest_element,
-                         render_one_line)
-from msvkit.poly import (IdealPresentation, PolyRing, antidiagonal_monomial,
-                         ideals_equal, minor)
+                         render_one_line, submatrix_w)
+from msvkit.poly import (IdealPresentation, Polynomial, PolyRing,
+                         antidiagonal_monomial, ideals_equal, minor)
 from msvkit.detideal import fulton_generators
+import msvkit.ci as ci
 from msvkit.ci import (ci_generators, is_complete_intersection,
                        minimal_generator_count, necessary_condition)
 
@@ -31,11 +33,7 @@ def test_462153_is_a_complete_intersection_with_nine_generators():
     report = is_complete_intersection(w_("462153"))
     assert report.verdict
     assert report.codim == 9
-    r = PolyRing(6, 6)
-    expected = {
-        r.variable(i, j) for i in (1, 2) for j in (1, 2, 3)
-    } | {r.variable(3, 1), minor(r, [1, 2], [4, 5]), minor(r, [3, 4, 5], [1, 2, 3])}
-    assert set(report.generators) == expected
+    assert set(report.generators) == _462153_generators()
     assert len(report.generators) == 9
     assert report.failure_witness is None
 
@@ -68,6 +66,13 @@ def test_identity_is_a_complete_intersection_with_no_generators():
     assert report.certificate == ()
 
 
+def _462153_generators():
+    r = PolyRing(6, 6)
+    return {
+        r.variable(i, j) for i in (1, 2) for j in (1, 2, 3)
+    } | {r.variable(3, 1), minor(r, [1, 2], [4, 5]), minor(r, [3, 4, 5], [1, 2, 3])}
+
+
 def test_certificate_covers_every_positive_cell_and_recurses():
     report = is_complete_intersection(w_("462153"))
     cells = [node.cell for node in report.certificate]
@@ -76,6 +81,94 @@ def test_certificate_covers_every_positive_cell_and_recurses():
     assert deep.rank == 2 and deep.is_permutation
     assert deep.child.w == (2, 1)
     assert deep.child.verdict
+
+
+def test_certificate_blocks_agree_with_submatrix_w_on_s6():
+    # the classifier reads each block from the one-line word; submatrix_w
+    # builds it from the rank function and the 0/1 matrix
+    for w in all_permutations(6):
+        for node in is_complete_intersection(w).certificate:
+            sub = submatrix_w(w, node.cell)
+            assert node.rank == len(sub.block)
+            assert node.is_permutation == sub.is_permutation
+            if sub.is_permutation:
+                assert node.child.w == tuple(row.index(1) + 1 for row in sub.block)
+            else:
+                assert node.child is None
+
+
+# ---------------------------------------------------------------------------
+# Pattern oracle, lazy generators and the block-only cache
+# ---------------------------------------------------------------------------
+
+CI_PATTERNS = ((1, 3, 4, 2), (1, 4, 2, 3), (1, 4, 3, 2))
+# Each pattern is 1 followed by a larger triple in one of these orders.
+CI_PATTERN_TAILS = {tuple(v - 1 for v in pattern[1:]) for pattern in CI_PATTERNS}
+
+
+def _avoids_ci_patterns(word):
+    """Avoidance of 1342, 1423 and 1432, straight from the definition: no
+    entry is followed by three larger entries in the relative order of a
+    pattern's last three."""
+    for i, a in enumerate(word):
+        later = [b for b in word[i + 1:] if b > a]
+        for triple in itertools.combinations(later, 3):
+            ordered = sorted(triple)
+            if tuple(ordered.index(b) + 1 for b in triple) in CI_PATTERN_TAILS:
+                return False
+    return True
+
+
+def test_classifier_matches_the_pattern_oracle_on_s1_to_s8():
+    golden = json.loads((GOLDEN / "ci_census_counts.json").read_text())
+    assert sorted(golden) == ["3", "4", "5", "6", "7", "8"]
+    counts = {}
+    for n in range(1, 9):
+        by_classifier = by_patterns = 0
+        for word in itertools.permutations(range(1, n + 1)):
+            verdict = is_complete_intersection(PartialPermutation(n, n, word)).verdict
+            avoids = _avoids_ci_patterns(word)
+            assert verdict == avoids, word
+            by_classifier += verdict
+            by_patterns += avoids
+        assert by_classifier == by_patterns, n
+        counts[str(n)] = by_classifier
+    assert {n: counts[n] for n in golden} == golden
+
+
+def _holds_a_polynomial(value):
+    if isinstance(value, Polynomial):
+        return True
+    if isinstance(value, (tuple, list)):
+        return any(_holds_a_polynomial(v) for v in value)
+    if hasattr(value, "__dict__"):
+        return any(_holds_a_polynomial(v) for v in vars(value).values())
+    return False
+
+
+def test_verdicts_need_no_determinant_and_generators_are_read_on_demand(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a determinant was expanded")
+
+    with monkeypatch.context() as m:
+        m.setattr(ci, "_CLASSIFY_CACHE", {})
+        m.setattr(ci, "minor", refuse)
+        reports = {w.one_line(): is_complete_intersection(w) for w in all_permutations(6)}
+        target = is_complete_intersection(w_("462153"))
+    assert sum(report.verdict for report in reports.values()) == 322
+    for word, report in reports.items():
+        assert report.codim == coxeter_length(w_(word))
+        assert report.verdict == _avoids_ci_patterns(word)
+    assert set(target.generators) == _462153_generators()
+
+
+def test_the_cache_holds_only_blocks_and_no_polynomial(monkeypatch):
+    monkeypatch.setattr(ci, "_CLASSIFY_CACHE", {})
+    for w in all_permutations(6):
+        is_complete_intersection(w)
+    assert ci._CLASSIFY_CACHE
+    assert all(len(word) < 6 for word in ci._CLASSIFY_CACHE)
+    assert not any(_holds_a_polynomial(report) for report in ci._CLASSIFY_CACHE.values())
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 report schemas, exit codes, capability bounds, census behaviour and the
 prime-field environment override."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -226,6 +227,39 @@ def test_census_emits_sorted_json_lines_and_matches_the_oracle(capsys):
         assert line["verdict"] == (mu == line["codim"])
 
 
+# sha256 of `msvkit census --n 6 --json --jobs 1`: 720 report lines with
+# their generators, certificates and witnesses, recorded before the
+# classifier computed its generators on demand.
+CENSUS_S6_JSON_SHA256 = "6800b2aa5036ec58b93d78d3e823b73953cf11d505d0ec08aa1ff9eeb3f39afd"
+
+
+def test_census_json_on_s6_matches_the_pinned_digest(capsys):
+    code, out, _ = run(capsys, "census", "--n", "6", "--json", "--jobs", "1")
+    assert code == 0
+    assert len(out.splitlines()) == 720
+    assert hashlib.sha256(out.encode()).hexdigest() == CENSUS_S6_JSON_SHA256
+
+
+def test_ci_text_output_lists_the_generators(capsys):
+    code, out, _ = run(capsys, "ci", "462153")
+    assert code == 0
+    assert out == (GOLDEN / "ci_462153.txt").read_text()
+
+
+def test_ci_expands_the_generators_once_per_report(capsys, monkeypatch):
+    import msvkit.ci as ci
+    calls = []
+    expand = ci._ci_generator_tuple
+    monkeypatch.setattr(ci, "_ci_generator_tuple",
+                        lambda w, ring=None: calls.append(w.one_line()) or expand(w, ring))
+    for argv in (("ci", "462153"), ("ci", "462153", "--json")):
+        calls.clear()
+        assert run(capsys, *argv)[0] == 0
+        # the JSON certificate also lists the generators of each CI block
+        assert calls[0] == (4, 6, 2, 1, 5, 3)
+        assert len(calls) == len(set(calls)), argv
+
+
 def test_census_filters(capsys):
     golden = json.loads((GOLDEN / "ci_census_counts.json").read_text())
     for n in (3, 4):
@@ -282,8 +316,8 @@ def test_census_jobs_are_clamped_to_the_cores(capsys, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return [fn(item) for item in items]
+        def imap(self, fn, items, chunksize=1):
+            return (fn(item) for item in items)
 
     monkeypatch.setattr(cli, "Pool", SerialPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)

@@ -5,7 +5,7 @@ brute-force re-derivations of the definitions."""
 import pytest
 
 from msvkit.perm import (Cell, PartialPermutation, PermutationParseError,
-                         all_partial_permutations, all_permutations, block_one_line,
+                         all_partial_permutations, all_permutations,
                          coxeter_length, delete_row_col, diagram, essential_set,
                          extend_to_permutation, identity, longest_element,
                          parse_partial_matrix, rank_at, render_one_line, submatrix_w)
@@ -251,12 +251,6 @@ def test_submatrix_errors():
         submatrix_w(w_("35142"), (2, 2))  # rank 0
     with pytest.raises(ValueError):
         submatrix_w(w_("21"), (2, 2))  # block would leave the grid
-
-
-def test_block_one_line():
-    assert block_one_line(((0, 1), (1, 0))) == (2, 1)
-    with pytest.raises(ValueError):
-        block_one_line(((0, 0), (1, 0)))
 
 
 def test_longest_element_diagram_is_staircase():
