@@ -30,8 +30,7 @@ from typing import Iterator, Optional
 from .perm import (Cell, PartialPermutation, all_permutations, coxeter_length,
                    delete_row_col, diagram, essential_set, render_one_line)
 from .poly import (IdealPresentation, Polynomial, PolyRing, buchberger, minor,
-                   antidiagonal_monomial, monomial_divides, monomial_quotient,
-                   normal_form, saturate, transplant)
+                   monomial_quotient, normal_form, saturate, transplant)
 from .detideal import (MonomialIdeal, antidiagonal_ideal, fulton_generators,
                        is_nonzerodivisor_on_monomial_quotient,
                        monomial_quotient_membership)
@@ -108,8 +107,10 @@ def verify_pivot_minors(w: PartialPermutation,
     gens = (c_mono,) + antidiagonal_ideal(w, ring).gens
     checked = 0
     failures = []
+    p0, q0 = pivot
     for rows, cols in _all_minor_sites(w.size):
-        if not monomial_divides(c_mono, antidiagonal_monomial(ring, rows, cols)):
+        # the antidiagonal pairs rows[k] with cols[-1 - k]; is c one of them?
+        if p0 not in rows or cols[-1 - rows.index(p0)] != q0:
             continue
         checked += 1
         if not monomial_quotient_membership(minor(ring, rows, cols), gens):

@@ -34,6 +34,7 @@ from bisect import insort
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, le, mul, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
 Monomial = tuple  # exponent tuple; positions in decreasing variable precedence
@@ -85,7 +86,7 @@ class _Rationals:
                     target.pop(m, None)
         else:
             for m, v in src:
-                key = tuple(x + y for x, y in zip(m, u))
+                key = tuple(map(add, m, u))
                 v = target.get(key, 0) + v * c
                 if v:
                     target[key] = v
@@ -128,7 +129,7 @@ class _PrimeField:
                     target.pop(m, None)
         else:
             for m, v in src:
-                key = tuple(x + y for x, y in zip(m, u))
+                key = tuple(map(add, m, u))
                 v = (target.get(key, 0) + v * c) % p
                 if v:
                     target[key] = v
@@ -396,29 +397,31 @@ def _parse_polynomial(ring: PolyRing, text: str) -> "Polynomial":
 
 
 # ---------------------------------------------------------------------------
-# Monomial helpers (ring-agnostic on equal-length tuples)
+# Monomial helpers (ring-agnostic on equal-length tuples); each maps a builtin
+# over the exponents, so no Python frame runs per exponent
 # ---------------------------------------------------------------------------
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def monomial_divides(a: Monomial, b: Monomial) -> bool:
     """True iff a | b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def monomial_quotient(numerator: Monomial, denominator: Monomial) -> Monomial:
     """numerator / denominator; caller guarantees divisibility."""
-    return tuple(y - x for x, y in zip(denominator, numerator))
+    return tuple(map(sub, numerator, denominator))
 
 
 def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def monomial_coprime(a: Monomial, b: Monomial) -> bool:
-    return not any(x and y for x, y in zip(a, b))
+    """True iff no variable divides both (a product of exponents is 0)."""
+    return not any(map(mul, a, b))
 
 
 class Polynomial:
@@ -793,7 +796,7 @@ def buchberger(generators: Sequence[Polynomial] | IdealPresentation) -> tuple:
 
 def _buchberger_core(ring: PolyRing, basis: list) -> list:
     # basis: list of monic Polynomial; pairs managed by Gebauer-Moeller update
-    pairs: set[tuple[int, int]] = set()
+    pairs: dict[tuple[int, int], Monomial] = {}
     heap: list = []
     leads = [g.leading_monomial() for g in basis]
     reducers: list = []
@@ -804,7 +807,7 @@ def _buchberger_core(ring: PolyRing, basis: list) -> list:
         _, _, i, j = heapq.heappop(heap)
         if (i, j) not in pairs:
             continue
-        pairs.discard((i, j))
+        del pairs[(i, j)]
         s = s_polynomial(basis[i], basis[j])
         rem = _reduce_dict(dict(s._d), reducers, ring)
         if not rem:
@@ -818,11 +821,12 @@ def _buchberger_core(ring: PolyRing, basis: list) -> list:
     return basis
 
 
-def _gm_update(pairs: set, heap: list, leads: list, t: int):
+def _gm_update(pairs: dict, heap: list, leads: list, t: int):
     """Install pairs (i, t) for i < t, pruned by the Gebauer-Moeller form of
-    the coprime-product and chain criteria; prune superseded old pairs."""
+    the coprime-product and chain criteria; prune superseded old pairs.
+    ``pairs`` maps each live pair to the lcm of its leads."""
     lt = leads[t]
-    lcms = {i: monomial_lcm(leads[i], lt) for i in range(t)}
+    lcms = [monomial_lcm(leads[i], lt) for i in range(t)]
     # chain criterion among the new pairs: keep (i, t) only if no kept pair's
     # lcm divides its lcm (equal lcms keep the first)
     kept: list[int] = []
@@ -831,16 +835,15 @@ def _gm_update(pairs: set, heap: list, leads: list, t: int):
             continue
         kept.append(i)
     # prune old pairs now covered by t
-    for (i, j) in list(pairs):
-        lcm_ij = monomial_lcm(leads[i], leads[j])
+    for (i, j), lcm_ij in list(pairs.items()):
         if (monomial_divides(lt, lcm_ij)
                 and lcms[i] != lcm_ij and lcms[j] != lcm_ij):
-            pairs.discard((i, j))
+            del pairs[(i, j)]
     # coprime-product criterion last (sound in combination with the above)
     for i in kept:
         if monomial_coprime(leads[i], lt):
             continue
-        pairs.add((i, t))
+        pairs[(i, t)] = lcms[i]
         heapq.heappush(heap, (lcms[i], i, i, t))
 
 
@@ -860,12 +863,16 @@ def _interreduce(basis: list) -> tuple:
             continue
         kept.append(nonzero[k])
         kept_leads.append(lm)
-    # reduced: replace each by its normal form against the others
+    # reduced: replace each by its normal form against the others.  The kept
+    # leads are distinct and increasing, so one sorted entry list serves
+    # every element with its own entry left out, and tail reduction keeps
+    # each lead, so the result stays sorted.
+    ring = kept[0].ring
+    prepared = [_reducer_entry(ring, k, g) for k, g in enumerate(kept)]
     reduced = []
     for idx, g in enumerate(kept):
-        g = normal_form(g, kept[:idx] + kept[idx + 1:])
-        reduced.append(g.monic())
-    reduced.sort(key=lambda g: g.leading_monomial())
+        rem = _reduce_dict(dict(g._d), prepared[:idx] + prepared[idx + 1:], ring)
+        reduced.append(Polynomial(ring, rem).monic())
     return tuple(reduced)
 
 

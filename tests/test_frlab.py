@@ -3,13 +3,15 @@ the initial-ideal identity, the nonzerodivisor fact and the localization
 identity I = I', all centered on the worked 35142 example plus exhaustive
 small sweeps."""
 
+import itertools
 import json
 
 import pytest
 
 from msvkit.perm import Cell, PartialPermutation, all_permutations, identity, \
     longest_element
-from msvkit.poly import minor, normal_form, saturate
+from msvkit.poly import (PolyRing, antidiagonal_monomial, minor, monomial_divides,
+                         normal_form, saturate)
 from msvkit.detideal import fulton_generators, monomial_quotient_membership
 from msvkit.frlab import (build_localization, find_pivot, localization_sample,
                           verify_all, verify_localization_identity,
@@ -74,6 +76,19 @@ def test_pivot_minors_35142():
 def test_pivot_minors_exhaustive_s4():
     for w in nonregular(4):
         assert verify_pivot_minors(w).ok, w.one_line()
+
+
+def test_pivot_minors_checks_exactly_the_minors_whose_antidiagonal_holds_the_pivot():
+    for n in (4, 5):
+        ring = PolyRing(n, n)
+        sites = [(rows, cols) for t in range(1, n + 1)
+                 for rows in itertools.combinations(range(1, n + 1), t)
+                 for cols in itertools.combinations(range(1, n + 1), t)]
+        for w in nonregular(n):
+            c = ring.monomial({find_pivot(w): 1})
+            expected = sum(monomial_divides(c, antidiagonal_monomial(ring, rows, cols))
+                           for rows, cols in sites)
+            assert verify_pivot_minors(w).checked == expected, w.one_line()
 
 
 # ---------------------------------------------------------------------------

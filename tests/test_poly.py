@@ -4,16 +4,19 @@ determinant expansion, exhaustive comparisons) or hand-checked two-term
 computations."""
 
 import ast
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from msvkit.perm import PartialPermutation
-from msvkit.detideal import fulton_generators
+from msvkit.perm import PartialPermutation, all_permutations, render_one_line
+from msvkit.detideal import fulton_generators, verify_groebner
+from msvkit.frlab import build_localization, find_pivot, verify_all
 from msvkit.poly import (IdealPresentation, PolyRing, antidiagonal_monomial,
                          buchberger, certified, ideals_equal,
                          is_reduced_groebner_basis, minor,
@@ -82,6 +85,36 @@ def test_monomial_helpers():
     assert monomial_lcm(a, b) == a
     assert monomial_coprime(b, mono({(3, 3): 2}))
     assert not monomial_coprime(a, b)
+
+
+KERNEL_CELLS = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)]
+KERNEL_EXPONENTS = st.tuples(*[st.integers(0, 3)] * (len(KERNEL_CELLS) + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@example(a=(2, 0, 0, 0, 0, 0, 0), b=(1, 0, 0, 0, 0, 0, 1), terms=[], c=1, char=0)
+@given(a=KERNEL_EXPONENTS, b=KERNEL_EXPONENTS,
+       terms=st.lists(st.tuples(KERNEL_EXPONENTS, st.integers(-7, 7)), max_size=5),
+       c=st.integers(-7, 7), char=st.sampled_from([0, 101]))
+def test_monomial_kernels_match_their_per_exponent_definitions(a, b, terms, c, char):
+    # exponent lists: one entry per grid cell, then the auxiliary power;
+    # entries up to 3 tell a product-of-exponents test from a bitwise one
+    ring = PolyRing(2, 3, char=char, aux="t")
+
+    def m(exps):
+        exps = list(exps)
+        return ring.monomial(zip(KERNEL_CELLS, exps[:-1]), aux_power=exps[-1])
+
+    divides = all(x <= y for x, y in zip(a, b))
+    assert monomial_mul(m(a), m(b)) == m(x + y for x, y in zip(a, b))
+    assert monomial_divides(m(a), m(b)) == divides
+    if divides:
+        assert monomial_quotient(m(b), m(a)) == m(y - x for x, y in zip(a, b))
+    assert monomial_lcm(m(a), m(b)) == m(max(x, y) for x, y in zip(a, b))
+    assert monomial_coprime(m(a), m(b)) == (not any(x > 0 and y > 0 for x, y in zip(a, b)))
+    f = ring.polynomial([(m(e), v) for e, v in terms])
+    shifted = ring.polynomial([(m(x + y for x, y in zip(e, a)), c * v) for e, v in terms])
+    assert f.mul_term(m(a), c) == shifted
 
 
 def test_elimination_order_puts_auxiliary_first():
@@ -335,6 +368,40 @@ def test_saturate_idempotent_on_random_small_ideals():
 def test_saturate_validation():
     with pytest.raises(ValueError):
         saturate(IdealPresentation(RING, (RING.one(),)), RING.zero())
+
+
+# ---------------------------------------------------------------------------
+# Engine outputs over S_5, pinned by digest
+# ---------------------------------------------------------------------------
+
+def test_engine_outputs_match_the_pinned_digests():
+    """sha256 digests of the rendered reduced bases of ``verify_groebner``
+    over S_5, of ``verify_all(w).to_json()`` and of the two localization
+    saturations over the pivot-admitting w in S_5.  Any change to division
+    order, pair selection or interreduction that alters a basis shows here."""
+    golden = json.loads((Path(__file__).parent / "golden" / "engine_digest.json").read_text())
+    gb = hashlib.sha256()
+    for w in all_permutations(5):
+        gb.update(render_one_line(w).encode() + b"\n")
+        for g in verify_groebner(w).basis:
+            gb.update(str(g).encode() + b"\n")
+    pivoted = [w for w in all_permutations(5) if find_pivot(w) is not None]
+    summaries = hashlib.sha256()
+    saturations = hashlib.sha256()
+    for w in pivoted:
+        summaries.update(json.dumps(verify_all(w).to_json(), sort_keys=True).encode() + b"\n")
+        setup = build_localization(w)
+        ring = setup.ring
+        c = ring.variable(*setup.c_cell)
+        for gens in (fulton_generators(w, ring).generators,
+                     setup.cleared_generators + setup.gamma_generators):
+            saturations.update(render_one_line(w).encode() + b"\n")
+            for g in saturate(IdealPresentation(ring, gens), c).generators:
+                saturations.update(str(g).encode() + b"\n")
+    assert {"verify_groebner_s5": gb.hexdigest(),
+            "verify_all_s5": summaries.hexdigest(),
+            "saturate_s5": saturations.hexdigest(),
+            "pivot_admitting_s5": len(pivoted)} == golden
 
 
 # ---------------------------------------------------------------------------
