@@ -247,8 +247,9 @@ def _cmd_verify(args) -> int:
     key, lines = VERIFY_COMMANDS[args.command]
     w = _load_target(args, permutation_only=True, bound=PIVOT_BOUND)
     pivot = frlab.find_pivot(w)
+    setup = None if pivot is None else frlab.build_localization(w)
     results = {} if pivot is None else {
-        field: frlab.PIVOT_CHECKS[field](w, pivot) for _, field, _, _ in lines if field}
+        field: frlab.PIVOT_CHECKS[field](w, pivot, setup) for _, field, _, _ in lines if field}
     if args.json:
         summary = frlab.VerificationSummary(w=w, pivot=pivot, skipped=pivot is None, **results)
         payload = summary.to_json()

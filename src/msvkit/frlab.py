@@ -17,9 +17,14 @@ pivot useful:
   I_w with the ideal I' built from the smaller permutation w' (w with the
   pivot's row and column deleted) after the change of variables
   x'[p,q] = x[p,q] - c^{-1} x[p,q0] x[p0,q], together with the variables in
-  the pivot's row/column that precede it.  Membership in the localized ideal
-  is decided through saturation at c, so the identity becomes two normal-form
-  passes against saturation Groebner bases.
+  the pivot's row/column that precede it.  Both directions are decided by
+  normal forms against plain Groebner bases: c divides no leading monomial
+  of the basis of I_w, so it is a nonzerodivisor modulo I_w and inverting it
+  adds nothing to I_w; and c does not occur in I' written in the primed
+  coordinates, where the transplanted basis of I_{w'} and the gamma
+  variables already form a Groebner basis.  Saturation at c is kept only as
+  the fallback for a basis whose leads c divides, which does not happen for
+  permutations.
 """
 from __future__ import annotations
 
@@ -29,8 +34,9 @@ from typing import Iterator, Optional
 
 from .perm import (Cell, PartialPermutation, all_permutations, coxeter_length,
                    delete_row_col, diagram, essential_set, render_one_line)
-from .poly import (IdealPresentation, Polynomial, PolyRing, buchberger, minor,
-                   monomial_quotient, normal_form, saturate, transplant)
+from .poly import (IdealPresentation, Monomial, Polynomial, PolyRing, buchberger,
+                   minor, monomial_divides, monomial_quotient, normal_form,
+                   saturate, transplant)
 from .detideal import (MonomialIdeal, antidiagonal_ideal, fulton_generators,
                        is_nonzerodivisor_on_monomial_quotient,
                        monomial_quotient_membership)
@@ -133,10 +139,16 @@ def verify_pivot_initial_ideal(w: PartialPermutation,
     pivot = find_pivot(w)
     if pivot is None:
         raise ValueError("no pivot: every essential cell has rank 0")
-    schubert = fulton_generators(w, ring)
-    ring = schubert.ring
-    c_poly = ring.variable(*pivot)
-    basis = buchberger((c_poly,) + schubert.generators)
+    return _initial_ideal_report(w, pivot, fulton_generators(w, ring).generators)
+
+
+def _initial_ideal_report(w: PartialPermutation, pivot: Cell,
+                          generators: tuple) -> InitialIdealReport:
+    """Lemma 2 from any generating set of I_w, such as the Fulton generators
+    or their reduced Groebner basis: the reduced basis of <c> + I_w, and so
+    its lead ideal, does not depend on which."""
+    ring = generators[0].ring
+    basis = buchberger((ring.variable(*pivot),) + tuple(generators))
     lead = MonomialIdeal.from_monomials(ring, (g.leading_monomial() for g in basis))
     expected = MonomialIdeal.from_monomials(
         ring, (ring.monomial({pivot: 1}),) + antidiagonal_ideal(w, ring).gens)
@@ -161,10 +173,13 @@ def verify_pivot_nonzerodivisor(w: PartialPermutation) -> bool:
 class LocalizationSetup:
     """Data of the change of variables at the pivot.
 
-    ``w_prime`` is w with the pivot's row and column deleted;
+    ``w_generators`` are the Fulton generators of w in ``ring`` and
+    ``w_groebner`` their reduced Groebner basis.  ``w_prime`` is w with the
+    pivot's row and column deleted, ``w_prime_generators`` its Fulton
+    generators in ``ring``, on the contiguous indices 1..n-1, and
     ``row_labels``/``col_labels`` send its contiguous indices back to the
-    original grid.  ``cleared_generators`` are the Fulton generators of w'
-    rewritten in the original variables through
+    original grid.  ``cleared_generators`` are those generators rewritten
+    in the original variables through
     x'[p,q] = x[p,q] - c^{-1} x[p,q0] x[p0,q] and cleared of denominators by
     pivot powers (with any overall pivot factor removed);
     ``generator_sites`` records each one's origin as (rows, cols) in original
@@ -182,39 +197,77 @@ class LocalizationSetup:
     cleared_generators: tuple
     generator_sites: tuple
     ring: PolyRing
+    w_generators: tuple
+    w_groebner: tuple
+    w_prime_generators: tuple
 
 
-def _clear_pivot_substitution(f: Polynomial, ring: PolyRing, p0: int, q0: int) -> Polynomial:
-    """Apply x[p,q] -> x[p,q] - c^{-1} x[p,q0] x[p0,q] to every variable of a
-    homogeneous ``f`` (none of which may sit in the pivot's row or column) and
-    clear denominators by c^deg(f); then strip any overall pivot factor."""
+def _pivot_substitution(f: Polynomial, p0: int, q0: int, sign: int) -> Polynomial:
+    """c^d f(x[p,q] + sign c^{-1} x[p,q0] x[p0,q]) for f of total degree d and
+    c = x[p0,q0], the substitution applied to the variables off the pivot's
+    row and column only.  Term by term, each variable off the row and column
+    becomes c*x[p,q] + sign*x[p,q0]*x[p0,q], each variable on them becomes
+    c*x, and a term of degree e < d gains c^(d-e).  ``sign = -1`` writes the
+    primed variables in the original ones; ``sign = 1`` writes the original
+    variables in the primed ones.
+
+    At the pivot c = x[1,3] of 35142, the primed variable x'[2,1] cleared
+    is the first cleared generator, and the two signs undo each other up to
+    a power of c:
+
+    >>> setup = build_localization(PartialPermutation.from_one_line("35142"))
+    >>> p0, q0 = setup.c_cell
+    >>> cleared = _pivot_substitution(setup.ring.variable(2, 1), p0, q0, -1)
+    >>> str(cleared), cleared == setup.cleared_generators[0]
+    ('x[1,3]*x[2,1] - x[1,1]*x[2,3]', True)
+    >>> str(_pivot_substitution(cleared, p0, q0, 1))
+    'x[1,3]^3*x[2,1]'
+    """
+    ring = f.ring
     c = ring.variable(p0, q0)
     degree = f.total_degree()
+    images: dict = {}
     total = ring.zero()
     for m, coeff in f.terms():
         term = ring.const(coeff)
         used = 0
         for i, j, e in ring.grid_support(m):
-            if i == p0 or j == q0:
-                raise ValueError("substitution applies only off the pivot row/column")
-            factor = c * ring.variable(i, j) - ring.variable(i, q0) * ring.variable(p0, j)
+            image = images.get((i, j))
+            if image is None:
+                image = c * ring.variable(i, j)
+                if i != p0 and j != q0:
+                    image = image + ring.variable(i, q0) * ring.variable(p0, j) * sign
+                images[(i, j)] = image
             for _ in range(e):
-                term = term * factor
-                used += 1
+                term = term * image
+            used += e
         if used < degree:
             term = term.mul_term(ring.monomial({(p0, q0): degree - used}))
         total = total + term
-    excess = min(sum(e for i, j, e in ring.grid_support(m) if (i, j) == (p0, q0))
-                 for m in total.monomials())
-    if excess:
-        factor = ring.monomial({(p0, q0): excess})
-        total = ring.polynomial((monomial_quotient(m, factor), co) for m, co in total.terms())
     return total
 
 
+def _strip_pivot_factor(f: Polynomial, p0: int, q0: int) -> Polynomial:
+    """f divided by the largest power of x[p0,q0] dividing every term."""
+    ring = f.ring
+    excess = min(sum(e for i, j, e in ring.grid_support(m) if (i, j) == (p0, q0))
+                 for m in f.monomials())
+    if not excess:
+        return f
+    factor = ring.monomial({(p0, q0): excess})
+    return ring.polynomial((monomial_quotient(m, factor), co) for m, co in f.terms())
+
+
+def _cell_map(row_labels: tuple, col_labels: tuple) -> dict:
+    """Cells of the deleted grid -> cells of the original grid."""
+    return {(i, j): (p, q) for i, p in enumerate(row_labels, 1)
+            for j, q in enumerate(col_labels, 1)}
+
+
 def build_localization(w: PartialPermutation, ring: Optional[PolyRing] = None) -> LocalizationSetup:
-    """Construct the deleted permutation w', the label maps, and the cleared
-    generators of the localized ideal I'."""
+    """Construct the deleted permutation w', the label maps, the cleared
+    generators of the localized ideal I', and the Fulton generators of w with
+    their reduced Groebner basis."""
     pivot = find_pivot(w)
     if pivot is None:
         raise ValueError("no pivot: the defining ideal is generated by variables")
@@ -222,17 +275,17 @@ def build_localization(w: PartialPermutation, ring: Optional[PolyRing] = None) -
     n = w.size
     if ring is None:
         ring = PolyRing(n, n)
+    w_generators = fulton_generators(w, ring).generators
     w_prime = delete_row_col(w, p0, q0)
     row_labels = tuple(i for i in range(1, n + 1) if i != p0)
     col_labels = tuple(j for j in range(1, n + 1) if j != q0)
-    cell_map = {(i, j): (row_labels[i - 1], col_labels[j - 1])
-                for i in range(1, n) for j in range(1, n)}
-    schubert_prime = fulton_generators(w_prime)
+    cell_map = _cell_map(row_labels, col_labels)
+    schubert_prime = fulton_generators(w_prime, ring)
     cleared = []
     sites = []
     for g, site in zip(schubert_prime.generators, schubert_prime.sites):
         primed = transplant(g, ring, cell_map)
-        cleared_poly = _clear_pivot_substitution(primed, ring, p0, q0)
+        cleared_poly = _strip_pivot_factor(_pivot_substitution(primed, p0, q0, -1), p0, q0)
         if cleared_poly.total_degree() > 2 * g.total_degree():
             raise AssertionError("cleared generator exceeds twice the original degree")
         cleared.append(cleared_poly)
@@ -245,35 +298,73 @@ def build_localization(w: PartialPermutation, ring: Optional[PolyRing] = None) -
     return LocalizationSetup(
         w=w, c_cell=pivot, w_prime=w_prime, row_labels=row_labels,
         col_labels=col_labels, gamma=gamma, gamma_generators=gamma_generators,
-        cleared_generators=tuple(cleared), generator_sites=tuple(sites), ring=ring)
+        cleared_generators=tuple(cleared), generator_sites=tuple(sites), ring=ring,
+        w_generators=w_generators, w_groebner=buchberger(w_generators),
+        w_prime_generators=schubert_prime.generators)
 
 
 @dataclass(frozen=True)
 class LocalizationReport:
     ok: bool
-    proper: bool  # 1 does not reduce to 0: the localized ring is nonzero
-    forward_failures: tuple   # Fulton generators of I_w not in the saturation of I'
-    backward_failures: tuple  # I' generators not in the saturation of I_w
+    proper: bool  # 1 is not in I_w : c^infinity: the localized ring is nonzero
+    # Fulton generators of I_w not in I' : c^infinity, with I' read as
+    # I_{w'}(x') + <gamma> from the setup's w_prime_generators
+    forward_failures: tuple
+    # cleared and gamma generators of I' not in I_w : c^infinity
+    backward_failures: tuple
     setup: LocalizationSetup
+
+
+def _nonzerodivisor_on_leads(c: Monomial, basis: tuple) -> bool:
+    """Whether the variable c divides no leading monomial of the Groebner
+    basis ``basis``.  Then c is a nonzerodivisor modulo its ideal I: if c*f
+    lies in I with f a nonzero normal form, some lead divides c*lm(f), hence
+    divides lm(f), which is impossible.  So I : c^infinity = I."""
+    return not any(monomial_divides(c, g.leading_monomial()) for g in basis)
 
 
 def verify_localization_identity(w: PartialPermutation,
                                  setup: Optional[LocalizationSetup] = None) -> LocalizationReport:
-    """Verify that inverting the pivot identifies the extended ideal of I_w
-    with I': both generator families reduce to zero against the other side's
-    saturation Groebner basis."""
+    """Verify that inverting the pivot c identifies the extended ideal of I_w
+    with I', by normal forms against plain Groebner bases.
+
+    Backward, I' in I_w : c^infinity: when c divides no lead of the basis of
+    I_w, that basis is one of I_w : c^infinity (``_nonzerodivisor_on_leads``),
+    and each generator of I' needs one normal form against it.  Otherwise the
+    saturation is computed.
+
+    Forward, I_w in I' : c^infinity: in the primed coordinates I' is
+    I_{w'} + <gamma>, whose Groebner basis is the reduced basis of I_{w'}
+    transplanted off the pivot's row and column together with the gamma
+    variables (their leads are coprime).  c occurs in neither, so it is a
+    nonzerodivisor modulo I', and a Fulton generator g of degree d lies in
+    I' : c^infinity iff c^d g, rewritten in the primed coordinates, has
+    normal form zero.
+
+    So the two directions read I' from different fields of the setup: the
+    backward one from ``cleared_generators`` and the forward one from
+    ``w_prime_generators``.  The identity holds for I' as the cleared
+    generators present it because ``build_localization`` clears exactly the
+    generators it stores in ``w_prime_generators``; a setup whose cleared
+    generators miss some of them still passes the backward direction, and
+    the forward direction does not look at them.
+    """
     if setup is None:
         setup = build_localization(w)
     ring = setup.ring
-    c = ring.variable(*setup.c_cell)
-    fulton = fulton_generators(w, ring)
-    sat_w = saturate(IdealPresentation(ring, fulton.generators), c).generators
+    p0, q0 = setup.c_cell
+    c = ring.variable(p0, q0)
+    sat_w = setup.w_groebner
+    if not _nonzerodivisor_on_leads(c.leading_monomial(), sat_w):
+        sat_w = saturate(IdealPresentation(ring, setup.w_generators), c).generators
     prime_gens = setup.cleared_generators + setup.gamma_generators
-    sat_prime = saturate(IdealPresentation(ring, prime_gens), c).generators
-    forward = tuple(g for g in fulton.generators
-                    if not normal_form(g, sat_prime).is_zero)
     backward = tuple(g for g in prime_gens if not normal_form(g, sat_w).is_zero)
     proper = not normal_form(ring.one(), sat_w).is_zero
+    cell_map = _cell_map(setup.row_labels, setup.col_labels)
+    gb_prime = tuple(transplant(g, ring, cell_map)
+                     for g in buchberger(setup.w_prime_generators)) + setup.gamma_generators
+    forward = tuple(g for g in setup.w_generators
+                    if not normal_form(_pivot_substitution(g, p0, q0, 1), gb_prime).is_zero)
     return LocalizationReport(ok=not forward and not backward, proper=proper,
                               forward_failures=forward, backward_failures=backward,
                               setup=setup)
@@ -316,13 +407,16 @@ class VerificationSummary:
         }
 
 
-# VerificationSummary field -> the check that fills it, given w and its pivot
+# VerificationSummary field -> the check that fills it, given w, its pivot and
+# its LocalizationSetup; one setup serves every check, so the Fulton
+# generators of w and their Groebner basis are built once
 PIVOT_CHECKS = {
-    "window": lambda w, pivot: verify_pivot_window(w, pivot),
-    "minors_ok": lambda w, pivot: verify_pivot_minors(w).ok,
-    "initial_ideal_ok": lambda w, pivot: verify_pivot_initial_ideal(w).ok,
-    "nonzerodivisor_ok": lambda w, pivot: verify_pivot_nonzerodivisor(w),
-    "localization_ok": lambda w, pivot: verify_localization_identity(w).ok,
+    "window": lambda w, pivot, setup: verify_pivot_window(w, pivot),
+    "minors_ok": lambda w, pivot, setup: verify_pivot_minors(w).ok,
+    "initial_ideal_ok": lambda w, pivot, setup: _initial_ideal_report(
+        w, pivot, setup.w_groebner).ok,
+    "nonzerodivisor_ok": lambda w, pivot, setup: verify_pivot_nonzerodivisor(w),
+    "localization_ok": lambda w, pivot, setup: verify_localization_identity(w, setup).ok,
 }
 
 
@@ -331,8 +425,9 @@ def verify_all(w: PartialPermutation) -> VerificationSummary:
     pivot = find_pivot(w)
     if pivot is None:
         return VerificationSummary(w=w, pivot=None, skipped=True)
-    return VerificationSummary(w=w, pivot=pivot, skipped=False,
-                               **{field: check(w, pivot) for field, check in PIVOT_CHECKS.items()})
+    setup = build_localization(w)
+    return VerificationSummary(w=w, pivot=pivot, skipped=False, **{
+        field: check(w, pivot, setup) for field, check in PIVOT_CHECKS.items()})
 
 
 def localization_sample(n: int = 5, max_length: int = 6) -> tuple:

@@ -3,15 +3,20 @@ the initial-ideal identity, the nonzerodivisor fact and the localization
 identity I = I', all centered on the worked 35142 example plus exhaustive
 small sweeps."""
 
+import dataclasses
+import hashlib
 import itertools
 import json
+import random
+from pathlib import Path
 
 import pytest
 
-from msvkit.perm import Cell, PartialPermutation, all_permutations, identity, \
-    longest_element
-from msvkit.poly import (PolyRing, antidiagonal_monomial, minor, monomial_divides,
-                         normal_form, saturate)
+import msvkit.frlab as frlab
+from msvkit.perm import Cell, PartialPermutation, all_permutations, coxeter_length, \
+    identity, longest_element
+from msvkit.poly import (IdealPresentation, PolyRing, antidiagonal_monomial, minor,
+                         monomial_divides, normal_form, saturate)
 from msvkit.detideal import fulton_generators, monomial_quotient_membership
 from msvkit.frlab import (build_localization, find_pivot, localization_sample,
                           verify_all, verify_localization_identity,
@@ -208,6 +213,119 @@ def test_localization_identity_exhaustive_s4():
     for w in nonregular(4):
         report = verify_localization_identity(w)
         assert report.ok and report.proper, w.one_line()
+
+
+def saturation_oracle(w, setup):
+    """The identity decided the slow way, by saturating both sides at c:
+    (ok, proper, forward_failures, backward_failures)."""
+    ring = setup.ring
+    c = ring.variable(*setup.c_cell)
+    fulton = fulton_generators(w, ring).generators
+    prime_gens = setup.cleared_generators + setup.gamma_generators
+    sat_w = saturate(IdealPresentation(ring, fulton), c).generators
+    sat_prime = saturate(IdealPresentation(ring, prime_gens), c).generators
+    forward = tuple(g for g in fulton if not normal_form(g, sat_prime).is_zero)
+    backward = tuple(g for g in prime_gens if not normal_form(g, sat_w).is_zero)
+    proper = not normal_form(ring.one(), sat_w).is_zero
+    return not forward and not backward, proper, forward, backward
+
+
+def outcome(report):
+    return report.ok, report.proper, report.forward_failures, report.backward_failures
+
+
+def test_normal_form_identity_agrees_with_the_saturation_oracle():
+    s6 = random.Random(20261018).sample(nonregular(6), 40)
+    for w in nonregular(5) + s6:
+        setup = build_localization(w)
+        assert outcome(verify_localization_identity(w, setup)) == \
+            saturation_oracle(w, setup), w.one_line()
+
+
+def test_saturation_fallback_when_the_pivot_divides_a_lead(monkeypatch):
+    words = [w_("35142")] + nonregular(5)
+    expected = [outcome(verify_localization_identity(w)) for w in words]
+    calls = []
+    real_saturate = frlab.saturate
+    monkeypatch.setattr(frlab, "_nonzerodivisor_on_leads", lambda c, basis: False)
+    monkeypatch.setattr(frlab, "saturate",
+                        lambda ideal, c: calls.append(ideal) or real_saturate(ideal, c))
+    assert [outcome(verify_localization_identity(w)) for w in words] == expected
+    assert len(calls) == len(words)
+
+
+def test_no_saturation_when_the_pivot_divides_no_lead(monkeypatch):
+    monkeypatch.setattr(frlab, "saturate", None)
+    assert verify_localization_identity(w_("35142")).ok
+
+
+def test_a_cleared_generator_outside_the_ideal_is_a_backward_failure():
+    w = w_("35142")
+    setup = build_localization(w)
+    bad = setup.cleared_generators[0] + setup.ring.variable(5, 5)
+    mutated = dataclasses.replace(
+        setup, cleared_generators=(bad,) + setup.cleared_generators[1:])
+    report = verify_localization_identity(w, mutated)
+    assert not report.ok
+    assert report.backward_failures == (bad,)
+    assert report.forward_failures == ()
+    # the oracle reads I' from the cleared generators in both directions, so
+    # only the directions that use them here are comparable
+    _, proper, _, backward = saturation_oracle(w, mutated)
+    assert (report.proper, report.backward_failures) == (proper, backward)
+
+
+def test_a_wrong_deleted_permutation_is_a_forward_failure():
+    # I_3142 misses a generator of I_4132, the true w' of 35142, so I_w is
+    # not in the wrong I' after inverting c
+    w = w_("35142")
+    setup = build_localization(w)
+    wrong = w_("3142")
+    mutated = dataclasses.replace(setup, w_prime=wrong,
+                                  w_prime_generators=fulton_generators(wrong, setup.ring).generators)
+    report = verify_localization_identity(w, mutated)
+    assert not report.ok
+    assert len(report.forward_failures) == 1
+    assert report.backward_failures == ()
+
+
+def test_a_dropped_cleared_generator_goes_unnoticed():
+    # the forward direction reads I' from w_prime_generators, so a setup
+    # whose cleared generators miss one passes both directions; the
+    # saturating oracle, which reads I' from the cleared generators, sees it
+    w = w_("35142")
+    setup = build_localization(w)
+    dropped = dataclasses.replace(setup, cleared_generators=setup.cleared_generators[1:])
+    report = verify_localization_identity(w, dropped)
+    assert (report.ok, report.forward_failures, report.backward_failures) == (True, (), ())
+    ok, _, forward, backward = saturation_oracle(w, dropped)
+    assert not ok and forward and not backward
+
+
+@pytest.mark.parametrize("char", [2, 32003])
+def test_identity_over_a_prime_field_agrees_with_the_saturation_oracle(char):
+    for w in [w_("35142")] + nonregular(5):
+        setup = build_localization(w, PolyRing(5, 5, char=char))
+        assert all(g.ring == setup.ring for g in setup.w_prime_generators)
+        report = verify_localization_identity(w, setup)
+        assert report.ok and report.proper, w.one_line()
+        assert outcome(report) == saturation_oracle(w, setup), w.one_line()
+
+
+def test_verify_all_matches_the_pinned_s6_digest():
+    """sha256 of verify_all(w).to_json() over a seeded sample of the pivot-
+    admitting S_6 of length >= 8, recorded when the identity was decided by
+    saturation."""
+    golden = json.loads((Path(__file__).parent / "golden" / "verify_all_s6_sample.json")
+                        .read_text())
+    population = [w for w in nonregular(6) if coxeter_length(w) >= 8]
+    assert len(population) == golden["population"]
+    sample = sorted(random.Random(golden["seed"]).sample(population, golden["sample"]),
+                    key=lambda w: w.one_line())
+    digest = hashlib.sha256()
+    for w in sample:
+        digest.update(json.dumps(verify_all(w).to_json(), sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == golden["sha256"]
 
 
 def test_saturation_of_the_schubert_ideal_is_proper():
