@@ -10,8 +10,14 @@ pivot useful:
   cell, and the pivot is the only nonzero entry of w in its window;
 * minor membership: any minor of the full generic matrix whose leading
   (antidiagonal) term is divisible by c lies in <c> + J_w, J_w the
-  antidiagonal ideal;
-* the initial-ideal identity in(<c> + I_w) = <c> + J_w, checked by Buchberger;
+  antidiagonal ideal.  No minor is expanded: the terms of a generic minor
+  are distinct squarefree products with coefficient +-1 and J_w is
+  squarefree, so a minor lies in <c> + J_w iff every bijection of its rows
+  onto its columns picks a set of variables containing the support of some
+  generator, which a depth-first search over partial bijections decides;
+* the initial-ideal identity in(<c> + I_w) = <c> + J_w, checked by extending
+  the reduced Groebner basis of I_w by c, so no pair inside it is formed
+  again;
 * c is a nonzerodivisor on the quotient by J_w;
 * the localization identity: inverting c identifies the extended ideal of
   I_w with the ideal I' built from the smaller permutation w' (w with the
@@ -35,11 +41,10 @@ from typing import Iterator, Optional
 from .perm import (Cell, PartialPermutation, all_permutations, coxeter_length,
                    delete_row_col, diagram, essential_set, render_one_line)
 from .poly import (IdealPresentation, Monomial, Polynomial, PolyRing, buchberger,
-                   minor, monomial_divides, monomial_quotient, normal_form,
-                   saturate, transplant)
+                   monomial_divides, monomial_quotient, normal_form, saturate,
+                   transplant)
 from .detideal import (MonomialIdeal, antidiagonal_ideal, fulton_generators,
-                       is_nonzerodivisor_on_monomial_quotient,
-                       monomial_quotient_membership)
+                       is_nonzerodivisor_on_monomial_quotient)
 
 
 def find_pivot(w: PartialPermutation) -> Optional[Cell]:
@@ -85,11 +90,23 @@ def verify_pivot_window(w: PartialPermutation, pivot: Optional[Cell] = None) -> 
     return True
 
 
-def _all_minor_sites(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+def _pivot_minor_sites(n: int, pivot: Cell) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(rows, cols) of the minors of the n x n generic matrix whose
+    antidiagonal holds the pivot, by size, then rows, then columns.  The
+    antidiagonal pairs rows[k] with cols[t - 1 - k], so with the pivot's row
+    at rows[k], k rows lie above it, t - 1 - k below, and its column has
+    t - 1 - k columns to its left and k to its right."""
+    p0, q0 = pivot
     for t in range(1, n + 1):
-        for rows in itertools.combinations(range(1, n + 1), t):
-            for cols in itertools.combinations(range(1, n + 1), t):
-                yield rows, cols
+        sites = []
+        for k in range(t):
+            for above in itertools.combinations(range(1, p0), k):
+                for below in itertools.combinations(range(p0 + 1, n + 1), t - 1 - k):
+                    rows = above + (p0,) + below
+                    for left in itertools.combinations(range(1, q0), t - 1 - k):
+                        for right in itertools.combinations(range(q0 + 1, n + 1), k):
+                            sites.append((rows, left + (q0,) + right))
+        yield from sorted(sites)
 
 
 @dataclass(frozen=True)
@@ -103,23 +120,59 @@ def verify_pivot_minors(w: PartialPermutation,
                         ring: Optional[PolyRing] = None) -> MinorMembershipReport:
     """Every minor of the full generic matrix whose antidiagonal term is
     divisible by the pivot variable must lie in the monomial ideal
-    <c> + J_w.  Exhaustive over all minors, so intended for n <= 5."""
+    <c> + J_w.  Exhaustive over those minors, so intended for n <= 6.
+
+    No minor is expanded.  Its terms are the products over the bijections
+    of its rows onto its columns, pairwise distinct and squarefree with
+    coefficient +-1, so none cancels and the minor lies in the monomial
+    ideal iff each of them does; c is a variable and J_w is squarefree, so
+    a term lies in it iff its support contains a generator's support.  The
+    bijections are searched depth first, a branch is cut once its partial
+    support contains a generator's, and a minor fails once a complete
+    bijection escapes every generator."""
     pivot = find_pivot(w)
     if pivot is None:
         raise ValueError("no pivot: every essential cell has rank 0")
-    if ring is None:
-        ring = PolyRing(w.rows, w.cols)
-    c_mono = ring.monomial({pivot: 1})
-    gens = (c_mono,) + antidiagonal_ideal(w, ring).gens
+    return _pivot_minor_report(w.size, pivot, antidiagonal_ideal(w, ring))
+
+
+def _pivot_minor_report(n: int, pivot: Cell, antidiagonal: MonomialIdeal) -> MinorMembershipReport:
+    """Lemma 1 against the antidiagonal ideal J_w in its ring, by the support
+    search of ``verify_pivot_minors``; J_w must be squarefree."""
+    if not antidiagonal.is_squarefree():
+        raise ValueError("the minor support search requires a squarefree J_w")
+    ring = antidiagonal.ring
+    gens = (ring.monomial({pivot: 1}),) + antidiagonal.gens
+    cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    key = {cell: ring.support(ring.monomial({cell: 1})) for cell in cells}
+    # generator supports indexed by their variables: adding a variable to a
+    # partial support can only complete a generator that contains it
+    covering: dict = {}
+    for m in gens:
+        support = ring.support(m)
+        for v in support:
+            covering.setdefault(v, []).append(support)
+
+    def escapes(rows: tuple, cols: tuple, k: int, support: frozenset) -> bool:
+        # whether some bijection of rows[k:] onto cols, with support chosen
+        # so far, gives a term outside <c> + J_w
+        if k == len(rows):
+            return True
+        for idx, j in enumerate(cols):
+            v = key[(rows[k], j)]
+            grown = support | v
+            (var,) = v
+            if any(g <= grown for g in covering.get(var, ())):
+                continue
+            if escapes(rows, cols[:idx] + cols[idx + 1:], k + 1, grown):
+                return True
+        return False
+
     checked = 0
     failures = []
-    p0, q0 = pivot
-    for rows, cols in _all_minor_sites(w.size):
-        # the antidiagonal pairs rows[k] with cols[-1 - k]; is c one of them?
-        if p0 not in rows or cols[-1 - rows.index(p0)] != q0:
-            continue
+    for rows, cols in _pivot_minor_sites(n, pivot):
         checked += 1
-        if not monomial_quotient_membership(minor(ring, rows, cols), gens):
+        if escapes(rows, cols, 0, frozenset()):
             failures.append((rows, cols))
     return MinorMembershipReport(not failures, checked, tuple(failures))
 
@@ -134,24 +187,27 @@ class InitialIdealReport:
 
 def verify_pivot_initial_ideal(w: PartialPermutation,
                                ring: Optional[PolyRing] = None) -> InitialIdealReport:
-    """Check in(<c> + I_w) = <c> + J_w by running Buchberger on the pivot
-    variable together with the Fulton generators."""
+    """Check in(<c> + I_w) = <c> + J_w by extending a reduced Groebner basis
+    of the Fulton generators by the pivot variable."""
     pivot = find_pivot(w)
     if pivot is None:
         raise ValueError("no pivot: every essential cell has rank 0")
-    return _initial_ideal_report(w, pivot, fulton_generators(w, ring).generators)
+    schubert = fulton_generators(w, ring)
+    return _initial_ideal_report(pivot, buchberger(schubert.generators),
+                                 antidiagonal_ideal(w, schubert.ring))
 
 
-def _initial_ideal_report(w: PartialPermutation, pivot: Cell,
-                          generators: tuple) -> InitialIdealReport:
-    """Lemma 2 from any generating set of I_w, such as the Fulton generators
-    or their reduced Groebner basis: the reduced basis of <c> + I_w, and so
-    its lead ideal, does not depend on which."""
-    ring = generators[0].ring
-    basis = buchberger((ring.variable(*pivot),) + tuple(generators))
+def _initial_ideal_report(pivot: Cell, w_groebner: tuple,
+                          antidiagonal: MonomialIdeal) -> InitialIdealReport:
+    """Lemma 2 from the reduced Groebner basis of I_w: ``buchberger`` extends
+    it by the pivot variable without forming a pair inside it, and when c
+    divides no lead every new pair has coprime leads, so no S-polynomial is
+    formed at all."""
+    ring = antidiagonal.ring
+    basis = buchberger((ring.variable(*pivot),), basis=w_groebner)
     lead = MonomialIdeal.from_monomials(ring, (g.leading_monomial() for g in basis))
     expected = MonomialIdeal.from_monomials(
-        ring, (ring.monomial({pivot: 1}),) + antidiagonal_ideal(w, ring).gens)
+        ring, (ring.monomial({pivot: 1}),) + antidiagonal.gens)
     contains = all(lead.contains_monomial(m) for m in expected.gens)
     return InitialIdealReport(lead.gens == expected.gens, contains, lead, expected)
 
@@ -161,8 +217,12 @@ def verify_pivot_nonzerodivisor(w: PartialPermutation) -> bool:
     pivot = find_pivot(w)
     if pivot is None:
         raise ValueError("no pivot: every essential cell has rank 0")
-    J = antidiagonal_ideal(w)
-    return is_nonzerodivisor_on_monomial_quotient(J.ring.monomial({pivot: 1}), J)
+    return _pivot_is_nonzerodivisor(pivot, antidiagonal_ideal(w))
+
+
+def _pivot_is_nonzerodivisor(pivot: Cell, antidiagonal: MonomialIdeal) -> bool:
+    return is_nonzerodivisor_on_monomial_quotient(
+        antidiagonal.ring.monomial({pivot: 1}), antidiagonal)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +245,8 @@ class LocalizationSetup:
     ``generator_sites`` records each one's origin as (rows, cols) in original
     labels, so size-1 sites are the primed variables.  ``gamma`` is the
     pivot's row and column; ``gamma_generators`` are the variables there that
-    precede the pivot."""
+    precede the pivot.  ``antidiagonal`` is the antidiagonal ideal J_w in
+    ``ring``, which lemma 1, lemma 2 and the nonzerodivisor check share."""
 
     w: PartialPermutation
     c_cell: Cell
@@ -200,9 +261,11 @@ class LocalizationSetup:
     w_generators: tuple
     w_groebner: tuple
     w_prime_generators: tuple
+    antidiagonal: MonomialIdeal
 
 
-def _pivot_substitution(f: Polynomial, p0: int, q0: int, sign: int) -> Polynomial:
+def _pivot_substitution(f: Polynomial, p0: int, q0: int, sign: int,
+                        images: Optional[dict] = None) -> Polynomial:
     """c^d f(x[p,q] + sign c^{-1} x[p,q0] x[p0,q]) for f of total degree d and
     c = x[p0,q0], the substitution applied to the variables off the pivot's
     row and column only.  Term by term, each variable off the row and column
@@ -210,6 +273,10 @@ def _pivot_substitution(f: Polynomial, p0: int, q0: int, sign: int) -> Polynomia
     c*x, and a term of degree e < d gains c^(d-e).  ``sign = -1`` writes the
     primed variables in the original ones; ``sign = 1`` writes the original
     variables in the primed ones.
+
+    ``images`` maps each cell to its image and is filled as cells are met; a
+    caller rewriting many polynomials at one pivot and sign passes the same
+    dict to every call, so each image is built once.
 
     At the pivot c = x[1,3] of 35142, the primed variable x'[2,1] cleared
     is the first cleared generator, and the two signs undo each other up to
@@ -226,7 +293,8 @@ def _pivot_substitution(f: Polynomial, p0: int, q0: int, sign: int) -> Polynomia
     ring = f.ring
     c = ring.variable(p0, q0)
     degree = f.total_degree()
-    images: dict = {}
+    if images is None:
+        images = {}
     total = ring.zero()
     for m, coeff in f.terms():
         term = ring.const(coeff)
@@ -283,9 +351,11 @@ def build_localization(w: PartialPermutation, ring: Optional[PolyRing] = None) -
     schubert_prime = fulton_generators(w_prime, ring)
     cleared = []
     sites = []
+    images: dict = {}
     for g, site in zip(schubert_prime.generators, schubert_prime.sites):
         primed = transplant(g, ring, cell_map)
-        cleared_poly = _strip_pivot_factor(_pivot_substitution(primed, p0, q0, -1), p0, q0)
+        cleared_poly = _strip_pivot_factor(
+            _pivot_substitution(primed, p0, q0, -1, images), p0, q0)
         if cleared_poly.total_degree() > 2 * g.total_degree():
             raise AssertionError("cleared generator exceeds twice the original degree")
         cleared.append(cleared_poly)
@@ -300,7 +370,8 @@ def build_localization(w: PartialPermutation, ring: Optional[PolyRing] = None) -
         col_labels=col_labels, gamma=gamma, gamma_generators=gamma_generators,
         cleared_generators=tuple(cleared), generator_sites=tuple(sites), ring=ring,
         w_generators=w_generators, w_groebner=buchberger(w_generators),
-        w_prime_generators=schubert_prime.generators)
+        w_prime_generators=schubert_prime.generators,
+        antidiagonal=antidiagonal_ideal(w, ring))
 
 
 @dataclass(frozen=True)
@@ -363,8 +434,10 @@ def verify_localization_identity(w: PartialPermutation,
     cell_map = _cell_map(setup.row_labels, setup.col_labels)
     gb_prime = tuple(transplant(g, ring, cell_map)
                      for g in buchberger(setup.w_prime_generators)) + setup.gamma_generators
+    images: dict = {}
     forward = tuple(g for g in setup.w_generators
-                    if not normal_form(_pivot_substitution(g, p0, q0, 1), gb_prime).is_zero)
+                    if not normal_form(_pivot_substitution(g, p0, q0, 1, images),
+                                       gb_prime).is_zero)
     return LocalizationReport(ok=not forward and not backward, proper=proper,
                               forward_failures=forward, backward_failures=backward,
                               setup=setup)
@@ -409,13 +482,15 @@ class VerificationSummary:
 
 # VerificationSummary field -> the check that fills it, given w, its pivot and
 # its LocalizationSetup; one setup serves every check, so the Fulton
-# generators of w and their Groebner basis are built once
+# generators of w, their Groebner basis and J_w are built once
 PIVOT_CHECKS = {
     "window": lambda w, pivot, setup: verify_pivot_window(w, pivot),
-    "minors_ok": lambda w, pivot, setup: verify_pivot_minors(w).ok,
+    "minors_ok": lambda w, pivot, setup: _pivot_minor_report(
+        w.size, pivot, setup.antidiagonal).ok,
     "initial_ideal_ok": lambda w, pivot, setup: _initial_ideal_report(
-        w, pivot, setup.w_groebner).ok,
-    "nonzerodivisor_ok": lambda w, pivot, setup: verify_pivot_nonzerodivisor(w),
+        pivot, setup.w_groebner, setup.antidiagonal).ok,
+    "nonzerodivisor_ok": lambda w, pivot, setup: _pivot_is_nonzerodivisor(
+        pivot, setup.antidiagonal),
     "localization_ok": lambda w, pivot, setup: verify_localization_identity(w, setup).ok,
 }
 

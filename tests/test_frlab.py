@@ -13,11 +13,12 @@ from pathlib import Path
 import pytest
 
 import msvkit.frlab as frlab
+import msvkit.poly as poly
 from msvkit.perm import Cell, PartialPermutation, all_permutations, coxeter_length, \
-    identity, longest_element
+    identity, longest_element, render_one_line
 from msvkit.poly import (IdealPresentation, PolyRing, antidiagonal_monomial, minor,
                          monomial_divides, normal_form, saturate)
-from msvkit.detideal import fulton_generators, monomial_quotient_membership
+from msvkit.detideal import antidiagonal_ideal, fulton_generators, monomial_quotient_membership
 from msvkit.frlab import (build_localization, find_pivot, localization_sample,
                           verify_all, verify_localization_identity,
                           verify_pivot_initial_ideal, verify_pivot_minors,
@@ -96,6 +97,78 @@ def test_pivot_minors_checks_exactly_the_minors_whose_antidiagonal_holds_the_piv
             assert verify_pivot_minors(w).checked == expected, w.one_line()
 
 
+def expanded_minor_report(n, pivot, gens):
+    """Lemma 1 the slow way: expand every minor of the n x n generic matrix
+    whose antidiagonal monomial the pivot divides and test each term against
+    the monomial generators: (ok, checked, failures)."""
+    ring = PolyRing(n, n)
+    c = ring.monomial({pivot: 1})
+    checked = 0
+    failures = []
+    for t in range(1, n + 1):
+        for rows in itertools.combinations(range(1, n + 1), t):
+            for cols in itertools.combinations(range(1, n + 1), t):
+                if not monomial_divides(c, antidiagonal_monomial(ring, rows, cols)):
+                    continue
+                checked += 1
+                if not monomial_quotient_membership(minor(ring, rows, cols), (c,) + gens):
+                    failures.append((rows, cols))
+    return not failures, checked, tuple(failures)
+
+
+def test_pivot_minor_search_agrees_with_the_expansion_oracle():
+    s6 = random.Random(20261019).sample(nonregular(6), 60)
+    for w in nonregular(4) + nonregular(5) + s6:
+        report = verify_pivot_minors(w)
+        J = antidiagonal_ideal(w)
+        assert (report.ok, report.checked, report.failures) == \
+            expanded_minor_report(w.size, find_pivot(w), J.gens), w.one_line()
+
+
+def test_pivot_minor_search_and_the_oracle_fail_alike_without_a_generator():
+    # dropping each generator of J_w in turn, then all of them; some drops
+    # leave minors outside the smaller ideal, and both sides must name the
+    # same ones in the same order
+    failing = 0
+    for w in nonregular(4) + nonregular(5)[::4]:
+        pivot = find_pivot(w)
+        J = antidiagonal_ideal(w)
+        for k in range(len(J.gens) + 1):
+            kept = J.gens[:k] + J.gens[k + 1:] if k < len(J.gens) else ()
+            smaller = dataclasses.replace(J, gens=kept)
+            report = frlab._pivot_minor_report(w.size, pivot, smaller)
+            assert (report.ok, report.checked, report.failures) == \
+                expanded_minor_report(w.size, pivot, smaller.gens), (w.one_line(), k)
+            failing += not report.ok
+    assert failing > 0
+
+
+def test_pivot_minor_search_requires_a_squarefree_ideal():
+    w = w_("35142")
+    J = antidiagonal_ideal(w)
+    square = J.ring.monomial({(2, 1): 2})
+    with pytest.raises(ValueError, match="squarefree"):
+        frlab._pivot_minor_report(5, find_pivot(w), dataclasses.replace(J, gens=(square,)))
+
+
+def test_pivot_minors_match_the_pinned_s4_to_s6_digest():
+    """sha256 of (w, ok, checked, failures) over every pivot-admitting
+    permutation of S_4, S_5 and S_6, recorded when lemma 1 expanded each
+    minor and tested its terms."""
+    golden = json.loads((Path(__file__).parent / "golden" / "pivot_minors_s4_s6.json")
+                        .read_text())
+    digest = hashlib.sha256()
+    count = 0
+    for n in golden["n"]:
+        for w in nonregular(n):
+            report = verify_pivot_minors(w)
+            digest.update(json.dumps([render_one_line(w), report.ok, report.checked,
+                                      report.failures]).encode() + b"\n")
+            count += 1
+    assert count == golden["population"]
+    assert digest.hexdigest() == golden["sha256"]
+
+
 # ---------------------------------------------------------------------------
 # Initial ideal of <c> + I_w
 # ---------------------------------------------------------------------------
@@ -111,6 +184,41 @@ def test_pivot_initial_ideal_exhaustive_s4():
         report = verify_pivot_initial_ideal(w)
         assert report.contains_expected, w.one_line()
         assert report.ok, w.one_line()
+
+
+@pytest.mark.parametrize("word, restart_pairs", [("35142", 0), ("13542", 12)])
+def test_lemma_2_in_verify_all_forms_no_s_pair_when_the_pivot_divides_no_lead(
+        monkeypatch, word, restart_pairs):
+    w = w_(word)
+    setup = build_localization(w)
+    c = setup.ring.variable(*setup.c_cell)
+    assert not any(monomial_divides(c.leading_monomial(), g.leading_monomial())
+                   for g in setup.w_groebner)
+    calls = {"lemma2": 0, "other": 0}
+    stage = ["other"]
+    real_s_polynomial = poly.s_polynomial
+    real_check = frlab.PIVOT_CHECKS["initial_ideal_ok"]
+
+    def counting_s_polynomial(f, g):
+        calls[stage[0]] += 1
+        return real_s_polynomial(f, g)
+
+    def lemma2(*args):
+        stage[0] = "lemma2"
+        try:
+            return real_check(*args)
+        finally:
+            stage[0] = "other"
+
+    monkeypatch.setattr(poly, "s_polynomial", counting_s_polynomial)
+    monkeypatch.setitem(frlab.PIVOT_CHECKS, "initial_ideal_ok", lemma2)
+    assert verify_all(w).initial_ideal_ok
+    assert calls["lemma2"] == 0
+    # restarting Buchberger on c and the basis forms the pairs inside it again
+    calls["other"] = 0
+    assert poly.buchberger((c,) + setup.w_groebner) == \
+        poly.buchberger((c,), basis=setup.w_groebner)
+    assert calls["other"] == restart_pairs
 
 
 def test_pivot_nonzerodivisor_35142_and_s5():

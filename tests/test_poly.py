@@ -17,8 +17,8 @@ from hypothesis import example, given, settings, strategies as st
 from msvkit.perm import PartialPermutation, all_permutations, render_one_line
 from msvkit.detideal import fulton_generators, verify_groebner
 from msvkit.frlab import build_localization, find_pivot, verify_all
-from msvkit.poly import (IdealPresentation, PolyRing, antidiagonal_monomial,
-                         buchberger, certified, ideals_equal,
+from msvkit.poly import (GroebnerCertificationError, IdealPresentation, PolyRing,
+                         antidiagonal_monomial, buchberger, certified, ideals_equal,
                          is_reduced_groebner_basis, minor,
                          monomial_coprime, monomial_divides, monomial_lcm,
                          monomial_mul, monomial_quotient, normal_form,
@@ -310,6 +310,54 @@ def test_buchberger_every_s_pair_reduces_to_zero():
         assert normal_form(g, gb).is_zero
 
 
+# squarefree terms over four variables: lex bases of random ideals with
+# higher exponents can take minutes
+BASIS_CELLS = [(1, 1), (1, 2), (2, 1), (2, 2)]
+BASIS_GENERATORS = st.lists(
+    st.lists(st.tuples(st.tuples(*[st.integers(0, 1)] * len(BASIS_CELLS)),
+                       st.integers(-3, 3)), min_size=1, max_size=3),
+    max_size=3)
+
+
+@settings(max_examples=100, deadline=None)
+@example(a=[], b=[[((1, 0, 0, 1), 1), ((0, 1, 1, 0), -1)]], char=0)
+@example(a=[[((1, 0, 0, 1), 1), ((0, 1, 1, 0), -1)]], b=[], char=0)
+@example(a=[], b=[], char=32003)
+@given(a=BASIS_GENERATORS, b=BASIS_GENERATORS, char=st.sampled_from([0, 32003]))
+def test_extending_a_basis_is_buchberger_on_the_union(a, b, char):
+    ring = PolyRing(2, 2, char=char)
+
+    def ideal(gens):
+        polys = (ring.polynomial([(ring.monomial(zip(BASIS_CELLS, e)), c) for e, c in g])
+                 for g in gens)
+        return tuple(f for f in polys if f)
+
+    A, B = ideal(a), ideal(b)
+    with certified():
+        assert buchberger(B, basis=buchberger(A)) == buchberger(A + B)
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_extending_the_basis_of_i_w_by_the_pivot_is_buchberger_on_the_union(char):
+    ring = PolyRing(5, 5, char=char)
+    words = [w for w in all_permutations(5) if find_pivot(w) is not None]
+    assert len(words) == 78
+    for w in words:
+        gb_w = buchberger(fulton_generators(w, ring).generators)
+        c = ring.variable(*find_pivot(w))
+        with certified():
+            assert buchberger((c,), basis=gb_w) == buchberger((c,) + gb_w), \
+                render_one_line(w)
+
+
+def test_a_basis_that_is_no_groebner_basis_fails_certification():
+    r = PolyRing(2, 2)
+    not_a_basis = (r.parse("x[1,2]^2 - x[1,1]*x[2,2]"), r.parse("x[1,2]*x[2,1] - 1"))
+    assert not is_reduced_groebner_basis(not_a_basis)
+    with certified(), pytest.raises(GroebnerCertificationError):
+        buchberger((r.variable(2, 2),), basis=not_a_basis)
+
+
 def test_buchberger_rejects_zero_generators():
     with pytest.raises(ValueError):
         buchberger([RING.zero()])
@@ -510,3 +558,44 @@ def test_no_module_but_poly_reads_term_dicts_or_the_characteristic():
             if isinstance(node, ast.Attribute) and node.attr in ("_d", "char"):
                 leaks.append(f"{path.name}:{node.lineno} .{node.attr}")
     assert not leaks
+
+
+def _module_level_bindings(body):
+    """(name, value) of the assignments in a module body, looking into
+    module-level if/try/with/for blocks but not into functions or classes."""
+    for node in body:
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            yield ast.unparse(node.target), node.value
+        elif isinstance(node, (ast.If, ast.Try, ast.With, ast.For, ast.While)):
+            for block in ("body", "orelse", "finalbody"):
+                yield from _module_level_bindings(getattr(node, block, []))
+            for handler in getattr(node, "handlers", []):
+                yield from _module_level_bindings(handler.body)
+
+
+def _is_empty_container(value):
+    if isinstance(value, (ast.Dict, ast.List, ast.Set)):
+        return not (value.keys if isinstance(value, ast.Dict) else value.elts)
+    return (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+            and value.func.id in ("dict", "list", "set"))
+
+
+def test_no_module_level_cache_in_the_engine_modules():
+    # expanded polynomials stay bounded: per-setup tables are caller-owned
+    # dicts, never module-level ones (ci's bounded block cache is separate)
+    package = Path(__file__).resolve().parent.parent / "src" / "msvkit"
+    found = []
+    for filename in ("poly.py", "detideal.py", "frlab.py"):
+        tree = ast.parse((package / filename).read_text(), filename)
+        found += [f"{filename}: {name}" for name, value in _module_level_bindings(tree.body)
+                  if _is_empty_container(value)]
+    assert not found
+    probe = ast.parse("a = {}\nb: list = []\nc = set()\nif True:\n    d = dict()\n"
+                      "e = {1: 2}\ndef f():\n    g = {}\n")
+    assert [name for name, value in _module_level_bindings(probe.body)
+            if _is_empty_container(value)] == ["a", "b", "c", "d"]
