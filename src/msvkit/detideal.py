@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 from .perm import Cell, PartialPermutation, diagram, essential_set, render_one_line
 from .poly import (IdealPresentation, Monomial, Polynomial, PolyRing, buchberger,
                    minor, antidiagonal_monomial, monomial_divides, monomial_quotient,
-                   normal_form)
+                   normal_forms)
 
 
 def _w_json(w: PartialPermutation):
@@ -306,13 +306,11 @@ def graded_minimal_generators(ring: PolyRing, gens: Sequence[Polynomial]
                 axpy(row, pivot.items(), -row[lead])
             return False
 
-        for idx in range(len(gens)):
-            if degrees[idx] == d:
-                row = gens[idx] if d == 1 else survivors[idx]
-                if basis:
-                    row = normal_form(row, basis)
-                if insert(dict(row.terms())):
-                    kept.append(idx)
+        indices = [idx for idx in range(len(gens)) if degrees[idx] == d]
+        rows = [gens[idx] if d == 1 else survivors[idx] for idx in indices]
+        for idx, row in zip(indices, normal_forms(rows, basis)):
+            if insert(dict(row.terms())):
+                kept.append(idx)
     return tuple(kept), len(kept)
 
 

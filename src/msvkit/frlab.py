@@ -41,7 +41,7 @@ from typing import Iterator, Optional
 from .perm import (Cell, PartialPermutation, all_permutations, coxeter_length,
                    delete_row_col, diagram, essential_set, render_one_line)
 from .poly import (IdealPresentation, Monomial, Polynomial, PolyRing, buchberger,
-                   monomial_divides, monomial_quotient, normal_form, saturate,
+                   monomial_divides, monomial_quotient, normal_forms, saturate,
                    transplant)
 from .detideal import (MonomialIdeal, antidiagonal_ideal, fulton_generators,
                        is_nonzerodivisor_on_monomial_quotient)
@@ -274,9 +274,11 @@ def _pivot_substitution(f: Polynomial, p0: int, q0: int, sign: int,
     primed variables in the original ones; ``sign = 1`` writes the original
     variables in the primed ones.
 
-    ``images`` maps each cell to its image and is filled as cells are met; a
-    caller rewriting many polynomials at one pivot and sign passes the same
-    dict to every call, so each image is built once.
+    ``images`` maps each cell to its image, a term list, and is filled as
+    cells are met; a caller rewriting many polynomials at one pivot and sign
+    passes the same dict to every call, so each image is built once.  The
+    images of a term's variables are multiplied out as term lists and added
+    into one term dict.
 
     At the pivot c = x[1,3] of 35142, the primed variable x'[2,1] cleared
     is the first cleared generator, and the two signs undo each other up to
@@ -291,28 +293,31 @@ def _pivot_substitution(f: Polynomial, p0: int, q0: int, sign: int,
     'x[1,3]^3*x[2,1]'
     """
     ring = f.ring
-    c = ring.variable(p0, q0)
+    field = ring.field
+    axpy = field.axpy
     degree = f.total_degree()
     if images is None:
         images = {}
-    total = ring.zero()
+    one = ring.one_monomial()
+    total: dict = {}
     for m, coeff in f.terms():
-        term = ring.const(coeff)
+        term = ((one, coeff),)
         used = 0
         for i, j, e in ring.grid_support(m):
             image = images.get((i, j))
             if image is None:
-                image = c * ring.variable(i, j)
+                image = ((ring.monomial([((p0, q0), 1), ((i, j), 1)]), 1),)
                 if i != p0 and j != q0:
-                    image = image + ring.variable(i, q0) * ring.variable(p0, j) * sign
+                    image += ((ring.monomial({(i, q0): 1, (p0, j): 1}), field.coeff(sign)),)
                 images[(i, j)] = image
             for _ in range(e):
-                term = term * image
+                product: dict = {}
+                for u, cu in term:
+                    axpy(product, image, cu, u)
+                term = tuple(product.items())
             used += e
-        if used < degree:
-            term = term.mul_term(ring.monomial({(p0, q0): degree - used}))
-        total = total + term
-    return total
+        axpy(total, term, 1, ring.monomial({(p0, q0): degree - used}) if used < degree else None)
+    return Polynomial(ring, total)
 
 
 def _strip_pivot_factor(f: Polynomial, p0: int, q0: int) -> Polynomial:
@@ -429,15 +434,16 @@ def verify_localization_identity(w: PartialPermutation,
     if not _nonzerodivisor_on_leads(c.leading_monomial(), sat_w):
         sat_w = saturate(IdealPresentation(ring, setup.w_generators), c).generators
     prime_gens = setup.cleared_generators + setup.gamma_generators
-    backward = tuple(g for g in prime_gens if not normal_form(g, sat_w).is_zero)
-    proper = not normal_form(ring.one(), sat_w).is_zero
+    *remainders, unit = normal_forms(prime_gens + (ring.one(),), sat_w)
+    backward = tuple(g for g, r in zip(prime_gens, remainders) if r)
+    proper = bool(unit)
     cell_map = _cell_map(setup.row_labels, setup.col_labels)
     gb_prime = tuple(transplant(g, ring, cell_map)
                      for g in buchberger(setup.w_prime_generators)) + setup.gamma_generators
     images: dict = {}
-    forward = tuple(g for g in setup.w_generators
-                    if not normal_form(_pivot_substitution(g, p0, q0, 1, images),
-                                       gb_prime).is_zero)
+    rewritten = normal_forms([_pivot_substitution(g, p0, q0, 1, images)
+                              for g in setup.w_generators], gb_prime)
+    forward = tuple(g for g, r in zip(setup.w_generators, rewritten) if r)
     return LocalizationReport(ok=not forward and not backward, proper=proper,
                               forward_failures=forward, backward_failures=backward,
                               setup=setup)

@@ -24,6 +24,13 @@ Inside, a monomial is a dense exponent tuple whose positions are listed in
 decreasing variable precedence (the auxiliary variable first), so native
 tuple comparison is the term order and multiplication is componentwise
 addition.
+
+The Groebner engine keeps what it has computed: a polynomial caches its
+leading monomial; every reducer entry and live S-pair carries the support
+bitmask of its lead or lcm, which rejects most divisibility tests with one
+``&``; ``normal_forms`` sorts one reducer list for many dividends; and
+extending a known basis re-reduces only the known elements that a new lead
+touches.
 """
 from __future__ import annotations
 
@@ -34,6 +41,7 @@ from bisect import insort
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from operator import add, le, mul, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -156,7 +164,8 @@ class PolyRing:
     True
     """
 
-    __slots__ = ("rows", "cols", "char", "field", "aux", "nvars", "_pos", "_zero_mono")
+    __slots__ = ("rows", "cols", "char", "field", "aux", "nvars", "_pos", "_zero_mono",
+                 "_bits")
 
     def __init__(self, rows: int, cols: int, char: int = 0, aux: Optional[str] = None):
         if rows < 1 or cols < 1:
@@ -174,6 +183,7 @@ class PolyRing:
                 pos[(i, j)] = offset + (i - 1) * cols + (cols - j)
         self._pos = pos
         self._zero_mono = (0,) * self.nvars
+        self._bits = tuple(1 << k for k in range(self.nvars))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, PolyRing)
@@ -222,7 +232,7 @@ class PolyRing:
 
     def support(self, m: Monomial) -> frozenset:
         """Opaque keys of the variables dividing m, for ``free_of``."""
-        return frozenset(itertools.compress(range(self.nvars), m))
+        return frozenset(compress(range(self.nvars), m))
 
     def free_of(self, m: Monomial, keys) -> bool:
         """True iff no variable among ``keys`` (from ``support``) divides m."""
@@ -397,8 +407,13 @@ def _parse_polynomial(ring: PolyRing, text: str) -> "Polynomial":
 
 
 # ---------------------------------------------------------------------------
-# Monomial helpers (ring-agnostic on equal-length tuples); all but the lcm map
-# a builtin over the exponents, so no Python frame runs per exponent
+# Monomial helpers (ring-agnostic on equal-length tuples).  All public ones
+# except the lcm map a builtin over the exponents, so no Python frame runs
+# per exponent; the lcm is a conditional in a list display, and the pair
+# update raises copies of leads on one support only.  Division and the pair
+# update prefilter with support bitmasks: a monomial divides another only if
+# its mask lies inside the other's, and two monomials are coprime exactly
+# when their masks are disjoint.
 # ---------------------------------------------------------------------------
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -426,15 +441,40 @@ def monomial_coprime(a: Monomial, b: Monomial) -> bool:
     return not any(map(mul, a, b))
 
 
+def _support_mask(ring: PolyRing, m: Monomial) -> int:
+    """The support bitmask of m: bit k is set iff position k of m is
+    positive."""
+    return sum(compress(ring._bits, m))
+
+
+def _lcms_with(lt: Monomial, leads: Sequence[Monomial]) -> list:
+    """[monomial_lcm(lead, lt) for lead in leads]; each lcm is a copy of its
+    lead raised only on the support of lt."""
+    raised = [(k, lt[k]) for k in compress(range(len(lt)), lt)]
+    lcms = []
+    for lead in leads:
+        lcm = list(lead)
+        for k, e in raised:
+            if e > lcm[k]:
+                lcm[k] = e
+        lcms.append(tuple(lcm))
+    return lcms
+
+
 class Polynomial:
-    """An immutable sparse polynomial; terms iterate in decreasing order."""
+    """An immutable sparse polynomial; terms iterate in decreasing order.
 
-    __slots__ = ("ring", "_d", "_terms")
+    The leading monomial is cached once computed; a constructor that knows
+    it (a rescaled or tail-reduced polynomial keeps its lead) passes it as
+    ``lead``."""
 
-    def __init__(self, ring: PolyRing, coeffs: dict):
+    __slots__ = ("ring", "_d", "_terms", "_lead")
+
+    def __init__(self, ring: PolyRing, coeffs: dict, lead: Optional[Monomial] = None):
         self.ring = ring
         self._d = coeffs
         self._terms: Optional[tuple] = None
+        self._lead = lead
 
     # -- structure ----------------------------------------------------------
 
@@ -461,9 +501,12 @@ class Polynomial:
         return tuple(m for m, _ in self.terms())
 
     def leading_monomial(self) -> Monomial:
-        if not self._d:
-            raise ValueError("the zero polynomial has no leading term")
-        return max(self._d)
+        lead = self._lead
+        if lead is None:
+            if not self._d:
+                raise ValueError("the zero polynomial has no leading term")
+            lead = self._lead = max(self._d)
+        return lead
 
     def leading_coefficient(self):
         return self._d[self.leading_monomial()]
@@ -484,7 +527,7 @@ class Polynomial:
     # -- arithmetic ---------------------------------------------------------
 
     def _check_ring(self, other: "Polynomial"):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError("polynomials from different rings")
 
     def _plus(self, other, c) -> "Polynomial":
@@ -529,7 +572,7 @@ class Polynomial:
         d: dict = {}
         if c:
             field.axpy(d, self._d.items(), c)
-        return Polynomial(self.ring, d)
+        return Polynomial(self.ring, d, self._lead if c else None)
 
     def mul_term(self, mono: Monomial, c=1) -> "Polynomial":
         """c * x^mono * self"""
@@ -543,11 +586,12 @@ class Polynomial:
     def monic(self) -> "Polynomial":
         if not self._d:
             return self
-        lc = self.leading_coefficient()
+        lm = self.leading_monomial()
+        lc = self._d[lm]
         if lc == 1:
             return self
         div = self.ring.field.div
-        return Polynomial(self.ring, {m: div(c, lc) for m, c in self._d.items()})
+        return Polynomial(self.ring, {m: div(c, lc) for m, c in self._d.items()}, lm)
 
     # -- comparisons --------------------------------------------------------
 
@@ -685,52 +729,72 @@ class IdealPresentation:
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     """The S-polynomial (lcm/lt(f))*f - (lcm/lt(g))*g."""
     f._check_ring(g)
-    ring = f.ring
+    field = f.ring.field
     lmf, lmg = f.leading_monomial(), g.leading_monomial()
     lcm = monomial_lcm(lmf, lmg)
-    cf = ring.field.div(1, f.coefficient(lmf))
-    cg = ring.field.div(1, g.coefficient(lmg))
-    return f.mul_term(monomial_quotient(lcm, lmf), cf) - g.mul_term(
-        monomial_quotient(lcm, lmg), cg)
+    d: dict = {}
+    field.axpy(d, f._d.items(), field.div(1, f._d[lmf]), monomial_quotient(lcm, lmf))
+    field.axpy(d, g._d.items(), -field.div(1, g._d[lmg]), monomial_quotient(lcm, lmg))
+    return Polynomial(f.ring, d)
 
 
 def normal_form(f: Polynomial, reducers: Sequence[Polynomial]) -> Polynomial:
-    """Remainder of f under full multivariate division by ``reducers``.
+    """Remainder of f under full multivariate division by ``reducers``; the
+    one-element case of ``normal_forms``.
 
     No term of the result is divisible by any reducer's leading monomial, and
     f minus the result lies in the ideal generated by the reducers.  The
     reducer with the smallest leading monomial is preferred (ties broken by
     input order), which makes the division deterministic.
     """
-    ring = f.ring
+    return normal_forms((f,), reducers)[0]
+
+
+def normal_forms(fs: Sequence[Polynomial], reducers: Sequence[Polynomial]) -> tuple:
+    """``normal_form(f, reducers)`` for each f in ``fs``, in order.  The
+    reducers are prepared and sorted once for all of them, so a caller
+    dividing many polynomials by one basis makes one call."""
+    fs = tuple(fs)
+    if not fs:
+        return ()
+    ring = fs[0].ring
+    for f in fs:
+        if f.ring is not ring and f.ring != ring:
+            raise ValueError("polynomials must live in a common ring")
     prepared = sorted(_reducer_entry(ring, k, g) for k, g in enumerate(reducers))
-    rem = _reduce_dict(dict(f._d), prepared, ring)
-    return Polynomial(ring, rem)
+    if not prepared:
+        return fs
+    return tuple(Polynomial(ring, _reduce_dict(dict(f._d), prepared, ring)) for f in fs)
 
 
 def _reducer_entry(ring: PolyRing, k: int, g: Polynomial) -> tuple:
-    """The division entry (lm, k, lc, terms) of reducer number k.  Entries
-    sort by (lm, k), the reducer preference, because k is unique."""
-    if g.ring != ring:
+    """The division entry (lm, k, mask, lc, terms) of reducer number k, mask
+    the support bitmask of lm.  Entries sort by (lm, k), the reducer
+    preference, because k is unique."""
+    if g.ring is not ring and g.ring != ring:
         raise ValueError("reducers must live in the same ring")
     if g.is_zero:
         raise ValueError("reducers must be nonzero")
     lm = g.leading_monomial()
-    return lm, k, g._d[lm], g._d
+    return lm, k, _support_mask(ring, lm), g._d[lm], g._d
 
 
 def _reduce_dict(p: dict, prepared: list, ring: PolyRing) -> dict:
-    """Destructively reduce the term dict ``p``; returns the remainder dict."""
+    """Destructively reduce the term dict ``p``; returns the remainder dict.
+    A reducer whose lead uses a variable outside the support of the current
+    term is rejected by its mask before the exponents are compared."""
     if not prepared:
         return p
     div = ring.field.div
     axpy = ring.field.axpy
+    bits = ring._bits
     rem: dict = {}
     while p:
         m = max(p)
         c = p[m]
-        for lm, _, lc, gd in prepared:
-            if monomial_divides(lm, m):
+        outside = ~sum(compress(bits, m))  # _support_mask, inlined
+        for lm, _, mask, lc, gd in prepared:
+            if not mask & outside and all(map(le, lm, m)):
                 q = div(c, lc)
                 u = monomial_quotient(m, lm)
                 axpy(p, gd.items(), -q, u)
@@ -778,8 +842,12 @@ def buchberger(generators: Sequence[Polynomial] | IdealPresentation, *,
     ``buchberger`` output.  Its elements serve as reducers from the start,
     but pairs are installed only for the new elements, so no S-pair between
     two basis elements is ever formed (they all reduce to zero already).
-    Under ``certified()`` the output is checked against basis + generators,
-    which catches a basis that breaks the contract.
+    Known elements are not re-reduced either: the final interreduction drops
+    one whose lead a new lead divides, tail-reduces one with a term some new
+    lead divides, and keeps every other one as it is.  Under
+    ``certified()`` the output is checked against basis + generators, which
+    catches a basis that breaks the contract, including one that is a
+    Groebner basis but not a reduced one.
 
     >>> r = PolyRing(2, 2)
     >>> gb = buchberger([r.parse("x[1,1]*x[2,2] - 1"), r.parse("x[1,1]")])
@@ -804,7 +872,7 @@ def buchberger(generators: Sequence[Polynomial] | IdealPresentation, *,
         if g.ring != ring:
             raise ValueError("generators must live in a common ring")
     core = _buchberger_core(ring, [g.monic() for g in basis + gens], len(basis))
-    result = _interreduce(core)
+    result = _interreduce(core, len(basis))
     if _CERTIFY:
         _certify_basis(ring, basis + gens, result)
     return result
@@ -813,13 +881,14 @@ def buchberger(generators: Sequence[Polynomial] | IdealPresentation, *,
 def _buchberger_core(ring: PolyRing, basis: list, known: int) -> list:
     # basis: list of monic Polynomial whose first ``known`` elements form a
     # Groebner basis; pairs managed by Gebauer-Moeller update
-    pairs: dict[tuple[int, int], Monomial] = {}
+    pairs: dict[tuple[int, int], tuple] = {}
     heap: list = []
     leads = [g.leading_monomial() for g in basis]
+    masks = [_support_mask(ring, lm) for lm in leads]
     reducers: list = []
     for t in range(len(basis)):
         if t >= known:
-            _gm_update(pairs, heap, leads, t)
+            _gm_update(pairs, heap, leads, masks, t)
         insort(reducers, _reducer_entry(ring, t, basis[t]))
     while heap:
         _, _, i, j = heapq.heappop(heap)
@@ -831,72 +900,99 @@ def _buchberger_core(ring: PolyRing, basis: list, known: int) -> list:
         if not rem:
             continue
         h = Polynomial(ring, rem).monic()
+        lm = h.leading_monomial()
         basis.append(h)
-        leads.append(h.leading_monomial())
+        leads.append(lm)
+        masks.append(_support_mask(ring, lm))
         t = len(basis) - 1
-        _gm_update(pairs, heap, leads, t)
+        _gm_update(pairs, heap, leads, masks, t)
         insort(reducers, _reducer_entry(ring, t, h))
     return basis
 
 
-def _gm_update(pairs: dict, heap: list, leads: list, t: int):
+def _gm_update(pairs: dict, heap: list, leads: list, masks: list, t: int):
     """Install pairs (i, t) for i < t, pruned by the Gebauer-Moeller form of
     the coprime-product and chain criteria; prune superseded old pairs.
-    ``pairs`` maps each live pair to the lcm of its leads."""
+    ``masks`` holds the support bitmask of each lead, and ``pairs`` maps each
+    live pair to its lcm and the lcm's mask, the OR of its leads' masks.  A
+    monomial divides another only if its mask lies inside the other's, so
+    each divisibility test is prefiltered by one ``&``, and two leads are
+    coprime exactly when their masks are disjoint."""
     lt = leads[t]
-    lcms = [monomial_lcm(leads[i], lt) for i in range(t)]
+    mt = masks[t]
+    lcms = _lcms_with(lt, leads[:t])
+    lcm_masks = [mask | mt for mask in masks[:t]]
     # chain criterion among the new pairs: keep (i, t) only if no kept pair's
     # lcm divides its lcm (equal lcms keep the first)
     kept: list[int] = []
+    kept_lcms: list = []
     for i in sorted(range(t), key=lambda i: (lcms[i], i)):
-        if any(monomial_divides(lcms[k], lcms[i]) for k in kept):
-            continue
-        kept.append(i)
+        lcm = lcms[i]
+        outside = ~lcm_masks[i]
+        for mask, other in kept_lcms:
+            if not mask & outside and all(map(le, other, lcm)):
+                break
+        else:
+            kept.append(i)
+            kept_lcms.append((lcm_masks[i], lcm))
     # prune old pairs now covered by t
-    for (i, j), lcm_ij in list(pairs.items()):
-        if (monomial_divides(lt, lcm_ij)
+    for (i, j), (lcm_ij, mask_ij) in list(pairs.items()):
+        if (not mt & ~mask_ij and monomial_divides(lt, lcm_ij)
                 and lcms[i] != lcm_ij and lcms[j] != lcm_ij):
             del pairs[(i, j)]
     # coprime-product criterion last (sound in combination with the above)
     for i in kept:
-        if monomial_coprime(leads[i], lt):
+        if not masks[i] & mt:
             continue
-        pairs[(i, t)] = lcms[i]
+        pairs[(i, t)] = (lcms[i], lcm_masks[i])
         heapq.heappush(heap, (lcms[i], i, i, t))
 
 
-def _interreduce(basis: list) -> tuple:
-    """Minimalize and tail-reduce a basis into the reduced Groebner basis."""
-    nonzero = [g for g in basis if not g.is_zero]
-    if not nonzero:
+def _interreduce(basis: list, known: int) -> tuple:
+    """Minimalize and tail-reduce a nonzero monic basis into the reduced
+    Groebner basis.  Its first ``known`` elements form a reduced Groebner
+    basis already, so each of them is left as it is unless a new kept lead
+    divides one of its terms."""
+    if not basis:
         return ()
+    ring = basis[0].ring
     # minimal: drop any element whose lead is divisible by another kept lead
-    order = sorted(range(len(nonzero)),
-                   key=lambda k: (nonzero[k].leading_monomial(), k))
+    order = sorted(range(len(basis)), key=lambda k: (basis[k].leading_monomial(), k))
     kept: list = []
     kept_leads: list = []
     for k in order:
-        lm = nonzero[k].leading_monomial()
-        if any(monomial_divides(l, lm) for l in kept_leads):
+        lm = basis[k].leading_monomial()
+        lm_mask = _support_mask(ring, lm)
+        if any(not mask & ~lm_mask and all(map(le, lead, lm)) for mask, lead in kept_leads):
             continue
-        kept.append(nonzero[k])
-        kept_leads.append(lm)
+        kept.append(k)
+        kept_leads.append((lm_mask, lm))
+    new_leads = [entry for k, entry in zip(kept, kept_leads) if k >= known]
     # reduced: replace each by its normal form against the others.  The kept
     # leads are distinct and increasing, so one sorted entry list serves
     # every element with its own entry left out, and tail reduction keeps
     # each lead, so the result stays sorted.
-    ring = kept[0].ring
-    prepared = [_reducer_entry(ring, k, g) for k, g in enumerate(kept)]
+    prepared = [_reducer_entry(ring, idx, basis[k]) for idx, k in enumerate(kept)]
     reduced = []
-    for idx, g in enumerate(kept):
+    for idx, k in enumerate(kept):
+        g = basis[k]
+        if k < known and not any(
+                not mask & ~_support_mask(ring, m) and all(map(le, lead, m))
+                for m in g._d for mask, lead in new_leads):
+            reduced.append(g)
+            continue
         rem = _reduce_dict(dict(g._d), prepared[:idx] + prepared[idx + 1:], ring)
-        reduced.append(Polynomial(ring, rem).monic())
+        reduced.append(Polynomial(ring, rem, g.leading_monomial()))
     return tuple(reduced)
 
 
 def _certify_basis(ring: PolyRing, gens: Sequence[Polynomial], basis: tuple):
     for g in basis:
-        if g.is_zero or g.leading_coefficient() != 1:
+        if g.is_zero:
+            raise GroebnerCertificationError("basis element not monic")
+        if g.leading_monomial() != max(g._d):
+            raise GroebnerCertificationError("cached leading monomial is not the largest term")
+        if g.leading_coefficient() != 1:
             raise GroebnerCertificationError("basis element not monic")
     for idx in range(1, len(basis)):
         if not basis[idx - 1].leading_monomial() < basis[idx].leading_monomial():
@@ -908,15 +1004,15 @@ def _certify_basis(ring: PolyRing, gens: Sequence[Polynomial], basis: tuple):
             lm = h.leading_monomial()
             if any(monomial_divides(lm, m) for m in g.monomials()):
                 raise GroebnerCertificationError("basis not auto-reduced")
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            s = s_polynomial(basis[i], basis[j])
-            if not s.is_zero and not normal_form(s, basis).is_zero:
-                raise GroebnerCertificationError(
-                    f"S-polynomial of basis elements {i},{j} does not reduce to 0")
-    for g in gens:
-        if not normal_form(g, basis).is_zero:
-            raise GroebnerCertificationError("input generator does not reduce to 0")
+    pairs = list(itertools.combinations(range(len(basis)), 2))
+    s_polys = [s_polynomial(basis[i], basis[j]) for i, j in pairs]
+    remainders = normal_forms(s_polys + list(gens), basis)
+    for (i, j), rem in zip(pairs, remainders):
+        if rem:
+            raise GroebnerCertificationError(
+                f"S-polynomial of basis elements {i},{j} does not reduce to 0")
+    if any(remainders[len(pairs):]):
+        raise GroebnerCertificationError("input generator does not reduce to 0")
 
 
 def is_reduced_groebner_basis(basis: Sequence[Polynomial]) -> bool:
@@ -990,7 +1086,5 @@ def saturate(ideal: IdealPresentation, c: Polynomial) -> IdealPresentation:
 
 def ideals_equal(a: IdealPresentation, b: IdealPresentation) -> bool:
     """Ideal equality via mutual normal-form containment."""
-    gb_a = buchberger(a)
-    gb_b = buchberger(b)
-    return (all(normal_form(g, gb_a).is_zero for g in b.generators)
-            and all(normal_form(g, gb_b).is_zero for g in a.generators))
+    return (not any(normal_forms(b.generators, buchberger(a)))
+            and not any(normal_forms(a.generators, buchberger(b))))

@@ -14,14 +14,15 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import msvkit.poly as poly
 from msvkit.perm import PartialPermutation, all_permutations, render_one_line
 from msvkit.detideal import fulton_generators, verify_groebner
-from msvkit.frlab import build_localization, find_pivot, verify_all
-from msvkit.poly import (GroebnerCertificationError, IdealPresentation, PolyRing,
-                         antidiagonal_monomial, buchberger, certified, ideals_equal,
-                         is_reduced_groebner_basis, minor,
+from msvkit.frlab import _pivot_substitution, build_localization, find_pivot, verify_all
+from msvkit.poly import (GroebnerCertificationError, IdealPresentation, Polynomial, PolyRing,
+                         _lcms_with, _support_mask, antidiagonal_monomial, buchberger,
+                         certified, ideals_equal, is_reduced_groebner_basis, minor,
                          monomial_coprime, monomial_divides, monomial_lcm,
-                         monomial_mul, monomial_quotient, normal_form,
+                         monomial_mul, monomial_quotient, normal_form, normal_forms,
                          s_polynomial, saturate, transplant)
 
 RING = PolyRing(5, 5)
@@ -112,6 +113,16 @@ def test_monomial_kernels_match_their_per_exponent_definitions(a, b, terms, c, c
         assert monomial_quotient(m(b), m(a)) == m(y - x for x, y in zip(a, b))
     assert monomial_lcm(m(a), m(b)) == m(max(x, y) for x, y in zip(a, b))
     assert monomial_coprime(m(a), m(b)) == (not any(x > 0 and y > 0 for x, y in zip(a, b)))
+    # the support masks behind the division and pair-update prefilters: a
+    # mask outside the other's rejects only non-divisors, disjoint masks are
+    # exactly coprimality, and the lcm raised on one support is the lcm
+    mask_a, mask_b = _support_mask(ring, m(a)), _support_mask(ring, m(b))
+    assert mask_a == sum(1 << k for k, e in enumerate(m(a)) if e)
+    assert not (divides and mask_a & ~mask_b)
+    assert (not mask_a & mask_b) == monomial_coprime(m(a), m(b))
+    assert normal_form(ring.polynomial({m(b): 1}), [ring.polynomial({m(a): 1})]).is_zero \
+        == divides
+    assert _lcms_with(m(b), [m(a), m(b)]) == [monomial_lcm(m(a), m(b)), m(b)]
     f = ring.polynomial([(m(e), v) for e, v in terms])
     shifted = ring.polynomial([(m(x + y for x, y in zip(e, a)), c * v) for e, v in terms])
     assert f.mul_term(m(a), c) == shifted
@@ -248,17 +259,22 @@ def test_normal_form_prefers_smallest_leading_monomial_then_input_order():
 
 def test_normal_form_remainder_is_in_the_coset():
     rng = random.Random(17)
-    ring = PolyRing(2, 3)
-    for _ in range(15):
-        gens = [g for g in (rand_poly(ring, rng, 3, 2) for _ in range(2)) if g]
-        if not gens:
-            continue
-        f = rand_poly(ring, rng, 3, 2)
-        r = normal_form(f, gens)
-        gb = buchberger(gens)
-        assert normal_form(f - r, gb).is_zero
-        for m, _ in r.terms():
-            assert not any(monomial_divides(g.leading_monomial(), m) for g in gens)
+    for ring in (PolyRing(2, 3), PolyRing(2, 3, char=32003)):
+        for _ in range(15):
+            gens = [g for g in (rand_poly(ring, rng, 3, 2) for _ in range(2)) if g]
+            if not gens:
+                continue
+            f = rand_poly(ring, rng, 3, 2)
+            r = normal_form(f, gens)
+            gb = buchberger(gens)
+            assert normal_form(f - r, gb).is_zero
+            for m, _ in r.terms():
+                assert not any(monomial_divides(g.leading_monomial(), m) for g in gens)
+            # one shared reducer list gives each dividend its own normal form
+            fs = [f, f - r, ring.one()] + [rand_poly(ring, rng, 4, 3) for _ in range(3)]
+            for reducers in (gens, gb):
+                assert normal_forms(fs, reducers) == tuple(normal_form(h, reducers) for h in fs)
+    assert normal_forms((), [RING.one()]) == ()
 
 
 def test_normal_form_rejects_zero_reducers():
@@ -358,6 +374,31 @@ def test_a_basis_that_is_no_groebner_basis_fails_certification():
         buchberger((r.variable(2, 2),), basis=not_a_basis)
 
 
+def test_extending_a_groebner_basis_that_is_not_reduced_fails_certification():
+    # known elements are not re-reduced, so a basis with a reducible tail
+    # comes back as it is and certification rejects the output
+    r = PolyRing(2, 2)
+    not_reduced = (r.variable(1, 1), r.parse("x[1,2] - x[1,1]"))
+    assert ideals_equal(IdealPresentation(r, not_reduced),
+                        IdealPresentation(r, buchberger(not_reduced)))
+    assert not is_reduced_groebner_basis(not_reduced)
+    with certified(), pytest.raises(GroebnerCertificationError, match="auto-reduced"):
+        buchberger((r.variable(2, 2),), basis=not_reduced)
+    # a new lead dividing a known element's tail does rewrite that element
+    with certified():
+        assert buchberger((r.variable(1, 1),), basis=(r.parse("x[1,2] - x[1,1]"),)) == \
+            (r.variable(1, 1), r.variable(1, 2))
+
+
+def test_certification_rejects_a_cached_lead_that_is_not_the_largest_term():
+    r = PolyRing(2, 2)
+    f = r.parse("x[1,2] - x[1,1]")
+    assert f.leading_monomial() == f.monomials()[0]
+    wrong = Polynomial(r, dict(f.terms()), f.monomials()[1])
+    assert is_reduced_groebner_basis((f,))
+    assert not is_reduced_groebner_basis((wrong,))
+
+
 def test_buchberger_rejects_zero_generators():
     with pytest.raises(ValueError):
         buchberger([RING.zero()])
@@ -452,6 +493,28 @@ def test_engine_outputs_match_the_pinned_digests():
             "pivot_admitting_s5": len(pivoted)} == golden
 
 
+def test_the_s_pairs_formed_over_s5_are_pinned(monkeypatch):
+    """Counts of S-polynomials formed by ``verify_groebner`` over S_5 and by
+    ``verify_all`` over its pivot-admitting permutations.  The mask
+    prefilters of the pair update are exact, so they form the same pairs as
+    plain exponent comparisons."""
+    calls = [0]
+    real_s_polynomial = poly.s_polynomial
+
+    def counting_s_polynomial(f, g):
+        calls[0] += 1
+        return real_s_polynomial(f, g)
+
+    monkeypatch.setattr(poly, "s_polynomial", counting_s_polynomial)
+    for w in all_permutations(5):
+        verify_groebner(w)
+    groebner_pairs, calls[0] = calls[0], 0
+    pivoted = [w for w in all_permutations(5) if find_pivot(w) is not None]
+    for w in pivoted:
+        verify_all(w)
+    assert (groebner_pairs, len(pivoted), calls[0]) == (308, 78, 333)
+
+
 # ---------------------------------------------------------------------------
 # Rendering, parsing, transplanting
 # ---------------------------------------------------------------------------
@@ -542,6 +605,20 @@ def test_prime_field_arithmetic_is_rational_arithmetic_reduced_mod_p(f, g, h, u,
     assert transplant(-fq, prime) == -fp
     assert transplant(fq.mul_term(rationals.monomial(zip(CELLS, u)), c), prime) == \
         fp.mul_term(prime.monomial(zip(CELLS, u)), c)
+    # the cached lead is the largest term after every operation; leads
+    # cached on the inputs first are what monic and scaling pass on
+    for ring, f_, g_, h_ in ((rationals, fq, gq, hq), (prime, fp, gp, hp)):
+        for x in (f_, g_, h_):
+            if x:
+                x.leading_monomial()
+        results = [f_ + g_, f_ - g_, -f_, f_ * g_ - h_, 3 * h_, f_.monic(),
+                   f_.mul_term(ring.monomial(zip(CELLS, u)), c)]
+        if f_ and g_:
+            results.append(s_polynomial(f_, g_))
+        if f_:
+            results += [_pivot_substitution(f_, 1, 2, sign, {}) for sign in (1, -1)]
+        for x in results:
+            assert not x or x.leading_monomial() == x.monomials()[0]
 
 
 # ---------------------------------------------------------------------------
