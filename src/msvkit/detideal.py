@@ -48,12 +48,18 @@ class MonomialIdeal:
 
     @classmethod
     def from_monomials(cls, ring: PolyRing, monomials: Iterable[Monomial]) -> "MonomialIdeal":
-        pool = sorted(set(monomials), key=lambda m: (ring.monomial_degree(m), m))
         kept: list[Monomial] = []
-        for m in pool:
+        for m in _by_degree(ring, set(monomials)):
             if not any(monomial_divides(g, m) for g in kept):
                 kept.append(m)
         return cls(ring, tuple(kept))
+
+    @classmethod
+    def from_minimal_generators(cls, ring: PolyRing,
+                                monomials: Iterable[Monomial]) -> "MonomialIdeal":
+        """The ideal of monomials none of which divides another, which the
+        caller vouches for: they are sorted but not minimalized."""
+        return cls(ring, _by_degree(ring, monomials))
 
     @property
     def is_zero(self) -> bool:
@@ -71,6 +77,12 @@ class MonomialIdeal:
 
     def __contains__(self, m) -> bool:
         return self.contains_monomial(m)
+
+
+def _by_degree(ring: PolyRing, monomials: Iterable[Monomial]) -> tuple:
+    """The monomials in the order of ``MonomialIdeal.gens``: by degree, then
+    by the term order."""
+    return tuple(sorted(monomials, key=lambda m: (ring.monomial_degree(m), m)))
 
 
 def monomial_quotient_membership(f: Polynomial, gens: Sequence[Monomial]) -> bool:

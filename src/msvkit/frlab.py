@@ -202,12 +202,16 @@ def _initial_ideal_report(pivot: Cell, w_groebner: tuple,
     """Lemma 2 from the reduced Groebner basis of I_w: ``buchberger`` extends
     it by the pivot variable without forming a pair inside it, and when c
     divides no lead every new pair has coprime leads, so no S-polynomial is
-    formed at all."""
+    formed at all.  Neither monomial ideal needs minimalizing: the leads of a
+    reduced basis are minimal generators of the lead ideal, and so are the
+    pivot variable c and the generators of J_w that c does not divide (none
+    of these divides c, as J_w is proper)."""
     ring = antidiagonal.ring
     basis = buchberger((ring.variable(*pivot),), basis=w_groebner)
-    lead = MonomialIdeal.from_monomials(ring, (g.leading_monomial() for g in basis))
-    expected = MonomialIdeal.from_monomials(
-        ring, (ring.monomial({pivot: 1}),) + antidiagonal.gens)
+    lead = MonomialIdeal.from_minimal_generators(ring, (g.leading_monomial() for g in basis))
+    c = ring.monomial({pivot: 1})
+    expected = MonomialIdeal.from_minimal_generators(
+        ring, (c,) + tuple(m for m in antidiagonal.gens if not monomial_divides(c, m)))
     contains = all(lead.contains_monomial(m) for m in expected.gens)
     return InitialIdealReport(lead.gens == expected.gens, contains, lead, expected)
 

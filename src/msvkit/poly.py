@@ -20,17 +20,21 @@ Monomials are opaque outside this module: they compare with ``<`` in the
 ring's order, combine through the ``monomial_*`` functions, and are built,
 inspected and enumerated through ``PolyRing`` methods (``monomial``,
 ``grid_support``, ``monomial_degree``, ``support``, ``free_of``).
-Inside, a monomial is a dense exponent tuple whose positions are listed in
-decreasing variable precedence (the auxiliary variable first), so native
-tuple comparison is the term order and multiplication is componentwise
-addition.
+Inside, a monomial is one packed int with one byte per variable, bytes in
+decreasing variable precedence from the most significant (the auxiliary
+variable first), after the packed exponent vectors of Bachmann and
+Schoenemann (ISSAC 1998).  Bit 7 of each byte is a guard bit, so an exponent
+is at most ``EXPONENT_BOUND`` (127).  Then int comparison is the term order,
+a product is one addition and a quotient one subtraction, and a | b exactly
+when ``b - a`` sets no guard bit (a borrow out of a byte lands on its guard
+bit).  Every path that raises exponents (``monomial_mul``, the shifted
+``axpy`` kernels, ``PolyRing.monomial`` and the parser) raises
+``ExponentOverflowError`` rather than carry into the next variable.
 
 The Groebner engine keeps what it has computed: a polynomial caches its
-leading monomial; every reducer entry and live S-pair carries the support
-bitmask of its lead or lcm, which rejects most divisibility tests with one
-``&``; ``normal_forms`` sorts one reducer list for many dividends; and
-extending a known basis re-reduces only the known elements that a new lead
-touches.
+leading monomial; ``normal_forms`` sorts one reducer list for many
+dividends; and extending a known basis re-reduces only the known elements
+that a new lead touches.
 """
 from __future__ import annotations
 
@@ -42,22 +46,48 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from operator import add, le, mul, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
-Monomial = tuple  # exponent tuple; positions in decreasing variable precedence
+Monomial = int  # packed exponents, one byte per variable in decreasing precedence
 
 PRIME_BOUND = 2 ** 31
+EXPONENT_BOUND = 127  # the largest exponent one byte below its guard bit holds
+MAX_VARIABLES = 4096
+# The guard bit of every byte a ring may use.  ``x & _GUARD`` costs only the
+# size of x when x >= 0, so the ring-free kernels test overflow and
+# divisibility with it; the lcm needs a mask of the operands' width.
+_GUARD = int.from_bytes(b"\x80" * MAX_VARIABLES, "big")
+
+
+class ExponentOverflowError(ValueError):
+    """An exponent above ``EXPONENT_BOUND`` was asked for."""
+
+    def __init__(self):
+        super().__init__(f"exponent exceeds the bound {EXPONENT_BOUND} of a packed monomial")
 
 
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin with bases 2, 3, 5 and 7, which is exact
+    for p < 3,215,031,751, so for every p below ``PRIME_BOUND``."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for q in (2, 3, 5, 7):
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -94,7 +124,9 @@ class _Rationals:
                     target.pop(m, None)
         else:
             for m, v in src:
-                key = tuple(map(add, m, u))
+                key = m + u
+                if key & _GUARD:
+                    raise ExponentOverflowError()
                 v = target.get(key, 0) + v * c
                 if v:
                     target[key] = v
@@ -137,7 +169,9 @@ class _PrimeField:
                     target.pop(m, None)
         else:
             for m, v in src:
-                key = tuple(map(add, m, u))
+                key = m + u
+                if key & _GUARD:
+                    raise ExponentOverflowError()
                 v = (target.get(key, 0) + v * c) % p
                 if v:
                     target[key] = v
@@ -164,8 +198,7 @@ class PolyRing:
     True
     """
 
-    __slots__ = ("rows", "cols", "char", "field", "aux", "nvars", "_pos", "_zero_mono",
-                 "_bits")
+    __slots__ = ("rows", "cols", "char", "field", "aux", "nvars", "_variables", "_guard")
 
     def __init__(self, rows: int, cols: int, char: int = 0, aux: Optional[str] = None):
         if rows < 1 or cols < 1:
@@ -177,13 +210,15 @@ class PolyRing:
         self.aux = aux
         offset = 1 if aux else 0
         self.nvars = rows * cols + offset
-        pos: dict[tuple[int, int], int] = {}
+        if self.nvars > MAX_VARIABLES:
+            raise ValueError(f"a ring has at most {MAX_VARIABLES} variables, got {self.nvars}")
+        variables: dict[tuple[int, int], Monomial] = {}
         for i in range(1, rows + 1):
             for j in range(cols, 0, -1):
-                pos[(i, j)] = offset + (i - 1) * cols + (cols - j)
-        self._pos = pos
-        self._zero_mono = (0,) * self.nvars
-        self._bits = tuple(1 << k for k in range(self.nvars))
+                position = offset + (i - 1) * cols + (cols - j)
+                variables[(i, j)] = 1 << 8 * (self.nvars - 1 - position)
+        self._variables = variables
+        self._guard = _GUARD >> 8 * (MAX_VARIABLES - self.nvars)  # exactly nvars bytes
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, PolyRing)
@@ -202,47 +237,58 @@ class PolyRing:
     def monomial(self, grid_exponents: dict[tuple[int, int], int] | Iterable = (),
                  aux_power: int = 0) -> Monomial:
         """Monomial from {(i, j): exponent} (or an iterable of pairs)."""
-        exps = [0] * self.nvars
         items = grid_exponents.items() if isinstance(grid_exponents, dict) else grid_exponents
-        for (i, j), e in items:
-            if e < 0:
-                raise ValueError("negative exponent")
-            exps[self._variable_position(i, j)] += e
+        powers = [(self._variable(i, j), e) for (i, j), e in items]
         if aux_power:
             if not self.aux:
                 raise ValueError("ring has no auxiliary variable")
-            exps[0] += aux_power
-        return tuple(exps)
+            powers.append((1 << 8 * (self.nvars - 1), aux_power))
+        m = 0
+        for var, e in powers:
+            if e < 0:
+                raise ValueError("negative exponent")
+            m += e * var
+            # a repeated variable may reach the guard bit without either
+            # exponent passing the bound
+            if e > EXPONENT_BOUND or m & _GUARD:
+                raise ExponentOverflowError()
+        return m
 
-    def _variable_position(self, i: int, j: int) -> int:
+    def _variable(self, i: int, j: int) -> Monomial:
         try:
-            return self._pos[(i, j)]
+            return self._variables[(i, j)]
         except KeyError:
             raise ValueError(
                 f"variable x[{i},{j}] outside the {self.rows}x{self.cols} grid") from None
 
     def one_monomial(self) -> Monomial:
-        return self._zero_mono
+        return 0
+
+    def _exponents(self, m: Monomial) -> bytes:
+        """The exponents of m, in decreasing variable precedence."""
+        return m.to_bytes(self.nvars, "big")
 
     def monomial_degree(self, m: Monomial) -> int:
-        return sum(m)
+        return sum(m.to_bytes(self.nvars, "big"))  # _exponents, inlined
 
     def aux_degree(self, m: Monomial) -> int:
-        return m[0] if self.aux else 0
+        return m >> 8 * (self.nvars - 1) if self.aux else 0
 
     def support(self, m: Monomial) -> frozenset:
         """Opaque keys of the variables dividing m, for ``free_of``."""
-        return frozenset(compress(range(self.nvars), m))
+        return frozenset(compress(range(self.nvars), self._exponents(m)))
 
     def free_of(self, m: Monomial, keys) -> bool:
         """True iff no variable among ``keys`` (from ``support``) divides m."""
-        return not any(m[k] for k in keys)
+        exps = self._exponents(m)
+        return not any(exps[k] for k in keys)
 
     def grid_support(self, m: Monomial) -> Iterator[tuple[int, int, int]]:
         """Yield (i, j, exponent) for the grid variables dividing m."""
         offset = 1 if self.aux else 0
+        exps = self._exponents(m)
         for pos in range(offset, self.nvars):
-            e = m[pos]
+            e = exps[pos]
             if e:
                 idx = pos - offset
                 i = idx // self.cols + 1
@@ -257,8 +303,9 @@ class PolyRing:
 
     def render_monomial(self, m: Monomial) -> str:
         factors = []
-        if self.aux and m[0]:
-            factors.append(self.aux if m[0] == 1 else f"{self.aux}^{m[0]}")
+        a = self.aux_degree(m)
+        if a:
+            factors.append(self.aux if a == 1 else f"{self.aux}^{a}")
         for i, j, e in self.grid_support(m):
             name = f"x[{i},{j}]"
             factors.append(name if e == 1 else f"{name}^{e}")
@@ -269,9 +316,12 @@ class PolyRing:
     def polynomial(self, terms: dict[Monomial, object] | Iterable) -> "Polynomial":
         items = terms.items() if isinstance(terms, dict) else terms
         coeff = self.field.coeff
+        # a monomial of this ring is an int whose bits all lie below the
+        # guard bits of its nvars bytes; negative ints have bits outside too
+        outside = ~(self._guard - (self._guard >> 7))
         normalized = []
         for m, c in items:
-            if len(m) != self.nvars:
+            if type(m) is not int or m & outside:
                 raise ValueError("monomial does not belong to this ring")
             normalized.append((m, coeff(c)))
         d: dict = {}
@@ -286,7 +336,7 @@ class PolyRing:
 
     def const(self, c) -> "Polynomial":
         c = self.field.coeff(c)
-        return Polynomial(self, {self._zero_mono: c} if c else {})
+        return Polynomial(self, {0: c} if c else {})
 
     def variable(self, i: int, j: int) -> "Polynomial":
         return Polynomial(self, {self.monomial({(i, j): 1}): 1})
@@ -407,58 +457,48 @@ def _parse_polynomial(ring: PolyRing, text: str) -> "Polynomial":
 
 
 # ---------------------------------------------------------------------------
-# Monomial helpers (ring-agnostic on equal-length tuples).  All public ones
-# except the lcm map a builtin over the exponents, so no Python frame runs
-# per exponent; the lcm is a conditional in a list display, and the pair
-# update raises copies of leads on one support only.  Division and the pair
-# update prefilter with support bitmasks: a monomial divides another only if
-# its mask lies inside the other's, and two monomials are coprime exactly
-# when their masks are disjoint.
+# Monomial helpers (ring-agnostic on packed ints).  Every operand is guard
+# clean, so adding two never carries out of a byte, and a | b exactly when
+# b - a sets no guard bit: the lowest byte where b is smaller borrows from
+# its own guard bit, and bytes below it borrow nothing.  The engine below
+# inlines the divisibility test with its ring's guard mask.
 # ---------------------------------------------------------------------------
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(add, a, b))
+    m = a + b
+    if m & _GUARD:
+        raise ExponentOverflowError()
+    return m
 
 
 def monomial_divides(a: Monomial, b: Monomial) -> bool:
     """True iff a | b."""
-    return all(map(le, a, b))
+    d = b - a
+    return d >= 0 and not d & _GUARD
 
 
 def monomial_quotient(numerator: Monomial, denominator: Monomial) -> Monomial:
     """numerator / denominator; caller guarantees divisibility."""
-    return tuple(map(sub, numerator, denominator))
+    return numerator - denominator
 
 
 def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
-    # a conditional in a list display; map(max, ...) calls the generic max
-    # once per exponent and is about three times slower
-    return tuple([x if x > y else y for x, y in zip(a, b)])
+    # a guard mask one byte wider than the wider operand
+    return _lcm(a, b, _GUARD & ((256 << max(a, b).bit_length()) - 1))
 
 
 def monomial_coprime(a: Monomial, b: Monomial) -> bool:
-    """True iff no variable divides both (a product of exponents is 0)."""
-    return not any(map(mul, a, b))
+    """True iff no variable divides both, that is iff lcm(a, b) = a * b."""
+    return monomial_lcm(a, b) == a + b
 
 
-def _support_mask(ring: PolyRing, m: Monomial) -> int:
-    """The support bitmask of m: bit k is set iff position k of m is
-    positive."""
-    return sum(compress(ring._bits, m))
-
-
-def _lcms_with(lt: Monomial, leads: Sequence[Monomial]) -> list:
-    """[monomial_lcm(lead, lt) for lead in leads]; each lcm is a copy of its
-    lead raised only on the support of lt."""
-    raised = [(k, lt[k]) for k in compress(range(len(lt)), lt)]
-    lcms = []
-    for lead in leads:
-        lcm = list(lead)
-        for k, e in raised:
-            if e > lcm[k]:
-                lcm[k] = e
-        lcms.append(tuple(lcm))
-    return lcms
+def _lcm(a: Monomial, b: Monomial, guard: int) -> Monomial:
+    """lcm(a, b), guard covering every byte of a and b.  With every guard
+    bit set in a, one subtraction borrows nothing and leaves the guard bit of
+    each byte where a >= b; each such bit becomes a 0x7f byte mask that
+    selects a's exponent, the other bytes keep b's."""
+    ge = ((a | guard) - b) & guard
+    return b ^ ((a ^ b) & (ge - (ge >> 7)))
 
 
 class Polynomial:
@@ -514,10 +554,10 @@ class Polynomial:
     def total_degree(self) -> int:
         if not self._d:
             raise ValueError("the zero polynomial has no degree")
-        return max(sum(m) for m in self._d)
+        return max(map(self.ring.monomial_degree, self._d))
 
     def is_homogeneous(self) -> bool:
-        degrees = {sum(m) for m in self._d}
+        degrees = set(map(self.ring.monomial_degree, self._d))
         return len(degrees) <= 1
 
     def sparse_terms(self) -> tuple:
@@ -646,13 +686,11 @@ def minor(ring: PolyRing, rows: Sequence[int], cols: Sequence[int]) -> Polynomia
 def _minor_leibniz(ring: PolyRing, rows: tuple, cols: tuple) -> dict:
     t = len(rows)
     d: dict = {}
-    positions = [[ring._variable_position(i, j) for j in cols] for i in rows]
+    variables = [[ring._variable(i, j) for j in cols] for i in rows]
     for perm in itertools.permutations(range(t)):
         sign = _permutation_sign(perm)
-        exps = [0] * ring.nvars
-        for k in range(t):
-            exps[positions[k][perm[k]]] += 1
-        d[tuple(exps)] = ring.field.coeff(sign)
+        # distinct rows and columns: each variable appears once, no overflow
+        d[sum(variables[k][perm[k]] for k in range(t))] = ring.field.coeff(sign)
     return d
 
 
@@ -731,7 +769,7 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     f._check_ring(g)
     field = f.ring.field
     lmf, lmg = f.leading_monomial(), g.leading_monomial()
-    lcm = monomial_lcm(lmf, lmg)
+    lcm = _lcm(lmf, lmg, f.ring._guard)
     d: dict = {}
     field.axpy(d, f._d.items(), field.div(1, f._d[lmf]), monomial_quotient(lcm, lmf))
     field.axpy(d, g._d.items(), -field.div(1, g._d[lmg]), monomial_quotient(lcm, lmg))
@@ -768,36 +806,31 @@ def normal_forms(fs: Sequence[Polynomial], reducers: Sequence[Polynomial]) -> tu
 
 
 def _reducer_entry(ring: PolyRing, k: int, g: Polynomial) -> tuple:
-    """The division entry (lm, k, mask, lc, terms) of reducer number k, mask
-    the support bitmask of lm.  Entries sort by (lm, k), the reducer
-    preference, because k is unique."""
+    """The division entry (lm, k, lc, terms) of reducer number k.  Entries
+    sort by (lm, k), the reducer preference, because k is unique."""
     if g.ring is not ring and g.ring != ring:
         raise ValueError("reducers must live in the same ring")
     if g.is_zero:
         raise ValueError("reducers must be nonzero")
     lm = g.leading_monomial()
-    return lm, k, _support_mask(ring, lm), g._d[lm], g._d
+    return lm, k, g._d[lm], g._d
 
 
 def _reduce_dict(p: dict, prepared: list, ring: PolyRing) -> dict:
-    """Destructively reduce the term dict ``p``; returns the remainder dict.
-    A reducer whose lead uses a variable outside the support of the current
-    term is rejected by its mask before the exponents are compared."""
+    """Destructively reduce the term dict ``p``; returns the remainder dict."""
     if not prepared:
         return p
     div = ring.field.div
     axpy = ring.field.axpy
-    bits = ring._bits
+    guard = ring._guard
     rem: dict = {}
     while p:
         m = max(p)
         c = p[m]
-        outside = ~sum(compress(bits, m))  # _support_mask, inlined
-        for lm, _, mask, lc, gd in prepared:
-            if not mask & outside and all(map(le, lm, m)):
-                q = div(c, lc)
-                u = monomial_quotient(m, lm)
-                axpy(p, gd.items(), -q, u)
+        for lm, _, lc, gd in prepared:
+            u = m - lm
+            if not u & guard:  # lm | m, inlined
+                axpy(p, gd.items(), -div(c, lc), u)
                 break
         else:
             rem[m] = c
@@ -881,14 +914,13 @@ def buchberger(generators: Sequence[Polynomial] | IdealPresentation, *,
 def _buchberger_core(ring: PolyRing, basis: list, known: int) -> list:
     # basis: list of monic Polynomial whose first ``known`` elements form a
     # Groebner basis; pairs managed by Gebauer-Moeller update
-    pairs: dict[tuple[int, int], tuple] = {}
+    pairs: dict[tuple[int, int], Monomial] = {}
     heap: list = []
     leads = [g.leading_monomial() for g in basis]
-    masks = [_support_mask(ring, lm) for lm in leads]
     reducers: list = []
     for t in range(len(basis)):
         if t >= known:
-            _gm_update(pairs, heap, leads, masks, t)
+            _gm_update(pairs, heap, leads, t, ring._guard)
         insort(reducers, _reducer_entry(ring, t, basis[t]))
     while heap:
         _, _, i, j = heapq.heappop(heap)
@@ -903,48 +935,41 @@ def _buchberger_core(ring: PolyRing, basis: list, known: int) -> list:
         lm = h.leading_monomial()
         basis.append(h)
         leads.append(lm)
-        masks.append(_support_mask(ring, lm))
         t = len(basis) - 1
-        _gm_update(pairs, heap, leads, masks, t)
+        _gm_update(pairs, heap, leads, t, ring._guard)
         insort(reducers, _reducer_entry(ring, t, h))
     return basis
 
 
-def _gm_update(pairs: dict, heap: list, leads: list, masks: list, t: int):
+def _gm_update(pairs: dict, heap: list, leads: list, t: int, guard: int):
     """Install pairs (i, t) for i < t, pruned by the Gebauer-Moeller form of
     the coprime-product and chain criteria; prune superseded old pairs.
-    ``masks`` holds the support bitmask of each lead, and ``pairs`` maps each
-    live pair to its lcm and the lcm's mask, the OR of its leads' masks.  A
-    monomial divides another only if its mask lies inside the other's, so
-    each divisibility test is prefiltered by one ``&``, and two leads are
-    coprime exactly when their masks are disjoint."""
+    ``pairs`` maps each live pair to its lcm, and ``guard`` is the ring's
+    guard mask."""
     lt = leads[t]
-    mt = masks[t]
-    lcms = _lcms_with(lt, leads[:t])
-    lcm_masks = [mask | mt for mask in masks[:t]]
+    lcms = [_lcm(lead, lt, guard) for lead in leads[:t]]
     # chain criterion among the new pairs: keep (i, t) only if no kept pair's
     # lcm divides its lcm (equal lcms keep the first)
     kept: list[int] = []
     kept_lcms: list = []
     for i in sorted(range(t), key=lambda i: (lcms[i], i)):
         lcm = lcms[i]
-        outside = ~lcm_masks[i]
-        for mask, other in kept_lcms:
-            if not mask & outside and all(map(le, other, lcm)):
+        for other in kept_lcms:
+            if not (lcm - other) & guard:
                 break
         else:
             kept.append(i)
-            kept_lcms.append((lcm_masks[i], lcm))
+            kept_lcms.append(lcm)
     # prune old pairs now covered by t
-    for (i, j), (lcm_ij, mask_ij) in list(pairs.items()):
-        if (not mt & ~mask_ij and monomial_divides(lt, lcm_ij)
-                and lcms[i] != lcm_ij and lcms[j] != lcm_ij):
+    for (i, j), lcm_ij in list(pairs.items()):
+        if not (lcm_ij - lt) & guard and lcms[i] != lcm_ij and lcms[j] != lcm_ij:
             del pairs[(i, j)]
-    # coprime-product criterion last (sound in combination with the above)
+    # coprime-product criterion last (sound in combination with the above):
+    # the leads are coprime exactly when their lcm is their product
     for i in kept:
-        if not masks[i] & mt:
+        if lcms[i] == leads[i] + lt:
             continue
-        pairs[(i, t)] = (lcms[i], lcm_masks[i])
+        pairs[(i, t)] = lcms[i]
         heapq.heappush(heap, (lcms[i], i, i, t))
 
 
@@ -956,18 +981,18 @@ def _interreduce(basis: list, known: int) -> tuple:
     if not basis:
         return ()
     ring = basis[0].ring
+    guard = ring._guard
     # minimal: drop any element whose lead is divisible by another kept lead
     order = sorted(range(len(basis)), key=lambda k: (basis[k].leading_monomial(), k))
     kept: list = []
     kept_leads: list = []
     for k in order:
         lm = basis[k].leading_monomial()
-        lm_mask = _support_mask(ring, lm)
-        if any(not mask & ~lm_mask and all(map(le, lead, lm)) for mask, lead in kept_leads):
+        if any(not (lm - lead) & guard for lead in kept_leads):
             continue
         kept.append(k)
-        kept_leads.append((lm_mask, lm))
-    new_leads = [entry for k, entry in zip(kept, kept_leads) if k >= known]
+        kept_leads.append(lm)
+    new_leads = [lead for k, lead in zip(kept, kept_leads) if k >= known]
     # reduced: replace each by its normal form against the others.  The kept
     # leads are distinct and increasing, so one sorted entry list serves
     # every element with its own entry left out, and tail reduction keeps
@@ -976,9 +1001,8 @@ def _interreduce(basis: list, known: int) -> tuple:
     reduced = []
     for idx, k in enumerate(kept):
         g = basis[k]
-        if k < known and not any(
-                not mask & ~_support_mask(ring, m) and all(map(le, lead, m))
-                for m in g._d for mask, lead in new_leads):
+        if k < known and not any(not (m - lead) & guard
+                                 for m in g._d for lead in new_leads):
             reduced.append(g)
             continue
         rem = _reduce_dict(dict(g._d), prepared[:idx] + prepared[idx + 1:], ring)

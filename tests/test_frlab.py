@@ -18,7 +18,8 @@ from msvkit.perm import Cell, PartialPermutation, all_permutations, coxeter_leng
     identity, longest_element, render_one_line
 from msvkit.poly import (IdealPresentation, PolyRing, antidiagonal_monomial, minor,
                          monomial_divides, normal_form, saturate)
-from msvkit.detideal import antidiagonal_ideal, fulton_generators, monomial_quotient_membership
+from msvkit.detideal import (MonomialIdeal, antidiagonal_ideal, fulton_generators,
+                             monomial_quotient_membership)
 from msvkit.frlab import (build_localization, find_pivot, localization_sample,
                           verify_all, verify_localization_identity,
                           verify_pivot_initial_ideal, verify_pivot_minors,
@@ -184,6 +185,27 @@ def test_pivot_initial_ideal_exhaustive_s4():
         report = verify_pivot_initial_ideal(w)
         assert report.contains_expected, w.one_line()
         assert report.ok, w.one_line()
+
+
+def test_lemma_2_ideals_are_the_minimalized_ones():
+    # the report sorts the leads and drops the generators of J_w that c
+    # divides instead of minimalizing; both must equal the minimalized
+    # ideals.  c divides no generator of J_w itself (lemma 3), so each w is
+    # also checked against J_w with c * x[n,n] adjoined.
+    sample = nonregular(5) + random.Random(53).sample(nonregular(6), 60)
+    for w in sample:
+        setup = build_localization(w)
+        ring = setup.ring
+        c = ring.monomial({setup.c_cell: 1})
+        basis = poly.buchberger((ring.variable(*setup.c_cell),), basis=setup.w_groebner)
+        lead = MonomialIdeal.from_monomials(ring, (g.leading_monomial() for g in basis))
+        corner = poly.monomial_mul(c, ring.monomial({(w.rows, w.cols): 1}))
+        for antidiagonal in (setup.antidiagonal, MonomialIdeal.from_monomials(
+                ring, setup.antidiagonal.gens + (corner,))):
+            report = frlab._initial_ideal_report(setup.c_cell, setup.w_groebner, antidiagonal)
+            assert report.lead == lead, w.one_line()
+            assert report.expected == MonomialIdeal.from_monomials(
+                ring, (c,) + antidiagonal.gens), w.one_line()
 
 
 @pytest.mark.parametrize("word, restart_pairs", [("35142", 0), ("13542", 12)])

@@ -18,9 +18,9 @@ import msvkit.poly as poly
 from msvkit.perm import PartialPermutation, all_permutations, render_one_line
 from msvkit.detideal import fulton_generators, verify_groebner
 from msvkit.frlab import _pivot_substitution, build_localization, find_pivot, verify_all
-from msvkit.poly import (GroebnerCertificationError, IdealPresentation, Polynomial, PolyRing,
-                         _lcms_with, _support_mask, antidiagonal_monomial, buchberger,
-                         certified, ideals_equal, is_reduced_groebner_basis, minor,
+from msvkit.poly import (EXPONENT_BOUND, ExponentOverflowError, GroebnerCertificationError,
+                         IdealPresentation, Polynomial, PolyRing, _lcm, antidiagonal_monomial,
+                         buchberger, certified, ideals_equal, is_reduced_groebner_basis, minor,
                          monomial_coprime, monomial_divides, monomial_lcm,
                          monomial_mul, monomial_quotient, normal_form, normal_forms,
                          s_polynomial, saturate, transplant)
@@ -113,19 +113,111 @@ def test_monomial_kernels_match_their_per_exponent_definitions(a, b, terms, c, c
         assert monomial_quotient(m(b), m(a)) == m(y - x for x, y in zip(a, b))
     assert monomial_lcm(m(a), m(b)) == m(max(x, y) for x, y in zip(a, b))
     assert monomial_coprime(m(a), m(b)) == (not any(x > 0 and y > 0 for x, y in zip(a, b)))
-    # the support masks behind the division and pair-update prefilters: a
-    # mask outside the other's rejects only non-divisors, disjoint masks are
-    # exactly coprimality, and the lcm raised on one support is the lcm
-    mask_a, mask_b = _support_mask(ring, m(a)), _support_mask(ring, m(b))
-    assert mask_a == sum(1 << k for k, e in enumerate(m(a)) if e)
-    assert not (divides and mask_a & ~mask_b)
-    assert (not mask_a & mask_b) == monomial_coprime(m(a), m(b))
+    # the packed tests the engine inlines with the ring's guard mask: a
+    # difference b - a of either sign sets no guard bit exactly when a | b,
+    # the lcm is the product exactly for coprime monomials, and the
+    # supports name the variables with a positive exponent
+    assert (not (m(b) - m(a)) & ring._guard) == divides
+    assert (not (m(a) - m(b)) & ring._guard) == all(x >= y for x, y in zip(a, b))
+    assert _lcm(m(a), m(b), ring._guard) == _lcm(m(b), m(a), ring._guard) \
+        == m(max(x, y) for x, y in zip(a, b))
+    assert (monomial_lcm(m(a), m(b)) == monomial_mul(m(a), m(b))) \
+        == (not any(x > 0 and y > 0 for x, y in zip(a, b)))
+    assert len(ring.support(m(a))) == sum(1 for x in a if x)
+    assert ring.free_of(m(b), ring.support(m(a))) == monomial_coprime(m(a), m(b))
     assert normal_form(ring.polynomial({m(b): 1}), [ring.polynomial({m(a): 1})]).is_zero \
         == divides
-    assert _lcms_with(m(b), [m(a), m(b)]) == [monomial_lcm(m(a), m(b)), m(b)]
     f = ring.polynomial([(m(e), v) for e, v in terms])
     shifted = ring.polynomial([(m(x + y for x, y in zip(e, a)), c * v) for e, v in terms])
     assert f.mul_term(m(a), c) == shifted
+
+
+# exponents up to the bound, cell by cell, then the auxiliary power
+BOUNDED_EXPONENTS = st.tuples(*[st.integers(0, EXPONENT_BOUND)] * (len(KERNEL_CELLS) + 1))
+# the cells in decreasing variable precedence: rows first, columns descending
+PRECEDENCE = sorted(range(len(KERNEL_CELLS)),
+                    key=lambda k: (KERNEL_CELLS[k][0], -KERNEL_CELLS[k][1]))
+
+
+@settings(max_examples=300, deadline=None)
+@example(a=(127,) * 7, b=(0,) * 7)
+@example(a=(127, 0, 0, 0, 0, 0, 0), b=(1, 0, 0, 0, 0, 0, 0))
+@example(a=(0, 0, 0, 0, 0, 0, 127), b=(0, 0, 0, 0, 0, 0, 1))
+@example(a=(0, 0, 1, 0, 0, 0, 0), b=(127, 127, 0, 127, 127, 127, 0))
+@given(a=BOUNDED_EXPONENTS, b=BOUNDED_EXPONENTS)
+def test_packed_monomials_match_exponent_vectors_up_to_the_bound(a, b):
+    ring = PolyRing(2, 3, aux="t")
+
+    def m(exps):
+        exps = list(exps)
+        return ring.monomial(zip(KERNEL_CELLS, exps[:-1]), aux_power=exps[-1])
+
+    def lex_key(exps):
+        # the exponent tuple in decreasing variable precedence, auxiliary first
+        return (exps[-1],) + tuple(exps[k] for k in PRECEDENCE)
+
+    assert (m(a) < m(b)) == (lex_key(a) < lex_key(b))
+    assert (m(a) == m(b)) == (a == b)
+    assert ring.monomial_degree(m(a)) == sum(a)
+    assert ring.aux_degree(m(a)) == a[-1]
+    assert sorted(ring.grid_support(m(a))) == sorted(
+        (i, j, e) for (i, j), e in zip(KERNEL_CELLS, a) if e)
+    if all(x + y <= EXPONENT_BOUND for x, y in zip(a, b)):
+        assert monomial_mul(m(a), m(b)) == m(x + y for x, y in zip(a, b))
+    else:
+        with pytest.raises(ExponentOverflowError):
+            monomial_mul(m(a), m(b))
+    divides = all(x <= y for x, y in zip(a, b))
+    assert monomial_divides(m(a), m(b)) == divides
+    assert (not (m(b) - m(a)) & ring._guard) == divides
+    if divides:
+        assert monomial_quotient(m(b), m(a)) == m(y - x for x, y in zip(a, b))
+    assert monomial_lcm(m(a), m(b)) == _lcm(m(a), m(b), ring._guard) \
+        == m(max(x, y) for x, y in zip(a, b))
+    assert monomial_coprime(m(a), m(b)) == (not any(x and y for x, y in zip(a, b)))
+
+
+@pytest.mark.parametrize("char", [0, 101])
+def test_exponent_127_is_accepted_and_128_raises_on_every_raising_path(char):
+    ring = PolyRing(2, 2, char=char, aux="t")
+    for name, power in (("x[1,1]", lambda e: ring.monomial({(1, 1): e})),
+                        ("t", lambda e: ring.monomial(aux_power=e))):
+        f = ring.polynomial({power(126): 1, 0: 1})
+        for e in (127, 128):
+            paths = [
+                lambda: power(e),
+                lambda: ring.monomial([((1, 1), e - 1), ((1, 1), 1)]),
+                lambda: monomial_mul(power(e - 1), power(1)),
+                lambda: ring.parse(f"{name}^{e}"),
+                lambda: ring.parse(f"{name}^{e - 1}*{name}"),
+                lambda: ring.field.axpy({}, f._d.items(), 1, power(e - 126)),
+                lambda: f.mul_term(power(e - 126)),
+                lambda: f * ring.polynomial({power(e - 126): 1}),
+            ]
+            for path in paths:
+                if e <= EXPONENT_BOUND:
+                    path()
+                else:
+                    with pytest.raises(ExponentOverflowError, match="127"):
+                        path()
+    assert issubclass(ExponentOverflowError, ValueError)
+
+
+def test_polynomial_rejects_what_is_no_monomial_of_the_ring():
+    ring = PolyRing(2, 2)
+    top = ring.monomial({cell: EXPONENT_BOUND for cell in itertools.product((1, 2), (1, 2))})
+    assert ring.polynomial({top: 1}).monomials() == (top,)
+    for bad in ((0,) * ring.nvars, 0.0, True, "0", None, -1, top + 1, 1 << 8 * ring.nvars,
+                0x80, 0x80 << 24):
+        with pytest.raises(ValueError, match="does not belong"):
+            ring.polynomial({bad: 1})
+
+
+def test_a_ring_has_at_most_max_variables():
+    assert PolyRing(64, 64).nvars == poly.MAX_VARIABLES
+    for rows, cols, aux in ((64, 64, "t"), (64, 65, None)):
+        with pytest.raises(ValueError, match=str(poly.MAX_VARIABLES)):
+            PolyRing(rows, cols, aux=aux)
 
 
 def test_elimination_order_puts_auxiliary_first():
@@ -495,9 +587,9 @@ def test_engine_outputs_match_the_pinned_digests():
 
 def test_the_s_pairs_formed_over_s5_are_pinned(monkeypatch):
     """Counts of S-polynomials formed by ``verify_groebner`` over S_5 and by
-    ``verify_all`` over its pivot-admitting permutations.  The mask
-    prefilters of the pair update are exact, so they form the same pairs as
-    plain exponent comparisons."""
+    ``verify_all`` over its pivot-admitting permutations.  The packed
+    divisibility and coprimality tests of the pair update are exact, so they
+    form the same pairs as exponent-wise comparisons."""
     calls = [0]
     real_s_polynomial = poly.s_polynomial
 
@@ -583,6 +675,32 @@ def test_prime_characteristic_is_bounded_before_the_primality_test():
     assert repr(PolyRing(1, 1, char=2 ** 31 - 1)) == "PolyRing(1x1 over GF(2147483647))"
     with pytest.raises(ValueError, match="prime"):
         PolyRing(1, 1, char=2 ** 31 - 3)
+
+
+def _trial_division_is_prime(p):
+    if p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_miller_rabin_agrees_with_trial_division():
+    assert [p for p in range(20000) if poly._is_prime(p)] == \
+        [p for p in range(20000) if _trial_division_is_prime(p)]
+    rng = random.Random(41)
+    # strong pseudoprimes to the bases 2; 2, 3; and 2, 3, 5, which base 7
+    # must expose, the largest prime below 2^31, a seeded sample below 2^31
+    # and the first primes among seeded odd numbers above 2^30
+    sample = [2047, 3277, 1373653, 25326001, 161304001, 960946321, 1157839381,
+              2 ** 31 - 1, 32003] + [rng.randrange(2 ** 31) for _ in range(400)]
+    odd = (rng.randrange(2 ** 30, 2 ** 31) | 1 for _ in itertools.count())
+    sample += itertools.islice(filter(_trial_division_is_prime, odd), 20)
+    for p in sample:
+        assert poly._is_prime(p) == _trial_division_is_prime(p), p
 
 
 CELLS = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)]
