@@ -4,8 +4,9 @@ Subcommands::
 
     diagram          render the diagram of a permutation as an ASCII grid
     essential        list the essential set with ranks
-    gens             print the Fulton generators
-    ci               classify a matrix Schubert variety (exit 1 when not CI)
+    gens             print the Fulton generators (n <= 10)
+    ci               classify a matrix Schubert variety (n <= 10; exit 1 when
+                     not CI)
     verify-gb        check the antidiagonal Groebner statement (n <= 6)
     verify-lemma2    check in(<c> + I_w) = <c> + J_w at the pivot (n <= 5)
     verify-localize  check the localization identity I = I' (n <= 5)
@@ -29,10 +30,11 @@ import sys
 from multiprocessing import Pool
 from typing import Optional, Sequence
 
-from . import ci, detideal, frlab, perm
+from . import ci, detideal, frlab, perm, poly
 
 USAGE_ERROR = 2
 DEFAULT_PRIME = 32003
+EXPANSION_BOUND = 10  # gens and ci expand minors of up to (n-1)! terms
 GB_BOUND = 6
 CENSUS_BOUND = 8
 CENSUS_CHUNK = 64  # permutations per task sent to a census worker
@@ -106,14 +108,26 @@ def _build_parser() -> argparse.ArgumentParser:
 def _oracle_char(args) -> int:
     if getattr(args, "field", "rational") == "rational":
         return 0
-    return int(os.environ.get("MSVKIT_PRIME", str(DEFAULT_PRIME)))
+    value = os.environ.get("MSVKIT_PRIME", str(DEFAULT_PRIME))
+    try:
+        p = int(value)
+    except ValueError:
+        p = 0
+    # a ring of characteristic 0 would be the rationals, so check here
+    if not (p < poly.PRIME_BOUND and poly._is_prime(p)):
+        raise ValueError(f"MSVKIT_PRIME must be a prime below 2^31, got {value!r}")
+    return p
 
 
 def _load_target(args, *, permutation_only: bool = False,
                  bound: Optional[int] = None) -> perm.PartialPermutation:
     if getattr(args, "file", None):
-        with open(args.file, encoding="utf-8") as fh:
-            w = perm.parse_partial_matrix(fh.read())
+        try:
+            with open(args.file, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ValueError(f"cannot read {args.file}: {exc.strerror}") from None
+        w = perm.parse_partial_matrix(text)
     else:
         w = perm.PartialPermutation.from_one_line(args.w)
     if permutation_only and not w.is_permutation:
@@ -173,7 +187,7 @@ def _cmd_essential(args) -> int:
 
 
 def _cmd_gens(args) -> int:
-    w = _load_target(args)
+    w = _load_target(args, bound=EXPANSION_BOUND)
     mode = "diagram" if args.diagram_cells else "essential"
     schubert = detideal.fulton_generators(w, cells=mode)
     gens = schubert.raw_generators if args.raw else schubert.generators
@@ -190,7 +204,7 @@ def _cmd_gens(args) -> int:
 
 
 def _cmd_ci(args) -> int:
-    w = _load_target(args)
+    w = _load_target(args, bound=EXPANSION_BOUND)
     report = ci.is_complete_intersection(w, with_oracle=args.mu,
                                          char=_oracle_char(args))
     if args.json:

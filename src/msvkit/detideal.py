@@ -356,7 +356,8 @@ def verify_groebner(w: PartialPermutation, ring: Optional[PolyRing] = None) -> G
     schubert = fulton_generators(w, ring)
     ring = schubert.ring
     basis = buchberger(schubert.generators)
-    lead = MonomialIdeal.from_monomials(ring, (g.leading_monomial() for g in basis))
+    # the leads of a reduced basis are already minimal generators
+    lead = MonomialIdeal.from_minimal_generators(ring, (g.leading_monomial() for g in basis))
     anti = antidiagonal_ideal(w, ring)
     return GroebnerReport(w=w, match=lead.gens == anti.gens,
                           gb_leading=lead, antidiagonal=anti, basis=basis)

@@ -660,8 +660,8 @@ def minor(ring: PolyRing, rows: Sequence[int], cols: Sequence[int]) -> Polynomia
     expanded exactly with +-1 coefficients.
 
     Index lists must be equal-length, strictly increasing and inside the grid.
-    Leibniz expansion is used up to size 4, cofactor expansion with submatrix
-    memoization above.
+    The expansion is Laplace's along the first row, with each sub-minor
+    expanded once per call.
 
     >>> r = PolyRing(2, 4)
     >>> str(minor(r, [1, 2], [3, 4]))
@@ -676,56 +676,24 @@ def minor(ring: PolyRing, rows: Sequence[int], cols: Sequence[int]) -> Polynomia
         raise ValueError("index lists must be strictly increasing without repeats")
     if rows[-1] > ring.rows or cols[-1] > ring.cols or rows[0] < 1 or cols[0] < 1:
         raise ValueError("minor indices leave the grid")
-    if t <= 4:
-        d = _minor_leibniz(ring, rows, cols)
-    else:
-        d = _minor_cofactor(ring, rows, cols, {})
-    return Polynomial(ring, d)
+    signs = (ring.field.coeff(1), ring.field.coeff(-1))
+    return Polynomial(ring, _laplace(ring, rows, cols, signs, {}))
 
 
-def _minor_leibniz(ring: PolyRing, rows: tuple, cols: tuple) -> dict:
-    t = len(rows)
-    d: dict = {}
-    variables = [[ring._variable(i, j) for j in cols] for i in rows]
-    for perm in itertools.permutations(range(t)):
-        sign = _permutation_sign(perm)
-        # distinct rows and columns: each variable appears once, no overflow
-        d[sum(variables[k][perm[k]] for k in range(t))] = ring.field.coeff(sign)
-    return d
-
-
-def _permutation_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def _minor_cofactor(ring: PolyRing, rows: tuple, cols: tuple, memo: dict) -> dict:
-    if len(rows) <= 4:
-        return _minor_leibniz(ring, rows, cols)
-    key = (rows, cols)
-    if key in memo:
-        return memo[key]
-    field = ring.field
-    d: dict = {}
-    sub_rows = rows[1:]
-    for k, j in enumerate(cols):
-        sub = _minor_cofactor(ring, sub_rows, cols[:k] + cols[k + 1:], memo)
-        sign = 1 if k % 2 == 0 else -1
-        var = ring.monomial({(rows[0], j): 1})
-        field.axpy(d, sub.items(), field.coeff(sign), var)
-    memo[key] = d
+def _laplace(ring: PolyRing, rows: tuple, cols: tuple, signs: tuple, memo: dict) -> dict:
+    """The terms of the minor on ``cols`` and the last len(cols) of ``rows``,
+    expanded along its first row; ``memo`` maps the columns of each sub-minor
+    already expanded to its terms."""
+    t = len(cols)
+    if t == 1:
+        return {ring._variable(rows[-1], cols[0]): signs[0]}
+    d = memo.get(cols)
+    if d is None:
+        d = memo[cols] = {}
+        row = rows[-t]
+        for k in range(t):
+            sub = _laplace(ring, rows, cols[:k] + cols[k + 1:], signs, memo)
+            ring.field.axpy(d, sub.items(), signs[k % 2], ring._variable(row, cols[k]))
     return d
 
 

@@ -18,8 +18,9 @@ from msvkit.perm import (Cell, PartialPermutation, all_partial_permutations,
                          extend_to_permutation)
 from msvkit.poly import (IdealPresentation, PolyRing, antidiagonal_monomial,
                          certified, ideals_equal, minor, saturate)
-from msvkit.detideal import (antidiagonal_ideal, fulton_generators, monomial_codim,
-                             monomial_quotient_membership, verify_groebner)
+from msvkit.detideal import (MonomialIdeal, antidiagonal_ideal, fulton_generators,
+                             monomial_codim, monomial_quotient_membership,
+                             verify_groebner)
 from msvkit.ci import is_complete_intersection, minimal_generator_count, \
     necessary_condition
 from msvkit.frlab import (build_localization, find_pivot, localization_sample,
@@ -116,7 +117,13 @@ def test_criterion_2a_full_s5_census():
             for w in all_permutations(5):
                 length = coxeter_length(w)
                 assert len(diagram(w)) == length
-                assert verify_groebner(w).match
+                report = verify_groebner(w)
+                assert report.match
+                # the leads of the reduced basis are minimal as they stand
+                leads = [g.leading_monomial() for g in report.basis]
+                assert report.gb_leading == MonomialIdeal.from_monomials(
+                    report.gb_leading.ring, leads)
+                assert len(leads) == len(report.gb_leading.gens)
                 J = antidiagonal_ideal(w)
                 assert J.is_squarefree()
                 assert monomial_codim(J) == length

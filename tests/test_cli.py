@@ -210,6 +210,41 @@ def test_file_and_inline_targets_are_mutually_exclusive(capsys):
     assert code == 2
 
 
+@pytest.fixture
+def no_expansion(monkeypatch):
+    """Make the entry points of `gens` and `ci` fail the test if called."""
+    import msvkit.ci as ci
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a determinant expansion started")
+
+    monkeypatch.setattr(detideal, "fulton_generators", refuse)
+    monkeypatch.setattr(ci, "is_complete_intersection", refuse)
+
+
+def test_an_unreadable_file_is_a_usage_error(capsys, tmp_path, no_expansion):
+    for path, reason in ((tmp_path / "missing.txt", "No such file"),
+                         (tmp_path, "Is a directory")):
+        code, out, err = run(capsys, "gens", "--file", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read ") and reason in err
+        assert "Traceback" not in err
+
+
+def test_gens_and_ci_are_bounded_before_any_expansion(capsys, tmp_path, no_expansion):
+    import msvkit.cli as cli
+    word = " ".join(map(str, [*range(1, 10), 11, 10]))
+    wide = tmp_path / "wide.txt"
+    wide.write_text("1" + " 0" * 10 + "\n")  # 1 x 11: the bound reads max(rows, cols)
+    for argv in (("gens", word), ("gens", word, "--raw"), ("ci", word),
+                 ("ci", word, "--mu"), ("ci", word, "--mu", "--field", "prime"),
+                 ("gens", "--file", str(wide)), ("ci", "--file", str(wide))):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert f"n <= {cli.EXPANSION_BOUND}" in err
+    assert cli.EXPANSION_BOUND == 10
+
+
 # ---------------------------------------------------------------------------
 # Census
 # ---------------------------------------------------------------------------
@@ -370,11 +405,13 @@ def test_msvkit_prime_is_bounded(capsys, monkeypatch):
     assert "2^31" in err
 
 
-def test_msvkit_prime_rejects_composites(capsys, monkeypatch):
-    monkeypatch.setenv("MSVKIT_PRIME", "6")
-    code, _, err = run(capsys, "ci", "321", "--mu", "--field", "prime")
-    assert code == 2
-    assert "prime" in err
+def test_msvkit_prime_rejects_composites(capsys, monkeypatch, no_expansion):
+    # 0 would otherwise build a ring over the rationals
+    for value in ("6", "0", "abc"):
+        monkeypatch.setenv("MSVKIT_PRIME", value)
+        code, _, err = run(capsys, "ci", "321", "--mu", "--field", "prime")
+        assert code == 2
+        assert "MSVKIT_PRIME must be a prime" in err
 
 
 # ---------------------------------------------------------------------------

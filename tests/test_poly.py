@@ -263,8 +263,13 @@ def test_minor_matches_independent_expansion_all_sizes():
         rows = tuple(sorted(rng.sample(range(1, 6), t)))
         cols = tuple(sorted(rng.sample(range(1, 6), t)))
         sites.append((rows, cols))
-    for rows, cols in sites:
-        assert minor(RING, rows, cols) == _det_by_permanent_expansion(RING, rows, cols)
+    full = tuple(range(1, 7))
+    for char in (0, 2, 32003):  # over F_2, -1 = 1
+        five = PolyRing(5, 5, char=char)
+        cases = [(five, rows, cols) for rows, cols in sites]
+        cases.append((PolyRing(6, 6, char=char), full, full))
+        for ring, rows, cols in cases:
+            assert minor(ring, rows, cols) == _det_by_permanent_expansion(ring, rows, cols)
 
 
 def test_minor_validation():
