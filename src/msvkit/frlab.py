@@ -23,14 +23,18 @@ pivot useful:
   I_w with the ideal I' built from the smaller permutation w' (w with the
   pivot's row and column deleted) after the change of variables
   x'[p,q] = x[p,q] - c^{-1} x[p,q0] x[p0,q], together with the variables in
-  the pivot's row/column that precede it.  Both directions are decided by
-  normal forms against plain Groebner bases: c divides no leading monomial
-  of the basis of I_w, so it is a nonzerodivisor modulo I_w and inverting it
-  adds nothing to I_w; and c does not occur in I' written in the primed
-  coordinates, where the transplanted basis of I_{w'} and the gamma
-  variables already form a Groebner basis.  Saturation at c is kept only as
-  the fallback for a basis whose leads c divides, which does not happen for
-  permutations.
+  the pivot's row/column that precede it.  The change of variables is one
+  step of Gaussian elimination with pivot c, so by Sylvester's identity
+  (the Schur complement of c; Bruns-Vetter, Determinantal Rings, LNM 1327,
+  section 2) every polynomial either direction needs is a minor of the
+  generic matrix, up to a sign and a power of c, and is built by ``minor``.
+  Both directions are decided by normal forms against plain Groebner bases:
+  c divides no leading monomial of the basis of I_w, so it is a
+  nonzerodivisor modulo I_w and inverting it adds nothing to I_w; and c
+  does not occur in I' written in the primed coordinates, where the
+  transplanted basis of I_{w'} and the gamma variables already form a
+  Groebner basis.  Saturation at c is kept only as the fallback for a basis
+  whose leads c divides, which does not happen for permutations.
 """
 from __future__ import annotations
 
@@ -41,8 +45,7 @@ from typing import Iterator, Optional
 from .perm import (Cell, PartialPermutation, all_permutations, coxeter_length,
                    delete_row_col, diagram, essential_set, render_one_line)
 from .poly import (IdealPresentation, Monomial, Polynomial, PolyRing, buchberger,
-                   monomial_divides, monomial_quotient, normal_forms, saturate,
-                   transplant)
+                   minor, monomial_divides, normal_forms, saturate, transplant)
 from .detideal import (MonomialIdeal, antidiagonal_ideal, fulton_generators,
                        is_nonzerodivisor_on_monomial_quotient)
 
@@ -237,20 +240,21 @@ def _pivot_is_nonzerodivisor(pivot: Cell, antidiagonal: MonomialIdeal) -> bool:
 class LocalizationSetup:
     """Data of the change of variables at the pivot.
 
-    ``w_generators`` are the Fulton generators of w in ``ring`` and
-    ``w_groebner`` their reduced Groebner basis.  ``w_prime`` is w with the
-    pivot's row and column deleted, ``w_prime_generators`` its Fulton
-    generators in ``ring``, on the contiguous indices 1..n-1, and
-    ``row_labels``/``col_labels`` send its contiguous indices back to the
-    original grid.  ``cleared_generators`` are those generators rewritten
-    in the original variables through
-    x'[p,q] = x[p,q] - c^{-1} x[p,q0] x[p0,q] and cleared of denominators by
-    pivot powers (with any overall pivot factor removed);
-    ``generator_sites`` records each one's origin as (rows, cols) in original
-    labels, so size-1 sites are the primed variables.  ``gamma`` is the
-    pivot's row and column; ``gamma_generators`` are the variables there that
-    precede the pivot.  ``antidiagonal`` is the antidiagonal ideal J_w in
-    ``ring``, which lemma 1, lemma 2 and the nonzerodivisor check share."""
+    ``w_generators`` are the Fulton generators of w in ``ring``, ``w_sites``
+    their (rows, cols) and ``w_groebner`` their reduced Groebner basis.
+    ``w_prime`` is w with the pivot's row and column deleted,
+    ``w_prime_generators`` its Fulton generators in ``ring``, on the
+    contiguous indices 1..n-1, and ``row_labels``/``col_labels`` send its
+    contiguous indices back to the original grid.  ``cleared_generators``
+    are those generators rewritten in the original variables through
+    x'[p,q] = x[p,q] - c^{-1} x[p,q0] x[p0,q] and cleared of denominators:
+    each is the minor bordered by the pivot's row and column, with the sign
+    of ``_bordered_minor``.  ``generator_sites`` records each one's origin
+    as (rows, cols) in original labels, so size-1 sites are the primed
+    variables.  ``gamma`` is the pivot's row and column; ``gamma_generators``
+    are the variables there that precede the pivot.  ``antidiagonal`` is the
+    antidiagonal ideal J_w in ``ring``, which lemma 1, lemma 2 and the
+    nonzerodivisor check share."""
 
     w: PartialPermutation
     c_cell: Cell
@@ -263,76 +267,44 @@ class LocalizationSetup:
     generator_sites: tuple
     ring: PolyRing
     w_generators: tuple
+    w_sites: tuple
     w_groebner: tuple
     w_prime_generators: tuple
     antidiagonal: MonomialIdeal
 
 
-def _pivot_substitution(f: Polynomial, p0: int, q0: int, sign: int,
-                        images: Optional[dict] = None) -> Polynomial:
-    """c^d f(x[p,q] + sign c^{-1} x[p,q0] x[p0,q]) for f of total degree d and
-    c = x[p0,q0], the substitution applied to the variables off the pivot's
-    row and column only.  Term by term, each variable off the row and column
-    becomes c*x[p,q] + sign*x[p,q0]*x[p0,q], each variable on them becomes
-    c*x, and a term of degree e < d gains c^(d-e).  ``sign = -1`` writes the
-    primed variables in the original ones; ``sign = 1`` writes the original
-    variables in the primed ones.
+def _bordered_minor(ring: PolyRing, rows: tuple, cols: tuple, pivot: Cell) -> Polynomial:
+    """(-1)^(k+l) times the minor on rows + {p0} and cols + {q0}, with k and l
+    the 0-based positions of p0 and q0 in the bordered rows and columns.
 
-    ``images`` maps each cell to its image, a term list, and is filled as
-    cells are met; a caller rewriting many polynomials at one pivot and sign
-    passes the same dict to every call, so each image is built once.  The
-    images of a term's variables are multiplied out as term lists and added
-    into one term dict.
+    Moving the pivot's row and column to the front costs that sign, and the
+    Schur complement of c is the primed matrix on (rows, cols).  So by
+    Sylvester's identity this is c times the primed minor on (rows, cols):
+    the primed minor cleared of its denominator, with no pivot factor left.
 
-    At the pivot c = x[1,3] of 35142, the primed variable x'[2,1] cleared
-    is the first cleared generator, and the two signs undo each other up to
-    a power of c:
-
-    >>> setup = build_localization(PartialPermutation.from_one_line("35142"))
-    >>> p0, q0 = setup.c_cell
-    >>> cleared = _pivot_substitution(setup.ring.variable(2, 1), p0, q0, -1)
-    >>> str(cleared), cleared == setup.cleared_generators[0]
-    ('x[1,3]*x[2,1] - x[1,1]*x[2,3]', True)
-    >>> str(_pivot_substitution(cleared, p0, q0, 1))
-    'x[1,3]^3*x[2,1]'
+    >>> r = PolyRing(2, 2)
+    >>> str(_bordered_minor(r, (2,), (1,), Cell(1, 2)))
+    'x[1,2]*x[2,1] - x[1,1]*x[2,2]'
     """
-    ring = f.ring
-    field = ring.field
-    axpy = field.axpy
-    degree = f.total_degree()
-    if images is None:
-        images = {}
-    one = ring.one_monomial()
-    total: dict = {}
-    for m, coeff in f.terms():
-        term = ((one, coeff),)
-        used = 0
-        for i, j, e in ring.grid_support(m):
-            image = images.get((i, j))
-            if image is None:
-                image = ((ring.monomial([((p0, q0), 1), ((i, j), 1)]), 1),)
-                if i != p0 and j != q0:
-                    image += ((ring.monomial({(i, q0): 1, (p0, j): 1}), field.coeff(sign)),)
-                images[(i, j)] = image
-            for _ in range(e):
-                product: dict = {}
-                for u, cu in term:
-                    axpy(product, image, cu, u)
-                term = tuple(product.items())
-            used += e
-        axpy(total, term, 1, ring.monomial({(p0, q0): degree - used}) if used < degree else None)
-    return Polynomial(ring, total)
+    p0, q0 = pivot
+    rows, cols = tuple(sorted(rows + (p0,))), tuple(sorted(cols + (q0,)))
+    g = minor(ring, rows, cols)
+    return -g if (rows.index(p0) + cols.index(q0)) % 2 else g
 
 
-def _strip_pivot_factor(f: Polynomial, p0: int, q0: int) -> Polynomial:
-    """f divided by the largest power of x[p0,q0] dividing every term."""
-    ring = f.ring
-    excess = min(sum(e for i, j, e in ring.grid_support(m) if (i, j) == (p0, q0))
-                 for m in f.monomials())
-    if not excess:
-        return f
-    factor = ring.monomial({(p0, q0): excess})
-    return ring.polynomial((monomial_quotient(m, factor), co) for m, co in f.terms())
+def _primed_minor(g: Polynomial, rows: tuple, cols: tuple, pivot: Cell) -> Polynomial:
+    """The minor that the Fulton generator g on (rows, cols) becomes in the
+    primed coordinates, up to a sign, a power of c and c -> -c (see
+    ``verify_localization_identity``): g when the site holds exactly one of
+    the pivot's row and column, the minor off both when it holds both, and
+    the bordered minor when it holds neither."""
+    p0, q0 = pivot
+    has_row, has_col = p0 in rows, q0 in cols
+    if has_row != has_col:
+        return g
+    if has_row:
+        return minor(g.ring, tuple(p for p in rows if p != p0), tuple(q for q in cols if q != q0))
+    return _bordered_minor(g.ring, rows, cols, pivot)
 
 
 def _cell_map(row_labels: tuple, col_labels: tuple) -> dict:
@@ -352,24 +324,14 @@ def build_localization(w: PartialPermutation, ring: Optional[PolyRing] = None) -
     n = w.size
     if ring is None:
         ring = PolyRing(n, n)
-    w_generators = fulton_generators(w, ring).generators
+    schubert = fulton_generators(w, ring)
     w_prime = delete_row_col(w, p0, q0)
     row_labels = tuple(i for i in range(1, n + 1) if i != p0)
     col_labels = tuple(j for j in range(1, n + 1) if j != q0)
-    cell_map = _cell_map(row_labels, col_labels)
     schubert_prime = fulton_generators(w_prime, ring)
-    cleared = []
-    sites = []
-    images: dict = {}
-    for g, site in zip(schubert_prime.generators, schubert_prime.sites):
-        primed = transplant(g, ring, cell_map)
-        cleared_poly = _strip_pivot_factor(
-            _pivot_substitution(primed, p0, q0, -1, images), p0, q0)
-        if cleared_poly.total_degree() > 2 * g.total_degree():
-            raise AssertionError("cleared generator exceeds twice the original degree")
-        cleared.append(cleared_poly)
-        sites.append((tuple(row_labels[i - 1] for i in site.rows),
-                      tuple(col_labels[j - 1] for j in site.cols)))
+    sites = tuple((tuple(row_labels[i - 1] for i in site.rows),
+                   tuple(col_labels[j - 1] for j in site.cols))
+                  for site in schubert_prime.sites)
     gamma = tuple(sorted(
         {Cell(p0, q) for q in range(1, n + 1)} | {Cell(p, q0) for p in range(1, n + 1)}))
     gamma_generators = tuple(ring.variable(*cell) for cell in gamma
@@ -377,8 +339,11 @@ def build_localization(w: PartialPermutation, ring: Optional[PolyRing] = None) -
     return LocalizationSetup(
         w=w, c_cell=pivot, w_prime=w_prime, row_labels=row_labels,
         col_labels=col_labels, gamma=gamma, gamma_generators=gamma_generators,
-        cleared_generators=tuple(cleared), generator_sites=tuple(sites), ring=ring,
-        w_generators=w_generators, w_groebner=buchberger(w_generators),
+        cleared_generators=tuple(_bordered_minor(ring, rows, cols, pivot)
+                                 for rows, cols in sites),
+        generator_sites=sites, ring=ring, w_generators=schubert.generators,
+        w_sites=tuple((site.rows, site.cols) for site in schubert.sites),
+        w_groebner=buchberger(schubert.generators),
         w_prime_generators=schubert_prime.generators,
         antidiagonal=antidiagonal_ideal(w, ring))
 
@@ -417,13 +382,26 @@ def verify_localization_identity(w: PartialPermutation,
     I_{w'} + <gamma>, whose Groebner basis is the reduced basis of I_{w'}
     transplanted off the pivot's row and column together with the gamma
     variables (their leads are coprime).  c occurs in neither, so it is a
-    nonzerodivisor modulo I', and a Fulton generator g of degree d lies in
-    I' : c^infinity iff c^d g, rewritten in the primed coordinates, has
-    normal form zero.
+    nonzerodivisor modulo I', and c -> -c maps I' onto itself.  Take a
+    Fulton generator g of w on rows R and columns C, of size d, and rewrite
+    it in the primed coordinates, x[p,q] = x'[p,q] + c^{-1} x[p,q0] x[p0,q].
+    By Sylvester's identity c^d g becomes, with k and l the positions of p0
+    and q0 in the rows and columns of the minor on the right:
+
+    * c^d g when exactly one of p0 in R and q0 in C holds: inside the minor
+      the change adds multiples of the pivot's row, or column, to the others;
+    * (-1)^(k+l) c^(d+1) minor(R - p0, C - q0) when both hold: that minor is
+      the Schur complement of c;
+    * (-1)^(k+l+1) c^(d-1) B(-c) when neither holds, B the minor on
+      (R + p0, C + q0) and B(-c) it with c replaced by -c.
+
+    So g lies in I' : c^infinity iff g, minor(R - p0, C - q0) or B has
+    normal form zero (``_primed_minor``), and neither a power of c nor a
+    sign is multiplied in.
 
     So the two directions read I' from different fields of the setup: the
     backward one from ``cleared_generators`` and the forward one from
-    ``w_prime_generators``.  The identity holds for I' as the cleared
+    ``w_prime_generators`` (with ``w_sites`` for the minors).  The identity holds for I' as the cleared
     generators present it because ``build_localization`` clears exactly the
     generators it stores in ``w_prime_generators``; a setup whose cleared
     generators miss some of them still passes the backward direction, and
@@ -444,9 +422,9 @@ def verify_localization_identity(w: PartialPermutation,
     cell_map = _cell_map(setup.row_labels, setup.col_labels)
     gb_prime = tuple(transplant(g, ring, cell_map)
                      for g in buchberger(setup.w_prime_generators)) + setup.gamma_generators
-    images: dict = {}
-    rewritten = normal_forms([_pivot_substitution(g, p0, q0, 1, images)
-                              for g in setup.w_generators], gb_prime)
+    rewritten = normal_forms([_primed_minor(g, rows, cols, setup.c_cell)
+                              for g, (rows, cols) in zip(setup.w_generators, setup.w_sites)],
+                             gb_prime)
     forward = tuple(g for g, r in zip(setup.w_generators, rewritten) if r)
     return LocalizationReport(ok=not forward and not backward, proper=proper,
                               forward_failures=forward, backward_failures=backward,

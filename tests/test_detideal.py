@@ -296,3 +296,101 @@ def test_graded_minimal_generators_requires_homogeneous_input():
     r = PolyRing(2, 2)
     with pytest.raises(ValueError):
         graded_minimal_generators(r, [r.variable(1, 1) + r.one()])
+
+
+# ---------------------------------------------------------------------------
+# Pipe dreams against Schubert polynomials
+# ---------------------------------------------------------------------------
+
+def _divided_difference(f, i):
+    """(f - s_i f) / (x_i - x_{i+1}) for f as {exponent tuple: coefficient},
+    with i 0-based."""
+    out = {}
+    for e, c in f.items():
+        a, b, sign = e[i], e[i + 1], 1
+        if a < b:
+            a, b, sign = b, a, -1
+        # (x^a y^b - x^b y^a) / (x - y) = sum of x^(a-1-k) y^(b+k), 0 <= k < a-b
+        for k in range(a - b):
+            g = e[:i] + (a - 1 - k, b + k) + e[i + 2:]
+            out[g] = out.get(g, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def _schubert_polynomials(n):
+    """The Schubert polynomial of every w in S_n, keyed by one-line tuple, by
+    divided differences down from x1^(n-1) x2^(n-2) ... x_(n-1) at the
+    longest element: S_(w s_i) = d_i S_w whenever w(i) > w(i+1)."""
+    top = tuple(range(n, 0, -1))
+    polynomials = {top: {tuple(range(n - 1, -1, -1)): 1}}
+    frontier = [top]
+    while frontier:
+        below = []
+        for w in frontier:
+            for i in range(n - 1):
+                v = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
+                if w[i] > w[i + 1] and v not in polynomials:
+                    polynomials[v] = _divided_difference(polynomials[w], i)
+                    below.append(v)
+        frontier = below
+    return polynomials
+
+
+def _minimal_covers(supports, bound):
+    """The minimal vertex covers of at most ``bound`` vertices of the sets
+    ``supports``.  Each branch covers the first uncovered set by one of its
+    vertices and excludes the vertices tried before it, so every cover is
+    reached once, and every minimal one within the bound is reached."""
+    covers = []
+
+    def grow(chosen, excluded):
+        edge = next((s for s in supports if not s & chosen), None)
+        if edge is None:
+            covers.append(chosen)
+            return
+        if len(chosen) < bound:
+            free = sorted(edge - excluded)
+            for k, v in enumerate(free):
+                grow(chosen | {v}, excluded | set(free[:k]))
+
+    grow(frozenset(), frozenset())
+    return [c for c in covers
+            if all(any(not s & (c - {v}) for s in supports) for v in c)]
+
+
+def _pipe_dream_polynomial(w):
+    """Sum over the minimal vertex covers of size l(w) of the generator
+    supports of J_w of the product of x_row over each cover, as
+    {exponent tuple: coefficient}; also returns the sizes of all minimal
+    covers of at most l(w) vertices."""
+    J = antidiagonal_ideal(w)
+    supports = [frozenset((i, j) for i, j, _ in J.ring.grid_support(m)) for m in J.gens]
+    covers = _minimal_covers(supports, coxeter_length(w))
+    total = {}
+    for cover in covers:
+        e = [0] * w.size
+        for i, _ in cover:
+            e[i - 1] += 1
+        total[tuple(e)] = total.get(tuple(e), 0) + 1
+    return total, {len(c) for c in covers}
+
+
+def test_pipe_dream_of_132_is_x1_plus_x2():
+    total, sizes = _pipe_dream_polynomial(w_("132"))
+    assert total == {(1, 0, 0): 1, (0, 1, 0): 1} == _schubert_polynomials(3)[(1, 3, 2)]
+    assert sizes == {1}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_pipe_dreams_of_the_antidiagonal_ideal_sum_to_the_schubert_polynomial(n):
+    """The minimal primes of J_w are generated by the crosses of the reduced
+    pipe dreams of w, all of them l(w) crosses (Knutson-Miller, Ann. Math.
+    2005), so summing x_row over the crosses of the minimal vertex covers of
+    size l(w) of its generator supports gives the Schubert polynomial;
+    exhaustive over S_n, and the codimension of J_w is l(w)."""
+    schubert = _schubert_polynomials(n)
+    for w in all_permutations(n):
+        total, sizes = _pipe_dream_polynomial(w)
+        assert total == schubert[w.one_line()], w.one_line()
+        assert sizes == {coxeter_length(w)} == {monomial_codim(antidiagonal_ideal(w))}, \
+            w.one_line()

@@ -17,13 +17,14 @@ import msvkit.poly as poly
 from msvkit.perm import Cell, PartialPermutation, all_permutations, coxeter_length, \
     identity, longest_element, render_one_line
 from msvkit.poly import (IdealPresentation, PolyRing, antidiagonal_monomial, minor,
-                         monomial_divides, normal_form, saturate)
+                         monomial_divides, normal_form, saturate, transplant)
 from msvkit.detideal import (MonomialIdeal, antidiagonal_ideal, fulton_generators,
                              monomial_quotient_membership)
 from msvkit.frlab import (build_localization, find_pivot, localization_sample,
                           verify_all, verify_localization_identity,
                           verify_pivot_initial_ideal, verify_pivot_minors,
                           verify_pivot_nonzerodivisor, verify_pivot_window)
+from substitution_oracle import pivot_substitution, strip_pivot_factor
 
 
 def w_(word):
@@ -300,6 +301,84 @@ def test_cleared_degree_is_at_most_twice_the_original():
         setup = build_localization(w)
         for g, (rows, cols) in zip(setup.cleared_generators, setup.generator_sites):
             assert g.total_degree() <= 2 * len(rows)
+
+
+def test_cleared_generators_match_the_pinned_s6_digest():
+    """sha256 of every cleared generator, sign included, and its site over
+    all pivot-admitting S_6, recorded when the generators were cleared by
+    the term-by-term substitution."""
+    golden = json.loads((Path(__file__).parent / "golden" / "cleared_generators_s6.json")
+                        .read_text())
+    pivoted = nonregular(6)
+    assert len(pivoted) == golden["pivot_admitting_s6"]
+    digest = hashlib.sha256()
+    for w in pivoted:
+        setup = build_localization(w)
+        digest.update(render_one_line(w).encode() + b"\n")
+        for g, site in zip(setup.cleared_generators, setup.generator_sites):
+            digest.update(f"{site}\t{g}\n".encode())
+    assert digest.hexdigest() == golden["sha256"]
+
+
+def _oracle_sample():
+    """All pivot-admitting S_5 and a seeded sample of 60 pivot-admitting S_6."""
+    return nonregular(5) + random.Random(20261118).sample(nonregular(6), 60)
+
+
+def test_cleared_generators_are_the_substitution_cleared_of_the_pivot():
+    """Backward: each cleared generator is the bordered minor, sign
+    included, that the term-by-term substitution gives once the pivot power
+    is divided out."""
+    for w in _oracle_sample():
+        setup = build_localization(w)
+        ring, (p0, q0) = setup.ring, setup.c_cell
+        cell_map = frlab._cell_map(setup.row_labels, setup.col_labels)
+        images: dict = {}
+        for g, cleared in zip(setup.w_prime_generators, setup.cleared_generators, strict=True):
+            substituted = pivot_substitution(transplant(g, ring, cell_map), p0, q0, -1, images)
+            assert strip_pivot_factor(substituted, p0, q0) == cleared, w.one_line()
+
+
+def _pivot_negated(f, pivot):
+    """f with the pivot variable c replaced by -c."""
+    ring = f.ring
+    return ring.polynomial(
+        (m, -co if sum(e for i, j, e in ring.grid_support(m) if (i, j) == pivot) % 2 else co)
+        for m, co in f.terms())
+
+
+def test_fulton_generators_in_the_primed_coordinates_are_minors():
+    """Forward: c^d g rewritten in the primed coordinates by the term-by-term
+    substitution is what Sylvester's identity, as the docstring of
+    ``verify_localization_identity`` states it, says, and the polynomial
+    that function reduces is the minor on the right, up to sign."""
+    cases = set()
+    for w in _oracle_sample():
+        setup = build_localization(w)
+        ring, pivot = setup.ring, setup.c_cell
+        p0, q0 = pivot
+        images: dict = {}
+        for g, (rows, cols) in zip(setup.w_generators, setup.w_sites, strict=True):
+            d = len(rows)
+            substituted = pivot_substitution(g, p0, q0, 1, images)
+            reduced = frlab._primed_minor(g, rows, cols, pivot)
+            has_row, has_col = p0 in rows, q0 in cols
+            if has_row != has_col:
+                right = g
+                assert substituted == g.mul_term(ring.monomial({pivot: d}))
+            elif has_row:
+                k, l = rows.index(p0), cols.index(q0)
+                right = minor(ring, [p for p in rows if p != p0], [q for q in cols if q != q0])
+                assert substituted == right.mul_term(ring.monomial({pivot: d + 1}), (-1) ** (k + l))
+            else:
+                bordered_rows, bordered_cols = sorted(rows + (p0,)), sorted(cols + (q0,))
+                k, l = bordered_rows.index(p0), bordered_cols.index(q0)
+                right = minor(ring, bordered_rows, bordered_cols)
+                assert substituted == _pivot_negated(right, pivot).mul_term(
+                    ring.monomial({pivot: d - 1}), (-1) ** (k + l + 1))
+            assert reduced in (right, -right), (w.one_line(), rows, cols)
+            cases.add((has_row, has_col))
+    assert cases == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_build_localization_requires_a_pivot():
