@@ -11,25 +11,24 @@ Every ``PolyRing`` owns its coefficient field and its term order:
   precedence x[i,j] > x[i',j'] iff i < i', or i = i' and j > j' (row-major,
   columns descending).  Under it the leading term of every minor of the
   generic matrix is the product of its antidiagonal entries, which is
-  certified exhaustively in the test suite for all minors of a 5x5 grid.  A
-  ring may carry one auxiliary variable (used for saturation); its order is
-  then the elimination order, which ranks any monomial containing the
-  auxiliary variable above every monomial free of it.
+  certified exhaustively in the test suite for all minors of a 5x5 grid.
+  It is the only term order; ``saturate`` gets its elimination order from
+  it by moving the grid down one row (see there).
 
 Monomials are opaque outside this module: they compare with ``<`` in the
 ring's order, combine through the ``monomial_*`` functions, and are built,
 inspected and enumerated through ``PolyRing`` methods (``monomial``,
 ``grid_support``, ``monomial_degree``, ``support``, ``free_of``).
 Inside, a monomial is one packed int with one byte per variable, bytes in
-decreasing variable precedence from the most significant (the auxiliary
-variable first), after the packed exponent vectors of Bachmann and
-Schoenemann (ISSAC 1998).  Bit 7 of each byte is a guard bit, so an exponent
-is at most ``EXPONENT_BOUND`` (127).  Then int comparison is the term order,
-a product is one addition and a quotient one subtraction, and a | b exactly
-when ``b - a`` sets no guard bit (a borrow out of a byte lands on its guard
-bit).  Every path that raises exponents (``monomial_mul``, the shifted
-``axpy`` kernels, ``PolyRing.monomial`` and the parser) raises
-``ExponentOverflowError`` rather than carry into the next variable.
+decreasing variable precedence from the most significant, after the packed
+exponent vectors of Bachmann and Schoenemann (ISSAC 1998).  Bit 7 of each
+byte is a guard bit, so an exponent is at most ``EXPONENT_BOUND`` (127).
+Then int comparison is the term order, a product is one addition and a
+quotient one subtraction, and a | b exactly when ``b - a`` sets no guard bit
+(a borrow out of a byte lands on its guard bit).  Every path that raises
+exponents (``monomial_mul``, the shifted ``axpy`` kernels,
+``PolyRing.monomial`` and the parser) raises ``ExponentOverflowError``
+rather than carry into the next variable.
 
 The Groebner engine keeps what it has computed: a polynomial caches its
 leading monomial; ``normal_forms`` sorts one reducer list for many
@@ -187,9 +186,7 @@ class PolyRing:
 
     ``char`` 0 means exact rationals, a prime p below 2^31 means the field
     with p elements; the ring's ``field`` carries out all coefficient
-    arithmetic.  At most one auxiliary variable (named by ``aux``) may be
-    adjoined, in which case the ring's order is the elimination order.
-    Monomials compare with ``<`` in the ring's order:
+    arithmetic.  Monomials compare with ``<`` in the ring's order:
 
     >>> r = PolyRing(2, 4)
     >>> a = r.monomial({(1, 4): 1, (2, 3): 1})
@@ -198,56 +195,46 @@ class PolyRing:
     True
     """
 
-    __slots__ = ("rows", "cols", "char", "field", "aux", "nvars", "_variables", "_guard")
+    __slots__ = ("rows", "cols", "char", "field", "nvars", "_variables", "_guard")
 
-    def __init__(self, rows: int, cols: int, char: int = 0, aux: Optional[str] = None):
+    def __init__(self, rows: int, cols: int, char: int = 0):
         if rows < 1 or cols < 1:
             raise ValueError("grid dimensions must be positive")
         self.field = _PrimeField(char) if char else _RATIONALS
         self.rows = rows
         self.cols = cols
         self.char = char
-        self.aux = aux
-        offset = 1 if aux else 0
-        self.nvars = rows * cols + offset
+        self.nvars = rows * cols
         if self.nvars > MAX_VARIABLES:
             raise ValueError(f"a ring has at most {MAX_VARIABLES} variables, got {self.nvars}")
         variables: dict[tuple[int, int], Monomial] = {}
         for i in range(1, rows + 1):
             for j in range(cols, 0, -1):
-                position = offset + (i - 1) * cols + (cols - j)
+                position = (i - 1) * cols + (cols - j)
                 variables[(i, j)] = 1 << 8 * (self.nvars - 1 - position)
         self._variables = variables
         self._guard = _GUARD >> 8 * (MAX_VARIABLES - self.nvars)  # exactly nvars bytes
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, PolyRing)
-                and (self.rows, self.cols, self.char, self.aux)
-                == (other.rows, other.cols, other.char, other.aux))
+                and (self.rows, self.cols, self.char) == (other.rows, other.cols, other.char))
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.char, self.aux))
+        return hash((self.rows, self.cols, self.char))
 
     def __repr__(self) -> str:
-        aux = f" + {self.aux}" if self.aux else ""
-        return f"PolyRing({self.rows}x{self.cols} over {self.field.name}{aux})"
+        return f"PolyRing({self.rows}x{self.cols} over {self.field.name})"
 
     # -- monomials ----------------------------------------------------------
 
-    def monomial(self, grid_exponents: dict[tuple[int, int], int] | Iterable = (),
-                 aux_power: int = 0) -> Monomial:
+    def monomial(self, grid_exponents: dict[tuple[int, int], int] | Iterable = ()) -> Monomial:
         """Monomial from {(i, j): exponent} (or an iterable of pairs)."""
         items = grid_exponents.items() if isinstance(grid_exponents, dict) else grid_exponents
-        powers = [(self._variable(i, j), e) for (i, j), e in items]
-        if aux_power:
-            if not self.aux:
-                raise ValueError("ring has no auxiliary variable")
-            powers.append((1 << 8 * (self.nvars - 1), aux_power))
         m = 0
-        for var, e in powers:
+        for (i, j), e in items:
             if e < 0:
                 raise ValueError("negative exponent")
-            m += e * var
+            m += e * self._variable(i, j)
             # a repeated variable may reach the guard bit without either
             # exponent passing the bound
             if e > EXPONENT_BOUND or m & _GUARD:
@@ -271,9 +258,6 @@ class PolyRing:
     def monomial_degree(self, m: Monomial) -> int:
         return sum(m.to_bytes(self.nvars, "big"))  # _exponents, inlined
 
-    def aux_degree(self, m: Monomial) -> int:
-        return m >> 8 * (self.nvars - 1) if self.aux else 0
-
     def support(self, m: Monomial) -> frozenset:
         """Opaque keys of the variables dividing m, for ``free_of``."""
         return frozenset(compress(range(self.nvars), self._exponents(m)))
@@ -284,28 +268,18 @@ class PolyRing:
         return not any(exps[k] for k in keys)
 
     def grid_support(self, m: Monomial) -> Iterator[tuple[int, int, int]]:
-        """Yield (i, j, exponent) for the grid variables dividing m."""
-        offset = 1 if self.aux else 0
-        exps = self._exponents(m)
-        for pos in range(offset, self.nvars):
-            e = exps[pos]
+        """Yield (i, j, exponent) for the variables dividing m."""
+        for pos, e in enumerate(self._exponents(m)):
             if e:
-                idx = pos - offset
-                i = idx // self.cols + 1
-                j = self.cols - idx % self.cols
-                yield i, j, e
+                yield pos // self.cols + 1, self.cols - pos % self.cols, e
 
     def sparse_monomial(self, m: Monomial) -> tuple:
-        """Ring-independent canonical form: sorted ((i, j), e) pairs plus the
-        auxiliary power; equal sparse forms mean literally equal monomials."""
-        return (tuple(((i, j), e) for i, j, e in self.grid_support(m)),
-                self.aux_degree(m))
+        """Ring-independent canonical form: sorted ((i, j), e) pairs; equal
+        sparse forms mean literally equal monomials."""
+        return tuple(((i, j), e) for i, j, e in self.grid_support(m))
 
     def render_monomial(self, m: Monomial) -> str:
         factors = []
-        a = self.aux_degree(m)
-        if a:
-            factors.append(self.aux if a == 1 else f"{self.aux}^{a}")
         for i, j, e in self.grid_support(m):
             name = f"x[{i},{j}]"
             factors.append(name if e == 1 else f"{name}^{e}")
@@ -340,11 +314,6 @@ class PolyRing:
 
     def variable(self, i: int, j: int) -> "Polynomial":
         return Polynomial(self, {self.monomial({(i, j): 1}): 1})
-
-    def aux_variable(self) -> "Polynomial":
-        if not self.aux:
-            raise ValueError("ring has no auxiliary variable")
-        return Polynomial(self, {self.monomial(aux_power=1): 1})
 
     def render(self, f: "Polynomial") -> str:
         if f.is_zero:
@@ -423,12 +392,6 @@ def _parse_polynomial(ring: PolyRing, text: str) -> "Polynomial":
                 take("^")
                 exp = int(take())
             return 1, ring.monomial({(int(i), int(j)): exp})
-        if ring.aux and tok == ring.aux:
-            exp = 1
-            if peek() == "^":
-                take("^")
-                exp = int(take())
-            return 1, ring.monomial(aux_power=exp)
         raise ValueError(f"unexpected token {tok!r} in polynomial")
 
     def parse_term():
@@ -667,15 +630,7 @@ def minor(ring: PolyRing, rows: Sequence[int], cols: Sequence[int]) -> Polynomia
     >>> str(minor(r, [1, 2], [3, 4]))
     '-x[1,4]*x[2,3] + x[1,3]*x[2,4]'
     """
-    rows = tuple(rows)
-    cols = tuple(cols)
-    t = len(rows)
-    if t == 0 or t != len(cols):
-        raise ValueError("row and column index lists must be equal-length and nonempty")
-    if list(rows) != sorted(set(rows)) or list(cols) != sorted(set(cols)):
-        raise ValueError("index lists must be strictly increasing without repeats")
-    if rows[-1] > ring.rows or cols[-1] > ring.cols or rows[0] < 1 or cols[0] < 1:
-        raise ValueError("minor indices leave the grid")
+    rows, cols = _minor_indices(ring, rows, cols)
     signs = (ring.field.coeff(1), ring.field.coeff(-1))
     return Polynomial(ring, _laplace(ring, rows, cols, signs, {}))
 
@@ -697,18 +652,31 @@ def _laplace(ring: PolyRing, rows: tuple, cols: tuple, signs: tuple, memo: dict)
     return d
 
 
+def _minor_indices(ring: PolyRing, rows: Sequence[int], cols: Sequence[int]) -> tuple:
+    """The row and column index lists of a minor as tuples, after checking
+    that they are equal-length, nonempty, strictly increasing and inside the
+    grid."""
+    rows = tuple(rows)
+    cols = tuple(cols)
+    if not rows or len(rows) != len(cols):
+        raise ValueError("row and column index lists must be equal-length and nonempty")
+    if list(rows) != sorted(set(rows)) or list(cols) != sorted(set(cols)):
+        raise ValueError("index lists must be strictly increasing without repeats")
+    if rows[-1] > ring.rows or cols[-1] > ring.cols or rows[0] < 1 or cols[0] < 1:
+        raise ValueError("minor indices leave the grid")
+    return rows, cols
+
+
 def antidiagonal_monomial(ring: PolyRing, rows: Sequence[int], cols: Sequence[int]) -> Monomial:
     """The antidiagonal monomial of the minor on the given rows/columns: the
-    product x[rows[0], cols[-1]] * x[rows[1], cols[-2]] * ...
+    product x[rows[0], cols[-1]] * x[rows[1], cols[-2]] * ...  Index lists
+    must be as for ``minor``.
 
     >>> r = PolyRing(2, 4)
     >>> r.render_monomial(antidiagonal_monomial(r, [1, 2], [3, 4]))
     'x[1,4]*x[2,3]'
     """
-    rows = tuple(rows)
-    cols = tuple(cols)
-    if len(rows) != len(cols) or not rows:
-        raise ValueError("row and column index lists must be equal-length and nonempty")
+    rows, cols = _minor_indices(ring, rows, cols)
     t = len(rows)
     return ring.monomial([((rows[k], cols[t - 1 - k]), 1) for k in range(t)])
 
@@ -1026,12 +994,11 @@ def is_reduced_groebner_basis(basis: Sequence[Polynomial]) -> bool:
 def transplant(f: Polynomial, target: PolyRing,
                cell_map: Optional[dict[tuple[int, int], tuple[int, int]]] = None) -> Polynomial:
     """Re-express ``f`` in another ring, optionally relabelling grid variables
-    through ``cell_map``; the auxiliary variable (if any) must be absent."""
+    through ``cell_map``; every variable of ``f`` must land in ``target``'s
+    grid."""
     ring = f.ring
     terms = []
     for m, c in f._d.items():
-        if ring.aux_degree(m):
-            raise ValueError("cannot transplant a polynomial using the auxiliary variable")
         pairs = []
         for i, j, e in ring.grid_support(m):
             cell = (i, j) if cell_map is None else cell_map[(i, j)]
@@ -1040,17 +1007,19 @@ def transplant(f: Polynomial, target: PolyRing,
     return target.polynomial(terms)
 
 
-def aux_ring(ring: PolyRing, name: str = "t") -> PolyRing:
-    """The ring with one auxiliary variable adjoined (elimination order)."""
-    if ring.aux:
-        raise ValueError("ring already has an auxiliary variable")
-    return PolyRing(ring.rows, ring.cols, ring.char, aux=name)
-
-
 def saturate(ideal: IdealPresentation, c: Polynomial) -> IdealPresentation:
-    """Generators of the saturation (I : c^infinity), computed by adjoining an
-    auxiliary variable t, running Buchberger on I + <1 - t*c> under the
-    elimination order, and keeping the t-free basis elements.
+    """Generators of the saturation (I : c^infinity) = (I + <1 - t*c>) cap
+    K[x] (Cox-Little-O'Shea, ch. 4 section 4).
+
+    The grid moves to rows 2..rows+1 of a ring with one row more, and
+    t = x[1,cols] is the first variable of the ring's lex order, so every
+    monomial containing t lies above every monomial free of it: the ring's
+    own order eliminates t.  Buchberger runs on I + <1 - t*c> there, the
+    basis elements whose lead is free of t (then so are all their terms) are
+    kept, and they move back up.  The shift keeps the precedence among the
+    grid variables, so this is the reduced basis an elimination order with
+    t adjoined to the grid gives.  The larger ring must stay within
+    ``MAX_VARIABLES``.
 
     The returned generators are themselves a reduced Groebner basis in the
     base ring, so membership in the localization of I at c is exactly
@@ -1068,12 +1037,14 @@ def saturate(ideal: IdealPresentation, c: Polynomial) -> IdealPresentation:
         raise ValueError("cannot saturate at zero")
     if not ideal.generators:
         return IdealPresentation(ring, ())
-    extended = aux_ring(ring)
-    lifted = [transplant(g, extended) for g in ideal.generators]
-    lifted.append(extended.one() - extended.aux_variable() * transplant(c, extended))
-    basis = buchberger(lifted)
-    kept = [g for g in basis if all(extended.aux_degree(m) == 0 for m in g.monomials())]
-    return IdealPresentation(ring, tuple(transplant(g, ring) for g in kept))
+    extended = PolyRing(ring.rows + 1, ring.cols, ring.char)
+    down = {(i, j): (i + 1, j) for i in range(1, ring.rows + 1) for j in range(1, ring.cols + 1)}
+    up = {shifted: cell for cell, shifted in down.items()}
+    t = extended.monomial({(1, ring.cols): 1})
+    lifted = [transplant(g, extended, down) for g in ideal.generators]
+    lifted.append(extended.one() - transplant(c, extended, down).mul_term(t))
+    kept = [g for g in buchberger(lifted) if g.leading_monomial() < t]
+    return IdealPresentation(ring, tuple(transplant(g, ring, up) for g in kept))
 
 
 def ideals_equal(a: IdealPresentation, b: IdealPresentation) -> bool:

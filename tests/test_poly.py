@@ -89,8 +89,10 @@ def test_monomial_helpers():
     assert not monomial_coprime(a, b)
 
 
-KERNEL_CELLS = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)]
-KERNEL_EXPONENTS = st.tuples(*[st.integers(0, 3)] * (len(KERNEL_CELLS) + 1))
+# cells of the 3x3 ring ``saturate`` builds for a 2x3 grid: the grid moved
+# to rows 2..3, then x[1,3], the variable of highest precedence, as t
+KERNEL_CELLS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (1, 3)]
+KERNEL_EXPONENTS = st.tuples(*[st.integers(0, 3)] * len(KERNEL_CELLS))
 
 
 @settings(max_examples=200, deadline=None)
@@ -99,13 +101,12 @@ KERNEL_EXPONENTS = st.tuples(*[st.integers(0, 3)] * (len(KERNEL_CELLS) + 1))
        terms=st.lists(st.tuples(KERNEL_EXPONENTS, st.integers(-7, 7)), max_size=5),
        c=st.integers(-7, 7), char=st.sampled_from([0, 101]))
 def test_monomial_kernels_match_their_per_exponent_definitions(a, b, terms, c, char):
-    # exponent lists: one entry per grid cell, then the auxiliary power;
-    # entries up to 3 tell a product-of-exponents test from a bitwise one
-    ring = PolyRing(2, 3, char=char, aux="t")
+    # exponent lists: one entry per kernel cell, x[1,3] last; entries up to
+    # 3 tell a product-of-exponents test from a bitwise one
+    ring = PolyRing(3, 3, char=char)
 
     def m(exps):
-        exps = list(exps)
-        return ring.monomial(zip(KERNEL_CELLS, exps[:-1]), aux_power=exps[-1])
+        return ring.monomial(zip(KERNEL_CELLS, exps))
 
     divides = all(x <= y for x, y in zip(a, b))
     assert monomial_mul(m(a), m(b)) == m(x + y for x, y in zip(a, b))
@@ -133,9 +134,10 @@ def test_monomial_kernels_match_their_per_exponent_definitions(a, b, terms, c, c
     assert f.mul_term(m(a), c) == shifted
 
 
-# exponents up to the bound, cell by cell, then the auxiliary power
-BOUNDED_EXPONENTS = st.tuples(*[st.integers(0, EXPONENT_BOUND)] * (len(KERNEL_CELLS) + 1))
-# the cells in decreasing variable precedence: rows first, columns descending
+# exponents up to the bound, cell by cell
+BOUNDED_EXPONENTS = st.tuples(*[st.integers(0, EXPONENT_BOUND)] * len(KERNEL_CELLS))
+# the cells in decreasing variable precedence: rows first, columns descending,
+# so x[1,3] first
 PRECEDENCE = sorted(range(len(KERNEL_CELLS)),
                     key=lambda k: (KERNEL_CELLS[k][0], -KERNEL_CELLS[k][1]))
 
@@ -147,20 +149,18 @@ PRECEDENCE = sorted(range(len(KERNEL_CELLS)),
 @example(a=(0, 0, 1, 0, 0, 0, 0), b=(127, 127, 0, 127, 127, 127, 0))
 @given(a=BOUNDED_EXPONENTS, b=BOUNDED_EXPONENTS)
 def test_packed_monomials_match_exponent_vectors_up_to_the_bound(a, b):
-    ring = PolyRing(2, 3, aux="t")
+    ring = PolyRing(3, 3)
 
     def m(exps):
-        exps = list(exps)
-        return ring.monomial(zip(KERNEL_CELLS, exps[:-1]), aux_power=exps[-1])
+        return ring.monomial(zip(KERNEL_CELLS, exps))
 
     def lex_key(exps):
-        # the exponent tuple in decreasing variable precedence, auxiliary first
-        return (exps[-1],) + tuple(exps[k] for k in PRECEDENCE)
+        # the exponent tuple in decreasing variable precedence
+        return tuple(exps[k] for k in PRECEDENCE)
 
     assert (m(a) < m(b)) == (lex_key(a) < lex_key(b))
     assert (m(a) == m(b)) == (a == b)
     assert ring.monomial_degree(m(a)) == sum(a)
-    assert ring.aux_degree(m(a)) == a[-1]
     assert sorted(ring.grid_support(m(a))) == sorted(
         (i, j, e) for (i, j), e in zip(KERNEL_CELLS, a) if e)
     if all(x + y <= EXPONENT_BOUND for x, y in zip(a, b)):
@@ -180,9 +180,10 @@ def test_packed_monomials_match_exponent_vectors_up_to_the_bound(a, b):
 
 @pytest.mark.parametrize("char", [0, 101])
 def test_exponent_127_is_accepted_and_128_raises_on_every_raising_path(char):
-    ring = PolyRing(2, 2, char=char, aux="t")
+    # x[1,2] is the variable of highest precedence, whose byte is the top one
+    ring = PolyRing(2, 2, char=char)
     for name, power in (("x[1,1]", lambda e: ring.monomial({(1, 1): e})),
-                        ("t", lambda e: ring.monomial(aux_power=e))):
+                        ("x[1,2]", lambda e: ring.monomial({(1, 2): e}))):
         f = ring.polynomial({power(126): 1, 0: 1})
         for e in (127, 128):
             paths = [
@@ -216,16 +217,21 @@ def test_polynomial_rejects_what_is_no_monomial_of_the_ring():
 
 def test_a_ring_has_at_most_max_variables():
     assert PolyRing(64, 64).nvars == poly.MAX_VARIABLES
-    for rows, cols, aux in ((64, 64, "t"), (64, 65, None)):
+    # 17 * 241 = 4097 variables, one above the bound
+    for rows, cols in ((17, 241), (64, 65)):
         with pytest.raises(ValueError, match=str(poly.MAX_VARIABLES)):
-            PolyRing(rows, cols, aux=aux)
+            PolyRing(rows, cols)
 
 
-def test_elimination_order_puts_auxiliary_first():
-    r = PolyRing(2, 2, aux="t")
-    t = r.monomial(aux_power=1)
-    heavy = r.monomial({(1, 1): 5, (2, 2): 5})
-    assert t > heavy
+def test_the_top_variable_ranks_above_every_monomial_free_of_it():
+    # the order ``saturate`` eliminates t = x[1,cols] with: the largest
+    # monomial free of t, every other variable at the exponent bound, ranks
+    # below t, so every monomial free of t does
+    r = PolyRing(3, 2)
+    t = r.monomial({(1, 2): 1})
+    heaviest = r.monomial({cell: EXPONENT_BOUND
+                           for cell in itertools.product((1, 2, 3), (1, 2)) if cell != (1, 2)})
+    assert t > heaviest
 
 
 # ---------------------------------------------------------------------------
@@ -274,10 +280,15 @@ def test_minor_matches_independent_expansion_all_sizes():
 
 
 def test_minor_validation():
+    # an antidiagonal of unsorted or repeated indices would name the
+    # diagonal, or a product of two entries in one row
     for rows, cols in ([(1, 2), (3,)], [(2, 1), (1, 2)], [(1, 1), (1, 2)],
-                       [(1, 6), (1, 2)]):
-        with pytest.raises(ValueError):
-            minor(RING, rows, cols)
+                       [(1, 6), (1, 2)], [(1, 1), (2, 3)], [(), ()], [(0, 1), (1, 2)]):
+        for build in (minor, antidiagonal_monomial):
+            with pytest.raises(ValueError):
+                build(RING, rows, cols)
+    with pytest.raises(ValueError):
+        antidiagonal_monomial(PolyRing(2, 4), [2, 1], [1, 2])
 
 
 def test_leading_term_goldens():
@@ -557,6 +568,18 @@ def test_saturate_validation():
         saturate(IdealPresentation(RING, (RING.one(),)), RING.zero())
 
 
+def test_saturate_needs_one_grid_row_below_the_variable_bound():
+    # the shifted grid has rows + 1 rows: 63 x 64 saturates in 64 x 64
+    # variables, 64 x 64 would need 65 x 64
+    fits = PolyRing(63, 64)
+    I = IdealPresentation(fits, (fits.variable(1, 1) * fits.variable(2, 2),))
+    assert saturate(I, fits.variable(1, 1)).generators == (fits.variable(2, 2),)
+    full = PolyRing(64, 64)
+    I = IdealPresentation(full, (full.variable(1, 1) * full.variable(2, 2),))
+    with pytest.raises(ValueError, match=str(poly.MAX_VARIABLES)):
+        saturate(I, full.variable(1, 1))
+
+
 # ---------------------------------------------------------------------------
 # Engine outputs over S_5, pinned by digest
 # ---------------------------------------------------------------------------
@@ -574,10 +597,20 @@ def test_engine_outputs_match_the_pinned_digests():
             gb.update(str(g).encode() + b"\n")
     pivoted = [w for w in all_permutations(5) if find_pivot(w) is not None]
     summaries = hashlib.sha256()
-    saturations = hashlib.sha256()
     for w in pivoted:
         summaries.update(json.dumps(verify_all(w).to_json(), sort_keys=True).encode() + b"\n")
-        setup = build_localization(w)
+    assert {"verify_groebner_s5": gb.hexdigest(),
+            "verify_all_s5": summaries.hexdigest(),
+            "saturate_s5": _saturation_digest(pivoted, 0),
+            "pivot_admitting_s5": len(pivoted)} == golden
+
+
+def _saturation_digest(pivoted, char):
+    """sha256 of the rendered saturations of I_w and of I' at the pivot, for
+    each w in ``pivoted``, over the field of characteristic ``char``."""
+    saturations = hashlib.sha256()
+    for w in pivoted:
+        setup = build_localization(w, PolyRing(w.size, w.size, char))
         ring = setup.ring
         c = ring.variable(*setup.c_cell)
         for gens in (fulton_generators(w, ring).generators,
@@ -585,10 +618,15 @@ def test_engine_outputs_match_the_pinned_digests():
             saturations.update(render_one_line(w).encode() + b"\n")
             for g in saturate(IdealPresentation(ring, gens), c).generators:
                 saturations.update(str(g).encode() + b"\n")
-    assert {"verify_groebner_s5": gb.hexdigest(),
-            "verify_all_s5": summaries.hexdigest(),
-            "saturate_s5": saturations.hexdigest(),
-            "pivot_admitting_s5": len(pivoted)} == golden
+    return saturations.hexdigest()
+
+
+def test_prime_field_saturations_over_s5_match_the_pinned_digests():
+    """The two localization saturations over the pivot-admitting w in S_5,
+    as in ``saturate_s5`` of the engine digests, over F_32003 and F_2."""
+    golden = json.loads((Path(__file__).parent / "golden" / "saturate_prime_s5.json").read_text())
+    pivoted = [w for w in all_permutations(5) if find_pivot(w) is not None]
+    assert {str(p): _saturation_digest(pivoted, p) for p in (32003, 2)} == golden
 
 
 def test_the_s_pairs_formed_over_s5_are_pinned(monkeypatch):
