@@ -263,7 +263,7 @@ def _cmd_verify(args) -> int:
     pivot = frlab.find_pivot(w)
     setup = None if pivot is None else frlab.build_localization(w)
     results = {} if pivot is None else {
-        field: frlab.PIVOT_CHECKS[field](w, pivot, setup) for _, field, _, _ in lines if field}
+        field: frlab.PIVOT_CHECKS[field](setup) for _, field, _, _ in lines if field}
     if args.json:
         summary = frlab.VerificationSummary(w=w, pivot=pivot, skipped=pivot is None, **results)
         payload = summary.to_json()

@@ -210,7 +210,7 @@ class SchubertIdeal:
 
 
 def fulton_generators(w: PartialPermutation, ring: Optional[PolyRing] = None, *,
-                      cells: str = "essential", char: int = 0) -> SchubertIdeal:
+                      cells: str = "essential") -> SchubertIdeal:
     """All defining minors of the matrix Schubert variety of ``w``.
 
     ``cells`` selects whether minors are taken over the essential set (the
@@ -219,7 +219,7 @@ def fulton_generators(w: PartialPermutation, ring: Optional[PolyRing] = None, *,
     if cells not in ("essential", "diagram"):
         raise ValueError("cells must be 'essential' or 'diagram'")
     if ring is None:
-        ring = PolyRing(w.rows, w.cols, char=char)
+        ring = PolyRing(w.rows, w.cols)
     elif ring.rows < w.rows or ring.cols < w.cols:
         raise ValueError("ring grid too small for this permutation")
     if cells == "essential":

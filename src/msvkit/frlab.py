@@ -4,7 +4,7 @@ For a permutation w whose essential set has a positive-rank cell, there is a
 distinguished pivot entry c = x[i0, w(i0)], where i0 is the smallest row such
 that some positive-rank essential cell lies strictly southeast of (i0, w(i0)).
 This module verifies, by exact computation, the chain of facts that make the
-pivot useful:
+pivot useful, each check a function of one ``LocalizationSetup``:
 
 * the window fact: every cell northwest of the pivot is a rank-0 diagram
   cell, and the pivot is the only nonzero entry of w in its window;
@@ -33,8 +33,7 @@ pivot useful:
   nonzerodivisor modulo I_w and inverting it adds nothing to I_w; and c
   does not occur in I' written in the primed coordinates, where the
   transplanted basis of I_{w'} and the gamma variables already form a
-  Groebner basis.  Saturation at c is kept only as the fallback for a basis
-  whose leads c divides, which does not happen for permutations.
+  Groebner basis.
 """
 from __future__ import annotations
 
@@ -44,8 +43,8 @@ from typing import Iterator, Optional
 
 from .perm import (Cell, PartialPermutation, all_permutations, coxeter_length,
                    delete_row_col, diagram, essential_set, render_one_line)
-from .poly import (IdealPresentation, Monomial, Polynomial, PolyRing, buchberger,
-                   minor, monomial_divides, normal_forms, saturate, transplant)
+from .poly import (Monomial, Polynomial, PolyRing, buchberger, minor, monomial_divides,
+                   normal_forms, transplant)
 from .detideal import (MonomialIdeal, antidiagonal_ideal, fulton_generators,
                        is_nonzerodivisor_on_monomial_quotient)
 
@@ -68,16 +67,13 @@ def find_pivot(w: PartialPermutation) -> Optional[Cell]:
     raise AssertionError("unreachable: a positive essential cell admits a pivot")
 
 
-def verify_pivot_window(w: PartialPermutation, pivot: Optional[Cell] = None) -> bool:
+def verify_pivot_window(setup: LocalizationSetup) -> bool:
     """The window fact at the pivot: every cell strictly northwest-or-beside
     the pivot belongs to the diagram, every diagram cell in rows <= i0 has
     rank 0, and the pivot is the only nonzero entry of the upper-left
     i0 x w(i0) window of w."""
-    if pivot is None:
-        pivot = find_pivot(w)
-        if pivot is None:
-            raise ValueError("no pivot: every essential cell has rank 0")
-    p0, q0 = pivot
+    w = setup.w
+    p0, q0 = setup.c_cell
     d = diagram(w)
     for p in range(1, p0 + 1):
         for q in range(1, q0 + 1):
@@ -119,11 +115,11 @@ class MinorMembershipReport:
     failures: tuple  # (rows, cols) of minors outside <c> + J_w
 
 
-def verify_pivot_minors(w: PartialPermutation,
-                        ring: Optional[PolyRing] = None) -> MinorMembershipReport:
+def verify_pivot_minors(setup: LocalizationSetup) -> MinorMembershipReport:
     """Every minor of the full generic matrix whose antidiagonal term is
     divisible by the pivot variable must lie in the monomial ideal
-    <c> + J_w.  Exhaustive over those minors, so intended for n <= 6.
+    <c> + J_w, J_w the setup's ``antidiagonal``, which must be squarefree.
+    Exhaustive over those minors, so intended for n <= 6.
 
     No minor is expanded.  Its terms are the products over the bijections
     of its rows onto its columns, pairwise distinct and squarefree with
@@ -133,18 +129,10 @@ def verify_pivot_minors(w: PartialPermutation,
     bijections are searched depth first, a branch is cut once its partial
     support contains a generator's, and a minor fails once a complete
     bijection escapes every generator."""
-    pivot = find_pivot(w)
-    if pivot is None:
-        raise ValueError("no pivot: every essential cell has rank 0")
-    return _pivot_minor_report(w.size, pivot, antidiagonal_ideal(w, ring))
-
-
-def _pivot_minor_report(n: int, pivot: Cell, antidiagonal: MonomialIdeal) -> MinorMembershipReport:
-    """Lemma 1 against the antidiagonal ideal J_w in its ring, by the support
-    search of ``verify_pivot_minors``; J_w must be squarefree."""
+    antidiagonal = setup.antidiagonal
     if not antidiagonal.is_squarefree():
         raise ValueError("the minor support search requires a squarefree J_w")
-    ring = antidiagonal.ring
+    n, pivot, ring = setup.w.size, setup.c_cell, setup.ring
     gens = (ring.monomial({pivot: 1}),) + antidiagonal.gens
     cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
     key = {cell: ring.support(ring.monomial({cell: 1})) for cell in cells}
@@ -188,48 +176,28 @@ class InitialIdealReport:
     expected: MonomialIdeal
 
 
-def verify_pivot_initial_ideal(w: PartialPermutation,
-                               ring: Optional[PolyRing] = None) -> InitialIdealReport:
-    """Check in(<c> + I_w) = <c> + J_w by extending a reduced Groebner basis
-    of the Fulton generators by the pivot variable."""
-    pivot = find_pivot(w)
-    if pivot is None:
-        raise ValueError("no pivot: every essential cell has rank 0")
-    schubert = fulton_generators(w, ring)
-    return _initial_ideal_report(pivot, buchberger(schubert.generators),
-                                 antidiagonal_ideal(w, schubert.ring))
-
-
-def _initial_ideal_report(pivot: Cell, w_groebner: tuple,
-                          antidiagonal: MonomialIdeal) -> InitialIdealReport:
-    """Lemma 2 from the reduced Groebner basis of I_w: ``buchberger`` extends
-    it by the pivot variable without forming a pair inside it, and when c
-    divides no lead every new pair has coprime leads, so no S-polynomial is
-    formed at all.  Neither monomial ideal needs minimalizing: the leads of a
-    reduced basis are minimal generators of the lead ideal, and so are the
-    pivot variable c and the generators of J_w that c does not divide (none
-    of these divides c, as J_w is proper)."""
-    ring = antidiagonal.ring
-    basis = buchberger((ring.variable(*pivot),), basis=w_groebner)
+def verify_pivot_initial_ideal(setup: LocalizationSetup) -> InitialIdealReport:
+    """Check in(<c> + I_w) = <c> + J_w by extending the reduced Groebner
+    basis of I_w by the pivot variable.  ``buchberger`` forms no pair inside
+    that basis, and when c divides no lead every new pair has coprime leads,
+    so no S-polynomial is formed at all.  Neither monomial ideal needs
+    minimalizing: the leads of a reduced basis are minimal generators of the
+    lead ideal, and so are the pivot variable c and the generators of J_w
+    that c does not divide (none of these divides c, as J_w is proper)."""
+    ring, pivot = setup.ring, setup.c_cell
+    basis = buchberger((ring.variable(*pivot),), basis=setup.w_groebner)
     lead = MonomialIdeal.from_minimal_generators(ring, (g.leading_monomial() for g in basis))
     c = ring.monomial({pivot: 1})
     expected = MonomialIdeal.from_minimal_generators(
-        ring, (c,) + tuple(m for m in antidiagonal.gens if not monomial_divides(c, m)))
+        ring, (c,) + tuple(m for m in setup.antidiagonal.gens if not monomial_divides(c, m)))
     contains = all(lead.contains_monomial(m) for m in expected.gens)
     return InitialIdealReport(lead.gens == expected.gens, contains, lead, expected)
 
 
-def verify_pivot_nonzerodivisor(w: PartialPermutation) -> bool:
+def verify_pivot_nonzerodivisor(setup: LocalizationSetup) -> bool:
     """The pivot variable is a nonzerodivisor on the quotient by J_w."""
-    pivot = find_pivot(w)
-    if pivot is None:
-        raise ValueError("no pivot: every essential cell has rank 0")
-    return _pivot_is_nonzerodivisor(pivot, antidiagonal_ideal(w))
-
-
-def _pivot_is_nonzerodivisor(pivot: Cell, antidiagonal: MonomialIdeal) -> bool:
     return is_nonzerodivisor_on_monomial_quotient(
-        antidiagonal.ring.monomial({pivot: 1}), antidiagonal)
+        setup.ring.monomial({setup.c_cell: 1}), setup.antidiagonal)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +325,6 @@ class LocalizationReport:
     forward_failures: tuple
     # cleared and gamma generators of I' not in I_w : c^infinity
     backward_failures: tuple
-    setup: LocalizationSetup
 
 
 def _nonzerodivisor_on_leads(c: Monomial, basis: tuple) -> bool:
@@ -368,15 +335,20 @@ def _nonzerodivisor_on_leads(c: Monomial, basis: tuple) -> bool:
     return not any(monomial_divides(c, g.leading_monomial()) for g in basis)
 
 
-def verify_localization_identity(w: PartialPermutation,
-                                 setup: Optional[LocalizationSetup] = None) -> LocalizationReport:
+def verify_localization_identity(setup: LocalizationSetup) -> LocalizationReport:
     """Verify that inverting the pivot c identifies the extended ideal of I_w
     with I', by normal forms against plain Groebner bases.
 
-    Backward, I' in I_w : c^infinity: when c divides no lead of the basis of
-    I_w, that basis is one of I_w : c^infinity (``_nonzerodivisor_on_leads``),
-    and each generator of I' needs one normal form against it.  Otherwise the
-    saturation is computed.
+    Precondition: c divides no lead of the setup's reduced Groebner basis of
+    I_w (``_nonzerodivisor_on_leads``); a ValueError is raised otherwise, and
+    no verdict is returned.  It holds for every permutation: those leads
+    generate J_w (Knutson-Miller, Groebner geometry of Schubert polynomials,
+    Ann. Math. 2005, Thm B), and c divides no minimal generator of the
+    monomial ideal J_w, since it is a nonzerodivisor modulo J_w (lemma 3).
+
+    Backward, I' in I_w : c^infinity: by the precondition that basis is one
+    of I_w : c^infinity, and each generator of I' needs one normal form
+    against it.
 
     Forward, I_w in I' : c^infinity: in the primed coordinates I' is
     I_{w'} + <gamma>, whose Groebner basis is the reduced basis of I_{w'}
@@ -407,16 +379,12 @@ def verify_localization_identity(w: PartialPermutation,
     generators miss some of them still passes the backward direction, and
     the forward direction does not look at them.
     """
-    if setup is None:
-        setup = build_localization(w)
     ring = setup.ring
-    p0, q0 = setup.c_cell
-    c = ring.variable(p0, q0)
-    sat_w = setup.w_groebner
-    if not _nonzerodivisor_on_leads(c.leading_monomial(), sat_w):
-        sat_w = saturate(IdealPresentation(ring, setup.w_generators), c).generators
+    if not _nonzerodivisor_on_leads(ring.monomial({setup.c_cell: 1}), setup.w_groebner):
+        raise ValueError("the pivot divides a leading monomial of the basis of I_w, "
+                         "so it is not known to be a nonzerodivisor modulo I_w")
     prime_gens = setup.cleared_generators + setup.gamma_generators
-    *remainders, unit = normal_forms(prime_gens + (ring.one(),), sat_w)
+    *remainders, unit = normal_forms(prime_gens + (ring.one(),), setup.w_groebner)
     backward = tuple(g for g, r in zip(prime_gens, remainders) if r)
     proper = bool(unit)
     cell_map = _cell_map(setup.row_labels, setup.col_labels)
@@ -427,8 +395,7 @@ def verify_localization_identity(w: PartialPermutation,
                              gb_prime)
     forward = tuple(g for g, r in zip(setup.w_generators, rewritten) if r)
     return LocalizationReport(ok=not forward and not backward, proper=proper,
-                              forward_failures=forward, backward_failures=backward,
-                              setup=setup)
+                              forward_failures=forward, backward_failures=backward)
 
 
 # ---------------------------------------------------------------------------
@@ -468,18 +435,16 @@ class VerificationSummary:
         }
 
 
-# VerificationSummary field -> the check that fills it, given w, its pivot and
-# its LocalizationSetup; one setup serves every check, so the Fulton
-# generators of w, their Groebner basis and J_w are built once
+# VerificationSummary field -> the check that fills it from the
+# LocalizationSetup; one setup serves every check, so the Fulton generators of
+# w, their Groebner basis and J_w are built once.  Each entry looks the check
+# up by its module-level name when called, so a patched name is the one run.
 PIVOT_CHECKS = {
-    "window": lambda w, pivot, setup: verify_pivot_window(w, pivot),
-    "minors_ok": lambda w, pivot, setup: _pivot_minor_report(
-        w.size, pivot, setup.antidiagonal).ok,
-    "initial_ideal_ok": lambda w, pivot, setup: _initial_ideal_report(
-        pivot, setup.w_groebner, setup.antidiagonal).ok,
-    "nonzerodivisor_ok": lambda w, pivot, setup: _pivot_is_nonzerodivisor(
-        pivot, setup.antidiagonal),
-    "localization_ok": lambda w, pivot, setup: verify_localization_identity(w, setup).ok,
+    "window": lambda setup: verify_pivot_window(setup),
+    "minors_ok": lambda setup: verify_pivot_minors(setup).ok,
+    "initial_ideal_ok": lambda setup: verify_pivot_initial_ideal(setup).ok,
+    "nonzerodivisor_ok": lambda setup: verify_pivot_nonzerodivisor(setup),
+    "localization_ok": lambda setup: verify_localization_identity(setup).ok,
 }
 
 
@@ -490,7 +455,7 @@ def verify_all(w: PartialPermutation) -> VerificationSummary:
         return VerificationSummary(w=w, pivot=None, skipped=True)
     setup = build_localization(w)
     return VerificationSummary(w=w, pivot=pivot, skipped=False, **{
-        field: check(w, pivot, setup) for field, check in PIVOT_CHECKS.items()})
+        field: check(setup) for field, check in PIVOT_CHECKS.items()})
 
 
 def localization_sample(n: int = 5, max_length: int = 6) -> tuple:

@@ -66,7 +66,7 @@ def test_criterion_1a_golden_35142():
         # the primed 2-minor on rows {3,4}, columns {1,2}
         assert setup.generator_sites == (
             ((2,), (1,)), ((2,), (2,)), ((2,), (4,)), ((3, 4), (1, 2)))
-        report = verify_localization_identity(w, setup)
+        report = verify_localization_identity(setup)
         assert report.ok and report.proper
         # the four denominator-cleared differences lie in <x[1,1], x[1,2]>
         c = r.variable(1, 3)
@@ -175,7 +175,7 @@ def test_criterion_2d_s5_localization_sample():
         assert any(w.one_line() == (3, 5, 1, 4, 2) for w in sample)
         with certified():
             for w in sample:
-                report = verify_localization_identity(w)
+                report = verify_localization_identity(build_localization(w))
                 assert report.ok and report.proper, w.one_line()
     _CERTIFIED_SUITES.add("2d")
 

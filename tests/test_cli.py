@@ -433,7 +433,7 @@ def test_verify_commands_report_a_failed_check(capsys, monkeypatch):
     class Failed:
         ok = False
 
-    monkeypatch.setattr(frlab, "verify_localization_identity", lambda w, *a, **k: Failed())
+    monkeypatch.setattr(frlab, "verify_localization_identity", lambda setup: Failed())
     code, out, _ = run(capsys, "verify-localize", "3142")
     assert (code, out) == (1, "localization identity at pivot (2,1): FAILED\n")
     code, out, _ = run(capsys, "verify-localize", "3142", "--json")

@@ -4,6 +4,7 @@ identity I = I', all centered on the worked 35142 example plus exhaustive
 small sweeps."""
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -35,6 +36,13 @@ def nonregular(n):
     return [w for w in all_permutations(n) if find_pivot(w) is not None]
 
 
+@functools.cache
+def setup_(w):
+    """The localization setup of w (a permutation or its one-line word) over
+    Q; setups are frozen, so the tests share them."""
+    return build_localization(w_(w) if isinstance(w, str) else w)
+
+
 # ---------------------------------------------------------------------------
 # Pivot choice and window
 # ---------------------------------------------------------------------------
@@ -54,17 +62,17 @@ def test_pivot_exists_exactly_when_some_essential_cell_has_positive_rank():
 
 
 def test_pivot_window_35142():
-    assert verify_pivot_window(w_("35142"))
+    assert verify_pivot_window(setup_("35142"))
 
 
 def test_pivot_window_exhaustive_s4():
     for w in nonregular(4):
-        assert verify_pivot_window(w), w.one_line()
+        assert verify_pivot_window(setup_(w)), w.one_line()
 
 
 def test_pivot_window_requires_a_pivot():
     with pytest.raises(ValueError):
-        verify_pivot_window(identity(3))
+        verify_pivot_window(setup_(identity(3)))
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +80,7 @@ def test_pivot_window_requires_a_pivot():
 # ---------------------------------------------------------------------------
 
 def test_pivot_minors_35142():
-    report = verify_pivot_minors(w_("35142"))
+    report = verify_pivot_minors(setup_("35142"))
     assert report.ok
     # minors with the pivot x[1,3] on their antidiagonal: the row set must
     # contain 1 (paired with the largest column 3), so columns come from
@@ -83,7 +91,7 @@ def test_pivot_minors_35142():
 
 def test_pivot_minors_exhaustive_s4():
     for w in nonregular(4):
-        assert verify_pivot_minors(w).ok, w.one_line()
+        assert verify_pivot_minors(setup_(w)).ok, w.one_line()
 
 
 def test_pivot_minors_checks_exactly_the_minors_whose_antidiagonal_holds_the_pivot():
@@ -96,7 +104,7 @@ def test_pivot_minors_checks_exactly_the_minors_whose_antidiagonal_holds_the_piv
             c = ring.monomial({find_pivot(w): 1})
             expected = sum(monomial_divides(c, antidiagonal_monomial(ring, rows, cols))
                            for rows, cols in sites)
-            assert verify_pivot_minors(w).checked == expected, w.one_line()
+            assert verify_pivot_minors(setup_(w)).checked == expected, w.one_line()
 
 
 def expanded_minor_report(n, pivot, gens):
@@ -121,7 +129,7 @@ def expanded_minor_report(n, pivot, gens):
 def test_pivot_minor_search_agrees_with_the_expansion_oracle():
     s6 = random.Random(20261019).sample(nonregular(6), 60)
     for w in nonregular(4) + nonregular(5) + s6:
-        report = verify_pivot_minors(w)
+        report = verify_pivot_minors(setup_(w))
         J = antidiagonal_ideal(w)
         assert (report.ok, report.checked, report.failures) == \
             expanded_minor_report(w.size, find_pivot(w), J.gens), w.one_line()
@@ -133,24 +141,25 @@ def test_pivot_minor_search_and_the_oracle_fail_alike_without_a_generator():
     # same ones in the same order
     failing = 0
     for w in nonregular(4) + nonregular(5)[::4]:
-        pivot = find_pivot(w)
-        J = antidiagonal_ideal(w)
+        setup = setup_(w)
+        J = setup.antidiagonal
         for k in range(len(J.gens) + 1):
             kept = J.gens[:k] + J.gens[k + 1:] if k < len(J.gens) else ()
             smaller = dataclasses.replace(J, gens=kept)
-            report = frlab._pivot_minor_report(w.size, pivot, smaller)
+            report = verify_pivot_minors(dataclasses.replace(setup, antidiagonal=smaller))
             assert (report.ok, report.checked, report.failures) == \
-                expanded_minor_report(w.size, pivot, smaller.gens), (w.one_line(), k)
+                expanded_minor_report(w.size, setup.c_cell, smaller.gens), (w.one_line(), k)
             failing += not report.ok
     assert failing > 0
 
 
 def test_pivot_minor_search_requires_a_squarefree_ideal():
-    w = w_("35142")
-    J = antidiagonal_ideal(w)
+    setup = setup_("35142")
+    J = setup.antidiagonal
     square = J.ring.monomial({(2, 1): 2})
     with pytest.raises(ValueError, match="squarefree"):
-        frlab._pivot_minor_report(5, find_pivot(w), dataclasses.replace(J, gens=(square,)))
+        verify_pivot_minors(dataclasses.replace(
+            setup, antidiagonal=dataclasses.replace(J, gens=(square,))))
 
 
 def test_pivot_minors_match_the_pinned_s4_to_s6_digest():
@@ -163,7 +172,7 @@ def test_pivot_minors_match_the_pinned_s4_to_s6_digest():
     count = 0
     for n in golden["n"]:
         for w in nonregular(n):
-            report = verify_pivot_minors(w)
+            report = verify_pivot_minors(setup_(w))
             digest.update(json.dumps([render_one_line(w), report.ok, report.checked,
                                       report.failures]).encode() + b"\n")
             count += 1
@@ -176,14 +185,14 @@ def test_pivot_minors_match_the_pinned_s4_to_s6_digest():
 # ---------------------------------------------------------------------------
 
 def test_pivot_initial_ideal_35142():
-    report = verify_pivot_initial_ideal(w_("35142"))
+    report = verify_pivot_initial_ideal(setup_("35142"))
     assert report.ok
     assert report.contains_expected
 
 
 def test_pivot_initial_ideal_exhaustive_s4():
     for w in nonregular(4):
-        report = verify_pivot_initial_ideal(w)
+        report = verify_pivot_initial_ideal(setup_(w))
         assert report.contains_expected, w.one_line()
         assert report.ok, w.one_line()
 
@@ -195,7 +204,7 @@ def test_lemma_2_ideals_are_the_minimalized_ones():
     # also checked against J_w with c * x[n,n] adjoined.
     sample = nonregular(5) + random.Random(53).sample(nonregular(6), 60)
     for w in sample:
-        setup = build_localization(w)
+        setup = setup_(w)
         ring = setup.ring
         c = ring.monomial({setup.c_cell: 1})
         basis = poly.buchberger((ring.variable(*setup.c_cell),), basis=setup.w_groebner)
@@ -203,7 +212,8 @@ def test_lemma_2_ideals_are_the_minimalized_ones():
         corner = poly.monomial_mul(c, ring.monomial({(w.rows, w.cols): 1}))
         for antidiagonal in (setup.antidiagonal, MonomialIdeal.from_monomials(
                 ring, setup.antidiagonal.gens + (corner,))):
-            report = frlab._initial_ideal_report(setup.c_cell, setup.w_groebner, antidiagonal)
+            report = verify_pivot_initial_ideal(
+                dataclasses.replace(setup, antidiagonal=antidiagonal))
             assert report.lead == lead, w.one_line()
             assert report.expected == MonomialIdeal.from_monomials(
                 ring, (c,) + antidiagonal.gens), w.one_line()
@@ -213,7 +223,7 @@ def test_lemma_2_ideals_are_the_minimalized_ones():
 def test_lemma_2_in_verify_all_forms_no_s_pair_when_the_pivot_divides_no_lead(
         monkeypatch, word, restart_pairs):
     w = w_(word)
-    setup = build_localization(w)
+    setup = setup_(w)
     c = setup.ring.variable(*setup.c_cell)
     assert not any(monomial_divides(c.leading_monomial(), g.leading_monomial())
                    for g in setup.w_groebner)
@@ -245,9 +255,9 @@ def test_lemma_2_in_verify_all_forms_no_s_pair_when_the_pivot_divides_no_lead(
 
 
 def test_pivot_nonzerodivisor_35142_and_s5():
-    assert verify_pivot_nonzerodivisor(w_("35142"))
+    assert verify_pivot_nonzerodivisor(setup_("35142"))
     for w in nonregular(4):
-        assert verify_pivot_nonzerodivisor(w), w.one_line()
+        assert verify_pivot_nonzerodivisor(setup_(w)), w.one_line()
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +265,7 @@ def test_pivot_nonzerodivisor_35142_and_s5():
 # ---------------------------------------------------------------------------
 
 def test_build_localization_35142_structure():
-    setup = build_localization(w_("35142"))
+    setup = setup_("35142")
     assert setup.c_cell == Cell(1, 3)
     assert setup.w_prime.one_line() == (4, 1, 3, 2)
     assert setup.row_labels == (2, 3, 4, 5)
@@ -267,7 +277,7 @@ def test_build_localization_35142_structure():
 
 
 def test_build_localization_35142_cleared_generators():
-    setup = build_localization(w_("35142"))
+    setup = setup_("35142")
     r = setup.ring
     c = r.variable(1, 3)
     expected = (
@@ -289,7 +299,7 @@ def test_build_localization_35142_cleared_generators():
 
 def test_cleared_generators_are_not_divisible_by_the_pivot():
     for word in ("35142", "2143", "3142"):
-        setup = build_localization(w_(word))
+        setup = setup_(word)
         p0, q0 = setup.c_cell
         pivot = setup.ring.monomial({(p0, q0): 1})
         for g in setup.cleared_generators:
@@ -298,7 +308,7 @@ def test_cleared_generators_are_not_divisible_by_the_pivot():
 
 def test_cleared_degree_is_at_most_twice_the_original():
     for w in nonregular(4):
-        setup = build_localization(w)
+        setup = setup_(w)
         for g, (rows, cols) in zip(setup.cleared_generators, setup.generator_sites):
             assert g.total_degree() <= 2 * len(rows)
 
@@ -313,7 +323,7 @@ def test_cleared_generators_match_the_pinned_s6_digest():
     assert len(pivoted) == golden["pivot_admitting_s6"]
     digest = hashlib.sha256()
     for w in pivoted:
-        setup = build_localization(w)
+        setup = setup_(w)
         digest.update(render_one_line(w).encode() + b"\n")
         for g, site in zip(setup.cleared_generators, setup.generator_sites):
             digest.update(f"{site}\t{g}\n".encode())
@@ -330,7 +340,7 @@ def test_cleared_generators_are_the_substitution_cleared_of_the_pivot():
     included, that the term-by-term substitution gives once the pivot power
     is divided out."""
     for w in _oracle_sample():
-        setup = build_localization(w)
+        setup = setup_(w)
         ring, (p0, q0) = setup.ring, setup.c_cell
         cell_map = frlab._cell_map(setup.row_labels, setup.col_labels)
         images: dict = {}
@@ -354,7 +364,7 @@ def test_fulton_generators_in_the_primed_coordinates_are_minors():
     that function reduces is the minor on the right, up to sign."""
     cases = set()
     for w in _oracle_sample():
-        setup = build_localization(w)
+        setup = setup_(w)
         ring, pivot = setup.ring, setup.c_cell
         p0, q0 = pivot
         images: dict = {}
@@ -391,7 +401,7 @@ def test_build_localization_requires_a_pivot():
 # ---------------------------------------------------------------------------
 
 def test_localization_identity_35142():
-    report = verify_localization_identity(w_("35142"))
+    report = verify_localization_identity(setup_("35142"))
     assert report.ok
     assert report.proper
     assert report.forward_failures == ()
@@ -402,7 +412,7 @@ def test_primed_generator_differences_reduce_into_the_gamma_ideal():
     """The four denominator-cleared differences between original and primed
     generators all lie in the monomial ideal of the early-Gamma variables
     <x[1,1], x[1,2]> (the third one is identically zero)."""
-    setup = build_localization(w_("35142"))
+    setup = setup_("35142")
     r = setup.ring
     c = r.variable(1, 3)
     cl = setup.cleared_generators
@@ -420,7 +430,7 @@ def test_primed_generator_differences_reduce_into_the_gamma_ideal():
 
 def test_localization_identity_exhaustive_s4():
     for w in nonregular(4):
-        report = verify_localization_identity(w)
+        report = verify_localization_identity(setup_(w))
         assert report.ok and report.proper, w.one_line()
 
 
@@ -446,35 +456,30 @@ def outcome(report):
 def test_normal_form_identity_agrees_with_the_saturation_oracle():
     s6 = random.Random(20261018).sample(nonregular(6), 40)
     for w in nonregular(5) + s6:
-        setup = build_localization(w)
-        assert outcome(verify_localization_identity(w, setup)) == \
+        setup = setup_(w)
+        assert outcome(verify_localization_identity(setup)) == \
             saturation_oracle(w, setup), w.one_line()
 
 
-def test_saturation_fallback_when_the_pivot_divides_a_lead(monkeypatch):
-    words = [w_("35142")] + nonregular(5)
-    expected = [outcome(verify_localization_identity(w)) for w in words]
-    calls = []
-    real_saturate = frlab.saturate
+def test_identity_refuses_a_basis_whose_leads_the_pivot_divides(monkeypatch):
+    setup = setup_("35142")
     monkeypatch.setattr(frlab, "_nonzerodivisor_on_leads", lambda c, basis: False)
-    monkeypatch.setattr(frlab, "saturate",
-                        lambda ideal, c: calls.append(ideal) or real_saturate(ideal, c))
-    assert [outcome(verify_localization_identity(w)) for w in words] == expected
-    assert len(calls) == len(words)
+    with pytest.raises(ValueError, match="nonzerodivisor"):
+        verify_localization_identity(setup)
 
 
-def test_no_saturation_when_the_pivot_divides_no_lead(monkeypatch):
-    monkeypatch.setattr(frlab, "saturate", None)
-    assert verify_localization_identity(w_("35142")).ok
+def test_no_saturation_when_the_pivot_divides_no_lead():
+    assert not hasattr(frlab, "saturate")
+    assert verify_localization_identity(setup_("35142")).ok
 
 
 def test_a_cleared_generator_outside_the_ideal_is_a_backward_failure():
     w = w_("35142")
-    setup = build_localization(w)
+    setup = setup_(w)
     bad = setup.cleared_generators[0] + setup.ring.variable(5, 5)
     mutated = dataclasses.replace(
         setup, cleared_generators=(bad,) + setup.cleared_generators[1:])
-    report = verify_localization_identity(w, mutated)
+    report = verify_localization_identity(mutated)
     assert not report.ok
     assert report.backward_failures == (bad,)
     assert report.forward_failures == ()
@@ -488,11 +493,11 @@ def test_a_wrong_deleted_permutation_is_a_forward_failure():
     # I_3142 misses a generator of I_4132, the true w' of 35142, so I_w is
     # not in the wrong I' after inverting c
     w = w_("35142")
-    setup = build_localization(w)
+    setup = setup_(w)
     wrong = w_("3142")
     mutated = dataclasses.replace(setup, w_prime=wrong,
                                   w_prime_generators=fulton_generators(wrong, setup.ring).generators)
-    report = verify_localization_identity(w, mutated)
+    report = verify_localization_identity(mutated)
     assert not report.ok
     assert len(report.forward_failures) == 1
     assert report.backward_failures == ()
@@ -503,9 +508,9 @@ def test_a_dropped_cleared_generator_goes_unnoticed():
     # whose cleared generators miss one passes both directions; the
     # saturating oracle, which reads I' from the cleared generators, sees it
     w = w_("35142")
-    setup = build_localization(w)
+    setup = setup_(w)
     dropped = dataclasses.replace(setup, cleared_generators=setup.cleared_generators[1:])
-    report = verify_localization_identity(w, dropped)
+    report = verify_localization_identity(dropped)
     assert (report.ok, report.forward_failures, report.backward_failures) == (True, (), ())
     ok, _, forward, backward = saturation_oracle(w, dropped)
     assert not ok and forward and not backward
@@ -516,9 +521,23 @@ def test_identity_over_a_prime_field_agrees_with_the_saturation_oracle(char):
     for w in [w_("35142")] + nonregular(5):
         setup = build_localization(w, PolyRing(5, 5, char=char))
         assert all(g.ring == setup.ring for g in setup.w_prime_generators)
-        report = verify_localization_identity(w, setup)
+        report = verify_localization_identity(setup)
         assert report.ok and report.proper, w.one_line()
         assert outcome(report) == saturation_oracle(w, setup), w.one_line()
+
+
+def test_every_pivot_check_holds_over_prime_fields():
+    """All five checks over F_2, F_3 and F_32003 on every pivot-admitting
+    S_5; lemma 1 reports the same minors as over the rationals."""
+    pivoted = nonregular(5)
+    assert len(pivoted) == 78
+    for w in pivoted:
+        rational = verify_pivot_minors(setup_(w))
+        for char in (2, 3, 32003):
+            setup = build_localization(w, PolyRing(5, 5, char))
+            assert {field: check(setup) for field, check in frlab.PIVOT_CHECKS.items()} == \
+                dict.fromkeys(frlab.PIVOT_CHECKS, True), (w.one_line(), char)
+            assert verify_pivot_minors(setup) == rational, (w.one_line(), char)
 
 
 def test_verify_all_matches_the_pinned_s6_digest():
@@ -562,6 +581,31 @@ def test_verify_all_35142_json_schema():
         "skipped": False,
     }
     json.dumps(payload)
+
+
+PUBLIC_CHECKS = ("verify_pivot_window", "verify_pivot_minors", "verify_pivot_initial_ideal",
+                 "verify_pivot_nonzerodivisor", "verify_localization_identity")
+
+
+def test_verify_all_and_the_cli_run_the_public_checks(monkeypatch, capsys):
+    from msvkit.cli import main
+
+    calls = dict.fromkeys(PUBLIC_CHECKS, 0)
+
+    def counting(name, real):
+        def check(setup):
+            calls[name] += 1
+            return real(setup)
+        return check
+
+    for name in PUBLIC_CHECKS:
+        monkeypatch.setattr(frlab, name, counting(name, getattr(frlab, name)))
+    assert verify_all(w_("35142")).ok
+    assert calls == dict.fromkeys(PUBLIC_CHECKS, 1)
+    calls.update(dict.fromkeys(PUBLIC_CHECKS, 0))
+    assert main(["verify-lemma2", "35142"]) == 0
+    capsys.readouterr()
+    assert calls == {**dict.fromkeys(PUBLIC_CHECKS, 0), "verify_pivot_initial_ideal": 1}
 
 
 def test_verify_all_skips_when_regular():
