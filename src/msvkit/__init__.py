@@ -20,7 +20,7 @@ from .detideal import (MonomialIdeal, SchubertIdeal, antidiagonal_ideal,
                        monomial_codim, monomial_quotient_membership, verify_groebner)
 from .ci import (CIReport, ci_generators, is_complete_intersection,
                  minimal_generator_count, necessary_condition)
-from .frlab import (LocalizationSetup, build_localization, find_pivot,
+from .frlab import (LocalizationSetup, NoPivotError, build_localization, find_pivot,
                     localization_sample, verify_all, verify_localization_identity,
                     verify_pivot_initial_ideal, verify_pivot_minors,
                     verify_pivot_nonzerodivisor, verify_pivot_window)

@@ -260,9 +260,12 @@ VERIFY_COMMANDS = {
 def _cmd_verify(args) -> int:
     key, lines = VERIFY_COMMANDS[args.command]
     w = _load_target(args, permutation_only=True, bound=PIVOT_BOUND)
-    pivot = frlab.find_pivot(w)
-    setup = None if pivot is None else frlab.build_localization(w)
-    results = {} if pivot is None else {
+    try:
+        setup = frlab.build_localization(w)
+    except frlab.NoPivotError:
+        setup = None
+    pivot = None if setup is None else setup.c_cell
+    results = {} if setup is None else {
         field: frlab.PIVOT_CHECKS[field](setup) for _, field, _, _ in lines if field}
     if args.json:
         summary = frlab.VerificationSummary(w=w, pivot=pivot, skipped=pivot is None, **results)

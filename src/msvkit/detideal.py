@@ -21,8 +21,8 @@ from typing import Iterable, Optional, Sequence
 
 from .perm import Cell, PartialPermutation, diagram, essential_set, render_one_line
 from .poly import (IdealPresentation, Monomial, Polynomial, PolyRing, buchberger,
-                   minor, antidiagonal_monomial, monomial_divides, monomial_quotient,
-                   normal_forms)
+                   erase_variables, minor, antidiagonal_monomial, monomial_divides,
+                   monomial_quotient, normal_forms)
 
 
 def _w_json(w: PartialPermutation):
@@ -287,16 +287,15 @@ def graded_minimal_generators(ring: PolyRing, gens: Sequence[Polynomial]
         degrees.append(g.total_degree())
     # single-variable generators act by erasing every multiple of theirs, so
     # the other generators only keep their terms free of those variables
-    kill: set = set()
+    variables: list[Monomial] = []
     poly_gens: list[int] = []
     for idx, g in enumerate(gens):
         if degrees[idx] == 1 and len(g) == 1:
-            kill |= ring.support(g.leading_monomial())
+            variables.append(g.leading_monomial())
         else:
             poly_gens.append(idx)
-    survivors = {idx: ring.polynomial([(m, c) for m, c in gens[idx].terms()
-                                       if ring.free_of(m, kill)])
-                 for idx in poly_gens}
+    survivors = dict(zip(poly_gens, erase_variables([gens[idx] for idx in poly_gens],
+                                                    variables)))
     axpy, div = ring.field.axpy, ring.field.div
 
     kept: list[int] = []

@@ -281,13 +281,20 @@ def _cell_map(row_labels: tuple, col_labels: tuple) -> dict:
             for j, q in enumerate(col_labels, 1)}
 
 
+class NoPivotError(ValueError):
+    """The permutation has no pivot: the defining ideal is generated by
+    variables."""
+
+
 def build_localization(w: PartialPermutation, ring: Optional[PolyRing] = None) -> LocalizationSetup:
     """Construct the deleted permutation w', the label maps, the cleared
     generators of the localized ideal I', and the Fulton generators of w with
-    their reduced Groebner basis."""
+    their reduced Groebner basis.  Raises ``NoPivotError`` when ``w`` has no
+    pivot, so a caller that skips such a w need not look the pivot up
+    first."""
     pivot = find_pivot(w)
     if pivot is None:
-        raise ValueError("no pivot: the defining ideal is generated by variables")
+        raise NoPivotError("no pivot: the defining ideal is generated by variables")
     p0, q0 = pivot
     n = w.size
     if ring is None:
@@ -450,11 +457,11 @@ PIVOT_CHECKS = {
 
 def verify_all(w: PartialPermutation) -> VerificationSummary:
     """Run every pivot verification on ``w`` (skipping when no pivot exists)."""
-    pivot = find_pivot(w)
-    if pivot is None:
+    try:
+        setup = build_localization(w)
+    except NoPivotError:
         return VerificationSummary(w=w, pivot=None, skipped=True)
-    setup = build_localization(w)
-    return VerificationSummary(w=w, pivot=pivot, skipped=False, **{
+    return VerificationSummary(w=w, pivot=setup.c_cell, skipped=False, **{
         field: check(setup) for field, check in PIVOT_CHECKS.items()})
 
 

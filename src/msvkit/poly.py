@@ -18,7 +18,8 @@ Every ``PolyRing`` owns its coefficient field and its term order:
 Monomials are opaque outside this module: they compare with ``<`` in the
 ring's order, combine through the ``monomial_*`` functions, and are built,
 inspected and enumerated through ``PolyRing`` methods (``monomial``,
-``grid_support``, ``monomial_degree``, ``support``, ``free_of``).
+``grid_support``, ``monomial_degree``, ``support``), and ``erase_variables``
+drops the terms that given variables divide.
 Inside, a monomial is one packed int with one byte per variable, bytes in
 decreasing variable precedence from the most significant, after the packed
 exponent vectors of Bachmann and Schoenemann (ISSAC 1998).  Bit 7 of each
@@ -33,7 +34,11 @@ rather than carry into the next variable.
 The Groebner engine keeps what it has computed: a polynomial caches its
 leading monomial; ``normal_forms`` sorts one reducer list for many
 dividends; and extending a known basis re-reduces only the known elements
-that a new lead touches.
+that a new lead touches.  A variable x in an ideal erases every term that x
+divides, which on packed monomials is one AND against a mask of the
+variables' exponent bytes.  So ``buchberger`` and ``normal_forms`` keep the
+variables out of their pair updates and reducer scans, and
+``erase_variables`` gives callers the same erasure.
 """
 from __future__ import annotations
 
@@ -259,13 +264,9 @@ class PolyRing:
         return sum(m.to_bytes(self.nvars, "big"))  # _exponents, inlined
 
     def support(self, m: Monomial) -> frozenset:
-        """Opaque keys of the variables dividing m, for ``free_of``."""
+        """Opaque keys of the variables dividing m; two monomials share a
+        variable iff their supports meet."""
         return frozenset(compress(range(self.nvars), self._exponents(m)))
-
-    def free_of(self, m: Monomial, keys) -> bool:
-        """True iff no variable among ``keys`` (from ``support``) divides m."""
-        exps = self._exponents(m)
-        return not any(exps[k] for k in keys)
 
     def grid_support(self, m: Monomial) -> Iterator[tuple[int, int, int]]:
         """Yield (i, j, exponent) for the variables dividing m."""
@@ -462,6 +463,46 @@ def _lcm(a: Monomial, b: Monomial, guard: int) -> Monomial:
     selects a's exponent, the other bytes keep b's."""
     ge = ((a | guard) - b) & guard
     return b ^ ((a ^ b) & (ge - (ge >> 7)))
+
+
+def _variable_mask(monomials: Iterable[Monomial], guard: int) -> int:
+    """The 0x7f byte of every variable dividing one of ``monomials``, guard
+    covering their bytes: adding 0x7f to an exponent byte reaches its guard
+    bit exactly when the exponent is positive, and a guard bit less its own
+    low bit is the byte's mask.  A monomial m shares a variable with them iff
+    ``m & mask``."""
+    low = (guard >> 7) * EXPONENT_BOUND
+    g = 0
+    for m in monomials:
+        g |= (m + low) & guard
+    return g - (g >> 7)
+
+
+def _is_variable(m: Monomial) -> bool:
+    """True iff m is a single variable: one bit, the lowest of its byte."""
+    return m > 0 and not m & (m - 1) and (m.bit_length() - 1) % 8 == 0
+
+
+def _erased(f: "Polynomial", mask: int) -> "Polynomial":
+    """f without the terms that ``mask`` meets; f itself if it loses none."""
+    d = {m: c for m, c in f._d.items() if not m & mask}
+    return f if len(d) == len(f._d) else Polynomial(f.ring, d)
+
+
+def erase_variables(fs: Sequence["Polynomial"], monomials: Iterable[Monomial]) -> tuple:
+    """Each f in ``fs`` without the terms that some variable dividing one of
+    ``monomials`` divides.  For monomials that are variables this is f
+    modulo the ideal they generate, so the result is the zero polynomial
+    exactly when f lies in it.
+
+    >>> r = PolyRing(2, 2)
+    >>> f = r.parse("x[1,1]*x[2,2] - x[1,2]*x[2,1] + x[2,2]^2")
+    >>> [str(g) for g in erase_variables([f], [r.monomial({(1, 1): 1})])]
+    ['-x[1,2]*x[2,1] + x[2,2]^2']
+    """
+    fs = tuple(fs)
+    mask = _variable_mask(monomials, fs[0].ring._guard) if fs else 0
+    return tuple(_erased(f, mask) for f in fs) if mask else fs
 
 
 class Polynomial:
@@ -718,8 +759,12 @@ def normal_form(f: Polynomial, reducers: Sequence[Polynomial]) -> Polynomial:
 
     No term of the result is divisible by any reducer's leading monomial, and
     f minus the result lies in the ideal generated by the reducers.  The
-    reducer with the smallest leading monomial is preferred (ties broken by
-    input order), which makes the division deterministic.
+    division is deterministic: a reducer that is a single variable times a
+    unit erases every term that variable divides before any other reducer is
+    tried; otherwise the reducer with the smallest leading monomial is
+    preferred (ties broken by input order).  When the reducers form a
+    Groebner basis, as every caller's in this package do, the remainder is
+    the unique normal form, whichever reducer the rule prefers.
     """
     return normal_forms((f,), reducers)[0]
 
@@ -727,7 +772,8 @@ def normal_form(f: Polynomial, reducers: Sequence[Polynomial]) -> Polynomial:
 def normal_forms(fs: Sequence[Polynomial], reducers: Sequence[Polynomial]) -> tuple:
     """``normal_form(f, reducers)`` for each f in ``fs``, in order.  The
     reducers are prepared and sorted once for all of them, so a caller
-    dividing many polynomials by one basis makes one call."""
+    dividing many polynomials by one basis makes one call.  The variables
+    among them become one erasing mask and leave the scanned list."""
     fs = tuple(fs)
     if not fs:
         return ()
@@ -735,10 +781,14 @@ def normal_forms(fs: Sequence[Polynomial], reducers: Sequence[Polynomial]) -> tu
     for f in fs:
         if f.ring is not ring and f.ring != ring:
             raise ValueError("polynomials must live in a common ring")
-    prepared = sorted(_reducer_entry(ring, k, g) for k, g in enumerate(reducers))
-    if not prepared:
+    entries = [_reducer_entry(ring, k, g) for k, g in enumerate(reducers)]
+    if not entries:
         return fs
-    return tuple(Polynomial(ring, _reduce_dict(dict(f._d), prepared, ring)) for f in fs)
+    variables = [e[0] for e in entries if len(e[3]) == 1 and _is_variable(e[0])]
+    mask = _variable_mask(variables, ring._guard)
+    # a reducer whose lead the mask meets divides only erased terms
+    prepared = sorted(e for e in entries if not e[0] & mask)
+    return tuple(Polynomial(ring, _reduce_dict(dict(f._d), prepared, ring, mask)) for f in fs)
 
 
 def _reducer_entry(ring: PolyRing, k: int, g: Polynomial) -> tuple:
@@ -752,8 +802,12 @@ def _reducer_entry(ring: PolyRing, k: int, g: Polynomial) -> tuple:
     return lm, k, g._d[lm], g._d
 
 
-def _reduce_dict(p: dict, prepared: list, ring: PolyRing) -> dict:
-    """Destructively reduce the term dict ``p``; returns the remainder dict."""
+def _reduce_dict(p: dict, prepared: list, ring: PolyRing, mask: int = 0) -> dict:
+    """Destructively reduce the term dict ``p`` by the sorted entries
+    ``prepared``, after erasing every term that ``mask`` (the variable mask
+    of the variable reducers) meets; returns the remainder dict."""
+    if mask:
+        p = {m: c for m, c in p.items() if not m & mask}
     if not prepared:
         return p
     div = ring.field.div
@@ -763,6 +817,9 @@ def _reduce_dict(p: dict, prepared: list, ring: PolyRing) -> dict:
     while p:
         m = max(p)
         c = p[m]
+        if m & mask:  # a variable reducer divides m
+            del p[m]
+            continue
         for lm, _, lc, gd in prepared:
             u = m - lm
             if not u & guard:  # lm | m, inlined
@@ -806,6 +863,17 @@ def buchberger(generators: Sequence[Polynomial] | IdealPresentation, *,
     lcm first, ties by pair index), so the run is deterministic.  The output
     is monic, auto-reduced, and sorted by increasing leading monomial.
 
+    Without ``basis``, the generators that are a single variable times a
+    unit are split off first.  They erase every term they divide from the
+    other generators, the zero ones are dropped, and the core runs on the
+    rest, whose basis is then free of those variables.  So the variables and
+    that basis together are reduced and Groebner (a variable's pairs with it
+    have coprime leads) and are merged in lead order, unless that basis is
+    ``(1,)``, which is then the result.  The reduced basis is unique, so
+    this is the basis the core would give on all the generators, without
+    the variables in its reducer scans and pair updates.  Calls with
+    ``basis`` do not split.
+
     ``basis`` extends a known Groebner basis: the caller vouches that it is
     a reduced Groebner basis in the generators' ring, such as an earlier
     ``buchberger`` output.  Its elements serve as reducers from the start,
@@ -840,11 +908,30 @@ def buchberger(generators: Sequence[Polynomial] | IdealPresentation, *,
             raise ValueError("generators must be nonzero")
         if g.ring != ring:
             raise ValueError("generators must live in a common ring")
-    core = _buchberger_core(ring, [g.monic() for g in basis + gens], len(basis))
-    result = _interreduce(core, len(basis))
+    if basis:
+        core = _buchberger_core(ring, [g.monic() for g in basis + gens], len(basis))
+        result = _interreduce(core, len(basis))
+    else:
+        result = _buchberger_apart(ring, gens)
     if _CERTIFY:
         _certify_basis(ring, basis + gens, result)
     return result
+
+
+def _buchberger_apart(ring: PolyRing, gens: tuple) -> tuple:
+    """The reduced Groebner basis of ``gens`` with the variables among them
+    split off, as ``buchberger`` describes."""
+    variables = {g.leading_monomial() for g in gens
+                 if len(g._d) == 1 and _is_variable(g.leading_monomial())}
+    if variables:
+        # the variables themselves erase to zero
+        mask = _variable_mask(variables, ring._guard)
+        gens = [h for h in (_erased(g, mask) for g in gens) if h]
+    rest = _interreduce(_buchberger_core(ring, [g.monic() for g in gens], 0), 0)
+    if rest[:1] and not rest[0].leading_monomial():
+        return rest  # the unit ideal
+    return tuple(sorted(rest + tuple(Polynomial(ring, {v: 1}, v) for v in variables),
+                        key=Polynomial.leading_monomial))
 
 
 def _buchberger_core(ring: PolyRing, basis: list, known: int) -> list:

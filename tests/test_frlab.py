@@ -21,7 +21,7 @@ from msvkit.poly import (IdealPresentation, PolyRing, antidiagonal_monomial, min
                          monomial_divides, normal_form, saturate, transplant)
 from msvkit.detideal import (MonomialIdeal, antidiagonal_ideal, fulton_generators,
                              monomial_quotient_membership)
-from msvkit.frlab import (build_localization, find_pivot, localization_sample,
+from msvkit.frlab import (NoPivotError, build_localization, find_pivot, localization_sample,
                           verify_all, verify_localization_identity,
                           verify_pivot_initial_ideal, verify_pivot_minors,
                           verify_pivot_nonzerodivisor, verify_pivot_window)
@@ -606,6 +606,32 @@ def test_verify_all_and_the_cli_run_the_public_checks(monkeypatch, capsys):
     assert main(["verify-lemma2", "35142"]) == 0
     capsys.readouterr()
     assert calls == {**dict.fromkeys(PUBLIC_CHECKS, 0), "verify_pivot_initial_ideal": 1}
+
+
+def test_verify_all_and_the_cli_look_the_pivot_up_once(monkeypatch, capsys):
+    """``build_localization`` looks the pivot up and raises ``NoPivotError``
+    without one, so neither caller looks it up first.  The CLI bounds
+    verify-all at n <= 5, so it runs on 35142 and on a pivot-free input."""
+    from msvkit.cli import main
+
+    calls = [0]
+    real_find_pivot = frlab.find_pivot
+
+    def counting_find_pivot(w):
+        calls[0] += 1
+        return real_find_pivot(w)
+
+    monkeypatch.setattr(frlab, "find_pivot", counting_find_pivot)
+    for run, expected in ((lambda: verify_all(w_("351642")).ok, True),
+                          (lambda: verify_all(longest_element(4)).skipped, True),
+                          (lambda: main(["verify-all", "35142"]), 0),
+                          (lambda: main(["verify-all", "4321"]), 0)):
+        calls[0] = 0
+        assert run() == expected
+        assert calls[0] == 1
+    assert "skipped: no pivot" in capsys.readouterr().out
+    with pytest.raises(NoPivotError):
+        build_localization(longest_element(4))
 
 
 def test_verify_all_skips_when_regular():

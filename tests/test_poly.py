@@ -20,7 +20,8 @@ from msvkit.detideal import fulton_generators, verify_groebner
 from msvkit.frlab import build_localization, find_pivot, verify_all
 from msvkit.poly import (EXPONENT_BOUND, ExponentOverflowError, GroebnerCertificationError,
                          IdealPresentation, Polynomial, PolyRing, _lcm, antidiagonal_monomial,
-                         buchberger, certified, ideals_equal, is_reduced_groebner_basis, minor,
+                         buchberger, certified, erase_variables, ideals_equal,
+                         is_reduced_groebner_basis, minor,
                          monomial_coprime, monomial_divides, monomial_lcm,
                          monomial_mul, monomial_quotient, normal_form, normal_forms,
                          s_polynomial, saturate, transplant)
@@ -126,7 +127,9 @@ def test_monomial_kernels_match_their_per_exponent_definitions(a, b, terms, c, c
     assert (monomial_lcm(m(a), m(b)) == monomial_mul(m(a), m(b))) \
         == (not any(x > 0 and y > 0 for x, y in zip(a, b)))
     assert len(ring.support(m(a))) == sum(1 for x in a if x)
-    assert ring.free_of(m(b), ring.support(m(a))) == monomial_coprime(m(a), m(b))
+    # b keeps its one term under erasure by a's variables iff it is free of them
+    assert bool(erase_variables([ring.polynomial({m(b): 1})], [m(a)])[0]) \
+        == monomial_coprime(m(a), m(b))
     assert normal_form(ring.polynomial({m(b): 1}), [ring.polynomial({m(a): 1})]).is_zero \
         == divides
     f = ring.polynomial([(m(e), v) for e, v in terms])
@@ -462,6 +465,90 @@ def test_extending_a_basis_is_buchberger_on_the_union(a, b, char):
         assert buchberger(B, basis=buchberger(A)) == buchberger(A + B)
 
 
+# squarefree generators in a 2 x 3 ring, cells in row-major order with the
+# columns ascending, and variables (cell index, coefficient) mixed in
+SPLIT_CELLS = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)]
+SPLIT_GENERATORS = st.lists(
+    st.lists(st.tuples(st.tuples(*[st.integers(0, 1)] * len(SPLIT_CELLS)),
+                       st.integers(-3, 3)), min_size=1, max_size=3),
+    max_size=3)
+SPLIT_VARIABLES = st.lists(
+    st.tuples(st.integers(0, len(SPLIT_CELLS) - 1), st.integers(1, 3) | st.integers(-3, -1)),
+    min_size=1, max_size=3)
+DIVIDENDS = st.lists(
+    st.lists(st.tuples(st.tuples(*[st.integers(0, 2)] * len(SPLIT_CELLS)),
+                       st.integers(-3, 3)), min_size=1, max_size=4),
+    min_size=1, max_size=3)
+X11_X22 = (1, 0, 0, 0, 1, 0)
+X12_X21 = (0, 1, 0, 1, 0, 0)
+
+
+def _division_scanning_every_reducer(f, reducers):
+    """The remainder of f by monic ``reducers``: the largest term left is
+    reduced by the reducer with the smallest lead that divides it, every
+    reducer scanned, variables included."""
+    ring = f.ring
+    reducers = sorted(reducers, key=lambda g: g.leading_monomial())
+    assert all(g.leading_coefficient() == 1 for g in reducers)
+    remainder = ring.zero()
+    while f:
+        m, c = f.terms()[0]
+        for g in reducers:
+            lm = g.leading_monomial()
+            if monomial_divides(lm, m):
+                f = f - g.mul_term(monomial_quotient(m, lm), c)
+                break
+        else:
+            term = ring.polynomial({m: c})
+            remainder, f = remainder + term, f - term
+    return remainder
+
+
+@settings(max_examples=150, deadline=None)
+# a duplicated variable
+@example(others=[[(X11_X22, 1), (X12_X21, -1)]], variables=[(0, 1), (0, 1)],
+         dividends=[[(X11_X22, 1)]], shuffle=0, char=0)
+# a variable with a coefficient other than 1
+@example(others=[[(X11_X22, 1), (X12_X21, -1)]], variables=[(3, -2)],
+         dividends=[[(X12_X21, 3), ((0, 0, 0, 2, 0, 1), 1)]], shuffle=1, char=32003)
+# a variable dividing another generator's lead: x[1,3] | x[1,3]*x[2,1]
+@example(others=[[((0, 0, 1, 1, 0, 0), 1), (X11_X22, -1)], [((0, 1, 1, 0, 0, 0), 1)]],
+         variables=[(2, 1)], dividends=[[((0, 0, 1, 1, 0, 0), 1), (X11_X22, 2)]],
+         shuffle=2, char=0)
+# the unit ideal: x[1,1] erases x[1,1] + 1 down to 1
+@example(others=[[((1, 0, 0, 0, 0, 0), 1), ((0,) * 6, 1)]], variables=[(0, 1)],
+         dividends=[[((0,) * 6, 5)]], shuffle=0, char=0)
+@given(others=SPLIT_GENERATORS, variables=SPLIT_VARIABLES, dividends=DIVIDENDS,
+       shuffle=st.integers(0, 2 ** 16), char=st.sampled_from([0, 32003]))
+def test_splitting_off_the_variables_is_buchberger_on_the_union(
+        others, variables, dividends, shuffle, char):
+    """``buchberger`` without ``basis=`` splits off the variables; extending
+    by ``basis=`` does not split, so with the variables as the known basis
+    it runs the core on everything.  And ``normal_forms`` erases by the
+    variables of a basis before scanning, which gives the remainder of a
+    division that scans every reducer."""
+    ring = PolyRing(2, 3, char=char)
+
+    def polys(gens):
+        made = (ring.polynomial([(ring.monomial(zip(SPLIT_CELLS, e)), c) for e, c in g])
+                for g in gens)
+        return [f for f in made if f]
+
+    rest = polys(others)
+    xs = [ring.variable(*SPLIT_CELLS[k]).scale(c) for k, c in variables]
+    gens = rest + xs
+    random.Random(shuffle).shuffle(gens)
+    monic = sorted({ring.variable(*SPLIT_CELLS[k]) for k, _ in variables},
+                   key=lambda g: g.leading_monomial())
+    with certified():
+        gb = buchberger(gens)
+        assert gb == buchberger(rest, basis=monic)
+    if gb != (ring.one(),):
+        assert set(monic) <= set(gb)
+    fs = polys(dividends)
+    assert normal_forms(fs, gb) == tuple(_division_scanning_every_reducer(f, gb) for f in fs)
+
+
 @pytest.mark.parametrize("char", [0, 32003])
 def test_extending_the_basis_of_i_w_by_the_pivot_is_buchberger_on_the_union(char):
     ring = PolyRing(5, 5, char=char)
@@ -590,19 +677,32 @@ def test_engine_outputs_match_the_pinned_digests():
     saturations over the pivot-admitting w in S_5.  Any change to division
     order, pair selection or interreduction that alters a basis shows here."""
     golden = json.loads((Path(__file__).parent / "golden" / "engine_digest.json").read_text())
-    gb = hashlib.sha256()
-    for w in all_permutations(5):
-        gb.update(render_one_line(w).encode() + b"\n")
-        for g in verify_groebner(w).basis:
-            gb.update(str(g).encode() + b"\n")
     pivoted = [w for w in all_permutations(5) if find_pivot(w) is not None]
     summaries = hashlib.sha256()
     for w in pivoted:
         summaries.update(json.dumps(verify_all(w).to_json(), sort_keys=True).encode() + b"\n")
-    assert {"verify_groebner_s5": gb.hexdigest(),
+    assert {"verify_groebner_s5": _groebner_digest(5),
             "verify_all_s5": summaries.hexdigest(),
             "saturate_s5": _saturation_digest(pivoted, 0),
             "pivot_admitting_s5": len(pivoted)} == golden
+
+
+def test_groebner_bases_over_s6_match_the_pinned_digest():
+    """The rendered reduced bases of ``verify_groebner`` over all of S_6, as
+    ``verify_groebner_s5`` of the engine digests is over S_5."""
+    golden = json.loads((Path(__file__).parent / "golden" / "groebner_bases_s6.json").read_text())
+    assert {"verify_groebner_s6": _groebner_digest(6)} == golden
+
+
+def _groebner_digest(n):
+    """sha256 of the rendered reduced bases of ``verify_groebner`` over S_n,
+    each after its permutation's one-line word."""
+    gb = hashlib.sha256()
+    for w in all_permutations(n):
+        gb.update(render_one_line(w).encode() + b"\n")
+        for g in verify_groebner(w).basis:
+            gb.update(str(g).encode() + b"\n")
+    return gb.hexdigest()
 
 
 def _saturation_digest(pivoted, char):
