@@ -245,4 +245,4 @@ def minimal_generator_count(w: PartialPermutation, *, char: int = 0) -> int:
     the lower-degree generators, then exact ranks).  Defaults to
     exact rational arithmetic; a prime ``char`` selects the prime-field fast
     path."""
-    return fulton_generators(w, PolyRing(w.rows, w.cols, char)).minimal_count
+    return len(fulton_generators(w, PolyRing(w.rows, w.cols, char)).generators)

@@ -4,9 +4,15 @@ For a (partial) permutation w, the defining ideal of its matrix Schubert
 variety is generated by the minors of size r+1 in each upper-left p x q
 corner, where r is the rank of w's own p x q corner and (p, q) runs over the
 essential set (equivalently over the whole diagram).  These are the Fulton
-generators.  Their antidiagonal terms generate the initial ideal under any
-antidiagonal term order; ``verify_groebner`` checks that statement on a
-concrete w by running Buchberger and comparing monomial ideals.
+generators; each is recorded with its site, the (rows, cols) of its minor,
+and graded Nakayama selects a minimal generating set among them.  Their
+antidiagonal terms generate the initial ideal under any antidiagonal term
+order; ``verify_groebner`` checks that statement on a concrete w by running
+Buchberger and comparing monomial ideals.
+
+Coefficients never appear here: the linear algebra of the Nakayama
+selection is ``poly.independent``, and the module reaches the polynomial
+engine only through ``poly``'s public functions.
 
 The module also carries the monomial-ideal utilities needed elsewhere:
 codimension of a squarefree monomial ideal by exact minimum vertex cover,
@@ -17,11 +23,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .perm import Cell, PartialPermutation, diagram, essential_set, render_one_line
-from .poly import (IdealPresentation, Monomial, Polynomial, PolyRing, buchberger,
-                   erase_variables, minor, antidiagonal_monomial, monomial_divides,
+from .perm import PartialPermutation, diagram, essential_set, render_one_line
+from .poly import (Monomial, Polynomial, PolyRing, antidiagonal_monomial, buchberger,
+                   erase_variables, independent, minor, monomial_divides,
                    monomial_quotient, normal_forms)
 
 
@@ -171,42 +177,31 @@ def monomial_codim(J: MonomialIdeal) -> int:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class MinorSite:
-    """Where a Fulton generator comes from: the essential/diagram cell and the
-    row/column index sets of the minor."""
-
-    cell: Cell
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class SchubertIdeal:
     """The Schubert determinantal ideal of a (partial) permutation.
 
-    ``raw_generators`` lists every minor of size r+1 over the chosen cells in
-    canonical order (cells row-major; within a cell, row subsets then column
-    subsets lexicographic); ``generators`` is the minimal generating subset
-    selected by graded Nakayama, with ``sites``/``raw_sites`` recording where
-    each generator comes from.  ``minimal_count`` is the minimal number of
-    generators of the ideal.
+    ``cells`` are the chosen (cell, rank) pairs.  ``raw_generators`` lists
+    every minor of size r+1 over them in canonical order (cells row-major;
+    within a cell, row subsets then column subsets lexicographic);
+    ``generators`` is the minimal generating subset selected by graded
+    Nakayama, so its length is the minimal number of generators of the
+    ideal, and ``sites`` holds the (rows, cols) of each of its minors.
     """
 
-    source: PartialPermutation
     ring: PolyRing
-    cells_mode: str
     cells: tuple
     generators: tuple
     sites: tuple
     raw_generators: tuple
-    raw_sites: tuple
-    minimal_count: int
 
-    def presentation(self) -> IdealPresentation:
-        return IdealPresentation(self.ring, self.generators)
 
-    def raw_presentation(self) -> IdealPresentation:
-        return IdealPresentation(self.ring, self.raw_generators)
+def _minor_sites(cell_ranks: Iterable) -> Iterator[tuple]:
+    """(rows, cols) of the Fulton minors over the (cell, rank) pairs, in the
+    canonical order of ``SchubertIdeal.raw_generators``."""
+    for cell, r in cell_ranks:
+        for rows in itertools.combinations(range(1, cell.p + 1), r + 1):
+            for cols in itertools.combinations(range(1, cell.q + 1), r + 1):
+                yield rows, cols
 
 
 def fulton_generators(w: PartialPermutation, ring: Optional[PolyRing] = None, *,
@@ -227,20 +222,12 @@ def fulton_generators(w: PartialPermutation, ring: Optional[PolyRing] = None, *,
     else:
         d = diagram(w)
         cell_ranks = tuple((c, d.ranks[c]) for c in d.sorted_cells())
-    raw: list[Polynomial] = []
-    sites: list[MinorSite] = []
-    for cell, r in cell_ranks:
-        for rows in itertools.combinations(range(1, cell.p + 1), r + 1):
-            for cols in itertools.combinations(range(1, cell.q + 1), r + 1):
-                raw.append(minor(ring, rows, cols))
-                sites.append(MinorSite(cell, rows, cols))
-    kept_indices, mu = graded_minimal_generators(ring, raw)
-    return SchubertIdeal(
-        source=w, ring=ring, cells_mode=cells, cells=cell_ranks,
-        generators=tuple(raw[i] for i in kept_indices),
-        sites=tuple(sites[i] for i in kept_indices),
-        raw_generators=tuple(raw), raw_sites=tuple(sites),
-        minimal_count=mu)
+    sites = list(_minor_sites(cell_ranks))
+    raw = [minor(ring, rows, cols) for rows, cols in sites]
+    kept, _ = graded_minimal_generators(ring, raw)
+    return SchubertIdeal(ring=ring, cells=cell_ranks,
+                         generators=tuple(raw[i] for i in kept),
+                         sites=tuple(sites[i] for i in kept), raw_generators=tuple(raw))
 
 
 def antidiagonal_ideal(w: PartialPermutation, ring: Optional[PolyRing] = None) -> MonomialIdeal:
@@ -249,12 +236,9 @@ def antidiagonal_ideal(w: PartialPermutation, ring: Optional[PolyRing] = None) -
     by construction (an antidiagonal multiplies distinct variables)."""
     if ring is None:
         ring = PolyRing(w.rows, w.cols)
-    monomials = []
-    for cell, r in essential_set(w):
-        for rows in itertools.combinations(range(1, cell.p + 1), r + 1):
-            for cols in itertools.combinations(range(1, cell.q + 1), r + 1):
-                monomials.append(antidiagonal_monomial(ring, rows, cols))
-    return MonomialIdeal.from_monomials(ring, monomials)
+    return MonomialIdeal.from_monomials(
+        ring, (antidiagonal_monomial(ring, rows, cols)
+               for rows, cols in _minor_sites(essential_set(w))))
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +256,11 @@ def graded_minimal_generators(ring: PolyRing, gens: Sequence[Polynomial]
     Nakayama).  That space is I_d / J_d for J the ideal of the generators of
     degree < d, which the kept ones of degree < d already generate.  The
     normal form against a Groebner basis of J is a linear map on degree-d
-    forms whose kernel is exactly J_d, so each degree-d generator is reduced
-    to its normal form and then echelonized against the kept ones: the
-    selection is exact, with ranks over the rationals in characteristic 0
-    and over the prime field otherwise (Kreuzer-Robbiano, Computational
-    Commutative Algebra 2, on minimal homogeneous generators).
+    forms whose kernel is exactly J_d, so the degree-d generators are reduced
+    to their normal forms and ``independent`` keeps those outside the span of
+    the ones before them: the selection is exact, with ranks over the ring's
+    field (Kreuzer-Robbiano, Computational Commutative Algebra 2, on minimal
+    homogeneous generators).
     """
     degrees: list[int] = []
     for g in gens:
@@ -296,32 +280,13 @@ def graded_minimal_generators(ring: PolyRing, gens: Sequence[Polynomial]
             poly_gens.append(idx)
     survivors = dict(zip(poly_gens, erase_variables([gens[idx] for idx in poly_gens],
                                                     variables)))
-    axpy, div = ring.field.axpy, ring.field.div
-
     kept: list[int] = []
     for d in sorted(set(degrees)):
         lower = [survivors[idx] for idx in kept if idx in survivors and survivors[idx]]
         basis = buchberger(lower) if lower else ()
-        echelon: dict[Monomial, dict] = {}
-
-        def insert(row: dict) -> bool:
-            """Reduce ``row`` by the echelon and add it there unless it
-            reduces to zero; True iff it was added."""
-            while row:
-                lead = max(row)
-                pivot = echelon.get(lead)
-                if pivot is None:
-                    lc = row[lead]
-                    echelon[lead] = row if lc == 1 else {m: div(c, lc) for m, c in row.items()}
-                    return True
-                axpy(row, pivot.items(), -row[lead])
-            return False
-
         indices = [idx for idx in range(len(gens)) if degrees[idx] == d]
         rows = [gens[idx] if d == 1 else survivors[idx] for idx in indices]
-        for idx, row in zip(indices, normal_forms(rows, basis)):
-            if insert(dict(row.terms())):
-                kept.append(idx)
+        kept += [indices[k] for k in independent(normal_forms(rows, basis))]
     return tuple(kept), len(kept)
 
 

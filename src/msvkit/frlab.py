@@ -144,28 +144,32 @@ def verify_pivot_minors(setup: LocalizationSetup) -> MinorMembershipReport:
         for v in support:
             covering.setdefault(v, []).append(support)
 
-    def escapes(rows: tuple, cols: tuple, k: int, support: frozenset) -> bool:
-        # whether some bijection of rows[k:] onto cols, with support chosen
-        # so far, gives a term outside <c> + J_w
-        if k == len(rows):
-            return True
-        for idx, j in enumerate(cols):
-            v = key[(rows[k], j)]
-            grown = support | v
-            (var,) = v
-            if any(g <= grown for g in covering.get(var, ())):
-                continue
-            if escapes(rows, cols[:idx] + cols[idx + 1:], k + 1, grown):
-                return True
-        return False
-
     checked = 0
     failures = []
     for rows, cols in _pivot_minor_sites(n, pivot):
         checked += 1
-        if escapes(rows, cols, 0, frozenset()):
+        if _escapes(key, covering, rows, cols, 0, frozenset()):
             failures.append((rows, cols))
     return MinorMembershipReport(not failures, checked, tuple(failures))
+
+
+def _escapes(key: dict, covering: dict, rows: tuple, cols: tuple, k: int,
+             support: frozenset) -> bool:
+    """Whether some bijection of rows[k:] onto cols, with ``support`` chosen
+    so far, gives a term outside the monomial ideal: ``key`` maps a cell to
+    its variable's support, and ``covering`` a variable to the supports of
+    the generators containing it (see ``verify_pivot_minors``)."""
+    if k == len(rows):
+        return True
+    for idx, j in enumerate(cols):
+        v = key[(rows[k], j)]
+        grown = support | v
+        (var,) = v
+        if any(g <= grown for g in covering.get(var, ())):
+            continue
+        if _escapes(key, covering, rows, cols[:idx] + cols[idx + 1:], k + 1, grown):
+            return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -304,9 +308,9 @@ def build_localization(w: PartialPermutation, ring: Optional[PolyRing] = None) -
     row_labels = tuple(i for i in range(1, n + 1) if i != p0)
     col_labels = tuple(j for j in range(1, n + 1) if j != q0)
     schubert_prime = fulton_generators(w_prime, ring)
-    sites = tuple((tuple(row_labels[i - 1] for i in site.rows),
-                   tuple(col_labels[j - 1] for j in site.cols))
-                  for site in schubert_prime.sites)
+    sites = tuple((tuple(row_labels[i - 1] for i in rows),
+                   tuple(col_labels[j - 1] for j in cols))
+                  for rows, cols in schubert_prime.sites)
     gamma = tuple(sorted(
         {Cell(p0, q) for q in range(1, n + 1)} | {Cell(p, q0) for p in range(1, n + 1)}))
     gamma_generators = tuple(ring.variable(*cell) for cell in gamma
@@ -317,7 +321,7 @@ def build_localization(w: PartialPermutation, ring: Optional[PolyRing] = None) -
         cleared_generators=tuple(_bordered_minor(ring, rows, cols, pivot)
                                  for rows, cols in sites),
         generator_sites=sites, ring=ring, w_generators=schubert.generators,
-        w_sites=tuple((site.rows, site.cols) for site in schubert.sites),
+        w_sites=schubert.sites,
         w_groebner=buchberger(schubert.generators),
         w_prime_generators=schubert_prime.generators,
         antidiagonal=antidiagonal_ideal(w, ring))

@@ -19,7 +19,8 @@ Monomials are opaque outside this module: they compare with ``<`` in the
 ring's order, combine through the ``monomial_*`` functions, and are built,
 inspected and enumerated through ``PolyRing`` methods (``monomial``,
 ``grid_support``, ``monomial_degree``, ``support``), and ``erase_variables``
-drops the terms that given variables divide.
+drops the terms that given variables divide.  Coefficients stay inside too:
+``independent`` decides linear dependence over the field for callers.
 Inside, a monomial is one packed int with one byte per variable, bytes in
 decreasing variable precedence from the most significant, after the packed
 exponent vectors of Bachmann and Schoenemann (ISSAC 1998).  Bit 7 of each
@@ -154,9 +155,11 @@ class _PrimeField:
 
     def coeff(self, c):
         """Normalize a coefficient into the field."""
+        if isinstance(c, int):
+            return c % self.p
         if isinstance(c, Fraction):
             return c.numerator * pow(c.denominator, -1, self.p) % self.p
-        return int(c) % self.p
+        raise TypeError(f"unsupported coefficient {c!r}")
 
     def div(self, a, b):
         return a * pow(b, -1, self.p) % self.p
@@ -640,10 +643,11 @@ class Polynomial:
     # -- comparisons --------------------------------------------------------
 
     def __eq__(self, other) -> bool:
+        """Equality with a polynomial, or with an int or Fraction constant."""
         if not isinstance(other, Polynomial):
-            if other == 0:
-                return self.is_zero
-            return self == self.ring.const(other)
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = self.ring.const(other)
         return self.ring == other.ring and self._d == other._d
 
     def __hash__(self) -> int:
@@ -829,6 +833,40 @@ def _reduce_dict(p: dict, prepared: list, ring: PolyRing, mask: int = 0) -> dict
             rem[m] = c
             del p[m]
     return rem
+
+
+def independent(fs: Sequence[Polynomial]) -> tuple:
+    """The indices of the ``fs`` that lie outside the span, over the ring's
+    field, of the ones before them; the kept ones form a basis of the span
+    of all.  Each f is reduced by an echelon of the kept ones, stored monic
+    under their distinct leading monomials, and kept iff a term survives.
+
+    >>> r = PolyRing(2, 2)
+    >>> x, y = r.variable(1, 1), r.variable(1, 2)
+    >>> independent([x, 2 * x, x + y, r.zero(), y, x - 3 * y])
+    (0, 2)
+    """
+    fs = tuple(fs)
+    if not fs:
+        return ()
+    ring = fs[0].ring
+    if any(f.ring is not ring and f.ring != ring for f in fs):
+        raise ValueError("polynomials must live in a common ring")
+    axpy, div = ring.field.axpy, ring.field.div
+    echelon: dict = {}
+    kept = []
+    for k, f in enumerate(fs):
+        row = dict(f._d)
+        while row:
+            lead = max(row)
+            pivot = echelon.get(lead)
+            if pivot is None:
+                lc = row[lead]
+                echelon[lead] = row if lc == 1 else {m: div(c, lc) for m, c in row.items()}
+                kept.append(k)
+                break
+            axpy(row, pivot.items(), -row[lead])
+    return tuple(kept)
 
 
 class GroebnerCertificationError(AssertionError):

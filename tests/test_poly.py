@@ -341,6 +341,110 @@ def test_fraction_coefficients_are_exact():
     assert (f + f + f) == RING.variable(1, 1)
 
 
+@pytest.mark.parametrize("char", [0, 5, 32003])
+def test_coefficients_are_ints_or_fractions_in_every_field(char):
+    # a float, a string or None is refused, never truncated into the field
+    ring = PolyRing(2, 2, char)
+    x = ring.variable(1, 1)
+    for bad in (2.5, 2.0, 2.9, "12", None, 1j):
+        with pytest.raises(TypeError):
+            ring.const(bad)
+        with pytest.raises(TypeError):
+            x * bad
+        with pytest.raises(TypeError):
+            x + bad
+        with pytest.raises(TypeError):
+            ring.polynomial({x.leading_monomial(): bad})
+        assert not ring.const(2) == bad
+        assert ring.const(2) != bad
+    assert x in [None, x] and x != None and None != x
+    assert ring.const(True) == ring.one() and ring.const(False) == 0
+    assert ring.const(Fraction(3, 2)) * 2 == 3 == ring.const(3)
+    assert (x * 7 - x * 2) == x * 5
+
+
+# ---------------------------------------------------------------------------
+# Linear independence over the field
+# ---------------------------------------------------------------------------
+
+INDEPENDENT_CELLS = [(1, 1), (1, 2), (2, 1), (2, 2)]
+# each row is fresh terms, or a combination (index, coefficient) of the rows
+# before it, with indices taken modulo their number
+INDEPENDENT_ROWS = st.lists(st.one_of(
+    st.tuples(st.just("terms"), st.lists(
+        st.tuples(st.tuples(*[st.integers(0, 1)] * len(INDEPENDENT_CELLS)), st.integers(-3, 3)),
+        max_size=4)),
+    st.tuples(st.just("combination"), st.lists(
+        st.tuples(st.integers(0, 7), st.integers(-3, 3)), min_size=1, max_size=3))),
+    max_size=7)
+X11 = (1, 0, 0, 0)
+X12_X21 = (0, 1, 1, 0)
+X22 = (0, 0, 0, 1)
+
+
+def _rank(vectors, char):
+    """The rank of dense coefficient vectors by Gauss-Jordan elimination over
+    the rationals (char 0) or the field with char elements."""
+    if char:
+        rows = [[v % char for v in vec] for vec in vectors]
+    else:
+        rows = [[Fraction(v) for v in vec] for vec in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inverse = pow(rows[rank][col], -1, char) if char else 1 / rows[rank][col]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                factor = rows[r][col] * inverse
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+                if char:
+                    rows[r] = [a % char for a in rows[r]]
+        rank += 1
+    return rank
+
+
+@settings(max_examples=200, deadline=None)
+# a duplicate
+@example(rows=[("terms", [(X11, 1), (X12_X21, 2)]), ("combination", [(0, 1)])], char=0)
+# a scalar multiple
+@example(rows=[("terms", [(X11, 1), (X12_X21, 2)]), ("combination", [(0, 3)])], char=32003)
+# a row in the span of the two before it, then an independent one
+@example(rows=[("terms", [(X11, 1), (X12_X21, 2)]), ("terms", [(X12_X21, 1), (X22, -1)]),
+               ("combination", [(0, 2), (1, -3)]), ("terms", [(X22, 1)])], char=0)
+# the zero polynomial, first and after a kept row
+@example(rows=[("terms", []), ("terms", [(X22, 1)]), ("terms", [(X11, 2), (X11, -2)])],
+         char=2)
+# a row that vanishes mod 2 only
+@example(rows=[("terms", [(X11, 1)]), ("combination", [(0, 2)])], char=2)
+@given(rows=INDEPENDENT_ROWS, char=st.sampled_from([0, 2, 32003]))
+def test_independent_keeps_exactly_the_rows_that_raise_the_rank(rows, char):
+    ring = PolyRing(2, 2, char)
+    fs = []
+    for kind, data in rows:
+        if kind == "terms":
+            fs.append(ring.polynomial([(ring.monomial(zip(INDEPENDENT_CELLS, e)), c)
+                                       for e, c in data]))
+        else:
+            fs.append(sum((fs[k % len(fs)] * c for k, c in data), ring.zero())
+                      if fs else ring.zero())
+    columns = sorted({m for f in fs for m in f.monomials()})
+    vectors = [[f.coefficient(m) for m in columns] for f in fs]
+    expected = tuple(k for k in range(len(fs))
+                     if _rank(vectors[:k + 1], char) > _rank(vectors[:k], char))
+    assert poly.independent(fs) == expected
+    assert poly.independent(fs[k] for k in expected) == tuple(range(len(expected)))
+
+
+def test_independent_rejects_polynomials_of_different_rings():
+    for other in (PolyRing(2, 3), PolyRing(2, 2, 5)):
+        with pytest.raises(ValueError, match="common ring"):
+            poly.independent([PolyRing(2, 2).variable(1, 1), other.variable(1, 1)])
+    assert poly.independent([]) == ()
+
+
 # ---------------------------------------------------------------------------
 # Division
 # ---------------------------------------------------------------------------
@@ -889,23 +993,17 @@ def test_prime_field_arithmetic_is_rational_arithmetic_reduced_mod_p(f, g, h, u,
 
 def test_no_module_but_poly_reads_term_dicts_or_the_characteristic():
     # the coefficient field, its axpy and the grid exponents of a monomial
-    # stay inside poly.py too, except in the echelon of graded Nakayama
+    # stay inside poly.py too
     package = Path(__file__).resolve().parent.parent / "src" / "msvkit"
     leaks = []
     for path in sorted(package.glob("*.py")):
         if path.name == "poly.py":
             continue
         tree = ast.parse(path.read_text(), str(path))
-        excepted = set()
-        if path.name == "detideal.py":
-            for node in ast.walk(tree):
-                if isinstance(node, ast.FunctionDef) and node.name == "graded_minimal_generators":
-                    excepted |= {id(inner) for inner in ast.walk(node)}
         for node in ast.walk(tree):
             if not isinstance(node, ast.Attribute):
                 continue
-            if node.attr in ("_d", "char") or (
-                    node.attr in ("field", "axpy", "grid_support") and id(node) not in excepted):
+            if node.attr in ("_d", "char", "field", "axpy", "grid_support"):
                 leaks.append(f"{path.name}:{node.lineno} .{node.attr}")
     assert not leaks
 
