@@ -27,8 +27,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .perm import PartialPermutation, diagram, essential_set, render_one_line
 from .poly import (Monomial, Polynomial, PolyRing, antidiagonal_monomial, buchberger,
-                   erase_variables, independent, minor, monomial_divides,
-                   monomial_quotient, normal_forms)
+                   independent, minor, monomial_divides, monomial_quotient, normal_forms)
 
 
 def _w_json(w: PartialPermutation):
@@ -95,13 +94,6 @@ def monomial_quotient_membership(f: Polynomial, gens: Sequence[Monomial]) -> boo
     """True iff every term of f is divisible by some generator, i.e. f lies in
     the monomial ideal they generate.  The zero polynomial is a member."""
     return all(any(monomial_divides(g, m) for g in gens) for m in f.monomials())
-
-
-def colon_by_variable(J: MonomialIdeal, c: Monomial) -> MonomialIdeal:
-    """The colon ideal (J : c) for a single variable c."""
-    _check_variable(J.ring, c)
-    gens = [monomial_quotient(m, c) if monomial_divides(c, m) else m for m in J.gens]
-    return MonomialIdeal.from_monomials(J.ring, gens)
 
 
 def _check_variable(ring: PolyRing, c: Monomial):
@@ -255,12 +247,15 @@ def graded_minimal_generators(ring: PolyRing, gens: Sequence[Polynomial]
     already kept, so the count is the vector-space dimension of I/mI (graded
     Nakayama).  That space is I_d / J_d for J the ideal of the generators of
     degree < d, which the kept ones of degree < d already generate.  The
-    normal form against a Groebner basis of J is a linear map on degree-d
-    forms whose kernel is exactly J_d, so the degree-d generators are reduced
-    to their normal forms and ``independent`` keeps those outside the span of
-    the ones before them: the selection is exact, with ranks over the ring's
-    field (Kreuzer-Robbiano, Computational Commutative Algebra 2, on minimal
-    homogeneous generators).
+    normal form against the reduced Groebner basis of J is a linear map on
+    degree-d forms whose kernel is exactly J_d, so the degree-d generators
+    are reduced to their normal forms and ``independent`` keeps those
+    outside the span of the ones before them: the selection is exact, with
+    ranks over the ring's field (Kreuzer-Robbiano, Computational Commutative
+    Algebra 2, on minimal homogeneous generators).  The reduced basis and
+    the normal forms against it are unique, so how ``buchberger`` and
+    ``normal_forms`` treat the variables among the kept generators cannot
+    change the selection.
     """
     degrees: list[int] = []
     for g in gens:
@@ -268,25 +263,13 @@ def graded_minimal_generators(ring: PolyRing, gens: Sequence[Polynomial]
             raise ValueError("generators must be nonzero elements of the ring")
         if not g.is_homogeneous():
             raise ValueError("graded selection requires homogeneous generators")
-        degrees.append(g.total_degree())
-    # single-variable generators act by erasing every multiple of theirs, so
-    # the other generators only keep their terms free of those variables
-    variables: list[Monomial] = []
-    poly_gens: list[int] = []
-    for idx, g in enumerate(gens):
-        if degrees[idx] == 1 and len(g) == 1:
-            variables.append(g.leading_monomial())
-        else:
-            poly_gens.append(idx)
-    survivors = dict(zip(poly_gens, erase_variables([gens[idx] for idx in poly_gens],
-                                                    variables)))
+        degrees.append(ring.monomial_degree(g.leading_monomial()))
     kept: list[int] = []
     for d in sorted(set(degrees)):
-        lower = [survivors[idx] for idx in kept if idx in survivors and survivors[idx]]
-        basis = buchberger(lower) if lower else ()
+        basis = buchberger([gens[idx] for idx in kept])
         indices = [idx for idx in range(len(gens)) if degrees[idx] == d]
-        rows = [gens[idx] if d == 1 else survivors[idx] for idx in indices]
-        kept += [indices[k] for k in independent(normal_forms(rows, basis))]
+        forms = normal_forms([gens[idx] for idx in indices], basis)
+        kept += [indices[k] for k in independent(forms)]
     return tuple(kept), len(kept)
 
 

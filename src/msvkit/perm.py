@@ -129,15 +129,6 @@ class PartialPermutation:
             raise ValueError(f"row {i} outside [1, {self.rows}]")
         return self.assignment[i - 1]
 
-    def column_row(self, j: int) -> Optional[int]:
-        """The row whose 1 sits in column ``j``, or None."""
-        if not 1 <= j <= self.cols:
-            raise ValueError(f"column {j} outside [1, {self.cols}]")
-        for i, v in enumerate(self.assignment, start=1):
-            if v == j:
-                return i
-        return None
-
     @property
     def is_permutation(self) -> bool:
         return self.rows == self.cols and all(v is not None for v in self.assignment)
@@ -286,10 +277,6 @@ class Diagram:
 
     def sorted_cells(self) -> tuple[Cell, ...]:
         return tuple(sorted(self.ranks))
-
-    def zero_cells(self) -> tuple[Cell, ...]:
-        """Cells of rank 0, row-major."""
-        return tuple(c for c in sorted(self.ranks) if self.ranks[c] == 0)
 
     def positive_cells(self) -> tuple[Cell, ...]:
         """Cells of positive rank, row-major."""

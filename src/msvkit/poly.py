@@ -18,14 +18,13 @@ Every ``PolyRing`` owns its coefficient field and its term order:
 Monomials are opaque outside this module: they compare with ``<`` in the
 ring's order, combine through the ``monomial_*`` functions, and are built,
 inspected and enumerated through ``PolyRing`` methods (``monomial``,
-``grid_support``, ``monomial_degree``, ``support``), and ``erase_variables``
-drops the terms that given variables divide.  Coefficients stay inside too:
-``independent`` decides linear dependence over the field for callers.
-Inside, a monomial is one packed int with one byte per variable, bytes in
-decreasing variable precedence from the most significant, after the packed
-exponent vectors of Bachmann and Schoenemann (ISSAC 1998).  Bit 7 of each
-byte is a guard bit, so an exponent is at most ``EXPONENT_BOUND`` (127).
-Then int comparison is the term order, a product is one addition and a
+``grid_support``, ``monomial_degree``, ``support``).  Coefficients stay
+inside too: ``independent`` decides linear dependence over the field for
+callers.  Inside, a monomial is one packed int with one byte per variable,
+bytes in decreasing variable precedence from the most significant, after the
+packed exponent vectors of Bachmann and Schoenemann (ISSAC 1998).  Bit 7 of
+each byte is a guard bit, so an exponent is at most ``EXPONENT_BOUND``
+(127).  Then int comparison is the term order, a product is one addition and a
 quotient one subtraction, and a | b exactly when ``b - a`` sets no guard bit
 (a borrow out of a byte lands on its guard bit).  Every path that raises
 exponents (``monomial_mul``, the shifted ``axpy`` kernels,
@@ -38,8 +37,8 @@ dividends; and extending a known basis re-reduces only the known elements
 that a new lead touches.  A variable x in an ideal erases every term that x
 divides, which on packed monomials is one AND against a mask of the
 variables' exponent bytes.  So ``buchberger`` and ``normal_forms`` keep the
-variables out of their pair updates and reducer scans, and
-``erase_variables`` gives callers the same erasure.
+variables out of their pair updates and reducer scans; callers hand them
+variables like any other generator and never erase terms themselves.
 """
 from __future__ import annotations
 
@@ -492,22 +491,6 @@ def _erased(f: "Polynomial", mask: int) -> "Polynomial":
     return f if len(d) == len(f._d) else Polynomial(f.ring, d)
 
 
-def erase_variables(fs: Sequence["Polynomial"], monomials: Iterable[Monomial]) -> tuple:
-    """Each f in ``fs`` without the terms that some variable dividing one of
-    ``monomials`` divides.  For monomials that are variables this is f
-    modulo the ideal they generate, so the result is the zero polynomial
-    exactly when f lies in it.
-
-    >>> r = PolyRing(2, 2)
-    >>> f = r.parse("x[1,1]*x[2,2] - x[1,2]*x[2,1] + x[2,2]^2")
-    >>> [str(g) for g in erase_variables([f], [r.monomial({(1, 1): 1})])]
-    ['-x[1,2]*x[2,1] + x[2,2]^2']
-    """
-    fs = tuple(fs)
-    mask = _variable_mask(monomials, fs[0].ring._guard) if fs else 0
-    return tuple(_erased(f, mask) for f in fs) if mask else fs
-
-
 class Polynomial:
     """An immutable sparse polynomial; terms iterate in decreasing order.
 
@@ -643,11 +626,11 @@ class Polynomial:
     # -- comparisons --------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        """Equality with a polynomial, or with an int or Fraction constant."""
+        """Equality with a polynomial of the same ring.  A scalar is never
+        equal: ``const(2) == 7`` holds over F_5, and no hash could agree
+        with both 2 and 7, so equal objects could not hash equal."""
         if not isinstance(other, Polynomial):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = self.ring.const(other)
+            return NotImplemented
         return self.ring == other.ring and self._d == other._d
 
     def __hash__(self) -> int:
@@ -891,7 +874,7 @@ def certified():
         _CERTIFY = previous
 
 
-def buchberger(generators: Sequence[Polynomial] | IdealPresentation, *,
+def buchberger(generators: Sequence[Polynomial], *,
                basis: Sequence[Polynomial] = ()) -> tuple:
     """The reduced Groebner basis of the ideal generated by ``generators``
     and ``basis``.
@@ -933,14 +916,10 @@ def buchberger(generators: Sequence[Polynomial] | IdealPresentation, *,
     ['x[1,1]', 'x[1,2]']
     """
     basis = tuple(basis)
-    if isinstance(generators, IdealPresentation):
-        ring = generators.ring
-        gens = generators.generators
-    else:
-        gens = tuple(generators)
-        if not gens and not basis:
-            return ()
-        ring = (gens or basis)[0].ring
+    gens = tuple(generators)
+    if not gens and not basis:
+        return ()
+    ring = (gens or basis)[0].ring
     for g in gens + basis:
         if g.is_zero:
             raise ValueError("generators must be nonzero")
@@ -1100,18 +1079,6 @@ def _certify_basis(ring: PolyRing, gens: Sequence[Polynomial], basis: tuple):
         raise GroebnerCertificationError("input generator does not reduce to 0")
 
 
-def is_reduced_groebner_basis(basis: Sequence[Polynomial]) -> bool:
-    """Check the reduced-Groebner contract directly (used by the test suite)."""
-    if not basis:
-        return True
-    ring = basis[0].ring
-    try:
-        _certify_basis(ring, (), tuple(basis))
-    except GroebnerCertificationError:
-        return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Variable transplants and saturation
 # ---------------------------------------------------------------------------
@@ -1174,5 +1141,5 @@ def saturate(ideal: IdealPresentation, c: Polynomial) -> IdealPresentation:
 
 def ideals_equal(a: IdealPresentation, b: IdealPresentation) -> bool:
     """Ideal equality via mutual normal-form containment."""
-    return (not any(normal_forms(b.generators, buchberger(a)))
-            and not any(normal_forms(a.generators, buchberger(b))))
+    return (not any(normal_forms(b.generators, buchberger(a.generators)))
+            and not any(normal_forms(a.generators, buchberger(b.generators))))

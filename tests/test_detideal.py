@@ -2,22 +2,30 @@
 monomial-ideal utilities.  Golden values come from the worked 35142 example;
 sweeps re-derive everything from definitions or independent brute force."""
 
+import collections
+import hashlib
 import itertools
 import json
 import math
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from msvkit.perm import (PartialPermutation, all_partial_permutations,
                          all_permutations, coxeter_length, extend_to_permutation,
-                         identity)
-from msvkit.poly import IdealPresentation, PolyRing, ideals_equal, minor, certified
+                         identity, render_one_line)
+from msvkit.poly import (IdealPresentation, PolyRing, certified, ideals_equal, minor,
+                         s_polynomial)
 from msvkit.ci import minimal_generator_count
-from msvkit.detideal import (MonomialIdeal, antidiagonal_ideal, colon_by_variable,
-                             fulton_generators, graded_minimal_generators,
-                             is_nonzerodivisor_on_monomial_quotient, monomial_codim,
-                             monomial_quotient_membership, verify_groebner)
+from msvkit.detideal import (MonomialIdeal, antidiagonal_ideal, fulton_generators,
+                             graded_minimal_generators, is_nonzerodivisor_on_monomial_quotient,
+                             monomial_codim, monomial_quotient_membership, verify_groebner)
+from reference import colon_by_variable
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def w_(word):
@@ -92,6 +100,32 @@ def test_fulton_agrees_literally_with_the_extension():
                 b = fulton_generators(extend_to_permutation(w))
                 assert tuple(g.sparse_terms() for g in a.generators) == \
                     tuple(g.sparse_terms() for g in b.generators)
+
+
+def _kept_generators_digest(n, char):
+    """sha256 over S_n of each w with the rendered Fulton generators that
+    graded Nakayama keeps and their (rows, cols) sites."""
+    ring = PolyRing(n, n, char)
+    digest = hashlib.sha256()
+    for w in all_permutations(n):
+        schubert = fulton_generators(w, ring)
+        digest.update(json.dumps([render_one_line(w), [str(g) for g in schubert.generators],
+                                  [[list(rows), list(cols)] for rows, cols in schubert.sites]
+                                  ]).encode())
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
+def test_fulton_kept_generators_match_the_golden_digest():
+    # counts alone (minimal_counts.json) miss a change of which generators
+    # are kept; this pins the kept minors themselves, in every field
+    golden = json.loads((GOLDEN / "kept_generators_digest.json").read_text())
+    assert {char: sorted(by_n, key=int) for char, by_n in golden.items()} == {
+        "0": ["1", "2", "3", "4", "5", "6"], "2": ["1", "2", "3", "4", "5"],
+        "32003": ["1", "2", "3", "4", "5"]}
+    for char, by_n in golden.items():
+        for n, expected in by_n.items():
+            assert _kept_generators_digest(int(n), int(char)) == expected, (char, n)
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +333,134 @@ def test_graded_minimal_generators_requires_homogeneous_input():
     r = PolyRing(2, 2)
     with pytest.raises(ValueError):
         graded_minimal_generators(r, [r.variable(1, 1) + r.one()])
+
+
+def _incremental_span(char):
+    """An incremental Gauss-Jordan elimination on dense coefficient vectors
+    over the rationals (char 0) or the field with char elements: ``add(v)``
+    puts v into the span and says whether it raised the rank."""
+    pivots = []  # (column, row reduced to 1 there and 0 at every other pivot)
+
+    def add(vector):
+        v = [x % char for x in vector] if char else [Fraction(x) for x in vector]
+        for col, row in pivots:
+            if v[col]:
+                factor = v[col]
+                v = [a - factor * b for a, b in zip(v, row)]
+                if char:
+                    v = [a % char for a in v]
+        col = next((k for k, a in enumerate(v) if a), None)
+        if col is None:
+            return False
+        inverse = pow(v[col], -1, char) if char else 1 / v[col]
+        v = [a * inverse % char if char else a * inverse for a in v]
+        for k, (c, row) in enumerate(pivots):
+            if row[col]:
+                factor = row[col]
+                row = [a - factor * b for a, b in zip(row, v)]
+                pivots[k] = (c, [a % char for a in row] if char else row)
+        pivots.append((col, v))
+        return True
+
+    return add
+
+
+def _nakayama_by_linear_algebra(ring, gens):
+    """The kept indices of graded Nakayama re-derived from its definition:
+    degree by degree and in index order, a generator of degree d is kept iff
+    it lies outside the span of {m*g : g a generator, m a monomial of degree
+    >= 1, deg(m*g) = d} and of the degree-d generators kept before it."""
+    cells = [(i, j) for i in range(1, ring.rows + 1) for j in range(1, ring.cols + 1)]
+
+    def monomials(d):
+        return [ring.monomial(collections.Counter(c).items())
+                for c in itertools.combinations_with_replacement(cells, d)]
+
+    degrees = [g.total_degree() for g in gens]
+    kept = []
+    for d in sorted(set(degrees)):
+        columns = monomials(d)
+        add = _incremental_span(ring.char)
+        for g, e in zip(gens, degrees):
+            if e < d:
+                for m in monomials(d - e):
+                    add([(g * ring.polynomial({m: 1})).coefficient(c) for c in columns])
+        kept += [k for k, g in enumerate(gens)
+                 if degrees[k] == d and add([g.coefficient(c) for c in columns])]
+    return tuple(kept)
+
+
+NAKAYAMA_ITEM = st.one_of(
+    st.tuples(st.just("variable"), st.integers(0, 5)),
+    st.tuples(st.just("scaled"), st.integers(0, 5), st.sampled_from([2, 3, -1])),
+    st.tuples(st.just("duplicate"), st.integers(0, 9)),
+    st.tuples(st.just("linear"), st.lists(st.integers(-2, 2), min_size=6, max_size=6)),
+    st.tuples(st.just("form"), st.lists(st.tuples(st.lists(st.integers(0, 5), min_size=2,
+                                                           max_size=2),
+                                                  st.integers(-3, 3)), max_size=4)),
+    st.tuples(st.just("multiple"), st.integers(0, 9), st.integers(0, 5)),
+    st.tuples(st.just("sum"), st.integers(0, 9), st.integers(0, 9), st.integers(-2, 2)),
+    st.tuples(st.just("s-pair"), st.integers(0, 9), st.integers(0, 9)),
+    st.tuples(st.just("minor"), st.sampled_from([(1, 2), (1, 3), (2, 3)])),
+    st.tuples(st.just("constant"), st.integers(1, 3)))
+
+
+def _nakayama_input(ring, items):
+    """Homogeneous generators from the drawn items, zero ones and those of
+    degree above 3 dropped (``2*x`` vanishes over F_2); indices into earlier
+    generators wrap around."""
+    cells = [(i, j) for i in range(1, ring.rows + 1) for j in range(1, ring.cols + 1)]
+
+    def x(k):
+        return ring.variable(*cells[k % len(cells)])
+
+    gens = []
+    for kind, *data in items:
+        if kind == "variable":
+            g = x(data[0])
+        elif kind == "scaled":
+            g = x(data[0]) * data[1]
+        elif kind == "linear":
+            g = sum((x(k) * c for k, c in enumerate(data[0])), ring.zero())
+        elif kind == "form":
+            g = sum((x(a) * x(b) * c for (a, b), c in data[0]), ring.zero())
+        elif kind == "constant":
+            g = ring.const(data[0])
+        elif kind == "minor":
+            g = minor(ring, (1, 2), data[0] if data[0][1] <= ring.cols else (1, 2))
+        elif not gens:
+            continue
+        elif kind == "duplicate":
+            g = gens[data[0] % len(gens)]
+        elif kind == "multiple":
+            g = gens[data[0] % len(gens)] * x(data[1])
+        elif kind == "s-pair":  # in the ideal, but often not through the pair itself
+            g = s_polynomial(gens[data[0] % len(gens)], gens[data[1] % len(gens)])
+        else:  # the sum of two earlier generators, when their degrees agree
+            f, h = gens[data[0] % len(gens)], gens[data[1] % len(gens)]
+            g = f + h * data[2] if f.total_degree() == h.total_degree() else f
+        if g and g.total_degree() <= 3:
+            gens.append(g)
+    return gens
+
+
+@settings(max_examples=150, deadline=None)
+# a variable, its duplicate and double, a linear form through it, a minor
+# it does not kill, a multiple of the linear form, then a constant that
+# swallows them all
+@example(shape=(2, 3), char=0, items=[
+    ("variable", 0), ("duplicate", 0), ("scaled", 0, 2), ("linear", [1, 1, 0, 0, 0, 0]),
+    ("form", [((0, 4), 1), ((1, 3), -1)]), ("multiple", 3, 5), ("constant", 1)])
+@example(shape=(2, 2), char=2, items=[
+    ("scaled", 1, 2), ("linear", [1, 1, 0, 0, 0, 0]), ("variable", 1), ("variable", 0),
+    ("sum", 0, 1, 1), ("form", [((0, 3), 1), ((1, 2), 1)])])
+@given(shape=st.sampled_from([(2, 2), (2, 3)]), char=st.sampled_from([0, 2, 32003]),
+       items=st.lists(NAKAYAMA_ITEM, max_size=7))
+def test_graded_minimal_generators_matches_linear_algebra(shape, char, items):
+    ring = PolyRing(*shape, char)
+    gens = _nakayama_input(ring, items)
+    expected = _nakayama_by_linear_algebra(ring, gens)
+    assert graded_minimal_generators(ring, gens) == (expected, len(expected))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from msvkit.perm import (Cell, PartialPermutation, PermutationParseError,
                          coxeter_length, delete_row_col, diagram, essential_set,
                          extend_to_permutation, identity, longest_element,
                          parse_partial_matrix, rank_at, render_one_line, submatrix_w)
+from reference import column_row
 
 
 def w_(word):
@@ -125,7 +126,7 @@ def _diagram_by_definition(w):
     for i in range(1, w.rows + 1):
         for j in range(1, w.cols + 1):
             wi = w(i)
-            inv = w.column_row(j)
+            inv = column_row(w, j)
             if (wi is None or wi > j) and (inv is None or inv > i):
                 cells[Cell(i, j)] = rank_at(w, (i, j))
     return cells
