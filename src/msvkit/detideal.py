@@ -252,10 +252,14 @@ def graded_minimal_generators(ring: PolyRing, gens: Sequence[Polynomial]
     are reduced to their normal forms and ``independent`` keeps those
     outside the span of the ones before them: the selection is exact, with
     ranks over the ring's field (Kreuzer-Robbiano, Computational Commutative
-    Algebra 2, on minimal homogeneous generators).  The reduced basis and
-    the normal forms against it are unique, so how ``buchberger`` and
-    ``normal_forms`` treat the variables among the kept generators cannot
-    change the selection.
+    Algebra 2, on minimal homogeneous generators).
+
+    The generators that are variables lie in J for every d > 1 and form a
+    reduced Groebner basis by themselves, so every other generator is
+    reduced against them once (``normal_forms`` erases their multiples), and
+    ``buchberger`` runs only on the kept reduced generators that are nonzero,
+    and not at all when none are.  In degree 1, J holds no variable, so the
+    linear generators enter as they are.
     """
     degrees: list[int] = []
     for g in gens:
@@ -264,12 +268,18 @@ def graded_minimal_generators(ring: PolyRing, gens: Sequence[Polynomial]
         if not g.is_homogeneous():
             raise ValueError("graded selection requires homogeneous generators")
         degrees.append(ring.monomial_degree(g.leading_monomial()))
+    is_variable = [degrees[idx] == 1 and len(g) == 1 for idx, g in enumerate(gens)]
+    others = [idx for idx in range(len(gens)) if not is_variable[idx]]
+    reduced = dict(zip(others, normal_forms(
+        [gens[idx] for idx in others],
+        [g for idx, g in enumerate(gens) if is_variable[idx]])))
     kept: list[int] = []
     for d in sorted(set(degrees)):
-        basis = buchberger([gens[idx] for idx in kept])
+        lower = [reduced[idx] for idx in kept if reduced.get(idx)]
+        basis = buchberger(lower) if lower else ()
         indices = [idx for idx in range(len(gens)) if degrees[idx] == d]
-        forms = normal_forms([gens[idx] for idx in indices], basis)
-        kept += [indices[k] for k in independent(forms)]
+        rows = [gens[idx] if d == 1 else reduced[idx] for idx in indices]
+        kept += [indices[k] for k in independent(normal_forms(rows, basis))]
     return tuple(kept), len(kept)
 
 

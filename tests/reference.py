@@ -38,7 +38,10 @@ def column_row(w: PartialPermutation, j: int) -> Optional[int]:
     """The row whose 1 sits in column ``j`` of w, or None."""
     if not 1 <= j <= w.cols:
         raise ValueError(f"column {j} outside [1, {w.cols}]")
-    return w.inverse_map().get(j)
+    for i, v in enumerate(w.assignment, start=1):
+        if v == j:
+            return i
+    return None
 
 
 def zero_cells(d: Diagram) -> tuple[Cell, ...]:
