@@ -13,8 +13,11 @@ Subcommands::
     verify-all       run every pivot verification (n <= 5)
     census           classify all of S_n, one report per line (n <= 8)
 
-Text grids put '1' at the permutation's entries, '*' at positive-rank diagram
-cells and '.' at rank-0 diagram cells.  Exit status: 0 on success or a true
+``gens`` and ``ci`` are also bounded by their largest minor: an input whose
+essential set asks for a minor of more than 9 rows, the most a permutation of
+S_10 needs, is refused before anything is expanded.  Text grids put '1' at
+the permutation's entries, '*' at positive-rank diagram cells and '.' at
+rank-0 diagram cells.  Exit status: 0 on success or a true
 verdict, 1 when a verification or classification comes back false, 2 on usage
 or capability errors.  The environment variable MSVKIT_PRIME overrides the
 prime-field modulus used when ``--field prime`` is selected (default 32003;
@@ -111,11 +114,11 @@ def _oracle_char(args) -> int:
     value = os.environ.get("MSVKIT_PRIME", str(DEFAULT_PRIME))
     try:
         p = int(value)
+        if p == 0:  # a ring of characteristic 0 would be the rationals
+            raise ValueError
+        poly.PolyRing(1, 1, p)  # its field rejects every other non-prime
     except ValueError:
-        p = 0
-    # a ring of characteristic 0 would be the rationals, so check here
-    if not (p < poly.PRIME_BOUND and poly._is_prime(p)):
-        raise ValueError(f"MSVKIT_PRIME must be a prime below 2^31, got {value!r}")
+        raise ValueError(f"MSVKIT_PRIME must be a prime below 2^31, got {value!r}") from None
     return p
 
 
@@ -136,6 +139,19 @@ def _load_target(args, *, permutation_only: bool = False,
         raise CapabilityError(
             f"{args.command} is bounded at n <= {bound}; "
             f"got a {w.rows}x{w.cols} input")
+    return w
+
+
+def _load_expandable(args) -> perm.PartialPermutation:
+    """The input of gens or ci, refused before any expansion when its grid or
+    one of its Fulton minors is larger than those of S_10, whose minors
+    have at most 9 rows."""
+    w = _load_target(args, bound=EXPANSION_BOUND)
+    size = max((r + 1 for _, r in perm.essential_set(w)), default=0)
+    if size > EXPANSION_BOUND - 1:
+        raise CapabilityError(
+            f"{args.command} is bounded at n <= {EXPANSION_BOUND}; "
+            f"got a {w.rows}x{w.cols} input with a {size}x{size} minor")
     return w
 
 
@@ -166,7 +182,7 @@ def _cmd_diagram(args) -> int:
     if args.json:
         d = perm.diagram(w)
         _print_json({
-            "w": detideal._w_json(w),
+            "w": w.to_json(),
             "cells": [[c.p, c.q, d.ranks[c]] for c in d.sorted_cells()],
         })
     else:
@@ -178,7 +194,7 @@ def _cmd_essential(args) -> int:
     w = _load_target(args)
     cells = perm.essential_set(w)
     if args.json:
-        _print_json({"w": detideal._w_json(w),
+        _print_json({"w": w.to_json(),
                      "essential": [[c.p, c.q, r] for c, r in cells]})
     else:
         for c, r in cells:
@@ -187,13 +203,13 @@ def _cmd_essential(args) -> int:
 
 
 def _cmd_gens(args) -> int:
-    w = _load_target(args, bound=EXPANSION_BOUND)
+    w = _load_expandable(args)
     mode = "diagram" if args.diagram_cells else "essential"
     schubert = detideal.fulton_generators(w, cells=mode)
     gens = schubert.raw_generators if args.raw else schubert.generators
     if args.json:
         _print_json({
-            "w": detideal._w_json(w),
+            "w": w.to_json(),
             "cells": [[c.p, c.q, r] for c, r in schubert.cells],
             "generators": [str(g) for g in gens],
         })
@@ -204,7 +220,7 @@ def _cmd_gens(args) -> int:
 
 
 def _cmd_ci(args) -> int:
-    w = _load_target(args, bound=EXPANSION_BOUND)
+    w = _load_expandable(args)
     report = ci.is_complete_intersection(w, with_oracle=args.mu,
                                          char=_oracle_char(args))
     if args.json:

@@ -25,15 +25,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .perm import PartialPermutation, diagram, essential_set, render_one_line
+from .perm import PartialPermutation, diagram, essential_set
 from .poly import (Monomial, Polynomial, PolyRing, antidiagonal_monomial, buchberger,
                    independent, minor, monomial_divides, monomial_quotient, normal_forms)
-
-
-def _w_json(w: PartialPermutation):
-    if w.is_permutation:
-        return render_one_line(w)
-    return {"rows": w.rows, "cols": w.cols, "matrix": [list(r) for r in w.matrix()]}
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +293,7 @@ class GroebnerReport:
 
     def to_json(self) -> dict:
         return {
-            "w": _w_json(self.w),
+            "w": self.w.to_json(),
             "match": self.match,
             "gb_leading": list(self.gb_leading.rendered()),
             "antidiagonal": list(self.antidiagonal.rendered()),

@@ -155,6 +155,13 @@ class PartialPermutation:
         """Map column -> row over the assigned entries."""
         return {j: i for i, j in enumerate(self.assignment, start=1) if j is not None}
 
+    def to_json(self):
+        """One-line notation for a permutation, else the grid and its 0/1
+        matrix."""
+        if self.is_permutation:
+            return render_one_line(self)
+        return {"rows": self.rows, "cols": self.cols, "matrix": [list(r) for r in self.matrix()]}
+
     def __str__(self) -> str:
         if self.is_permutation:
             return render_one_line(self)

@@ -339,87 +339,46 @@ class PolyRing:
         return "".join(parts)
 
     def parse(self, text: str) -> "Polynomial":
-        """Parse the canonical rendering grammar (also accepts '^' powers,
-        arbitrary term order and fraction coefficients like 3/2)."""
-        return _parse_polynomial(self, text)
+        """Parse a polynomial: signed terms joined by ``+`` or ``-``, the
+        first sign optional; a term is factors joined by ``*``; a factor is
+        ``n``, ``n/d`` or ``x[i,j]`` with an optional ``^e``, where n, d, i,
+        j and e are runs of decimal digits (of any script, as ``int`` reads
+        them).  Whitespace may stand between any two tokens; there are no
+        parentheses.  So the rendering parses back, and so do fractions like
+        3/2, powers and terms in any order.  Malformed text, a zero
+        denominator and a variable outside the grid raise ``ValueError``; an
+        exponent above the bound raises ``ExponentOverflowError``."""
+        match = _SIGN.match(text)
+        terms, sign, coeff, mono = [], match.group(1), 1, 0
+        while True:
+            factor = _FACTOR.match(text, match.end())
+            if factor is None:
+                raise ValueError(f"malformed polynomial at position {match.end()}")
+            num, den, i, j, e = factor.groups()
+            if num is None:
+                mono = monomial_mul(mono, self.monomial({(int(i), int(j)): int(e or 1)}))
+            elif den is None:
+                coeff *= int(num)
+            elif int(den):
+                coeff *= Fraction(int(num), int(den))
+            else:
+                raise ValueError(f"zero denominator at position {factor.start(2)}")
+            match = _JOINER.match(text, factor.end())
+            if match is None:
+                raise ValueError(f"malformed polynomial at position {factor.end()}")
+            if match.group(1) != "*":
+                terms.append((mono, -coeff if sign == "-" else coeff))
+                if not match.group(1):
+                    return self.polynomial(terms)
+                sign, coeff, mono = match.group(1), 1, 0
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_]\w*)|(?P<op>[\[\],*^+\-/]))")
-
-
-def _parse_polynomial(ring: PolyRing, text: str) -> "Polynomial":
-    tokens: list[str] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ValueError(f"unexpected character {text[pos]!r} in polynomial")
-            break
-        tokens.append(m.group().strip())
-        pos = m.end()
-    idx = 0
-
-    def peek() -> Optional[str]:
-        return tokens[idx] if idx < len(tokens) else None
-
-    def take(expected: Optional[str] = None) -> str:
-        nonlocal idx
-        if idx >= len(tokens):
-            raise ValueError("unexpected end of polynomial")
-        tok = tokens[idx]
-        if expected is not None and tok != expected:
-            raise ValueError(f"expected {expected!r}, found {tok!r}")
-        idx += 1
-        return tok
-
-    def parse_factor():
-        tok = take()
-        if tok.isdigit():
-            value = int(tok)
-            if peek() == "/":
-                take("/")
-                den = take()
-                if not den.isdigit():
-                    raise ValueError("malformed fraction coefficient")
-                return Fraction(value, int(den)), ring.one_monomial()
-            return value, ring.one_monomial()
-        if tok == "x":
-            take("[")
-            i = int(take())
-            take(",")
-            j = int(take())
-            take("]")
-            exp = 1
-            if peek() == "^":
-                take("^")
-                exp = int(take())
-            return 1, ring.monomial({(int(i), int(j)): exp})
-        raise ValueError(f"unexpected token {tok!r} in polynomial")
-
-    def parse_term():
-        coeff, mono = parse_factor()
-        while peek() == "*":
-            take("*")
-            c2, m2 = parse_factor()
-            coeff = coeff * c2
-            mono = monomial_mul(mono, m2)
-        return coeff, mono
-
-    terms = []
-    sign = 1
-    if peek() in ("+", "-"):
-        sign = -1 if take() == "-" else 1
-    while True:
-        coeff, mono = parse_term()
-        terms.append((mono, sign * coeff))
-        nxt = peek()
-        if nxt is None:
-            break
-        if nxt not in ("+", "-"):
-            raise ValueError(f"expected '+' or '-', found {nxt!r}")
-        sign = -1 if take() == "-" else 1
-    return ring.polynomial(terms)
+# The three tokens of ``PolyRing.parse``, each after optional whitespace: a
+# leading sign, a factor, and what follows a factor (a joiner or the end).
+_SIGN = re.compile(r"\s*([-+]?)")
+_FACTOR = re.compile(
+    r"\s*(?:(\d+)(?:\s*/\s*(\d+))?|x\s*\[\s*(\d+)\s*,\s*(\d+)\s*\](?:\s*\^\s*(\d+))?)")
+_JOINER = re.compile(r"\s*([-+*]|\Z)")
 
 
 # ---------------------------------------------------------------------------
@@ -963,7 +922,7 @@ def _buchberger_core(ring: PolyRing, basis: list, known: int) -> list:
             _gm_update(pairs, heap, leads, t, ring._guard)
         insort(reducers, _reducer_entry(ring, t, basis[t]))
     while heap:
-        _, _, i, j = heapq.heappop(heap)
+        _, i, j = heapq.heappop(heap)
         if (i, j) not in pairs:
             continue
         del pairs[(i, j)]
@@ -1010,7 +969,7 @@ def _gm_update(pairs: dict, heap: list, leads: list, t: int, guard: int):
         if lcms[i] == leads[i] + lt:
             continue
         pairs[(i, t)] = lcms[i]
-        heapq.heappush(heap, (lcms[i], i, i, t))
+        heapq.heappush(heap, (lcms[i], i, t))
 
 
 def _interreduce(basis: list, known: int) -> tuple:

@@ -237,9 +237,16 @@ def test_gens_and_ci_are_bounded_before_any_expansion(capsys, tmp_path, no_expan
     word = " ".join(map(str, [*range(1, 10), 11, 10]))
     wide = tmp_path / "wide.txt"
     wide.write_text("1" + " 0" * 10 + "\n")  # 1 x 11: the bound reads max(rows, cols)
+    # 10 x 10 with row 10 empty: its essential cell (10,10) has rank 9, so its
+    # one minor is 10 x 10, larger than any minor of S_10
+    deep = tmp_path / "deep.txt"
+    deep.write_text("".join(" ".join("1" if j == i < 10 else "0" for j in range(1, 11)) + "\n"
+                            for i in range(1, 11)))
     for argv in (("gens", word), ("gens", word, "--raw"), ("ci", word),
                  ("ci", word, "--mu"), ("ci", word, "--mu", "--field", "prime"),
-                 ("gens", "--file", str(wide)), ("ci", "--file", str(wide))):
+                 ("gens", "--file", str(wide)), ("ci", "--file", str(wide)),
+                 ("gens", "--file", str(deep)), ("gens", "--file", str(deep), "--raw"),
+                 ("ci", "--file", str(deep))):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert f"n <= {cli.EXPANSION_BOUND}" in err

@@ -24,7 +24,7 @@ from msvkit.poly import (EXPONENT_BOUND, ExponentOverflowError, GroebnerCertific
                          monomial_coprime, monomial_divides, monomial_lcm,
                          monomial_mul, monomial_quotient, normal_form, normal_forms,
                          s_polynomial, saturate, transplant)
-from reference import is_reduced_groebner_basis
+from reference import _parse_polynomial, is_reduced_groebner_basis
 from substitution_oracle import pivot_substitution
 
 RING = PolyRing(5, 5)
@@ -908,9 +908,39 @@ def test_parser_accepts_fractions_powers_and_any_term_order():
 
 
 def test_parser_rejects_garbage():
-    for text in ("x[1,1] +", "y[1,1]", "x[1,1] & x[2,2]", "x[0]"):
+    for text in ("x[1,1] +", "y[1,1]", "x[1,1] & x[2,2]", "x[0]", "2/0"):
         with pytest.raises(ValueError):
             RING.parse(text)
+
+
+# the grammar's tokens, whole factors and joiners to reach valid strings, and
+# near misses: other names, a zero denominator, a non-ASCII decimal digit
+# (ARABIC-INDIC DIGIT THREE), indices outside a 2x3 grid and exponents at and
+# past the bound
+PARSE_PIECES = ("x", "[", "]", ",", "*", "^", "+", "-", "/", " ", "\t", "\n",
+                "0", "1", "2", "3", "12", "127", "y", "x1", "/0", "\u0663",
+                "x[1,2]", "x[2,3]^2", "x[1,1]^127", "3/2", " + ", " - ", " * ")
+
+
+@settings(max_examples=500, deadline=None)
+@example(char=0, pieces=["2", "/0"])
+@example(char=0, pieces=["x[1,1]^127", "*", "x[1,1]^127"])
+@example(char=32003, pieces=[" - ", "3/2", "*", "x[2,3]^2", " + ", "\u0663"])
+@given(char=st.sampled_from([0, 32003]),
+       pieces=st.lists(st.sampled_from(PARSE_PIECES), max_size=12))
+def test_parser_agrees_with_the_recursive_descent_reference(char, pieces):
+    # both accept the same strings and build equal polynomials; an exponent
+    # overflow in the reference is one in the scan too
+    ring = PolyRing(2, 3, char=char)
+    text = "".join(pieces)
+    try:
+        expected = _parse_polynomial(ring, text)
+    except (ValueError, ZeroDivisionError) as exc:
+        overflow = isinstance(exc, ExponentOverflowError)
+        with pytest.raises(ExponentOverflowError if overflow else ValueError):
+            ring.parse(text)
+    else:
+        assert ring.parse(text) == expected
 
 
 def test_zero_renders_as_zero():
@@ -1037,6 +1067,24 @@ def test_no_module_but_poly_reads_term_dicts_or_the_characteristic():
                 continue
             if node.attr in ("_d", "char", "field", "axpy", "grid_support"):
                 leaks.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert not leaks
+
+
+def test_no_module_reads_another_modules_private_names():
+    # the package's modules meet only through public names: neither
+    # `from .poly import _name` nor `poly._name` on an imported module
+    package = Path(__file__).resolve().parent.parent / "src" / "msvkit"
+    modules = {path.stem for path in package.glob("*.py")}
+    leaks = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("msvkit")):
+                leaks += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                          if alias.name.startswith("_")]
+            elif (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                  and isinstance(node.value, ast.Name) and node.value.id in modules - {path.stem}):
+                leaks.append(f"{path.name}:{node.lineno} {node.value.id}.{node.attr}")
     assert not leaks
 
 
