@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .perm import PartialPermutation, diagram, essential_set
 from .poly import (Monomial, Polynomial, PolyRing, antidiagonal_monomial, buchberger,
-                   independent, minor, monomial_divides, monomial_quotient, normal_forms)
+                   independent, minor, monomial_divides, normal_forms)
 
 
 # ---------------------------------------------------------------------------
@@ -97,14 +97,15 @@ def _check_variable(ring: PolyRing, c: Monomial):
 
 def is_nonzerodivisor_on_monomial_quotient(c: Monomial, J: MonomialIdeal) -> bool:
     """Whether the variable c is a nonzerodivisor on the quotient by the
-    squarefree monomial ideal J: every minimal generator divisible by c must
-    stay in J after dividing c out (squarefree minimality makes any such
-    generator a witness that c kills a nonzero class)."""
+    squarefree monomial ideal J: exactly when c divides no minimal generator.
+    If c divides none, c*m lies in J only when a generator that c does not
+    divide divides c*m, and so divides m.  If c divides a generator g, then
+    c * (g/c) lies in J while g/c does not, being a proper divisor of a
+    minimal generator."""
     _check_variable(J.ring, c)
     if not J.is_squarefree():
         raise ValueError("nonzerodivisor test requires a squarefree ideal")
-    return all(J.contains_monomial(monomial_quotient(m, c))
-               for m in J.gens if monomial_divides(c, m))
+    return not any(monomial_divides(c, m) for m in J.gens)
 
 
 def monomial_codim(J: MonomialIdeal) -> int:
@@ -283,13 +284,16 @@ def graded_minimal_generators(ring: PolyRing, gens: Sequence[Polynomial]
 
 @dataclass(frozen=True)
 class GroebnerReport:
-    """Outcome of comparing in(I_w) with the antidiagonal ideal."""
+    """Outcome of comparing in(I_w) with the antidiagonal ideal: the Fulton
+    generators checked (``schubert``), their reduced Groebner ``basis``, its
+    leads and the antidiagonal ideal J_w."""
 
     w: PartialPermutation
     match: bool
     gb_leading: MonomialIdeal
     antidiagonal: MonomialIdeal
     basis: tuple
+    schubert: SchubertIdeal
 
     def to_json(self) -> dict:
         return {
@@ -311,4 +315,4 @@ def verify_groebner(w: PartialPermutation, ring: Optional[PolyRing] = None) -> G
     lead = MonomialIdeal.from_minimal_generators(ring, (g.leading_monomial() for g in basis))
     anti = antidiagonal_ideal(w, ring)
     return GroebnerReport(w=w, match=lead.gens == anti.gens,
-                          gb_leading=lead, antidiagonal=anti, basis=basis)
+                          gb_leading=lead, antidiagonal=anti, basis=basis, schubert=schubert)

@@ -45,8 +45,8 @@ from .perm import (Cell, PartialPermutation, all_permutations, coxeter_length,
                    delete_row_col, diagram, essential_set, render_one_line)
 from .poly import (Monomial, Polynomial, PolyRing, buchberger, minor, monomial_divides,
                    normal_forms, transplant)
-from .detideal import (MonomialIdeal, antidiagonal_ideal, fulton_generators,
-                       is_nonzerodivisor_on_monomial_quotient)
+from .detideal import (GroebnerReport, MonomialIdeal, fulton_generators,
+                       is_nonzerodivisor_on_monomial_quotient, verify_groebner)
 
 
 def find_pivot(w: PartialPermutation) -> Optional[Cell]:
@@ -118,8 +118,8 @@ class MinorMembershipReport:
 def verify_pivot_minors(setup: LocalizationSetup) -> MinorMembershipReport:
     """Every minor of the full generic matrix whose antidiagonal term is
     divisible by the pivot variable must lie in the monomial ideal
-    <c> + J_w, J_w the setup's ``antidiagonal``, which must be squarefree.
-    Exhaustive over those minors, so intended for n <= 6.
+    <c> + J_w, J_w the setup's ``groebner.antidiagonal``, which must be
+    squarefree.  Exhaustive over those minors, so intended for n <= 6.
 
     No minor is expanded.  Its terms are the products over the bijections
     of its rows onto its columns, pairwise distinct and squarefree with
@@ -129,7 +129,7 @@ def verify_pivot_minors(setup: LocalizationSetup) -> MinorMembershipReport:
     bijections are searched depth first, a branch is cut once its partial
     support contains a generator's, and a minor fails once a complete
     bijection escapes every generator."""
-    antidiagonal = setup.antidiagonal
+    antidiagonal = setup.groebner.antidiagonal
     if not antidiagonal.is_squarefree():
         raise ValueError("the minor support search requires a squarefree J_w")
     n, pivot, ring = setup.w.size, setup.c_cell, setup.ring
@@ -188,12 +188,12 @@ def verify_pivot_initial_ideal(setup: LocalizationSetup) -> InitialIdealReport:
     minimalizing: the leads of a reduced basis are minimal generators of the
     lead ideal, and so are the pivot variable c and the generators of J_w
     that c does not divide (none of these divides c, as J_w is proper)."""
-    ring, pivot = setup.ring, setup.c_cell
-    basis = buchberger((ring.variable(*pivot),), basis=setup.w_groebner)
+    ring, pivot, groebner = setup.ring, setup.c_cell, setup.groebner
+    basis = buchberger((ring.variable(*pivot),), basis=groebner.basis)
     lead = MonomialIdeal.from_minimal_generators(ring, (g.leading_monomial() for g in basis))
     c = ring.monomial({pivot: 1})
     expected = MonomialIdeal.from_minimal_generators(
-        ring, (c,) + tuple(m for m in setup.antidiagonal.gens if not monomial_divides(c, m)))
+        ring, (c,) + tuple(m for m in groebner.antidiagonal.gens if not monomial_divides(c, m)))
     contains = all(lead.contains_monomial(m) for m in expected.gens)
     return InitialIdealReport(lead.gens == expected.gens, contains, lead, expected)
 
@@ -201,7 +201,7 @@ def verify_pivot_initial_ideal(setup: LocalizationSetup) -> InitialIdealReport:
 def verify_pivot_nonzerodivisor(setup: LocalizationSetup) -> bool:
     """The pivot variable is a nonzerodivisor on the quotient by J_w."""
     return is_nonzerodivisor_on_monomial_quotient(
-        setup.ring.monomial({setup.c_cell: 1}), setup.antidiagonal)
+        setup.ring.monomial({setup.c_cell: 1}), setup.groebner.antidiagonal)
 
 
 # ---------------------------------------------------------------------------
@@ -212,37 +212,31 @@ def verify_pivot_nonzerodivisor(setup: LocalizationSetup) -> bool:
 class LocalizationSetup:
     """Data of the change of variables at the pivot.
 
-    ``w_generators`` are the Fulton generators of w in ``ring``, ``w_sites``
-    their (rows, cols) and ``w_groebner`` their reduced Groebner basis.
-    ``w_prime`` is w with the pivot's row and column deleted,
-    ``w_prime_generators`` its Fulton generators in ``ring``, on the
-    contiguous indices 1..n-1, and ``row_labels``/``col_labels`` send its
-    contiguous indices back to the original grid.  ``cleared_generators``
-    are those generators rewritten in the original variables through
+    ``groebner`` is ``verify_groebner``'s report on w in ``ring``: the
+    Fulton generators of w with their sites (``groebner.schubert``), their
+    reduced Groebner basis (``groebner.basis``) and the antidiagonal ideal
+    J_w (``groebner.antidiagonal``), which lemma 1, lemma 2 and the
+    nonzerodivisor check share.  ``w_prime`` is w with the pivot's row and
+    column deleted, and ``w_prime_generators`` its Fulton generators in
+    ``ring``, on the contiguous indices 1..n-1 (``_deleted_labels`` sends
+    them back to the original grid).  ``cleared_generators`` are those
+    generators rewritten in the original variables through
     x'[p,q] = x[p,q] - c^{-1} x[p,q0] x[p0,q] and cleared of denominators:
     each is the minor bordered by the pivot's row and column, with the sign
     of ``_bordered_minor``.  ``generator_sites`` records each one's origin
     as (rows, cols) in original labels, so size-1 sites are the primed
-    variables.  ``gamma`` is the pivot's row and column; ``gamma_generators``
-    are the variables there that precede the pivot.  ``antidiagonal`` is the
-    antidiagonal ideal J_w in ``ring``, which lemma 1, lemma 2 and the
-    nonzerodivisor check share."""
+    variables.  ``gamma_generators`` are the variables of the pivot's row
+    and column that precede the pivot."""
 
     w: PartialPermutation
     c_cell: Cell
     w_prime: PartialPermutation
-    row_labels: tuple[int, ...]
-    col_labels: tuple[int, ...]
-    gamma: tuple[Cell, ...]
-    gamma_generators: tuple
-    cleared_generators: tuple
-    generator_sites: tuple
     ring: PolyRing
-    w_generators: tuple
-    w_sites: tuple
-    w_groebner: tuple
+    groebner: GroebnerReport
     w_prime_generators: tuple
-    antidiagonal: MonomialIdeal
+    generator_sites: tuple
+    cleared_generators: tuple
+    gamma_generators: tuple
 
 
 def _bordered_minor(ring: PolyRing, rows: tuple, cols: tuple, pivot: Cell) -> Polynomial:
@@ -279,10 +273,14 @@ def _primed_minor(g: Polynomial, rows: tuple, cols: tuple, pivot: Cell) -> Polyn
     return _bordered_minor(g.ring, rows, cols, pivot)
 
 
-def _cell_map(row_labels: tuple, col_labels: tuple) -> dict:
-    """Cells of the deleted grid -> cells of the original grid."""
-    return {(i, j): (p, q) for i, p in enumerate(row_labels, 1)
-            for j, q in enumerate(col_labels, 1)}
+def _deleted_labels(n: int, pivot: Cell) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(row labels, column labels): the rows and columns of the n x n grid
+    without the pivot's row and column, in order, so row i and column j of
+    the deleted grid are row labels[0][i - 1] and column labels[1][j - 1] of
+    the original one."""
+    p0, q0 = pivot
+    return (tuple(i for i in range(1, n + 1) if i != p0),
+            tuple(j for j in range(1, n + 1) if j != q0))
 
 
 class NoPivotError(ValueError):
@@ -291,40 +289,30 @@ class NoPivotError(ValueError):
 
 
 def build_localization(w: PartialPermutation, ring: Optional[PolyRing] = None) -> LocalizationSetup:
-    """Construct the deleted permutation w', the label maps, the cleared
-    generators of the localized ideal I', and the Fulton generators of w with
-    their reduced Groebner basis.  Raises ``NoPivotError`` when ``w`` has no
-    pivot, so a caller that skips such a w need not look the pivot up
-    first."""
+    """Construct the deleted permutation w', the cleared generators of the
+    localized ideal I', and ``verify_groebner``'s report on w.  Raises
+    ``NoPivotError`` when ``w`` has no pivot, so a caller that skips such a
+    w need not look the pivot up first."""
     pivot = find_pivot(w)
     if pivot is None:
         raise NoPivotError("no pivot: the defining ideal is generated by variables")
     p0, q0 = pivot
-    n = w.size
-    if ring is None:
-        ring = PolyRing(n, n)
-    schubert = fulton_generators(w, ring)
+    groebner = verify_groebner(w, ring)
+    ring = groebner.schubert.ring
     w_prime = delete_row_col(w, p0, q0)
-    row_labels = tuple(i for i in range(1, n + 1) if i != p0)
-    col_labels = tuple(j for j in range(1, n + 1) if j != q0)
+    row_labels, col_labels = _deleted_labels(w.size, pivot)
     schubert_prime = fulton_generators(w_prime, ring)
     sites = tuple((tuple(row_labels[i - 1] for i in rows),
                    tuple(col_labels[j - 1] for j in cols))
                   for rows, cols in schubert_prime.sites)
-    gamma = tuple(sorted(
-        {Cell(p0, q) for q in range(1, n + 1)} | {Cell(p, q0) for p in range(1, n + 1)}))
-    gamma_generators = tuple(ring.variable(*cell) for cell in gamma
-                             if cell.p < p0 or cell.q < q0)
     return LocalizationSetup(
-        w=w, c_cell=pivot, w_prime=w_prime, row_labels=row_labels,
-        col_labels=col_labels, gamma=gamma, gamma_generators=gamma_generators,
+        w=w, c_cell=pivot, w_prime=w_prime, ring=ring, groebner=groebner,
+        w_prime_generators=schubert_prime.generators, generator_sites=sites,
         cleared_generators=tuple(_bordered_minor(ring, rows, cols, pivot)
                                  for rows, cols in sites),
-        generator_sites=sites, ring=ring, w_generators=schubert.generators,
-        w_sites=schubert.sites,
-        w_groebner=buchberger(schubert.generators),
-        w_prime_generators=schubert_prime.generators,
-        antidiagonal=antidiagonal_ideal(w, ring))
+        # sorted as cells: the pivot's column above it, then its row left of it
+        gamma_generators=tuple(ring.variable(p, q0) for p in range(1, p0))
+        + tuple(ring.variable(p0, q) for q in range(1, q0)))
 
 
 @dataclass(frozen=True)
@@ -350,12 +338,14 @@ def verify_localization_identity(setup: LocalizationSetup) -> LocalizationReport
     """Verify that inverting the pivot c identifies the extended ideal of I_w
     with I', by normal forms against plain Groebner bases.
 
-    Precondition: c divides no lead of the setup's reduced Groebner basis of
-    I_w (``_nonzerodivisor_on_leads``); a ValueError is raised otherwise, and
-    no verdict is returned.  It holds for every permutation: those leads
-    generate J_w (Knutson-Miller, Groebner geometry of Schubert polynomials,
-    Ann. Math. 2005, Thm B), and c divides no minimal generator of the
-    monomial ideal J_w, since it is a nonzerodivisor modulo J_w (lemma 3).
+    Precondition: c divides no lead of the reduced Groebner basis of I_w,
+    ``setup.groebner.basis`` (``_nonzerodivisor_on_leads``); a ValueError is
+    raised otherwise, and no verdict is returned.  It holds for every
+    permutation: those leads generate J_w (Knutson-Miller, Groebner geometry
+    of Schubert polynomials, Ann. Math. 2005, Thm B), which is what
+    ``setup.groebner.match`` records for w, and c divides no minimal
+    generator of the monomial ideal J_w, since it is a nonzerodivisor
+    modulo J_w (lemma 3).
 
     Backward, I' in I_w : c^infinity: by the precondition that basis is one
     of I_w : c^infinity, and each generator of I' needs one normal form
@@ -384,27 +374,31 @@ def verify_localization_identity(setup: LocalizationSetup) -> LocalizationReport
 
     So the two directions read I' from different fields of the setup: the
     backward one from ``cleared_generators`` and the forward one from
-    ``w_prime_generators`` (with ``w_sites`` for the minors).  The identity holds for I' as the cleared
-    generators present it because ``build_localization`` clears exactly the
-    generators it stores in ``w_prime_generators``; a setup whose cleared
-    generators miss some of them still passes the backward direction, and
-    the forward direction does not look at them.
+    ``w_prime_generators``, reducing the minors that the Fulton generators
+    of w and their sites in ``groebner.schubert`` give.  The identity holds
+    for I' as the cleared generators present it because
+    ``build_localization`` clears exactly the generators it stores in
+    ``w_prime_generators``; a setup whose cleared generators miss some of
+    them still passes the backward direction, and the forward direction
+    does not look at them.
     """
-    ring = setup.ring
-    if not _nonzerodivisor_on_leads(ring.monomial({setup.c_cell: 1}), setup.w_groebner):
+    ring, basis, schubert = setup.ring, setup.groebner.basis, setup.groebner.schubert
+    if not _nonzerodivisor_on_leads(ring.monomial({setup.c_cell: 1}), basis):
         raise ValueError("the pivot divides a leading monomial of the basis of I_w, "
                          "so it is not known to be a nonzerodivisor modulo I_w")
     prime_gens = setup.cleared_generators + setup.gamma_generators
-    *remainders, unit = normal_forms(prime_gens + (ring.one(),), setup.w_groebner)
+    *remainders, unit = normal_forms(prime_gens + (ring.one(),), basis)
     backward = tuple(g for g, r in zip(prime_gens, remainders) if r)
     proper = bool(unit)
-    cell_map = _cell_map(setup.row_labels, setup.col_labels)
+    row_labels, col_labels = _deleted_labels(setup.w.size, setup.c_cell)
+    cell_map = {(i, j): (p, q) for i, p in enumerate(row_labels, 1)
+                for j, q in enumerate(col_labels, 1)}
     gb_prime = tuple(transplant(g, ring, cell_map)
                      for g in buchberger(setup.w_prime_generators)) + setup.gamma_generators
     rewritten = normal_forms([_primed_minor(g, rows, cols, setup.c_cell)
-                              for g, (rows, cols) in zip(setup.w_generators, setup.w_sites)],
+                              for g, (rows, cols) in zip(schubert.generators, schubert.sites)],
                              gb_prime)
-    forward = tuple(g for g, r in zip(setup.w_generators, rewritten) if r)
+    forward = tuple(g for g, r in zip(schubert.generators, rewritten) if r)
     return LocalizationReport(ok=not forward and not backward, proper=proper,
                               forward_failures=forward, backward_failures=backward)
 
@@ -447,9 +441,10 @@ class VerificationSummary:
 
 
 # VerificationSummary field -> the check that fills it from the
-# LocalizationSetup; one setup serves every check, so the Fulton generators of
-# w, their Groebner basis and J_w are built once.  Each entry looks the check
-# up by its module-level name when called, so a patched name is the one run.
+# LocalizationSetup; one setup serves every check, so w's Fulton generators,
+# their Groebner basis and J_w come from one verify_groebner call.  Each
+# entry looks the check up by its module-level name when called, so a
+# patched name is the one run.
 PIVOT_CHECKS = {
     "window": lambda setup: verify_pivot_window(setup),
     "minors_ok": lambda setup: verify_pivot_minors(setup).ok,

@@ -183,8 +183,8 @@ def _parse_one_line_text(text: str) -> tuple[int, ...]:
                     f"token {part!r} at position {pos} is not an integer",
                     position=pos) from None
         return tuple(values)
-    if not stripped.isdigit():
-        bad = next(k for k, ch in enumerate(stripped, start=1) if not ch.isdigit())
+    if not stripped.isdecimal():
+        bad = next(k for k, ch in enumerate(stripped, start=1) if not ch.isdecimal())
         raise PermutationParseError(
             f"character {stripped[bad - 1]!r} at position {bad} is not a digit",
             position=bad)

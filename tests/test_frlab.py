@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import msvkit.detideal as detideal
 import msvkit.frlab as frlab
 import msvkit.poly as poly
 from msvkit.perm import Cell, PartialPermutation, all_permutations, coxeter_length, \
@@ -21,7 +22,7 @@ from msvkit.perm import Cell, PartialPermutation, all_permutations, coxeter_leng
 from msvkit.poly import (IdealPresentation, PolyRing, antidiagonal_monomial, minor,
                          monomial_divides, normal_form, saturate, transplant)
 from msvkit.detideal import (MonomialIdeal, antidiagonal_ideal, fulton_generators,
-                             monomial_quotient_membership)
+                             monomial_quotient_membership, verify_groebner)
 from msvkit.frlab import (NoPivotError, build_localization, find_pivot, localization_sample,
                           verify_all, verify_localization_identity,
                           verify_pivot_initial_ideal, verify_pivot_minors,
@@ -35,6 +36,12 @@ def w_(word):
 
 def nonregular(n):
     return [w for w in all_permutations(n) if find_pivot(w) is not None]
+
+
+def with_antidiagonal(setup, J):
+    """The setup with J in place of its antidiagonal ideal J_w."""
+    return dataclasses.replace(
+        setup, groebner=dataclasses.replace(setup.groebner, antidiagonal=J))
 
 
 @functools.cache
@@ -143,11 +150,11 @@ def test_pivot_minor_search_and_the_oracle_fail_alike_without_a_generator():
     failing = 0
     for w in nonregular(4) + nonregular(5)[::4]:
         setup = setup_(w)
-        J = setup.antidiagonal
+        J = setup.groebner.antidiagonal
         for k in range(len(J.gens) + 1):
             kept = J.gens[:k] + J.gens[k + 1:] if k < len(J.gens) else ()
             smaller = dataclasses.replace(J, gens=kept)
-            report = verify_pivot_minors(dataclasses.replace(setup, antidiagonal=smaller))
+            report = verify_pivot_minors(with_antidiagonal(setup, smaller))
             assert (report.ok, report.checked, report.failures) == \
                 expanded_minor_report(w.size, setup.c_cell, smaller.gens), (w.one_line(), k)
             failing += not report.ok
@@ -156,11 +163,10 @@ def test_pivot_minor_search_and_the_oracle_fail_alike_without_a_generator():
 
 def test_pivot_minor_search_requires_a_squarefree_ideal():
     setup = setup_("35142")
-    J = setup.antidiagonal
+    J = setup.groebner.antidiagonal
     square = J.ring.monomial({(2, 1): 2})
     with pytest.raises(ValueError, match="squarefree"):
-        verify_pivot_minors(dataclasses.replace(
-            setup, antidiagonal=dataclasses.replace(J, gens=(square,))))
+        verify_pivot_minors(with_antidiagonal(setup, dataclasses.replace(J, gens=(square,))))
 
 
 def test_pivot_minors_match_the_pinned_s4_to_s6_digest():
@@ -224,13 +230,12 @@ def test_lemma_2_ideals_are_the_minimalized_ones():
         setup = setup_(w)
         ring = setup.ring
         c = ring.monomial({setup.c_cell: 1})
-        basis = poly.buchberger((ring.variable(*setup.c_cell),), basis=setup.w_groebner)
+        basis = poly.buchberger((ring.variable(*setup.c_cell),), basis=setup.groebner.basis)
         lead = MonomialIdeal.from_monomials(ring, (g.leading_monomial() for g in basis))
         corner = poly.monomial_mul(c, ring.monomial({(w.rows, w.cols): 1}))
-        for antidiagonal in (setup.antidiagonal, MonomialIdeal.from_monomials(
-                ring, setup.antidiagonal.gens + (corner,))):
-            report = verify_pivot_initial_ideal(
-                dataclasses.replace(setup, antidiagonal=antidiagonal))
+        J = setup.groebner.antidiagonal
+        for antidiagonal in (J, MonomialIdeal.from_monomials(ring, J.gens + (corner,))):
+            report = verify_pivot_initial_ideal(with_antidiagonal(setup, antidiagonal))
             assert report.lead == lead, w.one_line()
             assert report.expected == MonomialIdeal.from_monomials(
                 ring, (c,) + antidiagonal.gens), w.one_line()
@@ -243,7 +248,7 @@ def test_lemma_2_in_verify_all_forms_no_s_pair_when_the_pivot_divides_no_lead(
     setup = setup_(w)
     c = setup.ring.variable(*setup.c_cell)
     assert not any(monomial_divides(c.leading_monomial(), g.leading_monomial())
-                   for g in setup.w_groebner)
+                   for g in setup.groebner.basis)
     calls = {"lemma2": 0, "other": 0}
     stage = ["other"]
     real_s_polynomial = poly.s_polynomial
@@ -266,8 +271,8 @@ def test_lemma_2_in_verify_all_forms_no_s_pair_when_the_pivot_divides_no_lead(
     assert calls["lemma2"] == 0
     # restarting Buchberger on c and the basis forms the pairs inside it again
     calls["other"] = 0
-    assert poly.buchberger((c,) + setup.w_groebner) == \
-        poly.buchberger((c,), basis=setup.w_groebner)
+    assert poly.buchberger((c,) + setup.groebner.basis) == \
+        poly.buchberger((c,), basis=setup.groebner.basis)
     assert calls["other"] == restart_pairs
 
 
@@ -285,12 +290,9 @@ def test_build_localization_35142_structure():
     setup = setup_("35142")
     assert setup.c_cell == Cell(1, 3)
     assert setup.w_prime.one_line() == (4, 1, 3, 2)
-    assert setup.row_labels == (2, 3, 4, 5)
-    assert setup.col_labels == (1, 2, 4, 5)
+    assert frlab._deleted_labels(5, setup.c_cell) == ((2, 3, 4, 5), (1, 2, 4, 5))
     r = setup.ring
     assert setup.gamma_generators == (r.variable(1, 1), r.variable(1, 2))
-    assert set(setup.gamma) == {Cell(1, q) for q in range(1, 6)} | \
-        {Cell(p, 3) for p in range(1, 6)}
 
 
 def test_build_localization_35142_cleared_generators():
@@ -359,7 +361,9 @@ def test_cleared_generators_are_the_substitution_cleared_of_the_pivot():
     for w in _oracle_sample():
         setup = setup_(w)
         ring, (p0, q0) = setup.ring, setup.c_cell
-        cell_map = frlab._cell_map(setup.row_labels, setup.col_labels)
+        row_labels, col_labels = frlab._deleted_labels(w.size, (p0, q0))
+        cell_map = {(i, j): (p, q) for i, p in enumerate(row_labels, 1)
+                    for j, q in enumerate(col_labels, 1)}
         images: dict = {}
         for g, cleared in zip(setup.w_prime_generators, setup.cleared_generators, strict=True):
             substituted = pivot_substitution(transplant(g, ring, cell_map), p0, q0, -1, images)
@@ -385,7 +389,8 @@ def test_fulton_generators_in_the_primed_coordinates_are_minors():
         ring, pivot = setup.ring, setup.c_cell
         p0, q0 = pivot
         images: dict = {}
-        for g, (rows, cols) in zip(setup.w_generators, setup.w_sites, strict=True):
+        schubert = setup.groebner.schubert
+        for g, (rows, cols) in zip(schubert.generators, schubert.sites, strict=True):
             d = len(rows)
             substituted = pivot_substitution(g, p0, q0, 1, images)
             reduced = frlab._primed_minor(g, rows, cols, pivot)
@@ -406,6 +411,29 @@ def test_fulton_generators_in_the_primed_coordinates_are_minors():
             assert reduced in (right, -right), (w.one_line(), rows, cols)
             cases.add((has_row, has_col))
     assert cases == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_the_pipeline_of_w_runs_once_per_setup(monkeypatch):
+    """``build_localization`` takes w's Fulton generators, their basis and
+    J_w from one ``verify_groebner`` call; the second Fulton call is w'."""
+    calls = {"verify_groebner": 0, "fulton_generators": 0, "antidiagonal_ideal": 0}
+    for name in calls:
+        real = getattr(detideal, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        for module in (detideal, frlab):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting)
+    assert verify_all(w_("351642")).ok
+    assert calls == {"verify_groebner": 1, "fulton_generators": 2, "antidiagonal_ideal": 1}
+
+
+def test_the_setup_holds_the_groebner_report_of_w():
+    for w in nonregular(4):
+        assert build_localization(w).groebner == verify_groebner(w), w.one_line()
 
 
 def test_build_localization_requires_a_pivot():

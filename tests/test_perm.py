@@ -40,6 +40,13 @@ def test_parse_errors_carry_position():
         w_("360")
     with pytest.raises(PermutationParseError):
         w_("")
+    # superscript two is a digit to str.isdigit but not to int
+    for word, position in (("\u00b2", 1), ("1\u00b2", 2)):
+        with pytest.raises(PermutationParseError) as err:
+            w_(word)
+        assert err.value.position == position
+    # decimal digits of other scripts read as int reads them
+    assert w_("\u0663\u0661\u0662").one_line() == (3, 1, 2)
 
 
 def test_matrix_construction_and_validation():
