@@ -47,11 +47,18 @@ class MonomialIdeal:
 
     @classmethod
     def from_monomials(cls, ring: PolyRing, monomials: Iterable[Monomial]) -> "MonomialIdeal":
+        """The ideal the monomials generate, minimalized.  A divisor of m is
+        at most m in the term order, so one pass in that order keeps exactly
+        the monomials that no kept one divides."""
+        guard = ring._guard
         kept: list[Monomial] = []
-        for m in _by_degree(ring, set(monomials)):
-            if not any(monomial_divides(g, m) for g in kept):
+        for m in sorted(monomials):
+            for g in kept:
+                if not (m - g) & guard:  # g | m, as in poly's division
+                    break
+            else:
                 kept.append(m)
-        return cls(ring, tuple(kept))
+        return cls(ring, _by_degree(ring, kept))
 
     @classmethod
     def from_minimal_generators(cls, ring: PolyRing,
@@ -68,8 +75,7 @@ class MonomialIdeal:
         return any(monomial_divides(g, m) for g in self.gens)
 
     def is_squarefree(self) -> bool:
-        degree, support = self.ring.monomial_degree, self.ring.support
-        return all(degree(m) == len(support(m)) for m in self.gens)
+        return all(map(self.ring.is_squarefree, self.gens))
 
     def rendered(self) -> tuple[str, ...]:
         return tuple(self.ring.render_monomial(m) for m in self.gens)

@@ -93,19 +93,16 @@ def _pivot_minor_sites(n: int, pivot: Cell) -> Iterator[tuple[tuple[int, ...], t
     """(rows, cols) of the minors of the n x n generic matrix whose
     antidiagonal holds the pivot, by size, then rows, then columns.  The
     antidiagonal pairs rows[k] with cols[t - 1 - k], so with the pivot's row
-    at rows[k], k rows lie above it, t - 1 - k below, and its column has
-    t - 1 - k columns to its left and k to its right."""
+    at rows[k] its column has t - 1 - k columns to its left and k to its
+    right; the column lists then come in lexicographic order."""
     p0, q0 = pivot
     for t in range(1, n + 1):
-        sites = []
-        for k in range(t):
-            for above in itertools.combinations(range(1, p0), k):
-                for below in itertools.combinations(range(p0 + 1, n + 1), t - 1 - k):
-                    rows = above + (p0,) + below
-                    for left in itertools.combinations(range(1, q0), t - 1 - k):
-                        for right in itertools.combinations(range(q0 + 1, n + 1), k):
-                            sites.append((rows, left + (q0,) + right))
-        yield from sorted(sites)
+        for rows in itertools.combinations(range(1, n + 1), t):
+            if p0 in rows:
+                k = rows.index(p0)
+                for left in itertools.combinations(range(1, q0), t - 1 - k):
+                    for right in itertools.combinations(range(q0 + 1, n + 1), k):
+                        yield rows, left + (q0,) + right
 
 
 @dataclass(frozen=True)
@@ -125,50 +122,58 @@ def verify_pivot_minors(setup: LocalizationSetup) -> MinorMembershipReport:
     of its rows onto its columns, pairwise distinct and squarefree with
     coefficient +-1, so none cancels and the minor lies in the monomial
     ideal iff each of them does; c is a variable and J_w is squarefree, so
-    a term lies in it iff its support contains a generator's support.  The
-    bijections are searched depth first, a branch is cut once its partial
-    support contains a generator's, and a minor fails once a complete
-    bijection escapes every generator."""
+    a term lies in it iff its variables include a generator's.  A
+    squarefree monomial is the set of its variables, one bit each, so a
+    generator g is among the chosen variables ``grown`` iff
+    ``g & grown == g``.  The bijections are searched depth first, a branch
+    is cut once its chosen variables include a generator, and a minor fails
+    once a complete bijection escapes every generator."""
     antidiagonal = setup.groebner.antidiagonal
     if not antidiagonal.is_squarefree():
         raise ValueError("the minor support search requires a squarefree J_w")
     n, pivot, ring = setup.w.size, setup.c_cell, setup.ring
-    gens = (ring.monomial({pivot: 1}),) + antidiagonal.gens
-    cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    key = {cell: ring.support(ring.monomial({cell: 1})) for cell in cells}
-    # generator supports indexed by their variables: adding a variable to a
-    # partial support can only complete a generator that contains it
+    # the generators indexed by their variables, which are their bits:
+    # adding a variable to the chosen ones can only complete a generator
+    # that contains it
     covering: dict = {}
-    for m in gens:
-        support = ring.support(m)
-        for v in support:
-            covering.setdefault(v, []).append(support)
+    for g in (ring.monomial({pivot: 1}),) + antidiagonal.gens:
+        rest = g
+        while rest:
+            v = rest & -rest
+            covering.setdefault(v, []).append(g)
+            rest -= v
+    key: dict = {}  # cell -> its variable, filled as the search meets it
 
     checked = 0
     failures = []
     for rows, cols in _pivot_minor_sites(n, pivot):
         checked += 1
-        if _escapes(key, covering, rows, cols, 0, frozenset()):
+        if _escapes(ring, key, covering, rows, cols, 0, 0):
             failures.append((rows, cols))
     return MinorMembershipReport(not failures, checked, tuple(failures))
 
 
-def _escapes(key: dict, covering: dict, rows: tuple, cols: tuple, k: int,
-             support: frozenset) -> bool:
-    """Whether some bijection of rows[k:] onto cols, with ``support`` chosen
-    so far, gives a term outside the monomial ideal: ``key`` maps a cell to
-    its variable's support, and ``covering`` a variable to the supports of
-    the generators containing it (see ``verify_pivot_minors``)."""
+def _escapes(ring: PolyRing, key: dict, covering: dict, rows: tuple, cols: tuple, k: int,
+             chosen: Monomial) -> bool:
+    """Whether some bijection of rows[k:] onto cols, with the variables
+    ``chosen`` so far, gives a term outside the monomial ideal: ``key`` maps
+    a cell to its variable, and ``covering`` a variable to the generators
+    containing it (see ``verify_pivot_minors``)."""
     if k == len(rows):
         return True
+    row = rows[k]
     for idx, j in enumerate(cols):
-        v = key[(rows[k], j)]
-        grown = support | v
-        (var,) = v
-        if any(g <= grown for g in covering.get(var, ())):
-            continue
-        if _escapes(key, covering, rows, cols[:idx] + cols[idx + 1:], k + 1, grown):
-            return True
+        cell = row, j
+        v = key.get(cell)
+        if v is None:
+            v = key[cell] = ring.monomial({cell: 1})
+        grown = chosen | v
+        for g in covering.get(v, ()):
+            if g & grown == g:
+                break
+        else:
+            if _escapes(ring, key, covering, rows, cols[:idx] + cols[idx + 1:], k + 1, grown):
+                return True
     return False
 
 
@@ -194,8 +199,9 @@ def verify_pivot_initial_ideal(setup: LocalizationSetup) -> InitialIdealReport:
     c = ring.monomial({pivot: 1})
     expected = MonomialIdeal.from_minimal_generators(
         ring, (c,) + tuple(m for m in groebner.antidiagonal.gens if not monomial_divides(c, m)))
-    contains = all(lead.contains_monomial(m) for m in expected.gens)
-    return InitialIdealReport(lead.gens == expected.gens, contains, lead, expected)
+    ok = lead.gens == expected.gens
+    return InitialIdealReport(ok, ok or all(lead.contains_monomial(m) for m in expected.gens),
+                              lead, expected)
 
 
 def verify_pivot_nonzerodivisor(setup: LocalizationSetup) -> bool:

@@ -29,7 +29,9 @@ quotient one subtraction, and a | b exactly when ``b - a`` sets no guard bit
 (a borrow out of a byte lands on its guard bit).  Every path that raises
 exponents (``monomial_mul``, the shifted ``axpy`` kernels,
 ``PolyRing.monomial`` and the parser) raises ``ExponentOverflowError``
-rather than carry into the next variable.
+rather than carry into the next variable.  A variable is a single bit, so a
+squarefree monomial (``PolyRing.is_squarefree``) is the bit set of its
+variables: for squarefree a and b, a | b exactly when ``a & b == a``.
 
 The Groebner engine keeps what it has computed: a polynomial caches its
 leading monomial; ``normal_forms`` sorts one reducer list for many
@@ -44,6 +46,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import operator
 import re
 from bisect import insort
 from contextlib import contextmanager
@@ -157,6 +160,8 @@ class _PrimeField:
         if isinstance(c, int):
             return c % self.p
         if isinstance(c, Fraction):
+            if not c.denominator % self.p:
+                raise ValueError(f"denominator {c.denominator} is zero in {self.name}")
             return c.numerator * pow(c.denominator, -1, self.p) % self.p
         raise TypeError(f"unsupported coefficient {c!r}")
 
@@ -265,6 +270,11 @@ class PolyRing:
     def monomial_degree(self, m: Monomial) -> int:
         return sum(m.to_bytes(self.nvars, "big"))  # _exponents, inlined
 
+    def is_squarefree(self, m: Monomial) -> bool:
+        """Whether no variable divides m twice: whether every exponent byte
+        is 0 or 1, so that m sets none of the bits 1 to 6 of any byte."""
+        return not m & (self._guard - (self._guard >> 6))
+
     def support(self, m: Monomial) -> frozenset:
         """Opaque keys of the variables dividing m; two monomials share a
         variable iff their supports meet."""
@@ -346,8 +356,9 @@ class PolyRing:
         them).  Whitespace may stand between any two tokens; there are no
         parentheses.  So the rendering parses back, and so do fractions like
         3/2, powers and terms in any order.  Malformed text, a zero
-        denominator and a variable outside the grid raise ``ValueError``; an
-        exponent above the bound raises ``ExponentOverflowError``."""
+        denominator (over F_p, one that p divides) and a variable outside the
+        grid raise ``ValueError``; an exponent above the bound raises
+        ``ExponentOverflowError``."""
         match = _SIGN.match(text)
         terms, sign, coeff, mono = [], match.group(1), 1, 0
         while True:
@@ -647,7 +658,7 @@ def _minor_indices(ring: PolyRing, rows: Sequence[int], cols: Sequence[int]) -> 
     cols = tuple(cols)
     if not rows or len(rows) != len(cols):
         raise ValueError("row and column index lists must be equal-length and nonempty")
-    if list(rows) != sorted(set(rows)) or list(cols) != sorted(set(cols)):
+    if not (all(map(operator.lt, rows, rows[1:])) and all(map(operator.lt, cols, cols[1:]))):
         raise ValueError("index lists must be strictly increasing without repeats")
     if rows[-1] > ring.rows or cols[-1] > ring.cols or rows[0] < 1 or cols[0] < 1:
         raise ValueError("minor indices leave the grid")
@@ -664,8 +675,8 @@ def antidiagonal_monomial(ring: PolyRing, rows: Sequence[int], cols: Sequence[in
     'x[1,4]*x[2,3]'
     """
     rows, cols = _minor_indices(ring, rows, cols)
-    t = len(rows)
-    return ring.monomial([((rows[k], cols[t - 1 - k]), 1) for k in range(t)])
+    # distinct variables: their sum sets no guard bit
+    return sum(map(ring._variables.__getitem__, zip(rows, reversed(cols))))
 
 
 # ---------------------------------------------------------------------------
@@ -926,8 +937,9 @@ def _buchberger_core(ring: PolyRing, basis: list, known: int) -> list:
         if (i, j) not in pairs:
             continue
         del pairs[(i, j)]
-        s = s_polynomial(basis[i], basis[j])
-        rem = _reduce_dict(dict(s._d), reducers, ring)
+        # the S-polynomial is built for this reduction alone, so its own
+        # term dict is reduced in place
+        rem = _reduce_dict(s_polynomial(basis[i], basis[j])._d, reducers, ring)
         if not rem:
             continue
         h = Polynomial(ring, rem).monic()
@@ -981,21 +993,28 @@ def _interreduce(basis: list, known: int) -> tuple:
         return ()
     ring = basis[0].ring
     guard = ring._guard
-    # minimal: drop any element whose lead is divisible by another kept lead
+    # minimal: drop any element whose lead is divisible by another kept lead.
+    # A divisor's lead comes first in lead order, and a known lead divides no
+    # other known lead, so a known element is checked against the new kept
+    # leads only.
     order = sorted(range(len(basis)), key=lambda k: (basis[k].leading_monomial(), k))
     kept: list = []
     kept_leads: list = []
+    new_leads: list = []
     for k in order:
         lm = basis[k].leading_monomial()
-        if any(not (lm - lead) & guard for lead in kept_leads):
+        if any(not (lm - lead) & guard for lead in (new_leads if k < known else kept_leads)):
             continue
         kept.append(k)
         kept_leads.append(lm)
-    new_leads = [lead for k, lead in zip(kept, kept_leads) if k >= known]
+        if k >= known:
+            new_leads.append(lm)
     # reduced: replace each by its normal form against the others.  The kept
-    # leads are distinct and increasing, so one sorted entry list serves
-    # every element with its own entry left out, and tail reduction keeps
-    # each lead, so the result stays sorted.
+    # leads are minimal, distinct and increasing, and a lead divides only
+    # monomials at least as large.  So no entry before an element's own
+    # divides its lead, and none from its own on divides a term below its
+    # lead: reducing by the entries before its own reduces its tail by all
+    # the others and keeps its lead, so the result stays sorted.
     prepared = [_reducer_entry(ring, idx, basis[k]) for idx, k in enumerate(kept)]
     reduced = []
     for idx, k in enumerate(kept):
@@ -1004,7 +1023,7 @@ def _interreduce(basis: list, known: int) -> tuple:
                                  for m in g._d for lead in new_leads):
             reduced.append(g)
             continue
-        rem = _reduce_dict(dict(g._d), prepared[:idx] + prepared[idx + 1:], ring)
+        rem = _reduce_dict(dict(g._d), prepared[:idx], ring)
         reduced.append(Polynomial(ring, rem, g.leading_monomial()))
     return tuple(reduced)
 

@@ -5,9 +5,12 @@ re-derivations that the package itself has no call for.
 list, ``colon_by_variable`` forms (J : c) for a monomial ideal J and a
 variable c, ``column_row`` inverts a partial permutation at one column, and
 ``zero_cells`` lists the rank-0 cells of a diagram.  ``_parse_polynomial``
-is the recursive-descent parser that ``PolyRing.parse`` replaced, kept as
-the reference that the parser is checked against.
+is the recursive-descent parser that ``PolyRing.parse`` replaced, and
+``pivot_minor_report_on_supports`` is lemma 1's search on frozensets of
+variable keys that the packed search replaced; each is kept as the
+reference that its replacement is checked against.
 """
+import itertools
 import re
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -129,3 +132,50 @@ def _parse_polynomial(ring: PolyRing, text: str) -> "Polynomial":
             raise ValueError(f"expected '+' or '-', found {nxt!r}")
         sign = -1 if take() == "-" else 1
     return ring.polynomial(terms)
+
+
+def pivot_minor_report_on_supports(setup) -> tuple:
+    """Lemma 1 (``frlab.verify_pivot_minors``) as it was searched before
+    monomials became its masks: (ok, checked, failures).  Every minor of
+    the n x n generic matrix with the pivot on its antidiagonal, by size,
+    rows and columns, is searched depth first over the bijections of its
+    rows onto its columns, with the chosen variables as a frozenset of
+    ``PolyRing.support`` keys."""
+    n, (p0, q0), ring = setup.w.size, setup.c_cell, setup.ring
+    gens = (ring.monomial({(p0, q0): 1}),) + setup.groebner.antidiagonal.gens
+    key = {(i, j): ring.support(ring.monomial({(i, j): 1}))
+           for i in range(1, n + 1) for j in range(1, n + 1)}
+    covering: dict = {}
+    for m in gens:
+        support = ring.support(m)
+        for v in support:
+            covering.setdefault(v, []).append(support)
+    checked = 0
+    failures = []
+    for t in range(1, n + 1):
+        for rows in itertools.combinations(range(1, n + 1), t):
+            for cols in itertools.combinations(range(1, n + 1), t):
+                if (p0, q0) in zip(rows, reversed(cols)):
+                    checked += 1
+                    if _escapes(key, covering, rows, cols, 0, frozenset()):
+                        failures.append((rows, cols))
+    return not failures, checked, tuple(failures)
+
+
+def _escapes(key: dict, covering: dict, rows: tuple, cols: tuple, k: int,
+             support: frozenset) -> bool:
+    """Whether some bijection of rows[k:] onto cols, with ``support`` chosen
+    so far, gives a term outside the monomial ideal: ``key`` maps a cell to
+    its variable's support, and ``covering`` a variable to the supports of
+    the generators containing it."""
+    if k == len(rows):
+        return True
+    for idx, j in enumerate(cols):
+        v = key[(rows[k], j)]
+        grown = support | v
+        (var,) = v
+        if any(g <= grown for g in covering.get(var, ())):
+            continue
+        if _escapes(key, covering, rows, cols[:idx] + cols[idx + 1:], k + 1, grown):
+            return True
+    return False

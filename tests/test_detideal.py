@@ -18,7 +18,7 @@ from msvkit.perm import (PartialPermutation, all_partial_permutations,
                          all_permutations, coxeter_length, extend_to_permutation,
                          identity, render_one_line)
 from msvkit.poly import (IdealPresentation, PolyRing, certified, ideals_equal, minor,
-                         s_polynomial)
+                         monomial_divides, s_polynomial)
 from msvkit.ci import minimal_generator_count
 from msvkit.detideal import (MonomialIdeal, antidiagonal_ideal, fulton_generators,
                              graded_minimal_generators, is_nonzerodivisor_on_monomial_quotient,
@@ -298,6 +298,23 @@ def test_monomial_ideal_minimalizes_its_generators():
     assert J.gens == (x,)
     assert J.contains_monomial(y)
     assert not J.contains_monomial(r.monomial({(2, 2): 1}))
+
+
+MINIMALIZE_CELLS = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)]
+
+
+@settings(max_examples=300, deadline=None)
+@example(exponents=[(0,) * 6, (1, 0, 0, 0, 0, 0), (0,) * 6])
+@example(exponents=[(2, 0, 0, 0, 1, 0), (1, 0, 0, 0, 1, 0), (2, 0, 0, 0, 1, 0), (0, 3, 0, 0, 0, 0)])
+@given(exponents=st.lists(st.tuples(*[st.integers(0, 3)] * len(MINIMALIZE_CELLS)), max_size=10))
+def test_from_monomials_is_the_brute_force_minimalization(exponents):
+    # duplicates, squares and the unit monomial among the inputs
+    r = PolyRing(2, 3)
+    monomials = [r.monomial(zip(MINIMALIZE_CELLS, e)) for e in exponents]
+    minimal = {m for m in monomials
+               if not any(d != m and monomial_divides(d, m) for d in monomials)}
+    assert MonomialIdeal.from_monomials(r, monomials).gens == \
+        tuple(sorted(minimal, key=lambda m: (r.monomial_degree(m), m)))
 
 
 # ---------------------------------------------------------------------------

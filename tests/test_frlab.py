@@ -13,6 +13,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import msvkit.detideal as detideal
 import msvkit.frlab as frlab
@@ -27,6 +28,7 @@ from msvkit.frlab import (NoPivotError, build_localization, find_pivot, localiza
                           verify_all, verify_localization_identity,
                           verify_pivot_initial_ideal, verify_pivot_minors,
                           verify_pivot_nonzerodivisor, verify_pivot_window)
+from reference import pivot_minor_report_on_supports
 from substitution_oracle import pivot_substitution, strip_pivot_factor
 
 
@@ -161,6 +163,38 @@ def test_pivot_minor_search_and_the_oracle_fail_alike_without_a_generator():
     assert failing > 0
 
 
+@functools.cache
+def pivoted_(n):
+    return tuple(nonregular(n))
+
+
+@st.composite
+def squarefree_generator_sets(draw):
+    """A pivot-admitting w of S_4 or S_5 and generator sets of 1 to 4
+    cells of its grid, none, one or many, so that some leave minors outside
+    the ideal they and the pivot generate."""
+    n = draw(st.sampled_from([4, 5]))
+    cell = st.tuples(st.integers(1, n), st.integers(1, n))
+    return (draw(st.sampled_from(pivoted_(n))),
+            draw(st.lists(st.sets(cell, min_size=1, max_size=4), max_size=8)))
+
+
+@settings(max_examples=150, deadline=None)
+@example(drawn=(w_("35142"), []))
+@example(drawn=(w_("2143"), [{(2, 1)}, {(2, 1), (3, 4)}, {(1, 1), (4, 4)}]))
+@given(drawn=squarefree_generator_sets())
+def test_pivot_minor_search_agrees_with_the_support_reference(drawn):
+    w, cell_sets = drawn
+    setup = setup_(w)
+    J = setup.groebner.antidiagonal
+    # the generators need not be minimal: a set may contain another
+    J = dataclasses.replace(J, gens=tuple(J.ring.monomial(dict.fromkeys(cells, 1))
+                                          for cells in cell_sets))
+    setup = with_antidiagonal(setup, J)
+    report = verify_pivot_minors(setup)
+    assert (report.ok, report.checked, report.failures) == pivot_minor_report_on_supports(setup)
+
+
 def test_pivot_minor_search_requires_a_squarefree_ideal():
     setup = setup_("35142")
     J = setup.groebner.antidiagonal
@@ -239,6 +273,19 @@ def test_lemma_2_ideals_are_the_minimalized_ones():
             assert report.lead == lead, w.one_line()
             assert report.expected == MonomialIdeal.from_monomials(
                 ring, (c,) + antidiagonal.gens), w.one_line()
+
+
+def test_lemma_2_reports_the_containment_when_the_ideals_differ():
+    # a J_w short of a generator gives a smaller expected ideal, which the
+    # leads still contain; one with an extra variable gives a larger one
+    setup = setup_("35142")
+    J = setup.groebner.antidiagonal
+    smaller = verify_pivot_initial_ideal(
+        with_antidiagonal(setup, dataclasses.replace(J, gens=J.gens[1:])))
+    assert (smaller.ok, smaller.contains_expected) == (False, True)
+    larger = verify_pivot_initial_ideal(with_antidiagonal(
+        setup, MonomialIdeal.from_monomials(J.ring, J.gens + (J.ring.monomial({(5, 5): 1}),))))
+    assert (larger.ok, larger.contains_expected) == (False, False)
 
 
 @pytest.mark.parametrize("word, restart_pairs", [("35142", 0), ("13542", 12)])
@@ -598,6 +645,28 @@ def test_verify_all_matches_the_pinned_s6_digest():
     digest = hashlib.sha256()
     for w in sample:
         digest.update(json.dumps(verify_all(w).to_json(), sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == golden["sha256"]
+
+
+def test_lemma_2_and_the_identity_match_the_pinned_s6_digest():
+    """sha256 of lemma 2's report (ok, contains_expected, the rendered lead
+    and expected ideals) and the identity's report (ok, proper, the rendered
+    failures) over every pivot-admitting permutation of S_6, recorded
+    before J_w, lemma 2 and the Buchberger tail ran on packed ints."""
+    golden = json.loads((Path(__file__).parent / "golden" / "pivot_lemma2_identity_s6.json")
+                        .read_text())
+    pivoted = nonregular(6)
+    assert len(pivoted) == golden["population"]
+    digest = hashlib.sha256()
+    for w in pivoted:
+        setup = setup_(w)
+        initial = verify_pivot_initial_ideal(setup)
+        localized = verify_localization_identity(setup)
+        digest.update(json.dumps([
+            render_one_line(w), initial.ok, initial.contains_expected,
+            initial.lead.rendered(), initial.expected.rendered(),
+            localized.ok, localized.proper, [str(g) for g in localized.forward_failures],
+            [str(g) for g in localized.backward_failures]]).encode() + b"\n")
     assert digest.hexdigest() == golden["sha256"]
 
 

@@ -587,6 +587,8 @@ BASIS_GENERATORS = st.lists(
 @example(a=[], b=[[((1, 0, 0, 1), 1), ((0, 1, 1, 0), -1)]], char=0)
 @example(a=[[((1, 0, 0, 1), 1), ((0, 1, 1, 0), -1)]], b=[], char=0)
 @example(a=[], b=[], char=32003)
+# a new lead, x[1,2], divides the known lead x[1,2]*x[2,1]
+@example(a=[[((1, 0, 0, 1), 1), ((0, 1, 1, 0), -1)]], b=[[((0, 1, 0, 0), 1)]], char=0)
 @given(a=BASIS_GENERATORS, b=BASIS_GENERATORS, char=st.sampled_from([0, 32003]))
 def test_extending_a_basis_is_buchberger_on_the_union(a, b, char):
     ring = PolyRing(2, 2, char=char)
@@ -720,6 +722,18 @@ def test_extending_a_groebner_basis_that_is_not_reduced_fails_certification():
     with certified():
         assert buchberger((r.variable(1, 1),), basis=(r.parse("x[1,2] - x[1,1]"),)) == \
             (r.variable(1, 1), r.variable(1, 2))
+
+
+def test_extending_a_groebner_basis_that_is_not_minimal_fails_certification():
+    # known leads are checked only against the new ones, so a known lead that
+    # another known lead divides stays, and certification rejects the output
+    r = PolyRing(2, 2)
+    not_minimal = (r.parse("x[1,1]"), r.parse("x[1,1]*x[1,2]"))
+    assert not is_reduced_groebner_basis(not_minimal)
+    with certified(), pytest.raises(GroebnerCertificationError, match="auto-reduced"):
+        buchberger((r.variable(2, 2),), basis=not_minimal)
+    assert buchberger((r.variable(2, 2),), basis=not_minimal) == \
+        (r.variable(2, 2),) + not_minimal
 
 
 def test_certification_rejects_a_cached_lead_that_is_not_the_largest_term():
@@ -911,6 +925,19 @@ def test_parser_rejects_garbage():
     for text in ("x[1,1] +", "y[1,1]", "x[1,1] & x[2,2]", "x[0]", "2/0"):
         with pytest.raises(ValueError):
             RING.parse(text)
+
+
+@pytest.mark.parametrize("p", [2, 5, 32003])
+def test_a_denominator_that_p_divides_is_named_in_the_error(p):
+    ring = PolyRing(2, 2, p)
+    message = f"denominator {2 * p} is zero in GF\\({p}\\)"
+    with pytest.raises(ValueError, match=f"denominator {p} is zero in GF\\({p}\\)"):
+        ring.parse(f"x[1,1] + 1/{p}")
+    with pytest.raises(ValueError, match=message):
+        ring.parse(f"3/{2 * p}*x[2,2]")
+    with pytest.raises(ValueError, match=message):
+        ring.const(Fraction(1, 2 * p))
+    assert ring.parse(f"x[1,1] + {p}/3").coefficient(ring.one_monomial()) == 0
 
 
 # the grammar's tokens, whole factors and joiners to reach valid strings, and
