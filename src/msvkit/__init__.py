@@ -9,12 +9,11 @@ minimal-generator-count oracle (``ci``), pivot-localization verification
 (``frlab``), and a command-line front end (``cli``).
 """
 
-from .perm import (Cell, Diagram, PartialPermutation, all_permutations,
-                   coxeter_length, delete_row_col, diagram, essential_set,
-                   extend_to_permutation, identity, longest_element, rank_at,
-                   render_one_line, submatrix_w)
-from .poly import (IdealPresentation, Polynomial, PolyRing, antidiagonal_monomial,
-                   buchberger, minor, normal_form, normal_forms, s_polynomial, saturate)
+from .perm import (Cell, PartialPermutation, all_permutations, coxeter_length,
+                   delete_row_col, diagram, essential_set, extend_to_permutation,
+                   identity, longest_element, rank_at, render_one_line, submatrix_w)
+from .poly import (Polynomial, PolyRing, antidiagonal_monomial, buchberger, minor,
+                   normal_form, normal_forms, s_polynomial, saturate)
 from .detideal import (MonomialIdeal, SchubertIdeal, antidiagonal_ideal,
                        fulton_generators, is_nonzerodivisor_on_monomial_quotient,
                        monomial_codim, monomial_quotient_membership, verify_groebner)

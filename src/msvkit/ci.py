@@ -61,13 +61,11 @@ def necessary_condition(w: PartialPermutation) -> NecessaryConditionReport:
     NecessaryViolation(cell=Cell(p=2, q=4), neighbor=Cell(p=2, q=5))
     """
     d = diagram(w)
-    violations = []
-    for cell in d.positive_cells():
-        for neighbor in (Cell(cell.p, cell.q + 1), Cell(cell.p + 1, cell.q)):
-            if neighbor in d.ranks:
-                violations.append(NecessaryViolation(cell, neighbor))
-    violations.sort()
-    return NecessaryConditionReport(not violations, tuple(violations))
+    # row-major cells, east before south: the violations come out sorted
+    violations = tuple(NecessaryViolation(cell, neighbor) for cell, r in d.items() if r
+                       for neighbor in (Cell(cell.p, cell.q + 1), Cell(cell.p + 1, cell.q))
+                       if neighbor in d)
+    return NecessaryConditionReport(not violations, violations)
 
 
 @dataclass(frozen=True)
@@ -176,8 +174,9 @@ def _classify(word: tuple[int, ...], *, is_block: bool = False) -> CIReport:
     nodes = []
     verdict = True
     witness: Optional[Witness] = None
-    for cell in d.positive_cells():
-        r = d.ranks[cell]
+    for cell, r in d.items():
+        if not r:
+            continue
         # The r x r block on rows p-r..p-1 and columns q-r..q-1 (inside the
         # grid, since w(p) > q and w^-1(q) > p) is a permutation matrix iff
         # all r of its rows have their value in its columns.
@@ -214,10 +213,8 @@ def _classify(word: tuple[int, ...], *, is_block: bool = False) -> CIReport:
 def _ci_generator_tuple(w: PartialPermutation, ring: Optional[PolyRing] = None) -> tuple:
     if ring is None:
         ring = PolyRing(w.rows, w.cols)
-    d = diagram(w)
     gens: list[Polynomial] = []
-    for cell in d.sorted_cells():
-        r = d.ranks[cell]
+    for cell, r in diagram(w).items():
         if r == 0:
             gens.append(ring.variable(cell.p, cell.q))
         else:

@@ -166,7 +166,7 @@ def render_grid(w: perm.PartialPermutation) -> str:
             if w(i) == j:
                 row.append("1")
             elif (i, j) in d:
-                row.append("*" if d.ranks[perm.Cell(i, j)] > 0 else ".")
+                row.append("*" if d[(i, j)] > 0 else ".")
             else:
                 row.append(" ")
         lines.append(" ".join(row).rstrip())
@@ -180,10 +180,9 @@ def _print_json(payload) -> None:
 def _cmd_diagram(args) -> int:
     w = _load_target(args)
     if args.json:
-        d = perm.diagram(w)
         _print_json({
             "w": w.to_json(),
-            "cells": [[c.p, c.q, d.ranks[c]] for c in d.sorted_cells()],
+            "cells": [[c.p, c.q, r] for c, r in perm.diagram(w).items()],
         })
     else:
         print(render_grid(w))

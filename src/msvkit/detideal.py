@@ -12,7 +12,7 @@ Buchberger and comparing monomial ideals.
 
 Coefficients never appear here: the linear algebra of the Nakayama
 selection is ``poly.independent``, and the module reaches the polynomial
-engine only through ``poly``'s public functions.
+engine only through ``poly``'s public names.
 
 The module also carries the monomial-ideal utilities needed elsewhere:
 codimension of a squarefree monomial ideal by exact minimum vertex cover,
@@ -47,18 +47,8 @@ class MonomialIdeal:
 
     @classmethod
     def from_monomials(cls, ring: PolyRing, monomials: Iterable[Monomial]) -> "MonomialIdeal":
-        """The ideal the monomials generate, minimalized.  A divisor of m is
-        at most m in the term order, so one pass in that order keeps exactly
-        the monomials that no kept one divides."""
-        guard = ring._guard
-        kept: list[Monomial] = []
-        for m in sorted(monomials):
-            for g in kept:
-                if not (m - g) & guard:  # g | m, as in poly's division
-                    break
-            else:
-                kept.append(m)
-        return cls(ring, _by_degree(ring, kept))
+        """The ideal the monomials generate, minimalized."""
+        return cls(ring, _by_degree(ring, ring.minimal_monomials(monomials)))
 
     @classmethod
     def from_minimal_generators(cls, ring: PolyRing,
@@ -117,7 +107,9 @@ def is_nonzerodivisor_on_monomial_quotient(c: Monomial, J: MonomialIdeal) -> boo
 def monomial_codim(J: MonomialIdeal) -> int:
     """Height of a squarefree monomial ideal: the minimum number of variables
     meeting the support of every minimal generator, found by exact
-    branch-and-bound vertex cover."""
+    branch-and-bound vertex cover: it branches on the variables of a
+    smallest support and prunes a branch that cannot beat the best cover
+    found so far."""
     if not J.is_squarefree():
         raise ValueError("codimension via vertex cover requires a squarefree ideal")
     if J.is_zero:
@@ -126,40 +118,19 @@ def monomial_codim(J: MonomialIdeal) -> int:
     if not all(supports):
         raise ValueError("the unit ideal has no height")
 
-    def greedy_cover(remaining: list[frozenset]) -> int:
-        count = 0
-        remaining = list(remaining)
-        while remaining:
-            counts: dict[int, int] = {}
-            for s in remaining:
-                for v in s:
-                    counts[v] = counts.get(v, 0) + 1
-            best_v = max(sorted(counts), key=lambda v: counts[v])
-            remaining = [s for s in remaining if best_v not in s]
-            count += 1
-        return count
-
-    def packing_bound(remaining: list[frozenset]) -> int:
-        used: set[int] = set()
-        count = 0
-        for s in sorted(remaining, key=len):
-            if not (s & used):
-                used |= s
-                count += 1
-        return count
-
-    best = greedy_cover(supports)
+    # every variable of the support is a cover; the search looks only for
+    # smaller ones, so a branch reaching no generator left has chosen < best
+    best = len(frozenset().union(*supports))
 
     def search(remaining: list[frozenset], chosen: int):
         nonlocal best
         if not remaining:
-            best = min(best, chosen)
-            return
-        if chosen + packing_bound(remaining) >= best:
-            return
-        pivot = min(remaining, key=len)
-        for v in sorted(pivot):
-            search([s for s in remaining if v not in s], chosen + 1)
+            best = chosen
+        elif chosen + 1 < best:
+            # some variable of the smallest support is in every cover
+            pivot = min(remaining, key=len)
+            for v in sorted(pivot):
+                search([s for s in remaining if v not in s], chosen + 1)
 
     search(supports, 0)
     return best
@@ -213,8 +184,7 @@ def fulton_generators(w: PartialPermutation, ring: Optional[PolyRing] = None, *,
     if cells == "essential":
         cell_ranks = essential_set(w)
     else:
-        d = diagram(w)
-        cell_ranks = tuple((c, d.ranks[c]) for c in d.sorted_cells())
+        cell_ranks = tuple(diagram(w).items())
     sites = list(_minor_sites(cell_ranks))
     raw = [minor(ring, rows, cols) for rows, cols in sites]
     kept, _ = graded_minimal_generators(ring, raw)

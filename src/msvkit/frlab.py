@@ -77,9 +77,9 @@ def verify_pivot_window(setup: LocalizationSetup) -> bool:
     d = diagram(w)
     for p in range(1, p0 + 1):
         for q in range(1, q0 + 1):
-            if (p, q) != (p0, q0) and Cell(p, q) not in d.ranks:
+            if (p, q) != (p0, q0) and (p, q) not in d:
                 return False
-    for cell, rank in d.ranks.items():
+    for cell, rank in d.items():
         if cell.p <= p0 and rank != 0:
             return False
     for i in range(1, p0 + 1):

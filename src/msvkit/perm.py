@@ -74,7 +74,8 @@ class PartialPermutation:
         """Build a full permutation from one-line notation.
 
         Accepts a digit string for n <= 9 ("35142"), a whitespace- or
-        comma-separated string of integers, or any iterable of integers.
+        comma-separated string of integers, or any iterable of integers.  An
+        empty field between commas is an error at its position.
 
         >>> PartialPermutation.from_one_line("35142").one_line()
         (3, 5, 1, 4, 2)
@@ -173,7 +174,12 @@ def _parse_one_line_text(text: str) -> tuple[int, ...]:
     if not stripped:
         raise PermutationParseError("empty permutation")
     if any(sep in stripped for sep in (" ", ",", "\t")):
-        parts = stripped.replace(",", " ").split()
+        parts: list[str] = []
+        for field in stripped.split(","):
+            if not field.strip():
+                raise PermutationParseError(
+                    f"empty field at position {len(parts) + 1}", position=len(parts) + 1)
+            parts += field.split()
         values = []
         for pos, part in enumerate(parts, start=1):
             try:
@@ -267,43 +273,19 @@ def rank_at(w: PartialPermutation, cell: Cell | tuple[int, int]) -> int:
                if (j := w.assignment[i - 1]) is not None and j <= q)
 
 
-@dataclass(frozen=True)
-class Diagram:
-    """The diagram of a partial permutation with the rank at each cell.
+def diagram(w: PartialPermutation) -> dict[Cell, int]:
+    """Diagram of ``w``: cells (i, j) with w(i) > j (or unassigned) and
+    w^{-1}(j) > i (or unassigned), each mapped to its rank.  The dict is
+    built row by row, so it iterates row-major.
 
     Cells are those neither due east nor due south of a 1; for a full
     permutation the number of cells equals the Coxeter length, which is also
     the codimension of the associated matrix Schubert variety.
-    """
 
-    ranks: dict[Cell, int]
-
-    @property
-    def cells(self) -> frozenset[Cell]:
-        return frozenset(self.ranks)
-
-    def sorted_cells(self) -> tuple[Cell, ...]:
-        return tuple(sorted(self.ranks))
-
-    def positive_cells(self) -> tuple[Cell, ...]:
-        """Cells of positive rank, row-major."""
-        return tuple(c for c in sorted(self.ranks) if self.ranks[c] > 0)
-
-    def __contains__(self, cell) -> bool:
-        return Cell(*cell) in self.ranks
-
-    def __len__(self) -> int:
-        return len(self.ranks)
-
-
-def diagram(w: PartialPermutation) -> Diagram:
-    """Diagram of ``w``: cells (i, j) with w(i) > j (or unassigned) and
-    w^{-1}(j) > i (or unassigned), each labelled with its rank.
-
-    >>> sorted(diagram(PartialPermutation.from_one_line("35142")).cells)
+    >>> list(diagram(PartialPermutation.from_one_line("35142")))
     [Cell(p=1, q=1), Cell(p=1, q=2), Cell(p=2, q=1), Cell(p=2, q=2), Cell(p=2, q=4), Cell(p=4, q=2)]
-    >>> diagram(identity(4)).cells
-    frozenset()
+    >>> diagram(identity(4))
+    {}
     """
     inverse = w.inverse_map()
     ranks: dict[Cell, int] = {}
@@ -319,7 +301,7 @@ def diagram(w: PartialPermutation) -> Diagram:
                 if inv is None or inv > i:
                     ranks[Cell(i, j)] = this_row[j]
         prev_row = this_row
-    return Diagram(ranks)
+    return ranks
 
 
 def essential_set(w: PartialPermutation) -> tuple[tuple[Cell, int], ...]:
@@ -332,9 +314,8 @@ def essential_set(w: PartialPermutation) -> tuple[tuple[Cell, int], ...]:
     ((Cell(p=2, q=2), 0), (Cell(p=2, q=4), 1), (Cell(p=4, q=2), 1))
     """
     d = diagram(w)
-    cells = d.cells
-    return tuple((c, d.ranks[c]) for c in sorted(cells)
-                 if Cell(c.p + 1, c.q) not in cells and Cell(c.p, c.q + 1) not in cells)
+    return tuple((c, r) for c, r in d.items()
+                 if Cell(c.p + 1, c.q) not in d and Cell(c.p, c.q + 1) not in d)
 
 
 def coxeter_length(w: PartialPermutation) -> int:

@@ -50,7 +50,6 @@ import operator
 import re
 from bisect import insort
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from typing import Iterable, Iterator, Optional, Sequence
@@ -285,6 +284,20 @@ class PolyRing:
         for pos, e in enumerate(self._exponents(m)):
             if e:
                 yield pos // self.cols + 1, self.cols - pos % self.cols, e
+
+    def minimal_monomials(self, monomials: Iterable[Monomial]) -> list:
+        """The monomials that no other one of them divides, one copy each, in
+        increasing term order.  A divisor of m is at most m in that order, so
+        one pass in it keeps exactly the monomials that no kept one divides."""
+        guard = self._guard
+        kept: list[Monomial] = []
+        for m in sorted(monomials):
+            for g in kept:
+                if not (m - g) & guard:  # g | m, as in the division
+                    break
+            else:
+                kept.append(m)
+        return kept
 
     def sparse_monomial(self, m: Monomial) -> tuple:
         """Ring-independent canonical form: sorted ((i, j), e) pairs; equal
@@ -683,21 +696,6 @@ def antidiagonal_monomial(ring: PolyRing, rows: Sequence[int], cols: Sequence[in
 # Ideals, division, Buchberger
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IdealPresentation:
-    """A finite list of nonzero generators in a fixed ring."""
-
-    ring: PolyRing
-    generators: tuple
-
-    def __post_init__(self):
-        for g in self.generators:
-            if not isinstance(g, Polynomial) or g.ring != self.ring:
-                raise ValueError("generators must be polynomials of the ambient ring")
-            if g.is_zero:
-                raise ValueError("generators must be nonzero")
-
-
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     """The S-polynomial (lcm/lt(f))*f - (lcm/lt(g))*g."""
     f._check_ring(g)
@@ -1077,9 +1075,10 @@ def transplant(f: Polynomial, target: PolyRing,
     return target.polynomial(terms)
 
 
-def saturate(ideal: IdealPresentation, c: Polynomial) -> IdealPresentation:
+def saturate(generators: Sequence[Polynomial], c: Polynomial) -> tuple:
     """Generators of the saturation (I : c^infinity) = (I + <1 - t*c>) cap
-    K[x] (Cox-Little-O'Shea, ch. 4 section 4).
+    K[x] (Cox-Little-O'Shea, ch. 4 section 4), for I the ideal of the
+    nonzero ``generators`` in the ring of c.
 
     The grid moves to rows 2..rows+1 of a ring with one row more, and
     t = x[1,cols] is the first variable of the ring's lex order, so every
@@ -1093,31 +1092,32 @@ def saturate(ideal: IdealPresentation, c: Polynomial) -> IdealPresentation:
 
     The returned generators are themselves a reduced Groebner basis in the
     base ring, so membership in the localization of I at c is exactly
-    ``normal_form(f, result.generators).is_zero``.
+    ``normal_form(f, result).is_zero``.
 
     >>> r = PolyRing(2, 2)
-    >>> I = IdealPresentation(r, (r.parse("x[1,1]*x[2,2]"),))
-    >>> [str(g) for g in saturate(I, r.variable(1, 1)).generators]
+    >>> [str(g) for g in saturate([r.parse("x[1,1]*x[2,2]")], r.variable(1, 1))]
     ['x[2,2]']
     """
-    ring = ideal.ring
-    if c.ring != ring:
-        raise ValueError("saturating element must live in the ideal's ring")
+    ring = c.ring
+    if any(g.ring != ring for g in generators):
+        raise ValueError("generators must live in the saturating element's ring")
     if c.is_zero:
         raise ValueError("cannot saturate at zero")
-    if not ideal.generators:
-        return IdealPresentation(ring, ())
+    if not generators:
+        return ()
     extended = PolyRing(ring.rows + 1, ring.cols, ring.char)
     down = {(i, j): (i + 1, j) for i in range(1, ring.rows + 1) for j in range(1, ring.cols + 1)}
     up = {shifted: cell for cell, shifted in down.items()}
     t = extended.monomial({(1, ring.cols): 1})
-    lifted = [transplant(g, extended, down) for g in ideal.generators]
+    # buchberger rejects a zero generator
+    lifted = [transplant(g, extended, down) for g in generators]
     lifted.append(extended.one() - transplant(c, extended, down).mul_term(t))
     kept = [g for g in buchberger(lifted) if g.leading_monomial() < t]
-    return IdealPresentation(ring, tuple(transplant(g, ring, up) for g in kept))
+    return tuple(transplant(g, ring, up) for g in kept)
 
 
-def ideals_equal(a: IdealPresentation, b: IdealPresentation) -> bool:
-    """Ideal equality via mutual normal-form containment."""
-    return (not any(normal_forms(b.generators, buchberger(a.generators)))
-            and not any(normal_forms(a.generators, buchberger(b.generators))))
+def ideals_equal(a: Sequence[Polynomial], b: Sequence[Polynomial]) -> bool:
+    """Whether the generators ``a`` and ``b`` generate the same ideal, by
+    mutual normal-form containment."""
+    return (not any(normal_forms(b, buchberger(a)))
+            and not any(normal_forms(a, buchberger(b))))

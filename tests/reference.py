@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from msvkit.detideal import MonomialIdeal
-from msvkit.perm import Cell, Diagram, PartialPermutation
+from msvkit.perm import Cell, PartialPermutation
 from msvkit.poly import (GroebnerCertificationError, Monomial, Polynomial, PolyRing,
                          _certify_basis, monomial_divides, monomial_mul, monomial_quotient)
 
@@ -51,9 +51,9 @@ def column_row(w: PartialPermutation, j: int) -> Optional[int]:
     return None
 
 
-def zero_cells(d: Diagram) -> tuple[Cell, ...]:
+def zero_cells(d: dict[Cell, int]) -> tuple[Cell, ...]:
     """The cells of rank 0 of a diagram, row-major."""
-    return tuple(c for c in d.sorted_cells() if d.ranks[c] == 0)
+    return tuple(c for c in sorted(d) if d[c] == 0)
 
 
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_]\w*)|(?P<op>[\[\],*^+\-/]))")

@@ -79,7 +79,7 @@ def test_golden_ones_and_stars_match_the_figures(word):
                 {"1": ones, "*": stars, ".": dots}[ch].add(cell)
     assert ones == {(i, w(i)) for i in range(1, w.size + 1)}
     d = diagram(w)
-    assert stars == set(d.positive_cells())
+    assert stars == {c for c, r in d.items() if r > 0}
     assert dots == set(zero_cells(d))
 
 
@@ -185,6 +185,9 @@ def test_malformed_permutation_is_a_usage_error(capsys):
     code, _, err = run(capsys, "ci", "35141")
     assert code == 2
     assert "position 5" in err
+    code, _, err = run(capsys, "diagram", "1,,2")
+    assert code == 2
+    assert "position 2" in err
 
 
 def test_capability_bound_names_the_limit(capsys):

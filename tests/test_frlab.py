@@ -20,8 +20,8 @@ import msvkit.frlab as frlab
 import msvkit.poly as poly
 from msvkit.perm import Cell, PartialPermutation, all_permutations, coxeter_length, \
     identity, longest_element, render_one_line
-from msvkit.poly import (IdealPresentation, PolyRing, antidiagonal_monomial, minor,
-                         monomial_divides, normal_form, saturate, transplant)
+from msvkit.poly import (PolyRing, antidiagonal_monomial, minor, monomial_divides,
+                         normal_form, saturate, transplant)
 from msvkit.detideal import (MonomialIdeal, antidiagonal_ideal, fulton_generators,
                              monomial_quotient_membership, verify_groebner)
 from msvkit.frlab import (NoPivotError, build_localization, find_pivot, localization_sample,
@@ -533,8 +533,8 @@ def saturation_oracle(w, setup):
     c = ring.variable(*setup.c_cell)
     fulton = fulton_generators(w, ring).generators
     prime_gens = setup.cleared_generators + setup.gamma_generators
-    sat_w = saturate(IdealPresentation(ring, fulton), c).generators
-    sat_prime = saturate(IdealPresentation(ring, prime_gens), c).generators
+    sat_w = saturate(fulton, c)
+    sat_prime = saturate(prime_gens, c)
     forward = tuple(g for g in fulton if not normal_form(g, sat_prime).is_zero)
     backward = tuple(g for g in prime_gens if not normal_form(g, sat_w).is_zero)
     proper = not normal_form(ring.one(), sat_w).is_zero
@@ -675,8 +675,8 @@ def test_saturation_of_the_schubert_ideal_is_proper():
     w = w_("35142")
     schubert = fulton_generators(w)
     ring = schubert.ring
-    sat = saturate(IdealPresentation(ring, schubert.generators), ring.variable(1, 3))
-    assert not normal_form(ring.one(), sat.generators).is_zero
+    sat = saturate(schubert.generators, ring.variable(1, 3))
+    assert not normal_form(ring.one(), sat).is_zero
 
 
 # ---------------------------------------------------------------------------

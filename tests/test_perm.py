@@ -9,6 +9,7 @@ from msvkit.perm import (Cell, PartialPermutation, PermutationParseError,
                          coxeter_length, delete_row_col, diagram, essential_set,
                          extend_to_permutation, identity, longest_element,
                          parse_partial_matrix, rank_at, render_one_line, submatrix_w)
+from msvkit.ci import necessary_condition
 from reference import column_row
 
 
@@ -47,6 +48,13 @@ def test_parse_errors_carry_position():
         assert err.value.position == position
     # decimal digits of other scripts read as int reads them
     assert w_("\u0663\u0661\u0662").one_line() == (3, 1, 2)
+    # an empty comma-separated field is an error at its position
+    for word, position in (("1,,2", 2), ("2,1,", 3), (",2,1", 1), ("2, ,1", 2)):
+        with pytest.raises(PermutationParseError) as err:
+            w_(word)
+        assert err.value.position == position
+    assert w_("1, 2").one_line() == (1, 2)
+    assert w_("1 2,3").one_line() == (1, 2, 3)
 
 
 def test_matrix_construction_and_validation():
@@ -106,25 +114,39 @@ def test_rank_monotonicity_and_unit_steps():
 
 def test_diagram_35142_golden():
     d = diagram(w_("35142"))
-    assert d.ranks == {
+    assert d == {
         Cell(1, 1): 0, Cell(1, 2): 0, Cell(2, 1): 0, Cell(2, 2): 0,
         Cell(2, 4): 1, Cell(4, 2): 1,
     }
 
 
 def test_diagram_identity_empty():
-    assert diagram(identity(5)).cells == frozenset()
+    assert diagram(identity(5)) == {}
 
 
 def test_diagram_positive_cells_361452():
-    assert diagram(w_("361452")).positive_cells() == (
+    d = diagram(w_("361452"))
+    assert tuple(c for c, r in d.items() if r > 0) == (
         Cell(2, 4), Cell(2, 5), Cell(4, 2), Cell(5, 2))
 
 
 def test_diagram_positive_cells_352614():
     d = diagram(w_("352614"))
-    assert d.positive_cells() == (Cell(2, 4), Cell(4, 4))
-    assert d.ranks[Cell(4, 4)] == 2
+    assert tuple(c for c, r in d.items() if r > 0) == (Cell(2, 4), Cell(4, 4))
+    assert d[Cell(4, 4)] == 2
+
+
+def test_diagram_iterates_row_major():
+    # the JSON cells, the CI generators, the certificate and the witness
+    # are read in the diagram's own order
+    pool = list(all_permutations(5)) + [
+        w for l in (1, 2, 3) for m in (1, 2, 3) for w in all_partial_permutations(l, m)]
+    for w in pool:
+        d = diagram(w)
+        assert list(d) == sorted(d)
+    for w in all_permutations(6):
+        violations = necessary_condition(w).violations
+        assert list(violations) == sorted(violations)
 
 
 def _diagram_by_definition(w):
@@ -142,7 +164,7 @@ def _diagram_by_definition(w):
 def test_diagram_matches_definition():
     pool = list(all_permutations(4)) + list(all_partial_permutations(2, 3))
     for w in pool:
-        assert diagram(w).ranks == _diagram_by_definition(w)
+        assert diagram(w) == _diagram_by_definition(w)
 
 
 def test_essential_set_goldens():
@@ -158,13 +180,13 @@ def test_essential_cells_are_southeast_maximal_diagram_cells():
         d = diagram(w)
         essential = essential_set(w)
         for cell, rank in essential:
-            assert cell in d.cells
-            assert d.ranks[cell] == rank
-            assert Cell(cell.p + 1, cell.q) not in d.cells
-            assert Cell(cell.p, cell.q + 1) not in d.cells
-        expected = {c for c in d.cells
-                    if Cell(c.p + 1, c.q) not in d.cells
-                    and Cell(c.p, c.q + 1) not in d.cells}
+            assert cell in d
+            assert d[cell] == rank
+            assert Cell(cell.p + 1, cell.q) not in d
+            assert Cell(cell.p, cell.q + 1) not in d
+        expected = {c for c in d
+                    if Cell(c.p + 1, c.q) not in d
+                    and Cell(c.p, c.q + 1) not in d}
         assert {c for c, _ in essential} == expected
 
 
@@ -200,7 +222,7 @@ def test_extend_zero_matrix():
 def test_extend_full_identity_has_empty_diagram():
     wt = extend_to_permutation(identity(3))
     assert wt.size == 6
-    assert diagram(wt).cells == frozenset()
+    assert diagram(wt) == {}
 
 
 def test_extension_preserves_diagram_and_essential_set():
@@ -209,7 +231,7 @@ def test_extension_preserves_diagram_and_essential_set():
             for w in all_partial_permutations(l, m):
                 wt = extend_to_permutation(w)
                 assert wt.size == l + m
-                assert diagram(wt).ranks == diagram(w).ranks
+                assert diagram(wt) == diagram(w)
                 assert essential_set(wt) == essential_set(w)
                 assert len(diagram(wt)) == len(diagram(w))
 
@@ -264,6 +286,6 @@ def test_submatrix_errors():
 def test_longest_element_diagram_is_staircase():
     w0 = longest_element(4)
     d = diagram(w0)
-    assert d.cells == {Cell(p, q) for p in range(1, 5) for q in range(1, 5)
-                       if p + q <= 4}
-    assert all(r == 0 for r in d.ranks.values())
+    assert set(d) == {Cell(p, q) for p in range(1, 5) for q in range(1, 5)
+                      if p + q <= 4}
+    assert all(r == 0 for r in d.values())
