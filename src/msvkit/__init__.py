@@ -11,14 +11,14 @@ minimal-generator-count oracle (``ci``), pivot-localization verification
 
 from .perm import (Cell, PartialPermutation, all_permutations, coxeter_length,
                    delete_row_col, diagram, essential_set, extend_to_permutation,
-                   identity, longest_element, rank_at, render_one_line, submatrix_w)
+                   identity, rank_at, render_one_line, submatrix_w)
 from .poly import (Polynomial, PolyRing, antidiagonal_monomial, buchberger, minor,
                    normal_form, normal_forms, s_polynomial, saturate)
 from .detideal import (MonomialIdeal, SchubertIdeal, antidiagonal_ideal,
                        fulton_generators, is_nonzerodivisor_on_monomial_quotient,
                        monomial_codim, monomial_quotient_membership, verify_groebner)
-from .ci import (CIReport, ci_generators, is_complete_intersection,
-                 minimal_generator_count, necessary_condition)
+from .ci import (CIReport, is_complete_intersection, minimal_generator_count,
+                 necessary_condition)
 from .frlab import (LocalizationSetup, NoPivotError, build_localization, find_pivot,
                     localization_sample, verify_all, verify_localization_identity,
                     verify_pivot_initial_ideal, verify_pivot_minors,

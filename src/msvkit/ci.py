@@ -115,7 +115,9 @@ class CIReport:
 
     @property
     def generators(self) -> Optional[tuple]:
-        """The codimension-many generators for a positive verdict, else None."""
+        """The codimension-many generators for a positive verdict, else None:
+        variables at rank-0 diagram cells and block determinants at
+        positive-rank cells, in row-major cell order, in ``PolyRing(n, n)``."""
         if not self.verdict:
             return None
         n = len(self.w)
@@ -210,9 +212,8 @@ def _classify(word: tuple[int, ...], *, is_block: bool = False) -> CIReport:
     return report
 
 
-def _ci_generator_tuple(w: PartialPermutation, ring: Optional[PolyRing] = None) -> tuple:
-    if ring is None:
-        ring = PolyRing(w.rows, w.cols)
+def _ci_generator_tuple(w: PartialPermutation) -> tuple:
+    ring = PolyRing(w.rows, w.cols)
     gens: list[Polynomial] = []
     for cell, r in diagram(w).items():
         if r == 0:
@@ -221,19 +222,6 @@ def _ci_generator_tuple(w: PartialPermutation, ring: Optional[PolyRing] = None) 
             gens.append(minor(ring, range(cell.p - r, cell.p + 1),
                               range(cell.q - r, cell.q + 1)))
     return tuple(gens)
-
-
-def ci_generators(w: PartialPermutation, ring: Optional[PolyRing] = None) -> tuple:
-    """The codimension-many generators of the defining ideal of a complete
-    intersection: variables at rank-0 diagram cells and block determinants at
-    positive-rank cells, in row-major cell order.  Raises for non-complete
-    intersections."""
-    if not w.is_permutation:
-        w = extend_to_permutation(w)
-    report = is_complete_intersection(w)
-    if not report.verdict:
-        raise ValueError(f"{render_one_line(w)} is not a complete intersection")
-    return _ci_generator_tuple(w, ring)
 
 
 def minimal_generator_count(w: PartialPermutation, *, char: int = 0) -> int:

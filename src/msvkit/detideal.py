@@ -70,9 +70,6 @@ class MonomialIdeal:
     def rendered(self) -> tuple[str, ...]:
         return tuple(self.ring.render_monomial(m) for m in self.gens)
 
-    def __contains__(self, m) -> bool:
-        return self.contains_monomial(m)
-
 
 def _by_degree(ring: PolyRing, monomials: Iterable[Monomial]) -> tuple:
     """The monomials in the order of ``MonomialIdeal.gens``: by degree, then

@@ -74,8 +74,10 @@ class PartialPermutation:
         """Build a full permutation from one-line notation.
 
         Accepts a digit string for n <= 9 ("35142"), a whitespace- or
-        comma-separated string of integers, or any iterable of integers.  An
-        empty field between commas is an error at its position.
+        comma-separated string of runs of decimal digits, or any iterable of
+        integers.  An empty field between commas and a token that is not a
+        run of decimal digits, such as "+3" or "1_0", are errors at their
+        position.
 
         >>> PartialPermutation.from_one_line("35142").one_line()
         (3, 5, 1, 4, 2)
@@ -180,15 +182,12 @@ def _parse_one_line_text(text: str) -> tuple[int, ...]:
                 raise PermutationParseError(
                     f"empty field at position {len(parts) + 1}", position=len(parts) + 1)
             parts += field.split()
-        values = []
         for pos, part in enumerate(parts, start=1):
-            try:
-                values.append(int(part))
-            except ValueError:
+            # int() would also read a sign and underscores between digits
+            if not part.isdecimal():
                 raise PermutationParseError(
-                    f"token {part!r} at position {pos} is not an integer",
-                    position=pos) from None
-        return tuple(values)
+                    f"token {part!r} at position {pos} is not an integer", position=pos)
+        return tuple(map(int, parts))
     if not stripped.isdecimal():
         bad = next(k for k, ch in enumerate(stripped, start=1) if not ch.isdecimal())
         raise PermutationParseError(
@@ -228,11 +227,6 @@ def identity(n: int) -> PartialPermutation:
     (1, 2, 3)
     """
     return PartialPermutation(n, n, tuple(range(1, n + 1)))
-
-
-def longest_element(n: int) -> PartialPermutation:
-    """The order-reversing permutation n, n-1, ..., 1."""
-    return PartialPermutation(n, n, tuple(range(n, 0, -1)))
 
 
 def all_permutations(n: int) -> Iterator[PartialPermutation]:

@@ -259,9 +259,6 @@ class PolyRing:
             raise ValueError(
                 f"variable x[{i},{j}] outside the {self.rows}x{self.cols} grid") from None
 
-    def one_monomial(self) -> Monomial:
-        return 0
-
     def _exponents(self, m: Monomial) -> bytes:
         """The exponents of m, in decreasing variable precedence."""
         return m.to_bytes(self.nvars, "big")
@@ -434,11 +431,6 @@ def monomial_quotient(numerator: Monomial, denominator: Monomial) -> Monomial:
 def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
     # a guard mask one byte wider than the wider operand
     return _lcm(a, b, _GUARD & ((256 << max(a, b).bit_length()) - 1))
-
-
-def monomial_coprime(a: Monomial, b: Monomial) -> bool:
-    """True iff no variable divides both, that is iff lcm(a, b) = a * b."""
-    return monomial_lcm(a, b) == a + b
 
 
 def _lcm(a: Monomial, b: Monomial, guard: int) -> Monomial:

@@ -94,8 +94,8 @@ def _parse_polynomial(ring: PolyRing, text: str) -> "Polynomial":
                 den = take()
                 if not den.isdigit():
                     raise ValueError("malformed fraction coefficient")
-                return Fraction(value, int(den)), ring.one_monomial()
-            return value, ring.one_monomial()
+                return Fraction(value, int(den)), ring.monomial({})
+            return value, ring.monomial({})
         if tok == "x":
             take("[")
             i = int(take())

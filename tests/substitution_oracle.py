@@ -47,7 +47,7 @@ def pivot_substitution(f: Polynomial, p0: int, q0: int, sign: int,
     degree = f.total_degree()
     if images is None:
         images = {}
-    one = ring.one_monomial()
+    one = ring.monomial({})
     total: dict = {}
     for m, coeff in f.terms():
         term = ((one, coeff),)

@@ -3,18 +3,18 @@ explicit generator list, and the independent minimal-generator-count oracle."""
 
 import itertools
 import json
+import random
 from pathlib import Path
 
-import pytest
-
 from msvkit.perm import (Cell, PartialPermutation, all_permutations, coxeter_length,
-                         diagram, extend_to_permutation, identity, longest_element,
+                         diagram, extend_to_permutation, identity,
                          render_one_line, submatrix_w)
-from msvkit.poly import Polynomial, PolyRing, antidiagonal_monomial, ideals_equal, minor
-from msvkit.detideal import fulton_generators
+from msvkit.poly import (Polynomial, PolyRing, antidiagonal_monomial, ideals_equal, minor,
+                         monomial_lcm, monomial_mul, normal_forms)
+from msvkit.detideal import antidiagonal_ideal, fulton_generators
 import msvkit.ci as ci
-from msvkit.ci import (ci_generators, is_complete_intersection,
-                       minimal_generator_count, necessary_condition)
+from msvkit.ci import (is_complete_intersection, minimal_generator_count,
+                       necessary_condition)
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -177,19 +177,21 @@ def test_the_cache_holds_only_blocks_and_no_polynomial(monkeypatch):
 def test_ci_generators_longest_element_is_the_staircase_of_variables():
     for n in (3, 4, 5):
         r = PolyRing(n, n)
-        gens = ci_generators(longest_element(n), r)
+        gens = is_complete_intersection(w_(range(n, 0, -1))).generators
         assert set(gens) == {r.variable(p, q) for p in range(1, n + 1)
                              for q in range(1, n + 1) if p + q <= n}
 
 
 def test_ci_generators_21():
     r = PolyRing(2, 2)
-    assert ci_generators(w_("21"), r) == (r.variable(1, 1),)
+    assert is_complete_intersection(w_("21")).generators == (r.variable(1, 1),)
 
 
 def test_ci_generators_rejects_non_complete_intersections():
-    with pytest.raises(ValueError):
-        ci_generators(w_("361452"))
+    # a negative verdict has no generator list
+    for w in all_permutations(4):
+        report = is_complete_intersection(w)
+        assert (report.generators is None) == (not report.verdict)
 
 
 def test_ci_generators_generate_the_schubert_ideal():
@@ -200,9 +202,7 @@ def test_ci_generators_generate_the_schubert_ideal():
         if not report.verdict:
             continue
         schubert = fulton_generators(w)
-        ring = schubert.ring
-        gens = ci_generators(w, ring)
-        assert ideals_equal(gens, schubert.generators)
+        assert ideals_equal(report.generators, schubert.generators)
 
 
 def test_ci_generators_lead_with_their_antidiagonals():
@@ -219,6 +219,42 @@ def _ci_sites(w):
         sites.append((tuple(range(cell.p - r, cell.p + 1)),
                       tuple(range(cell.q - r, cell.q + 1))))
     return sites
+
+
+def _certifies(w, gens):
+    """Whether gens certify I_w = <gens> with neither a Groebner basis of I_w
+    nor Nakayama: pairwise coprime leads make gens a Groebner basis
+    (Buchberger's first criterion), so a Fulton generator lies in <gens>
+    exactly when its normal form is zero."""
+    leads = [g.leading_monomial() for g in gens]
+    return (all(monomial_lcm(a, b) == monomial_mul(a, b)
+                for a, b in itertools.combinations(leads, 2))
+            and not any(normal_forms(fulton_generators(w).raw_generators, gens)))
+
+
+def test_ci_generators_certify_every_verdict_without_a_groebner_basis():
+    # Coprime leads also make the generators a regular sequence, so a CI
+    # verdict whose ideal they generate is proved by expansion and division
+    # alone; their leads are J_w, which proves in(I_w) = J_w as well.  The
+    # minors at the diagram cells of a non-CI w, also codim-many, must fail:
+    # its ideal needs more generators than its codimension.
+    words = [w.one_line() for n in range(1, 7) for w in all_permutations(n)]
+    words += random.Random(7).sample(list(itertools.permutations(range(1, 8))), 200)
+    ci_words = []
+    for word in words:
+        w = PartialPermutation(len(word), len(word), word)
+        report = is_complete_intersection(w)
+        if report.verdict:
+            gens = report.generators
+            assert len(gens) == coxeter_length(w)
+            assert _certifies(w, gens), word
+            assert {g.leading_monomial() for g in gens} == set(antidiagonal_ideal(w).gens)
+            ci_words.append(word)
+        else:
+            ring = PolyRing(len(word), len(word))
+            assert not _certifies(w, [minor(ring, *site) for site in _ci_sites(w)]), word
+    # the CI permutations of S_1 to S_6 number 1 + 2 + 6 + 21 + 80 + 322
+    assert sum(len(word) < 7 for word in ci_words) == 432
 
 
 # ---------------------------------------------------------------------------

@@ -188,6 +188,11 @@ def test_malformed_permutation_is_a_usage_error(capsys):
     code, _, err = run(capsys, "diagram", "1,,2")
     assert code == 2
     assert "position 2" in err
+    # a signed or underscored token, which int() would read
+    for word, position in (("1 2 +3", 3), ("2 1_0 1 3 4 5 6 7 8 9", 2)):
+        code, out, err = run(capsys, "ci", word)
+        assert (code, out) == (2, "")
+        assert f"position {position}" in err
 
 
 def test_capability_bound_names_the_limit(capsys):
@@ -297,7 +302,7 @@ def test_ci_expands_the_generators_once_per_report(capsys, monkeypatch):
     calls = []
     expand = ci._ci_generator_tuple
     monkeypatch.setattr(ci, "_ci_generator_tuple",
-                        lambda w, ring=None: calls.append(w.one_line()) or expand(w, ring))
+                        lambda w: calls.append(w.one_line()) or expand(w))
     for argv in (("ci", "462153"), ("ci", "462153", "--json")):
         calls.clear()
         assert run(capsys, *argv)[0] == 0

@@ -19,7 +19,7 @@ import msvkit.detideal as detideal
 import msvkit.frlab as frlab
 import msvkit.poly as poly
 from msvkit.perm import Cell, PartialPermutation, all_permutations, coxeter_length, \
-    identity, longest_element, render_one_line
+    identity, render_one_line
 from msvkit.poly import (PolyRing, antidiagonal_monomial, minor, monomial_divides,
                          normal_form, saturate, transplant)
 from msvkit.detideal import (MonomialIdeal, antidiagonal_ideal, fulton_generators,
@@ -61,7 +61,7 @@ def test_find_pivot_goldens():
     assert find_pivot(w_("35142")) == Cell(1, 3)
     assert find_pivot(w_("2143")) == Cell(1, 2)
     assert find_pivot(identity(5)) is None
-    assert find_pivot(longest_element(5)) is None
+    assert find_pivot(w_(range(5, 0, -1))) is None
 
 
 def test_pivot_exists_exactly_when_some_essential_cell_has_positive_rank():
@@ -485,7 +485,7 @@ def test_the_setup_holds_the_groebner_report_of_w():
 
 def test_build_localization_requires_a_pivot():
     with pytest.raises(ValueError):
-        build_localization(longest_element(4))
+        build_localization(w_(range(4, 0, -1)))
 
 
 # ---------------------------------------------------------------------------
@@ -737,7 +737,7 @@ def test_verify_all_and_the_cli_look_the_pivot_up_once(monkeypatch, capsys):
 
     monkeypatch.setattr(frlab, "find_pivot", counting_find_pivot)
     for run, expected in ((lambda: verify_all(w_("351642")).ok, True),
-                          (lambda: verify_all(longest_element(4)).skipped, True),
+                          (lambda: verify_all(w_(range(4, 0, -1))).skipped, True),
                           (lambda: main(["verify-all", "35142"]), 0),
                           (lambda: main(["verify-all", "4321"]), 0)):
         calls[0] = 0
@@ -745,11 +745,11 @@ def test_verify_all_and_the_cli_look_the_pivot_up_once(monkeypatch, capsys):
         assert calls[0] == 1
     assert "skipped: no pivot" in capsys.readouterr().out
     with pytest.raises(NoPivotError):
-        build_localization(longest_element(4))
+        build_localization(w_(range(4, 0, -1)))
 
 
 def test_verify_all_skips_when_regular():
-    summary = verify_all(longest_element(4))
+    summary = verify_all(w_(range(4, 0, -1)))
     assert summary.skipped and summary.ok
     payload = summary.to_json()
     assert payload["skipped"] is True

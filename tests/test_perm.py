@@ -7,7 +7,7 @@ import pytest
 from msvkit.perm import (Cell, PartialPermutation, PermutationParseError,
                          all_partial_permutations, all_permutations,
                          coxeter_length, delete_row_col, diagram, essential_set,
-                         extend_to_permutation, identity, longest_element,
+                         extend_to_permutation, identity,
                          parse_partial_matrix, rank_at, render_one_line, submatrix_w)
 from msvkit.ci import necessary_condition
 from reference import column_row
@@ -55,6 +55,14 @@ def test_parse_errors_carry_position():
         assert err.value.position == position
     assert w_("1, 2").one_line() == (1, 2)
     assert w_("1 2,3").one_line() == (1, 2, 3)
+    # int() also reads a sign and underscores between digits; a separated
+    # token takes neither, as the digit-string form does not
+    for word, position in (("1 2 +3", 3), ("2 1_0 1 3 4 5 6 7 8 9", 2), ("2,-1", 2),
+                           ("1 \u00b2", 2), ("+21", 1)):
+        with pytest.raises(PermutationParseError, match=f"position {position}") as err:
+            w_(word)
+        assert err.value.position == position
+    assert w_("\u0662 \u0661").one_line() == (2, 1)
 
 
 def test_matrix_construction_and_validation():
@@ -284,7 +292,7 @@ def test_submatrix_errors():
 
 
 def test_longest_element_diagram_is_staircase():
-    w0 = longest_element(4)
+    w0 = w_(range(4, 0, -1))
     d = diagram(w0)
     assert set(d) == {Cell(p, q) for p in range(1, 5) for q in range(1, 5)
                       if p + q <= 4}

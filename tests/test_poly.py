@@ -21,7 +21,7 @@ from msvkit.frlab import build_localization, find_pivot, verify_all
 from msvkit.poly import (EXPONENT_BOUND, ExponentOverflowError, GroebnerCertificationError,
                          Polynomial, PolyRing, _lcm, antidiagonal_monomial,
                          buchberger, certified, ideals_equal, minor,
-                         monomial_coprime, monomial_divides, monomial_lcm,
+                         monomial_divides, monomial_lcm,
                          monomial_mul, monomial_quotient, normal_form, normal_forms,
                          s_polynomial, saturate, transplant)
 from reference import _parse_polynomial, is_reduced_groebner_basis
@@ -62,7 +62,7 @@ def test_compare_antidiagonal_beats_diagonal():
 def test_compare_reflexive_and_one_minimal():
     m = mono({(2, 2): 3})
     assert not (m < m or m > m)
-    one = RING.one_monomial()
+    one = RING.monomial({})
     for pairs in ({(1, 1): 1}, {(5, 5): 2}, {(3, 4): 1, (4, 3): 1}):
         assert one < mono(pairs)
 
@@ -86,8 +86,9 @@ def test_monomial_helpers():
     assert not monomial_divides(a, b)
     assert monomial_quotient(a, b) == mono({(1, 2): 1, (3, 3): 1})
     assert monomial_lcm(a, b) == a
-    assert monomial_coprime(b, mono({(3, 3): 2}))
-    assert not monomial_coprime(a, b)
+    c = mono({(3, 3): 2})
+    assert monomial_lcm(b, c) == monomial_mul(b, c)
+    assert monomial_lcm(a, b) != monomial_mul(a, b)
 
 
 # cells of the 3x3 ring ``saturate`` builds for a 2x3 grid: the grid moved
@@ -115,7 +116,6 @@ def test_monomial_kernels_match_their_per_exponent_definitions(a, b, terms, c, c
     if divides:
         assert monomial_quotient(m(b), m(a)) == m(y - x for x, y in zip(a, b))
     assert monomial_lcm(m(a), m(b)) == m(max(x, y) for x, y in zip(a, b))
-    assert monomial_coprime(m(a), m(b)) == (not any(x > 0 and y > 0 for x, y in zip(a, b)))
     # the packed tests the engine inlines with the ring's guard mask: a
     # difference b - a of either sign sets no guard bit exactly when a | b,
     # the lcm is the product exactly for coprime monomials, and the
@@ -131,7 +131,7 @@ def test_monomial_kernels_match_their_per_exponent_definitions(a, b, terms, c, c
     # every term they divide by mask, iff it is free of them
     variables = [ring.variable(*cell) for cell, x in zip(KERNEL_CELLS, a) if x]
     assert bool(normal_forms([ring.polynomial({m(b): 1})], variables)[0]) \
-        == monomial_coprime(m(a), m(b))
+        == (monomial_lcm(m(a), m(b)) == monomial_mul(m(a), m(b)))
     assert normal_form(ring.polynomial({m(b): 1}), [ring.polynomial({m(a): 1})]).is_zero \
         == divides
     f = ring.polynomial([(m(e), v) for e, v in terms])
@@ -170,6 +170,10 @@ def test_packed_monomials_match_exponent_vectors_up_to_the_bound(a, b):
         (i, j, e) for (i, j), e in zip(KERNEL_CELLS, a) if e)
     if all(x + y <= EXPONENT_BOUND for x, y in zip(a, b)):
         assert monomial_mul(m(a), m(b)) == m(x + y for x, y in zip(a, b))
+        # the lcm is the product exactly for coprime monomials, which never
+        # overflow
+        assert (monomial_lcm(m(a), m(b)) == monomial_mul(m(a), m(b))) \
+            == (not any(x and y for x, y in zip(a, b)))
     else:
         with pytest.raises(ExponentOverflowError):
             monomial_mul(m(a), m(b))
@@ -180,7 +184,6 @@ def test_packed_monomials_match_exponent_vectors_up_to_the_bound(a, b):
         assert monomial_quotient(m(b), m(a)) == m(y - x for x, y in zip(a, b))
     assert monomial_lcm(m(a), m(b)) == _lcm(m(a), m(b), ring._guard) \
         == m(max(x, y) for x, y in zip(a, b))
-    assert monomial_coprime(m(a), m(b)) == (not any(x and y for x, y in zip(a, b)))
 
 
 @pytest.mark.parametrize("char", [0, 101])
@@ -921,7 +924,7 @@ def test_render_parse_roundtrip_randomized():
 def test_parser_accepts_fractions_powers_and_any_term_order():
     f = RING.parse("3/2*x[1,1]^2 - 1/2 + x[2,2]*x[1,1]")
     assert f.coefficient(mono({(1, 1): 2})) == Fraction(3, 2)
-    assert f.coefficient(RING.one_monomial()) == Fraction(-1, 2)
+    assert f.coefficient(RING.monomial({})) == Fraction(-1, 2)
     assert RING.parse("x[1,3]*x[2,4] - x[1,4]*x[2,3]") == minor(RING, [1, 2], [3, 4])
 
 
@@ -941,7 +944,7 @@ def test_a_denominator_that_p_divides_is_named_in_the_error(p):
         ring.parse(f"3/{2 * p}*x[2,2]")
     with pytest.raises(ValueError, match=message):
         ring.const(Fraction(1, 2 * p))
-    assert ring.parse(f"x[1,1] + {p}/3").coefficient(ring.one_monomial()) == 0
+    assert ring.parse(f"x[1,1] + {p}/3").coefficient(ring.monomial({})) == 0
 
 
 # the grammar's tokens, whole factors and joiners to reach valid strings, and
@@ -1113,6 +1116,66 @@ def test_no_module_reads_another_modules_private_names():
                                                and node.value.id in modules - {"poly"}))):
                 leaks.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
     assert not leaks
+
+
+# Public functions and methods that no code in src/ calls, each kept for a
+# reason; any other public name with no caller in src/ is dead API.
+UNCALLED_PUBLIC_API = {
+    "necessary_condition": "the paper's essentialness condition, necessary for CI",
+    "monomial_codim": "the height of J_w, which equals the Coxeter length",
+    "monomial_quotient_membership": "membership of a polynomial in a monomial ideal",
+    "localization_sample": "the documented S_5 sample of the localization checks",
+    "verify_all": "every pivot check at once; the benchmark's localize workload",
+    "all_partial_permutations": "sweeps over partial permutations of a shape",
+    "identity": "the identity of S_n, the trivial Schubert variety",
+    "submatrix_w": "perfbench/run.py reads its perm.submatrix_w.* metrics",
+    "PolyRing.parse": "the inverse of str(f)",
+    "PolyRing.zero": "the zero polynomial of a ring",
+    "Polynomial.coefficient": "the coefficient of one monomial",
+    "Polynomial.sparse_terms": "a ring-independent form to compare across grids",
+    "Polynomial.total_degree": "the degree of a polynomial",
+    "certified": "certifies every Groebner basis computed inside it",
+    "ideals_equal": "equality of two ideals given by generators",
+    "monomial_lcm": "the lcm of two packed monomials, which the engine inlines",
+    "normal_form": "the one-polynomial case of normal_forms",
+    "saturate": "the saturation (I : c^infinity)",
+}
+
+
+def _public_definitions(tree):
+    """(qualified name, def node) of the public module-level functions and
+    class methods of a module."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{sub.name}", sub) for sub in node.body
+                        if isinstance(sub, ast.FunctionDef))
+
+
+def test_every_public_function_has_a_caller_in_src_or_a_reason():
+    # a name counts as called when some node of src/ outside its own
+    # definition and the package's re-exports is that name or reads it as
+    # an attribute
+    package = Path(__file__).resolve().parent.parent / "src" / "msvkit"
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in sorted(package.glob("*.py"))}
+    used = {}
+    for module, tree in trees.items():
+        if module == "__init__":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.setdefault(node.id, set()).add(id(node))
+            elif isinstance(node, ast.Attribute):
+                used.setdefault(node.attr, set()).add(id(node))
+    uncalled = set()
+    for tree in trees.values():
+        for qualname, fn in _public_definitions(tree):
+            if not fn.name.startswith("_") and not used.get(fn.name, set()) - {
+                    id(node) for node in ast.walk(fn)}:
+                uncalled.add(qualname)
+    assert uncalled == set(UNCALLED_PUBLIC_API)
 
 
 def _module_level_bindings(body):
