@@ -73,7 +73,7 @@ class Witness:
     """Why a permutation fails the classification, anchored at a cell."""
 
     cell: Cell
-    kind: str  # "necessary-condition" | "block-not-permutation" | "block-not-complete-intersection"
+    kind: str  # "block-not-permutation" | "block-not-complete-intersection"
     detail: str
 
     def to_json(self) -> dict:

@@ -3,7 +3,8 @@
 Subcommands::
 
     diagram          render the diagram of a permutation as an ASCII grid
-    essential        list the essential set with ranks
+                     (n <= 100)
+    essential        list the essential set with ranks (n <= 100)
     gens             print the Fulton generators (n <= 10)
     ci               classify a matrix Schubert variety (n <= 10; exit 1 when
                      not CI)
@@ -11,7 +12,8 @@ Subcommands::
     verify-lemma2    check in(<c> + I_w) = <c> + J_w at the pivot (n <= 5)
     verify-localize  check the localization identity I = I' (n <= 5)
     verify-all       run every pivot verification (n <= 5)
-    census           classify all of S_n, one report per line (n <= 8)
+    census           classify all of S_n, one report per line (n <= 8;
+                     --jobs 0, the default, means all cores)
 
 ``gens`` and ``ci`` are also bounded by their largest minor: an input whose
 essential set asks for a minor of more than 9 rows, the most a permutation of
@@ -37,6 +39,7 @@ from . import ci, detideal, frlab, perm, poly
 
 USAGE_ERROR = 2
 DEFAULT_PRIME = 32003
+DIAGRAM_BOUND = 100  # diagram and essential take time and memory in n^2
 EXPANSION_BOUND = 10  # gens and ci expand minors of up to (n-1)! terms
 GB_BOUND = 6
 CENSUS_BOUND = 8
@@ -178,7 +181,7 @@ def _print_json(payload) -> None:
 
 
 def _cmd_diagram(args) -> int:
-    w = _load_target(args)
+    w = _load_target(args, bound=DIAGRAM_BOUND)
     if args.json:
         _print_json({
             "w": w.to_json(),
@@ -190,7 +193,7 @@ def _cmd_diagram(args) -> int:
 
 
 def _cmd_essential(args) -> int:
-    w = _load_target(args)
+    w = _load_target(args, bound=DIAGRAM_BOUND)
     cells = perm.essential_set(w)
     if args.json:
         _print_json({"w": w.to_json(),
@@ -314,12 +317,14 @@ def _cmd_census(args) -> int:
         raise CapabilityError(f"census is bounded at n <= {CENSUS_BOUND}")
     if args.mu and args.n > ORACLE_BOUND:
         raise CapabilityError(f"census --mu is bounded at n <= {ORACLE_BOUND}")
+    if args.jobs < 0:
+        raise ValueError(f"census --jobs must be 0 (all cores) or positive, got {args.jobs}")
     char = _oracle_char(args)
     payloads = ((w.one_line(), args.mu, char, args.json)
                 for w in perm.all_permutations(args.n))
     count = math.factorial(args.n)
     cores = os.cpu_count() or 1
-    jobs = min(args.jobs, cores) if args.jobs > 0 else cores
+    jobs = min(args.jobs or cores, cores)
     if jobs > 1 and count > 1:
         with Pool(processes=min(jobs, count)) as pool:
             _print_census(pool.imap(_census_line, payloads, chunksize=CENSUS_CHUNK),

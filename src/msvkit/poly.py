@@ -5,8 +5,9 @@ Every ``PolyRing`` owns its coefficient field and its term order:
 * The field is built once from ``char``: exact ints and Fractions for the
   rationals (characteristic 0) or ints reduced mod p for a prime p < 2^31.
   It normalizes and divides coefficients and runs the one in-place kernel
-  ``axpy`` (target += c * x^u * src) behind all polynomial arithmetic, so
-  the choice of field is made when the ring is built, never inside a loop.
+  ``axpy`` (target += c * x^u * src, ``u`` defaulting to the unit monomial)
+  behind all polynomial arithmetic, one loop per field, so the choice of
+  field is made when the ring is built, never inside a loop.
 * The order is antidiagonal-lexicographic: plain lex with variable
   precedence x[i,j] > x[i',j'] iff i < i', or i = i' and j > j' (row-major,
   columns descending).  Under it the leading term of every minor of the
@@ -27,7 +28,7 @@ each byte is a guard bit, so an exponent is at most ``EXPONENT_BOUND``
 (127).  Then int comparison is the term order, a product is one addition and a
 quotient one subtraction, and a | b exactly when ``b - a`` sets no guard bit
 (a borrow out of a byte lands on its guard bit).  Every path that raises
-exponents (``monomial_mul``, the shifted ``axpy`` kernels,
+exponents (``monomial_mul``, the ``axpy`` kernels,
 ``PolyRing.monomial`` and the parser) raises ``ExponentOverflowError``
 rather than carry into the next variable.  A variable is a single bit, so a
 squarefree monomial (``PolyRing.is_squarefree``) is the bit set of its
@@ -117,27 +118,19 @@ class _Rationals:
         q = Fraction(a) / b
         return int(q) if q.denominator == 1 else q
 
-    def axpy(self, target: dict, src: Iterable, c, u: Optional[Monomial] = None):
+    def axpy(self, target: dict, src: Iterable, c, u: Monomial = 0):
         """target += c * x^u * src, where ``src`` yields (monomial,
-        coefficient) pairs and ``u`` None means no shift; terms that cancel
-        leave ``target``."""
-        if u is None:
-            for m, v in src:
-                v = target.get(m, 0) + v * c
-                if v:
-                    target[m] = v
-                else:
-                    target.pop(m, None)
-        else:
-            for m, v in src:
-                key = m + u
-                if key & _GUARD:
-                    raise ExponentOverflowError()
-                v = target.get(key, 0) + v * c
-                if v:
-                    target[key] = v
-                else:
-                    target.pop(key, None)
+        coefficient) pairs and ``u`` defaults to the unit monomial 0; terms
+        that cancel leave ``target``."""
+        for m, v in src:
+            key = m + u
+            if key & _GUARD:
+                raise ExponentOverflowError()
+            v = target.get(key, 0) + v * c
+            if v:
+                target[key] = v
+            else:
+                target.pop(key, None)
 
 
 class _PrimeField:
@@ -167,26 +160,18 @@ class _PrimeField:
     def div(self, a, b):
         return a * pow(b, -1, self.p) % self.p
 
-    def axpy(self, target: dict, src: Iterable, c, u: Optional[Monomial] = None):
+    def axpy(self, target: dict, src: Iterable, c, u: Monomial = 0):
         """target += c * x^u * src, as for the rationals, reduced mod p."""
         p = self.p
-        if u is None:
-            for m, v in src:
-                v = (target.get(m, 0) + v * c) % p
-                if v:
-                    target[m] = v
-                else:
-                    target.pop(m, None)
-        else:
-            for m, v in src:
-                key = m + u
-                if key & _GUARD:
-                    raise ExponentOverflowError()
-                v = (target.get(key, 0) + v * c) % p
-                if v:
-                    target[key] = v
-                else:
-                    target.pop(key, None)
+        for m, v in src:
+            key = m + u
+            if key & _GUARD:
+                raise ExponentOverflowError()
+            v = (target.get(key, 0) + v * c) % p
+            if v:
+                target[key] = v
+            else:
+                target.pop(key, None)
 
 
 _RATIONALS = _Rationals()
@@ -460,18 +445,12 @@ def _is_variable(m: Monomial) -> bool:
     return m > 0 and not m & (m - 1) and (m.bit_length() - 1) % 8 == 0
 
 
-def _erased(f: "Polynomial", mask: int) -> "Polynomial":
-    """f without the terms that ``mask`` meets; f itself if it loses none."""
-    d = {m: c for m, c in f._d.items() if not m & mask}
-    return f if len(d) == len(f._d) else Polynomial(f.ring, d)
-
-
 class Polynomial:
     """An immutable sparse polynomial; terms iterate in decreasing order.
 
     The leading monomial is cached once computed; a constructor that knows
-    it (a rescaled or tail-reduced polynomial keeps its lead) passes it as
-    ``lead``."""
+    it (a rescaled or tail-reduced polynomial keeps its lead, a shifted one
+    moves it) passes it as ``lead``."""
 
     __slots__ = ("ring", "_d", "_terms", "_lead")
 
@@ -572,21 +551,17 @@ class Polynomial:
     __rmul__ = __mul__
 
     def scale(self, c) -> "Polynomial":
-        field = self.ring.field
-        c = field.coeff(c)
-        d: dict = {}
-        if c:
-            field.axpy(d, self._d.items(), c)
-        return Polynomial(self.ring, d, self._lead if c else None)
+        return self.mul_term(0, c)
 
     def mul_term(self, mono: Monomial, c=1) -> "Polynomial":
-        """c * x^mono * self"""
+        """c * x^mono * self; a cached lead moves up by mono."""
         field = self.ring.field
         c = field.coeff(c)
+        if not c:
+            return Polynomial(self.ring, {})
         d: dict = {}
-        if c:
-            field.axpy(d, self._d.items(), c, mono)
-        return Polynomial(self.ring, d)
+        field.axpy(d, self._d.items(), c, mono)
+        return Polynomial(self.ring, d, None if self._lead is None else self._lead + mono)
 
     def monic(self) -> "Polynomial":
         if not self._d:
@@ -634,24 +609,24 @@ def minor(ring: PolyRing, rows: Sequence[int], cols: Sequence[int]) -> Polynomia
     '-x[1,4]*x[2,3] + x[1,3]*x[2,4]'
     """
     rows, cols = _minor_indices(ring, rows, cols)
-    signs = (ring.field.coeff(1), ring.field.coeff(-1))
-    return Polynomial(ring, _laplace(ring, rows, cols, signs, {}))
+    return Polynomial(ring, _laplace(ring, rows, cols, {}))
 
 
-def _laplace(ring: PolyRing, rows: tuple, cols: tuple, signs: tuple, memo: dict) -> dict:
+def _laplace(ring: PolyRing, rows: tuple, cols: tuple, memo: dict) -> dict:
     """The terms of the minor on ``cols`` and the last len(cols) of ``rows``,
     expanded along its first row; ``memo`` maps the columns of each sub-minor
-    already expanded to its terms."""
+    already expanded to its terms.  The signs are plain +-1, which ``axpy``
+    reduces into the field."""
     t = len(cols)
     if t == 1:
-        return {ring._variable(rows[-1], cols[0]): signs[0]}
+        return {ring._variable(rows[-1], cols[0]): 1}
     d = memo.get(cols)
     if d is None:
         d = memo[cols] = {}
         row = rows[-t]
         for k in range(t):
-            sub = _laplace(ring, rows, cols[:k] + cols[k + 1:], signs, memo)
-            ring.field.axpy(d, sub.items(), signs[k % 2], ring._variable(row, cols[k]))
+            sub = _laplace(ring, rows, cols[:k] + cols[k + 1:], memo)
+            ring.field.axpy(d, sub.items(), (-1) ** k, ring._variable(row, cols[k]))
     return d
 
 
@@ -903,7 +878,8 @@ def _buchberger_apart(ring: PolyRing, gens: tuple) -> tuple:
     if variables:
         # the variables themselves erase to zero
         mask = _variable_mask(variables, ring._guard)
-        gens = [h for h in (_erased(g, mask) for g in gens) if h]
+        gens = [Polynomial(ring, d) for d in
+                (_reduce_dict(dict(g._d), [], ring, mask) for g in gens) if d]
     rest = _interreduce(_buchberger_core(ring, [g.monic() for g in gens], 0), 0)
     if rest[:1] and not rest[0].leading_monomial():
         return rest  # the unit ideal

@@ -65,7 +65,7 @@ def pivot_substitution(f: Polynomial, p0: int, q0: int, sign: int,
                     axpy(product, image, cu, u)
                 term = tuple(product.items())
             used += e
-        axpy(total, term, 1, ring.monomial({(p0, q0): degree - used}) if used < degree else None)
+        axpy(total, term, 1, ring.monomial({(p0, q0): degree - used}))
     return Polynomial(ring, total)
 
 

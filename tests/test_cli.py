@@ -204,6 +204,24 @@ def test_capability_bound_names_the_limit(capsys):
     assert "n <= 6" in err
 
 
+def test_diagram_and_essential_are_bounded_before_any_diagram(capsys, tmp_path, monkeypatch):
+    import msvkit.cli as cli
+
+    def refuse(w):
+        raise AssertionError("a diagram was computed")
+
+    monkeypatch.setattr(cli.perm, "diagram", refuse)
+    monkeypatch.setattr(cli.perm, "essential_set", refuse)
+    word = " ".join(map(str, range(cli.DIAGRAM_BOUND + 1, 0, -1)))
+    wide = tmp_path / "wide.txt"
+    wide.write_text("1" + " 0" * cli.DIAGRAM_BOUND + "\n")
+    for command in ("diagram", "essential"):
+        for target in ((word,), ("--file", str(wide))):
+            code, out, err = run(capsys, command, *target)
+            assert (code, out) == (2, ""), (command, target)
+            assert f"n <= {cli.DIAGRAM_BOUND}" in err
+
+
 def test_partial_permutation_file_target(capsys, tmp_path):
     path = tmp_path / "partial.txt"
     path.write_text("0 0 1\n0 0 0\n")
@@ -377,6 +395,18 @@ def test_census_jobs_are_clamped_to_the_cores(capsys, monkeypatch):
     assert code == 0
     assert pools == [2]
     assert clamped == serial
+
+
+def test_census_negative_jobs_is_a_usage_error(capsys, monkeypatch):
+    import msvkit.cli as cli
+
+    def refuse(n):
+        raise AssertionError("the census started")
+
+    monkeypatch.setattr(cli.perm, "all_permutations", refuse)
+    code, out, err = run(capsys, "census", "--n", "3", "--jobs", "-4")
+    assert (code, out) == (2, "")
+    assert "-4" in err
 
 
 def test_census_n_is_bounded_before_any_enumeration(capsys, monkeypatch):

@@ -1066,7 +1066,10 @@ def test_prime_field_arithmetic_is_rational_arithmetic_reduced_mod_p(f, g, h, u,
             if x:
                 x.leading_monomial()
         results = [f_ + g_, f_ - g_, -f_, f_ * g_ - h_, 3 * h_, f_.monic(),
-                   f_.mul_term(ring.monomial(zip(CELLS, u)), c)]
+                   f_.mul_term(ring.monomial(zip(CELLS, u)), c),
+                   f_.scale(c), f_.mul_term(ring.monomial({}), c)]
+        # scaling is the shift by the unit monomial
+        assert results[-2] == results[-1]
         if f_ and g_:
             results.append(s_polynomial(f_, g_))
         if f_:
