@@ -1,14 +1,26 @@
 """Complete intersection classification of matrix Schubert varieties.
 
-The classifier is recursive: the variety of a permutation w is a complete
-intersection iff, for every diagram cell (p, q) of positive rank r, the r x r
-block of w just northwest of the cell is itself a permutation matrix whose
-matrix Schubert variety is again a complete intersection.  When the verdict
-is positive, the defining ideal is generated by the codimension-many
-polynomials {x[p,q] at rank-0 diagram cells} plus {det of the (r+1) x (r+1)
-block with southeast corner (p, q) at positive-rank cells}.
+The variety of a permutation w is a complete intersection iff, for every
+diagram cell (p, q) of positive rank r, the r x r block of w just northwest
+of the cell is a permutation matrix whose matrix Schubert variety is again a
+complete intersection (arXiv 1310.6473).  The second clause never decides a
+verdict, so the verdict is the flat block test: no positive-rank diagram cell
+has a non-permutation block.  The proof: if the block B at a positive cell
+(p, q) of rank r is a permutation matrix, its r entries are all the entries
+of w in the upper-left p x q corner.  So the rows above B have their entries
+right of column q.  Hence B's diagram cells, with their ranks and blocks, are
+exactly w's diagram cells inside B's region, shifted by (p-r-1, q-r-1), and
+all of them lie in rows before p.  By induction on n, B is a complete
+intersection iff none of those cells has a non-permutation block.  So the
+first failing cell in row-major order always fails as
+"block-not-permutation".  The classifier still recurses into every
+permutation block, because the child reports make up the certificate.
 
-The classifier does only the work its verdict needs.  Each block is read
+When the verdict is positive, the defining ideal is generated by the
+codimension-many polynomials {x[p,q] at rank-0 diagram cells} plus {det of
+the (r+1) x (r+1) block with southeast corner (p, q) at positive-rank cells}.
+
+The classifier does only the work its report needs.  Each block is read
 straight from the one-line word of w.  The generator determinants are
 expanded only when ``CIReport.generators`` is read, and never stored; the
 classify cache keeps only the reports of northwest blocks met during the
@@ -73,7 +85,7 @@ class Witness:
     """Why a permutation fails the classification, anchored at a cell."""
 
     cell: Cell
-    kind: str  # "block-not-permutation" | "block-not-complete-intersection"
+    kind: str  # always "block-not-permutation"; see the module docstring
     detail: str
 
     def to_json(self) -> dict:
@@ -174,7 +186,6 @@ def _classify(word: tuple[int, ...], *, is_block: bool = False) -> CIReport:
     w = PartialPermutation(len(word), len(word), word)
     d = diagram(w)
     nodes = []
-    verdict = True
     witness: Optional[Witness] = None
     for cell, r in d.items():
         if not r:
@@ -185,27 +196,14 @@ def _classify(word: tuple[int, ...], *, is_block: bool = False) -> CIReport:
         low = cell.q - r
         block = tuple(v - low + 1 for v in word[cell.p - r - 1:cell.p - 1]
                       if low <= v < cell.q)
-        is_permutation = len(block) == r
-        child = None
-        if is_permutation:
-            child = _classify(block, is_block=True)
-            ok = child.verdict
-            if not ok and witness is None:
-                witness = Witness(
-                    cell, "block-not-complete-intersection",
-                    f"the {r}x{r} block northwest of ({cell.p},{cell.q}) is the "
-                    f"permutation {render_one_line(PartialPermutation.from_one_line(child.w))}, "
-                    "whose matrix Schubert variety is not a complete intersection")
-        else:
-            ok = False
-            if witness is None:
-                witness = Witness(
-                    cell, "block-not-permutation",
-                    f"the {r}x{r} block on rows {cell.p - r}..{cell.p - 1} and columns "
-                    f"{cell.q - r}..{cell.q - 1} is not a permutation matrix")
-        verdict = verdict and ok
-        nodes.append(CertificateNode(cell, r, is_permutation, child))
-    report = CIReport(w=word, verdict=verdict, codim=len(d),
+        child = _classify(block, is_block=True) if len(block) == r else None
+        if child is None and witness is None:
+            witness = Witness(
+                cell, "block-not-permutation",
+                f"the {r}x{r} block on rows {cell.p - r}..{cell.p - 1} and columns "
+                f"{cell.q - r}..{cell.q - 1} is not a permutation matrix")
+        nodes.append(CertificateNode(cell, r, child is not None, child))
+    report = CIReport(w=word, verdict=witness is None, codim=len(d),
                       certificate=tuple(nodes), failure_witness=witness)
     if is_block:
         _CLASSIFY_CACHE[word] = report

@@ -125,24 +125,27 @@ def _oracle_char(args) -> int:
     return p
 
 
-def _load_target(args, *, permutation_only: bool = False,
-                 bound: Optional[int] = None) -> perm.PartialPermutation:
+def _load_target(args, *, bound: int) -> perm.PartialPermutation:
+    """The one-line word or the ``--file`` grid of ``args``, refused when it
+    has more than ``bound`` rows or columns.  A file's shape is read from
+    its non-blank lines and the tokens of the first one, so an oversized
+    file is refused before it is parsed."""
+    w = None
     if getattr(args, "file", None):
         try:
             with open(args.file, encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
             raise ValueError(f"cannot read {args.file}: {exc.strerror}") from None
-        w = perm.parse_partial_matrix(text)
+        lines = [line for line in text.splitlines() if line.strip()]
+        rows, cols = len(lines), len(lines[0].split()) if lines else 0
     else:
         w = perm.PartialPermutation.from_one_line(args.w)
-    if permutation_only and not w.is_permutation:
-        raise ValueError(f"{args.command} requires a full permutation")
-    if bound is not None and max(w.rows, w.cols) > bound:
+        rows, cols = w.rows, w.cols
+    if max(rows, cols) > bound:
         raise CapabilityError(
-            f"{args.command} is bounded at n <= {bound}; "
-            f"got a {w.rows}x{w.cols} input")
-    return w
+            f"{args.command} is bounded at n <= {bound}; got a {rows}x{cols} input")
+    return w if w is not None else perm.parse_partial_matrix(text)
 
 
 def _load_expandable(args) -> perm.PartialPermutation:
@@ -277,7 +280,7 @@ VERIFY_COMMANDS = {
 
 def _cmd_verify(args) -> int:
     key, lines = VERIFY_COMMANDS[args.command]
-    w = _load_target(args, permutation_only=True, bound=PIVOT_BOUND)
+    w = _load_target(args, bound=PIVOT_BOUND)
     try:
         setup = frlab.build_localization(w)
     except frlab.NoPivotError:

@@ -52,39 +52,33 @@ from .detideal import (GroebnerReport, MonomialIdeal, fulton_generators,
 def find_pivot(w: PartialPermutation) -> Optional[Cell]:
     """The pivot cell (i0, w(i0)) for the smallest i0 with a positive-rank
     essential cell strictly southeast of it; None iff every essential cell
-    has rank 0 (the coordinate ring is then a polynomial ring).
+    has rank 0 (the coordinate ring is then a polynomial ring).  A
+    positive-rank cell (p, q) counts an entry of w in the upper-left p x q
+    corner, and as a diagram cell it shares no row or column with one, so
+    that entry lies strictly northwest of it.
 
     >>> find_pivot(PartialPermutation.from_one_line("35142"))
     Cell(p=1, q=3)
     """
     positive = [cell for cell, r in essential_set(w) if r > 0]
-    if not positive:
-        return None
-    for i0 in range(1, w.size + 1):
-        q0 = w(i0)
-        if any(cell.p > i0 and cell.q > q0 for cell in positive):
-            return Cell(i0, q0)
-    raise AssertionError("unreachable: a positive essential cell admits a pivot")
+    return next((Cell(i, w(i)) for i in range(1, w.size + 1)
+                 if any(c.p > i and c.q > w(i) for c in positive)), None)
 
 
 def verify_pivot_window(setup: LocalizationSetup) -> bool:
     """The window fact at the pivot: every cell strictly northwest-or-beside
-    the pivot belongs to the diagram, every diagram cell in rows <= i0 has
-    rank 0, and the pivot is the only nonzero entry of the upper-left
+    the pivot belongs to the diagram, and every diagram cell in rows <= i0
+    has rank 0.  No entry of w is a diagram cell, so the first scan also
+    shows that the pivot is the only nonzero entry of the upper-left
     i0 x w(i0) window of w."""
-    w = setup.w
     p0, q0 = setup.c_cell
-    d = diagram(w)
+    d = diagram(setup.w)
     for p in range(1, p0 + 1):
         for q in range(1, q0 + 1):
             if (p, q) != (p0, q0) and (p, q) not in d:
                 return False
     for cell, rank in d.items():
         if cell.p <= p0 and rank != 0:
-            return False
-    for i in range(1, p0 + 1):
-        j = w(i)
-        if j is not None and j <= q0 and (i, j) != (p0, q0):
             return False
     return True
 

@@ -330,26 +330,20 @@ def coxeter_length(w: PartialPermutation) -> int:
 def extend_to_permutation(w: PartialPermutation) -> PartialPermutation:
     """Extend an l x m partial permutation to a permutation in S_{l+m}.
 
-    Assigned rows keep their columns; an unassigned row i <= l takes the
-    smallest unused column in [m+1, n]; each row i > l takes the smallest
-    unused column overall.  The diagram, essential set and determinantal
-    generators of the extension agree with those of ``w``.
+    Assigned rows keep their columns; the unassigned rows i <= l take the
+    columns m+1, m+2, ... in order, which w leaves free; the rows i > l take
+    the leftover columns in increasing order.  So every row takes the
+    smallest column still unused in its range.  The diagram, essential set
+    and determinantal generators of the extension agree with those of ``w``.
 
     >>> extend_to_permutation(PartialPermutation(1, 1, (None,))).one_line()
     (2, 1)
     """
     n = w.rows + w.cols
-    used: set[int] = set()
-    word: list[int] = []
-    for i in range(1, n + 1):
-        if i <= w.rows:
-            j = w.assignment[i - 1]
-            if j is None:
-                j = min(v for v in range(w.cols + 1, n + 1) if v not in used)
-        else:
-            j = min(v for v in range(1, n + 1) if v not in used)
-        used.add(j)
-        word.append(j)
+    spare = iter(range(w.cols + 1, n + 1))
+    word = [next(spare) if j is None else j for j in w.assignment]
+    used = set(word)
+    word += (j for j in range(1, n + 1) if j not in used)
     return PartialPermutation(n, n, tuple(word))
 
 

@@ -1071,8 +1071,6 @@ def saturate(generators: Sequence[Polynomial], c: Polynomial) -> tuple:
         raise ValueError("generators must live in the saturating element's ring")
     if c.is_zero:
         raise ValueError("cannot saturate at zero")
-    if not generators:
-        return ()
     extended = PolyRing(ring.rows + 1, ring.cols, ring.char)
     down = {(i, j): (i + 1, j) for i in range(1, ring.rows + 1) for j in range(1, ring.cols + 1)}
     up = {shifted: cell for cell, shifted in down.items()}

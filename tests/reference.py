@@ -5,10 +5,13 @@ re-derivations that the package itself has no call for.
 list, ``colon_by_variable`` forms (J : c) for a monomial ideal J and a
 variable c, ``column_row`` inverts a partial permutation at one column, and
 ``zero_cells`` lists the rank-0 cells of a diagram.  ``_parse_polynomial``
-is the recursive-descent parser that ``PolyRing.parse`` replaced, and
+is the recursive-descent parser that ``PolyRing.parse`` replaced,
 ``pivot_minor_report_on_supports`` is lemma 1's search on frozensets of
-variable keys that the packed search replaced; each is kept as the
-reference that its replacement is checked against.
+variable keys that the packed search replaced, ``pivot_window_three_scans``
+is the window fact with its scan of w's entries, and
+``extend_by_column_search`` extends a partial permutation by searching each
+row's smallest unused column; each is kept as the reference that its
+replacement is checked against.
 """
 import itertools
 import re
@@ -16,7 +19,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from msvkit.detideal import MonomialIdeal
-from msvkit.perm import Cell, PartialPermutation
+from msvkit.perm import Cell, PartialPermutation, diagram
 from msvkit.poly import (GroebnerCertificationError, Monomial, Polynomial, PolyRing,
                          _certify_basis, monomial_divides, monomial_mul, monomial_quotient)
 
@@ -179,3 +182,36 @@ def _escapes(key: dict, covering: dict, rows: tuple, cols: tuple, k: int,
         if _escapes(key, covering, rows, cols[:idx] + cols[idx + 1:], k + 1, grown):
             return True
     return False
+
+
+def pivot_window_three_scans(w: PartialPermutation, pivot: Cell) -> bool:
+    """The window fact at ``pivot`` with all three of its scans: every cell
+    of the upper-left window but the pivot is a diagram cell, every diagram
+    cell in the pivot's rows has rank 0, and no entry of w but the pivot
+    lies in the window."""
+    p0, q0 = pivot
+    d = diagram(w)
+    return (all((p, q) == (p0, q0) or (p, q) in d
+                for p in range(1, p0 + 1) for q in range(1, q0 + 1))
+            and all(rank == 0 for cell, rank in d.items() if cell.p <= p0)
+            and all(j is None or j > q0 or (i, j) == (p0, q0)
+                    for i, j in enumerate(w.assignment[:p0], start=1)))
+
+
+def extend_by_column_search(w: PartialPermutation) -> PartialPermutation:
+    """Extend an l x m partial permutation to S_{l+m}: an unassigned row
+    i <= l takes the smallest unused column in [m+1, n], and a row i > l
+    the smallest unused column overall."""
+    n = w.rows + w.cols
+    used: set[int] = set()
+    word: list[int] = []
+    for i in range(1, n + 1):
+        if i <= w.rows:
+            j = w.assignment[i - 1]
+            if j is None:
+                j = min(v for v in range(w.cols + 1, n + 1) if v not in used)
+        else:
+            j = min(v for v in range(1, n + 1) if v not in used)
+        used.add(j)
+        word.append(j)
+    return PartialPermutation(n, n, tuple(word))

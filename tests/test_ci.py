@@ -122,17 +122,25 @@ def test_classifier_matches_the_pattern_oracle_on_s1_to_s8():
     golden = json.loads((GOLDEN / "ci_census_counts.json").read_text())
     assert sorted(golden) == ["3", "4", "5", "6", "7", "8"]
     counts = {}
+    # permutation blocks that are not complete intersections, which the
+    # recursion puts in certificates but which never decide a verdict
+    non_ci_children = {}
     for n in range(1, 9):
-        by_classifier = by_patterns = 0
+        by_classifier = by_patterns = non_ci_children[n] = 0
         for word in itertools.permutations(range(1, n + 1)):
-            verdict = is_complete_intersection(PartialPermutation(n, n, word)).verdict
+            report = is_complete_intersection(PartialPermutation(n, n, word))
             avoids = _avoids_ci_patterns(word)
-            assert verdict == avoids, word
-            by_classifier += verdict
+            assert report.verdict == avoids, word
+            assert report.verdict == all(node.is_permutation for node in report.certificate)
+            assert report.verdict or report.failure_witness.kind == "block-not-permutation"
+            non_ci_children[n] += sum(node.is_permutation and not node.child.verdict
+                                      for node in report.certificate)
+            by_classifier += report.verdict
             by_patterns += avoids
         assert by_classifier == by_patterns, n
         counts[str(n)] = by_classifier
     assert {n: counts[n] for n in golden} == golden
+    assert non_ci_children[6] >= 1
 
 
 def _holds_a_polynomial(value):

@@ -88,6 +88,12 @@ def test_render_grid_equals_cli_output(capsys):
     assert out == render_grid(PartialPermutation.from_one_line("35142")) + "\n"
 
 
+def test_diagram_json_lists_every_cell_with_its_rank(capsys):
+    assert run(capsys, "diagram", "35142", "--json") == (0, (
+        '{"cells": [[1, 1, 0], [1, 2, 0], [2, 1, 0], [2, 2, 0], [2, 4, 1], [4, 2, 1]], '
+        '"w": "35142"}\n'), "")
+
+
 # ---------------------------------------------------------------------------
 # Subcommand behaviour and exit codes
 # ---------------------------------------------------------------------------
@@ -125,12 +131,18 @@ def test_gens_lists_the_fulton_generators(capsys):
     assert len(lines) == 6
     code, raw_out, _ = run(capsys, "gens", "35142", "--raw")
     assert len(raw_out.strip().splitlines()) == 16
+    assert run(capsys, "gens", "35142", "--json") == (0, (
+        '{"cells": [[2, 2, 0], [2, 4, 1], [4, 2, 1]], "generators": ["x[1,1]", "x[1,2]", '
+        '"x[2,1]", "x[2,2]", "-x[1,4]*x[2,3] + x[1,3]*x[2,4]", '
+        '"-x[3,2]*x[4,1] + x[3,1]*x[4,2]"], "w": "35142"}\n'), "")
 
 
 def test_essential_output(capsys):
     code, out, _ = run(capsys, "essential", "35142", "--json")
     assert code == 0
     assert json.loads(out)["essential"] == [[2, 2, 0], [2, 4, 1], [4, 2, 1]]
+    assert run(capsys, "essential", "35142") == (
+        0, "(2,2) rank 0\n(2,4) rank 1\n(4,2) rank 1\n", "")
 
 
 def test_verify_gb_ok(capsys):
@@ -153,6 +165,12 @@ def test_verify_gb_corrupted_generators_exit_one(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify-gb", "35142", "--json")
     assert code == 1
     assert json.loads(out)["match"] is False
+    # without the last generator, the minor at (4,2), its antidiagonal
+    # x[3,2]*x[4,1] leads nothing
+    assert run(capsys, "verify-gb", "35142") == (1, (
+        "groebner leading terms vs antidiagonals: MISMATCH\n"
+        "  leading: x[2,1], x[2,2], x[1,1], x[1,2], x[1,4]*x[2,3]\n"
+        "  antidiagonal: x[2,1], x[2,2], x[1,1], x[1,2], x[3,2]*x[4,1], x[1,4]*x[2,3]\n"), "")
 
 
 def test_verify_lemma2_and_localize(capsys):
@@ -222,6 +240,17 @@ def test_diagram_and_essential_are_bounded_before_any_diagram(capsys, tmp_path, 
             assert f"n <= {cli.DIAGRAM_BOUND}" in err
 
 
+def test_an_oversized_file_is_refused_before_it_is_parsed(capsys, tmp_path):
+    import msvkit.cli as cli
+    # a parse would stop at the last row, which is not an integer
+    tall = tmp_path / "tall.txt"
+    tall.write_text("1\n" + "0\n" * cli.DIAGRAM_BOUND + "x\n")
+    code, out, err = run(capsys, "essential", "--file", str(tall))
+    assert (code, out) == (2, "")
+    assert err == (f"error: essential is bounded at n <= {cli.DIAGRAM_BOUND}; "
+                   f"got a {cli.DIAGRAM_BOUND + 2}x1 input\n")
+
+
 def test_partial_permutation_file_target(capsys, tmp_path):
     path = tmp_path / "partial.txt"
     path.write_text("0 0 1\n0 0 0\n")
@@ -230,6 +259,12 @@ def test_partial_permutation_file_target(capsys, tmp_path):
     assert out.splitlines()[0] == ". . 1"
     code, out, _ = run(capsys, "verify-gb", "--file", str(path))
     assert code == 0
+    # a grid that is not a permutation is reported as its 0/1 matrix
+    path.write_text("1 0 0\n0 0 0\n")
+    assert run(capsys, "gens", "--file", str(path), "--json") == (0, (
+        '{"cells": [[2, 3, 1]], "generators": ["-x[1,2]*x[2,1] + x[1,1]*x[2,2]", '
+        '"-x[1,3]*x[2,1] + x[1,1]*x[2,3]", "-x[1,3]*x[2,2] + x[1,2]*x[2,3]"], '
+        '"w": {"cols": 3, "matrix": [[1, 0, 0], [0, 0, 0]], "rows": 2}}\n'), "")
 
 
 def test_file_and_inline_targets_are_mutually_exclusive(capsys):
@@ -310,9 +345,12 @@ def test_census_json_on_s6_matches_the_pinned_digest(capsys):
 
 
 def test_ci_text_output_lists_the_generators(capsys):
-    code, out, _ = run(capsys, "ci", "462153")
-    assert code == 0
-    assert out == (GOLDEN / "ci_462153.txt").read_text()
+    golden = (GOLDEN / "ci_462153.txt").read_text()
+    assert run(capsys, "ci", "462153") == (0, golden, "")
+    # the oracle's count follows the verdict line
+    verdict, generators = golden.split("\n", 1)
+    assert run(capsys, "ci", "462153", "--mu") == (
+        0, f"{verdict}\nminimal generators: 9\n{generators}", "")
 
 
 def test_ci_expands_the_generators_once_per_report(capsys, monkeypatch):
@@ -421,6 +459,7 @@ def test_census_n_is_bounded_before_any_enumeration(capsys, monkeypatch):
     assert out == ""
     assert f"n <= {cli.CENSUS_BOUND}" in err
     assert cli.CENSUS_BOUND == 8
+    assert run(capsys, "census", "--n", "0") == (2, "", "error: census needs n >= 1\n")
 
 
 def test_census_mu_bound(capsys):

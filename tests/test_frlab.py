@@ -28,7 +28,7 @@ from msvkit.frlab import (NoPivotError, build_localization, find_pivot, localiza
                           verify_all, verify_localization_identity,
                           verify_pivot_initial_ideal, verify_pivot_minors,
                           verify_pivot_nonzerodivisor, verify_pivot_window)
-from reference import pivot_minor_report_on_supports
+from reference import pivot_minor_report_on_supports, pivot_window_three_scans
 from substitution_oracle import pivot_substitution, strip_pivot_factor
 
 
@@ -78,6 +78,26 @@ def test_pivot_window_35142():
 def test_pivot_window_exhaustive_s4():
     for w in nonregular(4):
         assert verify_pivot_window(setup_(w)), w.one_line()
+
+
+def test_pivot_window_fails_off_the_pivot():
+    setup = setup_("35142")
+    # the window of (1,4) holds the entry (1,3)
+    assert not verify_pivot_window(dataclasses.replace(setup, c_cell=Cell(1, 4)))
+    # the diagram cell (2,4) in the rows of (2,1) has rank 1
+    assert not verify_pivot_window(dataclasses.replace(setup, c_cell=Cell(2, 1)))
+
+
+def test_pivot_window_matches_its_three_scan_definition_on_s4_and_s5():
+    # the check reads only w and the pivot of its setup, so any cell of any
+    # w stands in for them
+    setup = setup_("35142")
+    for n in (4, 5):
+        for w in all_permutations(n):
+            for cell in itertools.starmap(Cell, itertools.product(range(1, n + 1), repeat=2)):
+                probe = dataclasses.replace(setup, w=w, c_cell=cell)
+                assert verify_pivot_window(probe) == pivot_window_three_scans(w, cell), \
+                    (w.one_line(), cell)
 
 
 def test_pivot_window_requires_a_pivot():

@@ -10,7 +10,7 @@ from msvkit.perm import (Cell, PartialPermutation, PermutationParseError,
                          extend_to_permutation, identity,
                          parse_partial_matrix, rank_at, render_one_line, submatrix_w)
 from msvkit.ci import necessary_condition
-from reference import column_row
+from reference import column_row, extend_by_column_search
 
 
 def w_(word):
@@ -234,14 +234,18 @@ def test_extend_full_identity_has_empty_diagram():
 
 
 def test_extension_preserves_diagram_and_essential_set():
-    for l in (1, 2, 3):
-        for m in (1, 2, 3):
+    seen = 0
+    for l in (1, 2, 3, 4):
+        for m in (1, 2, 3, 4):
             for w in all_partial_permutations(l, m):
                 wt = extend_to_permutation(w)
+                assert wt == extend_by_column_search(w), w
+                seen += 1
                 assert wt.size == l + m
                 assert diagram(wt) == diagram(w)
                 assert essential_set(wt) == essential_set(w)
                 assert len(diagram(wt)) == len(diagram(w))
+    assert seen == 490
 
 
 # ---------------------------------------------------------------------------

@@ -769,6 +769,8 @@ def test_saturate_principal_cases():
     c = r.variable(1, 1)
     assert saturate((c * r.variable(2, 2),), c) == (r.variable(2, 2),)
     assert saturate((r.variable(1, 1),), r.variable(2, 2)) == (r.variable(1, 1),)
+    # the zero ideal: the basis of <1 - t*c> alone keeps nothing free of t
+    assert saturate((), c) == saturate((), r.one()) == ()
 
 
 def test_saturate_strips_exactly_the_c_factors():
