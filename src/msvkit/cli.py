@@ -128,17 +128,29 @@ def _oracle_char(args) -> int:
 def _load_target(args, *, bound: int) -> perm.PartialPermutation:
     """The one-line word or the ``--file`` grid of ``args``, refused when it
     has more than ``bound`` rows or columns.  A file's shape is read from
-    its non-blank lines and the tokens of the first one, so an oversized
-    file is refused before it is parsed."""
+    its non-blank lines and the tokens of the first one while the file
+    streams by, keeping lines only while their count is within the bound,
+    so an oversized file is refused before it is parsed, in memory that
+    does not grow with its length."""
     w = None
     if getattr(args, "file", None):
+        lines: list[str] = []
+        rows = cols = 0
         try:
             with open(args.file, encoding="utf-8") as fh:
-                text = fh.read()
+                for chunk in fh:
+                    # the line breaks of str.splitlines, which the parser uses
+                    for line in chunk.splitlines():
+                        if not line.strip():
+                            continue
+                        rows += 1
+                        if rows == 1:
+                            cols = len(line.split())
+                        if rows <= bound:
+                            lines.append(line)
         except OSError as exc:
             raise ValueError(f"cannot read {args.file}: {exc.strerror}") from None
-        lines = [line for line in text.splitlines() if line.strip()]
-        rows, cols = len(lines), len(lines[0].split()) if lines else 0
+        text = "\n".join(lines)
     else:
         w = perm.PartialPermutation.from_one_line(args.w)
         rows, cols = w.rows, w.cols

@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .perm import PartialPermutation, diagram, essential_set
 from .poly import (Monomial, Polynomial, PolyRing, antidiagonal_monomial, buchberger,
-                   independent, minor, monomial_divides, normal_forms)
+                   independent, minors, monomial_divides, normal_forms)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +183,7 @@ def fulton_generators(w: PartialPermutation, ring: Optional[PolyRing] = None, *,
     else:
         cell_ranks = tuple(diagram(w).items())
     sites = list(_minor_sites(cell_ranks))
-    raw = [minor(ring, rows, cols) for rows, cols in sites]
+    raw = minors(ring, sites)
     kept, _ = graded_minimal_generators(ring, raw)
     return SchubertIdeal(ring=ring, cells=cell_ranks,
                          generators=tuple(raw[i] for i in kept),
@@ -231,11 +231,12 @@ def graded_minimal_generators(ring: PolyRing, gens: Sequence[Polynomial]
     """
     degrees: list[int] = []
     for g in gens:
-        if g.is_zero or g.ring != ring:
+        if g.is_zero or (g.ring is not ring and g.ring != ring):
             raise ValueError("generators must be nonzero elements of the ring")
-        if not g.is_homogeneous():
+        degree = g.homogeneous_degree()
+        if degree is None:
             raise ValueError("graded selection requires homogeneous generators")
-        degrees.append(ring.monomial_degree(g.leading_monomial()))
+        degrees.append(degree)
     is_variable = [degrees[idx] == 1 and len(g) == 1 for idx, g in enumerate(gens)]
     others = [idx for idx in range(len(gens)) if not is_variable[idx]]
     reduced = dict(zip(others, normal_forms(

@@ -273,7 +273,7 @@ class PolyRing:
         one pass in it keeps exactly the monomials that no kept one divides."""
         guard = self._guard
         kept: list[Monomial] = []
-        for m in sorted(monomials):
+        for m in sorted(set(monomials)):
             for g in kept:
                 if not (m - g) & guard:  # g | m, as in the division
                     break
@@ -500,9 +500,14 @@ class Polynomial:
             raise ValueError("the zero polynomial has no degree")
         return max(map(self.ring.monomial_degree, self._d))
 
-    def is_homogeneous(self) -> bool:
-        degrees = set(map(self.ring.monomial_degree, self._d))
-        return len(degrees) <= 1
+    def homogeneous_degree(self) -> Optional[int]:
+        """The degree of every term, or None when two terms differ in
+        degree; one pass over the terms."""
+        if not self._d:
+            raise ValueError("the zero polynomial has no degree")
+        nvars = self.ring.nvars
+        degrees = {sum(m.to_bytes(nvars, "big")) for m in self._d}  # monomial_degree, inlined
+        return degrees.pop() if len(degrees) == 1 else None
 
     def sparse_terms(self) -> tuple:
         """Ring-independent canonical form for cross-grid comparisons."""
@@ -598,34 +603,49 @@ class Polynomial:
 
 def minor(ring: PolyRing, rows: Sequence[int], cols: Sequence[int]) -> Polynomial:
     """The determinant of the generic submatrix on the given rows/columns,
-    expanded exactly with +-1 coefficients.
+    expanded exactly with +-1 coefficients: the one-site case of ``minors``.
 
     Index lists must be equal-length, strictly increasing and inside the grid.
-    The expansion is Laplace's along the first row, with each sub-minor
-    expanded once per call.
 
     >>> r = PolyRing(2, 4)
     >>> str(minor(r, [1, 2], [3, 4]))
     '-x[1,4]*x[2,3] + x[1,3]*x[2,4]'
     """
-    rows, cols = _minor_indices(ring, rows, cols)
-    return Polynomial(ring, _laplace(ring, rows, cols, {}))
+    return minors(ring, ((rows, cols),))[0]
+
+
+def minors(ring: PolyRing, sites: Iterable) -> list:
+    """The minors on the (rows, cols) of ``sites``, in order, each index
+    pair checked as ``minor`` checks it.
+
+    The expansion is Laplace's along the first row.  One memo, keyed by the
+    row suffix and column set of each sub-minor, serves the whole call, so a
+    sub-minor that several sites share is expanded once; it is dropped when
+    the call returns.
+
+    >>> r = PolyRing(2, 4)
+    >>> [str(f) for f in minors(r, [([1], [2]), ([1, 2], [3, 4])])]
+    ['x[1,2]', '-x[1,4]*x[2,3] + x[1,3]*x[2,4]']
+    """
+    memo: dict = {}
+    return [Polynomial(ring, _laplace(ring, *_minor_indices(ring, rows, cols), memo))
+            for rows, cols in sites]
 
 
 def _laplace(ring: PolyRing, rows: tuple, cols: tuple, memo: dict) -> dict:
-    """The terms of the minor on ``cols`` and the last len(cols) of ``rows``,
-    expanded along its first row; ``memo`` maps the columns of each sub-minor
-    already expanded to its terms.  The signs are plain +-1, which ``axpy``
-    reduces into the field."""
+    """The terms of the minor on the equal-length ``rows`` and ``cols``,
+    expanded along its first row, whose sub-minors lie on ``rows[1:]``;
+    ``memo`` maps the (rows, cols) of each sub-minor already expanded to its
+    terms.  The signs are plain +-1, which ``axpy`` reduces into the field."""
     t = len(cols)
     if t == 1:
-        return {ring._variable(rows[-1], cols[0]): 1}
-    d = memo.get(cols)
+        return {ring._variable(rows[0], cols[0]): 1}
+    d = memo.get((rows, cols))
     if d is None:
-        d = memo[cols] = {}
-        row = rows[-t]
+        d = memo[(rows, cols)] = {}
+        row, below = rows[0], rows[1:]
         for k in range(t):
-            sub = _laplace(ring, rows, cols[:k] + cols[k + 1:], memo)
+            sub = _laplace(ring, below, cols[:k] + cols[k + 1:], memo)
             ring.field.axpy(d, sub.items(), (-1) ** k, ring._variable(row, cols[k]))
     return d
 
@@ -858,7 +878,7 @@ def buchberger(generators: Sequence[Polynomial], *,
     for g in gens + basis:
         if g.is_zero:
             raise ValueError("generators must be nonzero")
-        if g.ring != ring:
+        if g.ring is not ring and g.ring != ring:
             raise ValueError("generators must live in a common ring")
     if basis:
         core = _buchberger_core(ring, [g.monic() for g in basis + gens], len(basis))
@@ -924,13 +944,15 @@ def _gm_update(pairs: dict, heap: list, leads: list, t: int, guard: int):
     ``pairs`` maps each live pair to its lcm, and ``guard`` is the ring's
     guard mask."""
     lt = leads[t]
-    lcms = [_lcm(lead, lt, guard) for lead in leads[:t]]
+    lcms = []
+    for lead in leads[:t]:  # _lcm(lead, lt, guard), inlined
+        ge = ((lead | guard) - lt) & guard
+        lcms.append(lt ^ ((lead ^ lt) & (ge - (ge >> 7))))
     # chain criterion among the new pairs: keep (i, t) only if no kept pair's
     # lcm divides its lcm (equal lcms keep the first)
     kept: list[int] = []
     kept_lcms: list = []
-    for i in sorted(range(t), key=lambda i: (lcms[i], i)):
-        lcm = lcms[i]
+    for lcm, i in sorted(zip(lcms, range(t))):
         for other in kept_lcms:
             if not (lcm - other) & guard:
                 break
@@ -938,9 +960,9 @@ def _gm_update(pairs: dict, heap: list, leads: list, t: int, guard: int):
             kept.append(i)
             kept_lcms.append(lcm)
     # prune old pairs now covered by t
-    for (i, j), lcm_ij in list(pairs.items()):
-        if not (lcm_ij - lt) & guard and lcms[i] != lcm_ij and lcms[j] != lcm_ij:
-            del pairs[(i, j)]
+    for pair in [(i, j) for (i, j), lcm_ij in pairs.items()
+                 if not (lcm_ij - lt) & guard and lcms[i] != lcm_ij and lcms[j] != lcm_ij]:
+        del pairs[pair]
     # coprime-product criterion last (sound in combination with the above):
     # the leads are coprime exactly when their lcm is their product
     for i in kept:
@@ -979,18 +1001,20 @@ def _interreduce(basis: list, known: int) -> tuple:
     # leads are minimal, distinct and increasing, and a lead divides only
     # monomials at least as large.  So no entry before an element's own
     # divides its lead, and none from its own on divides a term below its
-    # lead: reducing by the entries before its own reduces its tail by all
-    # the others and keeps its lead, so the result stays sorted.
-    prepared = [_reducer_entry(ring, idx, basis[k]) for idx, k in enumerate(kept)]
+    # lead: reducing by the entries before its own (``prepared`` grows by
+    # one entry per element) reduces its tail by all the others and keeps
+    # its lead, so the result stays sorted.
+    prepared: list = []
     reduced = []
     for idx, k in enumerate(kept):
         g = basis[k]
         if k < known and not any(not (m - lead) & guard
                                  for m in g._d for lead in new_leads):
             reduced.append(g)
-            continue
-        rem = _reduce_dict(dict(g._d), prepared[:idx], ring)
-        reduced.append(Polynomial(ring, rem, g.leading_monomial()))
+        else:
+            rem = _reduce_dict(dict(g._d), prepared, ring)
+            reduced.append(Polynomial(ring, rem, g.leading_monomial()))
+        prepared.append(_reducer_entry(ring, idx, g))
     return tuple(reduced)
 
 

@@ -251,6 +251,26 @@ def test_an_oversized_file_is_refused_before_it_is_parsed(capsys, tmp_path):
                    f"got a {cli.DIAGRAM_BOUND + 2}x1 input\n")
 
 
+def test_refusing_a_multi_megabyte_file_holds_only_the_lines_within_the_bound(capsys, tmp_path):
+    import tracemalloc
+    import msvkit.cli as cli
+    # 8000 rows of 400 zeros: 6.4 MB, refused for its rows and its columns
+    big = tmp_path / "big.txt"
+    big.write_text(("0 " * 399 + "0\n") * 8000)
+    size = big.stat().st_size
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "essential", "--file", str(big))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == (f"error: essential is bounded at n <= {cli.DIAGRAM_BOUND}; "
+                   f"got a 8000x400 input\n")
+    # the kept lines are about bound * 800 bytes, an eightieth of the file
+    assert peak < size / 20, (peak, size)
+
+
 def test_partial_permutation_file_target(capsys, tmp_path):
     path = tmp_path / "partial.txt"
     path.write_text("0 0 1\n0 0 0\n")
@@ -504,12 +524,19 @@ def test_msvkit_prime_rejects_composites(capsys, monkeypatch, no_expansion):
 # ---------------------------------------------------------------------------
 
 VERIFY_GOLDEN = json.loads((GOLDEN / "verify_commands.json").read_text())
+# the hard input named in the ROADMAP, S_7 and so refused at GB_BOUND = 6
+HARD_GOLDEN = json.loads((GOLDEN / "verify_gb_1532476.json").read_text())
 
 
 @pytest.mark.parametrize("case", VERIFY_GOLDEN, ids=lambda case: " ".join(case["argv"]))
 def test_verify_commands_match_the_golden_output(capsys, case):
     code, out, _ = run(capsys, *case["argv"])
     assert (code, out) == (case["code"], case["stdout"])
+
+
+@pytest.mark.parametrize("case", HARD_GOLDEN, ids=lambda case: " ".join(case["argv"]))
+def test_verify_gb_on_the_hard_input_matches_the_golden_output(capsys, case):
+    assert run(capsys, *case["argv"]) == (case["code"], case["stdout"], case["stderr"])
 
 
 def test_verify_commands_report_a_failed_check(capsys, monkeypatch):

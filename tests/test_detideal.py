@@ -347,8 +347,13 @@ def test_graded_minimal_generators_drops_duplicates_and_redundant_minors():
 
 def test_graded_minimal_generators_requires_homogeneous_input():
     r = PolyRing(2, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="graded selection requires homogeneous generators"):
         graded_minimal_generators(r, [r.variable(1, 1) + r.one()])
+    for bad in (r.zero(), PolyRing(2, 3).variable(1, 1)):
+        with pytest.raises(ValueError, match="generators must be nonzero elements of the ring"):
+            graded_minimal_generators(r, [r.variable(1, 1), bad])
+    # an equal ring built apart is the same ring
+    assert graded_minimal_generators(r, [PolyRing(2, 2).variable(1, 1)]) == ((0,), 1)
 
 
 def _incremental_span(char):

@@ -8,6 +8,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from msvkit.detideal import fulton_generators, verify_groebner
 from msvkit.frlab import build_localization, find_pivot, verify_all
 from msvkit.poly import (EXPONENT_BOUND, ExponentOverflowError, GroebnerCertificationError,
                          Polynomial, PolyRing, _lcm, antidiagonal_monomial,
-                         buchberger, certified, ideals_equal, minor,
+                         buchberger, certified, ideals_equal, minor, minors,
                          monomial_divides, monomial_lcm,
                          monomial_mul, monomial_quotient, normal_form, normal_forms,
                          s_polynomial, saturate, transplant)
@@ -297,6 +298,66 @@ def test_minor_validation():
                 build(RING, rows, cols)
     with pytest.raises(ValueError):
         antidiagonal_monomial(PolyRing(2, 4), [2, 1], [1, 2])
+
+
+BAD_SITES = [((1, 2), (3,)), ((2, 1), (1, 2)), ((1, 1), (1, 2)), ((1, 6), (1, 2)),
+             ((1, 1), (2, 3)), ((), ()), ((0, 1), (1, 2))]
+INDEX_SETS = st.integers(1, 5).flatmap(
+    lambda t: st.sets(st.integers(1, 5), min_size=t, max_size=t).map(lambda s: tuple(sorted(s))))
+# rows and columns of one size; few sizes on five rows, so lists repeat
+# sites and share row suffixes
+SITES = st.lists(INDEX_SETS.flatmap(lambda rows: st.tuples(st.just(rows), st.sets(
+    st.integers(1, 5), min_size=len(rows), max_size=len(rows)).map(lambda s: tuple(sorted(s))))),
+    max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@example(sites=[((4, 5), (1, 2)), ((3, 4, 5), (1, 2, 3)), ((4, 5), (1, 2)), ((5,), (5,))],
+         char=0, bad=0, at=0)
+@example(sites=[((1, 2, 3, 4, 5), (1, 2, 3, 4, 5)), ((2, 3, 4, 5), (1, 2, 3, 4))],
+         char=2, bad=6, at=1)
+@given(sites=SITES, char=st.sampled_from([0, 2, 32003]),
+       bad=st.integers(0, len(BAD_SITES) - 1), at=st.integers(0, 6))
+def test_minors_is_minor_at_each_site(sites, char, bad, at):
+    ring = PolyRing(5, 5, char=char)
+    batch = minors(ring, sites)
+    assert batch == [minor(ring, rows, cols) for rows, cols in sites]
+    assert batch == [_det_by_permanent_expansion(ring, rows, cols) for rows, cols in sites]
+    # a bad site anywhere in the list raises the error minor raises on it
+    with pytest.raises(ValueError) as single:
+        minor(ring, *BAD_SITES[bad])
+    with pytest.raises(ValueError, match=re.escape(str(single.value))):
+        minors(ring, sites[:at] + [BAD_SITES[bad]] + sites[at:])
+
+
+@pytest.mark.parametrize("word,expansions", [("1532476", 65), ("54321", 0), ("146253", 50)])
+def test_fulton_generators_expands_each_sub_minor_once(monkeypatch, word, expansions):
+    # an expansion is a Laplace call that builds a new term dict (a memo
+    # miss); the dicts stay referenced here, so two expansions of the same
+    # (row suffix, column set) show as two distinct dicts.  The sub-minor
+    # lies on the last len(cols) of the rows a call is handed.
+    laplace = poly._laplace
+    built: dict = {}
+
+    def counting(ring, rows, cols, memo):
+        d = laplace(ring, rows, cols, memo)
+        if len(cols) > 1:
+            built.setdefault((tuple(rows[-len(cols):]), tuple(cols)), {})[id(d)] = d
+        return d
+
+    monkeypatch.setattr(poly, "_laplace", counting)
+    schubert = fulton_generators(PartialPermutation.from_one_line(word))
+    # expanding along first rows reaches every column subset of a site with
+    # the matching suffix of its rows
+    sites = [(rows, cols) for cell, r in schubert.cells
+             for rows in itertools.combinations(range(1, cell.p + 1), r + 1)
+             for cols in itertools.combinations(range(1, cell.q + 1), r + 1)]
+    assert len(sites) == len(schubert.raw_generators)
+    reached = {(rows[-size:], sub) for rows, cols in sites
+               for size in range(2, len(cols) + 1) for sub in itertools.combinations(cols, size)}
+    assert set(built) == reached
+    assert all(len(dicts) == 1 for dicts in built.values())
+    assert sum(map(len, built.values())) == expansions
 
 
 def test_leading_term_goldens():
@@ -1078,6 +1139,23 @@ def test_prime_field_arithmetic_is_rational_arithmetic_reduced_mod_p(f, g, h, u,
             results += [pivot_substitution(f_, 1, 2, sign, {}) for sign in (1, -1)]
         for x in results:
             assert not x or x.leading_monomial() == x.monomials()[0]
+
+
+@settings(max_examples=150, deadline=None)
+@example(terms=[], char=0)
+@example(terms=[((1, 0, 0, 0, 0, 1), 1), ((0, 1, 1, 0, 0, 0), -1)], char=0)
+@example(terms=[((1, 0, 0, 0, 0, 0), 1), ((2, 0, 0, 0, 0, 0), 1)], char=32003)
+@example(terms=[((0, 0, 0, 0, 0, 0), 3)], char=2)
+@given(terms=TERMS, char=st.sampled_from([0, 2, 32003]))
+def test_homogeneous_degree_is_the_one_term_degree_or_none(terms, char):
+    f = _build(PolyRing(2, 3, char=char), terms)
+    if f.is_zero:
+        for degree in (f.homogeneous_degree, f.total_degree):
+            with pytest.raises(ValueError, match="the zero polynomial has no degree"):
+                degree()
+        return
+    degrees = {f.ring.monomial_degree(m) for m in f.monomials()}
+    assert f.homogeneous_degree() == (f.total_degree() if len(degrees) == 1 else None)
 
 
 # ---------------------------------------------------------------------------
