@@ -6,8 +6,8 @@ Subcommands::
                      (n <= 100)
     essential        list the essential set with ranks (n <= 100)
     gens             print the Fulton generators (n <= 10)
-    ci               classify a matrix Schubert variety (n <= 10; exit 1 when
-                     not CI)
+    ci               classify a matrix Schubert variety (n <= 10, n <= 6 with
+                     --mu; exit 1 when not CI)
     verify-gb        check the antidiagonal Groebner statement (n <= 6)
     verify-lemma2    check in(<c> + I_w) = <c> + J_w at the pivot (n <= 5)
     verify-localize  check the localization identity I = I' (n <= 5)
@@ -238,6 +238,9 @@ def _cmd_gens(args) -> int:
 
 def _cmd_ci(args) -> int:
     w = _load_expandable(args)
+    if args.mu and max(w.rows, w.cols) > ORACLE_BOUND:
+        raise CapabilityError(f"ci --mu is bounded at n <= {ORACLE_BOUND}; "
+                              f"got a {w.rows}x{w.cols} input")
     report = ci.is_complete_intersection(w, with_oracle=args.mu,
                                          char=_oracle_char(args))
     if args.json:

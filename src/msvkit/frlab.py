@@ -15,9 +15,10 @@ pivot useful, each check a function of one ``LocalizationSetup``:
   squarefree, so a minor lies in <c> + J_w iff every bijection of its rows
   onto its columns picks a set of variables containing the support of some
   generator, which a depth-first search over partial bijections decides;
-* the initial-ideal identity in(<c> + I_w) = <c> + J_w, checked by extending
-  the reduced Groebner basis of I_w by c, so no pair inside it is formed
-  again;
+* the initial-ideal identity in(<c> + I_w) = <c> + J_w, read off the
+  reduced Groebner basis B of I_w: c divides no lead of B, so by
+  Buchberger's first criterion B and c form a Groebner basis, and its leads
+  are c and those of B;
 * c is a nonzerodivisor on the quotient by J_w;
 * the localization identity: inverting c identifies the extended ideal of
   I_w with the ideal I' built from the smaller permutation w' (w with the
@@ -180,17 +181,25 @@ class InitialIdealReport:
 
 
 def verify_pivot_initial_ideal(setup: LocalizationSetup) -> InitialIdealReport:
-    """Check in(<c> + I_w) = <c> + J_w by extending the reduced Groebner
-    basis of I_w by the pivot variable.  ``buchberger`` forms no pair inside
-    that basis, and when c divides no lead every new pair has coprime leads,
-    so no S-polynomial is formed at all.  Neither monomial ideal needs
-    minimalizing: the leads of a reduced basis are minimal generators of the
-    lead ideal, and so are the pivot variable c and the generators of J_w
-    that c does not divide (none of these divides c, as J_w is proper)."""
+    """Check in(<c> + I_w) = <c> + J_w from the reduced Groebner basis B of
+    I_w.  When the pivot variable c divides no lead of B
+    (``_nonzerodivisor_on_leads``), as for every w (the leads of B generate
+    J_w by Knutson-Miller, Ann. Math. 2005, Thm B, and c divides no
+    generator of J_w by lemma 3), every S-pair of c and B has coprime leads
+    and so reduces to zero by Buchberger's first criterion
+    (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, ch. 2 section 9),
+    and every S-pair inside B already does.  So c and B form a Groebner
+    basis, read without forming any S-polynomial; otherwise ``buchberger``
+    computes one.  Neither monomial ideal needs minimalizing: the leads of a
+    reduced basis are minimal generators of the lead ideal, and so are c and
+    the leads of B, or the generators of J_w, that c does not divide (none
+    of these divides c, as I_w and J_w are proper)."""
     ring, pivot, groebner = setup.ring, setup.c_cell, setup.groebner
-    basis = buchberger((ring.variable(*pivot),), basis=groebner.basis)
-    lead = MonomialIdeal.from_minimal_generators(ring, (g.leading_monomial() for g in basis))
     c = ring.monomial({pivot: 1})
+    basis = (ring.variable(*pivot),) + groebner.basis
+    if not _nonzerodivisor_on_leads(c, groebner.basis):
+        basis = buchberger(basis)
+    lead = MonomialIdeal.from_minimal_generators(ring, (g.leading_monomial() for g in basis))
     expected = MonomialIdeal.from_minimal_generators(
         ring, (c,) + tuple(m for m in groebner.antidiagonal.gens if not monomial_divides(c, m)))
     ok = lead.gens == expected.gens

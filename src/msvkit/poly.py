@@ -35,13 +35,12 @@ squarefree monomial (``PolyRing.is_squarefree``) is the bit set of its
 variables: for squarefree a and b, a | b exactly when ``a & b == a``.
 
 The Groebner engine keeps what it has computed: a polynomial caches its
-leading monomial; ``normal_forms`` sorts one reducer list for many
-dividends; and extending a known basis re-reduces only the known elements
-that a new lead touches.  A variable x in an ideal erases every term that x
-divides, which on packed monomials is one AND against a mask of the
-variables' exponent bytes.  So ``buchberger`` and ``normal_forms`` keep the
-variables out of their pair updates and reducer scans; callers hand them
-variables like any other generator and never erase terms themselves.
+leading monomial, and ``normal_forms`` sorts one reducer list for many
+dividends.  A variable x in an ideal erases every term that x divides, which
+on packed monomials is one AND against a mask of the variables' exponent
+bytes.  So ``buchberger`` and ``normal_forms`` keep the variables out of
+their pair updates and reducer scans; callers hand them variables like any
+other generator and never erase terms themselves.
 """
 from __future__ import annotations
 
@@ -829,94 +828,66 @@ def certified():
         _CERTIFY = previous
 
 
-def buchberger(generators: Sequence[Polynomial], *,
-               basis: Sequence[Polynomial] = ()) -> tuple:
-    """The reduced Groebner basis of the ideal generated by ``generators``
-    and ``basis``.
+def buchberger(generators: Sequence[Polynomial]) -> tuple:
+    """The reduced Groebner basis of the ideal generated by ``generators``.
 
     Pair handling uses the coprime-product and chain criteria (the
     Gebauer-Moeller installation) with normal-strategy selection (smallest
     lcm first, ties by pair index), so the run is deterministic.  The output
     is monic, auto-reduced, and sorted by increasing leading monomial.
 
-    Without ``basis``, the generators that are a single variable times a
-    unit are split off first.  They erase every term they divide from the
-    other generators, the zero ones are dropped, and the core runs on the
-    rest, whose basis is then free of those variables.  So the variables and
-    that basis together are reduced and Groebner (a variable's pairs with it
-    have coprime leads) and are merged in lead order, unless that basis is
-    ``(1,)``, which is then the result.  The reduced basis is unique, so
-    this is the basis the core would give on all the generators, without
-    the variables in its reducer scans and pair updates.  Calls with
-    ``basis`` do not split.
-
-    ``basis`` extends a known Groebner basis: the caller vouches that it is
-    a reduced Groebner basis in the generators' ring, such as an earlier
-    ``buchberger`` output.  Its elements serve as reducers from the start,
-    but pairs are installed only for the new elements, so no S-pair between
-    two basis elements is ever formed (they all reduce to zero already).
-    Known elements are not re-reduced either: the final interreduction drops
-    one whose lead a new lead divides, tail-reduces one with a term some new
-    lead divides, and keeps every other one as it is.  Under
-    ``certified()`` the output is checked against basis + generators, which
-    catches a basis that breaks the contract, including one that is a
-    Groebner basis but not a reduced one.
+    The generators that are a single variable times a unit are split off
+    first.  They erase every term they divide from the other generators, the
+    zero ones are dropped, and the core runs on the rest, whose basis is
+    then free of those variables.  So the variables and that basis together
+    are reduced and Groebner (a variable's pairs with it have coprime leads)
+    and are merged in lead order, unless that basis is ``(1,)``, which is
+    then the result.  The reduced basis is unique, so this is the basis the
+    core would give on all the generators, without the variables in its
+    reducer scans and pair updates.
 
     >>> r = PolyRing(2, 2)
     >>> gb = buchberger([r.parse("x[1,1]*x[2,2] - 1"), r.parse("x[1,1]")])
     >>> [str(g) for g in gb]
     ['1']
-    >>> gb = buchberger([r.parse("x[1,2]")], basis=buchberger([r.parse("x[1,1] - x[1,2]")]))
+    >>> gb = buchberger([r.parse("x[1,2]"), r.parse("x[1,1] - x[1,2]")])
     >>> [str(g) for g in gb]
     ['x[1,1]', 'x[1,2]']
     """
-    basis = tuple(basis)
     gens = tuple(generators)
-    if not gens and not basis:
+    if not gens:
         return ()
-    ring = (gens or basis)[0].ring
-    for g in gens + basis:
+    ring = gens[0].ring
+    for g in gens:
         if g.is_zero:
             raise ValueError("generators must be nonzero")
         if g.ring is not ring and g.ring != ring:
             raise ValueError("generators must live in a common ring")
-    if basis:
-        core = _buchberger_core(ring, [g.monic() for g in basis + gens], len(basis))
-        result = _interreduce(core, len(basis))
-    else:
-        result = _buchberger_apart(ring, gens)
-    if _CERTIFY:
-        _certify_basis(ring, basis + gens, result)
-    return result
-
-
-def _buchberger_apart(ring: PolyRing, gens: tuple) -> tuple:
-    """The reduced Groebner basis of ``gens`` with the variables among them
-    split off, as ``buchberger`` describes."""
     variables = {g.leading_monomial() for g in gens
                  if len(g._d) == 1 and _is_variable(g.leading_monomial())}
+    rest = gens
     if variables:
         # the variables themselves erase to zero
         mask = _variable_mask(variables, ring._guard)
-        gens = [Polynomial(ring, d) for d in
+        rest = [Polynomial(ring, d) for d in
                 (_reduce_dict(dict(g._d), [], ring, mask) for g in gens) if d]
-    rest = _interreduce(_buchberger_core(ring, [g.monic() for g in gens], 0), 0)
-    if rest[:1] and not rest[0].leading_monomial():
-        return rest  # the unit ideal
-    return tuple(sorted(rest + tuple(Polynomial(ring, {v: 1}, v) for v in variables),
-                        key=Polynomial.leading_monomial))
+    result = _interreduce(_buchberger_core(ring, [g.monic() for g in rest]))
+    if result[:1] != (ring.one(),):  # the unit ideal absorbs the variables
+        result = tuple(sorted(result + tuple(Polynomial(ring, {v: 1}, v) for v in variables),
+                              key=Polynomial.leading_monomial))
+    if _CERTIFY:
+        _certify_basis(ring, gens, result)
+    return result
 
 
-def _buchberger_core(ring: PolyRing, basis: list, known: int) -> list:
-    # basis: list of monic Polynomial whose first ``known`` elements form a
-    # Groebner basis; pairs managed by Gebauer-Moeller update
+def _buchberger_core(ring: PolyRing, basis: list) -> list:
+    # basis: list of monic Polynomial; pairs managed by Gebauer-Moeller update
     pairs: dict[tuple[int, int], Monomial] = {}
     heap: list = []
     leads = [g.leading_monomial() for g in basis]
     reducers: list = []
     for t in range(len(basis)):
-        if t >= known:
-            _gm_update(pairs, heap, leads, t, ring._guard)
+        _gm_update(pairs, heap, leads, t, ring._guard)
         insort(reducers, _reducer_entry(ring, t, basis[t]))
     while heap:
         _, i, j = heapq.heappop(heap)
@@ -972,31 +943,24 @@ def _gm_update(pairs: dict, heap: list, leads: list, t: int, guard: int):
         heapq.heappush(heap, (lcms[i], i, t))
 
 
-def _interreduce(basis: list, known: int) -> tuple:
+def _interreduce(basis: list) -> tuple:
     """Minimalize and tail-reduce a nonzero monic basis into the reduced
-    Groebner basis.  Its first ``known`` elements form a reduced Groebner
-    basis already, so each of them is left as it is unless a new kept lead
-    divides one of its terms."""
+    Groebner basis."""
     if not basis:
         return ()
     ring = basis[0].ring
     guard = ring._guard
-    # minimal: drop any element whose lead is divisible by another kept lead.
-    # A divisor's lead comes first in lead order, and a known lead divides no
-    # other known lead, so a known element is checked against the new kept
-    # leads only.
+    # minimal: drop any element whose lead is divisible by another kept lead;
+    # a divisor's lead comes first in lead order
     order = sorted(range(len(basis)), key=lambda k: (basis[k].leading_monomial(), k))
     kept: list = []
     kept_leads: list = []
-    new_leads: list = []
     for k in order:
         lm = basis[k].leading_monomial()
-        if any(not (lm - lead) & guard for lead in (new_leads if k < known else kept_leads)):
+        if any(not (lm - lead) & guard for lead in kept_leads):
             continue
         kept.append(k)
         kept_leads.append(lm)
-        if k >= known:
-            new_leads.append(lm)
     # reduced: replace each by its normal form against the others.  The kept
     # leads are minimal, distinct and increasing, and a lead divides only
     # monomials at least as large.  So no entry before an element's own
@@ -1008,12 +972,8 @@ def _interreduce(basis: list, known: int) -> tuple:
     reduced = []
     for idx, k in enumerate(kept):
         g = basis[k]
-        if k < known and not any(not (m - lead) & guard
-                                 for m in g._d for lead in new_leads):
-            reduced.append(g)
-        else:
-            rem = _reduce_dict(dict(g._d), prepared, ring)
-            reduced.append(Polynomial(ring, rem, g.leading_monomial()))
+        rem = _reduce_dict(dict(g._d), prepared, ring)
+        reduced.append(Polynomial(ring, rem, g.leading_monomial()))
         prepared.append(_reducer_entry(ring, idx, g))
     return tuple(reduced)
 

@@ -2,7 +2,9 @@
 re-derivations that the package itself has no call for.
 
 ``is_reduced_groebner_basis`` runs the certification contract on a given
-list, ``colon_by_variable`` forms (J : c) for a monomial ideal J and a
+list, ``reference_buchberger`` is the textbook Buchberger algorithm that
+the engine is checked against and ``division_scanning_every_reducer`` its
+division, ``colon_by_variable`` forms (J : c) for a monomial ideal J and a
 variable c, ``column_row`` inverts a partial permutation at one column, and
 ``zero_cells`` lists the rank-0 cells of a diagram.  ``_parse_polynomial``
 is the recursive-descent parser that ``PolyRing.parse`` replaced,
@@ -21,7 +23,8 @@ from typing import Optional, Sequence
 from msvkit.detideal import MonomialIdeal
 from msvkit.perm import Cell, PartialPermutation, diagram
 from msvkit.poly import (GroebnerCertificationError, Monomial, Polynomial, PolyRing,
-                         _certify_basis, monomial_divides, monomial_mul, monomial_quotient)
+                         _certify_basis, monomial_divides, monomial_lcm, monomial_mul,
+                         monomial_quotient)
 
 
 def is_reduced_groebner_basis(basis: Sequence[Polynomial]) -> bool:
@@ -34,6 +37,62 @@ def is_reduced_groebner_basis(basis: Sequence[Polynomial]) -> bool:
     except GroebnerCertificationError:
         return False
     return True
+
+
+def division_scanning_every_reducer(f: Polynomial, reducers: Sequence[Polynomial]) -> Polynomial:
+    """The remainder of f by monic ``reducers``: the largest term left is
+    reduced by the reducer with the smallest lead that divides it, every
+    reducer scanned, variables included."""
+    ring = f.ring
+    reducers = sorted(reducers, key=lambda g: g.leading_monomial())
+    assert all(g.leading_coefficient() == 1 for g in reducers)
+    remainder = ring.zero()
+    while f:
+        m, c = f.terms()[0]
+        for g in reducers:
+            lm = g.leading_monomial()
+            if monomial_divides(lm, m):
+                f = f - g.mul_term(monomial_quotient(m, lm), c)
+                break
+        else:
+            term = ring.polynomial({m: c})
+            remainder, f = remainder + term, f - term
+    return remainder
+
+
+def reference_buchberger(generators: Sequence[Polynomial]) -> tuple:
+    """The reduced Groebner basis of nonzero ``generators`` by the textbook
+    algorithm (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, ch. 2
+    sections 7 and 9): the remainder of every S-pair is added until all
+    reduce to zero, with no pair criterion and no variable split; then the
+    basis is minimalized and each element replaced by its remainder by the
+    others.  Division is ``division_scanning_every_reducer``.  The pair with
+    the smallest lcm goes first: the result does not depend on the order,
+    but taking the newest pair first can raise lex degrees past the
+    exponent bound before the ideal is found to be the unit ideal."""
+    basis = [g.monic() for g in generators]
+    pairs = list(itertools.combinations(range(len(basis)), 2))
+
+    def lcm(pair):
+        return monomial_lcm(*(basis[k].leading_monomial() for k in pair))
+
+    while pairs:
+        pair = min(pairs, key=lambda p: (lcm(p), p))
+        pairs.remove(pair)
+        f, g = (basis[k] for k in pair)
+        m = lcm(pair)
+        s = (f.mul_term(monomial_quotient(m, f.leading_monomial()))
+             - g.mul_term(monomial_quotient(m, g.leading_monomial())))
+        r = division_scanning_every_reducer(s, basis)
+        if r:
+            pairs.extend((k, len(basis)) for k in range(len(basis)))
+            basis.append(r.monic())
+    minimal: list = []
+    for g in sorted(basis, key=lambda g: g.leading_monomial()):
+        if not any(monomial_divides(h.leading_monomial(), g.leading_monomial()) for h in minimal):
+            minimal.append(g)
+    return tuple(division_scanning_every_reducer(g, [h for h in minimal if h is not g])
+                 for g in minimal)
 
 
 def colon_by_variable(J: MonomialIdeal, c: Monomial) -> MonomialIdeal:

@@ -488,6 +488,30 @@ def test_census_mu_bound(capsys):
     assert "n <= 6" in err
 
 
+def test_ci_mu_is_bounded_at_the_oracle_bound(capsys, monkeypatch):
+    # the oracle on an input of S_10 ran for minutes; past the bound it must
+    # not start, though the same inputs classify without --mu
+    import msvkit.ci as ci
+    import msvkit.cli as cli
+    golden = (GOLDEN / "ci_462153.txt").read_text()
+    verdict, generators = golden.split("\n", 1)
+    assert run(capsys, "ci", "462153", "--mu") == (
+        0, f"{verdict}\nminimal generators: 9\n{generators}", "")
+    words = ("1 5 3 2 4 7 6 8 10 9", "1532476")
+    assert all(run(capsys, "ci", word)[0] in (0, 1) for word in words)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the classifier started")
+
+    monkeypatch.setattr(ci, "is_complete_intersection", refuse)
+    for word in words:
+        for field in ("rational", "prime"):
+            code, out, err = run(capsys, "ci", word, "--mu", "--field", field)
+            assert (code, out) == (2, ""), (word, field)
+            assert f"n <= {cli.ORACLE_BOUND}" in err
+    assert cli.ORACLE_BOUND == 6
+
+
 # ---------------------------------------------------------------------------
 # Prime-field environment override
 # ---------------------------------------------------------------------------

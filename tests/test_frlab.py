@@ -284,7 +284,7 @@ def test_lemma_2_ideals_are_the_minimalized_ones():
         setup = setup_(w)
         ring = setup.ring
         c = ring.monomial({setup.c_cell: 1})
-        basis = poly.buchberger((ring.variable(*setup.c_cell),), basis=setup.groebner.basis)
+        basis = poly.buchberger((ring.variable(*setup.c_cell),) + setup.groebner.basis)
         lead = MonomialIdeal.from_monomials(ring, (g.leading_monomial() for g in basis))
         corner = poly.monomial_mul(c, ring.monomial({(w.rows, w.cols): 1}))
         J = setup.groebner.antidiagonal
@@ -293,6 +293,35 @@ def test_lemma_2_ideals_are_the_minimalized_ones():
             assert report.lead == lead, w.one_line()
             assert report.expected == MonomialIdeal.from_monomials(
                 ring, (c,) + antidiagonal.gens), w.one_line()
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_lemma_2_leads_are_those_of_buchberger_on_the_pivot_and_the_basis(char):
+    # c divides no lead of the basis of I_w, so lemma 2 reads the leads off
+    # that basis by Buchberger's first criterion; a certified run on c and
+    # the basis must give the same leads
+    words = nonregular(5)
+    assert len(words) == 78
+    sample = words + random.Random(53).sample(nonregular(6), 60)
+    for w in sample:
+        setup = build_localization(w, PolyRing(w.rows, w.cols, char=char))
+        ring = setup.ring
+        with poly.certified():
+            basis = poly.buchberger((ring.variable(*setup.c_cell),) + setup.groebner.basis)
+        lead = MonomialIdeal.from_monomials(ring, (g.leading_monomial() for g in basis))
+        assert verify_pivot_initial_ideal(setup).lead == lead, w.one_line()
+
+
+def test_lemma_2_runs_buchberger_when_the_pivot_divides_a_lead():
+    # with c * x[2,1] as the basis of I_w, c and the basis are no reduced
+    # basis: their leads c and c * x[2,1] are not minimal, and Buchberger
+    # leaves c alone
+    setup = setup_("35142")
+    ring = setup.ring
+    c = ring.variable(*setup.c_cell)
+    doctored = dataclasses.replace(
+        setup, groebner=dataclasses.replace(setup.groebner, basis=(c * ring.variable(2, 1),)))
+    assert verify_pivot_initial_ideal(doctored).lead.gens == (c.leading_monomial(),)
 
 
 def test_lemma_2_reports_the_containment_when_the_ideals_differ():
@@ -338,9 +367,10 @@ def test_lemma_2_in_verify_all_forms_no_s_pair_when_the_pivot_divides_no_lead(
     assert calls["lemma2"] == 0
     # restarting Buchberger on c and the basis forms the pairs inside it again
     calls["other"] = 0
-    assert poly.buchberger((c,) + setup.groebner.basis) == \
-        poly.buchberger((c,), basis=setup.groebner.basis)
+    restart = poly.buchberger((c,) + setup.groebner.basis)
     assert calls["other"] == restart_pairs
+    assert verify_pivot_initial_ideal(setup).lead == MonomialIdeal.from_monomials(
+        setup.ring, (g.leading_monomial() for g in restart))
 
 
 def test_pivot_nonzerodivisor_35142_and_s5():
