@@ -10,6 +10,12 @@ antidiagonal terms generate the initial ideal under any antidiagonal term
 order; ``verify_groebner`` checks that statement on a concrete w by running
 Buchberger and comparing monomial ideals.
 
+A site is checked where it enters: the public functions check that the
+ring's grid holds w's, and ``poly``'s corner entries check each (p, q, r+1)
+once, so no site of a corner is checked one by one.  ``verify_groebner``
+reads J_w off the cells its generators were built on, so one verify computes
+one essential set.
+
 Coefficients never appear here: the linear algebra of the Nakayama
 selection is ``poly.independent``, and the module reaches the polynomial
 engine only through ``poly``'s public names.
@@ -21,13 +27,12 @@ nonzerodivisor test on a squarefree quotient.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .perm import PartialPermutation, diagram, essential_set
-from .poly import (Monomial, Polynomial, PolyRing, antidiagonal_monomial, buchberger,
-                   independent, minors, monomial_divides, normal_forms)
+from .poly import (Monomial, Polynomial, PolyRing, buchberger, corner_antidiagonals,
+                   corner_minors, independent, monomial_divides, normal_forms)
 
 
 # ---------------------------------------------------------------------------
@@ -156,13 +161,22 @@ class SchubertIdeal:
     raw_generators: tuple
 
 
-def _minor_sites(cell_ranks: Iterable) -> Iterator[tuple]:
-    """(rows, cols) of the Fulton minors over the (cell, rank) pairs, in the
-    canonical order of ``SchubertIdeal.raw_generators``."""
-    for cell, r in cell_ranks:
-        for rows in itertools.combinations(range(1, cell.p + 1), r + 1):
-            for cols in itertools.combinations(range(1, cell.q + 1), r + 1):
-                yield rows, cols
+def _grid(w: PartialPermutation, ring: Optional[PolyRing]) -> PolyRing:
+    """``ring``, or w's own grid when it is None, after checking that it
+    holds w's grid, and so every site of w's Fulton minors."""
+    if ring is None:
+        return PolyRing(w.rows, w.cols)
+    if ring.rows < w.rows or ring.cols < w.cols:
+        raise ValueError("ring grid too small for this permutation")
+    return ring
+
+
+def _corners(cell_ranks: Iterable) -> list:
+    """(p, q, r + 1) for each (cell, rank) pair: the upper-left corner of
+    the cell and the size of its Fulton minors, which lies between 1 and
+    the corner's sides, since a diagram cell's row and column hold no
+    entry of w inside its corner."""
+    return [(cell.p, cell.q, r + 1) for cell, r in cell_ranks]
 
 
 def fulton_generators(w: PartialPermutation, ring: Optional[PolyRing] = None, *,
@@ -170,20 +184,19 @@ def fulton_generators(w: PartialPermutation, ring: Optional[PolyRing] = None, *,
     """All defining minors of the matrix Schubert variety of ``w``.
 
     ``cells`` selects whether minors are taken over the essential set (the
-    default) or over the whole diagram; both generate the same ideal.
+    default) or over the whole diagram; both generate the same ideal.  The
+    grid of ``ring`` is checked once here; ``poly.corner_minors`` then
+    checks each cell's corner once and expands every site of it without a
+    check per site.
     """
     if cells not in ("essential", "diagram"):
         raise ValueError("cells must be 'essential' or 'diagram'")
-    if ring is None:
-        ring = PolyRing(w.rows, w.cols)
-    elif ring.rows < w.rows or ring.cols < w.cols:
-        raise ValueError("ring grid too small for this permutation")
+    ring = _grid(w, ring)
     if cells == "essential":
         cell_ranks = essential_set(w)
     else:
         cell_ranks = tuple(diagram(w).items())
-    sites = list(_minor_sites(cell_ranks))
-    raw = minors(ring, sites)
+    sites, raw = corner_minors(ring, _corners(cell_ranks))
     kept, _ = graded_minimal_generators(ring, raw)
     return SchubertIdeal(ring=ring, cells=cell_ranks,
                          generators=tuple(raw[i] for i in kept),
@@ -193,12 +206,15 @@ def fulton_generators(w: PartialPermutation, ring: Optional[PolyRing] = None, *,
 def antidiagonal_ideal(w: PartialPermutation, ring: Optional[PolyRing] = None) -> MonomialIdeal:
     """The monomial ideal generated by the antidiagonal terms of all Fulton
     minors over the essential set, minimalized.  Its generators are squarefree
-    by construction (an antidiagonal multiplies distinct variables)."""
-    if ring is None:
-        ring = PolyRing(w.rows, w.cols)
-    return MonomialIdeal.from_monomials(
-        ring, (antidiagonal_monomial(ring, rows, cols)
-               for rows, cols in _minor_sites(essential_set(w))))
+    by construction (an antidiagonal multiplies distinct variables).  The
+    grid of ``ring`` is checked as ``fulton_generators`` checks it."""
+    return _antidiagonal_ideal(_grid(w, ring), essential_set(w))
+
+
+def _antidiagonal_ideal(ring: PolyRing, cell_ranks: Iterable) -> MonomialIdeal:
+    """The ideal of the antidiagonals of the Fulton minors over the (cell,
+    rank) pairs, for a ring already checked to hold their corners."""
+    return MonomialIdeal.from_monomials(ring, corner_antidiagonals(ring, _corners(cell_ranks)))
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +303,7 @@ def verify_groebner(w: PartialPermutation, ring: Optional[PolyRing] = None) -> G
     basis = buchberger(schubert.generators)
     # the leads of a reduced basis are already minimal generators
     lead = MonomialIdeal.from_minimal_generators(ring, (g.leading_monomial() for g in basis))
-    anti = antidiagonal_ideal(w, ring)
+    # J_w from the essential cells the generators were built on
+    anti = _antidiagonal_ideal(ring, schubert.cells)
     return GroebnerReport(w=w, match=lead.gens == anti.gens,
                           gb_leading=lead, antidiagonal=anti, basis=basis, schubert=schubert)

@@ -51,6 +51,7 @@ import re
 from bisect import insort
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import reduce
 from itertools import compress
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -501,11 +502,18 @@ class Polynomial:
 
     def homogeneous_degree(self) -> Optional[int]:
         """The degree of every term, or None when two terms differ in
-        degree; one pass over the terms."""
+        degree.  One ``|`` over the terms tells whether all of them are
+        squarefree; then each is the bit set of its variables and its
+        degree is its bit count, and otherwise the sum of its exponent
+        bytes."""
         if not self._d:
             raise ValueError("the zero polynomial has no degree")
-        nvars = self.ring.nvars
-        degrees = {sum(m.to_bytes(nvars, "big")) for m in self._d}  # monomial_degree, inlined
+        ring = self.ring
+        if ring.is_squarefree(reduce(operator.or_, self._d)):
+            # every term is squarefree, so its degree is its number of bits
+            degrees = set(map(int.bit_count, self._d))
+        else:
+            degrees = {sum(m.to_bytes(ring.nvars, "big")) for m in self._d}  # monomial_degree
         return degrees.pop() if len(degrees) == 1 else None
 
     def sparse_terms(self) -> tuple:
@@ -647,6 +655,53 @@ def _laplace(ring: PolyRing, rows: tuple, cols: tuple, memo: dict) -> dict:
             sub = _laplace(ring, below, cols[:k] + cols[k + 1:], memo)
             ring.field.axpy(d, sub.items(), (-1) ** k, ring._variable(row, cols[k]))
     return d
+
+
+def corner_minors(ring: PolyRing, corners: Iterable) -> tuple:
+    """(sites, minors): for each (p, q, t) of ``corners``, every t x t minor
+    of the upper-left p x q corner with its (rows, cols), row subsets then
+    column subsets lexicographic.  Each corner is checked once, and its
+    sites are then valid by construction; the expansion is ``minors``'s,
+    with one memo for the whole call.
+
+    >>> r = PolyRing(2, 4)
+    >>> sites, fs = corner_minors(r, [(1, 2, 1), (2, 4, 2)])
+    >>> sites[:3], str(fs[-1])
+    ([((1,), (1,)), ((1,), (2,)), ((1, 2), (1, 2))], '-x[1,4]*x[2,3] + x[1,3]*x[2,4]')
+    """
+    sites = list(_corner_sites(ring, corners))
+    memo: dict = {}
+    return sites, [Polynomial(ring, _laplace(ring, rows, cols, memo)) for rows, cols in sites]
+
+
+def corner_antidiagonals(ring: PolyRing, corners: Iterable) -> list:
+    """The antidiagonal monomials (see ``antidiagonal_monomial``) of the
+    minors of ``corner_minors(ring, corners)``, in the same order, without
+    expanding them; each corner is checked once.
+
+    >>> r = PolyRing(2, 4)
+    >>> [r.render_monomial(m) for m in corner_antidiagonals(r, [(2, 3, 2)])]
+    ['x[1,2]*x[2,1]', 'x[1,3]*x[2,1]', 'x[1,3]*x[2,2]']
+    """
+    variable = ring._variables.__getitem__
+    # distinct variables: their sum sets no guard bit
+    return [sum(map(variable, zip(rows, reversed(cols))))
+            for rows, cols in _corner_sites(ring, corners)]
+
+
+def _corner_sites(ring: PolyRing, corners: Iterable) -> Iterator[tuple]:
+    """The (rows, cols) of the t x t minors of each upper-left p x q corner,
+    after checking (p, q, t) once: 1 <= t <= min(p, q), and p, q inside the
+    grid."""
+    for p, q, t in corners:
+        if not 1 <= t <= min(p, q):
+            raise ValueError("a corner's minor size must be between 1 and its sides")
+        if p > ring.rows or q > ring.cols:
+            raise ValueError("corner leaves the grid")
+        col_sets = list(itertools.combinations(range(1, q + 1), t))
+        for rows in itertools.combinations(range(1, p + 1), t):
+            for cols in col_sets:
+                yield rows, cols
 
 
 def _minor_indices(ring: PolyRing, rows: Sequence[int], cols: Sequence[int]) -> tuple:

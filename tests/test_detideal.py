@@ -14,11 +14,12 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import msvkit.detideal as detideal
 from msvkit.perm import (PartialPermutation, all_partial_permutations,
-                         all_permutations, coxeter_length, extend_to_permutation,
-                         identity, render_one_line)
-from msvkit.poly import (PolyRing, certified, ideals_equal, minor, monomial_divides,
-                         s_polynomial)
+                         all_permutations, coxeter_length, diagram, essential_set,
+                         extend_to_permutation, identity, render_one_line)
+from msvkit.poly import (PolyRing, antidiagonal_monomial, certified, ideals_equal, minor,
+                         monomial_divides, s_polynomial)
 from msvkit.ci import minimal_generator_count
 from msvkit.detideal import (MonomialIdeal, antidiagonal_ideal, fulton_generators,
                              graded_minimal_generators, is_nonzerodivisor_on_monomial_quotient,
@@ -158,6 +159,63 @@ def test_antidiagonal_ideal_equals_leading_terms_of_raw_minors():
         from_leads = MonomialIdeal.from_monomials(
             schubert.ring, (g.leading_monomial() for g in schubert.raw_generators))
         assert from_leads.gens == antidiagonal_ideal(w, schubert.ring).gens
+
+
+def test_antidiagonal_ideal_checks_the_ring_grid_as_fulton_generators_does():
+    # a ring smaller than w's grid is refused at the boundary, with one
+    # message, before any site of w is walked
+    w = w_("35142")
+    for ring in (PolyRing(3, 3), PolyRing(5, 3), PolyRing(3, 5, 32003)):
+        for build in (fulton_generators, verify_groebner, antidiagonal_ideal):
+            with pytest.raises(ValueError, match="^ring grid too small for this permutation$"):
+                build(w, ring)
+
+
+def _fulton_sites(cell_ranks):
+    """(rows, cols) of the Fulton minors over the (cell, rank) pairs, cells
+    in order, then row subsets, then column subsets."""
+    return [(rows, cols) for cell, r in cell_ranks
+            for rows in itertools.combinations(range(1, cell.p + 1), r + 1)
+            for cols in itertools.combinations(range(1, cell.q + 1), r + 1)]
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_the_corner_pass_is_the_per_site_public_calls(char):
+    # fulton_generators and J_w check each corner once and trust its sites;
+    # each minor and antidiagonal must be what the validating one-site
+    # calls give (cached per ring and site, which repeat across w)
+    expanded, antidiagonals = {}, {}
+    words = itertools.chain(
+        (w for n in range(1, 7) for w in all_permutations(n)),
+        (w for rows in (1, 2, 3) for cols in (1, 2, 3)
+         for w in all_partial_permutations(rows, cols)))
+    for w in words:
+        ring = PolyRing(w.rows, w.cols, char)
+        for cells, cell_ranks in (("essential", essential_set(w)),
+                                  ("diagram", tuple(diagram(w).items()))):
+            schubert = fulton_generators(w, ring, cells=cells)
+            assert schubert.cells == cell_ranks
+            sites = _fulton_sites(cell_ranks)
+            raw = tuple(expanded.setdefault((ring, site), minor(ring, *site)) for site in sites)
+            assert schubert.raw_generators == raw, (render_one_line(w), cells)
+            # the kept sites come by degree, then in canonical order, each
+            # with its own minor
+            where = [sites.index(site) for site in schubert.sites]
+            assert where == sorted(set(where), key=lambda k: (len(sites[k][0]), k))
+            assert schubert.generators == tuple(raw[k] for k in where)
+            J = MonomialIdeal.from_monomials(ring, (
+                antidiagonals.setdefault((ring, site), antidiagonal_monomial(ring, *site))
+                for site in sites))
+            # the J_w verify_groebner builds from its generators' cells
+            assert detideal._antidiagonal_ideal(ring, schubert.cells) == J
+            if cells == "essential":
+                assert antidiagonal_ideal(w, ring) == J
+
+
+def test_verify_groebner_reads_j_w_from_its_own_cells():
+    for n in range(1, 6):
+        for w in all_permutations(n):
+            assert verify_groebner(w).antidiagonal == antidiagonal_ideal(w)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import msvkit.detideal as detideal
 import msvkit.frlab as frlab
+import msvkit.perm as perm
 import msvkit.poly as poly
 from msvkit.perm import Cell, PartialPermutation, all_permutations, coxeter_length, \
     identity, render_one_line
@@ -512,20 +513,22 @@ def test_fulton_generators_in_the_primed_coordinates_are_minors():
 
 def test_the_pipeline_of_w_runs_once_per_setup(monkeypatch):
     """``build_localization`` takes w's Fulton generators, their basis and
-    J_w from one ``verify_groebner`` call; the second Fulton call is w'."""
-    calls = {"verify_groebner": 0, "fulton_generators": 0, "antidiagonal_ideal": 0}
+    J_w from one ``verify_groebner`` call; the second Fulton call is w'.
+    The essential set is computed three times: by ``find_pivot``, for w's
+    generators (J_w reads their cells) and for w'."""
+    calls = {"verify_groebner": 0, "fulton_generators": 0, "essential_set": 0}
     for name in calls:
-        real = getattr(detideal, name)
+        real = getattr(perm if name == "essential_set" else detideal, name)
 
         def counting(*args, _name=name, _real=real, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
 
-        for module in (detideal, frlab):
+        for module in (perm, detideal, frlab):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting)
     assert verify_all(w_("351642")).ok
-    assert calls == {"verify_groebner": 1, "fulton_generators": 2, "antidiagonal_ideal": 1}
+    assert calls == {"verify_groebner": 1, "fulton_generators": 2, "essential_set": 3}
 
 
 def test_the_setup_holds_the_groebner_report_of_w():

@@ -21,7 +21,8 @@ from msvkit.detideal import fulton_generators, verify_groebner
 from msvkit.frlab import build_localization, find_pivot, verify_all
 from msvkit.poly import (EXPONENT_BOUND, ExponentOverflowError, GroebnerCertificationError,
                          Polynomial, PolyRing, _lcm, antidiagonal_monomial,
-                         buchberger, certified, ideals_equal, minor, minors,
+                         buchberger, certified, corner_antidiagonals, corner_minors,
+                         ideals_equal, minor, minors,
                          monomial_divides, monomial_lcm,
                          monomial_mul, monomial_quotient, normal_form, normal_forms,
                          s_polynomial, saturate, transplant)
@@ -289,20 +290,65 @@ def test_minor_matches_independent_expansion_all_sizes():
             assert minor(ring, rows, cols) == _det_by_permanent_expansion(ring, rows, cols)
 
 
+BAD_SITES = [((1, 2), (3,)), ((2, 1), (1, 2)), ((1, 1), (1, 2)), ((1, 6), (1, 2)),
+             ((1, 1), (2, 3)), ((), ()), ((0, 1), (1, 2))]
+BAD_SITE_MESSAGES = [
+    "row and column index lists must be equal-length and nonempty",
+    "index lists must be strictly increasing without repeats",
+    "index lists must be strictly increasing without repeats",
+    "minor indices leave the grid",
+    "index lists must be strictly increasing without repeats",
+    "row and column index lists must be equal-length and nonempty",
+    "minor indices leave the grid",
+]
+
+
 def test_minor_validation():
     # an antidiagonal of unsorted or repeated indices would name the
-    # diagonal, or a product of two entries in one row
-    for rows, cols in ([(1, 2), (3,)], [(2, 1), (1, 2)], [(1, 1), (1, 2)],
-                       [(1, 6), (1, 2)], [(1, 1), (2, 3)], [(), ()], [(0, 1), (1, 2)]):
-        for build in (minor, antidiagonal_monomial):
-            with pytest.raises(ValueError):
+    # diagonal, or a product of two entries in one row.  The corner entries
+    # trust the sites they build; the one-site entries and minors keep
+    # checking what their callers hand them, each with its message.
+    def in_a_list(ring, rows, cols):
+        return minors(ring, [((1,), (1,)), (rows, cols)])
+
+    for (rows, cols), message in zip(BAD_SITES, BAD_SITE_MESSAGES, strict=True):
+        for build in (minor, in_a_list, antidiagonal_monomial):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 build(RING, rows, cols)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^index lists must be strictly increasing"):
         antidiagonal_monomial(PolyRing(2, 4), [2, 1], [1, 2])
 
 
-BAD_SITES = [((1, 2), (3,)), ((2, 1), (1, 2)), ((1, 1), (1, 2)), ((1, 6), (1, 2)),
-             ((1, 1), (2, 3)), ((), ()), ((0, 1), (1, 2))]
+# (p, q, t): a corner of the 5 x 5 grid and a minor size that fits it
+CORNERS = st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+    lambda pq: st.tuples(st.just(pq[0]), st.just(pq[1]), st.integers(1, min(pq)))), max_size=4)
+
+
+@settings(max_examples=40, deadline=None)
+@example(corners=[(2, 2, 1), (2, 4, 2), (4, 2, 2), (2, 4, 2)], char=0)
+@example(corners=[(5, 5, 5), (5, 4, 3)], char=2)
+@given(corners=CORNERS, char=st.sampled_from([0, 2, 32003]))
+def test_corner_entries_are_the_per_site_entries_at_every_site(corners, char):
+    ring = PolyRing(5, 5, char=char)
+    sites = [(rows, cols) for p, q, t in corners
+             for rows in itertools.combinations(range(1, p + 1), t)
+             for cols in itertools.combinations(range(1, q + 1), t)]
+    assert corner_minors(ring, corners) == (sites, minors(ring, sites))
+    assert corner_antidiagonals(ring, corners) == [
+        antidiagonal_monomial(ring, rows, cols) for rows, cols in sites]
+
+
+@pytest.mark.parametrize("corner,message", [
+    ((2, 3, 0), "a corner's minor size must be between 1 and its sides"),
+    ((2, 3, 3), "a corner's minor size must be between 1 and its sides"),
+    ((0, 3, 1), "a corner's minor size must be between 1 and its sides"),
+    ((6, 2, 1), "corner leaves the grid"),
+    ((2, 6, 2), "corner leaves the grid"),
+])
+def test_corner_entries_check_each_corner(corner, message):
+    for build in (corner_minors, corner_antidiagonals):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(RING, [(1, 1, 1), corner])
 INDEX_SETS = st.integers(1, 5).flatmap(
     lambda t: st.sets(st.integers(1, 5), min_size=t, max_size=t).map(lambda s: tuple(sorted(s))))
 # rows and columns of one size; few sizes on five rows, so lists repeat
@@ -1106,6 +1152,13 @@ def test_prime_field_arithmetic_is_rational_arithmetic_reduced_mod_p(f, g, h, u,
 @example(terms=[((1, 0, 0, 0, 0, 1), 1), ((0, 1, 1, 0, 0, 0), -1)], char=0)
 @example(terms=[((1, 0, 0, 0, 0, 0), 1), ((2, 0, 0, 0, 0, 0), 1)], char=32003)
 @example(terms=[((0, 0, 0, 0, 0, 0), 3)], char=2)
+# squarefree terms take the bit-count path: degrees 1 and 3, then 3 and 3
+@example(terms=[((1, 0, 0, 0, 0, 0), 1), ((0, 1, 1, 0, 0, 1), 2)], char=0)
+@example(terms=[((1, 1, 0, 0, 0, 1), 1), ((0, 1, 1, 1, 0, 0), 2)], char=32003)
+# a non-squarefree term takes the byte-sum path, where one bit may be a
+# square: x^2 + y*z is homogeneous, x^2 + y is not
+@example(terms=[((2, 0, 0, 0, 0, 0), 1), ((0, 1, 0, 0, 1, 0), 1)], char=32003)
+@example(terms=[((2, 0, 0, 0, 0, 0), 1), ((0, 1, 0, 0, 0, 0), 1)], char=0)
 @given(terms=TERMS, char=st.sampled_from([0, 2, 32003]))
 def test_homogeneous_degree_is_the_one_term_degree_or_none(terms, char):
     f = _build(PolyRing(2, 3, char=char), terms)
@@ -1114,8 +1167,11 @@ def test_homogeneous_degree_is_the_one_term_degree_or_none(terms, char):
             with pytest.raises(ValueError, match="the zero polynomial has no degree"):
                 degree()
         return
-    degrees = {f.ring.monomial_degree(m) for m in f.monomials()}
-    assert f.homogeneous_degree() == (f.total_degree() if len(degrees) == 1 else None)
+    # the exponents one by one, not the packed kernels of monomial_degree
+    degrees = {sum(e for _, _, e in f.ring.grid_support(m)) for m in f.monomials()}
+    assert f.homogeneous_degree() == (degrees.pop() if len(degrees) == 1 else None)
+    if f.homogeneous_degree() is not None:
+        assert f.homogeneous_degree() == f.total_degree()
 
 
 # ---------------------------------------------------------------------------
@@ -1182,6 +1238,8 @@ UNCALLED_PUBLIC_API = {
     "monomial_lcm": "the lcm of two packed monomials, which the engine inlines",
     "normal_form": "the one-polynomial case of normal_forms",
     "saturate": "the saturation (I : c^infinity)",
+    "antidiagonal_monomial": "the antidiagonal of one minor; corner_antidiagonals walks corners",
+    "antidiagonal_ideal": "J_w of w alone; verify_groebner reads its generators' cells instead",
 }
 
 
