@@ -13,18 +13,20 @@ exactly w's diagram cells inside B's region, shifted by (p-r-1, q-r-1), and
 all of them lie in rows before p.  By induction on n, B is a complete
 intersection iff none of those cells has a non-permutation block.  So the
 first failing cell in row-major order always fails as
-"block-not-permutation".  The classifier still recurses into every
-permutation block, because the child reports make up the certificate.
+"block-not-permutation".  The certificate recurses into every permutation
+block over one cell list: a block's cells are the cells of its region that
+come before its own cell in the row-major list, shifted, so a query computes
+one diagram.
 
 When the verdict is positive, the defining ideal is generated by the
 codimension-many polynomials {x[p,q] at rank-0 diagram cells} plus {det of
 the (r+1) x (r+1) block with southeast corner (p, q) at positive-rank cells}.
 
 The classifier does only the work its report needs.  Each block is read
-straight from the one-line word of w.  The generator determinants are
-expanded only when ``CIReport.generators`` is read, and never stored; the
-classify cache keeps only the reports of northwest blocks met during the
-recursion, so it holds no polynomial.
+straight from the one-line word of w, and its cells from w's cell list.  The
+generator determinants are expanded only when ``CIReport.generators`` is
+read, and never stored, so a report holds no polynomial and nothing is kept
+between queries.
 
 A necessary condition checked separately: every positive-rank diagram cell
 must be essential (no diagram cell due east or due south of it).  It is not
@@ -151,12 +153,6 @@ class CIReport:
         }
 
 
-# Reports of the northwest blocks met during the recursion, by word.  A
-# top-level report is not stored: a census would otherwise keep one report per
-# permutation of S_n, where the blocks of S_8 are 873 words.
-_CLASSIFY_CACHE: dict[tuple[int, ...], CIReport] = {}
-
-
 def is_complete_intersection(w: PartialPermutation, *, with_oracle: bool = False,
                              char: int = 0) -> CIReport:
     """Classify the matrix Schubert variety of ``w``.
@@ -173,41 +169,41 @@ def is_complete_intersection(w: PartialPermutation, *, with_oracle: bool = False
     """
     if not w.is_permutation:
         w = extend_to_permutation(w)
-    report = _classify(w.one_line())
+    report = _report(w.one_line(), list(diagram(w).items()))
     if with_oracle:
         report = replace(report, mu=minimal_generator_count(w, char=char))
     return report
 
 
-def _classify(word: tuple[int, ...], *, is_block: bool = False) -> CIReport:
-    cached = _CLASSIFY_CACHE.get(word)
-    if cached is not None:
-        return cached
-    w = PartialPermutation(len(word), len(word), word)
-    d = diagram(w)
+def _report(word: tuple[int, ...], cells: list[tuple[Cell, int]]) -> CIReport:
+    """The report of the permutation ``word`` whose row-major diagram cells,
+    with their ranks, are ``cells``."""
     nodes = []
     witness: Optional[Witness] = None
-    for cell, r in d.items():
+    for index, (cell, r) in enumerate(cells):
         if not r:
             continue
+        p, q = cell
         # The r x r block on rows p-r..p-1 and columns q-r..q-1 (inside the
         # grid, since w(p) > q and w^-1(q) > p) is a permutation matrix iff
         # all r of its rows have their value in its columns.
-        low = cell.q - r
-        block = tuple(v - low + 1 for v in word[cell.p - r - 1:cell.p - 1]
-                      if low <= v < cell.q)
-        child = _classify(block, is_block=True) if len(block) == r else None
-        if child is None and witness is None:
+        top, left = p - r - 1, q - r - 1
+        block = tuple(v - left for v in word[top:p - 1] if left < v < q)
+        child = None
+        if len(block) == r:
+            # its cells are the earlier cells of its region, shifted; row p
+            # has none there, since the block's columns have their 1s above it
+            child = _report(block, [(Cell(c.p - top, c.q - left), s)
+                                    for c, s in cells[:index]
+                                    if c.p > top and left < c.q < q])
+        elif witness is None:
             witness = Witness(
                 cell, "block-not-permutation",
-                f"the {r}x{r} block on rows {cell.p - r}..{cell.p - 1} and columns "
-                f"{cell.q - r}..{cell.q - 1} is not a permutation matrix")
+                f"the {r}x{r} block on rows {p - r}..{p - 1} and columns "
+                f"{q - r}..{q - 1} is not a permutation matrix")
         nodes.append(CertificateNode(cell, r, child is not None, child))
-    report = CIReport(w=word, verdict=witness is None, codim=len(d),
-                      certificate=tuple(nodes), failure_witness=witness)
-    if is_block:
-        _CLASSIFY_CACHE[word] = report
-    return report
+    return CIReport(w=word, verdict=witness is None, codim=len(cells),
+                    certificate=tuple(nodes), failure_witness=witness)
 
 
 def _ci_generator_tuple(w: PartialPermutation) -> tuple:

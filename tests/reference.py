@@ -10,16 +10,18 @@ variable c, ``column_row`` inverts a partial permutation at one column, and
 is the recursive-descent parser that ``PolyRing.parse`` replaced,
 ``pivot_minor_report_on_supports`` is lemma 1's search on frozensets of
 variable keys that the packed search replaced, ``pivot_window_three_scans``
-is the window fact with its scan of w's entries, and
+is the window fact with its scan of w's entries,
 ``extend_by_column_search`` extends a partial permutation by searching each
-row's smallest unused column; each is kept as the reference that its
-replacement is checked against.
+row's smallest unused column, and ``reference_classify`` is the complete
+intersection recursion with a fresh diagram per block; each is kept as the
+reference that its replacement is checked against.
 """
 import itertools
 import re
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from msvkit.ci import CertificateNode, CIReport, Witness
 from msvkit.detideal import MonomialIdeal
 from msvkit.perm import Cell, PartialPermutation, diagram
 from msvkit.poly import (GroebnerCertificationError, Monomial, Polynomial, PolyRing,
@@ -274,3 +276,28 @@ def extend_by_column_search(w: PartialPermutation) -> PartialPermutation:
         used.add(j)
         word.append(j)
     return PartialPermutation(n, n, tuple(word))
+
+
+def reference_classify(word: tuple[int, ...]) -> CIReport:
+    """The report of the permutation ``word`` by the classifier's recursion
+    with a fresh diagram per block: at each positive-rank cell the r x r
+    block just northwest of it is read from the word, and a block that is a
+    permutation matrix is classified from its own diagram."""
+    d = diagram(PartialPermutation(len(word), len(word), word))
+    nodes = []
+    witness = None
+    for cell, r in d.items():
+        if not r:
+            continue
+        low = cell.q - r
+        block = tuple(v - low + 1 for v in word[cell.p - r - 1:cell.p - 1]
+                      if low <= v < cell.q)
+        child = reference_classify(block) if len(block) == r else None
+        if child is None and witness is None:
+            witness = Witness(
+                cell, "block-not-permutation",
+                f"the {r}x{r} block on rows {cell.p - r}..{cell.p - 1} and columns "
+                f"{cell.q - r}..{cell.q - 1} is not a permutation matrix")
+        nodes.append(CertificateNode(cell, r, child is not None, child))
+    return CIReport(w=word, verdict=witness is None, codim=len(d),
+                    certificate=tuple(nodes), failure_witness=witness)

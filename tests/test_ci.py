@@ -13,8 +13,9 @@ from msvkit.poly import (Polynomial, PolyRing, antidiagonal_monomial, ideals_equ
                          monomial_lcm, monomial_mul, normal_forms)
 from msvkit.detideal import antidiagonal_ideal, fulton_generators
 import msvkit.ci as ci
-from msvkit.ci import (is_complete_intersection, minimal_generator_count,
-                       necessary_condition)
+from msvkit.ci import (CertificateNode, CIReport, is_complete_intersection,
+                       minimal_generator_count, necessary_condition)
+from reference import reference_classify
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -97,7 +98,7 @@ def test_certificate_blocks_agree_with_submatrix_w_on_s6():
 
 
 # ---------------------------------------------------------------------------
-# Pattern oracle, lazy generators and the block-only cache
+# Pattern oracle, lazy generators and the certificate reference
 # ---------------------------------------------------------------------------
 
 CI_PATTERNS = ((1, 3, 4, 2), (1, 4, 2, 3), (1, 4, 3, 2))
@@ -158,7 +159,6 @@ def test_verdicts_need_no_determinant_and_generators_are_read_on_demand(monkeypa
         raise AssertionError("a determinant was expanded")
 
     with monkeypatch.context() as m:
-        m.setattr(ci, "_CLASSIFY_CACHE", {})
         m.setattr(ci, "minor", refuse)
         reports = {w.one_line(): is_complete_intersection(w) for w in all_permutations(6)}
         target = is_complete_intersection(w_("462153"))
@@ -169,13 +169,27 @@ def test_verdicts_need_no_determinant_and_generators_are_read_on_demand(monkeypa
     assert set(target.generators) == _462153_generators()
 
 
-def test_the_cache_holds_only_blocks_and_no_polynomial(monkeypatch):
-    monkeypatch.setattr(ci, "_CLASSIFY_CACHE", {})
-    for w in all_permutations(6):
-        is_complete_intersection(w)
-    assert ci._CLASSIFY_CACHE
-    assert all(len(word) < 6 for word in ci._CLASSIFY_CACHE)
-    assert not any(_holds_a_polynomial(report) for report in ci._CLASSIFY_CACHE.values())
+def _certificate_depth(report):
+    return 1 + max((_certificate_depth(node.child) for node in report.certificate
+                    if node.child is not None), default=0)
+
+
+def test_no_report_holds_a_polynomial_at_any_depth():
+    reports = [is_complete_intersection(w) for w in all_permutations(6)]
+    assert max(_certificate_depth(report) for report in reports) >= 3
+    assert not any(_holds_a_polynomial(report) for report in reports)
+    # the walk reaches a polynomial planted in a nested child
+    child = CIReport((1,), True, 0, (PolyRing(1, 1).variable(1, 1),), None)
+    assert _holds_a_polynomial(CIReport((2, 1), True, 1, (
+        CertificateNode(Cell(1, 1), 1, True, child),), None))
+
+
+def test_classifier_reports_match_the_fresh_diagram_reference_on_s1_to_s8():
+    # verdict, codim, every certificate node and nested child, and the witness
+    for n in range(1, 9):
+        for word in itertools.permutations(range(1, n + 1)):
+            report = is_complete_intersection(PartialPermutation(n, n, word))
+            assert report == reference_classify(word), word
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,18 @@ def test_pivot_exists_exactly_when_some_essential_cell_has_positive_rank():
         assert (find_pivot(w) is not None) == has_positive
 
 
+def test_pivot_is_missing_exactly_when_w_avoids_132_on_s1_to_s7():
+    # the base case of the induction over pivots: the pivot-free w are the
+    # 132-avoiding ones, counted by the Catalan numbers
+    pivot_free = 0
+    for n in range(1, 8):
+        for w in all_permutations(n):
+            avoids = not any(a < c < b for a, b, c in itertools.combinations(w.one_line(), 3))
+            assert (find_pivot(w) is None) == avoids, w.one_line()
+            pivot_free += avoids
+    assert pivot_free == 1 + 2 + 5 + 14 + 42 + 132 + 429 == 625
+
+
 def test_pivot_window_35142():
     assert verify_pivot_window(setup_("35142"))
 
