@@ -7,7 +7,10 @@ Every ``PolyRing`` owns its coefficient field and its term order:
   It normalizes and divides coefficients and runs the one in-place kernel
   ``axpy`` (target += c * x^u * src, ``u`` defaulting to the unit monomial)
   behind all polynomial arithmetic, one loop per field, so the choice of
-  field is made when the ring is built, never inside a loop.
+  field is made when the ring is built, never inside a loop.  Only the
+  minors of the generic matrix bypass it: their terms are distinct
+  products of distinct variables with coefficient 1 or -1, which are
+  written straight into a dict (see ``_laplace``).
 * The order is antidiagonal-lexicographic: plain lex with variable
   precedence x[i,j] > x[i',j'] iff i < i', or i = i' and j > j' (row-major,
   columns descending).  Under it the leading term of every minor of the
@@ -610,7 +613,8 @@ class Polynomial:
 
 def minor(ring: PolyRing, rows: Sequence[int], cols: Sequence[int]) -> Polynomial:
     """The determinant of the generic submatrix on the given rows/columns,
-    expanded exactly with +-1 coefficients: the one-site case of ``minors``.
+    expanded exactly, each term a product of distinct variables with the
+    field's 1 or -1 as coefficient: the one-site case of ``minors``.
 
     Index lists must be equal-length, strictly increasing and inside the grid.
 
@@ -625,10 +629,11 @@ def minors(ring: PolyRing, sites: Iterable) -> list:
     """The minors on the (rows, cols) of ``sites``, in order, each index
     pair checked as ``minor`` checks it.
 
-    The expansion is Laplace's along the first row.  One memo, keyed by the
-    row suffix and column set of each sub-minor, serves the whole call, so a
-    sub-minor that several sites share is expanded once; it is dropped when
-    the call returns.
+    A minor of size 2 or 3 is its closed Leibniz form; a larger one is
+    expanded along its first row down to 3 x 3 blocks (see ``_laplace``).
+    One memo, keyed by the row suffix and column set of each minor of size 3
+    and up, serves the whole call, so a sub-minor that several sites share
+    is expanded once; it is dropped when the call returns.
 
     >>> r = PolyRing(2, 4)
     >>> [str(f) for f in minors(r, [([1], [2]), ([1, 2], [3, 4])])]
@@ -641,19 +646,50 @@ def minors(ring: PolyRing, sites: Iterable) -> list:
 
 def _laplace(ring: PolyRing, rows: tuple, cols: tuple, memo: dict) -> dict:
     """The terms of the minor on the equal-length ``rows`` and ``cols``,
-    expanded along its first row, whose sub-minors lie on ``rows[1:]``;
-    ``memo`` maps the (rows, cols) of each sub-minor already expanded to its
-    terms.  The signs are plain +-1, which ``axpy`` reduces into the field."""
+    which lie inside the grid.
+
+    The t! terms of a generic minor are distinct squarefree products of t
+    variables, each with coefficient +-1, so they are written straight into
+    the dict: no term is merged, none cancels and none can overflow.  A 1 x 1
+    minor is its variable; 2 x 2 and 3 x 3 minors are their closed Leibniz
+    forms.  A larger one is expanded along its first row: its sub-minors
+    lie on ``rows[1:]``, and the one at column k, times that row's variable
+    at column k, gives a term set that no other k shares, since each holds a
+    different variable of the first row.  ``memo`` maps the (rows, cols) of
+    each minor of size 3 and up already expanded to its terms, so the
+    recursion stops at 3 x 3 blocks, each built once per memo.  The signs
+    are the field's own 1 and -1."""
+    variables = ring._variables
     t = len(cols)
     if t == 1:
-        return {ring._variable(rows[0], cols[0]): 1}
+        return {variables[rows[0], cols[0]]: 1}
+    minus = ring.field.coeff(-1)
+    if t == 2:
+        (r0, r1), (c0, c1) = rows, cols
+        return {variables[r0, c0] + variables[r1, c1]: 1,
+                variables[r0, c1] + variables[r1, c0]: minus}
     d = memo.get((rows, cols))
-    if d is None:
-        d = memo[(rows, cols)] = {}
+    if d is not None:
+        return d
+    if t == 3:
+        (r0, r1, r2), (c0, c1, c2) = rows, cols
+        a0, a1, a2 = variables[r0, c0], variables[r0, c1], variables[r0, c2]
+        b0, b1, b2 = variables[r1, c0], variables[r1, c1], variables[r1, c2]
+        e0, e1, e2 = variables[r2, c0], variables[r2, c1], variables[r2, c2]
+        d = {a0 + b1 + e2: 1, a0 + b2 + e1: minus, a1 + b0 + e2: minus,
+             a1 + b2 + e0: 1, a2 + b0 + e1: 1, a2 + b1 + e0: minus}
+    else:
+        d = {}
+        flip = {1: minus, minus: 1}  # negation on the coefficients +-1
         row, below = rows[0], rows[1:]
         for k in range(t):
+            x = variables[row, cols[k]]
             sub = _laplace(ring, below, cols[:k] + cols[k + 1:], memo)
-            ring.field.axpy(d, sub.items(), (-1) ** k, ring._variable(row, cols[k]))
+            if k & 1:
+                d.update({m + x: flip[c] for m, c in sub.items()})
+            else:
+                d.update({m + x: c for m, c in sub.items()})
+    memo[rows, cols] = d
     return d
 
 
@@ -661,8 +697,8 @@ def corner_minors(ring: PolyRing, corners: Iterable) -> tuple:
     """(sites, minors): for each (p, q, t) of ``corners``, every t x t minor
     of the upper-left p x q corner with its (rows, cols), row subsets then
     column subsets lexicographic.  Each corner is checked once, and its
-    sites are then valid by construction; the expansion is ``minors``'s,
-    with one memo for the whole call.
+    sites are then valid by construction; the expansion is ``minors``'s
+    disjoint signed sum, with one memo for the whole call.
 
     >>> r = PolyRing(2, 4)
     >>> sites, fs = corner_minors(r, [(1, 2, 1), (2, 4, 2)])

@@ -4,7 +4,8 @@ re-derivations that the package itself has no call for.
 ``is_reduced_groebner_basis`` runs the certification contract on a given
 list, ``reference_buchberger`` is the textbook Buchberger algorithm that
 the engine is checked against and ``division_scanning_every_reducer`` its
-division, ``colon_by_variable`` forms (J : c) for a monomial ideal J and a
+division, ``reference_minor`` is Leibniz's sum for a minor of the generic
+matrix, ``colon_by_variable`` forms (J : c) for a monomial ideal J and a
 variable c, ``column_row`` inverts a partial permutation at one column, and
 ``zero_cells`` lists the rank-0 cells of a diagram.  ``_parse_polynomial``
 is the recursive-descent parser that ``PolyRing.parse`` replaced,
@@ -95,6 +96,20 @@ def reference_buchberger(generators: Sequence[Polynomial]) -> tuple:
             minimal.append(g)
     return tuple(division_scanning_every_reducer(g, [h for h in minimal if h is not g])
                  for g in minimal)
+
+
+def reference_minor(ring: PolyRing, rows: Sequence[int], cols: Sequence[int]) -> Polynomial:
+    """The minor of the generic matrix on ``rows`` and ``cols`` by Leibniz's
+    formula: the sum over the permutations s of range(t) of the sign of s,
+    read from the parity of its inversions, times the product of the
+    x[rows[i], cols[s(i)]].  Each term goes through ``ring.polynomial``,
+    which reduces its sign into the field and merges equal monomials."""
+    terms = []
+    for s in itertools.permutations(range(len(cols))):
+        inversions = sum(a > b for a, b in itertools.combinations(s, 2))
+        monomial = ring.monomial({(i, cols[k]): 1 for i, k in zip(rows, s)})
+        terms.append((monomial, (-1) ** inversions))
+    return ring.polynomial(terms)
 
 
 def colon_by_variable(J: MonomialIdeal, c: Monomial) -> MonomialIdeal:

@@ -27,7 +27,7 @@ from msvkit.poly import (EXPONENT_BOUND, ExponentOverflowError, GroebnerCertific
                          monomial_mul, monomial_quotient, normal_form, normal_forms,
                          s_polynomial, saturate, transplant)
 from reference import (_parse_polynomial, division_scanning_every_reducer,
-                       is_reduced_groebner_basis, reference_buchberger)
+                       is_reduced_groebner_basis, reference_buchberger, reference_minor)
 from substitution_oracle import pivot_substitution
 
 RING = PolyRing(5, 5)
@@ -256,38 +256,66 @@ def test_minor_goldens():
     assert str(m) == "-x[1,4]*x[2,3] + x[1,3]*x[2,4]"
 
 
-def _det_by_permanent_expansion(ring, rows, cols):
-    """Independent determinant: straight Leibniz sum in the test."""
-    t = len(rows)
-    total = ring.zero()
-    for perm in itertools.permutations(range(t)):
-        sign = 1
-        for i in range(t):
-            for j in range(i + 1, t):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        term = ring.const(sign)
-        for k in range(t):
-            term = term * ring.variable(rows[k], cols[perm[k]])
-        total = total + term
-    return total
+# over F_2 the two signs are one coefficient, over F_3 -1 is 2
+MINOR_CHARS = [0, 2, 3, 32003]
 
 
 def test_minor_matches_independent_expansion_all_sizes():
-    rng = random.Random(3)
-    sites = [((1, 2, 3, 4, 5), (1, 2, 3, 4, 5))]
-    for _ in range(8):
-        t = rng.randint(1, 4)
-        rows = tuple(sorted(rng.sample(range(1, 6), t)))
-        cols = tuple(sorted(rng.sample(range(1, 6), t)))
-        sites.append((rows, cols))
+    # every minor entry point against Leibniz's sum, which shares no code
+    # with the kernel, at every site of a 5 x 5 grid and on the full 6 x 6;
+    # corner_minors and minors expand the 252 sites under one memo each, so
+    # a sub-minor reached from many sites is checked there too
+    sites = [(rows, cols) for t in range(1, 6)
+             for rows in itertools.combinations(range(1, 6), t)
+             for cols in itertools.combinations(range(1, 6), t)]
+    corners = [(5, 5, t) for t in range(1, 6)]
     full = tuple(range(1, 7))
-    for char in (0, 2, 32003):  # over F_2, -1 = 1
-        five = PolyRing(5, 5, char=char)
-        cases = [(five, rows, cols) for rows, cols in sites]
-        cases.append((PolyRing(6, 6, char=char), full, full))
-        for ring, rows, cols in cases:
-            assert minor(ring, rows, cols) == _det_by_permanent_expansion(ring, rows, cols)
+    for char in MINOR_CHARS:
+        ring = PolyRing(5, 5, char=char)
+        expected = [reference_minor(ring, rows, cols) for rows, cols in sites]
+        assert corner_minors(ring, corners) == (sites, expected)
+        assert minors(ring, sites) == expected
+        assert [minor(ring, rows, cols) for rows, cols in sites] == expected
+        six = PolyRing(6, 6, char=char)
+        assert minor(six, full, full) == reference_minor(six, full, full)
+
+
+@st.composite
+def _sites_and_corner(draw):
+    """(n, sites, corner, picks): up to three sites of the n x n grid, n 6
+    or 7, a corner (p, q, t) of it, and indices into the corner's sites."""
+    n = draw(st.sampled_from([6, 7]))
+
+    def indices(t):
+        return tuple(sorted(draw(st.lists(st.integers(1, n), min_size=t, max_size=t,
+                                          unique=True))))
+
+    sites = [(indices(t), indices(t))
+             for t in draw(st.lists(st.integers(1, n), min_size=1, max_size=3))]
+    p, q = draw(st.integers(1, n)), draw(st.integers(1, n))
+    corner = (p, q, draw(st.integers(1, min(p, q, 5))))
+    return n, sites, corner, draw(st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=3))
+
+
+FULL_7 = tuple(range(1, 8))
+
+
+@settings(max_examples=30, deadline=None)
+@example(case=(7, [(FULL_7, FULL_7), (FULL_7[1:], FULL_7[:-1])], (7, 7, 5), [0, 7, 440]),
+         char=3)
+@example(case=(6, [(FULL_7[:6], FULL_7[:6]), ((2, 4, 6), (1, 3, 5))], (6, 6, 4), [224]),
+         char=2)
+@given(case=_sites_and_corner(), char=st.sampled_from(MINOR_CHARS))
+def test_sampled_6x6_and_7x7_sites_are_their_leibniz_sums(case, char):
+    n, sites, corner, picks = case
+    ring = PolyRing(n, n, char=char)
+    expected = [reference_minor(ring, rows, cols) for rows, cols in sites]
+    assert minors(ring, sites) == expected
+    assert [minor(ring, rows, cols) for rows, cols in sites] == expected
+    corner_sites, entries = corner_minors(ring, [corner])
+    for k in picks:
+        k %= len(corner_sites)
+        assert entries[k] == reference_minor(ring, *corner_sites[k])
 
 
 BAD_SITES = [((1, 2), (3,)), ((2, 1), (1, 2)), ((1, 1), (1, 2)), ((1, 6), (1, 2)),
@@ -369,7 +397,7 @@ def test_minors_is_minor_at_each_site(sites, char, bad, at):
     ring = PolyRing(5, 5, char=char)
     batch = minors(ring, sites)
     assert batch == [minor(ring, rows, cols) for rows, cols in sites]
-    assert batch == [_det_by_permanent_expansion(ring, rows, cols) for rows, cols in sites]
+    assert batch == [reference_minor(ring, rows, cols) for rows, cols in sites]
     # a bad site anywhere in the list raises the error minor raises on it
     with pytest.raises(ValueError) as single:
         minor(ring, *BAD_SITES[bad])
@@ -377,34 +405,40 @@ def test_minors_is_minor_at_each_site(sites, char, bad, at):
         minors(ring, sites[:at] + [BAD_SITES[bad]] + sites[at:])
 
 
-@pytest.mark.parametrize("word,expansions", [("1532476", 65), ("54321", 0), ("146253", 50)])
+@pytest.mark.parametrize("word,expansions", [("1532476", 42), ("54321", 0), ("146253", 19)])
 def test_fulton_generators_expands_each_sub_minor_once(monkeypatch, word, expansions):
-    # an expansion is a Laplace call that builds a new term dict (a memo
-    # miss); the dicts stay referenced here, so two expansions of the same
-    # (row suffix, column set) show as two distinct dicts.  The sub-minor
-    # lies on the last len(cols) of the rows a call is handed.
+    # an expansion is a Laplace call on a minor of size 3 and up that builds
+    # a new term dict (a memo miss); the dicts stay referenced here, so two
+    # expansions of the same (row suffix, column set) show as two distinct
+    # dicts.  Smaller minors are closed forms outside the memo.
     laplace = poly._laplace
     built: dict = {}
+    small: list = []
 
     def counting(ring, rows, cols, memo):
         d = laplace(ring, rows, cols, memo)
-        if len(cols) > 1:
-            built.setdefault((tuple(rows[-len(cols):]), tuple(cols)), {})[id(d)] = d
+        site = (tuple(rows), tuple(cols))
+        if len(cols) >= 3:
+            built.setdefault(site, {})[id(d)] = d
+        else:
+            small.append(site)
         return d
 
     monkeypatch.setattr(poly, "_laplace", counting)
     schubert = fulton_generators(PartialPermutation.from_one_line(word))
-    # expanding along first rows reaches every column subset of a site with
-    # the matching suffix of its rows
     sites = [(rows, cols) for cell, r in schubert.cells
              for rows in itertools.combinations(range(1, cell.p + 1), r + 1)
              for cols in itertools.combinations(range(1, cell.q + 1), r + 1)]
     assert len(sites) == len(schubert.raw_generators)
+    # expanding along first rows reaches every column subset of size 3 and
+    # up of a site, with the matching suffix of its rows, and stops at the
+    # 3 x 3 blocks: a 1 x 1 or 2 x 2 minor is only ever a site itself
     reached = {(rows[-size:], sub) for rows, cols in sites
-               for size in range(2, len(cols) + 1) for sub in itertools.combinations(cols, size)}
+               for size in range(3, len(cols) + 1) for sub in itertools.combinations(cols, size)}
     assert set(built) == reached
     assert all(len(dicts) == 1 for dicts in built.values())
     assert sum(map(len, built.values())) == expansions
+    assert sorted(small) == sorted(site for site in sites if len(site[1]) < 3)
 
 
 def test_leading_term_goldens():
