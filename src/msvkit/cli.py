@@ -46,6 +46,7 @@ CENSUS_BOUND = 8
 CENSUS_CHUNK = 64  # permutations per task sent to a census worker
 PIVOT_BOUND = 5
 ORACLE_BOUND = 6
+FILE_PIECE = 1 << 14  # characters of a --file read at a time
 
 
 class CapabilityError(ValueError):
@@ -127,30 +128,40 @@ def _oracle_char(args) -> int:
 
 def _load_target(args, *, bound: int) -> perm.PartialPermutation:
     """The one-line word or the ``--file`` grid of ``args``, refused when it
-    has more than ``bound`` rows or columns.  A file's shape is read from
-    its non-blank lines and the tokens of the first one while the file
-    streams by, keeping lines only while their count is within the bound,
-    so an oversized file is refused before it is parsed, in memory that
-    does not grow with its length."""
+    has more than ``bound`` rows or columns.  A file's shape is counted
+    while it streams by in pieces of at most ``FILE_PIECE`` characters: its
+    rows are its non-blank lines and its columns the tokens of its widest
+    line, a token cut by a piece boundary counted once.  The text of its
+    non-blank lines is kept only while that shape is within the bound, so
+    an oversized file is refused before it is parsed, in memory that grows
+    neither with its lines nor with the tokens of a line."""
     w = None
     if getattr(args, "file", None):
-        lines: list[str] = []
-        rows = cols = 0
+        kept: list[str] = []
+        rows = cols = tokens = 0  # tokens: those of the current line so far
+        inside = False  # whether the text read so far ends inside a token
         try:
             with open(args.file, encoding="utf-8") as fh:
-                for chunk in fh:
+                while piece := fh.readline(FILE_PIECE):
                     # the line breaks of str.splitlines, which the parser uses
-                    for line in chunk.splitlines():
-                        if not line.strip():
-                            continue
-                        rows += 1
-                        if rows == 1:
-                            cols = len(line.split())
-                        if rows <= bound:
-                            lines.append(line)
+                    for part in piece.splitlines(keepends=True):
+                        line = part.splitlines()[0]
+                        words = len(line.split())
+                        if inside and line[:1].strip():
+                            words -= 1  # its first token goes on with the last one
+                        if words and not tokens:
+                            rows += 1
+                        tokens += words
+                        cols = max(cols, tokens)
+                        if tokens and max(rows, cols) <= bound:
+                            kept.append(part)  # blank so far: not kept
+                        if line != part:  # the line ends here
+                            tokens, inside = 0, False
+                        else:
+                            inside = not line[-1].isspace()
         except OSError as exc:
             raise ValueError(f"cannot read {args.file}: {exc.strerror}") from None
-        text = "\n".join(lines)
+        text = "".join(kept)
     else:
         w = perm.PartialPermutation.from_one_line(args.w)
         rows, cols = w.rows, w.cols
@@ -277,7 +288,8 @@ def _cmd_verify_gb(args) -> int:
 
 # verify command -> (the JSON key it reports besides w, c and skipped, or None
 # for every key; its text lines as (text, the VerificationSummary field whose
-# status follows the text, or None, status words for true and false))
+# status follows the text, or None, status words for true and false)); the
+# fields named are the checks the command has frlab.verify_all run
 VERIFY_COMMANDS = {
     "verify-lemma2": ("lemma2", [
         ("initial ideal of <c> + I at pivot ({p},{q}): ", "initial_ideal_ok", "match", "MISMATCH")]),
@@ -295,26 +307,19 @@ VERIFY_COMMANDS = {
 
 def _cmd_verify(args) -> int:
     key, lines = VERIFY_COMMANDS[args.command]
-    w = _load_target(args, bound=PIVOT_BOUND)
-    try:
-        setup = frlab.build_localization(w)
-    except frlab.NoPivotError:
-        setup = None
-    pivot = None if setup is None else setup.c_cell
-    results = {} if setup is None else {
-        field: frlab.PIVOT_CHECKS[field](setup) for _, field, _, _ in lines if field}
+    checks = [field for _, field, _, _ in lines if field]
+    summary = frlab.verify_all(_load_target(args, bound=PIVOT_BOUND), checks)
     if args.json:
-        summary = frlab.VerificationSummary(w=w, pivot=pivot, skipped=pivot is None, **results)
         payload = summary.to_json()
         _print_json(payload if key is None else
                     {k: payload[k] for k in ("w", "c", key, "skipped")})
-    elif pivot is None:
+    elif summary.skipped:
         print("skipped: no pivot (defining ideal generated by variables)")
     else:
         for text, field, yes, no in lines:
-            status = "" if field is None else (yes if results[field] else no)
-            print(text.format(p=pivot.p, q=pivot.q) + status)
-    return 0 if all(results.values()) else 1
+            status = "" if field is None else (yes if getattr(summary, field) else no)
+            print(text.format(p=summary.pivot.p, q=summary.pivot.q) + status)
+    return 0 if summary.skipped or all(getattr(summary, field) for field in checks) else 1
 
 
 def _census_line(payload) -> tuple[str, bool]:

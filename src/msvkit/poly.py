@@ -35,7 +35,11 @@ exponents (``monomial_mul``, the ``axpy`` kernels,
 ``PolyRing.monomial`` and the parser) raises ``ExponentOverflowError``
 rather than carry into the next variable.  A variable is a single bit, so a
 squarefree monomial (``PolyRing.is_squarefree``) is the bit set of its
-variables: for squarefree a and b, a | b exactly when ``a & b == a``.
+variables: for squarefree a and b, a | b exactly when ``a & b == a``.  That
+is the one documented exception to their opacity, and
+``frlab.verify_pivot_minors`` is its one user outside this module: its
+search joins squarefree monomials with ``|``, tests containment with ``&``
+and splits one into its variables by its lowest set bit.
 
 The Groebner engine keeps what it has computed: a polynomial caches its
 leading monomial, and ``normal_forms`` sorts one reducer list for many
@@ -614,34 +618,18 @@ class Polynomial:
 def minor(ring: PolyRing, rows: Sequence[int], cols: Sequence[int]) -> Polynomial:
     """The determinant of the generic submatrix on the given rows/columns,
     expanded exactly, each term a product of distinct variables with the
-    field's 1 or -1 as coefficient: the one-site case of ``minors``.
+    field's 1 or -1 as coefficient.
 
-    Index lists must be equal-length, strictly increasing and inside the grid.
+    Index lists must be equal-length, strictly increasing and inside the
+    grid; they are checked here.  A minor of size 2 or 3 is its closed
+    Leibniz form; a larger one is expanded along its first row down to
+    3 x 3 blocks (see ``_laplace``), with a memo that lives for this call.
 
     >>> r = PolyRing(2, 4)
     >>> str(minor(r, [1, 2], [3, 4]))
     '-x[1,4]*x[2,3] + x[1,3]*x[2,4]'
     """
-    return minors(ring, ((rows, cols),))[0]
-
-
-def minors(ring: PolyRing, sites: Iterable) -> list:
-    """The minors on the (rows, cols) of ``sites``, in order, each index
-    pair checked as ``minor`` checks it.
-
-    A minor of size 2 or 3 is its closed Leibniz form; a larger one is
-    expanded along its first row down to 3 x 3 blocks (see ``_laplace``).
-    One memo, keyed by the row suffix and column set of each minor of size 3
-    and up, serves the whole call, so a sub-minor that several sites share
-    is expanded once; it is dropped when the call returns.
-
-    >>> r = PolyRing(2, 4)
-    >>> [str(f) for f in minors(r, [([1], [2]), ([1, 2], [3, 4])])]
-    ['x[1,2]', '-x[1,4]*x[2,3] + x[1,3]*x[2,4]']
-    """
-    memo: dict = {}
-    return [Polynomial(ring, _laplace(ring, *_minor_indices(ring, rows, cols), memo))
-            for rows, cols in sites]
+    return Polynomial(ring, _laplace(ring, *_minor_indices(ring, rows, cols), {}))
 
 
 def _laplace(ring: PolyRing, rows: tuple, cols: tuple, memo: dict) -> dict:
@@ -697,8 +685,11 @@ def corner_minors(ring: PolyRing, corners: Iterable) -> tuple:
     """(sites, minors): for each (p, q, t) of ``corners``, every t x t minor
     of the upper-left p x q corner with its (rows, cols), row subsets then
     column subsets lexicographic.  Each corner is checked once, and its
-    sites are then valid by construction; the expansion is ``minors``'s
-    disjoint signed sum, with one memo for the whole call.
+    sites are then valid by construction.  Each minor is the disjoint
+    signed sum of ``minor``, expanded under one memo for the whole call,
+    keyed by the row suffix and column set of each minor of size 3 and up,
+    so a sub-minor that several sites share is expanded once; the memo is
+    dropped when the call returns.
 
     >>> r = PolyRing(2, 4)
     >>> sites, fs = corner_minors(r, [(1, 2, 1), (2, 4, 2)])

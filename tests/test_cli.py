@@ -271,6 +271,25 @@ def test_refusing_a_multi_megabyte_file_holds_only_the_lines_within_the_bound(ca
     assert peak < size / 20, (peak, size)
 
 
+def test_refusing_a_line_of_ten_million_tokens_holds_only_a_piece_of_it(capsys, tmp_path):
+    import tracemalloc
+    import msvkit.cli as cli
+    # one line of 10^7 zeros, 20 MB: its tokens are counted a piece at a
+    # time, and none of its text is kept once they pass the bound
+    long = tmp_path / "long.txt"
+    long.write_text("0 " * (10 ** 7 - 1) + "0\n")
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "essential", "--file", str(long))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == (f"error: essential is bounded at n <= {cli.DIAGRAM_BOUND}; "
+                   f"got a 1x{10 ** 7} input\n")
+    assert peak < 2 ** 20, peak
+
+
 def test_partial_permutation_file_target(capsys, tmp_path):
     path = tmp_path / "partial.txt"
     path.write_text("0 0 1\n0 0 0\n")

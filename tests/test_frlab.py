@@ -822,6 +822,49 @@ def test_verify_all_skips_when_regular():
     assert payload["lemma1"] is None
 
 
+def test_verify_all_runs_exactly_the_named_checks_on_one_setup(monkeypatch):
+    """For every subset of PIVOT_CHECKS, verify_all builds one setup, runs
+    each named check once on it, in PIVOT_CHECKS order, and leaves the other
+    fields None; a pivot-free word is skipped whatever the subset."""
+    real_build = frlab.build_localization
+    setups = {w.one_line(): real_build(w) for w in map(w_, ("1432", "3142", "35142", "52431"))}
+    builds, ran = [], []
+
+    def counting_build(w, ring=None):
+        builds.append(w.one_line())
+        return setups.get(w.one_line()) or real_build(w, ring)
+
+    def record(field, setup):
+        ran.append((field, setup))
+        return f"{field} of {render_one_line(setup.w)}"
+
+    fields = tuple(frlab.PIVOT_CHECKS)
+    monkeypatch.setattr(frlab, "build_localization", counting_build)
+    for field in fields:
+        monkeypatch.setitem(frlab.PIVOT_CHECKS, field, functools.partial(record, field))
+    for subset in (subset for k in range(len(fields) + 1)
+                   for subset in itertools.combinations(fields, k)):
+        for word, setup in setups.items():
+            builds.clear()
+            ran.clear()
+            summary = verify_all(w_(word), subset)
+            assert builds == [word]
+            assert [field for field, _ in ran] == list(subset)
+            assert all(seen is setup for _, seen in ran)
+            assert (summary.pivot, summary.skipped) == (setup.c_cell, False)
+            assert {field: getattr(summary, field) for field in fields} == {
+                field: f"{field} of {render_one_line(setup.w)}" if field in subset else None
+                for field in fields}
+        for word in ("4321", "1234"):
+            ran.clear()
+            summary = verify_all(w_(word), subset)
+            assert ran == [] and summary.skipped and summary.pivot is None
+            assert all(getattr(summary, field) is None for field in fields)
+    ran.clear()
+    verify_all(w_("35142"))  # by default, every check
+    assert [field for field, _ in ran] == list(fields)
+
+
 def test_localization_sample_is_the_documented_one():
     sample = localization_sample(5)
     assert len(sample) == 67

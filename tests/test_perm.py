@@ -2,6 +2,8 @@
 deletion and block extraction, checked against hand-derived values and
 brute-force re-derivations of the definitions."""
 
+import itertools
+
 import pytest
 
 from msvkit.perm import (Cell, PartialPermutation, PermutationParseError,
@@ -170,9 +172,13 @@ def _diagram_by_definition(w):
 
 
 def test_diagram_matches_definition():
-    pool = list(all_permutations(4)) + list(all_partial_permutations(2, 3))
+    # the cells and ranks in row-major order, which callers iterate in
+    pool = itertools.chain(
+        (w for n in range(1, 7) for w in all_permutations(n)),
+        (w for rows in range(1, 5) for cols in range(1, 5)
+         for w in all_partial_permutations(rows, cols)))
     for w in pool:
-        assert diagram(w) == _diagram_by_definition(w)
+        assert list(diagram(w).items()) == list(_diagram_by_definition(w).items()), w
 
 
 def test_essential_set_goldens():

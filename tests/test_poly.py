@@ -22,7 +22,7 @@ from msvkit.frlab import build_localization, find_pivot, verify_all
 from msvkit.poly import (EXPONENT_BOUND, ExponentOverflowError, GroebnerCertificationError,
                          Polynomial, PolyRing, _lcm, antidiagonal_monomial,
                          buchberger, certified, corner_antidiagonals, corner_minors,
-                         ideals_equal, minor, minors,
+                         ideals_equal, minor,
                          monomial_divides, monomial_lcm,
                          monomial_mul, monomial_quotient, normal_form, normal_forms,
                          s_polynomial, saturate, transplant)
@@ -263,8 +263,9 @@ MINOR_CHARS = [0, 2, 3, 32003]
 def test_minor_matches_independent_expansion_all_sizes():
     # every minor entry point against Leibniz's sum, which shares no code
     # with the kernel, at every site of a 5 x 5 grid and on the full 6 x 6;
-    # corner_minors and minors expand the 252 sites under one memo each, so
-    # a sub-minor reached from many sites is checked there too
+    # corner_minors expands the 252 sites under one memo, so a sub-minor
+    # reached from many sites is checked there too, and minor expands each
+    # site under a memo of its own
     sites = [(rows, cols) for t in range(1, 6)
              for rows in itertools.combinations(range(1, 6), t)
              for cols in itertools.combinations(range(1, 6), t)]
@@ -274,7 +275,6 @@ def test_minor_matches_independent_expansion_all_sizes():
         ring = PolyRing(5, 5, char=char)
         expected = [reference_minor(ring, rows, cols) for rows, cols in sites]
         assert corner_minors(ring, corners) == (sites, expected)
-        assert minors(ring, sites) == expected
         assert [minor(ring, rows, cols) for rows, cols in sites] == expected
         six = PolyRing(6, 6, char=char)
         assert minor(six, full, full) == reference_minor(six, full, full)
@@ -310,7 +310,6 @@ def test_sampled_6x6_and_7x7_sites_are_their_leibniz_sums(case, char):
     n, sites, corner, picks = case
     ring = PolyRing(n, n, char=char)
     expected = [reference_minor(ring, rows, cols) for rows, cols in sites]
-    assert minors(ring, sites) == expected
     assert [minor(ring, rows, cols) for rows, cols in sites] == expected
     corner_sites, entries = corner_minors(ring, [corner])
     for k in picks:
@@ -334,13 +333,10 @@ BAD_SITE_MESSAGES = [
 def test_minor_validation():
     # an antidiagonal of unsorted or repeated indices would name the
     # diagonal, or a product of two entries in one row.  The corner entries
-    # trust the sites they build; the one-site entries and minors keep
-    # checking what their callers hand them, each with its message.
-    def in_a_list(ring, rows, cols):
-        return minors(ring, [((1,), (1,)), (rows, cols)])
-
+    # trust the sites they build; the one-site entries keep checking what
+    # their callers hand them, each with its message.
     for (rows, cols), message in zip(BAD_SITES, BAD_SITE_MESSAGES, strict=True):
-        for build in (minor, in_a_list, antidiagonal_monomial):
+        for build in (minor, antidiagonal_monomial):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 build(RING, rows, cols)
     with pytest.raises(ValueError, match="^index lists must be strictly increasing"):
@@ -361,7 +357,8 @@ def test_corner_entries_are_the_per_site_entries_at_every_site(corners, char):
     sites = [(rows, cols) for p, q, t in corners
              for rows in itertools.combinations(range(1, p + 1), t)
              for cols in itertools.combinations(range(1, q + 1), t)]
-    assert corner_minors(ring, corners) == (sites, minors(ring, sites))
+    assert corner_minors(ring, corners) == (sites, [minor(ring, rows, cols)
+                                                    for rows, cols in sites])
     assert corner_antidiagonals(ring, corners) == [
         antidiagonal_monomial(ring, rows, cols) for rows, cols in sites]
 
@@ -377,32 +374,6 @@ def test_corner_entries_check_each_corner(corner, message):
     for build in (corner_minors, corner_antidiagonals):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build(RING, [(1, 1, 1), corner])
-INDEX_SETS = st.integers(1, 5).flatmap(
-    lambda t: st.sets(st.integers(1, 5), min_size=t, max_size=t).map(lambda s: tuple(sorted(s))))
-# rows and columns of one size; few sizes on five rows, so lists repeat
-# sites and share row suffixes
-SITES = st.lists(INDEX_SETS.flatmap(lambda rows: st.tuples(st.just(rows), st.sets(
-    st.integers(1, 5), min_size=len(rows), max_size=len(rows)).map(lambda s: tuple(sorted(s))))),
-    max_size=6)
-
-
-@settings(max_examples=60, deadline=None)
-@example(sites=[((4, 5), (1, 2)), ((3, 4, 5), (1, 2, 3)), ((4, 5), (1, 2)), ((5,), (5,))],
-         char=0, bad=0, at=0)
-@example(sites=[((1, 2, 3, 4, 5), (1, 2, 3, 4, 5)), ((2, 3, 4, 5), (1, 2, 3, 4))],
-         char=2, bad=6, at=1)
-@given(sites=SITES, char=st.sampled_from([0, 2, 32003]),
-       bad=st.integers(0, len(BAD_SITES) - 1), at=st.integers(0, 6))
-def test_minors_is_minor_at_each_site(sites, char, bad, at):
-    ring = PolyRing(5, 5, char=char)
-    batch = minors(ring, sites)
-    assert batch == [minor(ring, rows, cols) for rows, cols in sites]
-    assert batch == [reference_minor(ring, rows, cols) for rows, cols in sites]
-    # a bad site anywhere in the list raises the error minor raises on it
-    with pytest.raises(ValueError) as single:
-        minor(ring, *BAD_SITES[bad])
-    with pytest.raises(ValueError, match=re.escape(str(single.value))):
-        minors(ring, sites[:at] + [BAD_SITES[bad]] + sites[at:])
 
 
 @pytest.mark.parametrize("word,expansions", [("1532476", 42), ("54321", 0), ("146253", 19)])
@@ -1258,7 +1229,6 @@ UNCALLED_PUBLIC_API = {
     "monomial_codim": "the height of J_w, which equals the Coxeter length",
     "monomial_quotient_membership": "membership of a polynomial in a monomial ideal",
     "localization_sample": "the documented S_5 sample of the localization checks",
-    "verify_all": "every pivot check at once; the benchmark's localize workload",
     "all_partial_permutations": "sweeps over partial permutations of a shape",
     "identity": "the identity of S_n, the trivial Schubert variety",
     "submatrix_w": "perfbench/run.py reads its perm.submatrix_w.* metrics",
