@@ -31,6 +31,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from multiprocessing import Pool
 from typing import Optional, Sequence
@@ -47,6 +48,7 @@ CENSUS_CHUNK = 64  # permutations per task sent to a census worker
 PIVOT_BOUND = 5
 ORACLE_BOUND = 6
 FILE_PIECE = 1 << 14  # characters of a --file read at a time
+_WHITESPACE = re.compile(r"\s+")  # str.isspace's characters, as str.split reads them
 
 
 class CapabilityError(ValueError):
@@ -132,9 +134,11 @@ def _load_target(args, *, bound: int) -> perm.PartialPermutation:
     while it streams by in pieces of at most ``FILE_PIECE`` characters: its
     rows are its non-blank lines and its columns the tokens of its widest
     line, a token cut by a piece boundary counted once.  The text of its
-    non-blank lines is kept only while that shape is within the bound, so
-    an oversized file is refused before it is parsed, in memory that grows
-    neither with its lines nor with the tokens of a line."""
+    non-blank lines is kept only while that shape is within the bound, with
+    each run of whitespace kept as one space, so an oversized file is
+    refused before it is parsed, in memory that grows neither with its
+    lines nor with the tokens of a line, and an accepted one is held in
+    memory that grows with its tokens and not with its padding."""
     w = None
     if getattr(args, "file", None):
         kept: list[str] = []
@@ -153,8 +157,12 @@ def _load_target(args, *, bound: int) -> perm.PartialPermutation:
                             rows += 1
                         tokens += words
                         cols = max(cols, tokens)
-                        if tokens and max(rows, cols) <= bound:
-                            kept.append(part)  # blank so far: not kept
+                        if tokens and max(rows, cols) <= bound:  # blank so far: not kept
+                            # outside a token cut by the last piece, the kept
+                            # text starts the line or ends in a space already
+                            text = _WHITESPACE.sub(" ", line if inside else line.lstrip())
+                            if text or line != part:
+                                kept.append(text + part[len(line):])
                         if line != part:  # the line ends here
                             tokens, inside = 0, False
                         else:

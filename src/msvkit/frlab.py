@@ -32,9 +32,9 @@ pivot useful, each check a function of one ``LocalizationSetup``:
   Both directions are decided by normal forms against plain Groebner bases:
   c divides no leading monomial of the basis of I_w, so it is a
   nonzerodivisor modulo I_w and inverting it adds nothing to I_w; and c
-  does not occur in I' written in the primed coordinates, where the
-  transplanted basis of I_{w'} and the gamma variables already form a
-  Groebner basis.
+  does not occur in I' written in the primed coordinates, where the basis
+  of I_{w'}, whose generators are minors in w's own grid, and the gamma
+  variables already form a Groebner basis.
 """
 from __future__ import annotations
 
@@ -45,7 +45,7 @@ from typing import Iterable, Iterator, Optional
 from .perm import (Cell, PartialPermutation, all_permutations, coxeter_length,
                    delete_row_col, diagram, essential_set, render_one_line)
 from .poly import (Monomial, Polynomial, PolyRing, buchberger, minor, monomial_divides,
-                   normal_forms, transplant)
+                   normal_forms)
 from .detideal import (GroebnerReport, MonomialIdeal, fulton_generators,
                        is_nonzerodivisor_on_monomial_quotient, verify_groebner)
 
@@ -226,16 +226,17 @@ class LocalizationSetup:
     reduced Groebner basis (``groebner.basis``) and the antidiagonal ideal
     J_w (``groebner.antidiagonal``), which lemma 1, lemma 2 and the
     nonzerodivisor check share.  ``w_prime`` is w with the pivot's row and
-    column deleted, and ``w_prime_generators`` its Fulton generators in
-    ``ring``, on the contiguous indices 1..n-1 (``_deleted_labels`` sends
-    them back to the original grid).  ``cleared_generators`` are those
+    column deleted.  ``generator_sites`` are the sites of its minimal Fulton
+    generators as (rows, cols) in w's labels (``_deleted_labels``), so
+    size-1 sites are the primed variables, and ``w_prime_generators`` are
+    the minors of ``ring`` on them: the generators of w' in w's grid.  The
+    relabelling keeps the order of the rows and of the columns, and so the
+    precedence of the variables.  ``cleared_generators`` are those
     generators rewritten in the original variables through
     x'[p,q] = x[p,q] - c^{-1} x[p,q0] x[p0,q] and cleared of denominators:
     each is the minor bordered by the pivot's row and column, with the sign
-    of ``_bordered_minor``.  ``generator_sites`` records each one's origin
-    as (rows, cols) in original labels, so size-1 sites are the primed
-    variables.  ``gamma_generators`` are the variables of the pivot's row
-    and column that precede the pivot."""
+    of ``_bordered_minor``.  ``gamma_generators`` are the variables of the
+    pivot's row and column that precede the pivot."""
 
     w: PartialPermutation
     c_cell: Cell
@@ -310,13 +311,13 @@ def build_localization(w: PartialPermutation, ring: Optional[PolyRing] = None) -
     ring = groebner.schubert.ring
     w_prime = delete_row_col(w, p0, q0)
     row_labels, col_labels = _deleted_labels(w.size, pivot)
-    schubert_prime = fulton_generators(w_prime, ring)
     sites = tuple((tuple(row_labels[i - 1] for i in rows),
                    tuple(col_labels[j - 1] for j in cols))
-                  for rows, cols in schubert_prime.sites)
+                  for rows, cols in fulton_generators(w_prime, ring).sites)
     return LocalizationSetup(
         w=w, c_cell=pivot, w_prime=w_prime, ring=ring, groebner=groebner,
-        w_prime_generators=schubert_prime.generators, generator_sites=sites,
+        w_prime_generators=tuple(minor(ring, rows, cols) for rows, cols in sites),
+        generator_sites=sites,
         cleared_generators=tuple(_bordered_minor(ring, rows, cols, pivot)
                                  for rows, cols in sites),
         # sorted as cells: the pivot's column above it, then its row left of it
@@ -361,8 +362,9 @@ def verify_localization_identity(setup: LocalizationSetup) -> LocalizationReport
     against it.
 
     Forward, I_w in I' : c^infinity: in the primed coordinates I' is
-    I_{w'} + <gamma>, whose Groebner basis is the reduced basis of I_{w'}
-    transplanted off the pivot's row and column together with the gamma
+    I_{w'} + <gamma>, whose Groebner basis is the reduced basis of
+    ``w_prime_generators``, the minors on ``generator_sites`` in w's labels
+    and so off the pivot's row and column, together with the gamma
     variables (their leads are coprime).  c occurs in neither, so it is a
     nonzerodivisor modulo I', and c -> -c maps I' onto itself.  Take a
     Fulton generator g of w on rows R and columns C, of size d, and rewrite
@@ -399,11 +401,7 @@ def verify_localization_identity(setup: LocalizationSetup) -> LocalizationReport
     *remainders, unit = normal_forms(prime_gens + (ring.one(),), basis)
     backward = tuple(g for g, r in zip(prime_gens, remainders) if r)
     proper = bool(unit)
-    row_labels, col_labels = _deleted_labels(setup.w.size, setup.c_cell)
-    cell_map = {(i, j): (p, q) for i, p in enumerate(row_labels, 1)
-                for j, q in enumerate(col_labels, 1)}
-    gb_prime = tuple(transplant(g, ring, cell_map)
-                     for g in buchberger(setup.w_prime_generators)) + setup.gamma_generators
+    gb_prime = buchberger(setup.w_prime_generators) + setup.gamma_generators
     rewritten = normal_forms([_primed_minor(g, rows, cols, setup.c_cell)
                               for g, (rows, cols) in zip(schubert.generators, schubert.sites)],
                              gb_prime)

@@ -101,12 +101,6 @@ class PartialPermutation:
         return cls(n, n, values)
 
     @classmethod
-    def from_assignment(cls, rows: int, cols: int,
-                        mapping: dict[int, int]) -> "PartialPermutation":
-        """Build from a partial map row -> column (1-based)."""
-        return cls(rows, cols, tuple(mapping.get(i) for i in range(1, rows + 1)))
-
-    @classmethod
     def from_matrix(cls, matrix: Sequence[Sequence[int]]) -> "PartialPermutation":
         """Build from a dense 0/1 matrix (list of rows)."""
         rows = len(matrix)
@@ -242,7 +236,8 @@ def all_partial_permutations(rows: int, cols: int) -> Iterator[PartialPermutatio
         for row_subset in itertools.combinations(range(1, rows + 1), k):
             for col_images in itertools.permutations(col_options, k):
                 mapping = dict(zip(row_subset, col_images))
-                yield PartialPermutation.from_assignment(rows, cols, mapping)
+                yield PartialPermutation(rows, cols,
+                                         tuple(mapping.get(i) for i in range(1, rows + 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -1031,18 +1031,12 @@ def _interreduce(basis: list) -> tuple:
     if not basis:
         return ()
     ring = basis[0].ring
-    guard = ring._guard
-    # minimal: drop any element whose lead is divisible by another kept lead;
-    # a divisor's lead comes first in lead order
-    order = sorted(range(len(basis)), key=lambda k: (basis[k].leading_monomial(), k))
-    kept: list = []
-    kept_leads: list = []
-    for k in order:
-        lm = basis[k].leading_monomial()
-        if any(not (lm - lead) & guard for lead in kept_leads):
-            continue
-        kept.append(k)
-        kept_leads.append(lm)
+    # minimal: for each lead that no other lead divides, in lead order, the
+    # first element carrying it
+    first: dict = {}
+    for g in basis:
+        first.setdefault(g.leading_monomial(), g)
+    kept = [first[lm] for lm in ring.minimal_monomials(first)]
     # reduced: replace each by its normal form against the others.  The kept
     # leads are minimal, distinct and increasing, and a lead divides only
     # monomials at least as large.  So no entry before an element's own
@@ -1052,8 +1046,7 @@ def _interreduce(basis: list) -> tuple:
     # its lead, so the result stays sorted.
     prepared: list = []
     reduced = []
-    for idx, k in enumerate(kept):
-        g = basis[k]
+    for idx, g in enumerate(kept):
         rem = _reduce_dict(dict(g._d), prepared, ring)
         reduced.append(Polynomial(ring, rem, g.leading_monomial()))
         prepared.append(_reducer_entry(ring, idx, g))

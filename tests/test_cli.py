@@ -2,11 +2,13 @@
 report schemas, exit codes, capability bounds, census behaviour and the
 prime-field environment override."""
 
+import argparse
 import hashlib
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import msvkit.detideal as detideal
 from msvkit.cli import main, render_grid
@@ -288,6 +290,62 @@ def test_refusing_a_line_of_ten_million_tokens_holds_only_a_piece_of_it(capsys, 
     assert err == (f"error: essential is bounded at n <= {cli.DIAGRAM_BOUND}; "
                    f"got a 1x{10 ** 7} input\n")
     assert peak < 2 ** 20, peak
+
+
+def test_an_accepted_file_is_held_without_its_padding(tmp_path):
+    import tracemalloc
+    import msvkit.cli as cli
+    # a 2x2 file whose first line pads its two tokens apart by 10^7 spaces:
+    # the kept text collapses each whitespace run to one space
+    padded = tmp_path / "padded.txt"
+    padded.write_text("1" + " " * 10 ** 7 + "0\n0 1\n")
+    args = argparse.Namespace(command="diagram", file=str(padded))
+    tracemalloc.start()
+    try:
+        w = cli._load_target(args, bound=cli.DIAGRAM_BOUND)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert w == PartialPermutation.from_one_line("12")
+    assert peak < 2 ** 20, peak
+
+
+_ENTRY = st.sampled_from(["0", "1"])
+_GAP = st.text(" \t\u00a0\u3000", min_size=1, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.lists(st.tuples(_ENTRY, _GAP), min_size=1, max_size=4),
+                     min_size=1, max_size=4),
+       margins=st.lists(st.text(" \t", max_size=3), min_size=2, max_size=2),
+       breaks=st.lists(st.sampled_from(["\n", "\n\n", " \n", "\u2028"]), min_size=4,
+                       max_size=4),
+       piece=st.integers(1, 5))
+def test_a_file_read_in_pieces_parses_as_its_whole_text(tmp_path_factory, rows, margins,
+                                                         breaks, piece):
+    """Whatever the piece size, the kept text with its whitespace runs
+    collapsed parses as the file's own text does."""
+    import msvkit.cli as cli
+    import msvkit.perm as perm
+    text = "".join(margins[0] + "".join(e + gap for e, gap in row[:-1]) + row[-1][0]
+                   + margins[1] + brk for row, brk in zip(rows, breaks))
+    try:
+        expected = perm.parse_partial_matrix(text)
+    except ValueError:
+        expected = None  # a row with two 1s, or rows of different lengths
+    path = tmp_path_factory.mktemp("pieces") / "grid.txt"
+    path.write_text(text, encoding="utf-8")
+    args = argparse.Namespace(command="diagram", file=str(path))
+    saved = cli.FILE_PIECE
+    cli.FILE_PIECE = piece
+    try:
+        try:
+            w = cli._load_target(args, bound=cli.DIAGRAM_BOUND)
+        except ValueError:
+            w = None
+    finally:
+        cli.FILE_PIECE = saved
+    assert w == expected
 
 
 def test_partial_permutation_file_target(capsys, tmp_path):

@@ -470,14 +470,28 @@ def test_cleared_generators_are_the_substitution_cleared_of_the_pivot():
     is divided out."""
     for w in _oracle_sample():
         setup = setup_(w)
-        ring, (p0, q0) = setup.ring, setup.c_cell
-        row_labels, col_labels = frlab._deleted_labels(w.size, (p0, q0))
-        cell_map = {(i, j): (p, q) for i, p in enumerate(row_labels, 1)
-                    for j, q in enumerate(col_labels, 1)}
+        p0, q0 = setup.c_cell
         images: dict = {}
         for g, cleared in zip(setup.w_prime_generators, setup.cleared_generators, strict=True):
-            substituted = pivot_substitution(transplant(g, ring, cell_map), p0, q0, -1, images)
+            substituted = pivot_substitution(g, p0, q0, -1, images)
             assert strip_pivot_factor(substituted, p0, q0) == cleared, w.one_line()
+
+
+def test_the_generators_of_w_prime_give_the_relabelled_basis_of_its_ideal():
+    """The generators of w' are built in w's grid, on the sites relabelled
+    off the pivot's row and column; that relabelling keeps the precedence
+    of the variables, so their reduced basis is the reduced basis of I_{w'}
+    on the grid of w' moved onto those labels."""
+    for w in _oracle_sample():
+        setup = setup_(w)
+        ring, n = setup.ring, w.size
+        row_labels, col_labels = frlab._deleted_labels(n, setup.c_cell)
+        cell_map = {(i, j): (p, q) for i, p in enumerate(row_labels, 1)
+                    for j, q in enumerate(col_labels, 1)}
+        small = PolyRing(n - 1, n - 1, ring.char)
+        basis = poly.buchberger(fulton_generators(setup.w_prime, small).generators)
+        assert poly.buchberger(setup.w_prime_generators) == \
+            tuple(transplant(g, ring, cell_map) for g in basis), w.one_line()
 
 
 def _pivot_negated(f, pivot):
@@ -652,8 +666,11 @@ def test_a_wrong_deleted_permutation_is_a_forward_failure():
     w = w_("35142")
     setup = setup_(w)
     wrong = w_("3142")
-    mutated = dataclasses.replace(setup, w_prime=wrong,
-                                  w_prime_generators=fulton_generators(wrong, setup.ring).generators)
+    row_labels, col_labels = frlab._deleted_labels(w.size, setup.c_cell)
+    generators = tuple(
+        minor(setup.ring, [row_labels[i - 1] for i in rows], [col_labels[j - 1] for j in cols])
+        for rows, cols in fulton_generators(wrong, setup.ring).sites)
+    mutated = dataclasses.replace(setup, w_prime=wrong, w_prime_generators=generators)
     report = verify_localization_identity(mutated)
     assert not report.ok
     assert len(report.forward_failures) == 1
