@@ -31,7 +31,6 @@ import argparse
 import json
 import math
 import os
-import re
 import sys
 from multiprocessing import Pool
 from typing import Optional, Sequence
@@ -48,7 +47,6 @@ CENSUS_CHUNK = 64  # permutations per task sent to a census worker
 PIVOT_BOUND = 5
 ORACLE_BOUND = 6
 FILE_PIECE = 1 << 14  # characters of a --file read at a time
-_WHITESPACE = re.compile(r"\s+")  # str.isspace's characters, as str.split reads them
 
 
 class CapabilityError(ValueError):
@@ -130,46 +128,48 @@ def _oracle_char(args) -> int:
 
 def _load_target(args, *, bound: int) -> perm.PartialPermutation:
     """The one-line word or the ``--file`` grid of ``args``, refused when it
-    has more than ``bound`` rows or columns.  A file's shape is counted
-    while it streams by in pieces of at most ``FILE_PIECE`` characters: its
-    rows are its non-blank lines and its columns the tokens of its widest
-    line, a token cut by a piece boundary counted once.  The text of its
-    non-blank lines is kept only while that shape is within the bound, with
-    each run of whitespace kept as one space, so an oversized file is
-    refused before it is parsed, in memory that grows neither with its
-    lines nor with the tokens of a line, and an accepted one is held in
-    memory that grows with its tokens and not with its padding."""
+    has more than ``bound`` rows or columns.  A file is read in one pass, in
+    pieces of at most ``FILE_PIECE`` characters, into the lines and tokens
+    that ``str.splitlines`` and ``str.split`` give on its whole text; the
+    start of a token that a piece boundary cuts is carried into the next
+    piece.  Its rows (its non-blank lines) and columns (the tokens of its
+    widest line) are counted to its end, and a line's tokens are kept only
+    while that shape is within the bound, each cut to one character more
+    than the longest string ``int`` accepts, so ``int`` refuses a cut token
+    as it refuses the whole one.  An oversized file is thus refused before
+    it is parsed, in memory that grows with neither its padding nor an
+    overlong token, and the kept tokens go through
+    ``perm.parse_partial_matrix``."""
     w = None
     if getattr(args, "file", None):
-        kept: list[str] = []
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        # int reads at most a sign and limit digits with an underscore between
+        # each two, 2 * limit characters; a token cut one past that fails as whole
+        cut = 2 * limit + 1 if limit else None
+        kept: list[list[str]] = []  # the tokens of each non-blank line
         rows = cols = tokens = 0  # tokens: those of the current line so far
-        inside = False  # whether the text read so far ends inside a token
+        carry = ""  # the start, cut, of a token that the last piece boundary cut
         try:
             with open(args.file, encoding="utf-8") as fh:
-                while piece := fh.readline(FILE_PIECE):
+                # at the end of the file, a line break finishes a carried token
+                while piece := fh.readline(FILE_PIECE) or carry and "\n":
                     # the line breaks of str.splitlines, which the parser uses
                     for part in piece.splitlines(keepends=True):
-                        line = part.splitlines()[0]
-                        words = len(line.split())
-                        if inside and line[:1].strip():
-                            words -= 1  # its first token goes on with the last one
-                        if words and not tokens:
-                            rows += 1
-                        tokens += words
+                        words = (carry + part).split()  # a line break is whitespace too
+                        # a part that ends inside a token ends the piece: carry it on
+                        carry = "" if part[-1].isspace() else words.pop()[:cut]
+                        rows += bool(words) and not tokens
+                        tokens += len(words)
                         cols = max(cols, tokens)
-                        if tokens and max(rows, cols) <= bound:  # blank so far: not kept
-                            # outside a token cut by the last piece, the kept
-                            # text starts the line or ends in a space already
-                            text = _WHITESPACE.sub(" ", line if inside else line.lstrip())
-                            if text or line != part:
-                                kept.append(text + part[len(line):])
-                        if line != part:  # the line ends here
-                            tokens, inside = 0, False
-                        else:
-                            inside = not line[-1].isspace()
+                        if words and max(rows, cols) <= bound:
+                            if len(words) == tokens:  # the line's first tokens
+                                kept.append([])
+                            kept[-1] += [word[:cut] for word in words]
+                        if part.splitlines() != [part]:  # the line ends here
+                            tokens = 0
         except OSError as exc:
             raise ValueError(f"cannot read {args.file}: {exc.strerror}") from None
-        text = "".join(kept)
+        text = "\n".join(map(" ".join, kept))
     else:
         w = perm.PartialPermutation.from_one_line(args.w)
         rows, cols = w.rows, w.cols

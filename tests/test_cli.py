@@ -296,7 +296,7 @@ def test_an_accepted_file_is_held_without_its_padding(tmp_path):
     import tracemalloc
     import msvkit.cli as cli
     # a 2x2 file whose first line pads its two tokens apart by 10^7 spaces:
-    # the kept text collapses each whitespace run to one space
+    # only the tokens are kept, never the whitespace between them
     padded = tmp_path / "padded.txt"
     padded.write_text("1" + " " * 10 ** 7 + "0\n0 1\n")
     args = argparse.Namespace(command="diagram", file=str(padded))
@@ -310,39 +310,93 @@ def test_an_accepted_file_is_held_without_its_padding(tmp_path):
     assert peak < 2 ** 20, peak
 
 
-_ENTRY = st.sampled_from(["0", "1"])
-_GAP = st.text(" \t\u00a0\u3000", min_size=1, max_size=4)
+def test_refusing_a_ten_million_digit_token_holds_only_a_cut_of_it(capsys, tmp_path):
+    import tracemalloc
+    # a 2x2 file whose first token is 10^7 digits, past any int's limit: the
+    # token is kept cut, and int refuses the cut as it refuses the whole
+    long = tmp_path / "long.txt"
+    long.write_text("1" * 10 ** 7 + " 0\n0 1\n")
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "diagram", "--file", str(long))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == "error: partial permutation file must contain integers\n"
+    assert peak < 2 ** 20, peak
+
+
+@pytest.mark.parametrize("piece", [None, 7])
+def test_a_cut_token_is_read_as_int_reads_the_whole_one(capsys, tmp_path, piece):
+    import sys
+    import msvkit.cli as cli
+    import msvkit.perm as perm
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("int has no digit limit before Python 3.10.7")
+    # under a limit of 640 digits, the longest string int accepts is a sign
+    # and 640 digits with an underscore between each two: 1,280 characters
+    longest = "+" + "0_" * 639 + "1"
+    assert len(longest) == 1280
+    path = tmp_path / "grid.txt"
+    identity = run(capsys, "diagram", "12")
+    saved = sys.get_int_max_str_digits(), cli.FILE_PIECE
+    cli.FILE_PIECE = piece or cli.FILE_PIECE
+    try:
+        sys.set_int_max_str_digits(640)
+        grid = longest + " 0\n0 1\n"
+        path.write_text(grid)
+        assert perm.parse_partial_matrix(grid) == PartialPermutation.from_one_line("12")
+        assert run(capsys, "diagram", "--file", str(path)) == identity
+        # 1,281 and 1,282 characters, each with 641 digits: cut at 1,280 they
+        # would read as the longest
+        for token in (longest + "1", longest + "_1"):
+            path.write_text(token + " 0\n0 1\n")
+            code, out, err = run(capsys, "diagram", "--file", str(path))
+            assert (code, out) == (2, "")
+            assert err == "error: partial permutation file must contain integers\n"
+        sys.set_int_max_str_digits(0)  # no limit: nothing is cut
+        path.write_text("0" * 2000 + "1 0\n0 1\n")
+        assert run(capsys, "diagram", "--file", str(path)) == identity
+    finally:
+        sys.set_int_max_str_digits(saved[0])
+        cli.FILE_PIECE = saved[1]
+
+
+_ENTRY = st.sampled_from(["0", "1", "2", "x", "+1", "0_1", "-0", "\uff11"])
+_GAP = st.text(" \t\u00a0\u3000\x1f", min_size=1, max_size=4)
 
 
 @settings(max_examples=60, deadline=None)
 @given(rows=st.lists(st.lists(st.tuples(_ENTRY, _GAP), min_size=1, max_size=4),
                      min_size=1, max_size=4),
        margins=st.lists(st.text(" \t", max_size=3), min_size=2, max_size=2),
-       breaks=st.lists(st.sampled_from(["\n", "\n\n", " \n", "\u2028"]), min_size=4,
-                       max_size=4),
+       breaks=st.lists(st.sampled_from(["\n", "\n\n", " \n", "\u2028", "\v", "\f", "\x85",
+                                        "\x1c"]), min_size=4, max_size=4),
        piece=st.integers(1, 5))
 def test_a_file_read_in_pieces_parses_as_its_whole_text(tmp_path_factory, rows, margins,
                                                          breaks, piece):
-    """Whatever the piece size, the kept text with its whitespace runs
-    collapsed parses as the file's own text does."""
+    """Whatever the piece size, a file's kept tokens load as its whole text
+    parses, to the same partial permutation or the same error."""
     import msvkit.cli as cli
     import msvkit.perm as perm
+
+    def outcome(load):
+        try:
+            return load()
+        except ValueError as exc:  # not integers, a row with two 1s, ragged rows
+            return str(exc)
+
     text = "".join(margins[0] + "".join(e + gap for e, gap in row[:-1]) + row[-1][0]
                    + margins[1] + brk for row, brk in zip(rows, breaks))
-    try:
-        expected = perm.parse_partial_matrix(text)
-    except ValueError:
-        expected = None  # a row with two 1s, or rows of different lengths
+    expected = outcome(lambda: perm.parse_partial_matrix(text))
     path = tmp_path_factory.mktemp("pieces") / "grid.txt"
     path.write_text(text, encoding="utf-8")
     args = argparse.Namespace(command="diagram", file=str(path))
     saved = cli.FILE_PIECE
     cli.FILE_PIECE = piece
     try:
-        try:
-            w = cli._load_target(args, bound=cli.DIAGRAM_BOUND)
-        except ValueError:
-            w = None
+        w = outcome(lambda: cli._load_target(args, bound=cli.DIAGRAM_BOUND))
     finally:
         cli.FILE_PIECE = saved
     assert w == expected
