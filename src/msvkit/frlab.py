@@ -219,34 +219,21 @@ def verify_pivot_nonzerodivisor(setup: LocalizationSetup) -> bool:
 
 @dataclass(frozen=True)
 class LocalizationSetup:
-    """Data of the change of variables at the pivot.
-
-    ``groebner`` is ``verify_groebner``'s report on w in ``ring``: the
-    Fulton generators of w with their sites (``groebner.schubert``), their
-    reduced Groebner basis (``groebner.basis``) and the antidiagonal ideal
-    J_w (``groebner.antidiagonal``), which lemma 1, lemma 2 and the
-    nonzerodivisor check share.  ``w_prime`` is w with the pivot's row and
-    column deleted.  ``generator_sites`` are the sites of its minimal Fulton
-    generators as (rows, cols) in w's labels (``_deleted_labels``), so
-    size-1 sites are the primed variables, and ``w_prime_generators`` are
-    the minors of ``ring`` on them: the generators of w' in w's grid.  The
-    relabelling keeps the order of the rows and of the columns, and so the
-    precedence of the variables.  ``cleared_generators`` are those
-    generators rewritten in the original variables through
-    x'[p,q] = x[p,q] - c^{-1} x[p,q0] x[p0,q] and cleared of denominators:
-    each is the minor bordered by the pivot's row and column, with the sign
-    of ``_bordered_minor``.  ``gamma_generators`` are the variables of the
-    pivot's row and column that precede the pivot."""
+    """What every pivot check shares: ``w``, its pivot ``c_cell``, ``w_prime``
+    (w with the pivot's row and column deleted), the ``ring`` and
+    ``groebner``, ``verify_groebner``'s report on w in that ring.  The
+    report holds the Fulton generators of w with their sites
+    (``groebner.schubert``), their reduced Groebner basis
+    (``groebner.basis``) and the antidiagonal ideal J_w
+    (``groebner.antidiagonal``), which lemma 1, lemma 2 and the
+    nonzerodivisor check read.  The ideal I' of w' is built from
+    ``w_prime`` by ``primed_ideal``, for the identity check alone."""
 
     w: PartialPermutation
     c_cell: Cell
     w_prime: PartialPermutation
     ring: PolyRing
     groebner: GroebnerReport
-    w_prime_generators: tuple
-    generator_sites: tuple
-    cleared_generators: tuple
-    gamma_generators: tuple
 
 
 def _bordered_minor(ring: PolyRing, rows: tuple, cols: tuple, pivot: Cell) -> Polynomial:
@@ -299,30 +286,45 @@ class NoPivotError(ValueError):
 
 
 def build_localization(w: PartialPermutation, ring: Optional[PolyRing] = None) -> LocalizationSetup:
-    """Construct the deleted permutation w', the cleared generators of the
-    localized ideal I', and ``verify_groebner``'s report on w.  Raises
-    ``NoPivotError`` when ``w`` has no pivot, so a caller that skips such a
-    w need not look the pivot up first."""
+    """Find the pivot of w, run ``verify_groebner`` on w and delete the
+    pivot's row and column to give w'.  Raises ``NoPivotError`` when ``w``
+    has no pivot, so a caller that skips such a w need not look the pivot
+    up first."""
     pivot = find_pivot(w)
     if pivot is None:
         raise NoPivotError("no pivot: the defining ideal is generated by variables")
-    p0, q0 = pivot
     groebner = verify_groebner(w, ring)
-    ring = groebner.schubert.ring
-    w_prime = delete_row_col(w, p0, q0)
-    row_labels, col_labels = _deleted_labels(w.size, pivot)
+    return LocalizationSetup(w=w, c_cell=pivot, w_prime=delete_row_col(w, *pivot),
+                             ring=groebner.schubert.ring, groebner=groebner)
+
+
+def primed_ideal(setup: LocalizationSetup) -> tuple[tuple, tuple, tuple, tuple]:
+    """(generator_sites, w_prime_generators, cleared_generators,
+    gamma_generators): the ideal I' of the setup's w' at its pivot, in its
+    ring.
+
+    ``generator_sites`` are the sites of the minimal Fulton generators of w'
+    as (rows, cols) in w's labels (``_deleted_labels``), so size-1 sites
+    are the primed variables, and ``w_prime_generators`` are the minors on
+    them: the generators of w' in w's grid.  The relabelling keeps the
+    order of the rows and of the columns, and so the precedence of the
+    variables.  ``cleared_generators`` are those generators rewritten in the
+    original variables through x'[p,q] = x[p,q] - c^{-1} x[p,q0] x[p0,q]
+    and cleared of denominators: each is the minor bordered by the pivot's
+    row and column, with the sign of ``_bordered_minor``.
+    ``gamma_generators`` are the variables of the pivot's row and column
+    that precede the pivot, sorted as cells: the pivot's column above it,
+    then its row left of it."""
+    ring, pivot = setup.ring, setup.c_cell
+    p0, q0 = pivot
+    row_labels, col_labels = _deleted_labels(setup.w.size, pivot)
     sites = tuple((tuple(row_labels[i - 1] for i in rows),
                    tuple(col_labels[j - 1] for j in cols))
-                  for rows, cols in fulton_generators(w_prime, ring).sites)
-    return LocalizationSetup(
-        w=w, c_cell=pivot, w_prime=w_prime, ring=ring, groebner=groebner,
-        w_prime_generators=tuple(minor(ring, rows, cols) for rows, cols in sites),
-        generator_sites=sites,
-        cleared_generators=tuple(_bordered_minor(ring, rows, cols, pivot)
-                                 for rows, cols in sites),
-        # sorted as cells: the pivot's column above it, then its row left of it
-        gamma_generators=tuple(ring.variable(p, q0) for p in range(1, p0))
-        + tuple(ring.variable(p0, q) for q in range(1, q0)))
+                  for rows, cols in fulton_generators(setup.w_prime, ring).sites)
+    return (sites, tuple(minor(ring, rows, cols) for rows, cols in sites),
+            tuple(_bordered_minor(ring, rows, cols, pivot) for rows, cols in sites),
+            tuple(ring.variable(p, q0) for p in range(1, p0))
+            + tuple(ring.variable(p0, q) for q in range(1, q0)))
 
 
 @dataclass(frozen=True)
@@ -330,7 +332,7 @@ class LocalizationReport:
     ok: bool
     proper: bool  # 1 is not in I_w : c^infinity: the localized ring is nonzero
     # Fulton generators of I_w not in I' : c^infinity, with I' read as
-    # I_{w'}(x') + <gamma> from the setup's w_prime_generators
+    # I_{w'}(x') + <gamma> from the generators of w' that primed_ideal builds
     forward_failures: tuple
     # cleared and gamma generators of I' not in I_w : c^infinity
     backward_failures: tuple
@@ -362,10 +364,10 @@ def verify_localization_identity(setup: LocalizationSetup) -> LocalizationReport
     against it.
 
     Forward, I_w in I' : c^infinity: in the primed coordinates I' is
-    I_{w'} + <gamma>, whose Groebner basis is the reduced basis of
-    ``w_prime_generators``, the minors on ``generator_sites`` in w's labels
-    and so off the pivot's row and column, together with the gamma
-    variables (their leads are coprime).  c occurs in neither, so it is a
+    I_{w'} + <gamma>, whose Groebner basis is the reduced basis of the
+    generators of w', the minors on their sites in w's labels and so off
+    the pivot's row and column, together with the gamma variables (their
+    leads are coprime).  c occurs in neither, so it is a
     nonzerodivisor modulo I', and c -> -c maps I' onto itself.  Take a
     Fulton generator g of w on rows R and columns C, of size d, and rewrite
     it in the primed coordinates, x[p,q] = x'[p,q] + c^{-1} x[p,q0] x[p0,q].
@@ -383,25 +385,26 @@ def verify_localization_identity(setup: LocalizationSetup) -> LocalizationReport
     normal form zero (``_primed_minor``), and neither a power of c nor a
     sign is multiplied in.
 
-    So the two directions read I' from different fields of the setup: the
-    backward one from ``cleared_generators`` and the forward one from
-    ``w_prime_generators``, reducing the minors that the Fulton generators
-    of w and their sites in ``groebner.schubert`` give.  The identity holds
-    for I' as the cleared generators present it because
-    ``build_localization`` clears exactly the generators it stores in
-    ``w_prime_generators``; a setup whose cleared generators miss some of
-    them still passes the backward direction, and the forward direction
-    does not look at them.
+    I' is built once, from ``setup.w_prime``, by ``primed_ideal``.  The
+    backward direction reads its cleared and gamma generators, and the
+    forward direction reads the generators of w' and the gamma variables,
+    reducing the minors that the Fulton generators of w and their sites in
+    ``groebner.schubert`` give.  The identity holds for I' as the cleared
+    generators present it because ``primed_ideal`` clears exactly the
+    generators of w' that it returns; cleared generators that miss some of
+    them still pass the backward direction, and the forward direction does
+    not look at them.
     """
     ring, basis, schubert = setup.ring, setup.groebner.basis, setup.groebner.schubert
     if not _nonzerodivisor_on_leads(ring.monomial({setup.c_cell: 1}), basis):
         raise ValueError("the pivot divides a leading monomial of the basis of I_w, "
                          "so it is not known to be a nonzerodivisor modulo I_w")
-    prime_gens = setup.cleared_generators + setup.gamma_generators
+    _, w_prime_generators, cleared, gamma = primed_ideal(setup)
+    prime_gens = cleared + gamma
     *remainders, unit = normal_forms(prime_gens + (ring.one(),), basis)
     backward = tuple(g for g, r in zip(prime_gens, remainders) if r)
     proper = bool(unit)
-    gb_prime = buchberger(setup.w_prime_generators) + setup.gamma_generators
+    gb_prime = buchberger(w_prime_generators) + gamma
     rewritten = normal_forms([_primed_minor(g, rows, cols, setup.c_cell)
                               for g, (rows, cols) in zip(schubert.generators, schubert.sites)],
                              gb_prime)

@@ -1117,6 +1117,12 @@ def saturate(generators: Sequence[Polynomial], c: Polynomial) -> tuple:
     t adjoined to the grid gives.  The larger ring must stay within
     ``MAX_VARIABLES``.
 
+    Nothing is relabelled to move: x[i,j] is the byte at position
+    (i-1)*cols + cols-j counted from the top of the ring's nvars bytes, and
+    moving it down one row in a ring one row taller adds cols to both that
+    position and nvars.  So its byte, and every monomial's int, stays the
+    same, and the term dicts are wrapped in the other ring as they are.
+
     The returned generators are themselves a reduced Groebner basis in the
     base ring, so membership in the localization of I at c is exactly
     ``normal_form(f, result).is_zero``.
@@ -1131,14 +1137,12 @@ def saturate(generators: Sequence[Polynomial], c: Polynomial) -> tuple:
     if c.is_zero:
         raise ValueError("cannot saturate at zero")
     extended = PolyRing(ring.rows + 1, ring.cols, ring.char)
-    down = {(i, j): (i + 1, j) for i in range(1, ring.rows + 1) for j in range(1, ring.cols + 1)}
-    up = {shifted: cell for cell, shifted in down.items()}
     t = extended.monomial({(1, ring.cols): 1})
     # buchberger rejects a zero generator
-    lifted = [transplant(g, extended, down) for g in generators]
-    lifted.append(extended.one() - transplant(c, extended, down).mul_term(t))
+    lifted = [Polynomial(extended, g._d) for g in generators]
+    lifted.append(extended.one() - Polynomial(extended, c._d).mul_term(t))
     kept = [g for g in buchberger(lifted) if g.leading_monomial() < t]
-    return tuple(transplant(g, ring, up) for g in kept)
+    return tuple(Polynomial(ring, g._d) for g in kept)
 
 
 def ideals_equal(a: Sequence[Polynomial], b: Sequence[Polynomial]) -> bool:

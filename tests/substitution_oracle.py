@@ -31,12 +31,12 @@ def pivot_substitution(f: Polynomial, p0: int, q0: int, sign: int,
     is the first cleared generator, and the two signs undo each other up to
     a power of c:
 
-    >>> from msvkit.frlab import build_localization
+    >>> from msvkit.frlab import build_localization, primed_ideal
     >>> from msvkit.perm import PartialPermutation
     >>> setup = build_localization(PartialPermutation.from_one_line("35142"))
     >>> p0, q0 = setup.c_cell
     >>> cleared = pivot_substitution(setup.ring.variable(2, 1), p0, q0, -1)
-    >>> str(cleared), cleared == setup.cleared_generators[0]
+    >>> str(cleared), cleared == primed_ideal(setup)[2][0]
     ('x[1,3]*x[2,1] - x[1,1]*x[2,3]', True)
     >>> str(pivot_substitution(cleared, p0, q0, 1))
     'x[1,3]^3*x[2,1]'

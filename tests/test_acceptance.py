@@ -23,7 +23,7 @@ from msvkit.detideal import (MonomialIdeal, antidiagonal_ideal, fulton_generator
                              verify_groebner)
 from msvkit.ci import is_complete_intersection, minimal_generator_count, \
     necessary_condition
-from msvkit.frlab import (build_localization, find_pivot, localization_sample,
+from msvkit.frlab import (build_localization, find_pivot, localization_sample, primed_ideal,
                           verify_all, verify_localization_identity)
 
 _CERTIFIED_SUITES: set[str] = set()
@@ -64,13 +64,13 @@ def test_criterion_1a_golden_35142():
         assert setup.w_prime.one_line() == (4, 1, 3, 2)
         # primed generators in original labels: x'[2,1], x'[2,2], x'[2,4], and
         # the primed 2-minor on rows {3,4}, columns {1,2}
-        assert setup.generator_sites == (
+        sites, _, cl, _ = primed_ideal(setup)
+        assert sites == (
             ((2,), (1,)), ((2,), (2,)), ((2,), (4,)), ((3, 4), (1, 2)))
         report = verify_localization_identity(setup)
         assert report.ok and report.proper
         # the four denominator-cleared differences lie in <x[1,1], x[1,2]>
         c = r.variable(1, 3)
-        cl = setup.cleared_generators
         diffs = (c * r.variable(2, 1) - cl[0],
                  c * r.variable(2, 2) - cl[1],
                  minor(r, [1, 2], [3, 4]) - cl[2],

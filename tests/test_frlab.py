@@ -26,7 +26,7 @@ from msvkit.poly import (PolyRing, antidiagonal_monomial, minor, monomial_divide
 from msvkit.detideal import (MonomialIdeal, antidiagonal_ideal, fulton_generators,
                              monomial_quotient_membership, verify_groebner)
 from msvkit.frlab import (NoPivotError, build_localization, find_pivot, localization_sample,
-                          verify_all, verify_localization_identity,
+                          primed_ideal, verify_all, verify_localization_identity,
                           verify_pivot_initial_ideal, verify_pivot_minors,
                           verify_pivot_nonzerodivisor, verify_pivot_window)
 from reference import pivot_minor_report_on_supports, pivot_window_three_scans
@@ -402,7 +402,7 @@ def test_build_localization_35142_structure():
     assert setup.w_prime.one_line() == (4, 1, 3, 2)
     assert frlab._deleted_labels(5, setup.c_cell) == ((2, 3, 4, 5), (1, 2, 4, 5))
     r = setup.ring
-    assert setup.gamma_generators == (r.variable(1, 1), r.variable(1, 2))
+    assert primed_ideal(setup)[3] == (r.variable(1, 1), r.variable(1, 2))
 
 
 def test_build_localization_35142_cleared_generators():
@@ -419,10 +419,11 @@ def test_build_localization_35142_cleared_generators():
         + r.variable(1, 1) * (r.variable(3, 2) * r.variable(4, 3)
                               - r.variable(3, 3) * r.variable(4, 2)),
     )
-    assert setup.cleared_generators == expected
+    sites, _, cleared, _ = primed_ideal(setup)
+    assert cleared == expected
     # the primed labels of the original example: x'[2,1], x'[2,2], x'[2,4]
     # and the primed minor on rows {3,4}, columns {1,2}
-    assert setup.generator_sites == (
+    assert sites == (
         ((2,), (1,)), ((2,), (2,)), ((2,), (4,)), ((3, 4), (1, 2)))
 
 
@@ -431,14 +432,14 @@ def test_cleared_generators_are_not_divisible_by_the_pivot():
         setup = setup_(word)
         p0, q0 = setup.c_cell
         pivot = setup.ring.monomial({(p0, q0): 1})
-        for g in setup.cleared_generators:
+        for g in primed_ideal(setup)[2]:
             assert not monomial_quotient_membership(g, [pivot])
 
 
 def test_cleared_degree_is_at_most_twice_the_original():
     for w in nonregular(4):
-        setup = setup_(w)
-        for g, (rows, cols) in zip(setup.cleared_generators, setup.generator_sites):
+        sites, _, cleared, _ = primed_ideal(setup_(w))
+        for g, (rows, cols) in zip(cleared, sites):
             assert g.total_degree() <= 2 * len(rows)
 
 
@@ -452,9 +453,9 @@ def test_cleared_generators_match_the_pinned_s6_digest():
     assert len(pivoted) == golden["pivot_admitting_s6"]
     digest = hashlib.sha256()
     for w in pivoted:
-        setup = setup_(w)
+        sites, _, cleared, _ = primed_ideal(setup_(w))
         digest.update(render_one_line(w).encode() + b"\n")
-        for g, site in zip(setup.cleared_generators, setup.generator_sites):
+        for g, site in zip(cleared, sites):
             digest.update(f"{site}\t{g}\n".encode())
     assert digest.hexdigest() == golden["sha256"]
 
@@ -472,7 +473,8 @@ def test_cleared_generators_are_the_substitution_cleared_of_the_pivot():
         setup = setup_(w)
         p0, q0 = setup.c_cell
         images: dict = {}
-        for g, cleared in zip(setup.w_prime_generators, setup.cleared_generators, strict=True):
+        _, generators, cleared_generators, _ = primed_ideal(setup)
+        for g, cleared in zip(generators, cleared_generators, strict=True):
             substituted = pivot_substitution(g, p0, q0, -1, images)
             assert strip_pivot_factor(substituted, p0, q0) == cleared, w.one_line()
 
@@ -490,7 +492,7 @@ def test_the_generators_of_w_prime_give_the_relabelled_basis_of_its_ideal():
                     for j, q in enumerate(col_labels, 1)}
         small = PolyRing(n - 1, n - 1, ring.char)
         basis = poly.buchberger(fulton_generators(setup.w_prime, small).generators)
-        assert poly.buchberger(setup.w_prime_generators) == \
+        assert poly.buchberger(primed_ideal(setup)[1]) == \
             tuple(transplant(g, ring, cell_map) for g in basis), w.one_line()
 
 
@@ -539,9 +541,9 @@ def test_fulton_generators_in_the_primed_coordinates_are_minors():
 
 def test_the_pipeline_of_w_runs_once_per_setup(monkeypatch):
     """``build_localization`` takes w's Fulton generators, their basis and
-    J_w from one ``verify_groebner`` call; the second Fulton call is w'.
-    The essential set is computed three times: by ``find_pivot``, for w's
-    generators (J_w reads their cells) and for w'."""
+    J_w from one ``verify_groebner`` call; the second Fulton call is w', in
+    ``primed_ideal``.  The essential set is computed three times: by
+    ``find_pivot``, for w's generators (J_w reads their cells) and for w'."""
     calls = {"verify_groebner": 0, "fulton_generators": 0, "essential_set": 0}
     for name in calls:
         real = getattr(perm if name == "essential_set" else detideal, name)
@@ -555,6 +557,28 @@ def test_the_pipeline_of_w_runs_once_per_setup(monkeypatch):
                 monkeypatch.setattr(module, name, counting)
     assert verify_all(w_("351642")).ok
     assert calls == {"verify_groebner": 1, "fulton_generators": 2, "essential_set": 3}
+
+
+def test_only_the_identity_check_builds_the_ideal_of_w_prime(monkeypatch):
+    """The setup expands no minor and takes no Fulton generators of w'
+    (``frlab``'s own names; w's come through ``verify_groebner``), so on
+    every pivot-admitting S_5 each check but the identity runs without
+    either, and the identity takes the generators of w' once."""
+    calls = {"fulton_generators": 0, "minor": 0}
+    for name in calls:
+        def counting(*args, _name=name, _real=getattr(frlab, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(frlab, name, counting)
+    for w in nonregular(5):
+        for check in frlab.PIVOT_CHECKS:
+            calls.update(dict.fromkeys(calls, 0))
+            assert getattr(verify_all(w, [check]), check), (w.one_line(), check)
+            if check == "localization_ok":
+                assert calls["fulton_generators"] == 1, w.one_line()
+            else:
+                assert calls == {"fulton_generators": 0, "minor": 0}, (w.one_line(), check)
 
 
 def test_the_setup_holds_the_groebner_report_of_w():
@@ -586,7 +610,7 @@ def test_primed_generator_differences_reduce_into_the_gamma_ideal():
     setup = setup_("35142")
     r = setup.ring
     c = r.variable(1, 3)
-    cl = setup.cleared_generators
+    cl = primed_ideal(setup)[2]
     diffs = (
         c * r.variable(2, 1) - cl[0],
         c * r.variable(2, 2) - cl[1],
@@ -607,11 +631,13 @@ def test_localization_identity_exhaustive_s4():
 
 def saturation_oracle(w, setup):
     """The identity decided the slow way, by saturating both sides at c:
-    (ok, proper, forward_failures, backward_failures)."""
+    (ok, proper, forward_failures, backward_failures).  I' is read through
+    the module, so a patched ``frlab.primed_ideal`` is the one read."""
     ring = setup.ring
     c = ring.variable(*setup.c_cell)
     fulton = fulton_generators(w, ring).generators
-    prime_gens = setup.cleared_generators + setup.gamma_generators
+    _, _, cleared, gamma = frlab.primed_ideal(setup)
+    prime_gens = cleared + gamma
     sat_w = saturate(fulton, c)
     sat_prime = saturate(prime_gens, c)
     forward = tuple(g for g in fulton if not normal_form(g, sat_prime).is_zero)
@@ -644,49 +670,54 @@ def test_no_saturation_when_the_pivot_divides_no_lead():
     assert verify_localization_identity(setup_("35142")).ok
 
 
-def test_a_cleared_generator_outside_the_ideal_is_a_backward_failure():
+def with_cleared(monkeypatch, setup, cleared):
+    """Patch ``frlab.primed_ideal`` to give ``cleared`` as the cleared
+    generators of ``setup``, and its other parts unchanged."""
+    sites, generators, _, gamma = primed_ideal(setup)
+
+    def patched(seen):
+        assert seen is setup
+        return sites, generators, cleared, gamma
+
+    monkeypatch.setattr(frlab, "primed_ideal", patched)
+
+
+def test_a_cleared_generator_outside_the_ideal_is_a_backward_failure(monkeypatch):
     w = w_("35142")
     setup = setup_(w)
-    bad = setup.cleared_generators[0] + setup.ring.variable(5, 5)
-    mutated = dataclasses.replace(
-        setup, cleared_generators=(bad,) + setup.cleared_generators[1:])
-    report = verify_localization_identity(mutated)
+    cleared = primed_ideal(setup)[2]
+    bad = cleared[0] + setup.ring.variable(5, 5)
+    with_cleared(monkeypatch, setup, (bad,) + cleared[1:])
+    report = verify_localization_identity(setup)
     assert not report.ok
     assert report.backward_failures == (bad,)
     assert report.forward_failures == ()
     # the oracle reads I' from the cleared generators in both directions, so
     # only the directions that use them here are comparable
-    _, proper, _, backward = saturation_oracle(w, mutated)
+    _, proper, _, backward = saturation_oracle(w, setup)
     assert (report.proper, report.backward_failures) == (proper, backward)
 
 
 def test_a_wrong_deleted_permutation_is_a_forward_failure():
     # I_3142 misses a generator of I_4132, the true w' of 35142, so I_w is
     # not in the wrong I' after inverting c
-    w = w_("35142")
-    setup = setup_(w)
-    wrong = w_("3142")
-    row_labels, col_labels = frlab._deleted_labels(w.size, setup.c_cell)
-    generators = tuple(
-        minor(setup.ring, [row_labels[i - 1] for i in rows], [col_labels[j - 1] for j in cols])
-        for rows, cols in fulton_generators(wrong, setup.ring).sites)
-    mutated = dataclasses.replace(setup, w_prime=wrong, w_prime_generators=generators)
+    mutated = dataclasses.replace(setup_("35142"), w_prime=w_("3142"))
     report = verify_localization_identity(mutated)
     assert not report.ok
     assert len(report.forward_failures) == 1
     assert report.backward_failures == ()
 
 
-def test_a_dropped_cleared_generator_goes_unnoticed():
-    # the forward direction reads I' from w_prime_generators, so a setup
-    # whose cleared generators miss one passes both directions; the
-    # saturating oracle, which reads I' from the cleared generators, sees it
+def test_a_dropped_cleared_generator_goes_unnoticed(monkeypatch):
+    # the forward direction reads I' from the generators of w', so cleared
+    # generators that miss one pass both directions; the saturating oracle,
+    # which reads I' from the cleared generators, sees it
     w = w_("35142")
     setup = setup_(w)
-    dropped = dataclasses.replace(setup, cleared_generators=setup.cleared_generators[1:])
-    report = verify_localization_identity(dropped)
+    with_cleared(monkeypatch, setup, primed_ideal(setup)[2][1:])
+    report = verify_localization_identity(setup)
     assert (report.ok, report.forward_failures, report.backward_failures) == (True, (), ())
-    ok, _, forward, backward = saturation_oracle(w, dropped)
+    ok, _, forward, backward = saturation_oracle(w, setup)
     assert not ok and forward and not backward
 
 
@@ -694,7 +725,7 @@ def test_a_dropped_cleared_generator_goes_unnoticed():
 def test_identity_over_a_prime_field_agrees_with_the_saturation_oracle(char):
     for w in [w_("35142")] + nonregular(5):
         setup = build_localization(w, PolyRing(5, 5, char=char))
-        assert all(g.ring == setup.ring for g in setup.w_prime_generators)
+        assert all(g.ring == setup.ring for g in primed_ideal(setup)[1])
         report = verify_localization_identity(setup)
         assert report.ok and report.proper, w.one_line()
         assert outcome(report) == saturation_oracle(w, setup), w.one_line()

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 import msvkit.poly as poly
 from msvkit.perm import PartialPermutation, all_permutations, render_one_line
 from msvkit.detideal import fulton_generators, verify_groebner
-from msvkit.frlab import build_localization, find_pivot, verify_all
+from msvkit.frlab import build_localization, find_pivot, primed_ideal, verify_all
 from msvkit.poly import (EXPONENT_BOUND, ExponentOverflowError, GroebnerCertificationError,
                          Polynomial, PolyRing, _lcm, antidiagonal_monomial,
                          buchberger, certified, corner_antidiagonals, corner_minors,
@@ -948,8 +948,8 @@ def _saturation_digest(pivoted, char):
         setup = build_localization(w, PolyRing(w.size, w.size, char))
         ring = setup.ring
         c = ring.variable(*setup.c_cell)
-        for gens in (fulton_generators(w, ring).generators,
-                     setup.cleared_generators + setup.gamma_generators):
+        _, _, cleared, gamma = primed_ideal(setup)
+        for gens in (fulton_generators(w, ring).generators, cleared + gamma):
             saturations.update(render_one_line(w).encode() + b"\n")
             for g in saturate(gens, c):
                 saturations.update(str(g).encode() + b"\n")
@@ -962,6 +962,18 @@ def test_prime_field_saturations_over_s5_match_the_pinned_digests():
     golden = json.loads((Path(__file__).parent / "golden" / "saturate_prime_s5.json").read_text())
     pivoted = [w for w in all_permutations(5) if find_pivot(w) is not None]
     assert {str(p): _saturation_digest(pivoted, p) for p in (32003, 2)} == golden
+
+
+def test_saturate_moves_no_grid(monkeypatch):
+    """A grid moved down one row in a ring one row taller packs every
+    monomial to the same int, so ``saturate`` relabels nothing: with
+    ``transplant`` refusing every call, the saturations over the
+    pivot-admitting S_5 still match the pinned digests."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("saturate called transplant")
+
+    monkeypatch.setattr(poly, "transplant", refuse)
+    test_prime_field_saturations_over_s5_match_the_pinned_digests()
 
 
 def test_the_s_pairs_formed_over_s5_are_pinned(monkeypatch):
@@ -1247,6 +1259,7 @@ UNCALLED_PUBLIC_API = {
     "monomial_lcm": "the lcm of two packed monomials, which the engine inlines",
     "normal_form": "perfbench/run.py reads its poly.normal_form.* metrics",
     "saturate": "perfbench/run.py reads its poly.saturate.* metrics",
+    "transplant": "perfbench/run.py reads its poly.transplant.* metrics",
     "antidiagonal_monomial": "perfbench/run.py reads its poly.antidiagonal_monomial.* metrics",
     "antidiagonal_ideal": "perfbench/run.py reads its detideal.antidiagonal_ideal.* metrics",
 }
