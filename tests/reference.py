@@ -11,7 +11,9 @@ variable c, ``column_row`` inverts a partial permutation at one column, and
 is the recursive-descent parser that ``PolyRing.parse`` replaced,
 ``pivot_minor_report_on_supports`` is lemma 1's search on frozensets of
 variable keys that the packed search replaced, ``pivot_window_three_scans``
-is the window fact with its scan of w's entries,
+is the window fact with its scan of w's entries, ``pivot_from_essential_set``
+finds the pivot from the essential set as ``find_pivot`` did before it
+scanned the word,
 ``extend_by_column_search`` extends a partial permutation by searching each
 row's smallest unused column, and ``reference_classify`` is the complete
 intersection recursion with a fresh diagram per block; each is kept as the
@@ -24,7 +26,7 @@ from typing import Optional, Sequence
 
 from msvkit.ci import CertificateNode, CIReport, Witness
 from msvkit.detideal import MonomialIdeal
-from msvkit.perm import Cell, PartialPermutation, diagram
+from msvkit.perm import Cell, PartialPermutation, diagram, essential_set
 from msvkit.poly import (GroebnerCertificationError, Monomial, Polynomial, PolyRing,
                          _certify_basis, monomial_divides, monomial_lcm, monomial_mul,
                          monomial_quotient)
@@ -272,6 +274,15 @@ def pivot_window_three_scans(w: PartialPermutation, pivot: Cell) -> bool:
             and all(rank == 0 for cell, rank in d.items() if cell.p <= p0)
             and all(j is None or j > q0 or (i, j) == (p0, q0)
                     for i, j in enumerate(w.assignment[:p0], start=1)))
+
+
+def pivot_from_essential_set(w: PartialPermutation) -> Optional[Cell]:
+    """The pivot (i0, w(i0)) as ``frlab.find_pivot`` found it from the
+    essential set of w: the smallest i0 with a positive-rank essential cell
+    strictly southeast of (i0, w(i0)), or None when there is none."""
+    positive = [cell for cell, r in essential_set(w) if r > 0]
+    return next((Cell(i, w(i)) for i in range(1, w.size + 1)
+                 if any(c.p > i and c.q > w(i) for c in positive)), None)
 
 
 def extend_by_column_search(w: PartialPermutation) -> PartialPermutation:

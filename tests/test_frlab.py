@@ -29,7 +29,8 @@ from msvkit.frlab import (NoPivotError, build_localization, find_pivot, localiza
                           primed_ideal, verify_all, verify_localization_identity,
                           verify_pivot_initial_ideal, verify_pivot_minors,
                           verify_pivot_nonzerodivisor, verify_pivot_window)
-from reference import pivot_minor_report_on_supports, pivot_window_three_scans
+from reference import (pivot_from_essential_set, pivot_minor_report_on_supports,
+                       pivot_window_three_scans)
 from substitution_oracle import pivot_substitution, strip_pivot_factor
 
 
@@ -82,6 +83,23 @@ def test_pivot_is_missing_exactly_when_w_avoids_132_on_s1_to_s7():
             assert (find_pivot(w) is None) == avoids, w.one_line()
             pivot_free += avoids
     assert pivot_free == 1 + 2 + 5 + 14 + 42 + 132 + 429 == 625
+
+
+def test_the_word_scan_finds_the_pivot_of_the_essential_set_definition():
+    # the least i that starts a 132 pattern is the least i with a
+    # positive-rank essential cell strictly southeast of (i, w(i))
+    for n in range(1, 8):
+        for w in all_permutations(n):
+            assert find_pivot(w) == pivot_from_essential_set(w), w.one_line()
+    rng = random.Random(20261020)
+    for _ in range(2000):
+        w = w_(rng.sample(range(1, 9), 8))
+        assert find_pivot(w) == pivot_from_essential_set(w), w.one_line()
+
+
+def test_find_pivot_refuses_a_partial_permutation():
+    with pytest.raises(ValueError, match="not a full permutation"):
+        find_pivot(PartialPermutation(2, 3, (3, None)))
 
 
 def test_pivot_window_35142():
@@ -150,6 +168,26 @@ def test_pivot_minors_checks_exactly_the_minors_whose_antidiagonal_holds_the_piv
             assert verify_pivot_minors(setup_(w)).checked == expected, w.one_line()
 
 
+def test_the_minor_count_is_the_number_of_pivot_sites():
+    for n in range(1, 9):
+        for p, q in itertools.product(range(1, n + 1), repeat=2):
+            pivot = Cell(p, q)
+            assert frlab._pivot_minor_count(n, pivot) == \
+                sum(1 for _ in frlab._pivot_minor_sites(n, pivot)), (n, pivot)
+
+
+def test_lemma_1_searches_no_minor_when_j_w_holds_the_window(monkeypatch):
+    # every window cell but the pivot is a rank-0 diagram cell, whose
+    # variable generates J_w, so no site meets a missing cell
+    def refuse(*args):
+        raise AssertionError("searched a minor")
+
+    monkeypatch.setattr(frlab, "_escapes", refuse)
+    for n in range(3, 7):
+        for w in nonregular(n):
+            assert verify_pivot_minors(setup_(w)).ok, w.one_line()
+
+
 def expanded_minor_report(n, pivot, gens):
     """Lemma 1 the slow way: expand every minor of the n x n generic matrix
     whose antidiagonal monomial the pivot divides and test each term against
@@ -215,6 +253,9 @@ def squarefree_generator_sets(draw):
 @settings(max_examples=150, deadline=None)
 @example(drawn=(w_("35142"), []))
 @example(drawn=(w_("2143"), [{(2, 1)}, {(2, 1), (3, 4)}, {(1, 1), (4, 4)}]))
+# J_w of 35142 without its window variable x[1,2]: ten minors fail
+@example(drawn=(w_("35142"), [{(2, 1)}, {(2, 2)}, {(1, 1)}, {(3, 2), (4, 1)},
+                              {(1, 4), (2, 3)}]))
 @given(drawn=squarefree_generator_sets())
 def test_pivot_minor_search_agrees_with_the_support_reference(drawn):
     w, cell_sets = drawn
@@ -542,8 +583,9 @@ def test_fulton_generators_in_the_primed_coordinates_are_minors():
 def test_the_pipeline_of_w_runs_once_per_setup(monkeypatch):
     """``build_localization`` takes w's Fulton generators, their basis and
     J_w from one ``verify_groebner`` call; the second Fulton call is w', in
-    ``primed_ideal``.  The essential set is computed three times: by
-    ``find_pivot``, for w's generators (J_w reads their cells) and for w'."""
+    ``primed_ideal``.  The essential set is computed twice: for w's
+    generators (J_w reads their cells) and for w'; ``find_pivot`` reads the
+    word."""
     calls = {"verify_groebner": 0, "fulton_generators": 0, "essential_set": 0}
     for name in calls:
         real = getattr(perm if name == "essential_set" else detideal, name)
@@ -556,7 +598,7 @@ def test_the_pipeline_of_w_runs_once_per_setup(monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting)
     assert verify_all(w_("351642")).ok
-    assert calls == {"verify_groebner": 1, "fulton_generators": 2, "essential_set": 3}
+    assert calls == {"verify_groebner": 1, "fulton_generators": 2, "essential_set": 2}
 
 
 def test_only_the_identity_check_builds_the_ideal_of_w_prime(monkeypatch):
@@ -911,6 +953,33 @@ def test_verify_all_runs_exactly_the_named_checks_on_one_setup(monkeypatch):
     ran.clear()
     verify_all(w_("35142"))  # by default, every check
     assert [field for field, _ in ran] == list(fields)
+
+
+def test_verify_all_is_ok_when_every_check_that_ran_held(monkeypatch, capsys):
+    """``ok`` reads only the checks that ran, for every subset of them, and
+    the CLI's exit code is ``ok``; a failing check makes ``ok`` False
+    exactly when it runs."""
+    from msvkit.cli import main
+
+    fields = tuple(frlab.PIVOT_CHECKS)
+    subsets = [subset for k in range(len(fields) + 1)
+               for subset in itertools.combinations(fields, k)]
+    assert len(subsets) == 32
+    for word in ("35142", "52431"):
+        for subset in subsets:
+            summary = verify_all(w_(word), subset)
+            assert summary.ok is True, (word, subset)
+            assert all(getattr(summary, field) is True for field in subset), (word, subset)
+    monkeypatch.setitem(frlab.PIVOT_CHECKS, "initial_ideal_ok", lambda setup: False)
+    for subset in subsets:
+        assert verify_all(w_("35142"), subset).ok is ("initial_ideal_ok" not in subset), subset
+    assert main(["verify-localize", "35142"]) == 0
+    assert main(["verify-lemma2", "35142"]) == 1
+    assert main(["verify-all", "35142"]) == 1
+    capsys.readouterr()
+    monkeypatch.setattr(frlab.VerificationSummary, "ok", property(lambda self: False))
+    assert main(["verify-localize", "35142"]) == 1
+    capsys.readouterr()
 
 
 def test_localization_sample_is_the_documented_one():
