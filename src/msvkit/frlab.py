@@ -20,12 +20,9 @@ facts that make the pivot useful, each check a function of one
   antidiagonal ideal.  Such a minor has one more row at or above the pivot
   than columns right of it, so each bijection of its rows onto its columns
   picks c or another cell of the pivot's window, whose variable the window
-  fact puts in J_w; only the minors that meet a window cell missing from
-  J_w are searched.  No minor is expanded: the terms of a generic minor
-  are distinct squarefree products with coefficient +-1 and J_w is
-  squarefree, so a minor lies in <c> + J_w iff every bijection of its rows
-  onto its columns picks a set of variables containing the support of some
-  generator, which a depth-first search over partial bijections decides;
+  fact puts in J_w.  So only the minors that meet a window cell missing
+  from J_w are expanded and tested term by term, and for w's own J_w
+  there are none;
 * the initial-ideal identity in(<c> + I_w) = <c> + J_w, read off the
   reduced Groebner basis B of I_w: c divides no lead of B, so by
   Buchberger's first criterion B and c form a Groebner basis, and its leads
@@ -59,7 +56,8 @@ from .perm import (Cell, PartialPermutation, all_permutations, coxeter_length,
 from .poly import (Monomial, Polynomial, PolyRing, buchberger, minor, monomial_divides,
                    normal_forms)
 from .detideal import (GroebnerReport, MonomialIdeal, fulton_generators,
-                       is_nonzerodivisor_on_monomial_quotient, verify_groebner)
+                       is_nonzerodivisor_on_monomial_quotient, monomial_quotient_membership,
+                       verify_groebner)
 
 
 def find_pivot(w: PartialPermutation) -> Optional[Cell]:
@@ -150,9 +148,10 @@ def verify_pivot_minors(setup: LocalizationSetup) -> MinorMembershipReport:
     """Every minor of the full generic matrix whose antidiagonal term is
     divisible by the pivot variable must lie in the monomial ideal
     <c> + J_w, J_w the setup's ``groebner.antidiagonal``, which must be
-    squarefree.  ``checked`` counts those minors (``_pivot_minor_count``).
+    squarefree, as an antidiagonal ideal is.  ``checked`` counts those
+    minors (``_pivot_minor_count``).
 
-    Most of them need no search.  Let the site (R, C) hold the pivot
+    Most of them need no expansion.  Let the site (R, C) hold the pivot
     (p0, q0) at row position k of its antidiagonal: R has k + 1 rows at or
     above p0, and C only k columns right of q0.  So every bijection of R
     onto C either sends p0 to q0, giving a term divisible by c, or sends
@@ -161,67 +160,26 @@ def verify_pivot_minors(setup: LocalizationSetup) -> MinorMembershipReport:
     and columns meet a window cell whose variable is not a generator of
     J_w, a missing cell; the window fact makes every window cell but the
     pivot a rank-0 diagram cell, whose variable generates J_w, so for w's
-    own J_w there is none and no site is searched.
+    own J_w there is none and no minor is expanded.
 
-    The others are searched, and no minor is expanded.  Its terms are the
-    products over the bijections of its rows onto its columns, pairwise
-    distinct and squarefree with coefficient +-1, so none cancels and the
-    minor lies in the monomial ideal iff each of them does; c is a variable
-    and J_w is squarefree, so a term lies in it iff its variables include a
-    generator's.  A squarefree monomial is the set of its variables, one
-    bit each, so a generator g is among the chosen variables ``grown`` iff
-    ``g & grown == g``.  The bijections are searched depth first, a branch
-    is cut once its chosen variables include a generator, and a minor fails
-    once a complete bijection escapes every generator."""
+    The minors that meet a missing cell are expanded by ``minor`` and
+    tested by ``monomial_quotient_membership``: a polynomial lies in a
+    monomial ideal iff each of its terms does.  The failures come in the
+    order of ``_pivot_minor_sites``."""
     antidiagonal = setup.groebner.antidiagonal
     if not antidiagonal.is_squarefree():
-        raise ValueError("the minor support search requires a squarefree J_w")
+        raise ValueError("lemma 1 requires a squarefree J_w, as an antidiagonal ideal is")
     n, pivot, ring = setup.w.size, setup.c_cell, setup.ring
     gens = set(antidiagonal.gens)
     missing = [(r, j) for r in range(1, pivot.p + 1) for j in range(1, pivot.q + 1)
                if (r, j) != pivot and ring.monomial({(r, j): 1}) not in gens]
-    failures = []
+    failures = ()
     if missing:
-        # the generators indexed by their variables, which are their bits:
-        # adding a variable to the chosen ones can only complete a generator
-        # that contains it
-        covering: dict = {}
-        for g in (ring.monomial({pivot: 1}),) + antidiagonal.gens:
-            rest = g
-            while rest:
-                v = rest & -rest
-                covering.setdefault(v, []).append(g)
-                rest -= v
-        key: dict = {}  # cell -> its variable, filled as the search meets it
-        for rows, cols in _pivot_minor_sites(n, pivot):
-            if (any(r in rows and j in cols for r, j in missing)
-                    and _escapes(ring, key, covering, rows, cols, 0, 0)):
-                failures.append((rows, cols))
-    return MinorMembershipReport(not failures, _pivot_minor_count(n, pivot), tuple(failures))
-
-
-def _escapes(ring: PolyRing, key: dict, covering: dict, rows: tuple, cols: tuple, k: int,
-             chosen: Monomial) -> bool:
-    """Whether some bijection of rows[k:] onto cols, with the variables
-    ``chosen`` so far, gives a term outside the monomial ideal: ``key`` maps
-    a cell to its variable, and ``covering`` a variable to the generators
-    containing it (see ``verify_pivot_minors``)."""
-    if k == len(rows):
-        return True
-    row = rows[k]
-    for idx, j in enumerate(cols):
-        cell = row, j
-        v = key.get(cell)
-        if v is None:
-            v = key[cell] = ring.monomial({cell: 1})
-        grown = chosen | v
-        for g in covering.get(v, ()):
-            if g & grown == g:
-                break
-        else:
-            if _escapes(ring, key, covering, rows, cols[:idx] + cols[idx + 1:], k + 1, grown):
-                return True
-    return False
+        ideal = (ring.monomial({pivot: 1}),) + antidiagonal.gens
+        failures = tuple((rows, cols) for rows, cols in _pivot_minor_sites(n, pivot)
+                         if any(r in rows and j in cols for r, j in missing)
+                         and not monomial_quotient_membership(minor(ring, rows, cols), ideal))
+    return MinorMembershipReport(not failures, _pivot_minor_count(n, pivot), failures)
 
 
 @dataclass(frozen=True)
@@ -520,7 +478,13 @@ PIVOT_CHECKS = {
 def verify_all(w: PartialPermutation, checks: Iterable[str] = PIVOT_CHECKS) -> VerificationSummary:
     """Run the pivot checks named by ``checks``, fields of ``PIVOT_CHECKS``
     (by default all of them), on one setup of ``w``, leaving the fields of
-    the others None; skipped when ``w`` has no pivot."""
+    the others None; skipped when ``w`` has no pivot.  A name that is not a
+    field raises a ValueError that lists every such name before any setup
+    is built (a string is read as the names of its characters)."""
+    checks = tuple(checks)
+    unknown = [name for name in dict.fromkeys(checks) if name not in PIVOT_CHECKS]
+    if unknown:
+        raise ValueError(f"unknown pivot checks: {', '.join(map(repr, unknown))}")
     try:
         setup = build_localization(w)
     except NoPivotError:

@@ -35,11 +35,8 @@ exponents (``monomial_mul``, the ``axpy`` kernels,
 ``PolyRing.monomial`` and the parser) raises ``ExponentOverflowError``
 rather than carry into the next variable.  A variable is a single bit, so a
 squarefree monomial (``PolyRing.is_squarefree``) is the bit set of its
-variables: for squarefree a and b, a | b exactly when ``a & b == a``.  That
-is the one documented exception to their opacity, and
-``frlab.verify_pivot_minors`` is its one user outside this module: its
-search joins squarefree monomials with ``|``, tests containment with ``&``
-and splits one into its variables by its lowest set bit.
+variables: an OR of monomials is squarefree only when each of them is, and
+a squarefree monomial's degree is its bit count (``homogeneous_degree``).
 
 The Groebner engine keeps what it has computed: a polynomial caches its
 leading monomial, and ``normal_forms`` sorts one reducer list for many
@@ -316,9 +313,6 @@ class PolyRing:
         d: dict = {}
         self.field.axpy(d, normalized, 1)
         return Polynomial(self, d)
-
-    def zero(self) -> "Polynomial":
-        return Polynomial(self, {})
 
     def one(self) -> "Polynomial":
         return self.const(1)
@@ -862,7 +856,7 @@ def independent(fs: Sequence[Polynomial]) -> tuple:
 
     >>> r = PolyRing(2, 2)
     >>> x, y = r.variable(1, 1), r.variable(1, 2)
-    >>> independent([x, 2 * x, x + y, r.zero(), y, x - 3 * y])
+    >>> independent([x, 2 * x, x + y, r.const(0), y, x - 3 * y])
     (0, 2)
     """
     fs = tuple(fs)

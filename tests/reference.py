@@ -9,8 +9,8 @@ matrix, ``colon_by_variable`` forms (J : c) for a monomial ideal J and a
 variable c, ``column_row`` inverts a partial permutation at one column, and
 ``zero_cells`` lists the rank-0 cells of a diagram.  ``_parse_polynomial``
 is the recursive-descent parser that ``PolyRing.parse`` replaced,
-``pivot_minor_report_on_supports`` is lemma 1's search on frozensets of
-variable keys that the packed search replaced, ``pivot_window_three_scans``
+``pivot_minor_report_on_supports`` decides lemma 1 by a search on
+frozensets of variable keys, ``pivot_window_three_scans``
 is the window fact with its scan of w's entries, ``pivot_from_essential_set``
 finds the pivot from the essential set as ``find_pivot`` did before it
 scanned the word,
@@ -51,7 +51,7 @@ def division_scanning_every_reducer(f: Polynomial, reducers: Sequence[Polynomial
     ring = f.ring
     reducers = sorted(reducers, key=lambda g: g.leading_monomial())
     assert all(g.leading_coefficient() == 1 for g in reducers)
-    remainder = ring.zero()
+    remainder = ring.const(0)
     while f:
         m, c = f.terms()[0]
         for g in reducers:
@@ -216,12 +216,15 @@ def _parse_polynomial(ring: PolyRing, text: str) -> "Polynomial":
 
 
 def pivot_minor_report_on_supports(setup) -> tuple:
-    """Lemma 1 (``frlab.verify_pivot_minors``) as it was searched before
-    monomials became its masks: (ok, checked, failures).  Every minor of
-    the n x n generic matrix with the pivot on its antidiagonal, by size,
-    rows and columns, is searched depth first over the bijections of its
-    rows onto its columns, with the chosen variables as a frozenset of
-    ``PolyRing.support`` keys."""
+    """Lemma 1 (``frlab.verify_pivot_minors``) decided without expanding a
+    minor and without the window argument, the independent reference for
+    its report: (ok, checked, failures).  Every minor of the n x n generic
+    matrix with the pivot on its antidiagonal, by size, rows and columns,
+    is searched depth first over the bijections of its rows onto its
+    columns, with the chosen variables as a frozenset of ``PolyRing.support``
+    keys.  The terms of a generic minor are distinct squarefree products
+    with coefficient +-1 and the ideal is squarefree, so a minor lies in it
+    iff every bijection picks the support of some generator."""
     n, (p0, q0), ring = setup.w.size, setup.c_cell, setup.ring
     gens = (ring.monomial({(p0, q0): 1}),) + setup.groebner.antidiagonal.gens
     key = {(i, j): ring.support(ring.monomial({(i, j): 1}))

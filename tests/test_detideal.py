@@ -313,7 +313,7 @@ def test_monomial_codim_rejects_non_squarefree():
 
 def test_monomial_quotient_membership_goldens():
     r = PolyRing(5, 5)
-    assert monomial_quotient_membership(r.zero(), [r.monomial({(1, 1): 1})])
+    assert monomial_quotient_membership(r.const(0), [r.monomial({(1, 1): 1})])
     f = r.variable(1, 1) + r.variable(2, 2)
     assert not monomial_quotient_membership(f, [r.monomial({(1, 1): 1})])
     delta = minor(r, [1, 2], [3, 4])
@@ -407,7 +407,7 @@ def test_graded_minimal_generators_requires_homogeneous_input():
     r = PolyRing(2, 2)
     with pytest.raises(ValueError, match="graded selection requires homogeneous generators"):
         graded_minimal_generators(r, [r.variable(1, 1) + r.one()])
-    for bad in (r.zero(), PolyRing(2, 3).variable(1, 1)):
+    for bad in (r.const(0), PolyRing(2, 3).variable(1, 1)):
         with pytest.raises(ValueError, match="generators must be nonzero elements of the ring"):
             graded_minimal_generators(r, [r.variable(1, 1), bad])
     # an equal ring built apart is the same ring
@@ -500,9 +500,9 @@ def _nakayama_input(ring, items):
         elif kind == "scaled":
             g = x(data[0]) * data[1]
         elif kind == "linear":
-            g = sum((x(k) * c for k, c in enumerate(data[0])), ring.zero())
+            g = sum((x(k) * c for k, c in enumerate(data[0])), ring.const(0))
         elif kind == "form":
-            g = sum((x(a) * x(b) * c for (a, b), c in data[0]), ring.zero())
+            g = sum((x(a) * x(b) * c for (a, b), c in data[0]), ring.const(0))
         elif kind == "constant":
             g = ring.const(data[0])
         elif kind == "minor":

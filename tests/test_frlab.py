@@ -180,9 +180,10 @@ def test_lemma_1_searches_no_minor_when_j_w_holds_the_window(monkeypatch):
     # every window cell but the pivot is a rank-0 diagram cell, whose
     # variable generates J_w, so no site meets a missing cell
     def refuse(*args):
-        raise AssertionError("searched a minor")
+        raise AssertionError("expanded a minor")
 
-    monkeypatch.setattr(frlab, "_escapes", refuse)
+    monkeypatch.setattr(frlab, "minor", refuse)
+    monkeypatch.setattr(frlab, "monomial_quotient_membership", refuse)
     for n in range(3, 7):
         for w in nonregular(n):
             assert verify_pivot_minors(setup_(w)).ok, w.one_line()
@@ -218,18 +219,22 @@ def test_pivot_minor_search_agrees_with_the_expansion_oracle():
 
 def test_pivot_minor_search_and_the_oracle_fail_alike_without_a_generator():
     # dropping each generator of J_w in turn, then all of them; some drops
-    # leave minors outside the smaller ideal, and both sides must name the
-    # same ones in the same order
+    # leave minors outside the smaller ideal, and lemma 1, the oracle and
+    # the support reference must name the same ones in the same order; the
+    # S_6 words bring minors of the 6 x 6 grid into the expanded path (a
+    # pivot of S_6 has p0 + q0 <= 5, so its sites are at most 4 x 4)
+    s6 = random.Random(20261020).sample(nonregular(6), 10)
     failing = 0
-    for w in nonregular(4) + nonregular(5)[::4]:
+    for w in nonregular(4) + nonregular(5)[::4] + s6:
         setup = setup_(w)
         J = setup.groebner.antidiagonal
         for k in range(len(J.gens) + 1):
             kept = J.gens[:k] + J.gens[k + 1:] if k < len(J.gens) else ()
-            smaller = dataclasses.replace(J, gens=kept)
-            report = verify_pivot_minors(with_antidiagonal(setup, smaller))
+            smaller = with_antidiagonal(setup, dataclasses.replace(J, gens=kept))
+            report = verify_pivot_minors(smaller)
             assert (report.ok, report.checked, report.failures) == \
-                expanded_minor_report(w.size, setup.c_cell, smaller.gens), (w.one_line(), k)
+                expanded_minor_report(w.size, setup.c_cell, kept) == \
+                pivot_minor_report_on_supports(smaller), (w.one_line(), k)
             failing += not report.ok
     assert failing > 0
 
@@ -953,6 +958,21 @@ def test_verify_all_runs_exactly_the_named_checks_on_one_setup(monkeypatch):
     ran.clear()
     verify_all(w_("35142"))  # by default, every check
     assert [field for field, _ in ran] == list(fields)
+
+
+def test_verify_all_refuses_unknown_checks_before_building_a_setup(monkeypatch):
+    # the names are checked before any setup is built, so neither a
+    # pivot-free word nor a pivot-admitting one gets past them; a string is
+    # the names of its characters
+    def refuse(w, ring=None):
+        raise AssertionError("built a setup")
+
+    monkeypatch.setattr(frlab, "build_localization", refuse)
+    for word in ("4321", "35142"):
+        with pytest.raises(ValueError, match="unknown pivot checks: 'bogus', 'other'$"):
+            verify_all(w_(word), ["window", "bogus", "other", "bogus"])
+        with pytest.raises(ValueError, match="unknown pivot checks: 'w', 'i', 'n', 'd', 'o'$"):
+            verify_all(w_(word), "window")
 
 
 def test_verify_all_is_ok_when_every_check_that_ran_held(monkeypatch, capsys):
