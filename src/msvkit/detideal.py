@@ -52,15 +52,10 @@ class MonomialIdeal:
 
     @classmethod
     def from_monomials(cls, ring: PolyRing, monomials: Iterable[Monomial]) -> "MonomialIdeal":
-        """The ideal the monomials generate, minimalized."""
-        return cls(ring, _by_degree(ring, ring.minimal_monomials(monomials)))
-
-    @classmethod
-    def from_minimal_generators(cls, ring: PolyRing,
-                                monomials: Iterable[Monomial]) -> "MonomialIdeal":
-        """The ideal of monomials none of which divides another, which the
-        caller vouches for: they are sorted but not minimalized."""
-        return cls(ring, _by_degree(ring, monomials))
+        """The ideal the monomials generate, minimalized and sorted by
+        degree, then by the term order."""
+        return cls(ring, tuple(sorted(ring.minimal_monomials(monomials),
+                                      key=lambda m: (ring.monomial_degree(m), m))))
 
     @property
     def is_zero(self) -> bool:
@@ -74,12 +69,6 @@ class MonomialIdeal:
 
     def rendered(self) -> tuple[str, ...]:
         return tuple(self.ring.render_monomial(m) for m in self.gens)
-
-
-def _by_degree(ring: PolyRing, monomials: Iterable[Monomial]) -> tuple:
-    """The monomials in the order of ``MonomialIdeal.gens``: by degree, then
-    by the term order."""
-    return tuple(sorted(monomials, key=lambda m: (ring.monomial_degree(m), m)))
 
 
 def monomial_quotient_membership(f: Polynomial, gens: Sequence[Monomial]) -> bool:
@@ -309,8 +298,7 @@ def verify_groebner(w: PartialPermutation, ring: Optional[PolyRing] = None) -> G
     schubert = fulton_generators(w, ring)
     ring = schubert.ring
     basis = buchberger(schubert.generators)
-    # the leads of a reduced basis are already minimal generators
-    lead = MonomialIdeal.from_minimal_generators(ring, (g.leading_monomial() for g in basis))
+    lead = MonomialIdeal.from_monomials(ring, (g.leading_monomial() for g in basis))
     # J_w from the essential cells the generators were built on
     anti = _antidiagonal_ideal(ring, schubert.cells)
     return GroebnerReport(w=w, match=lead.gens == anti.gens,

@@ -99,7 +99,12 @@ def verify_pivot_window(setup: LocalizationSetup) -> bool:
     the pivot belongs to the diagram, and every diagram cell in rows <= i0
     has rank 0.  No entry of w is a diagram cell, so the first scan also
     shows that the pivot is the only nonzero entry of the upper-left
-    i0 x w(i0) window of w."""
+    i0 x w(i0) window of w.
+
+    The check computes w's diagram again, although ``verify_groebner``
+    computed one for the essential set: the setup keeps only what the
+    checks share, and the window fact is checked on a diagram of its own,
+    independently of the word scan of ``find_pivot`` that found the pivot."""
     p0, q0 = setup.c_cell
     d = diagram(setup.w)
     for p in range(1, p0 + 1):
@@ -200,17 +205,14 @@ def verify_pivot_initial_ideal(setup: LocalizationSetup) -> InitialIdealReport:
     (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, ch. 2 section 9),
     and every S-pair inside B already does.  So c and B form a Groebner
     basis, read without forming any S-polynomial; otherwise ``buchberger``
-    computes one.  Neither monomial ideal needs minimalizing: the leads of a
-    reduced basis are minimal generators of the lead ideal, and so are c and
-    the leads of B, or the generators of J_w, that c does not divide (none
-    of these divides c, as I_w and J_w are proper)."""
+    computes one."""
     ring, pivot, groebner = setup.ring, setup.c_cell, setup.groebner
     c = ring.monomial({pivot: 1})
     basis = (ring.variable(*pivot),) + groebner.basis
     if not _nonzerodivisor_on_leads(c, groebner.basis):
         basis = buchberger(basis)
-    lead = MonomialIdeal.from_minimal_generators(ring, (g.leading_monomial() for g in basis))
-    expected = MonomialIdeal.from_minimal_generators(
+    lead = MonomialIdeal.from_monomials(ring, (g.leading_monomial() for g in basis))
+    expected = MonomialIdeal.from_monomials(
         ring, (c,) + tuple(m for m in groebner.antidiagonal.gens if not monomial_divides(c, m)))
     ok = lead.gens == expected.gens
     return InitialIdealReport(ok, ok or all(lead.contains_monomial(m) for m in expected.gens),

@@ -14,6 +14,7 @@ and ``w(i)`` denotes the column of the 1 in row ``i`` (if any).
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -63,6 +64,8 @@ class PartialPermutation:
         for i, j in enumerate(self.assignment, start=1):
             if j is None:
                 continue
+            if not isinstance(j, int):
+                raise TypeError(f"row {i} assigned to {j!r}, which is not an int column")
             if not 1 <= j <= self.cols:
                 raise ValueError(f"row {i} assigned to column {j} outside [1, {self.cols}]")
             if j in seen:
@@ -77,28 +80,31 @@ class PartialPermutation:
         comma-separated string of runs of decimal digits, or any iterable of
         integers.  An empty field between commas and a token that is not a
         run of decimal digits, such as "+3" or "1_0", are errors at their
-        position.
+        position, and so is an iterable's value that is not an integer
+        (``operator.index`` refuses it), such as 2.7 or "+1".
 
         >>> PartialPermutation.from_one_line("35142").one_line()
         (3, 5, 1, 4, 2)
         """
-        if isinstance(word, str):
-            values = _parse_one_line_text(word)
-        else:
-            values = tuple(int(v) for v in word)
+        values = _parse_one_line_text(word) if isinstance(word, str) else tuple(word)
         n = len(values)
         if n == 0:
             raise PermutationParseError("empty permutation")
-        seen: set[int] = set()
+        seen: dict[int, None] = {}  # the columns in order, each once
         for pos, v in enumerate(values, start=1):
+            try:
+                v = operator.index(v)
+            except TypeError:
+                raise PermutationParseError(
+                    f"value {v!r} at position {pos} is not an integer", position=pos) from None
             if not 1 <= v <= n:
                 raise PermutationParseError(
                     f"value {v} at position {pos} outside [1, {n}]", position=pos)
             if v in seen:
                 raise PermutationParseError(
                     f"repeated value {v} at position {pos}", position=pos)
-            seen.add(v)
-        return cls(n, n, values)
+            seen[v] = None
+        return cls(n, n, tuple(seen))
 
     @classmethod
     def from_matrix(cls, matrix: Sequence[Sequence[int]]) -> "PartialPermutation":

@@ -42,9 +42,10 @@ The Groebner engine keeps what it has computed: a polynomial caches its
 leading monomial, and ``normal_forms`` sorts one reducer list for many
 dividends.  A variable x in an ideal erases every term that x divides, which
 on packed monomials is one AND against a mask of the variables' exponent
-bytes.  So ``buchberger`` and ``normal_forms`` keep the variables out of
-their pair updates and reducer scans; callers hand them variables like any
-other generator and never erase terms themselves.
+bytes.  ``normal_forms`` alone builds that mask, and keeps the variables
+out of its reducer scans; ``buchberger`` erases the variables among its
+generators through it and keeps them out of its pair updates.  Callers hand
+both variables like any other generator and never erase terms themselves.
 """
 from __future__ import annotations
 
@@ -505,8 +506,7 @@ class Polynomial:
         """The degree of every term, or None when two terms differ in
         degree.  One ``|`` over the terms tells whether all of them are
         squarefree; then each is the bit set of its variables and its
-        degree is its bit count, and otherwise the sum of its exponent
-        bytes."""
+        degree is its bit count, and otherwise its ``monomial_degree``."""
         if not self._d:
             raise ValueError("the zero polynomial has no degree")
         ring = self.ring
@@ -514,7 +514,7 @@ class Polynomial:
             # every term is squarefree, so its degree is its number of bits
             degrees = set(map(int.bit_count, self._d))
         else:
-            degrees = {sum(m.to_bytes(ring.nvars, "big")) for m in self._d}  # monomial_degree
+            degrees = set(map(ring.monomial_degree, self._d))
         return degrees.pop() if len(degrees) == 1 else None
 
     def sparse_terms(self) -> tuple:
@@ -913,14 +913,15 @@ def buchberger(generators: Sequence[Polynomial]) -> tuple:
     is monic, auto-reduced, and sorted by increasing leading monomial.
 
     The generators that are a single variable times a unit are split off
-    first.  They erase every term they divide from the other generators, the
-    zero ones are dropped, and the core runs on the rest, whose basis is
-    then free of those variables.  So the variables and that basis together
-    are reduced and Groebner (a variable's pairs with it have coprime leads)
-    and are merged in lead order, unless that basis is ``(1,)``, which is
-    then the result.  The reduced basis is unique, so this is the basis the
-    core would give on all the generators, without the variables in its
-    reducer scans and pair updates.
+    first, as monic variables.  ``normal_forms`` by those variables erases
+    every term they divide from the generators, the zero remainders (the
+    variables among them) are dropped, and the core runs on the rest, whose
+    basis is then free of those variables.  So the variables and that basis
+    together are reduced and Groebner (a variable's pairs with it have
+    coprime leads) and are merged in lead order, unless that basis is
+    ``(1,)``, which is then the result.  The reduced basis is unique, so
+    this is the basis the core would give on all the generators, without
+    the variables in its reducer scans and pair updates.
 
     >>> r = PolyRing(2, 2)
     >>> gb = buchberger([r.parse("x[1,1]*x[2,2] - 1"), r.parse("x[1,1]")])
@@ -939,32 +940,38 @@ def buchberger(generators: Sequence[Polynomial]) -> tuple:
             raise ValueError("generators must be nonzero")
         if g.ring is not ring and g.ring != ring:
             raise ValueError("generators must live in a common ring")
-    variables = {g.leading_monomial() for g in gens
-                 if len(g._d) == 1 and _is_variable(g.leading_monomial())}
-    rest = gens
-    if variables:
-        # the variables themselves erase to zero
-        mask = _variable_mask(variables, ring._guard)
-        rest = [Polynomial(ring, d) for d in
-                (_reduce_dict(dict(g._d), [], ring, mask) for g in gens) if d]
-    result = _interreduce(_buchberger_core(ring, [g.monic() for g in rest]))
+    variables = tuple({g.leading_monomial(): g.monic() for g in gens
+                       if len(g._d) == 1 and _is_variable(g.leading_monomial())}.values())
+    rest = [f for f in normal_forms(gens, variables) if f]
+    result = _interreduce(_buchberger_core(ring, rest))
     if result[:1] != (ring.one(),):  # the unit ideal absorbs the variables
-        result = tuple(sorted(result + tuple(Polynomial(ring, {v: 1}, v) for v in variables),
-                              key=Polynomial.leading_monomial))
+        result = tuple(sorted(result + variables, key=Polynomial.leading_monomial))
     if _CERTIFY:
         _certify_basis(ring, gens, result)
     return result
 
 
-def _buchberger_core(ring: PolyRing, basis: list) -> list:
-    # basis: list of monic Polynomial; pairs managed by Gebauer-Moeller update
+def _buchberger_core(ring: PolyRing, gens: Sequence[Polynomial]) -> list:
+    """A monic Groebner basis of the nonzero ``gens``, not yet reduced.
+    Each input and each nonzero S-pair remainder is installed the same way:
+    made monic and appended, its lead recorded, its pairs updated by
+    Gebauer-Moeller and its reducer entry sorted in."""
+    basis: list = []
+    leads: list = []
+    reducers: list = []
     pairs: dict[tuple[int, int], Monomial] = {}
     heap: list = []
-    leads = [g.leading_monomial() for g in basis]
-    reducers: list = []
-    for t in range(len(basis)):
+
+    def install(h: Polynomial):
+        h = h.monic()
+        t = len(basis)
+        basis.append(h)
+        leads.append(h.leading_monomial())
         _gm_update(pairs, heap, leads, t, ring._guard)
-        insort(reducers, _reducer_entry(ring, t, basis[t]))
+        insort(reducers, _reducer_entry(ring, t, h))
+
+    for g in gens:
+        install(g)
     while heap:
         _, i, j = heapq.heappop(heap)
         if (i, j) not in pairs:
@@ -973,15 +980,8 @@ def _buchberger_core(ring: PolyRing, basis: list) -> list:
         # the S-polynomial is built for this reduction alone, so its own
         # term dict is reduced in place
         rem = _reduce_dict(s_polynomial(basis[i], basis[j])._d, reducers, ring)
-        if not rem:
-            continue
-        h = Polynomial(ring, rem).monic()
-        lm = h.leading_monomial()
-        basis.append(h)
-        leads.append(lm)
-        t = len(basis) - 1
-        _gm_update(pairs, heap, leads, t, ring._guard)
-        insort(reducers, _reducer_entry(ring, t, h))
+        if rem:
+            install(Polynomial(ring, rem))
     return basis
 
 

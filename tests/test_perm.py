@@ -3,6 +3,7 @@ deletion and block extraction, checked against hand-derived values and
 brute-force re-derivations of the definitions."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -65,6 +66,20 @@ def test_parse_errors_carry_position():
             w_(word)
         assert err.value.position == position
     assert w_("\u0662 \u0661").one_line() == (2, 1)
+
+
+def test_a_column_that_is_not_an_integer_is_refused():
+    # int() would truncate 2.7 and 5/2 to 2 and read "+1" and " 2", which the
+    # text path refuses, so each word below would become 21 or 12
+    for word in ([2.7, 1.2], [Fraction(5, 2), 1], ["+1", " 2"], [1, 2.0]):
+        position = next(k for k, v in enumerate(word, start=1) if type(v) is not int)
+        with pytest.raises(PermutationParseError, match=f"position {position}") as err:
+            w_(word)
+        assert err.value.position == position
+    assert w_(iter([2, 3, 1])).one_line() == (2, 3, 1)
+    # a grid whose matrix would be all zeros while its diagram held a rank-1 cell
+    with pytest.raises(TypeError, match="row 1"):
+        PartialPermutation(2, 2, (1.5, None))
 
 
 def test_matrix_construction_and_validation():

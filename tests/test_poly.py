@@ -1264,6 +1264,26 @@ def test_no_module_but_poly_applies_a_bitwise_operator():
     assert not leaks
 
 
+def test_only_normal_forms_builds_a_variable_mask():
+    # one path erases the terms that variable reducers divide: a function
+    # other than normal_forms that wants them gone calls normal_forms, and
+    # never builds a mask or hands one to _reduce_dict itself
+    path = Path(__file__).resolve().parent.parent / "src" / "msvkit" / "poly.py"
+    tree = ast.parse(path.read_text(), str(path))
+    builders = set()
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(function):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+                continue
+            if node.func.id == "_variable_mask" or (
+                    node.func.id == "_reduce_dict"
+                    and (len(node.args) > 3 or any(k.arg == "mask" for k in node.keywords))):
+                builders.add(function.name)
+    assert builders == {"normal_forms"}
+
+
 # Public functions and methods that no code in src/ calls, each kept for a
 # reason; any other public name with no caller in src/ is dead API.
 UNCALLED_PUBLIC_API = {
