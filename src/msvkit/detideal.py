@@ -23,7 +23,7 @@ engine only through ``poly``'s public names.
 The module also carries the monomial-ideal utilities needed elsewhere:
 codimension of a squarefree monomial ideal by exact minimum vertex cover,
 membership of a polynomial in a monomial ideal, and the variable
-nonzerodivisor test on a squarefree quotient.
+nonzerodivisor test on a monomial quotient.
 """
 from __future__ import annotations
 
@@ -41,21 +41,23 @@ from .poly import (Monomial, Polynomial, PolyRing, buchberger, corner_antidiagon
 
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """A monomial ideal presented by its minimal generating set.
+    """The monomial ideal that the monomials ``gens`` generate, presented by
+    its minimal generating set.
 
-    Generators are stored sorted by (degree, term order); no generator divides
-    another.  A monomial belongs to the ideal iff some generator divides it.
+    However the monomials are given (unsorted, repeated, one dividing
+    another), the constructor keeps those that no other one divides, one
+    copy each, sorted by (degree, term order), and so does
+    ``dataclasses.replace``.  So ``==`` is equality of ideals, and a
+    monomial belongs to the ideal iff some generator divides it.
     """
 
     ring: PolyRing
     gens: tuple
 
-    @classmethod
-    def from_monomials(cls, ring: PolyRing, monomials: Iterable[Monomial]) -> "MonomialIdeal":
-        """The ideal the monomials generate, minimalized and sorted by
-        degree, then by the term order."""
-        return cls(ring, tuple(sorted(ring.minimal_monomials(monomials),
-                                      key=lambda m: (ring.monomial_degree(m), m))))
+    def __post_init__(self):
+        ring = self.ring
+        object.__setattr__(self, "gens", tuple(sorted(
+            ring.minimal_monomials(self.gens), key=lambda m: (ring.monomial_degree(m), m))))
 
     @property
     def is_zero(self) -> bool:
@@ -84,14 +86,12 @@ def _check_variable(ring: PolyRing, c: Monomial):
 
 def is_nonzerodivisor_on_monomial_quotient(c: Monomial, J: MonomialIdeal) -> bool:
     """Whether the variable c is a nonzerodivisor on the quotient by the
-    squarefree monomial ideal J: exactly when c divides no minimal generator.
-    If c divides none, c*m lies in J only when a generator that c does not
-    divide divides c*m, and so divides m.  If c divides a generator g, then
-    c * (g/c) lies in J while g/c does not, being a proper divisor of a
-    minimal generator."""
+    monomial ideal J: exactly when c divides no minimal generator, which
+    is what ``J.gens`` holds.  If c divides none, c*m lies in J only when a
+    generator that c does not divide divides c*m, and so divides m.  If c
+    divides a generator g, then c * (g/c) lies in J while g/c does not,
+    being a proper divisor of a minimal generator."""
     _check_variable(J.ring, c)
-    if not J.is_squarefree():
-        raise ValueError("nonzerodivisor test requires a squarefree ideal")
     return not any(monomial_divides(c, m) for m in J.gens)
 
 
@@ -203,7 +203,7 @@ def antidiagonal_ideal(w: PartialPermutation, ring: Optional[PolyRing] = None) -
 def _antidiagonal_ideal(ring: PolyRing, cell_ranks: Iterable) -> MonomialIdeal:
     """The ideal of the antidiagonals of the Fulton minors over the (cell,
     rank) pairs, for a ring already checked to hold their corners."""
-    return MonomialIdeal.from_monomials(ring, corner_antidiagonals(ring, _corners(cell_ranks)))
+    return MonomialIdeal(ring, corner_antidiagonals(ring, _corners(cell_ranks)))
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +298,8 @@ def verify_groebner(w: PartialPermutation, ring: Optional[PolyRing] = None) -> G
     schubert = fulton_generators(w, ring)
     ring = schubert.ring
     basis = buchberger(schubert.generators)
-    lead = MonomialIdeal.from_monomials(ring, (g.leading_monomial() for g in basis))
+    lead = MonomialIdeal(ring, (g.leading_monomial() for g in basis))
     # J_w from the essential cells the generators were built on
     anti = _antidiagonal_ideal(ring, schubert.cells)
-    return GroebnerReport(w=w, match=lead.gens == anti.gens,
+    return GroebnerReport(w=w, match=lead == anti,
                           gb_leading=lead, antidiagonal=anti, basis=basis, schubert=schubert)

@@ -64,7 +64,7 @@ class PartialPermutation:
         for i, j in enumerate(self.assignment, start=1):
             if j is None:
                 continue
-            if not isinstance(j, int):
+            if type(j) is not int:  # a bool is an int, and would render as True
                 raise TypeError(f"row {i} assigned to {j!r}, which is not an int column")
             if not 1 <= j <= self.cols:
                 raise ValueError(f"row {i} assigned to column {j} outside [1, {self.cols}]")

@@ -4,20 +4,21 @@ re-derivations that the package itself has no call for.
 ``is_reduced_groebner_basis`` runs the certification contract on a given
 list, ``reference_buchberger`` is the textbook Buchberger algorithm that
 the engine is checked against and ``division_scanning_every_reducer`` its
-division, ``reference_minor`` is Leibniz's sum for a minor of the generic
-matrix, ``colon_by_variable`` forms (J : c) for a monomial ideal J and a
-variable c, ``column_row`` inverts a partial permutation at one column, and
-``zero_cells`` lists the rank-0 cells of a diagram.  ``_parse_polynomial``
-is the recursive-descent parser that ``PolyRing.parse`` replaced,
+division, ``division_by_the_stated_rule`` is the division rule that
+``normal_form``'s docstring states, for any reducers, ``reference_minor``
+is Leibniz's sum for a minor of the generic matrix, ``colon_by_variable``
+forms (J : c) for a monomial ideal J and a variable c, ``column_row``
+inverts a partial permutation at one column, and ``zero_cells`` lists the
+rank-0 cells of a diagram.  ``_parse_polynomial`` is the recursive-descent
+parser that ``PolyRing.parse`` replaced,
 ``pivot_minor_report_on_supports`` decides lemma 1 by a search on
-frozensets of variable keys, ``pivot_window_three_scans``
-is the window fact with its scan of w's entries, ``pivot_from_essential_set``
-finds the pivot from the essential set as ``find_pivot`` did before it
-scanned the word,
-``extend_by_column_search`` extends a partial permutation by searching each
-row's smallest unused column, and ``reference_classify`` is the complete
-intersection recursion with a fresh diagram per block; each is kept as the
-reference that its replacement is checked against.
+frozensets of variable keys, ``pivot_window_three_scans`` is the window
+fact with its scan of w's entries, ``pivot_from_essential_set`` finds the
+pivot from the essential set as ``find_pivot`` did before it scanned the
+word, ``extend_by_column_search`` extends a partial permutation by
+searching each row's smallest unused column, and ``reference_classify`` is
+the complete intersection recursion with a fresh diagram per block; each
+is kept as the reference that its replacement is checked against.
 """
 import itertools
 import re
@@ -61,6 +62,31 @@ def division_scanning_every_reducer(f: Polynomial, reducers: Sequence[Polynomial
                 break
         else:
             term = ring.polynomial({m: c})
+            remainder, f = remainder + term, f - term
+    return remainder
+
+
+def division_by_the_stated_rule(f: Polynomial, reducers: Sequence[Polynomial]) -> Polynomial:
+    """The remainder of f by nonzero ``reducers``, which need not be monic
+    or a Groebner basis, by the rule ``poly.normal_form`` states, followed
+    literally: the largest term left is dropped when a reducer that is a
+    single variable times a unit divides it; otherwise the reducer with the
+    smallest lead dividing it, the first in input order among equal leads,
+    cancels it; a term that no lead divides moves to the remainder."""
+    ring = f.ring
+    variables = [g.leading_monomial() for g in reducers
+                 if len(g) == 1 and ring.monomial_degree(g.leading_monomial()) == 1]
+    remainder = ring.const(0)
+    while f:
+        m, c = f.terms()[0]
+        term = ring.polynomial({m: c})
+        dividing = [g for g in reducers if monomial_divides(g.leading_monomial(), m)]
+        if any(monomial_divides(v, m) for v in variables):
+            f = f - term
+        elif dividing:
+            g = min(dividing, key=lambda g: g.leading_monomial()).monic()
+            f = f - g.mul_term(monomial_quotient(m, g.leading_monomial()), c)
+        else:
             remainder, f = remainder + term, f - term
     return remainder
 
@@ -119,7 +145,7 @@ def colon_by_variable(J: MonomialIdeal, c: Monomial) -> MonomialIdeal:
     if J.ring.monomial_degree(c) != 1:
         raise ValueError("expected a single variable")
     gens = [monomial_quotient(m, c) if monomial_divides(c, m) else m for m in J.gens]
-    return MonomialIdeal.from_monomials(J.ring, gens)
+    return MonomialIdeal(J.ring, gens)
 
 
 def column_row(w: PartialPermutation, j: int) -> Optional[int]:

@@ -121,7 +121,7 @@ def test_criterion_2a_full_s5_census():
                 assert report.match
                 # the leads of the reduced basis are minimal as they stand
                 leads = [g.leading_monomial() for g in report.basis]
-                assert report.gb_leading == MonomialIdeal.from_monomials(
+                assert report.gb_leading == MonomialIdeal(
                     report.gb_leading.ring, leads)
                 assert len(leads) == len(report.gb_leading.gens)
                 J = antidiagonal_ideal(w)

@@ -3,6 +3,7 @@ monomial-ideal utilities.  Golden values come from the worked 35142 example;
 sweeps re-derive everything from definitions or independent brute force."""
 
 import collections
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -19,7 +20,7 @@ from msvkit.perm import (PartialPermutation, all_partial_permutations,
                          all_permutations, coxeter_length, diagram, essential_set,
                          extend_to_permutation, identity, render_one_line)
 from msvkit.poly import (PolyRing, antidiagonal_monomial, certified, ideals_equal, minor,
-                         monomial_divides, s_polynomial)
+                         monomial_divides, monomial_mul, s_polynomial)
 from msvkit.ci import minimal_generator_count
 from msvkit.detideal import (MonomialIdeal, antidiagonal_ideal, fulton_generators,
                              graded_minimal_generators, is_nonzerodivisor_on_monomial_quotient,
@@ -156,7 +157,7 @@ def test_antidiagonal_ideal_equals_leading_terms_of_raw_minors():
     # expanded minors, minimalized
     for w in itertools.chain(all_permutations(4), [w_("35142")]):
         schubert = fulton_generators(w)
-        from_leads = MonomialIdeal.from_monomials(
+        from_leads = MonomialIdeal(
             schubert.ring, (g.leading_monomial() for g in schubert.raw_generators))
         assert from_leads.gens == antidiagonal_ideal(w, schubert.ring).gens
 
@@ -203,7 +204,7 @@ def test_the_corner_pass_is_the_per_site_public_calls(char):
             where = [sites.index(site) for site in schubert.sites]
             assert where == sorted(set(where), key=lambda k: (len(sites[k][0]), k))
             assert schubert.generators == tuple(raw[k] for k in where)
-            J = MonomialIdeal.from_monomials(ring, (
+            J = MonomialIdeal(ring, (
                 antidiagonals.setdefault((ring, site), antidiagonal_monomial(ring, *site))
                 for site in sites))
             # the J_w verify_groebner builds from its generators' cells
@@ -269,11 +270,11 @@ def _brute_force_codim(J):
 
 def test_monomial_codim_goldens():
     r = PolyRing(5, 5)
-    principal = MonomialIdeal.from_monomials(r, [r.monomial({(1, 1): 1})])
+    principal = MonomialIdeal(r, [r.monomial({(1, 1): 1})])
     assert monomial_codim(principal) == 1
     assert monomial_codim(antidiagonal_ideal(w_("35142"))) == 6
     assert monomial_codim(antidiagonal_ideal(w_("462153"))) == 9
-    assert monomial_codim(MonomialIdeal.from_monomials(r, [])) == 0
+    assert monomial_codim(MonomialIdeal(r, [])) == 0
 
 
 def test_monomial_codim_matches_brute_force_on_s4():
@@ -291,7 +292,7 @@ def test_monomial_codim_matches_brute_force_on_random_squarefree_ideals():
             cells = rng.sample([(i, j) for i in range(1, 4) for j in range(1, 4)],
                                rng.randint(1, 3))
             gens.append(r.monomial({c: 1 for c in cells}))
-        J = MonomialIdeal.from_monomials(r, gens)
+        J = MonomialIdeal(r, gens)
         assert monomial_codim(J) == _brute_force_codim(J)
 
 
@@ -302,7 +303,7 @@ def test_monomial_codim_equals_length_for_s5():
 
 def test_monomial_codim_rejects_non_squarefree():
     r = PolyRing(2, 2)
-    J = MonomialIdeal.from_monomials(r, [r.monomial({(1, 1): 2})])
+    J = MonomialIdeal(r, [r.monomial({(1, 1): 2})])
     with pytest.raises(ValueError):
         monomial_codim(J)
 
@@ -326,20 +327,31 @@ def test_nonzerodivisor_goldens():
     r = J.ring
     assert is_nonzerodivisor_on_monomial_quotient(r.monomial({(1, 3): 1}), J)
     r2 = PolyRing(2, 2)
-    J2 = MonomialIdeal.from_monomials(r2, [r2.monomial({(1, 1): 1, (2, 2): 1})])
+    J2 = MonomialIdeal(r2, [r2.monomial({(1, 1): 1, (2, 2): 1})])
     assert not is_nonzerodivisor_on_monomial_quotient(r2.monomial({(1, 1): 1}), J2)
-    J3 = MonomialIdeal.from_monomials(r2, [r2.monomial({(2, 2): 1})])
+    J3 = MonomialIdeal(r2, [r2.monomial({(2, 2): 1})])
     assert is_nonzerodivisor_on_monomial_quotient(r2.monomial({(1, 1): 1}), J3)
 
 
 def test_nonzerodivisor_agrees_with_the_colon_ideal_on_s4():
-    for w in all_permutations(4):
-        J = antidiagonal_ideal(w)
-        for i in range(1, 5):
-            for j in range(1, 5):
+    # the J_w of S_4, then ideals that are not squarefree: those J_w with
+    # their generators squared, and seeded random ones with exponents to 2
+    # in a 3 x 3 ring, where the proof needs only minimal generators
+    ideals = [antidiagonal_ideal(w) for w in all_permutations(4)]
+    ideals += [MonomialIdeal(J.ring, (monomial_mul(m, m) for m in J.gens)) for J in ideals]
+    rng = random.Random(29)
+    r = PolyRing(3, 3)
+    cells = [(i, j) for i in range(1, 4) for j in range(1, 4)]
+    ideals += [MonomialIdeal(r, (r.monomial({cell: rng.randint(0, 2) for cell in cells})
+                                 for _ in range(rng.randint(1, 5))))
+               for _ in range(200)]
+    assert sum(not J.is_squarefree() for J in ideals) > 200
+    for J in ideals:
+        for i in range(1, J.ring.rows + 1):
+            for j in range(1, J.ring.cols + 1):
                 c = J.ring.monomial({(i, j): 1})
                 assert is_nonzerodivisor_on_monomial_quotient(c, J) == \
-                    (colon_by_variable(J, c).gens == J.gens)
+                    (colon_by_variable(J, c) == J)
 
 
 def test_nonzerodivisor_requires_a_variable():
@@ -351,10 +363,45 @@ def test_nonzerodivisor_requires_a_variable():
 def test_monomial_ideal_minimalizes_its_generators():
     r = PolyRing(2, 2)
     x, y = r.monomial({(1, 1): 1}), r.monomial({(1, 1): 1, (2, 2): 1})
-    J = MonomialIdeal.from_monomials(r, [y, x, x])
+    J = MonomialIdeal(r, [y, x, x])
     assert J.gens == (x,)
     assert J.contains_monomial(y)
     assert not J.contains_monomial(r.monomial({(2, 2): 1}))
+
+
+def test_the_constructor_minimalizes_whatever_it_is_given():
+    # unsorted, repeated and non-minimal generators, each with its minimal
+    # set; the dataclass's own __init__ once kept them as given, so ==,
+    # gens and rendered() misjudged the ideal, and the squarefree and
+    # nonzerodivisor answers read the multiples
+    r = PolyRing(2, 2)
+    x11, x12, x21, x22 = (r.monomial({cell: 1}) for cell in [(1, 1), (1, 2), (2, 1), (2, 2)])
+    x11_x22, x11_sq = monomial_mul(x11, x22), monomial_mul(x11, x11)
+    cases = [
+        ((x11_x22, x22), {x22}),
+        ((x11_sq, x11), {x11}),
+        ((x22, x11, x22, x12), {x11, x12, x22}),
+        ((x11_x22, x11_sq, x11_x22), {x11_x22, x11_sq}),
+        ((monomial_mul(x11_sq, x12), x12, x11_sq, x21), {x11_sq, x12, x21}),
+        ((r.monomial({}), x11_x22), {r.monomial({})}),
+        ((), set()),
+    ]
+    for given, minimal in cases:
+        canonical = tuple(sorted(minimal, key=lambda m: (r.monomial_degree(m), m)))
+        J = MonomialIdeal(r, given)
+        assert J == MonomialIdeal(r, canonical)
+        assert J.gens == canonical
+        assert J.rendered() == tuple(r.render_monomial(m) for m in canonical)
+        assert J.is_squarefree() == all(r.is_squarefree(m) for m in minimal)
+        for c in (x11, x12, x21, x22):
+            assert is_nonzerodivisor_on_monomial_quotient(c, J) == \
+                (not any(monomial_divides(c, m) for m in minimal))
+        # replace builds through the constructor too
+        assert dataclasses.replace(MonomialIdeal(r, (x12,)), gens=given) == J
+    assert is_nonzerodivisor_on_monomial_quotient(x11, MonomialIdeal(r, (x11_x22, x22)))
+    assert MonomialIdeal(r, (x11_sq, x11)).is_squarefree()
+    assert dataclasses.replace(MonomialIdeal(r, (x22,)), gens=(x11_x22, x11, x11)).gens == (x11,)
+    assert not hasattr(MonomialIdeal, "from_monomials")
 
 
 MINIMALIZE_CELLS = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)]
@@ -364,13 +411,13 @@ MINIMALIZE_CELLS = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)]
 @example(exponents=[(0,) * 6, (1, 0, 0, 0, 0, 0), (0,) * 6])
 @example(exponents=[(2, 0, 0, 0, 1, 0), (1, 0, 0, 0, 1, 0), (2, 0, 0, 0, 1, 0), (0, 3, 0, 0, 0, 0)])
 @given(exponents=st.lists(st.tuples(*[st.integers(0, 3)] * len(MINIMALIZE_CELLS)), max_size=10))
-def test_from_monomials_is_the_brute_force_minimalization(exponents):
+def test_the_constructor_is_the_brute_force_minimalization(exponents):
     # duplicates, squares and the unit monomial among the inputs
     r = PolyRing(2, 3)
     monomials = [r.monomial(zip(MINIMALIZE_CELLS, e)) for e in exponents]
     minimal = {m for m in monomials
                if not any(d != m and monomial_divides(d, m) for d in monomials)}
-    assert MonomialIdeal.from_monomials(r, monomials).gens == \
+    assert MonomialIdeal(r, monomials).gens == \
         tuple(sorted(minimal, key=lambda m: (r.monomial_degree(m), m)))
 
 

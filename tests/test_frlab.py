@@ -266,7 +266,7 @@ def test_pivot_minor_search_agrees_with_the_support_reference(drawn):
     w, cell_sets = drawn
     setup = setup_(w)
     J = setup.groebner.antidiagonal
-    # the generators need not be minimal: a set may contain another
+    # a drawn set may contain another, which the constructor drops
     J = dataclasses.replace(J, gens=tuple(J.ring.monomial(dict.fromkeys(cells, 1))
                                           for cells in cell_sets))
     setup = with_antidiagonal(setup, J)
@@ -334,24 +334,25 @@ def test_pivot_initial_ideal_exhaustive_s4():
 
 
 def test_lemma_2_ideals_are_the_minimalized_ones():
-    # the report sorts the leads and drops the generators of J_w that c
-    # divides instead of minimalizing; both must equal the minimalized
-    # ideals.  c divides no generator of J_w itself (lemma 3), so each w is
-    # also checked against J_w with c * x[n,n] adjoined.
+    # both ideals must be the minimalized ones, whatever order the leads
+    # come in.  c divides no generator of J_w itself (lemma 3), so each w
+    # is also checked against J_w with c * x[n,n] adjoined, which the
+    # expected ideal must drop.
     sample = nonregular(5) + random.Random(53).sample(nonregular(6), 60)
     for w in sample:
         setup = setup_(w)
         ring = setup.ring
         c = ring.monomial({setup.c_cell: 1})
         basis = poly.buchberger((ring.variable(*setup.c_cell),) + setup.groebner.basis)
-        lead = MonomialIdeal.from_monomials(ring, (g.leading_monomial() for g in basis))
+        lead = MonomialIdeal(ring, (g.leading_monomial() for g in basis))
         corner = poly.monomial_mul(c, ring.monomial({(w.rows, w.cols): 1}))
         J = setup.groebner.antidiagonal
-        for antidiagonal in (J, MonomialIdeal.from_monomials(ring, J.gens + (corner,))):
+        for antidiagonal in (J, MonomialIdeal(ring, J.gens + (corner,))):
             report = verify_pivot_initial_ideal(with_antidiagonal(setup, antidiagonal))
             assert report.lead == lead, w.one_line()
-            assert report.expected == MonomialIdeal.from_monomials(
+            assert report.expected == MonomialIdeal(
                 ring, (c,) + antidiagonal.gens), w.one_line()
+            assert c in report.expected.gens and corner not in report.expected.gens
 
 
 @pytest.mark.parametrize("char", [0, 32003])
@@ -367,7 +368,7 @@ def test_lemma_2_leads_are_those_of_buchberger_on_the_pivot_and_the_basis(char):
         ring = setup.ring
         with poly.certified():
             basis = poly.buchberger((ring.variable(*setup.c_cell),) + setup.groebner.basis)
-        lead = MonomialIdeal.from_monomials(ring, (g.leading_monomial() for g in basis))
+        lead = MonomialIdeal(ring, (g.leading_monomial() for g in basis))
         assert verify_pivot_initial_ideal(setup).lead == lead, w.one_line()
 
 
@@ -392,7 +393,7 @@ def test_lemma_2_reports_the_containment_when_the_ideals_differ():
         with_antidiagonal(setup, dataclasses.replace(J, gens=J.gens[1:])))
     assert (smaller.ok, smaller.contains_expected) == (False, True)
     larger = verify_pivot_initial_ideal(with_antidiagonal(
-        setup, MonomialIdeal.from_monomials(J.ring, J.gens + (J.ring.monomial({(5, 5): 1}),))))
+        setup, MonomialIdeal(J.ring, J.gens + (J.ring.monomial({(5, 5): 1}),))))
     assert (larger.ok, larger.contains_expected) == (False, False)
 
 
@@ -428,7 +429,7 @@ def test_lemma_2_in_verify_all_forms_no_s_pair_when_the_pivot_divides_no_lead(
     calls["other"] = 0
     restart = poly.buchberger((c,) + setup.groebner.basis)
     assert calls["other"] == restart_pairs
-    assert verify_pivot_initial_ideal(setup).lead == MonomialIdeal.from_monomials(
+    assert verify_pivot_initial_ideal(setup).lead == MonomialIdeal(
         setup.ring, (g.leading_monomial() for g in restart))
 
 

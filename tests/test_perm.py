@@ -77,9 +77,11 @@ def test_a_column_that_is_not_an_integer_is_refused():
             w_(word)
         assert err.value.position == position
     assert w_(iter([2, 3, 1])).one_line() == (2, 3, 1)
-    # a grid whose matrix would be all zeros while its diagram held a rank-1 cell
-    with pytest.raises(TypeError, match="row 1"):
-        PartialPermutation(2, 2, (1.5, None))
+    # a grid whose matrix would be all zeros while its diagram held a rank-1
+    # cell, and a bool, which is an int that would render as "True2"
+    for assignment in ((1.5, None), (True, 2)):
+        with pytest.raises(TypeError, match="^row 1 assigned to .*, which is not an int column$"):
+            PartialPermutation(2, 2, assignment)
 
 
 def test_matrix_construction_and_validation():

@@ -26,7 +26,8 @@ from msvkit.poly import (EXPONENT_BOUND, ExponentOverflowError, GroebnerCertific
                          monomial_divides, monomial_lcm,
                          monomial_mul, monomial_quotient, normal_form, normal_forms,
                          s_polynomial, saturate, transplant)
-from reference import (_parse_polynomial, division_scanning_every_reducer,
+from reference import (_parse_polynomial, division_by_the_stated_rule,
+                       division_scanning_every_reducer,
                        is_reduced_groebner_basis, reference_buchberger, reference_minor)
 from substitution_oracle import pivot_substitution
 
@@ -639,6 +640,60 @@ def test_normal_form_remainder_is_in_the_coset():
             for reducers in (gens, gb):
                 assert normal_forms(fs, reducers) == tuple(normal_form(h, reducers) for h in fs)
     assert normal_forms((), [RING.one()]) == ()
+
+
+# reducers that are no Groebner basis, in a 2 x 2 ring so that leads often
+# repeat: squarefree terms with coefficients that need not be 1, and
+# variables (cell index, unit) mixed in
+DIVISION_CELLS = [(1, 1), (1, 2), (2, 1), (2, 2)]
+DIVISION_REDUCERS = st.lists(
+    st.lists(st.tuples(st.tuples(*[st.integers(0, 1)] * len(DIVISION_CELLS)),
+                       st.integers(-3, 3)), min_size=1, max_size=3),
+    max_size=4)
+DIVISION_VARIABLES = st.lists(
+    st.tuples(st.integers(0, len(DIVISION_CELLS) - 1),
+              st.integers(1, 3) | st.integers(-3, -1)), max_size=2)
+DIVISION_DIVIDENDS = st.lists(
+    st.lists(st.tuples(st.tuples(*[st.integers(0, 2)] * len(DIVISION_CELLS)),
+                       st.integers(-3, 3)), min_size=1, max_size=4),
+    min_size=1, max_size=3)
+X11_X21 = (1, 0, 1, 0)
+X12_X22 = (0, 1, 0, 1)
+
+
+@settings(max_examples=200, deadline=None)
+# equal leads: the first in input order cancels x[1,2]*x[2,2]
+@example(others=[[(X12_X22, 2), (X11_X21, 1)], [(X12_X22, 1), ((0, 0, 0, 1), 5)]],
+         variables=[], dividends=[[(X12_X22, 1)]], shuffle=0, char=0)
+# the smaller lead wins over input order, and a variable times a unit
+# erases before either
+@example(others=[[(X11_X21, 3), ((0, 0, 1, 0), 1)], [((1, 0, 0, 0), 2), ((0, 0, 0, 1), -1)]],
+         variables=[(3, -2)], dividends=[[((1, 0, 1, 1), 1), ((2, 0, 1, 0), 1)]],
+         shuffle=5, char=32003)
+# a constant reducer takes every term
+@example(others=[[((0, 0, 0, 0), 2)]], variables=[(1, 1)],
+         dividends=[[(X12_X22, 1), ((1, 0, 0, 0), 3)]], shuffle=0, char=0)
+@given(others=DIVISION_REDUCERS, variables=DIVISION_VARIABLES, dividends=DIVISION_DIVIDENDS,
+       shuffle=st.integers(0, 2 ** 16), char=st.sampled_from([0, 32003]))
+def test_normal_forms_follow_the_stated_rule_for_any_reducers(
+        others, variables, dividends, shuffle, char):
+    """``normal_form``'s docstring fixes which reducer acts on each term, so
+    the remainder by reducers that are no Groebner basis, whose remainder
+    the ideal does not determine, is still pinned."""
+    ring = PolyRing(2, 2, char=char)
+
+    def polys(gens):
+        made = (ring.polynomial([(ring.monomial(zip(DIVISION_CELLS, e)), c) for e, c in g])
+                for g in gens)
+        return [f for f in made if f]
+
+    reducers = polys(others) + [ring.variable(*DIVISION_CELLS[k]).scale(c)
+                                for k, c in variables]
+    random.Random(shuffle).shuffle(reducers)
+    fs = polys(dividends)
+    expected = tuple(division_by_the_stated_rule(f, reducers) for f in fs)
+    assert normal_forms(fs, reducers) == expected
+    assert tuple(normal_form(f, reducers) for f in fs) == expected
 
 
 def test_normal_form_rejects_zero_reducers():
