@@ -79,11 +79,6 @@ def monomial_quotient_membership(f: Polynomial, gens: Sequence[Monomial]) -> boo
     return all(any(monomial_divides(g, m) for g in gens) for m in f.monomials())
 
 
-def _check_variable(ring: PolyRing, c: Monomial):
-    if ring.monomial_degree(c) != 1:
-        raise ValueError("expected a single variable")
-
-
 def is_nonzerodivisor_on_monomial_quotient(c: Monomial, J: MonomialIdeal) -> bool:
     """Whether the variable c is a nonzerodivisor on the quotient by the
     monomial ideal J: exactly when c divides no minimal generator, which
@@ -91,7 +86,8 @@ def is_nonzerodivisor_on_monomial_quotient(c: Monomial, J: MonomialIdeal) -> boo
     generator that c does not divide divides c*m, and so divides m.  If c
     divides a generator g, then c * (g/c) lies in J while g/c does not,
     being a proper divisor of a minimal generator."""
-    _check_variable(J.ring, c)
+    if J.ring.monomial_degree(c) != 1:
+        raise ValueError("expected a single variable")
     return not any(monomial_divides(c, m) for m in J.gens)
 
 

@@ -53,8 +53,7 @@ from typing import Iterable, Iterator, Optional
 
 from .perm import (Cell, PartialPermutation, all_permutations, coxeter_length,
                    delete_row_col, diagram, render_one_line)
-from .poly import (Monomial, Polynomial, PolyRing, buchberger, minor, monomial_divides,
-                   normal_forms)
+from .poly import Polynomial, PolyRing, buchberger, minor, normal_forms
 from .detideal import (GroebnerReport, MonomialIdeal, fulton_generators,
                        is_nonzerodivisor_on_monomial_quotient, monomial_quotient_membership,
                        verify_groebner)
@@ -197,19 +196,21 @@ class InitialIdealReport:
 
 def verify_pivot_initial_ideal(setup: LocalizationSetup) -> InitialIdealReport:
     """Check in(<c> + I_w) = <c> + J_w from the reduced Groebner basis B of
-    I_w.  When the pivot variable c divides no lead of B
-    (``_nonzerodivisor_on_leads``), as for every w (the leads of B generate
-    J_w by Knutson-Miller, Ann. Math. 2005, Thm B, and c divides no
-    generator of J_w by lemma 3), every S-pair of c and B has coprime leads
-    and so reduces to zero by Buchberger's first criterion
-    (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, ch. 2 section 9),
-    and every S-pair inside B already does.  So c and B form a Groebner
-    basis, read without forming any S-polynomial; otherwise ``buchberger``
-    computes one."""
+    I_w.  When the pivot variable c divides no lead of B, that is, when c is
+    a nonzerodivisor modulo their ideal ``groebner.gb_leading``
+    (``is_nonzerodivisor_on_monomial_quotient``; the leads of a reduced
+    basis are the minimal generators of that ideal), as for every w (the
+    leads of B generate J_w by Knutson-Miller, Ann. Math. 2005, Thm B, and
+    c is a nonzerodivisor modulo J_w by lemma 3), every S-pair of c and B
+    has coprime leads and so reduces to zero by Buchberger's first
+    criterion (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, ch. 2
+    section 9), and every S-pair inside B already does.  So c and B form a
+    Groebner basis, read without forming any S-polynomial; otherwise
+    ``buchberger`` computes one."""
     ring, pivot, groebner = setup.ring, setup.c_cell, setup.groebner
     c = ring.monomial({pivot: 1})
     basis = (ring.variable(*pivot),) + groebner.basis
-    if not _nonzerodivisor_on_leads(c, groebner.basis):
+    if not is_nonzerodivisor_on_monomial_quotient(c, groebner.gb_leading):
         basis = buchberger(basis)
     lead = MonomialIdeal(ring, (g.leading_monomial() for g in basis))
     expected = MonomialIdeal(ring, (c,) + groebner.antidiagonal.gens)
@@ -349,21 +350,18 @@ class LocalizationReport:
     backward_failures: tuple
 
 
-def _nonzerodivisor_on_leads(c: Monomial, basis: tuple) -> bool:
-    """Whether the variable c divides no leading monomial of the Groebner
-    basis ``basis``.  Then c is a nonzerodivisor modulo its ideal I: if c*f
-    lies in I with f a nonzero normal form, some lead divides c*lm(f), hence
-    divides lm(f), which is impossible.  So I : c^infinity = I."""
-    return not any(monomial_divides(c, g.leading_monomial()) for g in basis)
-
-
 def verify_localization_identity(setup: LocalizationSetup) -> LocalizationReport:
     """Verify that inverting the pivot c identifies the extended ideal of I_w
     with I', by normal forms against plain Groebner bases.
 
     Precondition: c divides no lead of the reduced Groebner basis of I_w,
-    ``setup.groebner.basis`` (``_nonzerodivisor_on_leads``); a ValueError is
-    raised otherwise, and no verdict is returned.  It holds for every
+    ``setup.groebner.basis``, that is, c is a nonzerodivisor modulo their
+    ideal ``setup.groebner.gb_leading``, whose minimal generators they are
+    (``is_nonzerodivisor_on_monomial_quotient``); a ValueError is raised
+    otherwise, and no verdict is returned.  Then c is a nonzerodivisor
+    modulo I_w: if c*f lies in I_w with f a nonzero normal form, some lead
+    divides c*lm(f), hence divides lm(f), which is impossible.  So
+    I_w : c^infinity = I_w.  The precondition holds for every
     permutation: those leads generate J_w (Knutson-Miller, Groebner geometry
     of Schubert polynomials, Ann. Math. 2005, Thm B), which is what
     ``setup.groebner.match`` records for w, and c divides no minimal
@@ -407,12 +405,13 @@ def verify_localization_identity(setup: LocalizationSetup) -> LocalizationReport
     not look at them.
     """
     ring, basis, schubert = setup.ring, setup.groebner.basis, setup.groebner.schubert
-    if not _nonzerodivisor_on_leads(ring.monomial({setup.c_cell: 1}), basis):
+    if not is_nonzerodivisor_on_monomial_quotient(ring.monomial({setup.c_cell: 1}),
+                                                  setup.groebner.gb_leading):
         raise ValueError("the pivot divides a leading monomial of the basis of I_w, "
                          "so it is not known to be a nonzerodivisor modulo I_w")
     _, w_prime_generators, cleared, gamma = primed_ideal(setup)
     prime_gens = cleared + gamma
-    *remainders, unit = normal_forms(prime_gens + (ring.one(),), basis)
+    *remainders, unit = normal_forms(prime_gens + (ring.const(1),), basis)
     backward = tuple(g for g, r in zip(prime_gens, remainders) if r)
     proper = bool(unit)
     gb_prime = buchberger(w_prime_generators) + gamma

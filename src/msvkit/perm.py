@@ -81,7 +81,7 @@ class PartialPermutation:
         integers.  An empty field between commas and a token that is not a
         run of decimal digits, such as "+3" or "1_0", are errors at their
         position, and so is an iterable's value that is not an integer
-        (``operator.index`` refuses it), such as 2.7 or "+1".
+        (``operator.index`` refuses it), such as 2.7 or "+1", or is a bool.
 
         >>> PartialPermutation.from_one_line("35142").one_line()
         (3, 5, 1, 4, 2)
@@ -93,6 +93,8 @@ class PartialPermutation:
         seen: dict[int, None] = {}  # the columns in order, each once
         for pos, v in enumerate(values, start=1):
             try:
+                if isinstance(v, bool):  # operator.index would read True as 1
+                    raise TypeError
                 v = operator.index(v)
             except TypeError:
                 raise PermutationParseError(
@@ -220,15 +222,6 @@ def parse_partial_matrix(text: str) -> PartialPermutation:
     return PartialPermutation.from_matrix(matrix)
 
 
-def identity(n: int) -> PartialPermutation:
-    """The identity of S_n.
-
-    >>> identity(3).one_line()
-    (1, 2, 3)
-    """
-    return PartialPermutation(n, n, tuple(range(1, n + 1)))
-
-
 def all_permutations(n: int) -> Iterator[PartialPermutation]:
     """All of S_n in lexicographic one-line order (the canonical census order)."""
     for word in itertools.permutations(range(1, n + 1)):
@@ -279,7 +272,7 @@ def diagram(w: PartialPermutation) -> dict[Cell, int]:
 
     >>> list(diagram(PartialPermutation.from_one_line("35142")))
     [Cell(p=1, q=1), Cell(p=1, q=2), Cell(p=2, q=1), Cell(p=2, q=2), Cell(p=2, q=4), Cell(p=4, q=2)]
-    >>> diagram(identity(4))
+    >>> diagram(PartialPermutation.from_one_line("1234"))
     {}
     """
     inverse = w.inverse_map()

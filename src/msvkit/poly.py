@@ -315,35 +315,12 @@ class PolyRing:
         self.field.axpy(d, normalized, 1)
         return Polynomial(self, d)
 
-    def one(self) -> "Polynomial":
-        return self.const(1)
-
     def const(self, c) -> "Polynomial":
         c = self.field.coeff(c)
         return Polynomial(self, {0: c} if c else {})
 
     def variable(self, i: int, j: int) -> "Polynomial":
         return Polynomial(self, {self.monomial({(i, j): 1}): 1})
-
-    def render(self, f: "Polynomial") -> str:
-        if f.is_zero:
-            return "0"
-        parts = []
-        for k, (m, c) in enumerate(f.terms()):
-            sign = "-" if c < 0 else "+"
-            mag = -c if c < 0 else c
-            body = self.render_monomial(m)
-            if body == "1":
-                text = str(mag)
-            elif mag == 1:
-                text = body
-            else:
-                text = f"{mag}*{body}"
-            if k == 0:
-                parts.append(text if sign == "+" else f"-{text}")
-            else:
-                parts.append(f" {sign} {text}")
-        return "".join(parts)
 
     def parse(self, text: str) -> "Polynomial":
         """Parse a polynomial: signed terms joined by ``+`` or ``-``, the
@@ -480,9 +457,6 @@ class Polynomial:
             self._terms = tuple(sorted(self._d.items(), reverse=True))
         return self._terms
 
-    def coefficient(self, m: Monomial):
-        return self._d.get(m, 0)
-
     def monomials(self) -> tuple:
         return tuple(m for m, _ in self.terms())
 
@@ -542,7 +516,7 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self):
-        return self.scale(-1)
+        return self.mul_term(0, -1)
 
     def __sub__(self, other):
         return self._plus(other, -1)
@@ -552,7 +526,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
-            return self.scale(other)
+            return self.mul_term(0, other)
         self._check_ring(other)
         axpy = self.ring.field.axpy
         d: dict = {}
@@ -562,9 +536,6 @@ class Polynomial:
         return Polynomial(self.ring, d)
 
     __rmul__ = __mul__
-
-    def scale(self, c) -> "Polynomial":
-        return self.mul_term(0, c)
 
     def mul_term(self, mono: Monomial, c=1) -> "Polynomial":
         """c * x^mono * self; a cached lead moves up by mono."""
@@ -600,7 +571,24 @@ class Polynomial:
         return hash((self.ring, frozenset(self._d.items())))
 
     def __repr__(self) -> str:
-        return self.ring.render(self)
+        if not self._d:
+            return "0"
+        parts = []
+        for k, (m, c) in enumerate(self.terms()):
+            sign = "-" if c < 0 else "+"
+            mag = -c if c < 0 else c
+            body = self.ring.render_monomial(m)
+            if body == "1":
+                text = str(mag)
+            elif mag == 1:
+                text = body
+            else:
+                text = f"{mag}*{body}"
+            if k == 0:
+                parts.append(text if sign == "+" else f"-{text}")
+            else:
+                parts.append(f" {sign} {text}")
+        return "".join(parts)
 
     __str__ = __repr__
 
@@ -894,7 +882,13 @@ def certified():
     """Context manager enabling post-hoc certification of every Groebner basis
     computed inside: every S-pair of the output reduces to zero, every input
     generator reduces to zero, and the basis is monic, auto-reduced and
-    sorted.  Raises GroebnerCertificationError on any violation."""
+    sorted.  Raises GroebnerCertificationError on any violation.
+
+    It does not check that the basis lies in the ideal of the generators, so
+    a basis of a larger ideal passes: ``(1,)`` or ``(x[1,1], x[1,2])`` for
+    the generator ``x[1,1]``.  ``test_buchberger_is_the_textbook_algorithm``
+    in the test suite covers that: it compares ``buchberger`` with the
+    textbook algorithm, whose basis lies in the ideal by construction."""
     global _CERTIFY
     previous = _CERTIFY
     _CERTIFY = True
@@ -944,7 +938,7 @@ def buchberger(generators: Sequence[Polynomial]) -> tuple:
                        if len(g._d) == 1 and _is_variable(g.leading_monomial())}.values())
     rest = [f for f in normal_forms(gens, variables) if f]
     result = _interreduce(_buchberger_core(ring, rest))
-    if result[:1] != (ring.one(),):  # the unit ideal absorbs the variables
+    if result[:1] != (ring.const(1),):  # the unit ideal absorbs the variables
         result = tuple(sorted(result + variables, key=Polynomial.leading_monomial))
     if _CERTIFY:
         _certify_basis(ring, gens, result)
@@ -1134,7 +1128,7 @@ def saturate(generators: Sequence[Polynomial], c: Polynomial) -> tuple:
     t = extended.monomial({(1, ring.cols): 1})
     # buchberger rejects a zero generator
     lifted = [Polynomial(extended, g._d) for g in generators]
-    lifted.append(extended.one() - Polynomial(extended, c._d).mul_term(t))
+    lifted.append(extended.const(1) - Polynomial(extended, c._d).mul_term(t))
     kept = [g for g in buchberger(lifted) if g.leading_monomial() < t]
     return tuple(Polynomial(ring, g._d) for g in kept)
 

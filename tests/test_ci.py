@@ -7,8 +7,8 @@ import random
 from pathlib import Path
 
 from msvkit.perm import (Cell, PartialPermutation, all_permutations, coxeter_length,
-                         diagram, extend_to_permutation, identity,
-                         render_one_line, submatrix_w)
+                         diagram, extend_to_permutation, render_one_line,
+                         submatrix_w)
 from msvkit.poly import (Polynomial, PolyRing, antidiagonal_monomial, ideals_equal, minor,
                          monomial_lcm, monomial_mul, normal_forms)
 from msvkit.detideal import antidiagonal_ideal, fulton_generators
@@ -59,7 +59,7 @@ def test_352614_fails_with_witness_at_4_4():
 
 
 def test_identity_is_a_complete_intersection_with_no_generators():
-    report = is_complete_intersection(identity(4))
+    report = is_complete_intersection(PartialPermutation.from_one_line(range(1, 5)))
     assert report.verdict
     assert report.codim == 0
     assert report.generators == ()
@@ -285,7 +285,7 @@ def test_ci_generators_certify_every_verdict_without_a_groebner_basis():
 
 def test_necessary_condition_goldens():
     assert necessary_condition(w_("462153")).ok
-    assert necessary_condition(identity(5)).ok
+    assert necessary_condition(PartialPermutation.from_one_line(range(1, 6))).ok
     report = necessary_condition(w_("361452"))
     assert not report.ok
     assert {(v.cell, v.neighbor) for v in report.violations} == {
@@ -309,7 +309,7 @@ def test_complete_intersections_satisfy_the_necessary_condition():
 
 def test_oracle_goldens():
     assert minimal_generator_count(w_("462153")) == 9
-    assert minimal_generator_count(identity(5)) == 0
+    assert minimal_generator_count(PartialPermutation.from_one_line(range(1, 6))) == 0
     mu = minimal_generator_count(w_("361452"))
     assert mu == 10
     assert mu > coxeter_length(w_("361452"))

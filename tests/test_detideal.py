@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 import msvkit.detideal as detideal
 from msvkit.perm import (PartialPermutation, all_partial_permutations,
                          all_permutations, coxeter_length, diagram, essential_set,
-                         extend_to_permutation, identity, render_one_line)
+                         extend_to_permutation, render_one_line)
 from msvkit.poly import (PolyRing, antidiagonal_monomial, certified, ideals_equal, minor,
                          monomial_divides, monomial_mul, s_polynomial)
 from msvkit.ci import minimal_generator_count
@@ -50,10 +50,10 @@ def test_fulton_35142_minimal_set_is_the_classical_one():
 
 
 def test_fulton_identity_is_the_zero_ideal():
-    schubert = fulton_generators(identity(4))
+    schubert = fulton_generators(PartialPermutation.from_one_line(range(1, 5)))
     assert schubert.generators == ()
     assert schubert.raw_generators == ()
-    assert minimal_generator_count(identity(4)) == 0
+    assert minimal_generator_count(PartialPermutation.from_one_line(range(1, 5))) == 0
 
 
 def test_fulton_4132_minimal_set():
@@ -144,7 +144,7 @@ def test_antidiagonal_ideal_35142_golden():
 
 
 def test_antidiagonal_ideal_identity_is_zero():
-    assert antidiagonal_ideal(identity(5)).is_zero
+    assert antidiagonal_ideal(PartialPermutation.from_one_line(range(1, 6))).is_zero
 
 
 def test_antidiagonal_ideal_is_squarefree():
@@ -226,7 +226,7 @@ def test_verify_groebner_reads_j_w_from_its_own_cells():
 def test_verify_groebner_35142_and_identity():
     with certified():
         assert verify_groebner(w_("35142")).match
-        assert verify_groebner(identity(4)).match
+        assert verify_groebner(PartialPermutation.from_one_line(range(1, 5))).match
 
 
 def test_verify_groebner_on_a_random_s6_sample():
@@ -447,13 +447,13 @@ def test_graded_minimal_generators_drops_duplicates_and_redundant_minors():
     assert graded_minimal_generators(
         r, [f1, f2, x(1, 3) * f1 - x(1, 2) * f2]) == ((0, 1), 2)
     # a constant generates everything, single variables included
-    assert graded_minimal_generators(r, [r.one(), x(1, 1)]) == ((0,), 1)
+    assert graded_minimal_generators(r, [r.const(1), x(1, 1)]) == ((0,), 1)
 
 
 def test_graded_minimal_generators_requires_homogeneous_input():
     r = PolyRing(2, 2)
     with pytest.raises(ValueError, match="graded selection requires homogeneous generators"):
-        graded_minimal_generators(r, [r.variable(1, 1) + r.one()])
+        graded_minimal_generators(r, [r.variable(1, 1) + r.const(1)])
     for bad in (r.const(0), PolyRing(2, 3).variable(1, 1)):
         with pytest.raises(ValueError, match="generators must be nonzero elements of the ring"):
             graded_minimal_generators(r, [r.variable(1, 1), bad])
@@ -510,9 +510,10 @@ def _nakayama_by_linear_algebra(ring, gens):
         for g, e in zip(gens, degrees):
             if e < d:
                 for m in monomials(d - e):
-                    add([(g * ring.polynomial({m: 1})).coefficient(c) for c in columns])
+                    add([dict((g * ring.polynomial({m: 1})).terms()).get(c, 0)
+                         for c in columns])
         kept += [k for k, g in enumerate(gens)
-                 if degrees[k] == d and add([g.coefficient(c) for c in columns])]
+                 if degrees[k] == d and add([dict(g.terms()).get(c, 0) for c in columns])]
     return tuple(kept)
 
 

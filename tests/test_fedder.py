@@ -1,0 +1,87 @@
+"""Fedder's criterion as an oracle for the F-purity of matrix Schubert
+varieties.
+
+Let f = det(X) * prod_{i<n} det(NW_i) * det(SE_{n-i}), with NW_i the
+northwest i x i block of the generic n x n matrix X and SE_j its southeast
+j x j block.  The antidiagonals of NW_i, X and SE_{n-i} are the cells
+(r, s) with r + s = i + 1, n + 1 and n + 1 + i, so the lead of f under
+the antidiagonal order is the product of all n^2 variables, and f^{p-1}
+lies outside m^{[p]} = <x^p : x a variable>.  By Fedder's criterion
+(Trans. AMS 1983) f^{p-1} * I subset I^{[p]} then says that S/I is
+F-pure, with f^{p-1} a splitting compatible with V(I); for the Schubert
+determinantal ideals I_w this is Knutson's splitting (Frobenius splitting,
+point-counting, and degeneration, 2009).
+
+Over F_p the p-th powers of a Groebner basis of I are a Groebner basis of
+I^{[p]}, as Frobenius is flat (Kunz 1969), so membership is a normal form
+against their reduced basis.  f^{p-1} is multiplied in one factor at a time,
+each product reduced before the next factor, so no power of f is expanded.
+"""
+
+import pytest
+
+from msvkit.detideal import fulton_generators
+from msvkit.perm import PartialPermutation, all_permutations
+from msvkit.poly import PolyRing, buchberger, minor, normal_forms
+
+
+def fedder_factors(ring: PolyRing) -> list:
+    """The minors whose product is f: det(X), then det(NW_i) and
+    det(SE_{n-i}) for i = 1, ..., n - 1."""
+    n = ring.rows
+    factors = [minor(ring, range(1, n + 1), range(1, n + 1))]
+    for i in range(1, n):
+        factors.append(minor(ring, range(1, i + 1), range(1, i + 1)))
+        factors.append(minor(ring, range(i + 1, n + 1), range(i + 1, n + 1)))
+    return factors
+
+
+def power(f, e):
+    result = f.ring.const(1)
+    for _ in range(e):
+        result = result * f
+    return result
+
+
+def outside_frobenius_power(generators) -> list:
+    """The generators g of I with g * f^{p-1} outside I^{[p]}, the ring's
+    characteristic p a prime."""
+    ring = generators[0].ring
+    p = ring.char
+    frobenius = buchberger([power(h, p) for h in buchberger(generators)])
+    products = list(generators)
+    for factor in fedder_factors(ring) * (p - 1):
+        products = list(normal_forms([g * factor for g in products], frobenius))
+    return [g for g, rest in zip(generators, products) if rest]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_the_lead_of_f_is_the_product_of_all_variables(n):
+    ring = PolyRing(n, n)
+    f = ring.const(1)
+    for factor in fedder_factors(ring):
+        f = f * factor
+    lead = f.leading_monomial()
+    assert ring.is_squarefree(lead) and ring.monomial_degree(lead) == n * n
+
+
+@pytest.mark.parametrize("n, p", [(3, 2), (3, 3), (4, 2)])
+def test_f_to_the_p_minus_1_splits_every_matrix_schubert_variety(n, p):
+    ring = PolyRing(n, n, char=p)
+    words = [w for w in all_permutations(n) if w.one_line() != tuple(range(1, n + 1))]
+    assert len(words) == {3: 5, 4: 23}[n]
+    for w in words:
+        generators = fulton_generators(w, ring).generators
+        assert generators, w.one_line()
+        assert outside_frobenius_power(generators) == [], w.one_line()
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("text", ["x[1,1]^2", "x[1,1] + x[2,2]"])
+def test_an_ideal_that_f_does_not_split_fails(text, p):
+    # <x[1,1]^2> is not radical, so S/I is not F-pure; and f^{p-1} does not
+    # split the hyperplane x[1,1] + x[2,2] = 0, which is not a Schubert
+    # variety
+    ring = PolyRing(3, 3, char=p)
+    g = ring.parse(text)
+    assert outside_frobenius_power([g]) == [g]

@@ -20,7 +20,7 @@ import msvkit.frlab as frlab
 import msvkit.perm as perm
 import msvkit.poly as poly
 from msvkit.perm import Cell, PartialPermutation, all_permutations, coxeter_length, \
-    identity, render_one_line
+    render_one_line
 from msvkit.poly import (PolyRing, antidiagonal_monomial, minor, monomial_divides,
                          normal_form, saturate, transplant)
 from msvkit.detideal import (MonomialIdeal, antidiagonal_ideal, fulton_generators,
@@ -62,7 +62,7 @@ def setup_(w):
 def test_find_pivot_goldens():
     assert find_pivot(w_("35142")) == Cell(1, 3)
     assert find_pivot(w_("2143")) == Cell(1, 2)
-    assert find_pivot(identity(5)) is None
+    assert find_pivot(PartialPermutation.from_one_line(range(1, 6))) is None
     assert find_pivot(w_(range(5, 0, -1))) is None
 
 
@@ -133,7 +133,7 @@ def test_pivot_window_matches_its_three_scan_definition_on_s4_and_s5():
 
 def test_pivot_window_requires_a_pivot():
     with pytest.raises(ValueError):
-        verify_pivot_window(setup_(identity(3)))
+        verify_pivot_window(setup_(PartialPermutation.from_one_line(range(1, 4))))
 
 
 # ---------------------------------------------------------------------------
@@ -373,15 +373,19 @@ def test_lemma_2_leads_are_those_of_buchberger_on_the_pivot_and_the_basis(char):
 
 
 def test_lemma_2_runs_buchberger_when_the_pivot_divides_a_lead():
-    # with c * x[2,1] as the basis of I_w, c and the basis are no reduced
-    # basis: their leads c and c * x[2,1] are not minimal, and Buchberger
-    # leaves c alone
+    # with g = c * x[2,1] + x[2,2] * x[3,1] as the basis of I_w, and its lead
+    # c * x[2,1] as their lead ideal, c and g are no Groebner basis: g
+    # reduces by c to x[2,2] * x[3,1], a lead that reading the leads of c and
+    # g would miss, and Buchberger leaves c and that remainder
     setup = setup_("35142")
     ring = setup.ring
     c = ring.variable(*setup.c_cell)
-    doctored = dataclasses.replace(
-        setup, groebner=dataclasses.replace(setup.groebner, basis=(c * ring.variable(2, 1),)))
-    assert verify_pivot_initial_ideal(doctored).lead.gens == (c.leading_monomial(),)
+    tail = ring.parse("x[2,2]*x[3,1]")
+    g = c * ring.variable(2, 1) + tail
+    doctored = dataclasses.replace(setup, groebner=dataclasses.replace(
+        setup.groebner, basis=(g,), gb_leading=MonomialIdeal(ring, (g.leading_monomial(),))))
+    assert verify_pivot_initial_ideal(doctored).lead.gens == \
+        (c.leading_monomial(), tail.leading_monomial())
 
 
 def test_lemma_2_reports_the_containment_when_the_ideals_differ():
@@ -690,7 +694,7 @@ def saturation_oracle(w, setup):
     sat_prime = saturate(prime_gens, c)
     forward = tuple(g for g in fulton if not normal_form(g, sat_prime).is_zero)
     backward = tuple(g for g in prime_gens if not normal_form(g, sat_w).is_zero)
-    proper = not normal_form(ring.one(), sat_w).is_zero
+    proper = not normal_form(ring.const(1), sat_w).is_zero
     return not forward and not backward, proper, forward, backward
 
 
@@ -706,11 +710,14 @@ def test_normal_form_identity_agrees_with_the_saturation_oracle():
             saturation_oracle(w, setup), w.one_line()
 
 
-def test_identity_refuses_a_basis_whose_leads_the_pivot_divides(monkeypatch):
+def test_identity_refuses_a_basis_whose_leads_the_pivot_divides():
     setup = setup_("35142")
-    monkeypatch.setattr(frlab, "_nonzerodivisor_on_leads", lambda c, basis: False)
+    ring = setup.ring
+    lead = (ring.variable(*setup.c_cell) * ring.variable(2, 1)).leading_monomial()
+    doctored = dataclasses.replace(setup, groebner=dataclasses.replace(
+        setup.groebner, gb_leading=MonomialIdeal(ring, (lead,))))
     with pytest.raises(ValueError, match="nonzerodivisor"):
-        verify_localization_identity(setup)
+        verify_localization_identity(doctored)
 
 
 def test_no_saturation_when_the_pivot_divides_no_lead():
@@ -837,7 +844,7 @@ def test_saturation_of_the_schubert_ideal_is_proper():
     schubert = fulton_generators(w)
     ring = schubert.ring
     sat = saturate(schubert.generators, ring.variable(1, 3))
-    assert not normal_form(ring.one(), sat).is_zero
+    assert not normal_form(ring.const(1), sat).is_zero
 
 
 # ---------------------------------------------------------------------------

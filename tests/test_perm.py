@@ -10,8 +10,8 @@ import pytest
 from msvkit.perm import (Cell, PartialPermutation, PermutationParseError,
                          all_partial_permutations, all_permutations,
                          coxeter_length, delete_row_col, diagram, essential_set,
-                         extend_to_permutation, identity,
-                         parse_partial_matrix, rank_at, render_one_line, submatrix_w)
+                         extend_to_permutation, parse_partial_matrix, rank_at,
+                         render_one_line, submatrix_w)
 from msvkit.ci import necessary_condition
 from reference import column_row, extend_by_column_search
 
@@ -70,8 +70,10 @@ def test_parse_errors_carry_position():
 
 def test_a_column_that_is_not_an_integer_is_refused():
     # int() would truncate 2.7 and 5/2 to 2 and read "+1" and " 2", which the
-    # text path refuses, so each word below would become 21 or 12
-    for word in ([2.7, 1.2], [Fraction(5, 2), 1], ["+1", " 2"], [1, 2.0]):
+    # text path refuses, and operator.index reads True as 1, so each word
+    # below would become 21 or 12
+    for word in ([2.7, 1.2], [Fraction(5, 2), 1], ["+1", " 2"], [1, 2.0], [True, 2],
+                 [2, True]):
         position = next(k for k, v in enumerate(word, start=1) if type(v) is not int)
         with pytest.raises(PermutationParseError, match=f"position {position}") as err:
             w_(word)
@@ -112,7 +114,7 @@ def test_parse_partial_matrix_text():
 
 def test_rank_at_golden_values():
     assert rank_at(w_("35142"), (2, 4)) == 1
-    assert rank_at(identity(3), (2, 2)) == 2
+    assert rank_at(PartialPermutation.from_one_line(range(1, 4)), (2, 2)) == 2
     assert rank_at(w_("35142"), (5, 5)) == 5
 
 
@@ -148,7 +150,7 @@ def test_diagram_35142_golden():
 
 
 def test_diagram_identity_empty():
-    assert diagram(identity(5)) == {}
+    assert diagram(PartialPermutation.from_one_line(range(1, 6))) == {}
 
 
 def test_diagram_positive_cells_361452():
@@ -201,7 +203,7 @@ def test_diagram_matches_definition():
 def test_essential_set_goldens():
     assert essential_set(w_("35142")) == (
         (Cell(2, 2), 0), (Cell(2, 4), 1), (Cell(4, 2), 1))
-    assert essential_set(identity(4)) == ()
+    assert essential_set(PartialPermutation.from_one_line(range(1, 5))) == ()
     positive = tuple((c, r) for c, r in essential_set(w_("352614")) if r > 0)
     assert positive == ((Cell(2, 4), 1), (Cell(4, 4), 2))
 
@@ -227,7 +229,7 @@ def test_essential_cells_are_southeast_maximal_diagram_cells():
 
 def test_coxeter_length_goldens():
     assert coxeter_length(w_("35142")) == 6
-    assert coxeter_length(identity(7)) == 0
+    assert coxeter_length(PartialPermutation.from_one_line(range(1, 8))) == 0
     assert coxeter_length(w_("462153")) == 9
 
 
@@ -251,7 +253,7 @@ def test_extend_zero_matrix():
 
 
 def test_extend_full_identity_has_empty_diagram():
-    wt = extend_to_permutation(identity(3))
+    wt = extend_to_permutation(PartialPermutation.from_one_line(range(1, 4)))
     assert wt.size == 6
     assert diagram(wt) == {}
 

@@ -16,8 +16,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import msvkit.poly as poly
-from msvkit.perm import PartialPermutation, all_permutations, render_one_line
-from msvkit.detideal import fulton_generators, verify_groebner
+from msvkit.perm import (PartialPermutation, PermutationParseError, all_permutations,
+                         render_one_line)
+from msvkit.detideal import MonomialIdeal, fulton_generators, monomial_codim, verify_groebner
 from msvkit.frlab import build_localization, find_pivot, primed_ideal, verify_all
 from msvkit.poly import (EXPONENT_BOUND, ExponentOverflowError, GroebnerCertificationError,
                          Polynomial, PolyRing, _lcm, antidiagonal_monomial,
@@ -451,7 +452,7 @@ def test_ring_axioms_randomized(char):
         assert (f * g) * h == f * (g * h)
         assert f * (g + h) == f * g + f * h
         assert f + ring.const(0) == f
-        assert f * ring.one() == f
+        assert f * ring.const(1) == f
         assert f - f == ring.const(0)
 
 
@@ -477,7 +478,7 @@ def test_coefficients_are_ints_or_fractions_in_every_field(char):
         assert not ring.const(2) == bad
         assert ring.const(2) != bad
     assert x in [None, x] and x != None and None != x
-    assert ring.const(True) == ring.one() and ring.const(False) == ring.const(0)
+    assert ring.const(True) == ring.const(1) and ring.const(False) == ring.const(0)
     assert ring.const(Fraction(3, 2)) * 2 == ring.const(3)
     # a polynomial never equals a scalar, so equal objects hash equal
     assert ring.const(2) != 2 and 2 not in {ring.const(2)}
@@ -504,7 +505,7 @@ def test_equal_polynomials_hash_equal(char, a, b, shift, scalar):
     # multiple of the characteristic and given as Fractions
     same = build([(e, Fraction(c + shift * char)) for e, c in reversed(a)])
     assert f == same
-    for x, y in ((f, g), (f, same), (f, f + g - g), (g, g * ring.one()),
+    for x, y in ((f, g), (f, same), (f, f + g - g), (g, g * ring.const(1)),
                  (f, ring.const(scalar)), (f, scalar), (f, Fraction(scalar, 3)),
                  (scalar, f)):
         if x == y:
@@ -580,7 +581,7 @@ def test_independent_keeps_exactly_the_rows_that_raise_the_rank(rows, char):
             fs.append(sum((fs[k % len(fs)] * c for k, c in data), ring.const(0))
                       if fs else ring.const(0))
     columns = sorted({m for f in fs for m in f.monomials()})
-    vectors = [[f.coefficient(m) for m in columns] for f in fs]
+    vectors = [[dict(f.terms()).get(m, 0) for m in columns] for f in fs]
     expected = tuple(k for k in range(len(fs))
                      if _rank(vectors[:k + 1], char) > _rank(vectors[:k], char))
     assert poly.independent(fs) == expected
@@ -636,10 +637,10 @@ def test_normal_form_remainder_is_in_the_coset():
             for m, _ in r.terms():
                 assert not any(monomial_divides(g.leading_monomial(), m) for g in gens)
             # one shared reducer list gives each dividend its own normal form
-            fs = [f, f - r, ring.one()] + [rand_poly(ring, rng, 4, 3) for _ in range(3)]
+            fs = [f, f - r, ring.const(1)] + [rand_poly(ring, rng, 4, 3) for _ in range(3)]
             for reducers in (gens, gb):
                 assert normal_forms(fs, reducers) == tuple(normal_form(h, reducers) for h in fs)
-    assert normal_forms((), [RING.one()]) == ()
+    assert normal_forms((), [RING.const(1)]) == ()
 
 
 # reducers that are no Groebner basis, in a 2 x 2 ring so that leads often
@@ -687,7 +688,7 @@ def test_normal_forms_follow_the_stated_rule_for_any_reducers(
                 for g in gens)
         return [f for f in made if f]
 
-    reducers = polys(others) + [ring.variable(*DIVISION_CELLS[k]).scale(c)
+    reducers = polys(others) + [ring.variable(*DIVISION_CELLS[k]) * c
                                 for k, c in variables]
     random.Random(shuffle).shuffle(reducers)
     fs = polys(dividends)
@@ -698,7 +699,7 @@ def test_normal_forms_follow_the_stated_rule_for_any_reducers(
 
 def test_normal_form_rejects_zero_reducers():
     with pytest.raises(ValueError):
-        normal_form(RING.one(), [RING.const(0)])
+        normal_form(RING.const(1), [RING.const(0)])
 
 
 # ---------------------------------------------------------------------------
@@ -712,7 +713,7 @@ def test_buchberger_principal_monomial_ideal():
 def test_buchberger_unit_ideal():
     r = PolyRing(2, 2)
     gb = buchberger([r.parse("x[1,1]*x[2,2] - 1"), r.parse("x[1,1]")])
-    assert gb == (r.one(),)
+    assert gb == (r.const(1),)
 
 
 def test_buchberger_fulton_35142_leads_are_antidiagonals():
@@ -826,13 +827,13 @@ def test_splitting_off_the_variables_is_buchberger_on_the_union(
         return [f for f in made if f]
 
     rest = polys(others)
-    xs = [ring.variable(*SPLIT_CELLS[k]).scale(c) for k, c in variables]
+    xs = [ring.variable(*SPLIT_CELLS[k]) * c for k, c in variables]
     gens = rest + xs
     random.Random(shuffle).shuffle(gens)
     with certified():
         gb = buchberger(gens)
         assert gb == reference_buchberger(gens)
-    if gb != (ring.one(),):
+    if gb != (ring.const(1),):
         assert {ring.variable(*SPLIT_CELLS[k]) for k, _ in variables} <= set(gb)
     fs = polys(dividends)
     assert normal_forms(fs, gb) == tuple(division_scanning_every_reducer(f, gb) for f in fs)
@@ -869,6 +870,20 @@ def test_a_groebner_basis_that_is_not_minimal_fails_certification():
         assert buchberger(not_minimal) == (r.variable(1, 1),)
 
 
+def test_certification_rejects_a_zero_or_non_monic_element_and_a_lost_generator():
+    r = PolyRing(2, 2)
+    x11, x12 = r.variable(1, 1), r.variable(1, 2)
+    for gens, basis, message in (((r.const(0),), (r.const(0),), "basis element not monic"),
+                                 ((x11 * 2,), (x11 * 2,), "basis element not monic"),
+                                 ((x12,), (x11,), "input generator does not reduce to 0")):
+        with pytest.raises(GroebnerCertificationError, match=f"^{message}$"):
+            poly._certify_basis(r, gens, basis)
+    # the limit that certified() states: a basis of a larger ideal than the
+    # generators' passes
+    for basis in ((r.const(1),), (x11, x12)):
+        poly._certify_basis(r, (x11,), basis)
+
+
 def test_certification_rejects_a_cached_lead_that_is_not_the_largest_term():
     r = PolyRing(2, 2)
     f = r.parse("x[1,2] - x[1,1]")
@@ -901,7 +916,7 @@ def test_saturate_principal_cases():
     assert saturate((c * r.variable(2, 2),), c) == (r.variable(2, 2),)
     assert saturate((r.variable(1, 1),), r.variable(2, 2)) == (r.variable(1, 1),)
     # the zero ideal: the basis of <1 - t*c> alone keeps nothing free of t
-    assert saturate((), c) == saturate((), r.one()) == ()
+    assert saturate((), c) == saturate((), r.const(1)) == ()
 
 
 def test_saturate_strips_exactly_the_c_factors():
@@ -910,7 +925,7 @@ def test_saturate_strips_exactly_the_c_factors():
     f = r.variable(2, 2)
     # I = <c * f * (1 + c f)>: saturating at c removes the c factor only
     sat = saturate((c * f + c * c * f * f,), c)
-    assert normal_form(f * (r.one() + c * f), sat).is_zero
+    assert normal_form(f * (r.const(1) + c * f), sat).is_zero
     assert not normal_form(f, sat).is_zero
 
 
@@ -934,7 +949,7 @@ def test_saturate_idempotent_on_random_small_ideals():
 
 def test_saturate_validation():
     with pytest.raises(ValueError):
-        saturate((RING.one(),), RING.const(0))
+        saturate((RING.const(1),), RING.const(0))
 
 
 def test_saturate_generator_validation():
@@ -1068,8 +1083,8 @@ def test_render_parse_roundtrip_randomized():
 
 def test_parser_accepts_fractions_powers_and_any_term_order():
     f = RING.parse("3/2*x[1,1]^2 - 1/2 + x[2,2]*x[1,1]")
-    assert f.coefficient(mono({(1, 1): 2})) == Fraction(3, 2)
-    assert f.coefficient(RING.monomial({})) == Fraction(-1, 2)
+    assert dict(f.terms()).get(mono({(1, 1): 2}), 0) == Fraction(3, 2)
+    assert dict(f.terms()).get(RING.monomial({}), 0) == Fraction(-1, 2)
     assert RING.parse("x[1,3]*x[2,4] - x[1,4]*x[2,3]") == minor(RING, [1, 2], [3, 4])
 
 
@@ -1089,7 +1104,7 @@ def test_a_denominator_that_p_divides_is_named_in_the_error(p):
         ring.parse(f"3/{2 * p}*x[2,2]")
     with pytest.raises(ValueError, match=message):
         ring.const(Fraction(1, 2 * p))
-    assert ring.parse(f"x[1,1] + {p}/3").coefficient(ring.monomial({})) == 0
+    assert dict(ring.parse(f"x[1,1] + {p}/3").terms()).get(ring.monomial({}), 0) == 0
 
 
 # the grammar's tokens, whole factors and joiners to reach valid strings, and
@@ -1142,6 +1157,53 @@ def test_transplant_with_relabelling():
     f = minor(small, [1, 2], [1, 2])
     moved = transplant(f, RING, cell_map)
     assert moved == minor(RING, [2, 3], [2, 4])
+
+
+W312 = PartialPermutation.from_one_line("312")
+PARTIAL = PartialPermutation(2, 3, (2, None))
+X11_OF_2X2, X11_OF_2X3 = PolyRing(2, 2).variable(1, 1), PolyRing(2, 3).variable(1, 1)
+
+
+@pytest.mark.parametrize("build, expected", [
+    pytest.param(lambda: str(3 - X11_OF_2X2), "-x[1,1] + 3", id="rsub"),
+    pytest.param(lambda: str(PARTIAL), "0 1 0\n0 0 0", id="str-partial"),
+    pytest.param(lambda: str(W312), "312", id="str-permutation"),
+    pytest.param(lambda: PolyRing(0, 1), ValueError("grid dimensions must be positive"),
+                 id="empty-ring"),
+    pytest.param(lambda: RING.monomial({(1, 1): -1}), ValueError("negative exponent"),
+                 id="negative-exponent"),
+    pytest.param(lambda: PolyRing(2, 2).variable(3, 1),
+                 ValueError("variable x[3,1] outside the 2x2 grid"), id="variable-outside"),
+    pytest.param(lambda: PartialPermutation(0, 1, ()),
+                 ValueError("grid dimensions must be positive"), id="empty-grid"),
+    pytest.param(lambda: PartialPermutation(2, 2, (1,)),
+                 ValueError("assignment length must equal the number of rows"),
+                 id="short-assignment"),
+    pytest.param(lambda: PartialPermutation(2, 2, (3, None)),
+                 ValueError("row 1 assigned to column 3 outside [1, 2]"), id="column-outside"),
+    pytest.param(lambda: PartialPermutation.from_one_line([]),
+                 PermutationParseError("empty permutation"), id="empty-word"),
+    pytest.param(lambda: PartialPermutation.from_matrix([]), ValueError("empty matrix"),
+                 id="empty-matrix"),
+    pytest.param(lambda: W312(0), ValueError("row 0 outside [1, 3]"), id="row-outside"),
+    pytest.param(lambda: PARTIAL.size, ValueError("not a full permutation"), id="partial-size"),
+    pytest.param(lambda: monomial_codim(MonomialIdeal(RING, (RING.monomial({}),))),
+                 ValueError("the unit ideal has no height"), id="unit-codim"),
+    pytest.param(lambda: X11_OF_2X2 + X11_OF_2X3,
+                 ValueError("polynomials from different rings"), id="add-rings"),
+    pytest.param(lambda: normal_forms([X11_OF_2X2, X11_OF_2X3], [X11_OF_2X2]),
+                 ValueError("polynomials must live in a common ring"), id="dividend-rings"),
+    pytest.param(lambda: normal_forms([X11_OF_2X2], [X11_OF_2X3]),
+                 ValueError("reducers must live in the same ring"), id="reducer-rings"),
+    pytest.param(lambda: buchberger([X11_OF_2X2, X11_OF_2X3]),
+                 ValueError("generators must live in a common ring"), id="buchberger-rings"),
+])
+def test_public_renderings_and_input_errors(build, expected):
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected), match=f"^{re.escape(str(expected))}$"):
+            build()
+    else:
+        assert build() == expected
 
 
 # ---------------------------------------------------------------------------
@@ -1212,7 +1274,7 @@ def test_prime_field_arithmetic_is_rational_arithmetic_reduced_mod_p(f, g, h, u,
                 x.leading_monomial()
         results = [f_ + g_, f_ - g_, -f_, f_ * g_ - h_, 3 * h_, f_.monic(),
                    f_.mul_term(ring.monomial(zip(CELLS, u)), c),
-                   f_.scale(c), f_.mul_term(ring.monomial({}), c)]
+                   f_ * c, f_.mul_term(ring.monomial({}), c)]
         # scaling is the shift by the unit monomial
         assert results[-2] == results[-1]
         if f_ and g_:
@@ -1346,10 +1408,8 @@ UNCALLED_PUBLIC_API = {
     "monomial_codim": "the height of J_w, which equals the Coxeter length",
     "localization_sample": "the documented S_5 sample of the localization checks",
     "all_partial_permutations": "sweeps over partial permutations of a shape",
-    "identity": "the identity of S_n, the trivial Schubert variety",
     "submatrix_w": "perfbench/run.py reads its perm.submatrix_w.* metrics",
     "PolyRing.parse": "the inverse of str(f)",
-    "Polynomial.coefficient": "the coefficient of one monomial",
     "Polynomial.sparse_terms": "a ring-independent form to compare across grids",
     "Polynomial.total_degree": "the degree of a polynomial",
     "certified": "certifies every Groebner basis computed inside it",
