@@ -11,7 +11,7 @@ minimal-generator-count oracle (``ci``), pivot-localization verification
 
 from .perm import (Cell, PartialPermutation, all_permutations, coxeter_length,
                    delete_row_col, diagram, essential_set, extend_to_permutation,
-                   rank_at, render_one_line, submatrix_w)
+                   rank_at, submatrix_w)
 from .poly import (Polynomial, PolyRing, antidiagonal_monomial, buchberger, minor,
                    normal_form, normal_forms, s_polynomial, saturate)
 from .detideal import (MonomialIdeal, SchubertIdeal, antidiagonal_ideal,

@@ -45,8 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
-from .perm import (Cell, PartialPermutation, diagram, extend_to_permutation,
-                   render_one_line)
+from .perm import Cell, PartialPermutation, diagram, extend_to_permutation
 from .poly import Polynomial, PolyRing, minor
 from .detideal import fulton_generators
 
@@ -138,10 +137,9 @@ class CIReport:
         return _ci_generator_tuple(PartialPermutation(n, n, self.w))
 
     def to_json(self) -> dict:
-        word = PartialPermutation.from_one_line(self.w)
         generators = self.generators
         return {
-            "w": render_one_line(word),
+            "w": PartialPermutation.from_one_line(self.w).to_json(),
             "verdict": self.verdict,
             "codim": self.codim,
             "mu": self.mu,

@@ -135,17 +135,17 @@ def _load_target(args, *, bound: int) -> perm.PartialPermutation:
     piece.  Its rows (its non-blank lines) and columns (the tokens of its
     widest line) are counted to its end, and a line's tokens are kept only
     while that shape is within the bound, each cut to one character more
-    than the longest string ``int`` accepts, so ``int`` refuses a cut token
-    as it refuses the whole one.  An oversized file is thus refused before
-    it is parsed, in memory that grows with neither its padding nor an
-    overlong token, and the kept tokens go through
+    than the longest token the parser accepts (``int``'s digit limit), so a
+    cut token is refused as the whole one is.  An oversized file is thus
+    refused before it is parsed, in memory that grows with neither its
+    padding nor an overlong token, and the kept tokens go through
     ``perm.parse_partial_matrix``."""
     w = None
     if getattr(args, "file", None):
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        # int reads at most a sign and limit digits with an underscore between
-        # each two, 2 * limit characters; a token cut one past that fails as whole
-        cut = 2 * limit + 1 if limit else None
+        # the parser reads a token of at most limit decimal digits, so a
+        # token cut one character past that fails as the whole one does
+        cut = limit + 1 if limit else None
         kept: list[list[str]] = []  # the tokens of each non-blank line
         rows = cols = tokens = 0  # tokens: those of the current line so far
         carry = ""  # the start, cut, of a token that the last piece boundary cut
@@ -265,7 +265,7 @@ def _cmd_ci(args) -> int:
     if args.json:
         _print_json(report.to_json())
     else:
-        word = perm.render_one_line(perm.PartialPermutation.from_one_line(report.w))
+        word = perm.PartialPermutation.from_one_line(report.w)
         verdict = "a complete intersection" if report.verdict else "not a complete intersection"
         print(f"{word}: {verdict} (codim {report.codim})")
         if report.mu is not None:
@@ -337,7 +337,7 @@ def _census_line(payload) -> tuple[str, bool]:
     if as_json:
         return json.dumps(report.to_json(), sort_keys=True), report.verdict
     verdict = "ci" if report.verdict else "non-ci"
-    return f"{perm.render_one_line(w)} {verdict} codim={report.codim}" + (
+    return f"{w} {verdict} codim={report.codim}" + (
         f" mu={report.mu}" if report.mu is not None else ""), report.verdict
 
 

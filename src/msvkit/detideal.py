@@ -59,10 +59,6 @@ class MonomialIdeal:
         object.__setattr__(self, "gens", tuple(sorted(
             ring.minimal_monomials(self.gens), key=lambda m: (ring.monomial_degree(m), m))))
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.gens
-
     def contains_monomial(self, m: Monomial) -> bool:
         return any(monomial_divides(g, m) for g in self.gens)
 
@@ -99,7 +95,7 @@ def monomial_codim(J: MonomialIdeal) -> int:
     found so far."""
     if not J.is_squarefree():
         raise ValueError("codimension via vertex cover requires a squarefree ideal")
-    if J.is_zero:
+    if not J.gens:
         return 0
     supports = [J.ring.support(m) for m in J.gens]
     if not all(supports):
@@ -240,7 +236,7 @@ def graded_minimal_generators(ring: PolyRing, gens: Sequence[Polynomial]
     """
     degrees: list[int] = []
     for g in gens:
-        if g.is_zero or (g.ring is not ring and g.ring != ring):
+        if not g or (g.ring is not ring and g.ring != ring):
             raise ValueError("generators must be nonzero elements of the ring")
         degree = g.homogeneous_degree()
         if degree is None:

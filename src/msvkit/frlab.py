@@ -52,7 +52,7 @@ from math import comb
 from typing import Iterable, Iterator, Optional
 
 from .perm import (Cell, PartialPermutation, all_permutations, coxeter_length,
-                   delete_row_col, diagram, render_one_line)
+                   delete_row_col, diagram)
 from .poly import Polynomial, PolyRing, buchberger, minor, normal_forms
 from .detideal import (GroebnerReport, MonomialIdeal, fulton_generators,
                        is_nonzerodivisor_on_monomial_quotient, monomial_quotient_membership,
@@ -451,7 +451,7 @@ class VerificationSummary:
 
     def to_json(self) -> dict:
         return {
-            "w": render_one_line(self.w),
+            "w": self.w.to_json(),
             "c": list(self.pivot) if self.pivot is not None else None,
             "lemma1": self.minors_ok,
             "lemma2": self.initial_ideal_ok,

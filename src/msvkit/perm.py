@@ -156,20 +156,23 @@ class PartialPermutation:
             tuple(1 if self.assignment[i] == j else 0 for j in range(1, self.cols + 1))
             for i in range(self.rows))
 
-    def inverse_map(self) -> dict[int, int]:
-        """Map column -> row over the assigned entries."""
-        return {j: i for i, j in enumerate(self.assignment, start=1) if j is not None}
-
     def to_json(self):
         """One-line notation for a permutation, else the grid and its 0/1
         matrix."""
         if self.is_permutation:
-            return render_one_line(self)
+            return str(self)
         return {"rows": self.rows, "cols": self.cols, "matrix": [list(r) for r in self.matrix()]}
 
     def __str__(self) -> str:
+        """One-line notation for a permutation: digits for n <= 9, else
+        space-separated integers.  Otherwise the 0/1 matrix, one row a line.
+
+        >>> str(PartialPermutation.from_one_line("35142"))
+        '35142'
+        """
         if self.is_permutation:
-            return render_one_line(self)
+            word = self.one_line()
+            return ("" if len(word) <= 9 else " ").join(str(v) for v in word)
         return "\n".join(" ".join(str(e) for e in row) for row in self.matrix())
 
 
@@ -198,26 +201,18 @@ def _parse_one_line_text(text: str) -> tuple[int, ...]:
     return tuple(int(ch) for ch in stripped)
 
 
-def render_one_line(w: PartialPermutation) -> str:
-    """One-line notation: digits for n <= 9, else space-separated integers.
-
-    >>> render_one_line(PartialPermutation.from_one_line("35142"))
-    '35142'
-    """
-    word = w.one_line()
-    if len(word) <= 9:
-        return "".join(str(v) for v in word)
-    return " ".join(str(v) for v in word)
-
-
 def parse_partial_matrix(text: str) -> PartialPermutation:
-    """Parse the partial permutation file format: l lines of m 0/1 entries."""
+    """Parse the partial permutation file format: l lines of m 0/1 entries,
+    each a run of decimal digits, as in a one-line word."""
     rows = [line.split() for line in text.splitlines() if line.strip()]
     if not rows:
         raise ValueError("empty partial permutation file")
     try:
+        # int() would also read a sign and underscores between digits
+        if not all(entry.isdecimal() for row in rows for entry in row):
+            raise ValueError
         matrix = [[int(entry) for entry in row] for row in rows]
-    except ValueError:
+    except ValueError:  # past int's digit limit too
         raise ValueError("partial permutation file must contain integers") from None
     return PartialPermutation.from_matrix(matrix)
 
@@ -275,7 +270,7 @@ def diagram(w: PartialPermutation) -> dict[Cell, int]:
     >>> diagram(PartialPermutation.from_one_line("1234"))
     {}
     """
-    inverse = w.inverse_map()
+    inverse = {j: i for i, j in enumerate(w.assignment, start=1) if j is not None}
     ranks: dict[Cell, int] = {}
     # Incremental rank computation: ranks[p][q] built row by row.
     prev_row = [0] * (w.cols + 1)

@@ -110,9 +110,10 @@ class _Rationals:
     name = "QQ"
 
     def coeff(self, c):
-        """Normalize a coefficient into the field."""
+        """Normalize a coefficient into the field; a bool is the int 0 or 1,
+        which renders as a number."""
         if isinstance(c, (int, Fraction)):
-            return c
+            return int(c) if isinstance(c, bool) else c
         raise TypeError(f"unsupported coefficient {c!r}")
 
     def div(self, a, b):
@@ -201,6 +202,8 @@ class PolyRing:
     def __init__(self, rows: int, cols: int, char: int = 0):
         if rows < 1 or cols < 1:
             raise ValueError("grid dimensions must be positive")
+        if type(char) is not int:  # 3.0 would build a field of floats
+            raise TypeError(f"characteristic {char!r} is not an int")
         self.field = _PrimeField(char) if char else _RATIONALS
         self.rows = rows
         self.cols = cols
@@ -285,11 +288,6 @@ class PolyRing:
             else:
                 kept.append(m)
         return kept
-
-    def sparse_monomial(self, m: Monomial) -> tuple:
-        """Ring-independent canonical form: sorted ((i, j), e) pairs; equal
-        sparse forms mean literally equal monomials."""
-        return tuple(((i, j), e) for i, j, e in self.grid_support(m))
 
     def render_monomial(self, m: Monomial) -> str:
         factors = []
@@ -431,19 +429,14 @@ class Polynomial:
     it (a rescaled or tail-reduced polynomial keeps its lead, a shifted one
     moves it) passes it as ``lead``."""
 
-    __slots__ = ("ring", "_d", "_terms", "_lead")
+    __slots__ = ("ring", "_d", "_lead")
 
     def __init__(self, ring: PolyRing, coeffs: dict, lead: Optional[Monomial] = None):
         self.ring = ring
         self._d = coeffs
-        self._terms: Optional[tuple] = None
         self._lead = lead
 
     # -- structure ----------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._d
 
     def __bool__(self) -> bool:
         return bool(self._d)
@@ -453,9 +446,7 @@ class Polynomial:
 
     def terms(self) -> tuple:
         """Terms as ((monomial, coeff), ...) in decreasing term order."""
-        if self._terms is None:
-            self._terms = tuple(sorted(self._d.items(), reverse=True))
-        return self._terms
+        return tuple(sorted(self._d.items(), reverse=True))
 
     def monomials(self) -> tuple:
         return tuple(m for m, _ in self.terms())
@@ -492,8 +483,11 @@ class Polynomial:
         return degrees.pop() if len(degrees) == 1 else None
 
     def sparse_terms(self) -> tuple:
-        """Ring-independent canonical form for cross-grid comparisons."""
-        return tuple((self.ring.sparse_monomial(m), c) for m, c in self.terms())
+        """Ring-independent canonical form for cross-grid comparisons: the
+        terms with each monomial as its sorted ((i, j), e) pairs, so equal
+        forms mean literally equal polynomials."""
+        return tuple((tuple(((i, j), e) for i, j, e in self.ring.grid_support(m)), c)
+                     for m, c in self.terms())
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -801,7 +795,7 @@ def _reducer_entry(ring: PolyRing, k: int, g: Polynomial) -> tuple:
     sort by (lm, k), the reducer preference, because k is unique."""
     if g.ring is not ring and g.ring != ring:
         raise ValueError("reducers must live in the same ring")
-    if g.is_zero:
+    if not g:
         raise ValueError("reducers must be nonzero")
     lm = g.leading_monomial()
     return lm, k, g._d[lm], g._d
@@ -930,7 +924,7 @@ def buchberger(generators: Sequence[Polynomial]) -> tuple:
         return ()
     ring = gens[0].ring
     for g in gens:
-        if g.is_zero:
+        if not g:
             raise ValueError("generators must be nonzero")
         if g.ring is not ring and g.ring != ring:
             raise ValueError("generators must live in a common ring")
@@ -1043,7 +1037,7 @@ def _interreduce(basis: list) -> tuple:
 
 def _certify_basis(ring: PolyRing, gens: Sequence[Polynomial], basis: tuple):
     for g in basis:
-        if g.is_zero:
+        if not g:
             raise GroebnerCertificationError("basis element not monic")
         if g.leading_monomial() != max(g._d):
             raise GroebnerCertificationError("cached leading monomial is not the largest term")
@@ -1057,7 +1051,7 @@ def _certify_basis(ring: PolyRing, gens: Sequence[Polynomial], basis: tuple):
             if idx == jdx:
                 continue
             lm = h.leading_monomial()
-            if any(monomial_divides(lm, m) for m in g.monomials()):
+            if any(monomial_divides(lm, m) for m in g._d):
                 raise GroebnerCertificationError("basis not auto-reduced")
     pairs = list(itertools.combinations(range(len(basis)), 2))
     s_polys = [s_polynomial(basis[i], basis[j]) for i, j in pairs]
@@ -1113,7 +1107,7 @@ def saturate(generators: Sequence[Polynomial], c: Polynomial) -> tuple:
 
     The returned generators are themselves a reduced Groebner basis in the
     base ring, so membership in the localization of I at c is exactly
-    ``normal_form(f, result).is_zero``.
+    ``not normal_form(f, result)``.
 
     >>> r = PolyRing(2, 2)
     >>> [str(g) for g in saturate([r.parse("x[1,1]*x[2,2]")], r.variable(1, 1))]
@@ -1122,7 +1116,7 @@ def saturate(generators: Sequence[Polynomial], c: Polynomial) -> tuple:
     ring = c.ring
     if any(g.ring != ring for g in generators):
         raise ValueError("generators must live in the saturating element's ring")
-    if c.is_zero:
+    if not c:
         raise ValueError("cannot saturate at zero")
     extended = PolyRing(ring.rows + 1, ring.cols, ring.char)
     t = extended.monomial({(1, ring.cols): 1})

@@ -76,7 +76,7 @@ def test_criterion_1a_golden_35142():
                  minor(r, [1, 2], [3, 4]) - cl[2],
                  c * minor(r, [3, 4], [1, 2]) - cl[3])
         gamma = [r.monomial({(1, 1): 1}), r.monomial({(1, 2): 1})]
-        assert diffs[2].is_zero
+        assert not diffs[2]
         for d in diffs:
             assert monomial_quotient_membership(d, gamma)
     _CERTIFIED_SUITES.add("1a")
@@ -203,7 +203,7 @@ def test_criterion_3_engine_certification():
         while done < 50:
             gens = tuple(g for g in (_random_poly(small, rng) for _ in range(2)) if g)
             c = _random_poly(small, rng)
-            if not gens or c.is_zero:
+            if not gens or not c:
                 continue
             first = saturate(gens, c)
             if first:

@@ -334,10 +334,9 @@ def test_a_cut_token_is_read_as_int_reads_the_whole_one(capsys, tmp_path, piece)
     import msvkit.perm as perm
     if not hasattr(sys, "set_int_max_str_digits"):
         pytest.skip("int has no digit limit before Python 3.10.7")
-    # under a limit of 640 digits, the longest string int accepts is a sign
-    # and 640 digits with an underscore between each two: 1,280 characters
-    longest = "+" + "0_" * 639 + "1"
-    assert len(longest) == 1280
+    # under a limit of 640 digits, the longest token the parser accepts is
+    # 640 decimal digits; it takes no sign and no underscore, which int reads
+    longest = "0" * 639 + "1"
     path = tmp_path / "grid.txt"
     identity = run(capsys, "diagram", "12")
     saved = sys.get_int_max_str_digits(), cli.FILE_PIECE
@@ -348,9 +347,8 @@ def test_a_cut_token_is_read_as_int_reads_the_whole_one(capsys, tmp_path, piece)
         path.write_text(grid)
         assert perm.parse_partial_matrix(grid) == PartialPermutation.from_one_line("12")
         assert run(capsys, "diagram", "--file", str(path)) == identity
-        # 1,281 and 1,282 characters, each with 641 digits: cut at 1,280 they
-        # would read as the longest
-        for token in (longest + "1", longest + "_1"):
+        # 641 and 642 characters: cut at 640 they would read as the longest
+        for token in (longest + "1", longest + "11", longest + "1_", longest + "+"):
             path.write_text(token + " 0\n0 1\n")
             code, out, err = run(capsys, "diagram", "--file", str(path))
             assert (code, out) == (2, "")
@@ -361,6 +359,22 @@ def test_a_cut_token_is_read_as_int_reads_the_whole_one(capsys, tmp_path, piece)
     finally:
         sys.set_int_max_str_digits(saved[0])
         cli.FILE_PIECE = saved[1]
+
+
+@pytest.mark.parametrize("token, at", [("+1", 0), ("-0", 1), ("0_0", 2)])
+def test_a_signed_or_underscored_file_entry_is_refused(capsys, tmp_path, token, at):
+    import msvkit.perm as perm
+    # int() reads these, but a one-line word refuses them, and so does a file
+    entries = ["1", "0", "0", "1"]
+    entries[at] = token
+    grid = f"{entries[0]} {entries[1]}\n{entries[2]} {entries[3]}\n"
+    with pytest.raises(ValueError, match="^partial permutation file must contain integers$"):
+        perm.parse_partial_matrix(grid)
+    path = tmp_path / "grid.txt"
+    path.write_text(grid)
+    assert run(capsys, "diagram", "--file", str(path)) == (
+        2, "", "error: partial permutation file must contain integers\n")
+    assert run(capsys, "diagram", f"{token} 2")[0] == 2
 
 
 _ENTRY = st.sampled_from(["0", "1", "2", "x", "+1", "0_1", "-0", "\uff11"])

@@ -21,6 +21,7 @@ each product reduced before the next factor, so no power of f is expanded.
 import pytest
 
 from msvkit.detideal import fulton_generators
+from msvkit.frlab import find_pivot
 from msvkit.perm import PartialPermutation, all_permutations
 from msvkit.poly import PolyRing, buchberger, minor, normal_forms
 
@@ -74,6 +75,21 @@ def test_f_to_the_p_minus_1_splits_every_matrix_schubert_variety(n, p):
         generators = fulton_generators(w, ring).generators
         assert generators, w.one_line()
         assert outside_frobenius_power(generators) == [], w.one_line()
+
+
+@pytest.mark.parametrize("n, p", [(3, 2), (3, 3), (4, 2)])
+def test_f_to_the_p_minus_1_splits_the_pivot_quotient(n, p):
+    # lemma 2's ideal <c> + I_w, with c the pivot variable, is split by f^{p-1}
+    # too; a variable that is not the pivot, x[2,2], leaves one generator out
+    ring = PolyRing(n, n, char=p)
+    words = [w for w in all_permutations(n) if find_pivot(w) is not None]
+    assert len(words) == {3: 1, 4: 10}[n]
+    for w in words:
+        generators = list(fulton_generators(w, ring).generators)
+        pivot = ring.variable(*find_pivot(w))
+        assert outside_frobenius_power([pivot] + generators) == [], w.one_line()
+        assert len(outside_frobenius_power([ring.variable(2, 2)] + generators)) == 1, \
+            w.one_line()
 
 
 @pytest.mark.parametrize("p", [2, 3])

@@ -11,7 +11,7 @@ from msvkit.perm import (Cell, PartialPermutation, PermutationParseError,
                          all_partial_permutations, all_permutations,
                          coxeter_length, delete_row_col, diagram, essential_set,
                          extend_to_permutation, parse_partial_matrix, rank_at,
-                         render_one_line, submatrix_w)
+                         submatrix_w)
 from msvkit.ci import necessary_condition
 from reference import column_row, extend_by_column_search
 
@@ -26,11 +26,11 @@ def w_(word):
 
 def test_one_line_roundtrip():
     for word in ("1", "21", "35142", "462153"):
-        assert render_one_line(w_(word)) == word
+        assert str(w_(word)) == word
     big = w_("10 2 1 3 4 5 6 7 8 9")
     assert big.size == 10
     assert big(1) == 10
-    assert render_one_line(big) == "10 2 1 3 4 5 6 7 8 9"
+    assert str(big) == "10 2 1 3 4 5 6 7 8 9"
 
 
 def test_parse_errors_carry_position():

@@ -20,7 +20,7 @@ from msvkit.perm import Cell, PartialPermutation, all_permutations, diagram, ess
 
 
 def inverse(w: PartialPermutation) -> PartialPermutation:
-    columns = w.inverse_map()
+    columns = {j: i for i, j in enumerate(w.assignment, start=1) if j is not None}
     return PartialPermutation.from_one_line([columns[j] for j in range(1, w.size + 1)])
 
 
