@@ -55,9 +55,10 @@ class MonomialIdeal:
     gens: tuple
 
     def __post_init__(self):
-        ring = self.ring
+        # minimal_monomials returns them in term order, which a stable sort
+        # by degree keeps within each degree
         object.__setattr__(self, "gens", tuple(sorted(
-            ring.minimal_monomials(self.gens), key=lambda m: (ring.monomial_degree(m), m))))
+            self.ring.minimal_monomials(self.gens), key=self.ring.monomial_degree)))
 
     def contains_monomial(self, m: Monomial) -> bool:
         return any(monomial_divides(g, m) for g in self.gens)

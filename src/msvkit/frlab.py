@@ -40,9 +40,11 @@ facts that make the pivot useful, each check a function of one
   Both directions are decided by normal forms against plain Groebner bases:
   c divides no leading monomial of the basis of I_w, so it is a
   nonzerodivisor modulo I_w and inverting it adds nothing to I_w; and c
-  does not occur in I' written in the primed coordinates, where the basis
-  of I_{w'}, whose generators are minors in w's own grid, and the gamma
-  variables already form a Groebner basis.
+  does not occur in I' written in the primed coordinates, where the
+  generators of w', minors in w's own grid, and the gamma variables are
+  expected to form a Groebner basis already (Knutson-Miller, Ann. Math.
+  2005, Thm B).  So the forward direction divides by them as they are, and
+  runs Buchberger on them only for a minor that they leave a remainder.
 """
 from __future__ import annotations
 
@@ -133,12 +135,14 @@ def _pivot_minor_sites(n: int, pivot: Cell) -> Iterator[tuple[tuple[int, ...], t
 
 
 def _pivot_minor_count(n: int, pivot: Cell) -> int:
-    """How many sites ``_pivot_minor_sites`` gives: a site of size t with
-    the pivot's row at position k takes k rows above it and t - 1 - k below,
-    t - 1 - k columns left of it and k right of it."""
+    """How many sites ``_pivot_minor_sites`` gives: a site with the pivot's
+    row at position k of its rows takes k rows above it and k columns right
+    of it, and some j rows below it and j columns left of it, with k and j
+    free.  So the count is the product of sum_k C(p0 - 1, k) C(n - q0, k)
+    and sum_j C(n - p0, j) C(q0 - 1, j), each a Vandermonde sum
+    sum_k C(a, k) C(b, k) = C(a + b, a)."""
     p0, q0 = pivot
-    return sum(comb(p0 - 1, k) * comb(n - p0, t - 1 - k) * comb(q0 - 1, t - 1 - k)
-               * comb(n - q0, k) for t in range(1, n + 1) for k in range(t))
+    return comb(n - p0 + q0 - 1, q0 - 1) * comb(n - q0 + p0 - 1, p0 - 1)
 
 
 @dataclass(frozen=True)
@@ -153,7 +157,8 @@ def verify_pivot_minors(setup: LocalizationSetup) -> MinorMembershipReport:
     divisible by the pivot variable must lie in the monomial ideal
     <c> + J_w, J_w the setup's ``groebner.antidiagonal``, which must be
     squarefree, as an antidiagonal ideal is.  ``checked`` counts those
-    minors (``_pivot_minor_count``).
+    minors by a product of two binomials (``_pivot_minor_count``), without
+    listing them.
 
     Most of them need no expansion.  Let the site (R, C) hold the pivot
     (p0, q0) at row position k of its antidiagonal: R has k + 1 rows at or
@@ -248,9 +253,11 @@ class LocalizationSetup:
     groebner: GroebnerReport
 
 
-def _bordered_minor(ring: PolyRing, rows: tuple, cols: tuple, pivot: Cell) -> Polynomial:
+def _bordered_minor(ring: PolyRing, rows: tuple, cols: tuple, pivot: Cell,
+                    memo: Optional[dict] = None) -> Polynomial:
     """(-1)^(k+l) times the minor on rows + {p0} and cols + {q0}, with k and l
-    the 0-based positions of p0 and q0 in the bordered rows and columns.
+    the 0-based positions of p0 and q0 in the bordered rows and columns,
+    expanded by ``minor`` under ``memo``.
 
     Moving the pivot's row and column to the front costs that sign, and the
     Schur complement of c is the primed matrix on (rows, cols).  So by
@@ -263,23 +270,25 @@ def _bordered_minor(ring: PolyRing, rows: tuple, cols: tuple, pivot: Cell) -> Po
     """
     p0, q0 = pivot
     rows, cols = tuple(sorted(rows + (p0,))), tuple(sorted(cols + (q0,)))
-    g = minor(ring, rows, cols)
+    g = minor(ring, rows, cols, memo)
     return -g if (rows.index(p0) + cols.index(q0)) % 2 else g
 
 
-def _primed_minor(g: Polynomial, rows: tuple, cols: tuple, pivot: Cell) -> Polynomial:
+def _primed_minor(g: Polynomial, rows: tuple, cols: tuple, pivot: Cell,
+                  memo: Optional[dict] = None) -> Polynomial:
     """The minor that the Fulton generator g on (rows, cols) becomes in the
     primed coordinates, up to a sign, a power of c and c -> -c (see
     ``verify_localization_identity``): g when the site holds exactly one of
     the pivot's row and column, the minor off both when it holds both, and
-    the bordered minor when it holds neither."""
+    the bordered minor when it holds neither, expanded under ``memo``."""
     p0, q0 = pivot
     has_row, has_col = p0 in rows, q0 in cols
     if has_row != has_col:
         return g
     if has_row:
-        return minor(g.ring, tuple(p for p in rows if p != p0), tuple(q for q in cols if q != q0))
-    return _bordered_minor(g.ring, rows, cols, pivot)
+        return minor(g.ring, tuple(p for p in rows if p != p0),
+                     tuple(q for q in cols if q != q0), memo)
+    return _bordered_minor(g.ring, rows, cols, pivot, memo)
 
 
 def _deleted_labels(n: int, pivot: Cell) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -326,15 +335,17 @@ def primed_ideal(setup: LocalizationSetup) -> tuple[tuple, tuple, tuple, tuple]:
     row and column, with the sign of ``_bordered_minor``.
     ``gamma_generators`` are the variables of the pivot's row and column
     that precede the pivot, sorted as cells: the pivot's column above it,
-    then its row left of it."""
+    then its row left of it.  Both lists of minors are expanded under one
+    memo, so a sub-minor they share is expanded once per call."""
     ring, pivot = setup.ring, setup.c_cell
     p0, q0 = pivot
     row_labels, col_labels = _deleted_labels(setup.w.size, pivot)
     sites = tuple((tuple(row_labels[i - 1] for i in rows),
                    tuple(col_labels[j - 1] for j in cols))
                   for rows, cols in fulton_generators(setup.w_prime, ring).sites)
-    return (sites, tuple(minor(ring, rows, cols) for rows, cols in sites),
-            tuple(_bordered_minor(ring, rows, cols, pivot) for rows, cols in sites),
+    memo: dict = {}
+    return (sites, tuple(minor(ring, rows, cols, memo) for rows, cols in sites),
+            tuple(_bordered_minor(ring, rows, cols, pivot, memo) for rows, cols in sites),
             tuple(ring.variable(p, q0) for p in range(1, p0))
             + tuple(ring.variable(p0, q) for q in range(1, q0)))
 
@@ -373,10 +384,14 @@ def verify_localization_identity(setup: LocalizationSetup) -> LocalizationReport
     against it.
 
     Forward, I_w in I' : c^infinity: in the primed coordinates I' is
-    I_{w'} + <gamma>, whose Groebner basis is the reduced basis of the
-    generators of w', the minors on their sites in w's labels and so off
-    the pivot's row and column, together with the gamma variables (their
-    leads are coprime).  c occurs in neither, so it is a
+    I_{w'} + <gamma>.  The generators of w' are the minors on their sites
+    in w's labels, and so off the pivot's row and column; the relabelling
+    keeps the order of the rows and of the columns, and so the term order.
+    The essential minors of w' form a Groebner basis of I_{w'}
+    (Knutson-Miller, Thm B), and so did the minimal ones that
+    ``fulton_generators`` keeps on every w' met so far.  With the gamma
+    variables, whose leads are coprime to theirs, they then form one of
+    I'.  c occurs in neither, so it is a
     nonzerodivisor modulo I', and c -> -c maps I' onto itself.  Take a
     Fulton generator g of w on rows R and columns C, of size d, and rewrite
     it in the primed coordinates, x[p,q] = x'[p,q] + c^{-1} x[p,q0] x[p0,q].
@@ -392,7 +407,15 @@ def verify_localization_identity(setup: LocalizationSetup) -> LocalizationReport
 
     So g lies in I' : c^infinity iff g, minor(R - p0, C - q0) or B has
     normal form zero (``_primed_minor``), and neither a power of c nor a
-    sign is multiplied in.
+    sign is multiplied in.  Those minors are expanded under one memo.
+
+    They are divided by the generators of w' and the gamma variables as
+    they are: a zero remainder puts a minor in I' whatever the divisors,
+    and when those form a Groebner basis every remainder of a minor in I'
+    is zero, so no Buchberger run is needed for w'.  The report does not
+    rest on that: a minor left with a nonzero remainder is divided again
+    by ``buchberger``'s basis of the generators of w' and the gamma
+    variables, and only a nonzero remainder there makes g a failure.
 
     I' is built once, from ``setup.w_prime``, by ``primed_ideal``.  The
     backward direction reads its cleared and gamma generators, and the
@@ -414,11 +437,14 @@ def verify_localization_identity(setup: LocalizationSetup) -> LocalizationReport
     *remainders, unit = normal_forms(prime_gens + (ring.const(1),), basis)
     backward = tuple(g for g, r in zip(prime_gens, remainders) if r)
     proper = bool(unit)
-    gb_prime = buchberger(w_prime_generators) + gamma
-    rewritten = normal_forms([_primed_minor(g, rows, cols, setup.c_cell)
-                              for g, (rows, cols) in zip(schubert.generators, schubert.sites)],
-                             gb_prime)
-    forward = tuple(g for g, r in zip(schubert.generators, rewritten) if r)
+    memo: dict = {}
+    rewritten = [_primed_minor(g, rows, cols, setup.c_cell, memo)
+                 for g, (rows, cols) in zip(schubert.generators, schubert.sites)]
+    pending = [k for k, r in enumerate(normal_forms(rewritten, w_prime_generators + gamma)) if r]
+    if pending:
+        again = normal_forms([rewritten[k] for k in pending], buchberger(w_prime_generators) + gamma)
+        pending = [k for k, r in zip(pending, again) if r]
+    forward = tuple(schubert.generators[k] for k in pending)
     return LocalizationReport(ok=not forward and not backward, proper=proper,
                               forward_failures=forward, backward_failures=backward)
 

@@ -56,8 +56,13 @@ class PartialPermutation:
     assignment: tuple[Optional[int], ...]
 
     def __post_init__(self):
+        for size in (self.rows, self.cols):
+            if type(size) is not int:  # 2.0 fails in range, True renders as "True"
+                raise TypeError(f"grid dimension {size!r} is not an int")
         if self.rows < 1 or self.cols < 1:
             raise ValueError("grid dimensions must be positive")
+        # a list would make the permutation unhashable and unequal to its tuple
+        object.__setattr__(self, "assignment", tuple(self.assignment))
         if len(self.assignment) != self.rows:
             raise ValueError("assignment length must equal the number of rows")
         seen: set[int] = set()

@@ -200,6 +200,9 @@ class PolyRing:
     __slots__ = ("rows", "cols", "char", "field", "nvars", "_variables", "_guard")
 
     def __init__(self, rows: int, cols: int, char: int = 0):
+        for size in (rows, cols):
+            if type(size) is not int:  # 2.0 fails in range, True renders as "True"
+                raise TypeError(f"grid dimension {size!r} is not an int")
         if rows < 1 or cols < 1:
             raise ValueError("grid dimensions must be positive")
         if type(char) is not int:  # 3.0 would build a field of floats
@@ -591,7 +594,8 @@ class Polynomial:
 # Minors of the generic matrix
 # ---------------------------------------------------------------------------
 
-def minor(ring: PolyRing, rows: Sequence[int], cols: Sequence[int]) -> Polynomial:
+def minor(ring: PolyRing, rows: Sequence[int], cols: Sequence[int],
+          memo: Optional[dict] = None) -> Polynomial:
     """The determinant of the generic submatrix on the given rows/columns,
     expanded exactly, each term a product of distinct variables with the
     field's 1 or -1 as coefficient.
@@ -599,13 +603,23 @@ def minor(ring: PolyRing, rows: Sequence[int], cols: Sequence[int]) -> Polynomia
     Index lists must be equal-length, strictly increasing and inside the
     grid; they are checked here.  A minor of size 2 or 3 is its closed
     Leibniz form; a larger one is expanded along its first row down to
-    3 x 3 blocks (see ``_laplace``), with a memo that lives for this call.
+    3 x 3 blocks (see ``_laplace``), under ``memo``.  Without one the memo
+    lives for this call; a caller expanding several minors that share
+    sub-minors passes one empty dict to all of them, so each sub-minor is
+    expanded once.  A memo serves one ring, the first it is used in: the
+    field's -1 is in its terms, so a ring that is not ``==`` to that one
+    is refused with a ValueError.  The memo's term dicts are shared with
+    the minors returned, which no operation changes.
 
     >>> r = PolyRing(2, 4)
     >>> str(minor(r, [1, 2], [3, 4]))
     '-x[1,4]*x[2,3] + x[1,3]*x[2,4]'
     """
-    return Polynomial(ring, _laplace(ring, *_minor_indices(ring, rows, cols), {}))
+    if memo is None:
+        memo = {}
+    elif (owner := memo.setdefault("ring", ring)) is not ring and owner != ring:
+        raise ValueError(f"a minor memo of {owner!r} cannot serve {ring!r}")
+    return Polynomial(ring, _laplace(ring, *_minor_indices(ring, rows, cols), memo))
 
 
 def _laplace(ring: PolyRing, rows: tuple, cols: tuple, memo: dict) -> dict:
@@ -620,7 +634,8 @@ def _laplace(ring: PolyRing, rows: tuple, cols: tuple, memo: dict) -> dict:
     lie on ``rows[1:]``, and the one at column k, times that row's variable
     at column k, gives a term set that no other k shares, since each holds a
     different variable of the first row.  ``memo`` maps the (rows, cols) of
-    each minor of size 3 and up already expanded to its terms, so the
+    each minor of size 3 and up already expanded to its terms (``minor``
+    also keeps the memo's ring in it, under the key "ring"), so the
     recursion stops at 3 x 3 blocks, each built once per memo.  The signs
     are the field's own 1 and -1."""
     variables = ring._variables

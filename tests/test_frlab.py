@@ -614,8 +614,10 @@ def test_only_the_identity_check_builds_the_ideal_of_w_prime(monkeypatch):
     """The setup expands no minor and takes no Fulton generators of w'
     (``frlab``'s own names; w's come through ``verify_groebner``), so on
     every pivot-admitting S_5 each check but the identity runs without
-    either, and the identity takes the generators of w' once."""
-    calls = {"fulton_generators": 0, "minor": 0}
+    either, and the identity takes the generators of w' once.  No check
+    runs ``buchberger``: lemma 2 reads the basis of w, and the identity
+    divides by the generators of w', a Groebner basis already."""
+    calls = {"fulton_generators": 0, "minor": 0, "buchberger": 0}
     for name in calls:
         def counting(*args, _name=name, _real=getattr(frlab, name), **kwargs):
             calls[_name] += 1
@@ -627,9 +629,9 @@ def test_only_the_identity_check_builds_the_ideal_of_w_prime(monkeypatch):
             calls.update(dict.fromkeys(calls, 0))
             assert getattr(verify_all(w, [check]), check), (w.one_line(), check)
             if check == "localization_ok":
-                assert calls["fulton_generators"] == 1, w.one_line()
+                assert (calls["fulton_generators"], calls["buchberger"]) == (1, 0), w.one_line()
             else:
-                assert calls == {"fulton_generators": 0, "minor": 0}, (w.one_line(), check)
+                assert calls == dict.fromkeys(calls, 0), (w.one_line(), check)
 
 
 def test_the_setup_holds_the_groebner_report_of_w():
@@ -760,6 +762,36 @@ def test_a_wrong_deleted_permutation_is_a_forward_failure():
     assert not report.ok
     assert len(report.forward_failures) == 1
     assert report.backward_failures == ()
+
+
+def test_a_first_remainder_that_is_not_zero_is_divided_again(monkeypatch):
+    """The forward direction divides by the generators of w' as they are; a
+    minor that they leave a remainder is divided again by ``buchberger``'s
+    basis.  With one first-pass remainder forced nonzero, on every
+    pivot-admitting S_5, the report is unchanged and ``buchberger`` ran."""
+    real_normal_forms, real_buchberger = frlab.normal_forms, frlab.buchberger
+    for w in nonregular(5):
+        setup = setup_(w)
+        expected = verify_localization_identity(setup)
+        forced, bases = [], []
+
+        def forcing(fs, reducers):
+            remainders = real_normal_forms(fs, reducers)
+            # the backward direction divides by the basis of w itself
+            if reducers is not setup.groebner.basis and not forced:
+                forced.append(fs[0])
+                return (fs[0],) + remainders[1:]
+            return remainders
+
+        def counting(generators):
+            bases.append(generators)
+            return real_buchberger(generators)
+
+        monkeypatch.setattr(frlab, "normal_forms", forcing)
+        monkeypatch.setattr(frlab, "buchberger", counting)
+        assert verify_localization_identity(setup) == expected, w.one_line()
+        assert len(forced) == 1 and forced[0] and len(bases) == 1, w.one_line()
+        monkeypatch.undo()
 
 
 def test_a_dropped_cleared_generator_goes_unnoticed(monkeypatch):

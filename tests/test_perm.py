@@ -84,6 +84,16 @@ def test_a_column_that_is_not_an_integer_is_refused():
     for assignment in ((1.5, None), (True, 2)):
         with pytest.raises(TypeError, match="^row 1 assigned to .*, which is not an int column$"):
             PartialPermutation(2, 2, assignment)
+    # a size of 2.0 printed "21" and then failed inside range, and True was
+    # kept as the size True
+    for rows, cols in ((2.0, 2), (2, 2.0), (True, True)):
+        with pytest.raises(TypeError, match=r"^grid dimension (2\.0|True) is not an int$"):
+            PartialPermutation(rows, cols, (1,) * int(rows))
+    # a list assignment is kept as a tuple, so the permutation equals the
+    # one built from a tuple and hashes
+    w = PartialPermutation(2, 2, [2, 1])
+    assert w == PartialPermutation(2, 2, (2, 1)) and w.assignment == (2, 1)
+    assert hash(w) == hash(PartialPermutation(2, 2, (2, 1)))
 
 
 def test_matrix_construction_and_validation():
