@@ -44,7 +44,8 @@ facts that make the pivot useful, each check a function of one
   generators of w', minors in w's own grid, and the gamma variables are
   expected to form a Groebner basis already (Knutson-Miller, Ann. Math.
   2005, Thm B).  So the forward direction divides by them as they are, and
-  runs Buchberger on them only for a minor that they leave a remainder.
+  runs Buchberger on them only when they leave a minor a nonzero
+  remainder.
 """
 from __future__ import annotations
 
@@ -253,11 +254,9 @@ class LocalizationSetup:
     groebner: GroebnerReport
 
 
-def _bordered_minor(ring: PolyRing, rows: tuple, cols: tuple, pivot: Cell,
-                    memo: Optional[dict] = None) -> Polynomial:
+def _bordered_minor(ring: PolyRing, rows: tuple, cols: tuple, pivot: Cell) -> Polynomial:
     """(-1)^(k+l) times the minor on rows + {p0} and cols + {q0}, with k and l
-    the 0-based positions of p0 and q0 in the bordered rows and columns,
-    expanded by ``minor`` under ``memo``.
+    the 0-based positions of p0 and q0 in the bordered rows and columns.
 
     Moving the pivot's row and column to the front costs that sign, and the
     Schur complement of c is the primed matrix on (rows, cols).  So by
@@ -270,25 +269,23 @@ def _bordered_minor(ring: PolyRing, rows: tuple, cols: tuple, pivot: Cell,
     """
     p0, q0 = pivot
     rows, cols = tuple(sorted(rows + (p0,))), tuple(sorted(cols + (q0,)))
-    g = minor(ring, rows, cols, memo)
+    g = minor(ring, rows, cols)
     return -g if (rows.index(p0) + cols.index(q0)) % 2 else g
 
 
-def _primed_minor(g: Polynomial, rows: tuple, cols: tuple, pivot: Cell,
-                  memo: Optional[dict] = None) -> Polynomial:
+def _primed_minor(g: Polynomial, rows: tuple, cols: tuple, pivot: Cell) -> Polynomial:
     """The minor that the Fulton generator g on (rows, cols) becomes in the
     primed coordinates, up to a sign, a power of c and c -> -c (see
     ``verify_localization_identity``): g when the site holds exactly one of
     the pivot's row and column, the minor off both when it holds both, and
-    the bordered minor when it holds neither, expanded under ``memo``."""
+    the bordered minor when it holds neither."""
     p0, q0 = pivot
     has_row, has_col = p0 in rows, q0 in cols
     if has_row != has_col:
         return g
     if has_row:
-        return minor(g.ring, tuple(p for p in rows if p != p0),
-                     tuple(q for q in cols if q != q0), memo)
-    return _bordered_minor(g.ring, rows, cols, pivot, memo)
+        return minor(g.ring, tuple(p for p in rows if p != p0), tuple(q for q in cols if q != q0))
+    return _bordered_minor(g.ring, rows, cols, pivot)
 
 
 def _deleted_labels(n: int, pivot: Cell) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -335,17 +332,15 @@ def primed_ideal(setup: LocalizationSetup) -> tuple[tuple, tuple, tuple, tuple]:
     row and column, with the sign of ``_bordered_minor``.
     ``gamma_generators`` are the variables of the pivot's row and column
     that precede the pivot, sorted as cells: the pivot's column above it,
-    then its row left of it.  Both lists of minors are expanded under one
-    memo, so a sub-minor they share is expanded once per call."""
+    then its row left of it."""
     ring, pivot = setup.ring, setup.c_cell
     p0, q0 = pivot
     row_labels, col_labels = _deleted_labels(setup.w.size, pivot)
     sites = tuple((tuple(row_labels[i - 1] for i in rows),
                    tuple(col_labels[j - 1] for j in cols))
                   for rows, cols in fulton_generators(setup.w_prime, ring).sites)
-    memo: dict = {}
-    return (sites, tuple(minor(ring, rows, cols, memo) for rows, cols in sites),
-            tuple(_bordered_minor(ring, rows, cols, pivot, memo) for rows, cols in sites),
+    return (sites, tuple(minor(ring, rows, cols) for rows, cols in sites),
+            tuple(_bordered_minor(ring, rows, cols, pivot) for rows, cols in sites),
             tuple(ring.variable(p, q0) for p in range(1, p0))
             + tuple(ring.variable(p0, q) for q in range(1, q0)))
 
@@ -407,7 +402,7 @@ def verify_localization_identity(setup: LocalizationSetup) -> LocalizationReport
 
     So g lies in I' : c^infinity iff g, minor(R - p0, C - q0) or B has
     normal form zero (``_primed_minor``), and neither a power of c nor a
-    sign is multiplied in.  Those minors are expanded under one memo.
+    sign is multiplied in.
 
     They are divided by the generators of w' and the gamma variables as
     they are: a zero remainder puts a minor in I' whatever the divisors,
@@ -437,8 +432,7 @@ def verify_localization_identity(setup: LocalizationSetup) -> LocalizationReport
     *remainders, unit = normal_forms(prime_gens + (ring.const(1),), basis)
     backward = tuple(g for g, r in zip(prime_gens, remainders) if r)
     proper = bool(unit)
-    memo: dict = {}
-    rewritten = [_primed_minor(g, rows, cols, setup.c_cell, memo)
+    rewritten = [_primed_minor(g, rows, cols, setup.c_cell)
                  for g, (rows, cols) in zip(schubert.generators, schubert.sites)]
     pending = [k for k, r in enumerate(normal_forms(rewritten, w_prime_generators + gamma)) if r]
     if pending:

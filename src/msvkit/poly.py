@@ -594,8 +594,7 @@ class Polynomial:
 # Minors of the generic matrix
 # ---------------------------------------------------------------------------
 
-def minor(ring: PolyRing, rows: Sequence[int], cols: Sequence[int],
-          memo: Optional[dict] = None) -> Polynomial:
+def minor(ring: PolyRing, rows: Sequence[int], cols: Sequence[int]) -> Polynomial:
     """The determinant of the generic submatrix on the given rows/columns,
     expanded exactly, each term a product of distinct variables with the
     field's 1 or -1 as coefficient.
@@ -603,23 +602,13 @@ def minor(ring: PolyRing, rows: Sequence[int], cols: Sequence[int],
     Index lists must be equal-length, strictly increasing and inside the
     grid; they are checked here.  A minor of size 2 or 3 is its closed
     Leibniz form; a larger one is expanded along its first row down to
-    3 x 3 blocks (see ``_laplace``), under ``memo``.  Without one the memo
-    lives for this call; a caller expanding several minors that share
-    sub-minors passes one empty dict to all of them, so each sub-minor is
-    expanded once.  A memo serves one ring, the first it is used in: the
-    field's -1 is in its terms, so a ring that is not ``==`` to that one
-    is refused with a ValueError.  The memo's term dicts are shared with
-    the minors returned, which no operation changes.
+    3 x 3 blocks (see ``_laplace``), with a memo that lives for this call.
 
     >>> r = PolyRing(2, 4)
     >>> str(minor(r, [1, 2], [3, 4]))
     '-x[1,4]*x[2,3] + x[1,3]*x[2,4]'
     """
-    if memo is None:
-        memo = {}
-    elif (owner := memo.setdefault("ring", ring)) is not ring and owner != ring:
-        raise ValueError(f"a minor memo of {owner!r} cannot serve {ring!r}")
-    return Polynomial(ring, _laplace(ring, *_minor_indices(ring, rows, cols), memo))
+    return Polynomial(ring, _laplace(ring, *_minor_indices(ring, rows, cols), {}))
 
 
 def _laplace(ring: PolyRing, rows: tuple, cols: tuple, memo: dict) -> dict:
@@ -634,8 +623,7 @@ def _laplace(ring: PolyRing, rows: tuple, cols: tuple, memo: dict) -> dict:
     lie on ``rows[1:]``, and the one at column k, times that row's variable
     at column k, gives a term set that no other k shares, since each holds a
     different variable of the first row.  ``memo`` maps the (rows, cols) of
-    each minor of size 3 and up already expanded to its terms (``minor``
-    also keeps the memo's ring in it, under the key "ring"), so the
+    each minor of size 3 and up already expanded to its terms, so the
     recursion stops at 3 x 3 blocks, each built once per memo.  The signs
     are the field's own 1 and -1."""
     variables = ring._variables
@@ -776,9 +764,13 @@ def normal_form(f: Polynomial, reducers: Sequence[Polynomial]) -> Polynomial:
     division is deterministic: a reducer that is a single variable times a
     unit erases every term that variable divides before any other reducer is
     tried; otherwise the reducer with the smallest leading monomial is
-    preferred (ties broken by input order).  When the reducers form a
-    Groebner basis, as every caller's in this package do, the remainder is
-    the unique normal form, whichever reducer the rule prefers.
+    preferred (ties broken by input order).  Whatever the reducers, a zero
+    remainder proves that f lies in the ideal they generate.  When they
+    form a Groebner basis the remainder is the unique normal form, whichever
+    reducer the rule prefers.  Every caller in this package divides by a
+    Groebner basis, except the first division of the forward direction of
+    ``frlab.verify_localization_identity``, which reads only whether a
+    remainder is zero.
     """
     return normal_forms((f,), reducers)[0]
 

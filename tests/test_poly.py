@@ -377,57 +377,6 @@ def test_corner_entries_check_each_corner(corner, message):
             build(RING, [(1, 1, 1), corner])
 
 
-@st.composite
-def _memo_runs(draw):
-    """(char, steps): 0 or 32003, and up to eight steps, each a site of the
-    5 x 5 grid, an operation on the minor there ("keep", "negate" or
-    "multiply" by an earlier result) and a pick of that earlier result."""
-    char = draw(st.sampled_from([0, 32003]))
-
-    def indices(t):
-        return tuple(sorted(draw(st.lists(st.integers(1, 5), min_size=t, max_size=t,
-                                          unique=True))))
-
-    steps = [(indices(t), indices(t), draw(st.sampled_from(["keep", "negate", "multiply"])),
-              draw(st.integers(0, 10 ** 6)))
-             for t in draw(st.lists(st.integers(1, 5), min_size=1, max_size=8))]
-    return char, steps
-
-
-@settings(max_examples=150, deadline=None)
-@example(drawn=(0, [((1, 2, 3, 4, 5), (1, 2, 3, 4, 5), "negate", 0),
-                    ((2, 3, 4, 5), (1, 2, 4, 5), "multiply", 0),
-                    ((3, 4, 5), (1, 4, 5), "multiply", 1), ((3, 4, 5), (1, 4, 5), "keep", 0)]))
-@given(drawn=_memo_runs())
-def test_a_shared_memo_gives_the_minors_of_fresh_calls(drawn):
-    # minors under one memo share its term dicts with each other; negating
-    # them and multiplying them together must change none of them, so every
-    # minor, and every result, equals what fresh calls give
-    char, steps = drawn
-    ring = PolyRing(5, 5, char)
-    memo: dict = {}
-    minors, results, fresh_results = [], [], []
-    for rows, cols, op, pick in steps:
-        g, fresh = minor(ring, rows, cols, memo), minor(ring, rows, cols)
-        assert g == fresh
-        minors.append((g, rows, cols))
-        if op == "negate":
-            results.append(-g)
-            fresh_results.append(-fresh)
-        elif op == "multiply" and results:
-            results.append(g * results[pick % len(results)])
-            fresh_results.append(fresh * fresh_results[pick % len(fresh_results)])
-    assert results == fresh_results
-    assert all(g == minor(ring, rows, cols) for g, rows, cols in minors)
-    # a ring equal to the memo's is served; another grid, or the same grid
-    # over another field, whose -1 differs, is refused
-    rows, cols = steps[0][:2]
-    assert minor(PolyRing(5, 5, char), rows, cols, memo) == minors[0][0]
-    for other in (PolyRing(5, 5, 32003 - char), PolyRing(6, 5, char), PolyRing(5, 5, 2)):
-        with pytest.raises(ValueError, match="^a minor memo of PolyRing"):
-            minor(other, rows, cols, memo)
-
-
 @pytest.mark.parametrize("word,expansions", [("1532476", 42), ("54321", 0), ("146253", 19)])
 def test_fulton_generators_expands_each_sub_minor_once(monkeypatch, word, expansions):
     # an expansion is a Laplace call on a minor of size 3 and up that builds
