@@ -86,8 +86,8 @@ class Witness:
     """Why a permutation fails the classification, anchored at a cell."""
 
     cell: Cell
-    kind: str  # always "block-not-permutation"; see the module docstring
     detail: str
+    kind = "block-not-permutation"  # the only way to fail; see the module docstring
 
     def to_json(self) -> dict:
         return {"cell": list(self.cell), "kind": self.kind, "detail": self.detail}
@@ -195,10 +195,8 @@ def _report(word: tuple[int, ...], cells: list[tuple[Cell, int]]) -> CIReport:
                                     for c, s in cells[:index]
                                     if c.p > top and left < c.q < q])
         elif witness is None:
-            witness = Witness(
-                cell, "block-not-permutation",
-                f"the {r}x{r} block on rows {p - r}..{p - 1} and columns "
-                f"{q - r}..{q - 1} is not a permutation matrix")
+            witness = Witness(cell, f"the {r}x{r} block on rows {p - r}..{p - 1} and columns "
+                                    f"{q - r}..{q - 1} is not a permutation matrix")
         nodes.append(CertificateNode(cell, r, child is not None, child))
     return CIReport(w=word, verdict=witness is None, codim=len(cells),
                     certificate=tuple(nodes), failure_witness=witness)

@@ -21,13 +21,14 @@ selection is ``poly.independent``, and the module reaches the polynomial
 engine only through ``poly``'s public names.
 
 The module also carries the monomial-ideal utilities needed elsewhere:
-codimension of a squarefree monomial ideal by exact minimum vertex cover,
-membership of a polynomial in a monomial ideal, and the variable
+codimension of a squarefree monomial ideal as the order of its K-polynomial
+at t = 1, membership of a polynomial in a monomial ideal, and the variable
 nonzerodivisor test on a monomial quotient.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
 from .perm import PartialPermutation, diagram, essential_set
@@ -89,35 +90,19 @@ def is_nonzerodivisor_on_monomial_quotient(c: Monomial, J: MonomialIdeal) -> boo
 
 
 def monomial_codim(J: MonomialIdeal) -> int:
-    """Height of a squarefree monomial ideal: the minimum number of variables
-    meeting the support of every minimal generator, found by exact
-    branch-and-bound vertex cover: it branches on the variables of a
-    smallest support and prunes a branch that cannot beat the best cover
-    found so far."""
-    if not J.is_squarefree():
-        raise ValueError("codimension via vertex cover requires a squarefree ideal")
-    if not J.gens:
-        return 0
-    supports = [J.ring.support(m) for m in J.gens]
-    if not all(supports):
+    """Height of a squarefree monomial ideal: the order at t = 1 of the
+    K-polynomial of S/J (``PolyRing.k_polynomial``), since the Hilbert
+    series K(t) / (1 - t)^N of S/J has a pole of order dim S/J = N - height
+    there.  The order is the number of divisions by 1 - t (prefix sums of
+    the coefficients) that the coefficients allow by summing to 0.  A
+    non-squarefree J raises ``ValueError``, as ``k_polynomial`` does."""
+    k = J.ring.k_polynomial(J.gens)
+    if not k:
         raise ValueError("the unit ideal has no height")
-
-    # every variable of the support is a cover; the search looks only for
-    # smaller ones, so a branch reaching no generator left has chosen < best
-    best = len(frozenset().union(*supports))
-
-    def search(remaining: list[frozenset], chosen: int):
-        nonlocal best
-        if not remaining:
-            best = chosen
-        elif chosen + 1 < best:
-            # some variable of the smallest support is in every cover
-            pivot = min(remaining, key=len)
-            for v in sorted(pivot):
-                search([s for s in remaining if v not in s], chosen + 1)
-
-    search(supports, 0)
-    return best
+    codim = 0
+    while not sum(k):
+        k, codim = tuple(accumulate(k))[:-1], codim + 1
+    return codim
 
 
 # ---------------------------------------------------------------------------

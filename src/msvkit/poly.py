@@ -22,7 +22,7 @@ Every ``PolyRing`` owns its coefficient field and its term order:
 Monomials are opaque outside this module: they compare with ``<`` in the
 ring's order, combine through the ``monomial_*`` functions, and are built,
 inspected and enumerated through ``PolyRing`` methods (``monomial``,
-``grid_support``, ``monomial_degree``, ``support``).  Coefficients stay
+``grid_support``, ``monomial_degree``, ``k_polynomial``).  Coefficients stay
 inside too: ``independent`` decides linear dependence over the field for
 callers.  Inside, a monomial is one packed int with one byte per variable,
 bytes in decreasing variable precedence from the most significant, after the
@@ -35,8 +35,9 @@ exponents (``monomial_mul``, the ``axpy`` kernels,
 ``PolyRing.monomial`` and the parser) raises ``ExponentOverflowError``
 rather than carry into the next variable.  A variable is a single bit, so a
 squarefree monomial (``PolyRing.is_squarefree``) is the bit set of its
-variables: an OR of monomials is squarefree only when each of them is, and
-a squarefree monomial's degree is its bit count (``homogeneous_degree``).
+variables: an OR of monomials is squarefree only when each of them is, a
+squarefree monomial's degree is its bit count (``homogeneous_degree``), and
+its lowest bit is one of its variables (``k_polynomial``).
 
 The Groebner engine keeps what it has computed: a polynomial caches its
 leading monomial, and ``normal_forms`` sorts one reducer list for many
@@ -56,8 +57,7 @@ import re
 from bisect import insort
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import reduce
-from itertools import compress
+from functools import cache, reduce
 from typing import Iterable, Iterator, Optional, Sequence
 
 Monomial = int  # packed exponents, one byte per variable in decreasing precedence
@@ -255,26 +255,18 @@ class PolyRing:
             raise ValueError(
                 f"variable x[{i},{j}] outside the {self.rows}x{self.cols} grid") from None
 
-    def _exponents(self, m: Monomial) -> bytes:
-        """The exponents of m, in decreasing variable precedence."""
-        return m.to_bytes(self.nvars, "big")
-
     def monomial_degree(self, m: Monomial) -> int:
-        return sum(m.to_bytes(self.nvars, "big"))  # _exponents, inlined
+        return sum(m.to_bytes(self.nvars, "big"))
 
     def is_squarefree(self, m: Monomial) -> bool:
         """Whether no variable divides m twice: whether every exponent byte
         is 0 or 1, so that m sets none of the bits 1 to 6 of any byte."""
         return not m & (self._guard - (self._guard >> 6))
 
-    def support(self, m: Monomial) -> frozenset:
-        """Opaque keys of the variables dividing m; two monomials share a
-        variable iff their supports meet."""
-        return frozenset(compress(range(self.nvars), self._exponents(m)))
-
     def grid_support(self, m: Monomial) -> Iterator[tuple[int, int, int]]:
-        """Yield (i, j, exponent) for the variables dividing m."""
-        for pos, e in enumerate(self._exponents(m)):
+        """Yield (i, j, exponent) for the variables dividing m, in decreasing
+        variable precedence."""
+        for pos, e in enumerate(m.to_bytes(self.nvars, "big")):
             if e:
                 yield pos // self.cols + 1, self.cols - pos % self.cols, e
 
@@ -291,6 +283,46 @@ class PolyRing:
             else:
                 kept.append(m)
         return kept
+
+    def k_polynomial(self, monomials: Iterable[Monomial]) -> tuple:
+        """The K-polynomial of S/J, for J generated by squarefree
+        ``monomials``, as its coefficients from t^0 up: the Hilbert series of
+        S/J is K(t) / (1 - t)^nvars.  The unit ideal has K = 0, which is ().
+
+        For a variable v of a minimal generator g, the exact sequence
+        0 -> S/(J : v)(-1) -> S/J -> S/(J + <v>) -> 0 gives
+        K(J) = K(J + <v>) + t K(J : v).  J + <v> is <v> plus the generators
+        free of v, so its K is (1 - t) times theirs; J : v drops v from
+        every generator, and is the unit ideal when g = v.  A squarefree
+        monomial is the bit set of its variables, so v is g's lowest bit.
+        Taking g a variable whenever J has one peels the variables off
+        first, so the memo (``functools.cache`` on the recursion, keyed by
+        minimal generators and living for the call) meets the same ideals
+        again: k disjoint products of two variables take k steps, not 2^k.
+
+        >>> r = PolyRing(2, 2)
+        >>> r.k_polynomial([r.monomial({(1, 1): 1, (2, 2): 1})])
+        (1, 0, -1)
+        """
+        gens = tuple(self.minimal_monomials(monomials))
+        if not all(map(self.is_squarefree, gens)):
+            raise ValueError("the K-polynomial recursion requires squarefree monomials")
+
+        @cache
+        def k(gens: tuple) -> tuple:
+            if not gens:
+                return (1,)
+            g = next((g for g in gens if not g & (g - 1)), gens[0])  # a variable first
+            v = g & -g
+            free = k(tuple(h for h in gens if not h & v))
+            colon = () if g == v else k(tuple(self.minimal_monomials(h & ~v for h in gens)))
+            coeffs = [a - b + c for a, b, c in
+                      itertools.zip_longest(free, (0, *free), (0, *colon), fillvalue=0)]
+            while coeffs and not coeffs[-1]:
+                coeffs.pop()
+            return tuple(coeffs)
+
+        return () if gens == (0,) else k(gens)
 
     def render_monomial(self, m: Monomial) -> str:
         factors = []
@@ -461,9 +493,6 @@ class Polynomial:
                 raise ValueError("the zero polynomial has no leading term")
             lead = self._lead = max(self._d)
         return lead
-
-    def leading_coefficient(self):
-        return self._d[self.leading_monomial()]
 
     def total_degree(self) -> int:
         if not self._d:
@@ -1048,7 +1077,7 @@ def _certify_basis(ring: PolyRing, gens: Sequence[Polynomial], basis: tuple):
             raise GroebnerCertificationError("basis element not monic")
         if g.leading_monomial() != max(g._d):
             raise GroebnerCertificationError("cached leading monomial is not the largest term")
-        if g.leading_coefficient() != 1:
+        if g._d[g.leading_monomial()] != 1:
             raise GroebnerCertificationError("basis element not monic")
     for idx in range(1, len(basis)):
         if not basis[idx - 1].leading_monomial() < basis[idx].leading_monomial():

@@ -19,6 +19,9 @@ word, ``extend_by_column_search`` extends a partial permutation by
 searching each row's smallest unused column, and ``reference_classify`` is
 the complete intersection recursion with a fresh diagram per block; each
 is kept as the reference that its replacement is checked against.
+``schubert_polynomials`` computes the Schubert polynomials of S_n by
+``divided_difference``, and the Grothendieck polynomials by its isobaric
+form ``isobaric_divided_difference``.
 """
 import itertools
 import re
@@ -51,7 +54,7 @@ def division_scanning_every_reducer(f: Polynomial, reducers: Sequence[Polynomial
     reducer scanned, variables included."""
     ring = f.ring
     reducers = sorted(reducers, key=lambda g: g.leading_monomial())
-    assert all(g.leading_coefficient() == 1 for g in reducers)
+    assert all(dict(g.terms())[g.leading_monomial()] == 1 for g in reducers)
     remainder = ring.const(0)
     while f:
         m, c = f.terms()[0]
@@ -247,17 +250,17 @@ def pivot_minor_report_on_supports(setup) -> tuple:
     its report: (ok, checked, failures).  Every minor of the n x n generic
     matrix with the pivot on its antidiagonal, by size, rows and columns,
     is searched depth first over the bijections of its rows onto its
-    columns, with the chosen variables as a frozenset of ``PolyRing.support``
-    keys.  The terms of a generic minor are distinct squarefree products
-    with coefficient +-1 and the ideal is squarefree, so a minor lies in it
-    iff every bijection picks the support of some generator."""
+    columns, with the chosen variables as a frozenset of their cells, as
+    ``PolyRing.grid_support`` names them.  The terms of a generic minor are
+    distinct squarefree products with coefficient +-1 and the ideal is
+    squarefree, so a minor lies in it iff every bijection picks the support
+    of some generator."""
     n, (p0, q0), ring = setup.w.size, setup.c_cell, setup.ring
     gens = (ring.monomial({(p0, q0): 1}),) + setup.groebner.antidiagonal.gens
-    key = {(i, j): ring.support(ring.monomial({(i, j): 1}))
-           for i in range(1, n + 1) for j in range(1, n + 1)}
+    key = {(i, j): frozenset({(i, j)}) for i in range(1, n + 1) for j in range(1, n + 1)}
     covering: dict = {}
     for m in gens:
-        support = ring.support(m)
+        support = frozenset((i, j) for i, j, _ in ring.grid_support(m))
         for v in support:
             covering.setdefault(v, []).append(support)
     checked = 0
@@ -350,9 +353,55 @@ def reference_classify(word: tuple[int, ...]) -> CIReport:
         child = reference_classify(block) if len(block) == r else None
         if child is None and witness is None:
             witness = Witness(
-                cell, "block-not-permutation",
-                f"the {r}x{r} block on rows {cell.p - r}..{cell.p - 1} and columns "
+                cell, f"the {r}x{r} block on rows {cell.p - r}..{cell.p - 1} and columns "
                 f"{cell.q - r}..{cell.q - 1} is not a permutation matrix")
         nodes.append(CertificateNode(cell, r, child is not None, child))
     return CIReport(w=word, verdict=witness is None, codim=len(d),
                     certificate=tuple(nodes), failure_witness=witness)
+
+
+def divided_difference(f, i):
+    """(f - s_i f) / (x_i - x_{i+1}) for f as {exponent tuple: coefficient},
+    with i 0-based."""
+    out = {}
+    for e, c in f.items():
+        a, b, sign = e[i], e[i + 1], 1
+        if a < b:
+            a, b, sign = b, a, -1
+        # (x^a y^b - x^b y^a) / (x - y) = sum of x^(a-1-k) y^(b+k), 0 <= k < a-b
+        for k in range(a - b):
+            g = e[:i] + (a - 1 - k, b + k) + e[i + 2:]
+            out[g] = out.get(g, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def isobaric_divided_difference(f, i):
+    """pi_i f = d_i((1 - x_{i+1}) f), for f and i as in
+    ``divided_difference``."""
+    g = dict(f)
+    for e, c in f.items():
+        shifted = e[:i + 1] + (e[i + 1] + 1,) + e[i + 2:]
+        g[shifted] = g.get(shifted, 0) - c
+    return divided_difference(g, i)
+
+
+def schubert_polynomials(n, operator=divided_difference):
+    """The Schubert polynomial of every w in S_n, keyed by one-line tuple, by
+    divided differences down from x1^(n-1) x2^(n-2) ... x_(n-1) at the
+    longest element: S_(w s_i) = d_i S_w whenever w(i) > w(i+1).  With
+    ``isobaric_divided_difference`` as ``operator`` they are the
+    Grothendieck polynomials, which start from the same monomial
+    (Lascoux-Schutzenberger 1982)."""
+    top = tuple(range(n, 0, -1))
+    polynomials = {top: {tuple(range(n - 1, -1, -1)): 1}}
+    frontier = [top]
+    while frontier:
+        below = []
+        for w in frontier:
+            for i in range(n - 1):
+                v = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
+                if w[i] > w[i + 1] and v not in polynomials:
+                    polynomials[v] = operator(polynomials[w], i)
+                    below.append(v)
+        frontier = below
+    return polynomials

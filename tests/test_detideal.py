@@ -25,7 +25,7 @@ from msvkit.ci import minimal_generator_count
 from msvkit.detideal import (MonomialIdeal, antidiagonal_ideal, fulton_generators,
                              graded_minimal_generators, is_nonzerodivisor_on_monomial_quotient,
                              monomial_codim, monomial_quotient_membership, verify_groebner)
-from reference import colon_by_variable
+from reference import colon_by_variable, schubert_polynomials
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -594,40 +594,6 @@ def test_graded_minimal_generators_matches_linear_algebra(shape, char, items):
 # Pipe dreams against Schubert polynomials
 # ---------------------------------------------------------------------------
 
-def _divided_difference(f, i):
-    """(f - s_i f) / (x_i - x_{i+1}) for f as {exponent tuple: coefficient},
-    with i 0-based."""
-    out = {}
-    for e, c in f.items():
-        a, b, sign = e[i], e[i + 1], 1
-        if a < b:
-            a, b, sign = b, a, -1
-        # (x^a y^b - x^b y^a) / (x - y) = sum of x^(a-1-k) y^(b+k), 0 <= k < a-b
-        for k in range(a - b):
-            g = e[:i] + (a - 1 - k, b + k) + e[i + 2:]
-            out[g] = out.get(g, 0) + sign * c
-    return {e: c for e, c in out.items() if c}
-
-
-def _schubert_polynomials(n):
-    """The Schubert polynomial of every w in S_n, keyed by one-line tuple, by
-    divided differences down from x1^(n-1) x2^(n-2) ... x_(n-1) at the
-    longest element: S_(w s_i) = d_i S_w whenever w(i) > w(i+1)."""
-    top = tuple(range(n, 0, -1))
-    polynomials = {top: {tuple(range(n - 1, -1, -1)): 1}}
-    frontier = [top]
-    while frontier:
-        below = []
-        for w in frontier:
-            for i in range(n - 1):
-                v = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
-                if w[i] > w[i + 1] and v not in polynomials:
-                    polynomials[v] = _divided_difference(polynomials[w], i)
-                    below.append(v)
-        frontier = below
-    return polynomials
-
-
 def _minimal_covers(supports, bound):
     """The minimal vertex covers of at most ``bound`` vertices of the sets
     ``supports``.  Each branch covers the first uncovered set by one of its
@@ -669,7 +635,7 @@ def _pipe_dream_polynomial(w):
 
 def test_pipe_dream_of_132_is_x1_plus_x2():
     total, sizes = _pipe_dream_polynomial(w_("132"))
-    assert total == {(1, 0, 0): 1, (0, 1, 0): 1} == _schubert_polynomials(3)[(1, 3, 2)]
+    assert total == {(1, 0, 0): 1, (0, 1, 0): 1} == schubert_polynomials(3)[(1, 3, 2)]
     assert sizes == {1}
 
 
@@ -680,7 +646,7 @@ def test_pipe_dreams_of_the_antidiagonal_ideal_sum_to_the_schubert_polynomial(n)
     2005), so summing x_row over the crosses of the minimal vertex covers of
     size l(w) of its generator supports gives the Schubert polynomial;
     exhaustive over S_n, and the codimension of J_w is l(w)."""
-    schubert = _schubert_polynomials(n)
+    schubert = schubert_polynomials(n)
     for w in all_permutations(n):
         total, sizes = _pipe_dream_polynomial(w)
         assert total == schubert[w.one_line()], w.one_line()

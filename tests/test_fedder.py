@@ -16,14 +16,23 @@ Over F_p the p-th powers of a Groebner basis of I are a Groebner basis of
 I^{[p]}, as Frobenius is flat (Kunz 1969), so membership is a normal form
 against their reduced basis.  f^{p-1} is multiplied in one factor at a time,
 each product reduced before the next factor, so no power of f is expanded.
+
+For a complete intersection (f_1, ..., f_c) the criterion needs no
+Groebner basis of I^{[p]}: S/I is F-pure iff (f_1 ... f_c)^{p-1} lies
+outside m^{[p]}, that is, has a term with every exponent below p (Fedder,
+Trans. AMS 1983).
 """
+
+from functools import reduce
 
 import pytest
 
+from msvkit.ci import is_complete_intersection
 from msvkit.detideal import fulton_generators
 from msvkit.frlab import find_pivot
 from msvkit.perm import PartialPermutation, all_permutations
-from msvkit.poly import PolyRing, buchberger, minor, normal_forms
+from msvkit.poly import (PolyRing, buchberger, minor, monomial_lcm, monomial_mul,
+                         normal_forms)
 
 
 def fedder_factors(ring: PolyRing) -> list:
@@ -101,3 +110,61 @@ def test_an_ideal_that_f_does_not_split_fails(text, p):
     ring = PolyRing(3, 3, char=p)
     g = ring.parse(text)
     assert outside_frobenius_power([g]) == [g]
+
+
+def complete_intersections(n: int) -> list:
+    """(w, its CI generators) for every complete intersection w of S_n."""
+    reports = (is_complete_intersection(w) for w in all_permutations(n))
+    return [(report.w, report.generators) for report in reports if report.verdict]
+
+
+def test_the_leads_of_every_complete_intersection_are_squarefree_and_coprime():
+    # so the lead of f_1 ... f_c is their squarefree product, and its
+    # (p-1)-th power, the lead of (f_1 ... f_c)^{p-1}, lies outside m^{[p]}
+    # at every p: every complete intersection through S_7 is F-pure
+    words = 0
+    for n in range(1, 8):
+        for w, generators in complete_intersections(n):
+            leads = [g.leading_monomial() for g in generators]
+            ring = PolyRing(n, n)
+            assert all(map(ring.is_squarefree, leads)), w
+            assert all(monomial_lcm(a, b) == monomial_mul(a, b)
+                       for k, a in enumerate(leads) for b in leads[:k]), w
+            words += 1
+    assert words == 1779
+
+
+def has_term_below(f, p: int) -> bool:
+    """Whether f has a term with every exponent below p, that is, whether
+    f lies outside m^{[p]}."""
+    return any(all(e < p for _, _, e in f.ring.grid_support(m)) for m in f.monomials())
+
+
+def product_power(generators, p: int):
+    """(f_1 ... f_c)^{p-1} over F_p, the generators' integer coefficients
+    read mod p."""
+    ring = PolyRing(generators[0].ring.rows, generators[0].ring.cols, char=p)
+    product = reduce(lambda f, g: f * g, (ring.polynomial(g.terms()) for g in generators))
+    return power(product, p - 1)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_the_product_of_the_ci_generators_meets_fedders_criterion(p):
+    cases = 0
+    for n in range(1, 6):
+        for w, generators in complete_intersections(n):
+            if generators:  # the identity's ideal is zero
+                assert has_term_below(product_power(generators, p), p), w
+                cases += 1
+    assert cases == 105
+
+
+def test_a_squared_generator_fails_fedders_criterion():
+    # in characteristic 2 a square has only even exponents, so no term of
+    # the product is squarefree once one generator, here the 2 x 2 minor, is
+    # squared
+    generators = is_complete_intersection(PartialPermutation.from_one_line("462153")).generators
+    assert has_term_below(product_power(generators, 2), 2)
+    squared = [g * g if g.total_degree() == 2 else g for g in generators]
+    assert squared != list(generators)
+    assert not has_term_below(product_power(squared, 2), 2)

@@ -122,15 +122,16 @@ def test_monomial_kernels_match_their_per_exponent_definitions(a, b, terms, c, c
     assert monomial_lcm(m(a), m(b)) == m(max(x, y) for x, y in zip(a, b))
     # the packed tests the engine inlines with the ring's guard mask: a
     # difference b - a of either sign sets no guard bit exactly when a | b,
-    # the lcm is the product exactly for coprime monomials, and the
-    # supports name the variables with a positive exponent
+    # the lcm is the product exactly for coprime monomials, and the grid
+    # support names the variables with a positive exponent
     assert (not (m(b) - m(a)) & ring._guard) == divides
     assert (not (m(a) - m(b)) & ring._guard) == all(x >= y for x, y in zip(a, b))
     assert _lcm(m(a), m(b), ring._guard) == _lcm(m(b), m(a), ring._guard) \
         == m(max(x, y) for x, y in zip(a, b))
     assert (monomial_lcm(m(a), m(b)) == monomial_mul(m(a), m(b))) \
         == (not any(x > 0 and y > 0 for x, y in zip(a, b)))
-    assert len(ring.support(m(a))) == sum(1 for x in a if x)
+    assert len(frozenset((i, j) for i, j, _ in ring.grid_support(m(a)))) \
+        == sum(1 for x in a if x)
     # b keeps its one term under division by a's variables, which erase
     # every term they divide by mask, iff it is free of them
     variables = [ring.variable(*cell) for cell, x in zip(KERNEL_CELLS, a) if x]
@@ -415,16 +416,17 @@ def test_fulton_generators_expands_each_sub_minor_once(monkeypatch, word, expans
 
 def test_leading_term_goldens():
     f = minor(RING, [1, 2], [3, 4])
-    c, m = f.leading_coefficient(), f.leading_monomial()
+    c, m = dict(f.terms())[f.leading_monomial()], f.leading_monomial()
     assert (c, m) == (-1, mono({(1, 4): 1, (2, 3): 1}))
     x11 = RING.variable(1, 1)
-    assert (x11.leading_coefficient(), x11.leading_monomial()) == (1, mono({(1, 1): 1}))
+    assert (dict(x11.terms())[x11.leading_monomial()], x11.leading_monomial()) \
+        == (1, mono({(1, 1): 1}))
     m4 = minor(RING, [1, 2, 3, 4], [1, 2, 3, 4]).leading_monomial()
     assert m4 == mono({(1, 4): 1, (2, 3): 1, (3, 2): 1, (4, 1): 1})
     with pytest.raises(ValueError):
         RING.const(0).leading_monomial()
     with pytest.raises(ValueError):
-        RING.const(0).leading_coefficient()
+        dict(RING.const(0).terms())[RING.const(0).leading_monomial()]
 
 
 def test_every_5x5_minor_leads_with_its_antidiagonal():
