@@ -155,6 +155,12 @@ def fulton_generators(w: PartialPermutation, ring: Optional[PolyRing] = None, *,
     grid of ``ring`` is checked once here; ``poly.corner_minors`` then
     checks each cell's corner once and expands every site of it without a
     check per site.
+
+    Two cells' corners may share a site (in 1432, the rank-1 cells (2,3)
+    and (3,2) both hold ((1,2),(1,2))), and then ``raw_generators`` lists
+    its minor twice.  Graded Nakayama would never keep the later copy, as
+    it lies in the span of the first, so the selection sees each distinct
+    site once, at its first index.
     """
     if cells not in ("essential", "diagram"):
         raise ValueError("cells must be 'essential' or 'diagram'")
@@ -164,7 +170,12 @@ def fulton_generators(w: PartialPermutation, ring: Optional[PolyRing] = None, *,
     else:
         cell_ranks = tuple(diagram(w).items())
     sites, raw = corner_minors(ring, _corners(cell_ranks))
-    kept, _ = graded_minimal_generators(ring, raw)
+    first: dict = {}
+    for idx, site in enumerate(sites):
+        first.setdefault(site, idx)
+    distinct = list(first.values())
+    kept, _ = graded_minimal_generators(ring, [raw[i] for i in distinct])
+    kept = [distinct[k] for k in kept]
     return SchubertIdeal(ring=ring, cells=cell_ranks,
                          generators=tuple(raw[i] for i in kept),
                          sites=tuple(sites[i] for i in kept), raw_generators=tuple(raw))
@@ -210,7 +221,8 @@ def graded_minimal_generators(ring: PolyRing, gens: Sequence[Polynomial]
     reduced against them once (``normal_forms`` erases their multiples), and
     ``buchberger`` runs only on the kept reduced generators that are nonzero,
     and not at all when none are.  In degree 1, J holds no variable, so the
-    linear generators enter as they are.
+    linear generators enter as they are.  A generator that carries its
+    degree (every Fulton minor does) is not re-checked for homogeneity.
 
     Handing the variables to ``buchberger`` with the rest, and letting it
     split them off, was measured and is slower: ``buchberger`` then runs in

@@ -302,8 +302,9 @@ def essential_set(w: PartialPermutation) -> tuple[tuple[Cell, int], ...]:
     ((Cell(p=2, q=2), 0), (Cell(p=2, q=4), 1), (Cell(p=4, q=2), 1))
     """
     d = diagram(w)
+    # a Cell is a tuple, so plain tuples look its neighbours up
     return tuple((c, r) for c, r in d.items()
-                 if Cell(c.p + 1, c.q) not in d and Cell(c.p, c.q + 1) not in d)
+                 if (c.p + 1, c.q) not in d and (c.p, c.q + 1) not in d)
 
 
 def coxeter_length(w: PartialPermutation) -> int:

@@ -40,13 +40,15 @@ squarefree monomial's degree is its bit count (``homogeneous_degree``), and
 its lowest bit is one of its variables (``k_polynomial``).
 
 The Groebner engine keeps what it has computed: a polynomial caches its
-leading monomial, and ``normal_forms`` sorts one reducer list for many
-dividends.  A variable x in an ideal erases every term that x divides, which
-on packed monomials is one AND against a mask of the variables' exponent
-bytes.  ``normal_forms`` alone builds that mask, and keeps the variables
-out of its reducer scans; ``buchberger`` erases the variables among its
-generators through it and keeps them out of its pair updates.  Callers hand
-both variables like any other generator and never erase terms themselves.
+leading monomial, a minor of the generic matrix carries its degree from the
+kernel that built it (so graded Nakayama need not re-check it), and
+``normal_forms`` sorts one reducer list for many dividends.  A variable x in
+an ideal erases every term that x divides, which on packed monomials is one
+AND against a mask of the variables' exponent bytes.  ``normal_forms`` alone
+builds that mask, and keeps the variables out of its reducer scans;
+``buchberger`` erases the variables among its generators through it and
+keeps them out of its pair updates.  Callers hand both variables like any
+other generator and never erase terms themselves.
 """
 from __future__ import annotations
 
@@ -65,6 +67,7 @@ Monomial = int  # packed exponents, one byte per variable in decreasing preceden
 PRIME_BOUND = 2 ** 31
 EXPONENT_BOUND = 127  # the largest exponent one byte below its guard bit holds
 MAX_VARIABLES = 4096
+K_SUPPORT_BOUND = 512  # variables k_polynomial's recursion peels, one level each
 # The guard bit of every byte a ring may use.  ``x & _GUARD`` costs only the
 # size of x when x >= 0, so the ring-free kernels test overflow and
 # divisibility with it; the lcm needs a mask of the operands' width.
@@ -164,6 +167,8 @@ class _PrimeField:
         raise TypeError(f"unsupported coefficient {c!r}")
 
     def div(self, a, b):
+        if b == 1:
+            return a
         return a * pow(b, -1, self.p) % self.p
 
     def axpy(self, target: dict, src: Iterable, c, u: Monomial = 0):
@@ -299,6 +304,10 @@ class PolyRing:
         first, so the memo (``functools.cache`` on the recursion, keyed by
         minimal generators and living for the call) meets the same ideals
         again: k disjoint products of two variables take k steps, not 2^k.
+        Each level peels one variable of the generators' support, so a
+        support wider than ``K_SUPPORT_BOUND`` variables raises
+        ``ValueError`` before the recursion starts, rather than
+        ``RecursionError`` deep inside it.
 
         >>> r = PolyRing(2, 2)
         >>> r.k_polynomial([r.monomial({(1, 1): 1, (2, 2): 1})])
@@ -307,6 +316,10 @@ class PolyRing:
         gens = tuple(self.minimal_monomials(monomials))
         if not all(map(self.is_squarefree, gens)):
             raise ValueError("the K-polynomial recursion requires squarefree monomials")
+        width = reduce(operator.or_, gens, 0).bit_count()  # squarefree: one bit per variable
+        if width > K_SUPPORT_BOUND:
+            raise ValueError(f"the K-polynomial recursion is bounded at {K_SUPPORT_BOUND} "
+                             f"variables; the generators involve {width}")
 
         @cache
         def k(gens: tuple) -> tuple:
@@ -462,14 +475,19 @@ class Polynomial:
 
     The leading monomial is cached once computed; a constructor that knows
     it (a rescaled or tail-reduced polynomial keeps its lead, a shifted one
-    moves it) passes it as ``lead``."""
+    moves it) passes it as ``lead``.  A constructor that knows every term
+    has one degree (a t x t minor has degree t) passes it as ``degree``,
+    and ``homogeneous_degree`` returns it unchecked.  Neither cache takes
+    part in ``==`` or ``hash``."""
 
-    __slots__ = ("ring", "_d", "_lead")
+    __slots__ = ("ring", "_d", "_lead", "_degree")
 
-    def __init__(self, ring: PolyRing, coeffs: dict, lead: Optional[Monomial] = None):
+    def __init__(self, ring: PolyRing, coeffs: dict, lead: Optional[Monomial] = None,
+                 degree: Optional[int] = None):
         self.ring = ring
         self._d = coeffs
         self._lead = lead
+        self._degree = degree
 
     # -- structure ----------------------------------------------------------
 
@@ -501,11 +519,14 @@ class Polynomial:
 
     def homogeneous_degree(self) -> Optional[int]:
         """The degree of every term, or None when two terms differ in
-        degree.  One ``|`` over the terms tells whether all of them are
-        squarefree; then each is the bit set of its variables and its
-        degree is its bit count, and otherwise its ``monomial_degree``."""
+        degree: the ``degree`` the constructor passed, if any.  Otherwise
+        one ``|`` over the terms tells whether all of them are squarefree;
+        then each is the bit set of its variables and its degree is its bit
+        count, and otherwise its ``monomial_degree``."""
         if not self._d:
             raise ValueError("the zero polynomial has no degree")
+        if self._degree is not None:
+            return self._degree
         ring = self.ring
         if ring.is_squarefree(reduce(operator.or_, self._d)):
             # every term is squarefree, so its degree is its number of bits
@@ -637,7 +658,8 @@ def minor(ring: PolyRing, rows: Sequence[int], cols: Sequence[int]) -> Polynomia
     >>> str(minor(r, [1, 2], [3, 4]))
     '-x[1,4]*x[2,3] + x[1,3]*x[2,4]'
     """
-    return Polynomial(ring, _laplace(ring, *_minor_indices(ring, rows, cols), {}))
+    rows, cols = _minor_indices(ring, rows, cols)
+    return Polynomial(ring, _laplace(ring, rows, cols, {}), degree=len(rows))
 
 
 def _laplace(ring: PolyRing, rows: tuple, cols: tuple, memo: dict) -> dict:
@@ -697,7 +719,7 @@ def corner_minors(ring: PolyRing, corners: Iterable) -> tuple:
     signed sum of ``minor``, expanded under one memo for the whole call,
     keyed by the row suffix and column set of each minor of size 3 and up,
     so a sub-minor that several sites share is expanded once; the memo is
-    dropped when the call returns.
+    dropped when the call returns.  Each minor carries its degree t.
 
     >>> r = PolyRing(2, 4)
     >>> sites, fs = corner_minors(r, [(1, 2, 1), (2, 4, 2)])
@@ -706,7 +728,8 @@ def corner_minors(ring: PolyRing, corners: Iterable) -> tuple:
     """
     sites = list(_corner_sites(ring, corners))
     memo: dict = {}
-    return sites, [Polynomial(ring, _laplace(ring, rows, cols, memo)) for rows, cols in sites]
+    return sites, [Polynomial(ring, _laplace(ring, rows, cols, memo), degree=len(rows))
+                   for rows, cols in sites]
 
 
 def corner_antidiagonals(ring: PolyRing, corners: Iterable) -> list:
@@ -823,7 +846,9 @@ def normal_forms(fs: Sequence[Polynomial], reducers: Sequence[Polynomial]) -> tu
     mask = _variable_mask(variables, ring._guard)
     # a reducer whose lead the mask meets divides only erased terms
     prepared = sorted(e for e in entries if not e[0] & mask)
-    return tuple(Polynomial(ring, _reduce_dict(dict(f._d), prepared, ring, mask)) for f in fs)
+    # with a mask, _reduce_dict starts from a filtered copy of each dividend
+    return tuple(Polynomial(ring, _reduce_dict(f._d if mask else dict(f._d), prepared, ring, mask))
+                 for f in fs)
 
 
 def _reducer_entry(ring: PolyRing, k: int, g: Polynomial) -> tuple:
@@ -840,7 +865,8 @@ def _reducer_entry(ring: PolyRing, k: int, g: Polynomial) -> tuple:
 def _reduce_dict(p: dict, prepared: list, ring: PolyRing, mask: int = 0) -> dict:
     """Destructively reduce the term dict ``p`` by the sorted entries
     ``prepared``, after erasing every term that ``mask`` (the variable mask
-    of the variable reducers) meets; returns the remainder dict."""
+    of the variable reducers) meets; returns the remainder dict.  With a
+    mask the erasure builds a new dict, and ``p`` itself is left as it is."""
     if mask:
         p = {m: c for m, c in p.items() if not m & mask}
     if not prepared:

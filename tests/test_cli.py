@@ -479,6 +479,26 @@ def test_gens_and_ci_are_bounded_before_any_expansion(capsys, tmp_path, no_expan
     assert cli.EXPANSION_BOUND == 10
 
 
+def test_gens_is_bounded_at_minors_of_eight_rows(capsys, no_expansion):
+    # the essential cell (9,9) of rank 8 asks for a 9 x 9 minor: within the
+    # expansion bound, but graded Nakayama's division of it does not finish,
+    # and gens selects with or without --raw
+    import msvkit.cli as cli
+    word = "1 5 3 2 4 7 6 8 10 9"
+    for argv in (("gens", word), ("gens", word, "--raw"), ("gens", word, "--diagram-cells")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == ("error: gens is bounded at minors of at most "
+                       f"{cli.GENS_MINOR_BOUND} rows; got a 9x9 minor\n")
+    assert cli.GENS_MINOR_BOUND == 8
+
+
+def test_ci_keeps_the_nine_row_bound(capsys):
+    # a false verdict expands nothing, so ci answers the same word at once
+    code, out, _ = run(capsys, "ci", "1 5 3 2 4 7 6 8 10 9")
+    assert code == 1 and "not a complete intersection" in out
+
+
 # ---------------------------------------------------------------------------
 # Census
 # ---------------------------------------------------------------------------

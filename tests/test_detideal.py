@@ -73,6 +73,31 @@ def test_fulton_raw_count_matches_the_binomial_formula():
         assert len(schubert.raw_generators) == expected
 
 
+def test_the_selection_sees_each_repeated_site_once(monkeypatch):
+    # in 1432 the rank-1 cells (2,3) and (3,2) share the site ((1,2),(1,2)):
+    # raw_generators lists its minor twice (indices 0 and 3), and graded
+    # Nakayama receives the first copy only, the very objects at 0, 1, 2, 4, 5
+    received = []
+    select = detideal.graded_minimal_generators
+
+    def recorder(ring, gens):
+        received.append(tuple(gens))
+        return select(ring, gens)
+
+    monkeypatch.setattr(detideal, "graded_minimal_generators", recorder)
+    schubert = fulton_generators(w_("1432"))
+    raw = schubert.raw_generators
+    assert len(raw) == 6 and raw[3] == raw[0]
+    (gens,) = received
+    assert len(gens) == 5
+    assert all(g is raw[k] for g, k in zip(gens, (0, 1, 2, 4, 5), strict=True))
+    # the later copy was never kept, so the selection is as before
+    r = schubert.ring
+    assert schubert.sites == (((1, 2), (1, 2)), ((1, 2), (1, 3)), ((1, 2), (2, 3)),
+                              ((1, 3), (1, 2)), ((2, 3), (1, 2)))
+    assert schubert.generators == tuple(minor(r, *site) for site in schubert.sites)
+
+
 def test_fulton_sites_reconstruct_the_generators():
     schubert = fulton_generators(w_("35142"))
     assert len(schubert.sites) == len(schubert.generators)
@@ -199,6 +224,11 @@ def test_the_corner_pass_is_the_per_site_public_calls(char):
             sites = _fulton_sites(cell_ranks)
             raw = tuple(expanded.setdefault((ring, site), minor(ring, *site)) for site in sites)
             assert schubert.raw_generators == raw, (str(w), cells)
+            # each minor carries its degree, which graded Nakayama trusts
+            # unchecked: it must be the one degree its terms have
+            for g in schubert.raw_generators + raw:
+                assert {ring.monomial_degree(m) for m in g.monomials()} == {
+                    g.homogeneous_degree()}, (str(w), cells, str(g))
             # the kept sites come by degree, then in canonical order, each
             # with its own minor
             where = [sites.index(site) for site in schubert.sites]
@@ -454,6 +484,11 @@ def test_graded_minimal_generators_requires_homogeneous_input():
     r = PolyRing(2, 2)
     with pytest.raises(ValueError, match="graded selection requires homogeneous generators"):
         graded_minimal_generators(r, [r.variable(1, 1) + r.const(1)])
+    # a polynomial the ring builds from terms carries no degree, so it is
+    # checked, and refused, like any other
+    mixed = r.polynomial({r.monomial({(1, 1): 1, (2, 2): 1}): 1, r.monomial({(1, 2): 1}): -1})
+    with pytest.raises(ValueError, match="graded selection requires homogeneous generators"):
+        graded_minimal_generators(r, [minor(r, [1, 2], [1, 2]), mixed])
     for bad in (r.const(0), PolyRing(2, 3).variable(1, 1)):
         with pytest.raises(ValueError, match="generators must be nonzero elements of the ring"):
             graded_minimal_generators(r, [r.variable(1, 1), bad])

@@ -27,7 +27,7 @@ import pytest
 from msvkit.ci import is_complete_intersection
 from msvkit.detideal import MonomialIdeal, antidiagonal_ideal, monomial_codim
 from msvkit.perm import all_permutations, coxeter_length
-from msvkit.poly import PolyRing, monomial_mul
+from msvkit.poly import K_SUPPORT_BOUND, PolyRing, monomial_mul
 from reference import isobaric_divided_difference, schubert_polynomials
 
 
@@ -134,6 +134,20 @@ def test_the_memo_meets_the_ideals_of_disjoint_products_again(monkeypatch):
                       for i in range(25))
     assert len(calls) == 13
     assert monomial_codim(MonomialIdeal(r, gens)) == 12
+
+
+def test_a_support_past_the_bound_is_refused_before_the_recursion():
+    # 1,250 disjoint products of two variables in a 50 x 50 ring: the
+    # recursion would peel their 2,500 variables one level each and raise
+    # RecursionError, so the support is refused before it starts
+    r = PolyRing(50, 50)
+    cells = [(i, j) for i in range(1, 51) for j in range(1, 51)]
+    gens = [monomial_mul(r.monomial({a: 1}), r.monomial({b: 1}))
+            for a, b in zip(cells[::2], cells[1::2])]
+    assert len(gens) == 1250 and K_SUPPORT_BOUND == 512
+    with pytest.raises(ValueError, match="^the K-polynomial recursion is bounded at 512 "
+                                         "variables; the generators involve 2500$"):
+        r.k_polynomial(gens)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])

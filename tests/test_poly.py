@@ -484,6 +484,13 @@ def test_coefficients_are_ints_or_fractions_in_every_field(char):
     # a polynomial never equals a scalar, so equal objects hash equal
     assert ring.const(2) != 2 and 2 not in {ring.const(2)}
     assert (x * 7 - x * 2) == x * 5
+    # division by a monic reducer divides by 1, which gives a back, as
+    # a / b times b does for every unit b
+    field = ring.field
+    for a in map(field.coeff, (0, 1, 2, -3, 7, Fraction(5, 3))):
+        assert field.div(a, 1) == a
+        for b in map(field.coeff, (1, -1, 2, 3, Fraction(2, 7))):
+            assert field.coeff(field.div(a, b) * b) == a
 
 
 HASH_CELLS = [(1, 1), (1, 2), (2, 1), (2, 2)]
