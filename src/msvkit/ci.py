@@ -95,18 +95,18 @@ class Witness:
 
 @dataclass(frozen=True)
 class CertificateNode:
-    """One positive-rank diagram cell of the recursion certificate."""
+    """One positive-rank diagram cell of the recursion certificate.  Its
+    block is a permutation matrix exactly when it has a ``child``."""
 
     cell: Cell
     rank: int
-    is_permutation: bool
     child: Optional["CIReport"]
 
     def to_json(self) -> dict:
         return {
             "cell": list(self.cell),
             "rank": self.rank,
-            "is_permutation": self.is_permutation,
+            "is_permutation": self.child is not None,
             "child": self.child.to_json() if self.child is not None else None,
         }
 
@@ -197,7 +197,7 @@ def _report(word: tuple[int, ...], cells: list[tuple[Cell, int]]) -> CIReport:
         elif witness is None:
             witness = Witness(cell, f"the {r}x{r} block on rows {p - r}..{p - 1} and columns "
                                     f"{q - r}..{q - 1} is not a permutation matrix")
-        nodes.append(CertificateNode(cell, r, child is not None, child))
+        nodes.append(CertificateNode(cell, r, child))
     return CIReport(w=word, verdict=witness is None, codim=len(cells),
                     certificate=tuple(nodes), failure_witness=witness)
 

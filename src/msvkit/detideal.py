@@ -74,7 +74,7 @@ class MonomialIdeal:
 def monomial_quotient_membership(f: Polynomial, gens: Sequence[Monomial]) -> bool:
     """True iff every term of f is divisible by some generator, i.e. f lies in
     the monomial ideal they generate.  The zero polynomial is a member."""
-    return all(any(monomial_divides(g, m) for g in gens) for m in f.monomials())
+    return all(any(monomial_divides(g, m) for g in gens) for m, _ in f.terms())
 
 
 def is_nonzerodivisor_on_monomial_quotient(c: Monomial, J: MonomialIdeal) -> bool:

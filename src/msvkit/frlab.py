@@ -237,19 +237,18 @@ def verify_pivot_nonzerodivisor(setup: LocalizationSetup) -> bool:
 
 @dataclass(frozen=True)
 class LocalizationSetup:
-    """What every pivot check shares: ``w``, its pivot ``c_cell``, ``w_prime``
-    (w with the pivot's row and column deleted), the ``ring`` and
-    ``groebner``, ``verify_groebner``'s report on w in that ring.  The
-    report holds the Fulton generators of w with their sites
+    """What every pivot check shares: ``w``, its pivot ``c_cell``, the
+    ``ring`` and ``groebner``, ``verify_groebner``'s report on w in that
+    ring.  The report holds the Fulton generators of w with their sites
     (``groebner.schubert``), their reduced Groebner basis
     (``groebner.basis``) and the antidiagonal ideal J_w
     (``groebner.antidiagonal``), which lemma 1, lemma 2 and the
-    nonzerodivisor check read.  The ideal I' of w' is built from
-    ``w_prime`` by ``primed_ideal``, for the identity check alone."""
+    nonzerodivisor check read.  The ideal I' of w' (w with the pivot's row
+    and column deleted) is built by ``primed_ideal``, for the identity
+    check alone."""
 
     w: PartialPermutation
     c_cell: Cell
-    w_prime: PartialPermutation
     ring: PolyRing
     groebner: GroebnerReport
 
@@ -304,22 +303,20 @@ class NoPivotError(ValueError):
 
 
 def build_localization(w: PartialPermutation, ring: Optional[PolyRing] = None) -> LocalizationSetup:
-    """Find the pivot of w, run ``verify_groebner`` on w and delete the
-    pivot's row and column to give w'.  Raises ``NoPivotError`` when ``w``
-    has no pivot, so a caller that skips such a w need not look the pivot
-    up first."""
+    """Find the pivot of w and run ``verify_groebner`` on w.  Raises
+    ``NoPivotError`` when ``w`` has no pivot, so a caller that skips such a
+    w need not look the pivot up first."""
     pivot = find_pivot(w)
     if pivot is None:
         raise NoPivotError("no pivot: the defining ideal is generated by variables")
     groebner = verify_groebner(w, ring)
-    return LocalizationSetup(w=w, c_cell=pivot, w_prime=delete_row_col(w, *pivot),
-                             ring=groebner.schubert.ring, groebner=groebner)
+    return LocalizationSetup(w=w, c_cell=pivot, ring=groebner.schubert.ring, groebner=groebner)
 
 
 def primed_ideal(setup: LocalizationSetup) -> tuple[tuple, tuple, tuple, tuple]:
     """(generator_sites, w_prime_generators, cleared_generators,
-    gamma_generators): the ideal I' of the setup's w' at its pivot, in its
-    ring.
+    gamma_generators): the ideal I' at the setup's pivot, in its ring, of
+    w' = ``delete_row_col(setup.w, *setup.c_cell)``.
 
     ``generator_sites`` are the sites of the minimal Fulton generators of w'
     as (rows, cols) in w's labels (``_deleted_labels``), so size-1 sites
@@ -338,7 +335,7 @@ def primed_ideal(setup: LocalizationSetup) -> tuple[tuple, tuple, tuple, tuple]:
     row_labels, col_labels = _deleted_labels(setup.w.size, pivot)
     sites = tuple((tuple(row_labels[i - 1] for i in rows),
                    tuple(col_labels[j - 1] for j in cols))
-                  for rows, cols in fulton_generators(setup.w_prime, ring).sites)
+                  for rows, cols in fulton_generators(delete_row_col(setup.w, p0, q0), ring).sites)
     return (sites, tuple(minor(ring, rows, cols) for rows, cols in sites),
             tuple(_bordered_minor(ring, rows, cols, pivot) for rows, cols in sites),
             tuple(ring.variable(p, q0) for p in range(1, p0))
@@ -412,10 +409,10 @@ def verify_localization_identity(setup: LocalizationSetup) -> LocalizationReport
     by ``buchberger``'s basis of the generators of w' and the gamma
     variables, and only a nonzero remainder there makes g a failure.
 
-    I' is built once, from ``setup.w_prime``, by ``primed_ideal``.  The
-    backward direction reads its cleared and gamma generators, and the
-    forward direction reads the generators of w' and the gamma variables,
-    reducing the minors that the Fulton generators of w and their sites in
+    I' is built once, from w', by ``primed_ideal``.  The backward
+    direction reads its cleared and gamma generators, and the forward
+    direction reads the generators of w' and the gamma variables, reducing
+    the minors that the Fulton generators of w and their sites in
     ``groebner.schubert`` give.  The identity holds for I' as the cleared
     generators present it because ``primed_ideal`` clears exactly the
     generators of w' that it returns; cleared generators that miss some of
@@ -513,12 +510,12 @@ def verify_all(w: PartialPermutation, checks: Iterable[str] = PIVOT_CHECKS) -> V
         field: PIVOT_CHECKS[field](setup) for field in checks})
 
 
-def localization_sample(n: int = 5, max_length: int = 6) -> tuple:
-    """The documented localization sample: every w in S_n admitting a pivot
-    whose Coxeter length is at most ``max_length`` (for n = 5 this includes
-    35142).  Deterministic lexicographic order."""
+def localization_sample() -> tuple:
+    """The documented localization sample: every w in S_5 admitting a pivot
+    whose Coxeter length is at most 6 (it includes 35142).  Deterministic
+    lexicographic order."""
     sample = []
-    for w in all_permutations(n):
-        if coxeter_length(w) <= max_length and find_pivot(w) is not None:
+    for w in all_permutations(5):
+        if coxeter_length(w) <= 6 and find_pivot(w) is not None:
             sample.append(w)
     return tuple(sample)

@@ -35,9 +35,8 @@ exponents (``monomial_mul``, the ``axpy`` kernels,
 ``PolyRing.monomial`` and the parser) raises ``ExponentOverflowError``
 rather than carry into the next variable.  A variable is a single bit, so a
 squarefree monomial (``PolyRing.is_squarefree``) is the bit set of its
-variables: an OR of monomials is squarefree only when each of them is, a
-squarefree monomial's degree is its bit count (``homogeneous_degree``), and
-its lowest bit is one of its variables (``k_polynomial``).
+variables: its lowest bit is one of its variables, and the bits of an OR of
+several count the variables they involve (``k_polynomial``).
 
 The Groebner engine keeps what it has computed: a polynomial caches its
 leading monomial, a minor of the generic matrix carries its degree from the
@@ -300,6 +299,9 @@ class PolyRing:
         free of v, so its K is (1 - t) times theirs; J : v drops v from
         every generator, and is the unit ideal when g = v.  A squarefree
         monomial is the bit set of its variables, so v is g's lowest bit.
+        The input is minimalized once: of minimal generators, those that
+        lose v stay minimal and can only make redundant one free of v, so
+        J : v keeps the free ones that no shortened one divides.
         Taking g a variable whenever J has one peels the variables off
         first, so the memo (``functools.cache`` on the recursion, keyed by
         minimal generators and living for the call) meets the same ideals
@@ -327,8 +329,11 @@ class PolyRing:
                 return (1,)
             g = next((g for g in gens if not g & (g - 1)), gens[0])  # a variable first
             v = g & -g
-            free = k(tuple(h for h in gens if not h & v))
-            colon = () if g == v else k(tuple(self.minimal_monomials(h & ~v for h in gens)))
+            rest = tuple(h for h in gens if not h & v)
+            cut = [h & ~v for h in gens if h & v]
+            free = k(rest)
+            colon = () if g == v else k(tuple(sorted(
+                cut + [h for h in rest if all(c & ~h for c in cut)])))
             coeffs = [a - b + c for a, b, c in
                       itertools.zip_longest(free, (0, *free), (0, *colon), fillvalue=0)]
             while coeffs and not coeffs[-1]:
@@ -501,9 +506,6 @@ class Polynomial:
         """Terms as ((monomial, coeff), ...) in decreasing term order."""
         return tuple(sorted(self._d.items(), reverse=True))
 
-    def monomials(self) -> tuple:
-        return tuple(m for m, _ in self.terms())
-
     def leading_monomial(self) -> Monomial:
         lead = self._lead
         if lead is None:
@@ -519,20 +521,13 @@ class Polynomial:
 
     def homogeneous_degree(self) -> Optional[int]:
         """The degree of every term, or None when two terms differ in
-        degree: the ``degree`` the constructor passed, if any.  Otherwise
-        one ``|`` over the terms tells whether all of them are squarefree;
-        then each is the bit set of its variables and its degree is its bit
-        count, and otherwise its ``monomial_degree``."""
+        degree: the ``degree`` the constructor passed, if any, and
+        otherwise the one ``monomial_degree`` of all the terms."""
         if not self._d:
             raise ValueError("the zero polynomial has no degree")
         if self._degree is not None:
             return self._degree
-        ring = self.ring
-        if ring.is_squarefree(reduce(operator.or_, self._d)):
-            # every term is squarefree, so its degree is its number of bits
-            degrees = set(map(int.bit_count, self._d))
-        else:
-            degrees = set(map(ring.monomial_degree, self._d))
+        degrees = set(map(self.ring.monomial_degree, self._d))
         return degrees.pop() if len(degrees) == 1 else None
 
     def sparse_terms(self) -> tuple:

@@ -355,7 +355,7 @@ def reference_classify(word: tuple[int, ...]) -> CIReport:
             witness = Witness(
                 cell, f"the {r}x{r} block on rows {cell.p - r}..{cell.p - 1} and columns "
                 f"{cell.q - r}..{cell.q - 1} is not a permutation matrix")
-        nodes.append(CertificateNode(cell, r, child is not None, child))
+        nodes.append(CertificateNode(cell, r, child))
     return CIReport(w=word, verdict=witness is None, codim=len(d),
                     certificate=tuple(nodes), failure_witness=witness)
 

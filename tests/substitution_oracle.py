@@ -73,7 +73,7 @@ def strip_pivot_factor(f: Polynomial, p0: int, q0: int) -> Polynomial:
     """f divided by the largest power of x[p0,q0] dividing every term."""
     ring = f.ring
     excess = min(sum(e for i, j, e in ring.grid_support(m) if (i, j) == (p0, q0))
-                 for m in f.monomials())
+                 for m, _ in f.terms())
     if not excess:
         return f
     factor = ring.monomial({(p0, q0): excess})

@@ -54,7 +54,7 @@ def test_352614_fails_with_witness_at_4_4():
     # the rank-2 block is ((0,0),(1,0)); its node sits in the certificate
     nodes = {node.cell: node for node in report.certificate}
     assert nodes[Cell(4, 4)].rank == 2
-    assert not nodes[Cell(4, 4)].is_permutation
+    assert nodes[Cell(4, 4)].child is None
 
 
 def test_identity_is_a_complete_intersection_with_no_generators():
@@ -77,7 +77,7 @@ def test_certificate_covers_every_positive_cell_and_recurses():
     cells = [node.cell for node in report.certificate]
     assert cells == [Cell(2, 5), Cell(5, 3)]
     deep = {node.cell: node for node in report.certificate}[Cell(5, 3)]
-    assert deep.rank == 2 and deep.is_permutation
+    assert deep.rank == 2 and deep.child is not None
     assert deep.child.w == (2, 1)
     assert deep.child.verdict
 
@@ -89,7 +89,7 @@ def test_certificate_blocks_agree_with_submatrix_w_on_s6():
         for node in is_complete_intersection(w).certificate:
             sub = submatrix_w(w, node.cell)
             assert node.rank == len(sub.block)
-            assert node.is_permutation == sub.is_permutation
+            assert (node.child is not None) == sub.is_permutation
             if sub.is_permutation:
                 assert node.child.w == tuple(row.index(1) + 1 for row in sub.block)
             else:
@@ -131,9 +131,9 @@ def test_classifier_matches_the_pattern_oracle_on_s1_to_s8():
             report = is_complete_intersection(PartialPermutation(n, n, word))
             avoids = _avoids_ci_patterns(word)
             assert report.verdict == avoids, word
-            assert report.verdict == all(node.is_permutation for node in report.certificate)
+            assert report.verdict == all(node.child is not None for node in report.certificate)
             assert report.verdict or report.failure_witness.kind == "block-not-permutation"
-            non_ci_children[n] += sum(node.is_permutation and not node.child.verdict
+            non_ci_children[n] += sum(node.child is not None and not node.child.verdict
                                       for node in report.certificate)
             by_classifier += report.verdict
             by_patterns += avoids
@@ -180,7 +180,7 @@ def test_no_report_holds_a_polynomial_at_any_depth():
     # the walk reaches a polynomial planted in a nested child
     child = CIReport((1,), True, 0, (PolyRing(1, 1).variable(1, 1),), None)
     assert _holds_a_polynomial(CIReport((2, 1), True, 1, (
-        CertificateNode(Cell(1, 1), 1, True, child),), None))
+        CertificateNode(Cell(1, 1), 1, child),), None))
 
 
 def test_classifier_reports_match_the_fresh_diagram_reference_on_s1_to_s8():

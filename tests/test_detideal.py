@@ -227,7 +227,7 @@ def test_the_corner_pass_is_the_per_site_public_calls(char):
             # each minor carries its degree, which graded Nakayama trusts
             # unchecked: it must be the one degree its terms have
             for g in schubert.raw_generators + raw:
-                assert {ring.monomial_degree(m) for m in g.monomials()} == {
+                assert {ring.monomial_degree(m) for m, _ in g.terms()} == {
                     g.homogeneous_degree()}, (str(w), cells, str(g))
             # the kept sites come by degree, then in canonical order, each
             # with its own minor
@@ -651,14 +651,20 @@ def _minimal_covers(supports, bound):
             if all(any(not s & (c - {v}) for s in supports) for v in c)]
 
 
+def _minimal_covers_of_j_w(w):
+    """The minimal vertex covers of at most l(w) vertices of the generator
+    supports of J_w, as sets of cells."""
+    J = antidiagonal_ideal(w)
+    supports = [frozenset((i, j) for i, j, _ in J.ring.grid_support(m)) for m in J.gens]
+    return _minimal_covers(supports, coxeter_length(w))
+
+
 def _pipe_dream_polynomial(w):
     """Sum over the minimal vertex covers of size l(w) of the generator
     supports of J_w of the product of x_row over each cover, as
     {exponent tuple: coefficient}; also returns the sizes of all minimal
     covers of at most l(w) vertices."""
-    J = antidiagonal_ideal(w)
-    supports = [frozenset((i, j) for i, j, _ in J.ring.grid_support(m)) for m in J.gens]
-    covers = _minimal_covers(supports, coxeter_length(w))
+    covers = _minimal_covers_of_j_w(w)
     total = {}
     for cover in covers:
         e = [0] * w.size
@@ -666,6 +672,25 @@ def _pipe_dream_polynomial(w):
             e[i - 1] += 1
         total[tuple(e)] = total.get(tuple(e), 0) + 1
     return total, {len(c) for c in covers}
+
+
+def _reduced_pipe_dreams(w):
+    """The reduced pipe dreams of w by brute force, each as its set of
+    crosses: l(w) cells (i, j) with i + j <= n whose word, read along the
+    rows from the top and each row from right to left, with s_{i+j-1} for
+    the cross at (i, j), has product w (a word of l(w) letters with product
+    w is reduced)."""
+    n = w.size
+    cells = [(i, j) for i in range(1, n) for j in range(n - i, 0, -1)]
+    dreams = set()
+    for crosses in itertools.combinations(cells, coxeter_length(w)):
+        word = list(range(1, n + 1))
+        for i, j in crosses:  # in reading order, as ``cells`` is
+            k = i + j - 1
+            word[k - 1], word[k] = word[k], word[k - 1]
+        if tuple(word) == w.one_line():
+            dreams.add(frozenset(crosses))
+    return dreams
 
 
 def test_pipe_dream_of_132_is_x1_plus_x2():
@@ -687,3 +712,14 @@ def test_pipe_dreams_of_the_antidiagonal_ideal_sum_to_the_schubert_polynomial(n)
         assert total == schubert[w.one_line()], w.one_line()
         assert sizes == {coxeter_length(w)} == {monomial_codim(antidiagonal_ideal(w))}, \
             w.one_line()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_the_minimal_covers_of_j_w_are_the_reduced_pipe_dreams(n):
+    """The minimal primes of J_w are generated by the crosses of the reduced
+    pipe dreams of w (Knutson-Miller, Ann. Math. 2005, Thm B), so its
+    minimal vertex covers, as sets of cells, are those pipe dreams.  This
+    reads where each cross sits in its row, which the row sums above do
+    not; the brute-force enumeration keeps it at S_5."""
+    for w in all_permutations(n):
+        assert set(_minimal_covers_of_j_w(w)) == _reduced_pipe_dreams(w), w.one_line()

@@ -19,7 +19,8 @@ import msvkit.detideal as detideal
 import msvkit.frlab as frlab
 import msvkit.perm as perm
 import msvkit.poly as poly
-from msvkit.perm import Cell, PartialPermutation, all_permutations, coxeter_length
+from msvkit.perm import (Cell, PartialPermutation, all_permutations, coxeter_length,
+                         delete_row_col)
 from msvkit.poly import (PolyRing, antidiagonal_monomial, minor, monomial_divides,
                          normal_form, saturate, transplant)
 from msvkit.detideal import (MonomialIdeal, antidiagonal_ideal, fulton_generators,
@@ -449,7 +450,7 @@ def test_pivot_nonzerodivisor_35142_and_s5():
 def test_build_localization_35142_structure():
     setup = setup_("35142")
     assert setup.c_cell == Cell(1, 3)
-    assert setup.w_prime.one_line() == (4, 1, 3, 2)
+    assert delete_row_col(setup.w, *setup.c_cell).one_line() == (4, 1, 3, 2)
     assert frlab._deleted_labels(5, setup.c_cell) == ((2, 3, 4, 5), (1, 2, 4, 5))
     r = setup.ring
     assert primed_ideal(setup)[3] == (r.variable(1, 1), r.variable(1, 2))
@@ -541,7 +542,8 @@ def test_the_generators_of_w_prime_give_the_relabelled_basis_of_its_ideal():
         cell_map = {(i, j): (p, q) for i, p in enumerate(row_labels, 1)
                     for j, q in enumerate(col_labels, 1)}
         small = PolyRing(n - 1, n - 1, ring.char)
-        basis = poly.buchberger(fulton_generators(setup.w_prime, small).generators)
+        w_prime = delete_row_col(w, *setup.c_cell)
+        basis = poly.buchberger(fulton_generators(w_prime, small).generators)
         assert poly.buchberger(primed_ideal(setup)[1]) == \
             tuple(transplant(g, ring, cell_map) for g in basis), w.one_line()
 
@@ -754,11 +756,12 @@ def test_a_cleared_generator_outside_the_ideal_is_a_backward_failure(monkeypatch
     assert (report.proper, report.backward_failures) == (proper, backward)
 
 
-def test_a_wrong_deleted_permutation_is_a_forward_failure():
+def test_a_wrong_deleted_permutation_is_a_forward_failure(monkeypatch):
     # I_3142 misses a generator of I_4132, the true w' of 35142, so I_w is
     # not in the wrong I' after inverting c
-    mutated = dataclasses.replace(setup_("35142"), w_prime=w_("3142"))
-    report = verify_localization_identity(mutated)
+    setup = setup_("35142")
+    monkeypatch.setattr(frlab, "delete_row_col", lambda w, p0, q0: w_("3142"))
+    report = verify_localization_identity(setup)
     assert not report.ok
     assert len(report.forward_failures) == 1
     assert report.backward_failures == ()
@@ -1042,7 +1045,7 @@ def test_verify_all_is_ok_when_every_check_that_ran_held(monkeypatch, capsys):
 
 
 def test_localization_sample_is_the_documented_one():
-    sample = localization_sample(5)
+    sample = localization_sample()
     assert len(sample) == 67
     words = {w.one_line() for w in sample}
     assert (3, 5, 1, 4, 2) in words

@@ -24,9 +24,10 @@ from typing import Optional
 
 import pytest
 
+import msvkit.poly as poly
 from msvkit.ci import is_complete_intersection
 from msvkit.detideal import MonomialIdeal, antidiagonal_ideal, monomial_codim
-from msvkit.perm import all_permutations, coxeter_length
+from msvkit.perm import all_permutations, coxeter_length, essential_set
 from msvkit.poly import K_SUPPORT_BOUND, PolyRing, monomial_mul
 from reference import isobaric_divided_difference, schubert_polynomials
 
@@ -115,25 +116,52 @@ def test_the_k_polynomial_of_small_ideals():
         r.k_polynomial([r.monomial({(1, 1): 2})])
 
 
-def test_the_memo_meets_the_ideals_of_disjoint_products_again(monkeypatch):
-    # 12 disjoint products of two variables: K = (1 - t^2)^12.  The variable
-    # that J : v leaves is peeled off next, so the recursion meets the ideal
-    # of the remaining products again and minimalizes once per product (and
-    # once for the input), where a memo keyed by ideals that keep their
-    # variables would meet none of them again and take about 2^12 steps
-    r = PolyRing(6, 4)
-    cells = [(i, j) for i in range(1, 7) for j in range(1, 5)]
-    gens = [monomial_mul(r.monomial({a: 1}), r.monomial({b: 1}))
-            for a, b in zip(cells[::2], cells[1::2])]
+def counting_minimalizations(monkeypatch) -> list:
+    """A list that gets one entry per ``PolyRing.minimal_monomials`` call
+    from here on."""
     calls = []
     minimal_monomials = PolyRing.minimal_monomials
     monkeypatch.setattr(PolyRing, "minimal_monomials",
                         lambda ring, ms: calls.append(1) or minimal_monomials(ring, ms))
+    return calls
+
+
+def test_the_memo_meets_the_ideals_of_disjoint_products_again(monkeypatch):
+    # 12 disjoint products of two variables: K = (1 - t^2)^12.  The variable
+    # that J : v leaves is peeled off next, so the recursion meets the ideal
+    # of the remaining products again: it computes the 13 ideals of k <= 12
+    # products and the 12 of k - 1 products and one variable, where a memo
+    # keyed by ideals that keep their variables would meet none of them
+    # again and take about 2^12 steps; it minimalizes the input alone
+    r = PolyRing(6, 4)
+    cells = [(i, j) for i in range(1, 7) for j in range(1, 5)]
+    gens = [monomial_mul(r.monomial({a: 1}), r.monomial({b: 1}))
+            for a, b in zip(cells[::2], cells[1::2])]
+    steps = []
+
+    def counting_cache(k):
+        return functools.cache(lambda gens: steps.append(gens) or k(gens))
+
+    monkeypatch.setattr(poly, "cache", counting_cache)
+    calls = counting_minimalizations(monkeypatch)
     K = r.k_polynomial(gens)
     assert K == tuple(0 if i % 2 else (-1) ** (i // 2) * math.comb(12, i // 2)
                       for i in range(25))
-    assert len(calls) == 13
+    assert (len(steps), len(set(steps)), len(calls)) == (25, 25, 1)
     assert monomial_codim(MonomialIdeal(r, gens)) == 12
+
+
+def test_k_polynomial_minimalizes_once_per_call(monkeypatch):
+    """The colon J : v of minimal generators is minimal once the shortened
+    generators drop the ones free of v that they divide, so only the input
+    is minimalized, however deep the recursion goes."""
+    ideals = [J for n in range(1, 6) for _, J, _, _ in hilbert_data(n).values()]
+    expected = [J.ring.k_polynomial(J.gens) for J in ideals]
+    calls = counting_minimalizations(monkeypatch)
+    for J, K in zip(ideals, expected):
+        calls.clear()
+        assert J.ring.k_polynomial(J.gens) == K
+        assert len(calls) == 1, J.rendered()
 
 
 def test_a_support_past_the_bound_is_refused_before_the_recursion():
@@ -175,6 +203,26 @@ def test_gorenstein_counts_and_every_complete_intersection_is_gorenstein(n, gore
     ci = {word for word, (w, _, _, _) in hilbert_data(n).items()
           if is_complete_intersection(w).verdict}
     assert ci <= palindromic
+
+
+def test_svanes_criterion_and_the_regularity_of_one_essential_cell():
+    """When the essential set of w is one cell (p, q) of rank r, I_w is the
+    ideal of the (r + 1)-minors of the generic p x q matrix.  Such a
+    determinantal ring is Gorenstein iff r = 0 or p = q (Svanes, Adv. Math.
+    1974), and its regularity deg h is (t - 1)(m - t + 1) for t = r + 1 and
+    m = min(p, q) (Bruns-Vetter, Determinantal Rings, LNM 1327)."""
+    cases = 0
+    for n in range(2, 7):
+        for w, _, _, h in hilbert_data(n).values():
+            essential = essential_set(w)
+            if len(essential) != 1:
+                continue
+            ((p, q), r), = essential
+            t, m = r + 1, min(p, q)
+            assert (h == h[::-1]) == (r == 0 or p == q), w.one_line()
+            assert len(h) - 1 == (t - 1) * (m - t + 1), w.one_line()
+            cases += 1
+    assert cases == 70
 
 
 @pytest.mark.parametrize("n, cases", [(4, 76), (5, 704)])
