@@ -217,7 +217,10 @@ def _ci_generator_tuple(w: PartialPermutation) -> tuple:
 def minimal_generator_count(w: PartialPermutation, *, char: int = 0) -> int:
     """Minimal number of generators of the Schubert determinantal ideal,
     computed as the dimension of I/mI degree by degree (normal forms against
-    the lower-degree generators, then exact ranks).  Defaults to
+    one degree-truncated Groebner basis of the lower-degree generators,
+    carried from degree to degree, then exact ranks).  The essential set
+    reads the diagram that w keeps (``perm.diagram``), so after
+    ``is_complete_intersection`` no second diagram is built.  Defaults to
     exact rational arithmetic; a prime ``char`` selects the prime-field fast
     path."""
     return len(fulton_generators(w, PolyRing(w.rows, w.cols, char)).generators)

@@ -5,7 +5,9 @@ variety is generated by the minors of size r+1 in each upper-left p x q
 corner, where r is the rank of w's own p x q corner and (p, q) runs over the
 essential set (equivalently over the whole diagram).  These are the Fulton
 generators; each is recorded with its site, the (rows, cols) of its minor,
-and graded Nakayama selects a minimal generating set among them.  Their
+and graded Nakayama selects a minimal generating set among them, against
+one degree-truncated Groebner basis (``poly.GroebnerRun``) that it carries
+from degree to degree.  Their
 antidiagonal terms generate the initial ideal under any antidiagonal term
 order; ``verify_groebner`` checks that statement on a concrete w by running
 Buchberger and comparing monomial ideals.
@@ -32,8 +34,9 @@ from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
 from .perm import PartialPermutation, diagram, essential_set
-from .poly import (Monomial, Polynomial, PolyRing, buchberger, corner_antidiagonals,
-                   corner_minors, independent, monomial_divides, normal_forms)
+from .poly import (GroebnerRun, Monomial, Polynomial, PolyRing, buchberger,
+                   corner_antidiagonals, corner_minors, independent, monomial_divides,
+                   normal_forms)
 
 
 # ---------------------------------------------------------------------------
@@ -208,29 +211,37 @@ def graded_minimal_generators(ring: PolyRing, gens: Sequence[Polynomial]
     image in (I/mI)_d is linearly independent of the generators of degree d
     already kept, so the count is the vector-space dimension of I/mI (graded
     Nakayama).  That space is I_d / J_d for J the ideal of the generators of
-    degree < d, which the kept ones of degree < d already generate.  The
-    normal form against the reduced Groebner basis of J is a linear map on
-    degree-d forms whose kernel is exactly J_d, so the degree-d generators
-    are reduced to their normal forms and ``independent`` keeps those
-    outside the span of the ones before them: the selection is exact, with
-    ranks over the ring's field (Kreuzer-Robbiano, Computational Commutative
-    Algebra 2, on minimal homogeneous generators).
+    degree < d, which the kept ones of degree < d already generate.
+
+    One ``poly.GroebnerRun`` holds the kept generators.  Before degree d it
+    completes every pair whose lcm has degree at most d.  The input is
+    homogeneous, so a pair's remainder has the degree of its lcm, and the
+    run's basis is then a d-truncated Groebner basis of J: division by it is
+    a linear map on degree-d forms whose kernel is exactly J_d, and it
+    leaves each form its unique normal form, the one the reduced basis of J
+    would leave.  So the degree-d generators are reduced by the run and
+    ``independent`` keeps those outside the span of the ones before them:
+    the selection is exact, with ranks over the ring's field
+    (Kreuzer-Robbiano, Computational Commutative Algebra 2, on minimal
+    homogeneous generators).  The kept remainders enter the run when a
+    higher degree follows, whose completion then takes in their pairs.
 
     The generators that are variables lie in J for every d > 1 and form a
     reduced Groebner basis by themselves, so every other generator is
-    reduced against them once (``normal_forms`` erases their multiples), and
-    ``buchberger`` runs only on the kept reduced generators that are nonzero,
-    and not at all when none are.  In degree 1, J holds no variable, so the
-    linear generators enter as they are.  A generator that carries its
-    degree (every Fulton minor does) is not re-checked for homogeneity.
+    reduced against them once (``normal_forms`` erases their multiples),
+    and only the kept reduced generators that are nonzero enter the run.
+    In degree 1, J holds no variable, so the linear generators are reduced
+    as they are.  A generator that carries its degree (every Fulton minor
+    does) is not re-checked for homogeneity.
 
-    Handing the variables to ``buchberger`` with the rest, and letting it
-    split them off, was measured and is slower: ``buchberger`` then runs in
-    every degree that has a kept variable below it, 1,374 calls instead of
-    186 on the traced ``oracle`` workload of ``perfbench`` (seed 1), and
-    over four alternating 10 s runs (Python 3.11, 2 cores) ``oracle`` read
-    4.7 % fewer permutations per second with a 6.4 % higher median time
-    per permutation, and ``gb`` 1.8 % fewer.
+    The selection used to run ``buchberger`` afresh in each degree on the
+    kept generators below it (``graded_selection_per_degree`` in the test
+    suite's reference module is that algorithm): 186 calls on the traced
+    ``oracle`` workload of ``perfbench`` (seed 1), each one installing,
+    interreducing and splitting off the variables again.  The run makes
+    none, forms 1,446 S-pairs there instead of 1,454, and keeps the same
+    generators; over ten alternating 10 s pairs (Python 3.11, 2 cores) the
+    90th-percentile time per permutation of ``oracle`` fell 9 %.
     """
     degrees: list[int] = []
     for g in gens:
@@ -245,13 +256,19 @@ def graded_minimal_generators(ring: PolyRing, gens: Sequence[Polynomial]
     reduced = dict(zip(others, normal_forms(
         [gens[idx] for idx in others],
         [g for idx, g in enumerate(gens) if is_variable[idx]])))
+    levels = sorted(set(degrees))
+    run = GroebnerRun(ring)
     kept: list[int] = []
-    for d in sorted(set(degrees)):
-        lower = [reduced[idx] for idx in kept if reduced.get(idx)]
-        basis = buchberger(lower) if lower else ()
+    for d in levels:
+        run.complete(d)
         indices = [idx for idx in range(len(gens)) if degrees[idx] == d]
-        rows = [gens[idx] if d == 1 else reduced[idx] for idx in indices]
-        kept += [indices[k] for k in independent(normal_forms(rows, basis))]
+        rows = run.reduce([gens[idx] if d == 1 else reduced[idx] for idx in indices])
+        chosen = independent(rows)
+        kept += [indices[k] for k in chosen]
+        if d != levels[-1]:
+            # the variables of J are erased above, so only the rest enter the run
+            run.add(reduced[indices[k]] if d == 1 else rows[k] for k in chosen
+                    if not is_variable[indices[k]])
     return tuple(kept), len(kept)
 
 

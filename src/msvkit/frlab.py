@@ -103,10 +103,11 @@ def verify_pivot_window(setup: LocalizationSetup) -> bool:
     shows that the pivot is the only nonzero entry of the upper-left
     i0 x w(i0) window of w.
 
-    The check computes w's diagram again, although ``verify_groebner``
-    computed one for the essential set: the setup keeps only what the
-    checks share, and the window fact is checked on a diagram of its own,
-    independently of the word scan of ``find_pivot`` that found the pivot."""
+    The check reads the diagram that ``verify_groebner`` computed for the
+    setup's essential set: w keeps its diagram (``perm.diagram``), so no
+    second one is built.  It stays independent of the word scan of
+    ``find_pivot`` that found the pivot, since the diagram is built from
+    w's ranks and never from that scan."""
     p0, q0 = setup.c_cell
     d = diagram(setup.w)
     for p in range(1, p0 + 1):

@@ -16,7 +16,8 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 
 class PermutationParseError(ValueError):
@@ -54,6 +55,9 @@ class PartialPermutation:
     rows: int
     cols: int
     assignment: tuple[Optional[int], ...]
+    # the read-only mapping that the first diagram(w) builds and keeps with
+    # w, None before; not a field, so ==, hash and repr do not read it
+    kept_diagram = None
 
     def __post_init__(self):
         for size in (self.rows, self.cols):
@@ -261,10 +265,11 @@ def rank_at(w: PartialPermutation, cell: Cell | tuple[int, int]) -> int:
                if (j := w.assignment[i - 1]) is not None and j <= q)
 
 
-def diagram(w: PartialPermutation) -> dict[Cell, int]:
+def diagram(w: PartialPermutation) -> Mapping[Cell, int]:
     """Diagram of ``w``: cells (i, j) with w(i) > j (or unassigned) and
-    w^{-1}(j) > i (or unassigned), each mapped to its rank.  The dict is
-    built row by row, so it iterates row-major.
+    w^{-1}(j) > i (or unassigned), each mapped to its rank, row-major.  The
+    first call builds it and keeps it with w (``w.kept_diagram``), so every
+    caller gets the same read-only mapping.
 
     Cells are those neither due east nor due south of a 1; for a full
     permutation the number of cells equals the Coxeter length, which is also
@@ -272,9 +277,17 @@ def diagram(w: PartialPermutation) -> dict[Cell, int]:
 
     >>> list(diagram(PartialPermutation.from_one_line("35142")))
     [Cell(p=1, q=1), Cell(p=1, q=2), Cell(p=2, q=1), Cell(p=2, q=2), Cell(p=2, q=4), Cell(p=4, q=2)]
-    >>> diagram(PartialPermutation.from_one_line("1234"))
+    >>> dict(diagram(PartialPermutation.from_one_line("1234")))
     {}
     """
+    if w.kept_diagram is None:
+        object.__setattr__(w, "kept_diagram", MappingProxyType(_diagram_ranks(w)))
+    return w.kept_diagram
+
+
+def _diagram_ranks(w: PartialPermutation) -> dict[Cell, int]:
+    """The diagram of ``w`` as a dict, built row by row, so it iterates
+    row-major."""
     inverse = {j: i for i, j in enumerate(w.assignment, start=1) if j is not None}
     ranks: dict[Cell, int] = {}
     # Incremental rank computation: ranks[p][q] built row by row.

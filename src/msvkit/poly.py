@@ -47,7 +47,10 @@ AND against a mask of the variables' exponent bytes.  ``normal_forms`` alone
 builds that mask, and keeps the variables out of its reducer scans;
 ``buchberger`` erases the variables among its generators through it and
 keeps them out of its pair updates.  Callers hand both variables like any
-other generator and never erase terms themselves.
+other generator and never erase terms themselves.  The S-pair loop is
+``GroebnerRun``'s alone: it can stop at a degree and go on, so graded
+Nakayama carries one degree-truncated basis from degree to degree, and
+``buchberger`` is the same run completed with no bound.
 """
 from __future__ import annotations
 
@@ -959,14 +962,15 @@ def buchberger(generators: Sequence[Polynomial]) -> tuple:
 
     The generators that are a single variable times a unit are split off
     first, as monic variables.  ``normal_forms`` by those variables erases
-    every term they divide from the generators, the zero remainders (the
-    variables among them) are dropped, and the core runs on the rest, whose
-    basis is then free of those variables.  So the variables and that basis
-    together are reduced and Groebner (a variable's pairs with it have
-    coprime leads) and are merged in lead order, unless that basis is
-    ``(1,)``, which is then the result.  The reduced basis is unique, so
-    this is the basis the core would give on all the generators, without
-    the variables in its reducer scans and pair updates.
+    every term they divide from the generators, and a ``GroebnerRun`` with
+    no degree bound completes on the nonzero remainders (the variables
+    among the generators leave zero), whose basis is then free of those
+    variables.  So the variables and that basis together are reduced and
+    Groebner (a variable's pairs with it have coprime leads) and are merged
+    in lead order, unless that basis is ``(1,)``, which is then the result.
+    The reduced basis is unique, so this is the basis the run would give on
+    all the generators, without the variables in its reducer scans and pair
+    updates.
 
     >>> r = PolyRing(2, 2)
     >>> gb = buchberger([r.parse("x[1,1]*x[2,2] - 1"), r.parse("x[1,1]")])
@@ -987,8 +991,9 @@ def buchberger(generators: Sequence[Polynomial]) -> tuple:
             raise ValueError("generators must live in a common ring")
     variables = tuple({g.leading_monomial(): g.monic() for g in gens
                        if len(g._d) == 1 and _is_variable(g.leading_monomial())}.values())
-    rest = [f for f in normal_forms(gens, variables) if f]
-    result = _interreduce(_buchberger_core(ring, rest))
+    run = GroebnerRun(ring)
+    run.add(normal_forms(gens, variables))
+    result = _interreduce(run.complete())
     if result[:1] != (ring.const(1),):  # the unit ideal absorbs the variables
         result = tuple(sorted(result + variables, key=Polynomial.leading_monomial))
     if _CERTIFY:
@@ -996,38 +1001,78 @@ def buchberger(generators: Sequence[Polynomial]) -> tuple:
     return result
 
 
-def _buchberger_core(ring: PolyRing, gens: Sequence[Polynomial]) -> list:
-    """A monic Groebner basis of the nonzero ``gens``, not yet reduced.
-    Each input and each nonzero S-pair remainder is installed the same way:
-    made monic and appended, its lead recorded, its pairs updated by
-    Gebauer-Moeller and its reducer entry sorted in."""
-    basis: list = []
-    leads: list = []
-    reducers: list = []
-    pairs: dict[tuple[int, int], Monomial] = {}
-    heap: list = []
+class GroebnerRun:
+    """One Buchberger run over ``ring``, which can stop at a degree and go
+    on: ``add`` installs generators, ``complete(degree)`` reduces the pairs
+    whose lcm has degree at most ``degree`` (every pair when it is None),
+    and ``reduce`` divides by the basis built so far.
 
-    def install(h: Polynomial):
-        h = h.monic()
-        t = len(basis)
-        basis.append(h)
-        leads.append(h.leading_monomial())
-        _gm_update(pairs, heap, leads, t, ring._guard)
-        insort(reducers, _reducer_entry(ring, t, h))
+    Each generator and each nonzero S-pair remainder is installed the same
+    way: made monic and appended, its lead recorded, its pairs updated by
+    Gebauer-Moeller and its reducer entry sorted in.  Pairs are reduced in
+    lcm order, ties by pair index.  A bounded ``complete`` sets the pairs
+    above its degree aside and puts them back when it stops, so a later
+    call meets them in the same order, unless an element installed in the
+    meantime prunes them.  ``buchberger`` is the run completed with no
+    bound.  For homogeneous generators every remainder of a pair has the
+    degree of its lcm, so after ``complete(d)`` the basis is a d-truncated
+    Groebner basis of the ideal of the generators: a form of degree at most
+    d lies in that ideal iff ``reduce`` leaves 0, and its remainder is its
+    unique normal form."""
 
-    for g in gens:
-        install(g)
-    while heap:
-        _, i, j = heapq.heappop(heap)
-        if (i, j) not in pairs:
-            continue
-        del pairs[(i, j)]
-        # the S-polynomial is built for this reduction alone, so its own
-        # term dict is reduced in place
-        rem = _reduce_dict(s_polynomial(basis[i], basis[j])._d, reducers, ring)
-        if rem:
-            install(Polynomial(ring, rem))
-    return basis
+    __slots__ = ("ring", "basis", "_leads", "_reducers", "_pairs", "_heap")
+
+    def __init__(self, ring: PolyRing):
+        self.ring = ring
+        self.basis: list = []
+        self._leads: list = []
+        self._reducers: list = []
+        self._pairs: dict[tuple[int, int], Monomial] = {}
+        self._heap: list = []
+
+    def add(self, gens: Iterable[Polynomial]):
+        """Install the nonzero ones among ``gens``, of the run's ring, as
+        they are."""
+        for h in filter(None, gens):
+            h = h.monic()
+            t = len(self.basis)
+            self.basis.append(h)
+            self._leads.append(h.leading_monomial())
+            _gm_update(self._pairs, self._heap, self._leads, t, self.ring._guard)
+            insort(self._reducers, _reducer_entry(self.ring, t, h))
+
+    def complete(self, degree: Optional[int] = None) -> list:
+        """Reduce every live pair whose lcm has degree at most ``degree``,
+        or every live pair when it is None, installing each nonzero
+        remainder; return the basis, a monic Groebner basis (d-truncated
+        under a bound d) that is not yet reduced."""
+        ring, basis, pairs, heap = self.ring, self.basis, self._pairs, self._heap
+        above = []
+        while heap:
+            entry = heapq.heappop(heap)
+            lcm, i, j = entry
+            if (i, j) not in pairs:
+                continue
+            if degree is not None and ring.monomial_degree(lcm) > degree:
+                above.append(entry)
+                continue
+            del pairs[(i, j)]
+            # the S-polynomial is built for this reduction alone, so its own
+            # term dict is reduced in place
+            rem = _reduce_dict(s_polynomial(basis[i], basis[j])._d, self._reducers, ring)
+            if rem:
+                self.add((Polynomial(ring, rem),))
+        heap += above
+        heapq.heapify(heap)
+        return basis
+
+    def reduce(self, fs: Iterable[Polynomial]) -> tuple:
+        """The remainder of each f of ``fs`` under division by the basis
+        built so far, in order; with no basis yet, the fs as they are."""
+        ring, reducers = self.ring, self._reducers
+        if not reducers:
+            return tuple(fs)
+        return tuple(Polynomial(ring, _reduce_dict(dict(f._d), reducers, ring)) for f in fs)
 
 
 def _gm_update(pairs: dict, heap: list, leads: list, t: int, guard: int):

@@ -17,7 +17,9 @@ fact with its scan of w's entries, ``pivot_from_essential_set`` finds the
 pivot from the essential set as ``find_pivot`` did before it scanned the
 word, ``extend_by_column_search`` extends a partial permutation by
 searching each row's smallest unused column, and ``reference_classify`` is
-the complete intersection recursion with a fresh diagram per block; each
+the complete intersection recursion with a fresh diagram per block, and
+``graded_selection_per_degree`` is graded Nakayama with a fresh
+``buchberger`` of the kept lower-degree generators in each degree; each
 is kept as the reference that its replacement is checked against.
 ``schubert_polynomials`` computes the Schubert polynomials of S_n by
 ``divided_difference``, and the Grothendieck polynomials by its isobaric
@@ -32,8 +34,8 @@ from msvkit.ci import CertificateNode, CIReport, Witness
 from msvkit.detideal import MonomialIdeal
 from msvkit.perm import Cell, PartialPermutation, diagram, essential_set
 from msvkit.poly import (GroebnerCertificationError, Monomial, Polynomial, PolyRing,
-                         _certify_basis, monomial_divides, monomial_lcm, monomial_mul,
-                         monomial_quotient)
+                         _certify_basis, buchberger, independent, monomial_divides,
+                         monomial_lcm, monomial_mul, monomial_quotient, normal_forms)
 
 
 def is_reduced_groebner_basis(basis: Sequence[Polynomial]) -> bool:
@@ -405,3 +407,28 @@ def schubert_polynomials(n, operator=divided_difference):
                     below.append(v)
         frontier = below
     return polynomials
+
+
+def graded_selection_per_degree(ring: PolyRing, gens: Sequence[Polynomial]) -> tuple:
+    """(kept indices, their number) of graded Nakayama on homogeneous
+    ``gens``, as ``detideal.graded_minimal_generators`` selected them before
+    it carried one degree-truncated basis: the non-variable generators are
+    reduced by the variable ones once, and in each degree d the reduced
+    kept generators of lower degree get a fresh reduced basis from
+    ``buchberger``, against which the degree-d generators (as they are in
+    degree 1, where J holds no variable) are reduced before ``independent``
+    ranks them."""
+    degrees = [g.homogeneous_degree() for g in gens]
+    is_variable = [degrees[idx] == 1 and len(g) == 1 for idx, g in enumerate(gens)]
+    others = [idx for idx in range(len(gens)) if not is_variable[idx]]
+    reduced = dict(zip(others, normal_forms(
+        [gens[idx] for idx in others],
+        [g for idx, g in enumerate(gens) if is_variable[idx]])))
+    kept: list = []
+    for d in sorted(set(degrees)):
+        lower = [reduced[idx] for idx in kept if reduced.get(idx)]
+        basis = buchberger(lower) if lower else ()
+        indices = [idx for idx in range(len(gens)) if degrees[idx] == d]
+        rows = [gens[idx] if d == 1 else reduced[idx] for idx in indices]
+        kept += [indices[k] for k in independent(normal_forms(rows, basis))]
+    return tuple(kept), len(kept)

@@ -12,6 +12,7 @@ from msvkit.poly import (Polynomial, PolyRing, antidiagonal_monomial, ideals_equ
                          monomial_lcm, monomial_mul, normal_forms)
 from msvkit.detideal import antidiagonal_ideal, fulton_generators
 import msvkit.ci as ci
+import msvkit.perm as perm
 from msvkit.ci import (CertificateNode, CIReport, is_complete_intersection,
                        minimal_generator_count, necessary_condition)
 from reference import reference_classify
@@ -332,6 +333,29 @@ def test_oracle_decides_complete_intersections_on_s4():
         codim = coxeter_length(w)
         assert mu >= codim
         assert is_complete_intersection(w).verdict == (mu == codim)
+
+
+def test_the_oracle_builds_no_second_diagram(monkeypatch):
+    """The classifier's diagram of w is the one the oracle's essential set
+    reads: over S_1 to S_5, ``is_complete_intersection(w, with_oracle=True)``
+    builds each w's diagram once, and ``necessary_condition`` then builds
+    none."""
+    real = perm._diagram_ranks
+    built = []
+
+    def counting(w):
+        built.append(w.one_line())
+        return real(w)
+
+    monkeypatch.setattr(perm, "_diagram_ranks", counting)
+    words = []
+    for n in range(1, 6):
+        for w in all_permutations(n):
+            report = is_complete_intersection(w, with_oracle=True, char=32003)
+            assert necessary_condition(w).ok or not report.verdict
+            assert report.mu == len(fulton_generators(w).generators)
+            words.append(w.one_line())
+    assert built == words
 
 
 def test_oracle_prime_field_agrees_with_rationals():

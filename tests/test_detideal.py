@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import msvkit.detideal as detideal
+import msvkit.poly as poly
 from msvkit.perm import (PartialPermutation, all_partial_permutations,
                          all_permutations, coxeter_length, diagram, essential_set,
                          extend_to_permutation)
@@ -25,7 +26,7 @@ from msvkit.ci import minimal_generator_count
 from msvkit.detideal import (MonomialIdeal, antidiagonal_ideal, fulton_generators,
                              graded_minimal_generators, is_nonzerodivisor_on_monomial_quotient,
                              monomial_codim, monomial_quotient_membership, verify_groebner)
-from reference import colon_by_variable, schubert_polynomials
+from reference import colon_by_variable, graded_selection_per_degree, schubert_polynomials
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -567,10 +568,10 @@ NAKAYAMA_ITEM = st.one_of(
     st.tuples(st.just("constant"), st.integers(1, 3)))
 
 
-def _nakayama_input(ring, items):
+def _nakayama_input(ring, items, max_degree=3):
     """Homogeneous generators from the drawn items, zero ones and those of
-    degree above 3 dropped (``2*x`` vanishes over F_2); indices into earlier
-    generators wrap around."""
+    degree above ``max_degree`` dropped (``2*x`` vanishes over F_2);
+    indices into earlier generators wrap around."""
     cells = [(i, j) for i in range(1, ring.rows + 1) for j in range(1, ring.cols + 1)]
 
     def x(k):
@@ -601,7 +602,7 @@ def _nakayama_input(ring, items):
         else:  # the sum of two earlier generators, when their degrees agree
             f, h = gens[data[0] % len(gens)], gens[data[1] % len(gens)]
             g = f + h * data[2] if f.total_degree() == h.total_degree() else f
-        if g and g.total_degree() <= 3:
+        if g and g.total_degree() <= max_degree:
             gens.append(g)
     return gens
 
@@ -623,6 +624,50 @@ def test_graded_minimal_generators_matches_linear_algebra(shape, char, items):
     gens = _nakayama_input(ring, items)
     expected = _nakayama_by_linear_algebra(ring, gens)
     assert graded_minimal_generators(ring, gens) == (expected, len(expected))
+
+
+@settings(max_examples=150, deadline=None)
+# a constant after a linear form that is not a variable, a repeated
+# generator, a square, and forms of degrees 0 to 4
+@example(shape=(3, 3), char=0, items=[
+    ("linear", [1, -1, 0, 2, 0, 0]), ("duplicate", 0), ("form", [((0, 0), 1), ((1, 4), -1)]),
+    ("multiple", 2, 2), ("multiple", 3, 8), ("variable", 1), ("constant", 2)])
+# the S-polynomial of two minors lies in their ideal only through their
+# S-pair, of degree 3, which the degree-3 selection must complete first
+@example(shape=(2, 3), char=32003, items=[
+    ("minor", (1, 2)), ("minor", (1, 3)), ("s-pair", 0, 1)])
+@given(shape=st.sampled_from([(2, 3), (3, 3)]), char=st.sampled_from([0, 32003]),
+       items=st.lists(NAKAYAMA_ITEM, max_size=9))
+def test_graded_minimal_generators_matches_the_per_degree_reference(shape, char, items):
+    # one degree-truncated basis carried from degree to degree keeps the
+    # same indices as a fresh reduced basis of the lower degrees in each
+    ring = PolyRing(*shape, char)
+    gens = _nakayama_input(ring, items, max_degree=4)
+    assert graded_minimal_generators(ring, gens) == graded_selection_per_degree(ring, gens)
+
+
+def test_graded_minimal_generators_never_calls_buchberger(monkeypatch):
+    """The selection completes its own degree-truncated basis, so it runs
+    over S_1 to S_6 with ``buchberger`` refusing every call.  Of those w,
+    594 have Fulton generators of two or more degrees, and in 187 of them
+    (9 in S_5, 178 in S_6) two or more degrees lie above 1, so that a basis
+    is carried from one degree to a higher one."""
+    def refuse(generators):
+        raise AssertionError("graded Nakayama called buchberger")
+
+    monkeypatch.setattr(detideal, "buchberger", refuse)
+    monkeypatch.setattr(poly, "buchberger", refuse)
+    multi_degree = carried = 0
+    for n in range(1, 7):
+        ring = PolyRing(n, n, 32003)
+        for w in all_permutations(n):
+            schubert = fulton_generators(w, ring)
+            degrees = {g.homogeneous_degree() for g in schubert.raw_generators}
+            multi_degree += len(degrees) > 1
+            carried += len(degrees - {1}) > 1
+            # I_w is prime of height l(w), so it needs at least l(w) generators
+            assert len(schubert.generators) >= coxeter_length(w)
+    assert (multi_degree, carried) == (594, 187)
 
 
 # ---------------------------------------------------------------------------

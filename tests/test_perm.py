@@ -210,6 +210,29 @@ def test_diagram_matches_definition():
         assert list(diagram(w).items()) == list(_diagram_by_definition(w).items()), w
 
 
+def test_a_permutation_keeps_one_read_only_diagram():
+    # two callers, diagram and essential_set, read the one mapping w keeps;
+    # equal permutations built apart compute equal diagrams, and the kept
+    # one takes no part in ==, hash or repr
+    w = w_("35142")
+    assert w.kept_diagram is None
+    first = diagram(w)
+    assert w.kept_diagram is first
+    assert essential_set(w) == ((Cell(2, 2), 0), (Cell(2, 4), 1), (Cell(4, 2), 1))
+    second = diagram(w)
+    assert second is first
+    assert first == _diagram_by_definition(w) == diagram(w_("35142"))
+    assert w == w_("35142") and hash(w) == hash(w_("35142"))
+    assert repr(w) == repr(w_("35142"))
+    with pytest.raises(TypeError):
+        first[Cell(1, 1)] = 5
+    with pytest.raises(TypeError):
+        del second[Cell(1, 1)]
+    with pytest.raises(AttributeError):
+        first.pop(Cell(1, 1))
+    assert diagram(w) == _diagram_by_definition(w)
+
+
 def test_essential_set_goldens():
     assert essential_set(w_("35142")) == (
         (Cell(2, 2), 0), (Cell(2, 4), 1), (Cell(4, 2), 1))

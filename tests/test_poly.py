@@ -21,7 +21,8 @@ from msvkit.detideal import MonomialIdeal, fulton_generators, monomial_codim, ve
 from msvkit.frlab import build_localization, find_pivot, primed_ideal, verify_all
 from msvkit.poly import (EXPONENT_BOUND, ExponentOverflowError, GroebnerCertificationError,
                          Polynomial, PolyRing, _lcm, antidiagonal_monomial,
-                         buchberger, certified, corner_antidiagonals, corner_minors,
+                         GroebnerRun, buchberger, certified, corner_antidiagonals,
+                         corner_minors,
                          ideals_equal, minor,
                          monomial_divides, monomial_lcm,
                          monomial_mul, monomial_quotient, normal_form, normal_forms,
@@ -847,6 +848,42 @@ def test_splitting_off_the_variables_is_buchberger_on_the_union(
     assert normal_forms(fs, gb) == tuple(division_scanning_every_reducer(f, gb) for f in fs)
 
 
+# squarefree homogeneous generators in the 2 x 3 ring: (degree, terms),
+# each term an index into the squarefree monomials of that degree
+TRUNCATED_GENERATORS = st.lists(
+    st.tuples(st.integers(1, 3), st.lists(st.tuples(st.integers(0, 19), st.integers(-3, 3)),
+                                          min_size=1, max_size=3)),
+    max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+# two 2 x 2 minors, whose S-pair of degree 3 adds the third to the basis
+@example(gens=[(2, [(6, 1), (3, -1)]), (2, [(9, 1), (4, -1)])], char=0)
+# a linear form whose lead divides the other generator's lead
+@example(gens=[(2, [(6, 1), (3, -1)]), (1, [(0, 1), (1, 2)])], char=32003)
+@given(gens=TRUNCATED_GENERATORS, char=st.sampled_from([0, 32003]))
+def test_a_run_completed_to_a_degree_is_a_truncated_groebner_basis(gens, char):
+    """After ``complete(d)`` on homogeneous generators, every element of
+    degree at most d of their reduced basis divides to 0 by the run; the
+    run completed with no bound then has the leads of ``buchberger``."""
+    ring = PolyRing(2, 3, char=char)
+    polys = []
+    for d, terms in gens:
+        supports = list(itertools.combinations(SPLIT_CELLS, d))
+        f = ring.polynomial([(ring.monomial((cell, 1) for cell in supports[k % len(supports)]), c)
+                             for k, c in terms])
+        if f:
+            polys.append(f)
+    full = buchberger(polys) if polys else ()
+    run = GroebnerRun(ring)
+    run.add(polys)
+    for d in range(1, 1 + max((f.total_degree() for f in full), default=0)):
+        run.complete(d)
+        assert not any(run.reduce(f for f in full if f.total_degree() <= d)), d
+    leads = MonomialIdeal(ring, [f.leading_monomial() for f in run.complete()])
+    assert leads == MonomialIdeal(ring, [f.leading_monomial() for f in full])
+
+
 def test_a_basis_that_is_no_groebner_basis_fails_certification():
     r = PolyRing(2, 2)
     not_a_basis = (r.parse("x[1,2]*x[2,1] - 1"), r.parse("x[1,2]^2 - x[1,1]*x[2,2]"))
@@ -1061,7 +1098,10 @@ def test_the_s_pairs_formed_over_s5_are_pinned(monkeypatch):
     form the same pairs as exponent-wise comparisons.  The two counts are
     equal: a w without a pivot has variables for generators, which form no
     pair, and ``verify_all`` forms only the pairs of its ``verify_groebner``
-    call, since the identity divides by the generators of w' as they are."""
+    call, since the identity divides by the generators of w' as they are.
+    Of the 308, 24 are formed by the Nakayama selection of
+    ``fulton_generators``, as many with its one degree-truncated basis as
+    with a fresh basis per degree before it."""
     calls = [0]
     real_s_polynomial = poly.s_polynomial
 
