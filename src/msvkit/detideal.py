@@ -219,29 +219,15 @@ def graded_minimal_generators(ring: PolyRing, gens: Sequence[Polynomial]
     run's basis is then a d-truncated Groebner basis of J: division by it is
     a linear map on degree-d forms whose kernel is exactly J_d, and it
     leaves each form its unique normal form, the one the reduced basis of J
-    would leave.  So the degree-d generators are reduced by the run and
-    ``independent`` keeps those outside the span of the ones before them:
-    the selection is exact, with ranks over the ring's field
-    (Kreuzer-Robbiano, Computational Commutative Algebra 2, on minimal
+    would leave.  So the degree-d generators are divided by the run's basis
+    (``normal_forms``) and ``independent`` keeps those outside the span of
+    the ones before them: the selection is exact, with ranks over the ring's
+    field (Kreuzer-Robbiano, Computational Commutative Algebra 2, on minimal
     homogeneous generators).  The kept remainders enter the run when a
-    higher degree follows, whose completion then takes in their pairs.
-
-    The generators that are variables lie in J for every d > 1 and form a
-    reduced Groebner basis by themselves, so every other generator is
-    reduced against them once (``normal_forms`` erases their multiples),
-    and only the kept reduced generators that are nonzero enter the run.
-    In degree 1, J holds no variable, so the linear generators are reduced
-    as they are.  A generator that carries its degree (every Fulton minor
-    does) is not re-checked for homogeneity.
-
-    The selection used to run ``buchberger`` afresh in each degree on the
-    kept generators below it (``graded_selection_per_degree`` in the test
-    suite's reference module is that algorithm): 186 calls on the traced
-    ``oracle`` workload of ``perfbench`` (seed 1), each one installing,
-    interreducing and splitting off the variables again.  The run makes
-    none, forms 1,446 S-pairs there instead of 1,454, and keeps the same
-    generators; over ten alternating 10 s pairs (Python 3.11, 2 cores) the
-    90th-percentile time per permutation of ``oracle`` fell 9 %.
+    higher degree follows, whose completion then takes in their pairs; the
+    run splits off the variables among them itself.  A generator that
+    carries its degree (every Fulton minor does) is not re-checked for
+    homogeneity.
     """
     degrees: list[int] = []
     for g in gens:
@@ -251,24 +237,16 @@ def graded_minimal_generators(ring: PolyRing, gens: Sequence[Polynomial]
         if degree is None:
             raise ValueError("graded selection requires homogeneous generators")
         degrees.append(degree)
-    is_variable = [degrees[idx] == 1 and len(g) == 1 for idx, g in enumerate(gens)]
-    others = [idx for idx in range(len(gens)) if not is_variable[idx]]
-    reduced = dict(zip(others, normal_forms(
-        [gens[idx] for idx in others],
-        [g for idx, g in enumerate(gens) if is_variable[idx]])))
     levels = sorted(set(degrees))
     run = GroebnerRun(ring)
     kept: list[int] = []
     for d in levels:
-        run.complete(d)
         indices = [idx for idx in range(len(gens)) if degrees[idx] == d]
-        rows = run.reduce([gens[idx] if d == 1 else reduced[idx] for idx in indices])
+        rows = normal_forms([gens[idx] for idx in indices], run.complete(d))
         chosen = independent(rows)
         kept += [indices[k] for k in chosen]
         if d != levels[-1]:
-            # the variables of J are erased above, so only the rest enter the run
-            run.add(reduced[indices[k]] if d == 1 else rows[k] for k in chosen
-                    if not is_variable[indices[k]])
+            run.add(rows[k] for k in chosen)
     return tuple(kept), len(kept)
 
 

@@ -434,7 +434,7 @@ def verify_localization_identity(setup: LocalizationSetup) -> LocalizationReport
                  for g, (rows, cols) in zip(schubert.generators, schubert.sites)]
     pending = [k for k, r in enumerate(normal_forms(rewritten, w_prime_generators + gamma)) if r]
     if pending:
-        again = normal_forms([rewritten[k] for k in pending], buchberger(w_prime_generators) + gamma)
+        again = normal_forms([rewritten[k] for k in pending], buchberger(w_prime_generators + gamma))
         pending = [k for k, r in zip(pending, again) if r]
     forward = tuple(schubert.generators[k] for k in pending)
     return LocalizationReport(ok=not forward and not backward, proper=proper,

@@ -81,6 +81,11 @@ class PartialPermutation:
                 raise ValueError(f"column {j} assigned twice")
             seen.add(j)
 
+    def __reduce__(self):
+        # pickle and deepcopy rebuild w from its fields; the kept diagram, a
+        # mappingproxy that pickle refuses, is left for diagram(w) to rebuild
+        return type(self), (self.rows, self.cols, self.assignment)
+
     @classmethod
     def from_one_line(cls, word: str | Iterable[int]) -> "PartialPermutation":
         """Build a full permutation from one-line notation.

@@ -44,13 +44,14 @@ kernel that built it (so graded Nakayama need not re-check it), and
 ``normal_forms`` sorts one reducer list for many dividends.  A variable x in
 an ideal erases every term that x divides, which on packed monomials is one
 AND against a mask of the variables' exponent bytes.  ``normal_forms`` alone
-builds that mask, and keeps the variables out of its reducer scans;
-``buchberger`` erases the variables among its generators through it and
-keeps them out of its pair updates.  Callers hand both variables like any
-other generator and never erase terms themselves.  The S-pair loop is
-``GroebnerRun``'s alone: it can stop at a degree and go on, so graded
-Nakayama carries one degree-truncated basis from degree to degree, and
-``buchberger`` is the same run completed with no bound.
+builds that mask, and keeps the variables out of its reducer scans.  The
+S-pair loop is ``GroebnerRun``'s alone, and so is the choice of which
+generators to split off as variables: a run erases the rest through
+``normal_forms`` and keeps the variables out of its pair updates.  Callers
+hand variables like any other generator and never erase terms themselves.
+A run can stop at a degree and go on, so graded Nakayama carries one
+degree-truncated basis from degree to degree, and ``buchberger`` is the
+same run completed with no bound.
 """
 from __future__ import annotations
 
@@ -960,17 +961,15 @@ def buchberger(generators: Sequence[Polynomial]) -> tuple:
     lcm first, ties by pair index), so the run is deterministic.  The output
     is monic, auto-reduced, and sorted by increasing leading monomial.
 
-    The generators that are a single variable times a unit are split off
-    first, as monic variables.  ``normal_forms`` by those variables erases
-    every term they divide from the generators, and a ``GroebnerRun`` with
-    no degree bound completes on the nonzero remainders (the variables
-    among the generators leave zero), whose basis is then free of those
-    variables.  So the variables and that basis together are reduced and
-    Groebner (a variable's pairs with it have coprime leads) and are merged
-    in lead order, unless that basis is ``(1,)``, which is then the result.
-    The reduced basis is unique, so this is the basis the run would give on
-    all the generators, without the variables in its reducer scans and pair
-    updates.
+    A ``GroebnerRun`` with no degree bound completes on the generators.  It
+    splits off the ones that are a single variable times a unit, as monic
+    variables, and completes on the rest with every term those variables
+    divide erased, so its basis is free of them.  The variables and the
+    interreduced basis together are then reduced and Groebner (a variable's
+    pairs with it have coprime leads) and are merged in lead order, unless
+    that basis is ``(1,)``, which is then the result.  The reduced basis is
+    unique, so this is the basis the run would give with the variables in
+    its reducer scans and pair updates.
 
     >>> r = PolyRing(2, 2)
     >>> gb = buchberger([r.parse("x[1,1]*x[2,2] - 1"), r.parse("x[1,1]")])
@@ -989,13 +988,12 @@ def buchberger(generators: Sequence[Polynomial]) -> tuple:
             raise ValueError("generators must be nonzero")
         if g.ring is not ring and g.ring != ring:
             raise ValueError("generators must live in a common ring")
-    variables = tuple({g.leading_monomial(): g.monic() for g in gens
-                       if len(g._d) == 1 and _is_variable(g.leading_monomial())}.values())
     run = GroebnerRun(ring)
-    run.add(normal_forms(gens, variables))
-    result = _interreduce(run.complete())
+    run.add(gens)
+    run.complete()
+    result = _interreduce(run.basis)
     if result[:1] != (ring.const(1),):  # the unit ideal absorbs the variables
-        result = tuple(sorted(result + variables, key=Polynomial.leading_monomial))
+        result = tuple(sorted([*result, *run.variables.values()], key=Polynomial.leading_monomial))
     if _CERTIFY:
         _certify_basis(ring, gens, result)
     return result
@@ -1003,9 +1001,21 @@ def buchberger(generators: Sequence[Polynomial]) -> tuple:
 
 class GroebnerRun:
     """One Buchberger run over ``ring``, which can stop at a degree and go
-    on: ``add`` installs generators, ``complete(degree)`` reduces the pairs
-    whose lcm has degree at most ``degree`` (every pair when it is None),
-    and ``reduce`` divides by the basis built so far.
+    on: ``add`` installs generators and ``complete(degree)`` reduces the
+    pairs whose lcm has degree at most ``degree`` (every pair when it is
+    None) and returns the run's basis: its variables, then ``basis``.
+    Callers divide by that with ``normal_forms``.
+
+    While ``basis`` is empty, ``add`` splits the generators that are a
+    single variable times a unit off into ``variables``, which maps the
+    monomial of each to the monic variable, and installs every other
+    generator with the terms those variables divide erased.  So no element
+    of ``basis`` contains one of the variables, neither does an
+    S-polynomial of two of them or its remainder, and a variable's pairs
+    with the basis would have coprime leads: the variables stay out of pair
+    updates and reducer scans.  A variable that arrives once ``basis`` has
+    an element is installed as an ordinary element, since an element may
+    contain it.
 
     Each generator and each nonzero S-pair remainder is installed the same
     way: made monic and appended, its lead recorded, its pairs updated by
@@ -1015,15 +1025,16 @@ class GroebnerRun:
     call meets them in the same order, unless an element installed in the
     meantime prunes them.  ``buchberger`` is the run completed with no
     bound.  For homogeneous generators every remainder of a pair has the
-    degree of its lcm, so after ``complete(d)`` the basis is a d-truncated
-    Groebner basis of the ideal of the generators: a form of degree at most
-    d lies in that ideal iff ``reduce`` leaves 0, and its remainder is its
+    degree of its lcm, so ``complete(d)`` returns a d-truncated Groebner
+    basis of the ideal of the generators: a form of degree at most d lies
+    in that ideal iff division by it leaves 0, and its remainder is its
     unique normal form."""
 
-    __slots__ = ("ring", "basis", "_leads", "_reducers", "_pairs", "_heap")
+    __slots__ = ("ring", "variables", "basis", "_leads", "_reducers", "_pairs", "_heap")
 
     def __init__(self, ring: PolyRing):
         self.ring = ring
+        self.variables: dict[Monomial, Polynomial] = {}
         self.basis: list = []
         self._leads: list = []
         self._reducers: list = []
@@ -1031,21 +1042,31 @@ class GroebnerRun:
         self._heap: list = []
 
     def add(self, gens: Iterable[Polynomial]):
-        """Install the nonzero ones among ``gens``, of the run's ring, as
-        they are."""
-        for h in filter(None, gens):
-            h = h.monic()
-            t = len(self.basis)
-            self.basis.append(h)
-            self._leads.append(h.leading_monomial())
-            _gm_update(self._pairs, self._heap, self._leads, t, self.ring._guard)
-            insort(self._reducers, _reducer_entry(self.ring, t, h))
+        """Split the variables among ``gens``, of the run's ring, off while
+        the basis is empty, and install the nonzero remainders of the rest
+        by them."""
+        rest = []
+        for g in gens:
+            if self.basis or len(g._d) != 1 or not _is_variable(g.leading_monomial()):
+                rest.append(g)
+            else:
+                self.variables.setdefault(g.leading_monomial(), g.monic())
+        for h in filter(None, normal_forms(rest, tuple(self.variables.values()))):
+            self._install(h)
+
+    def _install(self, h: Polynomial):
+        h = h.monic()
+        t = len(self.basis)
+        self.basis.append(h)
+        self._leads.append(h.leading_monomial())
+        _gm_update(self._pairs, self._heap, self._leads, t, self.ring._guard)
+        insort(self._reducers, _reducer_entry(self.ring, t, h))
 
     def complete(self, degree: Optional[int] = None) -> list:
         """Reduce every live pair whose lcm has degree at most ``degree``,
         or every live pair when it is None, installing each nonzero
-        remainder; return the basis, a monic Groebner basis (d-truncated
-        under a bound d) that is not yet reduced."""
+        remainder; return the variables, then ``basis``: a monic Groebner
+        basis (d-truncated under a bound d) that is not yet reduced."""
         ring, basis, pairs, heap = self.ring, self.basis, self._pairs, self._heap
         above = []
         while heap:
@@ -1058,21 +1079,14 @@ class GroebnerRun:
                 continue
             del pairs[(i, j)]
             # the S-polynomial is built for this reduction alone, so its own
-            # term dict is reduced in place
+            # term dict is reduced in place; it contains no variable of the
+            # run, and neither does its remainder
             rem = _reduce_dict(s_polynomial(basis[i], basis[j])._d, self._reducers, ring)
             if rem:
-                self.add((Polynomial(ring, rem),))
+                self._install(Polynomial(ring, rem))
         heap += above
         heapq.heapify(heap)
-        return basis
-
-    def reduce(self, fs: Iterable[Polynomial]) -> tuple:
-        """The remainder of each f of ``fs`` under division by the basis
-        built so far, in order; with no basis yet, the fs as they are."""
-        ring, reducers = self.ring, self._reducers
-        if not reducers:
-            return tuple(fs)
-        return tuple(Polynomial(ring, _reduce_dict(dict(f._d), reducers, ring)) for f in fs)
+        return [*self.variables.values(), *basis]
 
 
 def _gm_update(pairs: dict, heap: list, leads: list, t: int, guard: int):

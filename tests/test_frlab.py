@@ -3,12 +3,14 @@ the initial-ideal identity, the nonzerodivisor fact and the localization
 identity I = I', all centered on the worked 35142 example plus exhaustive
 small sweeps."""
 
+import copy
 import dataclasses
 import functools
 import gc
 import hashlib
 import itertools
 import json
+import pickle
 import random
 from pathlib import Path
 
@@ -19,6 +21,7 @@ import msvkit.detideal as detideal
 import msvkit.frlab as frlab
 import msvkit.perm as perm
 import msvkit.poly as poly
+from msvkit.ci import is_complete_intersection
 from msvkit.perm import (Cell, PartialPermutation, all_permutations, coxeter_length,
                          delete_row_col)
 from msvkit.poly import (PolyRing, antidiagonal_monomial, minor, monomial_divides,
@@ -639,6 +642,25 @@ def test_only_the_identity_check_builds_the_ideal_of_w_prime(monkeypatch):
 def test_the_setup_holds_the_groebner_report_of_w():
     for w in nonregular(4):
         assert build_localization(w).groebner == verify_groebner(w), w.one_line()
+
+
+def test_results_that_hold_w_survive_pickle_and_deepcopy_after_its_diagram_is_built():
+    # a process pool hands results back pickled; the diagram w keeps is a
+    # read-only mapping, which pickle refuses, so w travels as its fields
+    # and a copy builds its own diagram when it is asked for
+    w = w_("35142")
+    perm.essential_set(w)
+    is_complete_intersection(w)
+    results = [verify_groebner(w_("35142")), build_localization(w_("35142")),
+               verify_all(w_("35142"))]
+    for value in [w] + results:
+        held = value if value is w else value.w
+        assert held.kept_diagram is not None
+        for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert copied == value
+            copied_w = copied if value is w else copied.w
+            assert copied_w.kept_diagram is None
+            assert perm.diagram(copied_w) == perm.diagram(held)
 
 
 def test_build_localization_requires_a_pivot():

@@ -878,10 +878,25 @@ def test_a_run_completed_to_a_degree_is_a_truncated_groebner_basis(gens, char):
     run = GroebnerRun(ring)
     run.add(polys)
     for d in range(1, 1 + max((f.total_degree() for f in full), default=0)):
-        run.complete(d)
-        assert not any(run.reduce(f for f in full if f.total_degree() <= d)), d
+        basis = run.complete(d)
+        assert not any(normal_forms([f for f in full if f.total_degree() <= d], basis)), d
     leads = MonomialIdeal(ring, [f.leading_monomial() for f in run.complete()])
     assert leads == MonomialIdeal(ring, [f.leading_monomial() for f in full])
+
+
+def test_a_variable_added_after_the_basis_has_an_element_forms_its_pairs():
+    # x[1,1] divides the lead of the element already installed, so split off
+    # as a variable it would leave that element as it is, and its pair with
+    # it, whose remainder is x[2,1]*x[2,2], would never be formed
+    ring = PolyRing(2, 2)
+    f, x = ring.parse("x[1,1]*x[2,2] - x[2,1]*x[2,2]"), ring.variable(1, 1)
+    run = GroebnerRun(ring)
+    run.add([f])
+    run.add([x])
+    assert not run.variables
+    leads = ring.minimal_monomials(g.leading_monomial() for g in run.complete())
+    assert leads == [g.leading_monomial() for g in buchberger([f, x])] == [
+        ring.monomial({(2, 1): 1, (2, 2): 1}), ring.monomial({(1, 1): 1})]
 
 
 def test_a_basis_that_is_no_groebner_basis_fails_certification():
@@ -1474,6 +1489,44 @@ def test_only_normal_forms_builds_a_variable_mask():
                     and (len(node.args) > 3 or any(k.arg == "mask" for k in node.keywords))):
                 builders.add(function.name)
     assert builders == {"normal_forms"}
+
+
+def test_only_normal_forms_and_a_run_tell_a_variable_apart():
+    # which generators are variables is decided where they are erased
+    # (normal_forms) and where they are split off (GroebnerRun.add), so no
+    # other code keeps its own copy of that split
+    path = Path(__file__).resolve().parent.parent / "src" / "msvkit" / "poly.py"
+    tree = ast.parse(path.read_text(), str(path))
+    callers = set()
+    scopes = [(None, node) for node in tree.body]
+    while scopes:
+        owner, node = scopes.pop()
+        if isinstance(node, ast.ClassDef):
+            scopes += [(node.name, child) for child in node.body]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = node.name if owner is None else f"{owner}.{node.name}"
+            if any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                   and call.func.id == "_is_variable" for call in ast.walk(node)):
+                callers.add(name)
+    assert callers == {"normal_forms", "GroebnerRun.add"}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # a name a module imports and never reads is a leftover of a change;
+    # the package's __init__ imports its names to export them
+    for path in sorted((Path(__file__).resolve().parent.parent / "src" / "msvkit").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported.add((alias.asname or alias.name).split(".")[0])
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert not imported - used, (path.name, sorted(imported - used))
 
 
 # Public functions and methods that no code in src/ calls, each kept for a
