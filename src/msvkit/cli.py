@@ -5,8 +5,8 @@ Subcommands::
     diagram          render the diagram of a permutation as an ASCII grid
                      (n <= 100)
     essential        list the essential set with ranks (n <= 100)
-    gens             print the Fulton generators (n <= 10, minors of at
-                     most 8 rows)
+    gens             print the Fulton generators (n <= 10, at most 10^6
+                     terms of Fulton minors)
     ci               classify a matrix Schubert variety (n <= 10, n <= 6 with
                      --mu; exit 1 when not CI)
     verify-gb        check the antidiagonal Groebner statement (n <= 6)
@@ -19,10 +19,15 @@ Subcommands::
 ``gens`` and ``ci`` are also bounded by their largest minor: an input whose
 essential set asks for a minor of more than 9 rows, the most a permutation of
 S_10 needs, is refused before anything is expanded.  ``gens`` is bounded
-further, at minors of at most 8 rows: it always selects the minimal
-generators by graded Nakayama, whose division of a 9 x 9 minor does not
-finish at desk scale.  ``ci`` keeps the 9-row bound, since a false verdict
-expands nothing and a true one runs no Nakayama selection.  Text grids put
+further by the terms it would expand: the sum over the essential set of
+C(p, r+1) * C(q, r+1) * (r+1)!, the term count of every minor of size r+1 in
+each p x q corner, may be at most 10^6.  That sum counts a site that two
+corners share twice, and it bounds ``--diagram-cells`` too, since every
+diagram cell's corner lies in the corner of an essential cell of the same
+rank.  Every permutation of S_10 is within it (the largest sum is 727,212),
+while a 10 x 10 grid whose one essential cell asks for the 2,025 minors of
+8 rows (81,648,000 terms) is not.  ``ci`` has no term bound, since it
+expands one block determinant per positive cell at most.  Text grids put
 '1' at the permutation's entries, '*' at positive-rank diagram cells and '.'
 at rank-0 diagram cells.  Exit status: 0 on success or a true
 verdict, 1 when a verification or classification comes back false, 2 on usage
@@ -46,7 +51,7 @@ USAGE_ERROR = 2
 DEFAULT_PRIME = 32003
 DIAGRAM_BOUND = 100  # diagram and essential take time and memory in n^2
 EXPANSION_BOUND = 10  # gens and ci expand minors of up to (n-1)! terms
-GENS_MINOR_BOUND = 8  # rows of the largest minor gens selects among
+GENS_TERM_BOUND = 10 ** 6  # terms of the Fulton minors gens may expand
 GB_BOUND = 6
 CENSUS_BOUND = 8
 CENSUS_CHUNK = 64  # permutations per task sent to a census worker
@@ -185,21 +190,16 @@ def _load_target(args, *, bound: int) -> perm.PartialPermutation:
     return w if w is not None else perm.parse_partial_matrix(text)
 
 
-def _load_expandable(args, minor_bound: int = EXPANSION_BOUND - 1) -> perm.PartialPermutation:
+def _load_expandable(args) -> perm.PartialPermutation:
     """The input of gens or ci, refused before any expansion when its grid or
     one of its Fulton minors is larger than those of S_10, whose minors
-    have at most 9 rows, and then when a minor has more than
-    ``minor_bound`` rows."""
+    have at most 9 rows."""
     w = _load_target(args, bound=EXPANSION_BOUND)
     size = max((r + 1 for _, r in perm.essential_set(w)), default=0)
     if size > EXPANSION_BOUND - 1:
         raise CapabilityError(
             f"{args.command} is bounded at n <= {EXPANSION_BOUND}; "
             f"got a {w.rows}x{w.cols} input with a {size}x{size} minor")
-    if size > minor_bound:
-        raise CapabilityError(
-            f"{args.command} is bounded at minors of at most {minor_bound} rows; "
-            f"got a {size}x{size} minor")
     return w
 
 
@@ -250,7 +250,13 @@ def _cmd_essential(args) -> int:
 
 
 def _cmd_gens(args) -> int:
-    w = _load_expandable(args, minor_bound=GENS_MINOR_BOUND)
+    w = _load_expandable(args)
+    # the terms of every minor of size r+1 in each essential corner; a site
+    # that two corners share counts twice
+    terms = sum(math.perm(c.p, r + 1) * math.comb(c.q, r + 1) for c, r in perm.essential_set(w))
+    if terms > GENS_TERM_BOUND:
+        raise CapabilityError(f"gens is bounded at {GENS_TERM_BOUND:,} terms of Fulton minors; "
+                              f"got {terms:,}")
     mode = "diagram" if args.diagram_cells else "essential"
     schubert = detideal.fulton_generators(w, cells=mode)
     gens = schubert.raw_generators if args.raw else schubert.generators

@@ -865,7 +865,14 @@ def _reduce_dict(p: dict, prepared: list, ring: PolyRing, mask: int = 0) -> dict
     """Destructively reduce the term dict ``p`` by the sorted entries
     ``prepared``, after erasing every term that ``mask`` (the variable mask
     of the variable reducers) meets; returns the remainder dict.  With a
-    mask the erasure builds a new dict, and ``p`` itself is left as it is."""
+    mask the erasure builds a new dict, and ``p`` itself is left as it is.
+
+    Each step takes the largest term left in ``p``.  Its keys are sorted
+    once and walked from the top: a reduction step inserts the shifted
+    reducer terms it adds to ``p`` (all below the term it cancels), and a
+    key that a step cancelled is skipped.  So the terms come in the order
+    ``max(p)`` would give them, and the walk costs a sort and one insertion
+    per added term, not a scan of ``p`` per term."""
     if mask:
         p = {m: c for m, c in p.items() if not m & mask}
     if not prepared:
@@ -874,15 +881,21 @@ def _reduce_dict(p: dict, prepared: list, ring: PolyRing, mask: int = 0) -> dict
     axpy = ring.field.axpy
     guard = ring._guard
     rem: dict = {}
+    keys = sorted(p)
     while p:
-        m = max(p)
-        c = p[m]
+        m = keys.pop()
+        c = p.get(m)
+        if c is None:  # a step cancelled m
+            continue
         if m & mask:  # a variable reducer divides m
             del p[m]
             continue
         for lm, _, lc, gd in prepared:
             u = m - lm
             if not u & guard:  # lm | m, inlined
+                for t in gd:  # the keys this step adds to p
+                    if (k := t + u) not in p:
+                        insort(keys, k)
                 axpy(p, gd.items(), -div(c, lc), u)
                 break
         else:

@@ -5,8 +5,10 @@ re-derivations that the package itself has no call for.
 list, ``reference_buchberger`` is the textbook Buchberger algorithm that
 the engine is checked against and ``division_scanning_every_reducer`` its
 division, ``division_by_the_stated_rule`` is the division rule that
-``normal_form``'s docstring states, for any reducers, ``reference_minor``
-is Leibniz's sum for a minor of the generic matrix, ``colon_by_variable``
+``normal_form``'s docstring states, for any reducers,
+``division_steps_by_max`` lists that rule's reduction steps, taking each
+term by ``max`` over the dividend's term dict, ``reference_minor`` is
+Leibniz's sum for a minor of the generic matrix, ``colon_by_variable``
 forms (J : c) for a monomial ideal J and a variable c, ``column_row``
 inverts a partial permutation at one column, and ``zero_cells`` lists the
 rank-0 cells of a diagram.  ``_parse_polynomial`` is the recursive-descent
@@ -94,6 +96,33 @@ def division_by_the_stated_rule(f: Polynomial, reducers: Sequence[Polynomial]) -
         else:
             remainder, f = remainder + term, f - term
     return remainder
+
+
+def division_steps_by_max(f: Polynomial, reducers: Sequence[Polynomial]) -> list:
+    """The reduction steps of f by nonzero ``reducers`` under the rule of
+    ``division_by_the_stated_rule``, each as (the reducer's terms as a dict,
+    the shift u, the multiplier a) for the step p += a * x^u * reducer, with
+    a normalized by the field's ``coeff``.  The term each step acts on is
+    ``max`` of the dividend's term dict, taken again after every step; a
+    term that a variable times a unit divides is dropped, and one that no
+    lead divides moves out, without a step."""
+    ring, field = f.ring, f.ring.field
+    variables = [g.leading_monomial() for g in reducers
+                 if len(g) == 1 and ring.monomial_degree(g.leading_monomial()) == 1]
+    p = dict(f.terms())
+    steps = []
+    while p:
+        m = max(p)
+        dividing = [g for g in reducers if monomial_divides(g.leading_monomial(), m)]
+        if any(monomial_divides(v, m) for v in variables) or not dividing:
+            del p[m]
+            continue
+        g = min(dividing, key=lambda g: g.leading_monomial())
+        lm = g.leading_monomial()
+        u, a = monomial_quotient(m, lm), field.coeff(-field.div(p[m], dict(g.terms())[lm]))
+        steps.append((dict(g.terms()), u, a))
+        p = dict((ring.polynomial(p) + g.mul_term(u, a)).terms())
+    return steps
 
 
 def reference_buchberger(generators: Sequence[Polynomial]) -> tuple:

@@ -3,6 +3,7 @@ report schemas, exit codes, capability bounds, census behaviour and the
 prime-field environment override."""
 
 import argparse
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -479,18 +480,38 @@ def test_gens_and_ci_are_bounded_before_any_expansion(capsys, tmp_path, no_expan
     assert cli.EXPANSION_BOUND == 10
 
 
-def test_gens_is_bounded_at_minors_of_eight_rows(capsys, no_expansion):
-    # the essential cell (9,9) of rank 8 asks for a 9 x 9 minor: within the
-    # expansion bound, but graded Nakayama's division of it does not finish,
-    # and gens selects with or without --raw
+def test_gens_is_bounded_by_the_terms_it_expands(capsys, tmp_path, no_expansion):
+    # 10 x 10 grids with rows 1..k on the diagonal and the rest empty: the one
+    # essential cell (10,10) has rank k, so gens would expand every minor of
+    # k + 1 rows of the whole grid, 9 rows at most, within the row bound
     import msvkit.cli as cli
+    for k, terms in ((7, "81,648,000"), (8, "36,288,000")):
+        grid = tmp_path / f"diagonal{k}.txt"
+        grid.write_text("".join(" ".join("1" if j == i <= k else "0" for j in range(1, 11)) + "\n"
+                                for i in range(1, 11)))
+        for extra in ((), ("--raw",), ("--diagram-cells",), ("--raw", "--json")):
+            code, out, err = run(capsys, "gens", "--file", str(grid), *extra)
+            assert (code, out) == (2, ""), (k, extra)
+            assert err == ("error: gens is bounded at 1,000,000 terms of Fulton minors; "
+                           f"got {terms}\n")
+    assert cli.GENS_TERM_BOUND == 10 ** 6
+
+
+def test_gens_answers_a_word_with_a_minor_of_nine_rows(capsys, monkeypatch):
+    # the essential cell (9,9) of rank 8 asks for the 9 x 9 minor (362,880
+    # terms); the cells (2,4) and (3,2) of rank 1 share the site
+    # ((1,2),(1,2)), so 10 of the 11 raw minors are distinct, and all are kept
     word = "1 5 3 2 4 7 6 8 10 9"
-    for argv in (("gens", word), ("gens", word, "--raw"), ("gens", word, "--diagram-cells")):
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (2, ""), argv
-        assert err == ("error: gens is bounded at minors of at most "
-                       f"{cli.GENS_MINOR_BOUND} rows; got a 9x9 minor\n")
-    assert cli.GENS_MINOR_BOUND == 8
+    schubert = detideal.fulton_generators(PartialPermutation.from_one_line(word))
+    assert (len(schubert.raw_generators), len(schubert.generators)) == (11, 10)
+    assert schubert.sites[-1] == (tuple(range(1, 10)),) * 2
+    assert len(schubert.generators[-1]) == 362880
+    # the CLI admits it and prints what the Fulton layer selects; the stand-in
+    # leaves out the minors of 6 and 9 rows, whose rendering takes seconds
+    small = dataclasses.replace(schubert, generators=schubert.generators[:8])
+    monkeypatch.setattr(detideal, "fulton_generators", lambda w, **kwargs: small)
+    code, out, _ = run(capsys, "gens", word)
+    assert (code, out.splitlines()) == (0, list(map(str, small.generators)))
 
 
 def test_ci_keeps_the_nine_row_bound(capsys):

@@ -75,7 +75,7 @@ def test_the_lead_of_f_is_the_product_of_all_variables(n):
     assert ring.is_squarefree(lead) and ring.monomial_degree(lead) == n * n
 
 
-@pytest.mark.parametrize("n, p", [(3, 2), (3, 3), (4, 2)])
+@pytest.mark.parametrize("n, p", [(3, 2), (3, 3), (4, 2), (4, 3)])
 def test_f_to_the_p_minus_1_splits_every_matrix_schubert_variety(n, p):
     ring = PolyRing(n, n, char=p)
     words = [w for w in all_permutations(n) if w.one_line() != tuple(range(1, n + 1))]
