@@ -25,7 +25,8 @@ the complete intersection recursion with a fresh diagram per block, and
 is kept as the reference that its replacement is checked against.
 ``schubert_polynomials`` computes the Schubert polynomials of S_n by
 ``divided_difference``, and the Grothendieck polynomials by its isobaric
-form ``isobaric_divided_difference``.
+form ``isobaric_divided_difference``; ``raj`` is the sum of the Rajchgot
+code, their degree.
 """
 import itertools
 import re
@@ -461,3 +462,18 @@ def graded_selection_per_degree(ring: PolyRing, gens: Sequence[Polynomial]) -> t
         rows = [gens[idx] if d == 1 else reduced[idx] for idx in indices]
         kept += [indices[k] for k in independent(normal_forms(rows, basis))]
     return tuple(kept), len(kept)
+
+
+def raj(word: Sequence[int]) -> int:
+    """The sum over k of n - k + 1 - L_k, where L_k is the length of the
+    longest increasing subsequence of w(k), ..., w(n) that begins with w(k):
+    the entries after w(k) that such a subsequence leaves out.  It is the
+    degree of the Grothendieck polynomial of w (Pechenik-Speyer-Weigandt,
+    2021), built from the right by L_k = 1 + max L_j over j > k with
+    w(j) > w(k)."""
+    n = len(word)
+    longest = [0] * n
+    for k in reversed(range(n)):
+        longest[k] = 1 + max((longest[j] for j in range(k + 1, n) if word[j] > word[k]),
+                             default=0)
+    return sum(n - k - L for k, L in enumerate(longest))

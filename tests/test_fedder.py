@@ -86,7 +86,7 @@ def test_f_to_the_p_minus_1_splits_every_matrix_schubert_variety(n, p):
         assert outside_frobenius_power(generators) == [], w.one_line()
 
 
-@pytest.mark.parametrize("n, p", [(3, 2), (3, 3), (4, 2)])
+@pytest.mark.parametrize("n, p", [(3, 2), (3, 3), (4, 2), (4, 3)])
 def test_f_to_the_p_minus_1_splits_the_pivot_quotient(n, p):
     # lemma 2's ideal <c> + I_w, with c the pivot variable, is split by f^{p-1}
     # too; a variable that is not the pivot, x[2,2], leaves one generator out

@@ -15,6 +15,9 @@ A complete intersection with generators of degrees d_1, ..., d_c has
 h = [d_1]_t ... [d_c]_t, where [d]_t = 1 + t + ... + t^(d-1).  An h that is
 no product of q-integers refutes the complete intersection property
 without a Groebner basis or a minimal generator count.
+
+The degree of K is the degree of the Grothendieck polynomial, raj(w), the
+sum of the Rajchgot code (Pechenik-Speyer-Weigandt, 2021).
 """
 
 import functools
@@ -23,13 +26,14 @@ import math
 from typing import Optional
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import msvkit.poly as poly
 from msvkit.ci import is_complete_intersection
 from msvkit.detideal import MonomialIdeal, antidiagonal_ideal, monomial_codim
-from msvkit.perm import all_permutations, coxeter_length, essential_set
+from msvkit.perm import PartialPermutation, all_permutations, coxeter_length, essential_set
 from msvkit.poly import K_SUPPORT_BOUND, PolyRing, monomial_mul
-from reference import isobaric_divided_difference, schubert_polynomials
+from reference import isobaric_divided_difference, raj, schubert_polynomials
 
 
 def at_one_minus_t(f) -> tuple:
@@ -185,6 +189,34 @@ def test_the_k_polynomial_of_j_w_is_the_grothendieck_polynomial_at_one_minus_t(n
     assert len(data) == math.factorial(n)
     for word, (_, _, K, _) in data.items():
         assert K == at_one_minus_t(grothendieck[word]), word
+
+
+def raj_starting_anywhere(word) -> int:
+    """raj with L_k the longest increasing subsequence of w(k), ..., w(n)
+    wherever it begins: a wrong reading of the definition, which the degrees
+    of K tell apart from raj."""
+    n, total = len(word), 0
+    longest = [0] * n
+    for k in reversed(range(n)):
+        longest[k] = 1 + max((longest[j] for j in range(k + 1, n) if word[j] > word[k]),
+                             default=0)
+        total += n - k - max(longest[k:])
+    return total
+
+
+def test_the_degree_of_k_is_raj_on_s_1_to_s_6():
+    degrees = {word: len(K) - 1 for n in range(1, 7)
+               for word, (_, _, K, _) in hilbert_data(n).items()}
+    assert len(degrees) == 873
+    assert [word for word, d in degrees.items() if d != raj(word)] == []
+    assert sum(d != raj_starting_anywhere(word) for word, d in degrees.items()) == 595
+
+
+@settings(max_examples=50, deadline=None)
+@given(word=st.integers(7, 9).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_the_degree_of_k_is_raj_on_s_7_to_s_9(word):
+    J = antidiagonal_ideal(PartialPermutation.from_one_line(word))
+    assert len(J.ring.k_polynomial(J.gens)) - 1 == raj(word)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])

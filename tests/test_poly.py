@@ -7,8 +7,11 @@ import ast
 import hashlib
 import itertools
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -1621,24 +1624,33 @@ def _public_definitions(tree):
                         if isinstance(sub, ast.FunctionDef))
 
 
+def test_the_package_root_holds_its_modules_and_partial_permutation():
+    # every other name has one spelling, in its module; a fresh interpreter
+    # sees the root before any test imports a further submodule (cli) into it
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", "import msvkit; print(*sorted(n for n in vars(msvkit)"
+         " if not n.startswith('_')), msvkit.__version__)"],
+        env=env, capture_output=True, text=True, check=True).stdout.split()
+    assert out == ["PartialPermutation", "ci", "detideal", "frlab", "perm", "poly", "0.1.0"]
+
+
 def test_every_public_function_has_a_caller_in_src_or_a_reason():
     # a name counts as called when some node of src/ outside its own
-    # definition and the package's re-exports is that name or reads it as
-    # an attribute
+    # definition is that name or reads it as an attribute
     package = Path(__file__).resolve().parent.parent / "src" / "msvkit"
-    trees = {path.stem: ast.parse(path.read_text(), str(path))
-             for path in sorted(package.glob("*.py"))}
+    trees = [ast.parse(path.read_text(), str(path)) for path in sorted(package.glob("*.py"))]
     used = {}
-    for module, tree in trees.items():
-        if module == "__init__":
-            continue
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.setdefault(node.id, set()).add(id(node))
             elif isinstance(node, ast.Attribute):
                 used.setdefault(node.attr, set()).add(id(node))
     uncalled = set()
-    for tree in trees.values():
+    for tree in trees:
         for qualname, fn in _public_definitions(tree):
             if not fn.name.startswith("_") and not used.get(fn.name, set()) - {
                     id(node) for node in ast.walk(fn)}:
